@@ -44,6 +44,7 @@ from .numcore import (
     BandedHermitian,
     Grid,
     HermitianMatrix,
+    banded_eigvec,
     diff_central,
     eigh_banded,
     eigh_small,

@@ -313,10 +313,12 @@ def cmd_spectrum(st, out_dir):
         "gap_exclusion": gap_exclusion,
     }
     for name, rep in sorted(reports.items()):
+        # rows without a computed eigenvector hold nan in both columns
+        edge_state = np.where(np.isnan(rep.ipr), np.nan, rep.edge_state_mask)
         _write_csv(os.path.join(out_dir, f"spectrum_{name}.csv"),
                    ["index", "energy", "ipr", "edge_state"],
                    [np.arange(rep.eigenvalues.size), rep.eigenvalues,
-                    rep.ipr, rep.edge_state_mask.astype(float)])
+                    rep.ipr, edge_state])
         summary[name] = {
             "cluster_count": rep.cluster_count,
             "gap_edge_neg": rep.gap_edge_neg,

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
-from .numcore import BandedHermitian, HermitianMatrix, eigh_banded, eigh_small, quad_roots
+from .numcore import BandedHermitian, HermitianMatrix, banded_eigvec, eigh_banded, \
+    eigh_small, quad_roots
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,8 @@ class SpectrumReport:
     cluster_count: int
     gap_edge_neg: float  # largest bulk eigenvalue below the cluster (nan if none)
     gap_edge_pos: float  # smallest bulk eigenvalue above the cluster (nan if none)
-    ipr: np.ndarray = None
-    edge_state_mask: np.ndarray = None
+    ipr: np.ndarray = None               # nan where no vector was computed
+    edge_state_mask: np.ndarray = None   # False where no vector was computed
     notes: tuple = field(default_factory=tuple)
 
 
@@ -244,6 +245,18 @@ def _edge_mask(vectors, sites_per_point, edge_fraction=0.05, mass_threshold=0.5)
     return edge_mass >= mass_threshold
 
 
+def _walk_to_gap_edge(chain, w, indices, ipr, edge, sites_per_point):
+    """Fill ipr/edge along `indices` up to the first non-edge state; return
+    its eigenvalue (nan if every state on the walk is edge-localized)."""
+    for i in indices:
+        v = banded_eigvec(chain, w[i])[:, None]
+        ipr[i] = inverse_participation_ratio(v)[0]
+        edge[i] = _edge_mask(v, sites_per_point)[0]
+        if not edge[i]:
+            return float(w[i])
+    return float("nan")
+
+
 def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
                    gap_exclusion=None, sites_per_point=3):
     """Diagonalize a banded chain and summarize its spectrum.
@@ -254,26 +267,34 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
     the outer 5% of cells) and everything within gap_exclusion of
     flat_energy (finite-size members of the flat cluster can leak
     slightly past cluster_tol; default gap_exclusion = cluster_tol).
+
+    Only eigenvalues come from the full solve. Eigenvectors are computed
+    one at a time by inverse iteration, walking outward from flat_energy
+    on each side, starting beyond max(gap_exclusion, cluster_tol) and
+    stopping at the first state that is not edge-localized, which is the
+    gap edge. `ipr` holds nan on every other row (the flat cluster
+    included) and `edge_state_mask` holds False there.
     """
-    w, v = eigh_banded(chain, eigenvectors=True)
-    ipr = inverse_participation_ratio(v)
-    edge = _edge_mask(v, sites_per_point)
+    w = eigh_banded(chain)
     if window is not None:
-        keep = (w >= window[0]) & (w <= window[1])
-        w, ipr, edge = w[keep], ipr[keep], edge[keep]
+        w = w[(w >= window[0]) & (w <= window[1])]
     if gap_exclusion is None:
         gap_exclusion = cluster_tol
-    in_cluster = np.abs(w - flat_energy) <= cluster_tol
-    bulk = (np.abs(w - flat_energy) > max(gap_exclusion, cluster_tol)) & ~edge
-    below = w[bulk & (w < flat_energy)]
-    above = w[bulk & (w > flat_energy)]
+    ipr = np.full(w.size, np.nan)
+    edge = np.zeros(w.size, dtype=bool)
+    offset = w - flat_energy
+    excluded = max(gap_exclusion, cluster_tol)
+    above = np.flatnonzero(offset > excluded)           # ascending
+    below = np.flatnonzero(offset < -excluded)[::-1]    # descending
+    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge, sites_per_point)
+    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, sites_per_point)
     return SpectrumReport(
         eigenvalues=w,
         flat_energy=flat_energy,
         cluster_tol=cluster_tol,
-        cluster_count=int(in_cluster.sum()),
-        gap_edge_neg=float(below.max()) if below.size else float("nan"),
-        gap_edge_pos=float(above.min()) if above.size else float("nan"),
+        cluster_count=int((np.abs(offset) <= cluster_tol).sum()),
+        gap_edge_neg=gap_edge_neg,
+        gap_edge_pos=gap_edge_pos,
         ipr=ipr,
         edge_state_mask=edge,
     )

@@ -137,6 +137,71 @@ def eigh_banded(m, eigenvectors=False):
     return w
 
 
+EIGVEC_ITERATIONS = 3
+EIGVEC_RESIDUAL_TOL = 1e-10
+
+
+def banded_eigvec(m, energy):
+    """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
+
+    Inverse iteration with a banded LU of M - energy*I (general band
+    storage, lower diagonals the conjugates of the stored upper ones, so
+    complex matrices work too). The start vector is fixed, so reruns give
+    identical vectors. Three solves damp every other eigencomponent by
+    (rounding / spectral gap)**3, well below what an IPR or an edge flag
+    resolves. Raises NumericalError unless ||Mv - energy*v|| is at most
+    EIGVEC_RESIDUAL_TOL times the largest absolute row sum of M.
+
+    Within a numerically degenerate group the vector is some unit vector
+    of the group's eigenspace, not a particular basis member.
+    """
+    if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
+        raise NumericalError("non-finite input to banded_eigvec")
+    u, n = m.bandwidth, m.dim
+    ab = np.zeros((2 * u + 1, n), dtype=np.result_type(m.bands, float))
+    ab[: u + 1] = m.bands
+    for d in range(1, u + 1):
+        ab[u + d, : n - d] = np.conj(m.bands[u - d, d:])
+    scale = max(float(np.abs(ab).sum(axis=0).max()), np.finfo(float).tiny)
+    shifted = ab.copy()
+    shifted[u] -= energy
+    v = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)
+    v /= np.linalg.norm(v)
+    for _ in range(EIGVEC_ITERATIONS):
+        try:
+            v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
+        except np.linalg.LinAlgError:
+            # an exactly zero pivot (say, a decoupled site at the shift):
+            # move the shift off the eigenvalue by one rounding unit
+            shifted[u] -= np.finfo(float).eps * scale
+            try:
+                v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"inverse iteration at E={energy:.6g}: singular shift") from exc
+        norm = np.linalg.norm(v)
+        if not np.isfinite(norm):
+            raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
+        v /= norm
+    residual = float(np.linalg.norm(_band_matvec(ab, v) - energy * v))
+    if residual > EIGVEC_RESIDUAL_TOL * scale:
+        raise NumericalError(
+            f"inverse iteration at E={energy:.6g}: residual {residual:.3e} "
+            f"exceeds {EIGVEC_RESIDUAL_TOL:.0e} x {scale:.3e}")
+    return v
+
+
+def _band_matvec(ab, v):
+    """M @ v for M in general band storage with equal lower/upper widths."""
+    u = ab.shape[0] // 2
+    n = v.size
+    out = ab[u] * v
+    for d in range(1, u + 1):
+        out[: n - d] += ab[u - d, d:] * v[d:]   # superdiagonal d
+        out[d:] += ab[u + d, : n - d] * v[: n - d]  # subdiagonal d
+    return out
+
+
 def diff_central(samples, grid):
     """O(h^2) first derivative: central interior, one-sided at the ends."""
     f = np.asarray(samples)

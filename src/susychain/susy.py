@@ -455,7 +455,7 @@ def inverse_dagger_states(frame):
         st = w[:, :, j].T  # (3, n)
         r = comps.apply_to(st) - e * st
         amp = np.linalg.norm(st, axis=0)
-        mass = float(getattr(np, "trapezoid", np.trapz)(amp**2, g.x))
+        mass = float(np.trapezoid(amp**2, g.x))
         tail = np.log(np.maximum(amp[-n_tail:], 1e-300))
         rate = float(np.polyfit(g.x[-n_tail:], tail, 1)[0])
         states.append(st)

@@ -168,6 +168,29 @@ def test_spectrum_chain(tmp_path):
     assert not summary["gap_edge_derived_not_published"]
 
 
+def test_spectrum_csv_fills_only_walked_rows_and_is_deterministic(tmp_path):
+    argv = ["spectrum", "--set", "model=I", "--set", "mass=0.07",
+            "--cells", "120"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main([*argv, "--out", str(tmp_path / "b")]) == EXIT_OK
+    for name in ("spectrum_chain.csv", "spectrum_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    _, rows = read_csv(tmp_path / "a" / "spectrum_chain.csv")
+    summary = json.loads((tmp_path / "a" / "spectrum_summary.json").read_text())
+    energy, ipr, edge = rows[:, 1], rows[:, 2], rows[:, 3]
+    walked = np.isfinite(ipr)
+    np.testing.assert_array_equal(np.isfinite(edge), walked)
+    # vectors only between the exclusion zone and the gap edges, inclusive
+    rep = summary["chain"]
+    lo, hi = rep["gap_edge_neg"], rep["gap_edge_pos"]
+    assert walked.sum() >= 2
+    assert np.all(np.abs(energy[walked]) > summary["gap_exclusion"])
+    assert np.all((energy[walked] >= lo) & (energy[walked] <= hi))
+    np.testing.assert_array_equal(edge[energy == lo], [0.0])
+    np.testing.assert_array_equal(edge[energy == hi], [0.0])
+
+
 def test_spectrum_continuum_and_both(tmp_path, monkeypatch):
     monkeypatch.setenv("SUSYCHAIN_THREADS", "2")
     rc = main(["spectrum", "--out", str(tmp_path), "--set", "model=II",

@@ -1,10 +1,14 @@
 """Unit tests for the saw-chain tight-binding layer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susychain import models
+from susychain.continuum import discretize, operator_spec_from_components
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
     ChainProfile,
@@ -17,7 +21,11 @@ from susychain.lattice import (
     det_secular,
     flat_band_residual,
     tune_flat_band,
+    _edge_mask,
+    inverse_participation_ratio,
 )
+from susychain.models import ModelKind, ModelParams
+from susychain.numcore import Grid, eigh_banded
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -188,13 +196,75 @@ def test_chain_spectrum_gap_exclusion():
 
 
 def test_edge_state_detection_ssh_limit():
-    # dimerized AB chain in the topological phase hosts midgap edge modes
+    # dimerized AB chain in the topological phase hosts midgap edge modes;
+    # they sit at |E| ~ 5e-17, so cluster_tol must lie below that for them
+    # to be walked (and get vectors) rather than counted as the flat cluster
     p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
     chain = build_finite_chain(ChainProfile.uniform(p, 60))
-    rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-9,
+    rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-20,
                          window=(-5.0, 5.0))
     near_zero = np.abs(rep.eigenvalues) < 0.3
     assert near_zero.sum() == 2
+    assert np.isfinite(rep.ipr[near_zero]).all()
     assert rep.edge_state_mask[near_zero].all()
     # and the reported gap edges ignore those edge modes
     assert abs(rep.gap_edge_pos) > 0.3
+
+
+# ------------------------------------- walked spectrum vs dense reference
+
+def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
+    """chain_spectrum's summary from every eigenvector of a dense solve."""
+    w, v = eigh_banded(chain, eigenvectors=True)
+    ipr = inverse_participation_ratio(v)
+    edge = _edge_mask(v, 3)
+    bulk = (np.abs(w - flat_energy) > max(gap_exclusion, cluster_tol)) & ~edge
+    return (w, ipr, edge, int((np.abs(w - flat_energy) <= cluster_tol).sum()),
+            w[bulk & (w < flat_energy)].max(), w[bulk & (w > flat_energy)].min())
+
+
+def _model_case(kind, mass, lam, route):
+    p = ModelParams(kind, mass, lam)
+    gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
+    if route == "chain":
+        op = build_finite_chain(models.sample_chain_profile(p, 100))
+    else:
+        grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 101)
+        comps = models.model_potential_components(p, grid)
+        op = discretize(operator_spec_from_components(comps), grid)
+    return op, lam, 1e-6, gap_exclusion
+
+
+def _ssh_case(end_potentials):
+    p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
+    prof = ChainProfile.uniform(p, 60)
+    if end_potentials:
+        # lift the two zero modes apart (left mode on A_0, right on B_59)
+        # so both are walked as distinct in-gap edge states
+        prof = replace(prof, eps_a=np.r_[0.05, prof.eps_a[1:]],
+                       eps_b=np.r_[prof.eps_b[:-1], 0.08])
+    return build_finite_chain(prof), 0.0, 1e-9, 1e-9
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _model_case(ModelKind.I, 0.07, 0.0, "chain"),
+    lambda: _model_case(ModelKind.II, 0.1, 0.05, "chain"),
+    lambda: _ssh_case(end_potentials=False),
+    lambda: _ssh_case(end_potentials=True),
+    lambda: _model_case(ModelKind.I, 0.07, 0.0, "continuum"),
+    lambda: _model_case(ModelKind.II, 0.1, 0.05, "continuum"),
+], ids=["model_I_chain", "model_II_chain", "ssh", "ssh_end_potentials",
+        "model_I_continuum", "model_II_continuum"])
+def test_chain_spectrum_matches_dense_reference(case):
+    op, flat, tol, excl = case()
+    w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(op, flat, tol, excl)
+    rep = chain_spectrum(op, flat_energy=flat, cluster_tol=tol, gap_exclusion=excl)
+    np.testing.assert_allclose(rep.eigenvalues, w, atol=1e-12)
+    assert rep.cluster_count == count
+    assert rep.gap_edge_neg == pytest.approx(edge_neg, abs=1e-12)
+    assert rep.gap_edge_pos == pytest.approx(edge_pos, abs=1e-12)
+    has = np.isfinite(rep.ipr)
+    assert 2 <= has.sum() < w.size
+    np.testing.assert_array_equal(rep.edge_state_mask[has], edge[has])
+    np.testing.assert_allclose(rep.ipr[has], ipr[has], rtol=0, atol=1e-8)
+    assert not rep.edge_state_mask[~has].any()

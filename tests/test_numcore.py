@@ -10,6 +10,7 @@ from susychain.numcore import (
     BandedHermitian,
     Grid,
     HermitianMatrix,
+    banded_eigvec,
     diff_central,
     eigh_banded,
     eigh_small,
@@ -96,6 +97,43 @@ def test_eigh_banded_values_only():
     banded = BandedHermitian.from_dense(np.diag([3.0, 1.0, 2.0]), 1)
     w = eigh_banded(banded)
     np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_banded_eigvec_matches_dense_eigenvectors(dtype):
+    rng = np.random.default_rng(8)
+    dim, bw = 40, 3
+    dense = np.diag(rng.normal(size=dim)).astype(dtype)
+    for d in range(1, bw + 1):
+        vals = rng.normal(size=dim - d)
+        if dtype is complex:
+            vals = vals + 1j * rng.normal(size=dim - d)
+        dense += np.diag(vals, d) + np.diag(np.conj(vals), -d)
+    banded = BandedHermitian.from_dense(dense, bw)
+    w, v = np.linalg.eigh(dense)
+    for j in (0, 17, dim - 1):
+        x = banded_eigvec(banded, w[j])
+        assert np.linalg.norm(x) == pytest.approx(1.0)
+        # unique up to a phase: |<v_j, x>| = 1
+        assert abs(np.vdot(v[:, j], x)) == pytest.approx(1.0, abs=1e-10)
+    # fixed start vector: reruns are bit-identical
+    np.testing.assert_array_equal(banded_eigvec(banded, w[5]),
+                                  banded_eigvec(banded, w[5]))
+
+
+def test_banded_eigvec_exact_eigenvalue_of_decoupled_site():
+    # the shift hits a zero pivot exactly; the kernel must still succeed
+    banded = BandedHermitian.from_dense(np.diag([3.0, 1.0, 2.0]), 1)
+    x = banded_eigvec(banded, 2.0)
+    np.testing.assert_allclose(np.abs(x), [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_banded_eigvec_rejects_non_eigenvalue():
+    banded = BandedHermitian.from_dense(np.diag([3.0, 1.0, 2.0]), 1)
+    with pytest.raises(NumericalError, match="residual"):
+        banded_eigvec(banded, 1.5)
+    with pytest.raises(NumericalError):
+        banded_eigvec(banded, np.nan)
 
 
 # ----------------------------------------------------------- stencils
