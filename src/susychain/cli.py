@@ -12,14 +12,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import lattice, models, susy
-from .continuum import discretize, operator_spec_from_components, \
-    symbol_dispersion, threshold_scan
+from .continuum import DiracOperatorSpec, discretize, symbol_dispersion, \
+    threshold_scan
 from .errors import ConfigError, SusychainError
 from .lattice import TightBindingParams, band_structure, build_finite_chain, \
     chain_spectrum, default_k_grid, flat_band_residual, tune_flat_band
@@ -33,13 +32,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 FLAT_BAND_THRESHOLD = 1e-8
-
-
-def _max_workers():
-    try:
-        return max(1, int(os.environ.get("SUSYCHAIN_THREADS", "4")))
-    except ValueError:
-        return 1
 
 
 def fmt(v):
@@ -276,7 +268,7 @@ def cmd_spectrum(st, out_dir):
     # when estimating gap edges, ignore flat-cluster members that leak
     # slightly past cluster_tol at finite size
     gap_exclusion = st.get("gap_exclusion", 0.1 * spectrum.gap_edge, float)
-    jobs = {}
+    reports = {}
 
     if method in ("chain", "both"):
         n_cells = st.get("cells", 400, int)
@@ -284,24 +276,19 @@ def cmd_spectrum(st, out_dir):
             raise ConfigError("field 'cells': need at least 2")
         box = st.get("box", None, float)
         profile = models.sample_chain_profile(p, n_cells, box_halfwidth=box)
-        chain = build_finite_chain(profile)
-        jobs["chain"] = lambda: chain_spectrum(
-            chain, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
-            gap_exclusion=gap_exclusion)
+        reports["chain"] = chain_spectrum(
+            build_finite_chain(profile), flat_energy=p.flat_energy,
+            cluster_tol=cluster_tol, gap_exclusion=gap_exclusion)
     if method in ("continuum", "both"):
         kappa = p.kappa
         box = st.get("box", 12.0 / kappa, float)
         n = st.get("grid_points", 2001, int)
         grid = Grid(-box, box, n)
         comps = models.model_potential_components(p, grid)
-        op = discretize(operator_spec_from_components(comps), grid)
-        jobs["continuum"] = lambda: chain_spectrum(
+        op = discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
+        reports["continuum"] = chain_spectrum(
             op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
             gap_exclusion=gap_exclusion)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {name: pool.submit(job) for name, job in sorted(jobs.items())}
-        reports = {name: fut.result() for name, fut in futures.items()}
 
     summary = {
         "model": p.kind.value,
@@ -456,11 +443,9 @@ def _verify_checks(seed, tol_override):
     # threshold_scan equals a brute-force minimum over a fine k-grid
     cell = models.asymptotic_cell(ModelParams(ModelKind.I, 0.16, 0.09), +1)
     _, edge, _ = threshold_scan(cell)
-    dispersive = [abs(e)
-                  for k in np.linspace(-2.0, 2.0, 4001)
-                  for e in symbol_dispersion(cell, k)
-                  if abs(e - cell.flat_energy) > 1e-9]
-    add_max("threshold_scan_vs_sweep", abs(min(dispersive) - edge), 1e-10)
+    w = symbol_dispersion(cell, np.linspace(-2.0, 2.0, 4001))
+    dispersive = np.abs(w[np.abs(w - cell.flat_energy) > 1e-9])
+    add_max("threshold_scan_vs_sweep", abs(dispersive.min() - edge), 1e-10)
 
     # stencil convergence orders on smooth functions
     g1 = Grid(-1.0, 1.0, 101)

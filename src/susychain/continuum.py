@@ -10,12 +10,11 @@ asymptotic cell, whose symbol eigenvalues give the band thresholds.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalError
-from .numcore import BandedHermitian, Grid
+from .numcore import BandedHermitian, diff_central
 
 GAMMA = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 0.0],
@@ -23,19 +22,26 @@ GAMMA = np.array([[0.0, 1.0, 0.0],
 
 
 def potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy):
-    """Assemble the 3x3 Hermitian potential from its real components."""
-    return np.array([
-        [v11 + scalar_v, -1j * v12, -1j * v13],
-        [1j * v12, -v11 + scalar_v, v23],
-        [1j * v13, v23, flat_energy],
-    ])
+    """Assemble the 3x3 Hermitian potential from its real components.
+
+    Array components give a stack of shape broadcast_shape + (3, 3).
+    """
+    entries = np.broadcast_arrays(
+        v11 + scalar_v, -1j * v12, -1j * v13,
+        1j * v12, -v11 + scalar_v, v23,
+        1j * v13, v23, flat_energy)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiracOperatorSpec:
-    """-i*kinetic_scale*gamma*d/dx + potential(x)."""
+    """-i*kinetic_scale*gamma*d/dx + V(x).
 
-    potential: Callable[[float], np.ndarray]
+    `potential` holds V sampled on a grid: one 3x3 matrix for a constant
+    potential, or an (n_points, 3, 3) stack with one matrix per point.
+    """
+
+    potential: np.ndarray
     kinetic_scale: float = 1.0
 
     def __post_init__(self):
@@ -76,22 +82,20 @@ def continuum_limit(p):
     v23 = p.t_bc
     flat_energy = p.eps_c
     mat = potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy)
-
-    def potential(x):
-        return mat
-
-    return DiracOperatorSpec(potential=potential, kinetic_scale=p.t_ab_inter * p.a)
+    return DiracOperatorSpec(potential=mat, kinetic_scale=p.t_ab_inter * p.a)
 
 
 def symbol_matrix(cell, k):
-    return GAMMA * k + potential_matrix(cell.v11, cell.v12, cell.v13,
-                                        cell.v23, 0.0, cell.flat_energy)
+    """Symbol at momentum k; an array k gives a k.shape + (3, 3) stack."""
+    return np.multiply.outer(k, GAMMA) + potential_matrix(
+        cell.v11, cell.v12, cell.v13, cell.v23, 0.0, cell.flat_energy)
 
 
 def symbol_dispersion(cell, k):
     """Ascending eigenvalues of the constant-coefficient symbol at momentum k.
 
-    For a decoupled cell (v13 = v23 = 0) these are flat_energy and
+    An array k gives one row of three eigenvalues per momentum. For a
+    decoupled cell (v13 = v23 = 0) these are flat_energy and
     +-sqrt(k^2 + v11^2 + v12^2).
     """
     return np.linalg.eigvalsh(symbol_matrix(cell, k))
@@ -112,60 +116,45 @@ def threshold_scan(cell):
     return -edge, edge, cell.flat_energy
 
 
+def _potential_stack(spec, grid):
+    """The spec's potential as an (n_points, 3, 3) complex stack."""
+    v = np.asarray(spec.potential, dtype=complex)
+    n = grid.n_points
+    if v.shape not in ((3, 3), (n, 3, 3)):
+        raise NumericalError(
+            f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
+    v = np.broadcast_to(v, (n, 3, 3))
+    finite = np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        x = grid.x[np.argmin(finite)]
+        raise NumericalError(f"non-finite potential sample at x={x:.6g}")
+    return v
+
+
 def discretize(spec, grid):
     """Finite-difference matrix of the Dirac operator on a grid.
 
     -i d/dx becomes the antisymmetric central-difference stencil (times
-    -i, hence Hermitian); the potential is sampled pointwise; the chain
-    is simply truncated at the box walls. Point-major ordering keeps the
-    bandwidth at 4.
+    -i, hence Hermitian); the potential is taken point by point; the
+    chain is simply truncated at the box walls. Point-major ordering
+    keeps the bandwidth at 4.
     """
-    n = grid.n_points
-    x = grid.x
-    dim = 3 * n
-    bands = np.zeros((5, dim), dtype=complex)
-    for i, xi in enumerate(x):
-        v = np.asarray(spec.potential(xi), dtype=complex)
-        if not np.all(np.isfinite(v)):
-            raise NumericalError(f"non-finite potential sample at x={xi:.6g}")
-        base = 3 * i
-        for a in range(3):
-            for b in range(a, 3):
-                bands[4 + (base + a) - (base + b), base + b] = v[a, b]
+    v = _potential_stack(spec, grid)
+    bands = np.zeros((5, 3 * grid.n_points), dtype=complex)
+    # upper triangle of each point's 3x3 block: M[3i+a, 3i+b], a <= b
+    for a in range(3):
+        for b in range(a, 3):
+            bands[4 + a - b, b::3] = v[:, a, b]
     # kinetic blocks between neighboring points: -i * scale * gamma / (2h)
+    # at M[3i+a, 3(i+1)+b]
     hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA
-    for i in range(n - 1):
-        for a in range(3):
-            for b in range(3):
-                if hop[a, b] != 0:
-                    row, col = 3 * i + a, 3 * (i + 1) + b
-                    bands[4 + row - col, col] = hop[a, b]
+    for a, b in zip(*np.nonzero(hop)):
+        bands[1 + a - b, 3 + b::3] = hop[a, b]
     return BandedHermitian(bands)
 
 
-def operator_spec_from_components(components):
-    """DiracOperatorSpec sampling a PotentialComponents table (nearest x)."""
-    x = components.grid.x
-
-    def potential(xq):
-        i = int(np.argmin(np.abs(x - xq)))
-        return components.matrix_at(i)
-
-    return DiracOperatorSpec(potential=potential)
-
-
-def apply_dirac(spec_or_potential, state, grid, kinetic_scale=1.0):
+def apply_dirac(spec, state, grid):
     """Apply -i*scale*gamma*d/dx + V(x) to a sampled (3, n) spinor."""
-    from .numcore import diff_central
-
-    if isinstance(spec_or_potential, DiracOperatorSpec):
-        vfun = spec_or_potential.potential
-        kinetic_scale = spec_or_potential.kinetic_scale
-    else:
-        vfun = spec_or_potential
     f = np.asarray(state, dtype=complex)
-    df = diff_central(f, grid)
-    out = -1j * kinetic_scale * (GAMMA @ df)
-    for i, xi in enumerate(grid.x):
-        out[:, i] += np.asarray(vfun(xi), dtype=complex) @ f[:, i]
-    return out
+    return (-1j * spec.kinetic_scale * (GAMMA @ diff_central(f, grid))
+            + np.einsum("nij,jn->in", _potential_stack(spec, grid), f))

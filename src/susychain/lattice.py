@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
 from .numcore import BandedHermitian, HermitianMatrix, banded_eigvec, eigh_banded, \
-    eigh_small, quad_roots
+    quad_roots
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,24 @@ class FlatBandSolution:
     quad_cos: float
 
 
-def bloch_hamiltonian(p, k):
-    """3x3 Bloch Hamiltonian of the saw chain at quasi-momentum k."""
-    if not np.isfinite(k):
+def _bloch_stack(p, k):
+    """H(k) of every k in an array, as a k.shape + (3, 3) complex stack."""
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
         raise NumericalError("k must be finite")
     off = p.t_ab + p.t_ab_inter * np.exp(-1j * k * p.a)
-    return HermitianMatrix([
-        [p.eps_a, off, p.t_ac],
-        [np.conj(off), p.eps_b, p.t_bc],
-        [p.t_ac, p.t_bc, p.eps_c],
-    ])
+    h = np.empty(k.shape + (3, 3), dtype=complex)
+    h[...] = [[p.eps_a, 0.0, p.t_ac],
+              [0.0, p.eps_b, p.t_bc],
+              [p.t_ac, p.t_bc, p.eps_c]]
+    h[..., 0, 1] = off
+    h[..., 1, 0] = np.conj(off)
+    return h
+
+
+def bloch_hamiltonian(p, k):
+    """3x3 Bloch Hamiltonian of the saw chain at quasi-momentum k."""
+    return HermitianMatrix(_bloch_stack(p, k))
 
 
 def default_k_grid(p, n=513):
@@ -91,10 +99,8 @@ def band_structure(p, k_grid):
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size == 0:
         raise NumericalError("empty k-grid")
-    energies = np.empty((k_grid.size, 3))
-    for i, k in enumerate(k_grid):
-        w, _ = eigh_small(bloch_hamiltonian(p, k))
-        energies[i] = w
+    # eigh, not eigvalsh: only eigh keeps the bits of the per-k solve
+    energies, _ = np.linalg.eigh(_bloch_stack(p, k_grid.ravel()))
     return BandStructure(k_grid, energies)
 
 
@@ -245,11 +251,15 @@ def _edge_mask(vectors, sites_per_point, edge_fraction=0.05, mass_threshold=0.5)
     return edge_mass >= mass_threshold
 
 
-def _walk_to_gap_edge(chain, w, indices, ipr, edge, sites_per_point):
+def _walk_to_gap_edge(chain, w, indices, ipr, edge, sites_per_point, walked):
     """Fill ipr/edge along `indices` up to the first non-edge state; return
-    its eigenvalue (nan if every state on the walk is edge-localized)."""
+    its eigenvalue (nan if every state on the walk is edge-localized).
+    Appends each (eigenvalue, vector) to `walked`; banded_eigvec keeps each
+    new vector orthogonal to the degenerate ones already there."""
     for i in indices:
-        v = banded_eigvec(chain, w[i])[:, None]
+        v = banded_eigvec(chain, w[i], previous=walked)
+        walked.append((w[i], v))
+        v = v[:, None]
         ipr[i] = inverse_participation_ratio(v)[0]
         edge[i] = _edge_mask(v, sites_per_point)[0]
         if not edge[i]:
@@ -273,7 +283,8 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
     on each side, starting beyond max(gap_exclusion, cluster_tol) and
     stopping at the first state that is not edge-localized, which is the
     gap edge. `ipr` holds nan on every other row (the flat cluster
-    included) and `edge_state_mask` holds False there.
+    included) and `edge_state_mask` holds False there. The vectors of a
+    numerically degenerate walked group are orthonormal.
     """
     w = eigh_banded(chain)
     if window is not None:
@@ -286,8 +297,9 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
     excluded = max(gap_exclusion, cluster_tol)
     above = np.flatnonzero(offset > excluded)           # ascending
     below = np.flatnonzero(offset < -excluded)[::-1]    # descending
-    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge, sites_per_point)
-    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, sites_per_point)
+    walked = []
+    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge, sites_per_point, walked)
+    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, sites_per_point, walked)
     return SpectrumReport(
         eigenvalues=w,
         flat_energy=flat_energy,

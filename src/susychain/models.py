@@ -106,16 +106,22 @@ def _require_valid(p):
         raise NumericalError("invalid model parameters: " + "; ".join(violations))
 
 
+# beyond |2 kappa x| = 700, tanh is +-1 in double precision and sech is
+# below 1e-303, while cosh overflows from 710 on
+MAX_HYPERBOLIC_ARG = 700.0
+
+
 def model1_potential(p, x):
     """Closed-form potential components of Model I."""
     if p.kind is not ModelKind.I:
         raise NumericalError("model1_potential requires a Model I parameter set")
     _require_valid(p)
     m, lam, k = p.mass, p.flat_energy, p.kappa
-    x = np.asarray(x, dtype=float)
-    sech2 = 1.0 / np.cosh(2 * k * x)
-    tanh2 = np.tanh(2 * k * x)
-    cosh2 = np.cosh(2 * k * x)
+    z = np.clip(2 * k * np.asarray(x, dtype=float),
+                -MAX_HYPERBOLIC_ARG, MAX_HYPERBOLIC_ARG)
+    sech2 = 1.0 / np.cosh(z)
+    tanh2 = np.tanh(z)
+    cosh2 = np.cosh(z)
     root = np.sqrt(m * (m - lam))
     den_a = 2 * m - lam + 4 * m * sech2
     den_b = 4 * m + (2 * m - lam) * cosh2
@@ -132,11 +138,12 @@ def model2_potential(p, x):
         raise NumericalError("model2_potential requires a Model II parameter set")
     _require_valid(p)
     m, lam, k = p.mass, p.flat_energy, p.kappa
-    x = np.asarray(x, dtype=float)
-    sech2 = 1.0 / np.cosh(2 * k * x)
-    tanh2 = np.tanh(2 * k * x)
-    cosh2 = np.cosh(2 * k * x)
-    v12 = -lam * np.ones_like(x)
+    z = np.clip(2 * k * np.asarray(x, dtype=float),
+                -MAX_HYPERBOLIC_ARG, MAX_HYPERBOLIC_ARG)
+    sech2 = 1.0 / np.cosh(z)
+    tanh2 = np.tanh(z)
+    cosh2 = np.cosh(z)
+    v12 = -lam * np.ones_like(z)
     v13 = (m - lam) * k**2 / ((2 * m - lam) ** 2 + 2 * (m - lam) ** 2 * cosh2)
     v23 = v13.copy()
     v11 = (-k * ((2 * m - lam) * k * sech2 + 2 * (m - lam) ** 2 * tanh2)

@@ -47,6 +47,15 @@ class Grid:
         return int(np.argmin(np.abs(self.x - x0)))
 
 
+def _require_hermitian(m):
+    """Raise NonHermitianError at the worst entry of m - m^H beyond tolerance."""
+    scale = max(np.abs(m).max(), 1.0)
+    asym = np.abs(m - m.conj().T)
+    if asym.max() > HERMITICITY_TOL * scale:
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        raise NonHermitianError(int(i), int(j), float(asym[i, j]))
+
+
 class HermitianMatrix:
     """Small dense Hermitian matrix; hermiticity enforced at construction."""
 
@@ -56,11 +65,7 @@ class HermitianMatrix:
             raise NumericalError("expected a square matrix")
         if not np.all(np.isfinite(m)):
             raise NumericalError("non-finite matrix entries")
-        scale = max(np.abs(m).max(), 1.0)
-        asym = np.abs(m - m.conj().T)
-        if asym.max() > HERMITICITY_TOL * scale:
-            i, j = np.unravel_index(np.argmax(asym), asym.shape)
-            raise NonHermitianError(int(i), int(j), float(asym[i, j]))
+        _require_hermitian(m)
         # symmetrize away the sub-tolerance residue
         self.entries = 0.5 * (m + m.conj().T)
 
@@ -87,11 +92,7 @@ class BandedHermitian:
     def from_dense(cls, m, bandwidth=None):
         m = np.asarray(m)
         n = m.shape[0]
-        scale = max(np.abs(m).max(), 1.0)
-        asym = np.abs(m - m.conj().T)
-        if asym.max() > HERMITICITY_TOL * scale:
-            i, j = np.unravel_index(np.argmax(asym), asym.shape)
-            raise NonHermitianError(int(i), int(j), float(asym[i, j]))
+        _require_hermitian(m)
         if bandwidth is None:
             bandwidth = 0
             for d in range(n - 1, 0, -1):
@@ -141,7 +142,7 @@ EIGVEC_ITERATIONS = 3
 EIGVEC_RESIDUAL_TOL = 1e-10
 
 
-def banded_eigvec(m, energy):
+def banded_eigvec(m, energy, previous=()):
     """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
 
     Inverse iteration with a banded LU of M - energy*I (general band
@@ -153,7 +154,11 @@ def banded_eigvec(m, energy):
     EIGVEC_RESIDUAL_TOL times the largest absolute row sum of M.
 
     Within a numerically degenerate group the vector is some unit vector
-    of the group's eigenspace, not a particular basis member.
+    of the group's eigenspace, not a particular basis member. `previous`
+    holds (eigenvalue, unit vector) pairs computed before; those whose
+    eigenvalue lies within EIGVEC_RESIDUAL_TOL times the row-sum scale of
+    `energy` are projected out after every solve, so successive calls over a
+    degenerate group give an orthonormal set.
     """
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
@@ -163,6 +168,8 @@ def banded_eigvec(m, energy):
     for d in range(1, u + 1):
         ab[u + d, : n - d] = np.conj(m.bands[u - d, d:])
     scale = max(float(np.abs(ab).sum(axis=0).max()), np.finfo(float).tiny)
+    group = [q for e, q in previous
+             if abs(e - energy) <= EIGVEC_RESIDUAL_TOL * scale]
     shifted = ab.copy()
     shifted[u] -= energy
     v = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)
@@ -179,6 +186,8 @@ def banded_eigvec(m, energy):
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
                     f"inverse iteration at E={energy:.6g}: singular shift") from exc
+        for q in group:
+            v -= q * np.vdot(q, v)
         norm = np.linalg.norm(v)
         if not np.isfinite(norm):
             raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")

@@ -324,13 +324,10 @@ class PotentialComponents:
     scalar_v: float
     flat_energy: float
 
-    def matrix_at(self, i):
-        return potential_matrix(self.v11[i], self.v12[i], self.v13[i],
-                                self.v23[i], self.scalar_v, self.flat_energy)
-
     def matrix_stack(self):
-        n = self.grid.n_points
-        return np.array([self.matrix_at(i) for i in range(n)])
+        """V(x_i) as an (n, 3, 3) complex stack."""
+        return potential_matrix(self.v11, self.v12, self.v13, self.v23,
+                                self.scalar_v, self.flat_energy)
 
     def apply_to(self, state, grid=None):
         """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor."""

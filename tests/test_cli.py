@@ -191,8 +191,7 @@ def test_spectrum_csv_fills_only_walked_rows_and_is_deterministic(tmp_path):
     np.testing.assert_array_equal(edge[energy == hi], [0.0])
 
 
-def test_spectrum_continuum_and_both(tmp_path, monkeypatch):
-    monkeypatch.setenv("SUSYCHAIN_THREADS", "2")
+def test_spectrum_continuum_and_both(tmp_path):
     rc = main(["spectrum", "--out", str(tmp_path), "--set", "model=II",
                "--set", "mass=0.03", "--set", "flat_energy=0.015",
                "--set", "method=both", "--cells", "90",

@@ -37,7 +37,7 @@ def test_continuum_limit_components():
                            t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
     spec = continuum_limit(p)
     assert spec.kinetic_scale == pytest.approx(1.0)
-    v = spec.potential(0.0)
+    v = spec.potential
     want = potential_matrix(0.2, 0.2, 0.2, 0.01, 0.1, 0.05)
     np.testing.assert_allclose(v, want, atol=1e-15)
     with pytest.raises(NumericalError):
@@ -69,6 +69,15 @@ def test_symbol_dispersion_decoupled_closed_form():
                                    atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(v=st.tuples(finite, finite, finite, finite, finite))
+def test_symbol_dispersion_array_matches_per_k_bitwise(v):
+    cell = AsymptoticCell(*v)
+    k = np.linspace(-2.0, 2.0, 201)
+    per_k = np.array([symbol_dispersion(cell, q) for q in k])
+    assert np.array_equal(symbol_dispersion(cell, k), per_k)
+
+
 def test_threshold_scan():
     cell = AsymptoticCell(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
                           flat_energy=0.01)
@@ -92,8 +101,9 @@ def test_threshold_is_symbol_minimum(v11, v12, k):
 def test_discretize_is_hermitian_and_matches_apply():
     m, lam = 0.07, 0.0
     mat = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.0, lam)
-    spec = DiracOperatorSpec(potential=lambda x: mat + 0.01 * np.tanh(x) * GAMMA)
     grid = Grid(-5.0, 5.0, 201)
+    spec = DiracOperatorSpec(
+        potential=mat + 0.01 * np.tanh(grid.x)[:, None, None] * GAMMA)
     op = discretize(spec, grid)
     dense = op.to_dense()
     np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
@@ -107,13 +117,56 @@ def test_discretize_is_hermitian_and_matches_apply():
                                atol=1e-10)
 
 
+def _discretize_reference(spec, grid):
+    """Band storage of discretize, filled entry by entry, point by point."""
+    n = grid.n_points
+    v = np.broadcast_to(np.asarray(spec.potential, dtype=complex), (n, 3, 3))
+    bands = np.zeros((5, 3 * n), dtype=complex)
+    for i in range(n):
+        for a in range(3):
+            for b in range(a, 3):
+                bands[4 + a - b, 3 * i + b] = v[i, a, b]
+    hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA
+    for i in range(n - 1):
+        for a in range(3):
+            for b in range(3):
+                if hop[a, b] != 0:
+                    row, col = 3 * i + a, 3 * (i + 1) + b
+                    bands[4 + row - col, col] = hop[a, b]
+    return bands
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["constant", "stack"])
+def test_discretize_matches_per_point_reference_bitwise(stacked):
+    grid = Grid(-3.0, 4.0, 37)
+    rng = np.random.default_rng(7)
+    if stacked:
+        comps = rng.normal(size=(4, grid.n_points))
+        potential = potential_matrix(*comps, 0.3, -0.2)
+    else:
+        potential = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.3, -0.2)
+    spec = DiracOperatorSpec(potential=potential, kinetic_scale=1.7)
+    assert np.array_equal(discretize(spec, grid).bands,
+                          _discretize_reference(spec, grid))
+
+
+def test_discretize_rejects_bad_potential():
+    grid = Grid(-1.0, 1.0, 11)
+    with pytest.raises(NumericalError, match="shape"):
+        discretize(DiracOperatorSpec(potential=np.zeros((10, 3, 3))), grid)
+    stack = np.zeros((11, 3, 3))
+    stack[4, 1, 1] = np.nan
+    with pytest.raises(NumericalError, match="x=-0.2"):
+        discretize(DiracOperatorSpec(potential=stack), grid)
+
+
 def test_discretized_free_dirac_spectrum():
     # constant decoupled potential: eigenvalues must respect the gap
     # +-sqrt(v11^2+v12^2) up to O(h^2) and truncation effects
     cell = AsymptoticCell(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
                           flat_energy=0.0)
     mat = potential_matrix(cell.v11, cell.v12, 0.0, 0.0, 0.0, 0.0)
-    spec = DiracOperatorSpec(potential=lambda x: mat)
+    spec = DiracOperatorSpec(potential=mat)
     grid = Grid(-60.0, 60.0, 1201)
     w = eigh_banded(discretize(spec, grid))
     _, hi, _ = threshold_scan(cell)
@@ -125,4 +178,4 @@ def test_discretized_free_dirac_spectrum():
 
 def test_kinetic_scale_validation():
     with pytest.raises(NumericalError):
-        DiracOperatorSpec(potential=lambda x: np.eye(3), kinetic_scale=0.0)
+        DiracOperatorSpec(potential=np.eye(3), kinetic_scale=0.0)

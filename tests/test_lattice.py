@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susychain import models
-from susychain.continuum import discretize, operator_spec_from_components
+from susychain.continuum import DiracOperatorSpec, discretize
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
     ChainProfile,
@@ -22,6 +22,7 @@ from susychain.lattice import (
     flat_band_residual,
     tune_flat_band,
     _edge_mask,
+    _walk_to_gap_edge,
     inverse_participation_ratio,
 )
 from susychain.models import ModelKind, ModelParams
@@ -73,6 +74,15 @@ def test_band_structure_sorted_and_shapes():
     bs = band_structure(P_REF, default_k_grid(P_REF, 65))
     assert bs.energies.shape == (65, 3)
     assert np.all(np.diff(bs.energies, axis=1) >= 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vals=st.tuples(*[finite] * 7), n_k=st.integers(1, 300))
+def test_band_structure_matches_per_k_eigh_bitwise(vals, n_k):
+    p = _params(vals)
+    k = default_k_grid(p, n_k)
+    per_k = np.array([np.linalg.eigh(bloch_hamiltonian(p, q).entries)[0] for q in k])
+    assert np.array_equal(band_structure(p, k).energies, per_k)
 
 
 # ------------------------------------------------------------- tuning
@@ -211,6 +221,24 @@ def test_edge_state_detection_ssh_limit():
     assert abs(rep.gap_edge_pos) > 0.3
 
 
+def test_walk_gives_degenerate_pair_orthonormal_vectors():
+    # the two SSH zero modes are split by ~2e-17; inverse iteration from
+    # one fixed start vector finds the same vector for both unless the
+    # second is kept orthogonal to the first
+    p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
+    chain = build_finite_chain(ChainProfile.uniform(p, 60))
+    w = eigh_banded(chain)
+    pair = np.flatnonzero(np.abs(w) < 0.3)
+    assert pair.size == 2
+    ipr = np.full(w.size, np.nan)
+    edge = np.zeros(w.size, dtype=bool)
+    walked = []
+    assert np.isnan(_walk_to_gap_edge(chain, w, pair, ipr, edge, 3, walked))
+    vectors = np.array([v for _, v in walked])
+    np.testing.assert_allclose(vectors @ vectors.conj().T, np.eye(2), atol=1e-8)
+    assert edge[pair].all()
+
+
 # ------------------------------------- walked spectrum vs dense reference
 
 def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
@@ -231,7 +259,7 @@ def _model_case(kind, mass, lam, route):
     else:
         grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 101)
         comps = models.model_potential_components(p, grid)
-        op = discretize(operator_spec_from_components(comps), grid)
+        op = discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
     return op, lam, 1e-6, gap_exclusion
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susychain.continuum import potential_matrix
 from susychain.errors import NumericalError
 from susychain.models import (
     ModelKind,
@@ -122,13 +123,34 @@ def test_potentials_approach_asymptotic_cells():
             assert cell.decoupled
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [P1, P2, ModelParams(ModelKind.I, 0.2, -0.1)],
+                         ids=["model_I", "model_II", "model_I_mass_0.2"])
+def test_potentials_finite_far_beyond_cosh_overflow(p):
+    # cosh overflows once |2 kappa x| > 710; the components must stay
+    # finite there and equal the asymptotic cells
+    x = np.array([-1e6, -1e3, -400.0, 400.0, 1e3, 1e6]) / p.kappa
+    v11, v12, v13, v23 = model_potential(p, x)
+    for side, far in ((-1, slice(0, 3)), (+1, slice(3, 6))):
+        cell = asymptotic_cell(p, side)
+        np.testing.assert_allclose(v11[far], cell.v11, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v12[far], cell.v12, rtol=0, atol=1e-15)
+        assert np.all(np.abs(v13[far]) < 1e-300) and np.all(np.abs(v23[far]) < 1e-300)
+
+
 def test_model_potential_components_wrapper():
     grid = Grid(-5.0, 5.0, 51)
     comps = model_potential_components(P1, grid)
     assert comps.flat_energy == P1.flat_energy
     assert comps.scalar_v == 0.0
-    v = comps.matrix_at(25)
+    stack = comps.matrix_stack()
+    v = stack[25]
     np.testing.assert_allclose(v, v.conj().T, atol=1e-15)
+    assert stack.shape == (51, 3, 3)
+    for i in range(51):
+        assert np.array_equal(stack[i], potential_matrix(
+            comps.v11[i], comps.v12[i], comps.v13[i], comps.v23[i], 0.0,
+            P1.flat_energy))
 
 
 # ------------------------------------------------------------ spectra
