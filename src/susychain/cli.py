@@ -9,6 +9,7 @@ error, 3 numerical/singularity error, 4 verification failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,10 +33,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 FLAT_BAND_THRESHOLD = 1e-8
-
-
-def fmt(v):
-    return f"{float(v):.17g}"
 
 
 def parse_config(path):
@@ -133,11 +130,13 @@ def _model_params(st):
 
 
 def _write_csv(path, header, columns):
-    rows = zip(*columns)
+    # one C-level %-format per row; "%.17g" % x spells a float exactly
+    # as format(x, ".17g") does, nan and +-inf included
+    columns = [np.asarray(col, dtype=float).tolist() for col in columns]
+    row_format = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\r\n")
+        fh.writelines(row_format % row for row in zip(*columns))
 
 
 def _write_json(path, payload):
@@ -495,7 +494,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argv parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="susychain",
         description="Saw-chain flat bands and Darboux-coupled Dirac chains",

@@ -111,14 +111,23 @@ def _require_valid(p):
 MAX_HYPERBOLIC_ARG = 700.0
 
 
+def _hyperbolic_arg(k, x, c):
+    """2*kappa*x clipped so that c*cosh of it stays finite.
+
+    The bound is MAX_HYPERBOLIC_ARG, less log(c) when the cosh coefficient
+    c exceeds 1; for c <= 1 it is MAX_HYPERBOLIC_ARG exactly.
+    """
+    limit = MAX_HYPERBOLIC_ARG - max(float(np.log(c)), 0.0)
+    return np.clip(2 * k * np.asarray(x, dtype=float), -limit, limit)
+
+
 def model1_potential(p, x):
     """Closed-form potential components of Model I."""
     if p.kind is not ModelKind.I:
         raise NumericalError("model1_potential requires a Model I parameter set")
     _require_valid(p)
     m, lam, k = p.mass, p.flat_energy, p.kappa
-    z = np.clip(2 * k * np.asarray(x, dtype=float),
-                -MAX_HYPERBOLIC_ARG, MAX_HYPERBOLIC_ARG)
+    z = _hyperbolic_arg(k, x, 2 * m - lam)
     sech2 = 1.0 / np.cosh(z)
     tanh2 = np.tanh(z)
     cosh2 = np.cosh(z)
@@ -138,8 +147,7 @@ def model2_potential(p, x):
         raise NumericalError("model2_potential requires a Model II parameter set")
     _require_valid(p)
     m, lam, k = p.mass, p.flat_energy, p.kappa
-    z = np.clip(2 * k * np.asarray(x, dtype=float),
-                -MAX_HYPERBOLIC_ARG, MAX_HYPERBOLIC_ARG)
+    z = _hyperbolic_arg(k, x, 2 * (m - lam) ** 2)
     sech2 = 1.0 / np.cosh(z)
     tanh2 = np.tanh(z)
     cosh2 = np.cosh(z)

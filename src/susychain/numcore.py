@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonHermitianError, NumericalError
 
@@ -129,6 +128,8 @@ def eigh_small(m):
 
 def eigh_banded(m, eigenvectors=False):
     """Full spectrum of a BandedHermitian; optionally the eigenvectors too."""
+    import scipy.linalg  # loaded on first use: only the spectrum path needs it
+
     if not np.all(np.isfinite(m.bands)):
         raise NumericalError("non-finite entries in banded matrix")
     if eigenvectors:
@@ -160,6 +161,8 @@ def banded_eigvec(m, energy, previous=()):
     `energy` are projected out after every solve, so successive calls over a
     degenerate group give an orthonormal set.
     """
+    import scipy.linalg
+
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
     u, n = m.bandwidth, m.dim

@@ -18,6 +18,7 @@ hermitization integral needs the actual constant, not w0 itself.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,7 +174,15 @@ class TransformationFrame:
     det: np.ndarray  # det U = i * det (this real array)
 
     def u_stack(self):
-        """U(x_i) as an (n, 3, 3) complex stack."""
+        """U(x_i) as a read-only (n, 3, 3) complex stack, built once per frame."""
+        return self._u
+
+    def u_inv_stack(self):
+        """Read-only per-point U^{-1}, computed once per frame."""
+        return self._u_inv
+
+    @cached_property
+    def _u(self):
         n = self.grid.n_points
         u = np.zeros((n, 3, 3), dtype=complex)
         u[:, 0, 0] = 1j * self.psi0
@@ -184,7 +193,15 @@ class TransformationFrame:
         u[:, 1, 2] = self.phi2
         u[:, 2, 1] = self.xi1
         u[:, 2, 2] = self.xi2
+        u.flags.writeable = False
         return u
+
+    @cached_property
+    def _u_inv(self):
+        # the 3x3 adjugate formula; det U = i * self.det
+        u_inv = _adjugate3(self._u) / (1j * self.det)[:, None, None]
+        u_inv.flags.writeable = False
+        return u_inv
 
     def du_stack(self):
         n = self.grid.n_points
@@ -198,12 +215,6 @@ class TransformationFrame:
         du[:, 2, 1] = self.dxi1
         du[:, 2, 2] = self.dxi2
         return du
-
-    def u_inv_stack(self):
-        """Per-point inverse via the 3x3 adjugate formula."""
-        u = self.u_stack()
-        adj = _adjugate3(u)
-        return adj / (1j * self.det)[:, None, None]
 
     @property
     def wronskian_samples(self):
@@ -224,10 +235,9 @@ def _adjugate3(u):
     adj = np.empty_like(u)
     for i in range(3):
         for j in range(3):
-            r = [a for a in range(3) if a != j]
-            c = [b for b in range(3) if b != i]
-            minor = u[:, r][:, :, c]
-            cof = minor[:, 0, 0] * minor[:, 1, 1] - minor[:, 0, 1] * minor[:, 1, 0]
+            r0, r1 = (a for a in range(3) if a != j)
+            c0, c1 = (b for b in range(3) if b != i)
+            cof = u[:, r0, c0] * u[:, r1, c1] - u[:, r0, c1] * u[:, r1, c0]
             adj[:, i, j] = (-1) ** (i + j) * cof
     return adj
 

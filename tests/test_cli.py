@@ -2,16 +2,25 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import susychain
 from susychain.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY,
     Settings,
+    _write_csv,
+    build_parser,
     main,
     parse_config,
 )
@@ -28,6 +37,46 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line]
     return header, np.array(rows)
+
+
+# ---------------------------------------------------------- CSV writer
+
+def _write_csv_per_value(path, header, columns):
+    # one format() call per value, kept as the reference for _write_csv
+    rows = zip(*columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\r\n")
+
+
+def _assert_csv_writers_agree(tmp_path, header, columns):
+    _write_csv(tmp_path / "new.csv", header, columns)
+    _write_csv_per_value(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    tiny = np.finfo(float).tiny
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                       tiny / 3, tiny, 1e300, -1e300, np.finfo(float).max,
+                       0.1, 1 / 3, -2.5, 1e16, 123456789012345678.0, 1e-5])
+    n = values.size
+    ipr = np.where(np.arange(n) % 3 == 0, np.nan, np.linspace(0.0, 1.0, n))
+    mask = np.arange(n) % 2 == 0
+    edge_state = np.where(np.isnan(ipr), np.nan, mask)
+    _assert_csv_writers_agree(
+        tmp_path, ["index", "energy", "ipr", "edge_state", "list", "flag"],
+        [np.arange(n), values, ipr, edge_state, list(values[::-1]), mask])
+    _assert_csv_writers_agree(tmp_path, ["x"], [np.array([], dtype=float)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.integers(-2**53, 2**53)),
+                max_size=20))
+def test_write_csv_matches_per_value_writer_property(tmp_path_factory, rows):
+    cols = [np.array(c, dtype=float) for c in zip(*rows)] or [[], [], []]
+    _assert_csv_writers_agree(tmp_path_factory.mktemp("csv"), ["a", "b", "c"], cols)
 
 
 # ------------------------------------------------------------- config
@@ -63,6 +112,50 @@ def test_missing_config_file_exits_2(tmp_path):
     rc = main(["bands", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+def test_main_calls_share_one_parser_without_leaking_values(tmp_path):
+    assert build_parser() is build_parser()
+    first = ["spectrum", "--out", str(tmp_path / "a"), "--cells", "10",
+             "--set", "model=I", "--set", "mass=0.2", "--set", "flat_energy=-0.05"]
+    second = ["spectrum", "--out", str(tmp_path / "b"), "--cells", "12",
+              "--set", "model=I", "--set", "mass=0.2"]
+    third = ["spectrum", "--out", str(tmp_path / "c"),
+             "--set", "model=II", "--set", "mass=0.1", "--set", "method=chain"]
+    for argv in (first, second, third):
+        assert main(argv) == EXIT_OK
+    for name, cells, model, flat in (("a", 10, "I", -0.05), ("b", 12, "I", 0.0),
+                                     ("c", 400, "II", 0.0)):
+        summary = json.loads((tmp_path / name / "spectrum_summary.json").read_text())
+        assert (summary["model"], summary["flat_energy"]) == (model, flat)
+        _, rows = read_csv(tmp_path / name / "spectrum_chain.csv")
+        assert rows.shape == (3 * cells, 4)
+
+
+def test_only_spectrum_loads_scipy_linalg(tmp_path):
+    script = textwrap.dedent(f"""
+        import sys
+        from susychain.cli import main
+        out = {str(tmp_path)!r}
+        tb = ["--set", "t_ab=1", "--set", "t_ab_inter=1",
+              "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
+        assert "scipy.linalg" not in sys.modules
+        for argv in (["bands", *tb], ["tune", *tb],
+                     ["susy", "--set", "model=I", "--set", "mass=0.07"],
+                     ["verify", "--seed", "3"]):
+            assert main([argv[0], "--out", out, *argv[1:]]) == 0, argv
+        assert "scipy.linalg" not in sys.modules
+        assert main(["spectrum", "--out", out, "--set", "model=I",
+                     "--set", "mass=0.07", "--cells", "60"]) == 0
+        assert "scipy.linalg" in sys.modules
+    """)
+    src = str(Path(susychain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "spectrum_chain.csv").exists()
 
 
 def test_bad_set_syntax_exits_2(tmp_path):

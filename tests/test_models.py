@@ -138,6 +138,25 @@ def test_potentials_finite_far_beyond_cosh_overflow(p):
         assert np.all(np.abs(v13[far]) < 1e-300) and np.all(np.abs(v23[far]) < 1e-300)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [ModelParams(ModelKind.II, 200.0, 0.0),
+                               ModelParams(ModelKind.I, 2e4, 0.0)],
+                         ids=["model_II_mass_200", "model_I_mass_2e4"])
+def test_large_cosh_coefficient_does_not_overflow(p):
+    # the cosh coefficient 2(m - lambda)^2 (Model II) or 2m - lambda
+    # (Model I) times cosh(700) exceeds the double range for these masses
+    assert validate_params(p) == []
+    x = np.array([-1e6, -1e3, 1e3, 1e6]) / p.kappa
+    v11, v12, v13, v23 = model_potential(p, x)
+    for v in (v11, v12, v13, v23):
+        assert np.all(np.isfinite(v))
+    assert np.all(np.abs(v13) < 1e-290) and np.all(np.abs(v23) < 1e-290)
+    for side, far in ((-1, slice(0, 2)), (+1, slice(2, 4))):
+        cell = asymptotic_cell(p, side)
+        np.testing.assert_allclose(v11[far], cell.v11, rtol=1e-14)
+        np.testing.assert_allclose(v12[far], cell.v12, rtol=1e-14)
+
+
 def test_model_potential_components_wrapper():
     grid = Grid(-5.0, 5.0, 51)
     comps = model_potential_components(P1, grid)

@@ -1,5 +1,7 @@
 """Unit tests for the Darboux transformation engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ from susychain.models import ModelKind, ModelParams
 from susychain.numcore import Grid
 from susychain.susy import (
     SeedData,
+    _adjugate3,
     apply_darboux,
     apply_seed_hamiltonian,
     assemble_frame,
@@ -124,11 +127,65 @@ def test_dual_path_agreement():
 
 def test_negative_control_breaks_commutator_hermiticity():
     # replacing xi1 by xi2 violates the hermitization condition; the
-    # commutator construction must detect it
-    from dataclasses import replace
+    # commutator construction must detect it, also when the original
+    # frame has already cached its U^{-1}
     fr = _frame()
+    commutator_potential(fr)
     broken = replace(fr, xi1=fr.xi2.copy(), dxi1=fr.dxi2.copy())
+    assert not np.array_equal(broken.u_inv_stack(), fr.u_inv_stack())
     assert hermiticity_asymmetry(commutator_potential(broken)) > 1e-4
+
+
+# ---------------------------------------------------------- frame cache
+
+def _adjugate3_by_minors(u):
+    # the adjugate through fancy-indexed 2x2 minor copies, kept as the
+    # reference for susy._adjugate3
+    adj = np.empty_like(u)
+    for i in range(3):
+        for j in range(3):
+            r = [a for a in range(3) if a != j]
+            c = [b for b in range(3) if b != i]
+            minor = u[:, r][:, :, c]
+            cof = minor[:, 0, 0] * minor[:, 1, 1] - minor[:, 0, 1] * minor[:, 1, 0]
+            adj[:, i, j] = (-1) ** (i + j) * cof
+    return adj
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_adjugate3_matches_minor_reference_bitwise():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
+    u[:5] = 0.0
+    u[5:10] *= 1e-160  # cofactors underflow to signed zeros
+    stacks = [u, _frame().u_stack(), _frame(grid=Grid(-3.0, 3.0, 31)).u_stack()]
+    for stack in stacks:
+        assert _same_bits(_adjugate3(stack), _adjugate3_by_minors(stack))
+
+
+def test_frame_cache_matches_per_call_recomputation():
+    fr = _frame()
+    f = _gaussian_states(fr.grid)[0](fr.grid.x)
+    # replace() with no changes is a frame with an empty cache, so each
+    # right-hand side recomputes U and U^{-1} from the samples; the second
+    # pass reads fr's cache
+    for _ in range(2):
+        assert _same_bits(apply_darboux(fr, f), apply_darboux(replace(fr), f))
+        assert _same_bits(commutator_potential(fr),
+                          commutator_potential(replace(fr)))
+        assert _same_bits(fr.u_inv_stack(), replace(fr).u_inv_stack())
+    assert fr.u_inv_stack() is fr.u_inv_stack() and fr.u_stack() is fr.u_stack()
+
+
+def test_frame_cache_is_read_only():
+    fr = _frame()
+    for stack in (fr.u_stack(), fr.u_inv_stack()):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
 
 
 def test_potential_decays_to_asymptotic_constants():
