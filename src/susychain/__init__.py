@@ -4,6 +4,7 @@ from .continuum import (
     GAMMA,
     AsymptoticCell,
     DiracOperatorSpec,
+    apply_dirac,
     continuum_limit,
     discretize,
     symbol_dispersion,
@@ -43,11 +44,9 @@ from .models import (
 from .numcore import (
     BandedHermitian,
     Grid,
-    HermitianMatrix,
     banded_eigvec,
     diff_central,
     eigh_banded,
-    eigh_small,
     integrate_cumulative,
     quad_roots,
 )

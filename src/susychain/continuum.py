@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numcore import BandedHermitian, diff_central
+from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central
 
 GAMMA = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 0.0],
@@ -118,16 +118,21 @@ def threshold_scan(cell):
 
 def _potential_stack(spec, grid):
     """The spec's potential as an (n_points, 3, 3) complex stack."""
+    v = np.broadcast_to(_checked_potential(spec, grid), (grid.n_points, 3, 3))
+    finite = np.isfinite(v).all(axis=(1, 2))
+    if not finite.all():
+        x = grid.x[np.argmin(finite)]
+        raise NumericalError(f"non-finite potential sample at x={x:.6g}")
+    return v
+
+
+def _checked_potential(spec, grid):
+    """The spec's potential as a complex 3x3 or (n_points, 3, 3) array."""
     v = np.asarray(spec.potential, dtype=complex)
     n = grid.n_points
     if v.shape not in ((3, 3), (n, 3, 3)):
         raise NumericalError(
             f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
-    v = np.broadcast_to(v, (n, 3, 3))
-    finite = np.isfinite(v).all(axis=(1, 2))
-    if not finite.all():
-        x = grid.x[np.argmin(finite)]
-        raise NumericalError(f"non-finite potential sample at x={x:.6g}")
     return v
 
 
@@ -139,22 +144,22 @@ def discretize(spec, grid):
     chain is simply truncated at the box walls. Point-major ordering
     keeps the bandwidth at 4.
     """
-    v = _potential_stack(spec, grid)
-    bands = np.zeros((5, 3 * grid.n_points), dtype=complex)
-    # upper triangle of each point's 3x3 block: M[3i+a, 3i+b], a <= b
-    for a in range(3):
-        for b in range(a, 3):
-            bands[4 + a - b, b::3] = v[:, a, b]
-    # kinetic blocks between neighboring points: -i * scale * gamma / (2h)
-    # at M[3i+a, 3(i+1)+b]
+    # kinetic block from point i to i+1: -i * scale * gamma / (2h)
     hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA
-    for a, b in zip(*np.nonzero(hop)):
-        bands[1 + a - b, 3 + b::3] = hop[a, b]
-    return BandedHermitian(bands)
+    return BandedHermitian(block_tridiagonal_bands(_potential_stack(spec, grid), hop, 4))
 
 
 def apply_dirac(spec, state, grid):
-    """Apply -i*scale*gamma*d/dx + V(x) to a sampled (3, n) spinor."""
+    """Apply -i*scale*gamma*d/dx + V(x) to a sampled (3, n) spinor.
+
+    The one operator action of the package: the seed, the transformed and
+    the discretized operators differ only in V. A constant 3x3 potential
+    acts as V @ f, an (n, 3, 3) stack point by point. Only the shape of
+    the potential is checked; a non-finite V gives a non-finite result.
+    """
     f = np.asarray(state, dtype=complex)
-    return (-1j * spec.kinetic_scale * (GAMMA @ diff_central(f, grid))
-            + np.einsum("nij,jn->in", _potential_stack(spec, grid), f))
+    v = _checked_potential(spec, grid)
+    kinetic = -1j * spec.kinetic_scale * (GAMMA @ diff_central(f, grid))
+    if v.ndim == 2:
+        return kinetic + v @ f
+    return kinetic + np.einsum("nij,jn->in", v, f)

@@ -12,13 +12,13 @@ and the on-site energy eps_c can be fine-tuned so that one root of the
 secular determinant becomes k-independent (a flat band).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
-from .numcore import BandedHermitian, HermitianMatrix, banded_eigvec, eigh_banded, \
-    quad_roots
+from .numcore import BandedHermitian, banded_eigvec, block_tridiagonal_bands, \
+    eigh_banded, quad_roots
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ class FlatBandSolution:
     quad_cos: float
 
 
-def _bloch_stack(p, k):
-    """H(k) of every k in an array, as a k.shape + (3, 3) complex stack."""
+def bloch_hamiltonian(p, k):
+    """Bloch Hamiltonian H(k) of the saw chain: a 3x3 complex matrix for a
+    scalar k, a k.shape + (3, 3) stack for an array."""
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise NumericalError("k must be finite")
@@ -85,11 +86,6 @@ def _bloch_stack(p, k):
     return h
 
 
-def bloch_hamiltonian(p, k):
-    """3x3 Bloch Hamiltonian of the saw chain at quasi-momentum k."""
-    return HermitianMatrix(_bloch_stack(p, k))
-
-
 def default_k_grid(p, n=513):
     """Uniform k-grid over one Brillouin zone, both edges included."""
     return np.linspace(-np.pi / p.a, np.pi / p.a, n)
@@ -100,7 +96,7 @@ def band_structure(p, k_grid):
     if k_grid.size == 0:
         raise NumericalError("empty k-grid")
     # eigh, not eigvalsh: only eigh keeps the bits of the per-k solve
-    energies, _ = np.linalg.eigh(_bloch_stack(p, k_grid.ravel()))
+    energies, _ = np.linalg.eigh(bloch_hamiltonian(p, k_grid.ravel()))
     return BandStructure(k_grid, energies)
 
 
@@ -203,19 +199,13 @@ def build_finite_chain(profile):
     n = profile.n_cells
     if n < 2:
         raise NumericalError("need at least 2 cells")
-    dim = 3 * n
-    bands = np.zeros((3, dim))
-    # diagonal (row 2 of band storage)
-    bands[2, 0::3] = profile.eps_a
-    bands[2, 1::3] = profile.eps_b
-    bands[2, 2::3] = profile.eps_c
-    # first superdiagonal: (A_n, B_n) and (B_n, C_n)
-    bands[1, 1::3] = profile.t_ab
-    bands[1, 2::3] = profile.t_bc
-    # second superdiagonal: (A_n, C_n) and (B_{n-1}, A_n)
-    bands[0, 2::3] = profile.t_ac
-    bands[0, 3::3] = profile.t_ab_inter[1:]
-    return BandedHermitian(bands)
+    p = profile
+    onsite = np.stack([p.eps_a, p.t_ab, p.t_ac,
+                       p.t_ab, p.eps_b, p.t_bc,
+                       p.t_ac, p.t_bc, p.eps_c], axis=-1).reshape(n, 3, 3)
+    coupling = np.zeros((n - 1, 3, 3))
+    coupling[:, 1, 0] = p.t_ab_inter[1:]  # B_n to A_{n+1}
+    return BandedHermitian(block_tridiagonal_bands(onsite, coupling, 2))
 
 
 @dataclass(frozen=True)
@@ -230,7 +220,6 @@ class SpectrumReport:
     gap_edge_pos: float  # smallest bulk eigenvalue above the cluster (nan if none)
     ipr: np.ndarray = None               # nan where no vector was computed
     edge_state_mask: np.ndarray = None   # False where no vector was computed
-    notes: tuple = field(default_factory=tuple)
 
 
 def inverse_participation_ratio(vectors):
@@ -239,19 +228,26 @@ def inverse_participation_ratio(vectors):
     return (p**2).sum(axis=0) / p.sum(axis=0) ** 2
 
 
-def _edge_mask(vectors, sites_per_point, edge_fraction=0.05, mass_threshold=0.5):
-    """True for states with >= mass_threshold of weight in the outer cells."""
+# a state is edge-localized when at least EDGE_MASS of its weight lies in
+# the first and last EDGE_FRACTION of its points (cells, or grid points)
+SITES_PER_POINT = 3
+EDGE_FRACTION = 0.05
+EDGE_MASS = 0.5
+
+
+def _edge_mask(vectors):
+    """True for edge-localized states (columns of `vectors`)."""
     dim = vectors.shape[0]
-    n_pts = dim // sites_per_point
-    n_edge = max(1, int(np.ceil(edge_fraction * n_pts)))
+    n_pts = dim // SITES_PER_POINT
+    n_edge = max(1, int(np.ceil(EDGE_FRACTION * n_pts)))
     w = np.abs(vectors) ** 2
     w = w / w.sum(axis=0)
-    cells = w.reshape(n_pts, sites_per_point, -1).sum(axis=1)
+    cells = w.reshape(n_pts, SITES_PER_POINT, -1).sum(axis=1)
     edge_mass = cells[:n_edge].sum(axis=0) + cells[-n_edge:].sum(axis=0)
-    return edge_mass >= mass_threshold
+    return edge_mass >= EDGE_MASS
 
 
-def _walk_to_gap_edge(chain, w, indices, ipr, edge, sites_per_point, walked):
+def _walk_to_gap_edge(chain, w, indices, ipr, edge, walked):
     """Fill ipr/edge along `indices` up to the first non-edge state; return
     its eigenvalue (nan if every state on the walk is edge-localized).
     Appends each (eigenvalue, vector) to `walked`; banded_eigvec keeps each
@@ -261,14 +257,13 @@ def _walk_to_gap_edge(chain, w, indices, ipr, edge, sites_per_point, walked):
         walked.append((w[i], v))
         v = v[:, None]
         ipr[i] = inverse_participation_ratio(v)[0]
-        edge[i] = _edge_mask(v, sites_per_point)[0]
+        edge[i] = _edge_mask(v)[0]
         if not edge[i]:
             return float(w[i])
     return float("nan")
 
 
-def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
-                   gap_exclusion=None, sites_per_point=3):
+def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=None):
     """Diagonalize a banded chain and summarize its spectrum.
 
     Eigenvalues within cluster_tol of flat_energy form the flat-band
@@ -287,8 +282,6 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
     numerically degenerate walked group are orthonormal.
     """
     w = eigh_banded(chain)
-    if window is not None:
-        w = w[(w >= window[0]) & (w <= window[1])]
     if gap_exclusion is None:
         gap_exclusion = cluster_tol
     ipr = np.full(w.size, np.nan)
@@ -298,8 +291,8 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, window=None,
     above = np.flatnonzero(offset > excluded)           # ascending
     below = np.flatnonzero(offset < -excluded)[::-1]    # descending
     walked = []
-    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge, sites_per_point, walked)
-    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, sites_per_point, walked)
+    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge, walked)
+    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, walked)
     return SpectrumReport(
         eigenvalues=w,
         flat_energy=flat_energy,

@@ -71,12 +71,19 @@ class ModelParams:
         )
 
 
+# the model formulas are at most cubic in m and lambda, and the cube root
+# of the largest double is 5.6e102
+MAX_MODEL_PARAM = 1e100
+
+
 def validate_params(p):
     """List of violated admissibility conditions (empty means ok)."""
     m, lam = p.mass, p.flat_energy
     out = []
     if not (np.isfinite(m) and np.isfinite(lam)):
         return ["mass and flat_energy must be finite"]
+    if max(abs(m), abs(lam)) > MAX_MODEL_PARAM:
+        return [f"|mass| and |flat_energy| must not exceed {MAX_MODEL_PARAM:g}"]
     if p.kind is ModelKind.I:
         if m * (m - lam) <= 0:
             out.append(f"m(m - lambda) = {m * (m - lam):.3e} must be > 0")

@@ -55,24 +55,6 @@ def _require_hermitian(m):
         raise NonHermitianError(int(i), int(j), float(asym[i, j]))
 
 
-class HermitianMatrix:
-    """Small dense Hermitian matrix; hermiticity enforced at construction."""
-
-    def __init__(self, entries):
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NumericalError("expected a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise NumericalError("non-finite matrix entries")
-        _require_hermitian(m)
-        # symmetrize away the sub-tolerance residue
-        self.entries = 0.5 * (m + m.conj().T)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-
 class BandedHermitian:
     """Hermitian matrix stored by upper diagonals (LAPACK band layout).
 
@@ -113,30 +95,38 @@ class BandedHermitian:
         return out
 
 
-def eigh_small(m):
-    """Full eigendecomposition of a small (dim <= 8) Hermitian matrix.
+def block_tridiagonal_bands(onsite, coupling, bandwidth):
+    """Band storage (BandedHermitian layout) of a Hermitian block-tridiagonal
+    matrix with 3x3 blocks.
 
-    Returns (eigenvalues ascending, eigenvectors as columns).
+    `onsite` is the (n, 3, 3) stack of diagonal blocks; only their upper
+    triangles are read. `coupling` is the block M[3i:3i+3, 3i+3:3i+6] from
+    point i to point i+1: one 3x3 block for every bond, or an (n-1, 3, 3)
+    stack. Coupling entries that are zero on every bond are not written; a
+    nonzero one farther than `bandwidth` from the diagonal is an error.
     """
-    if not isinstance(m, HermitianMatrix):
-        m = HermitianMatrix(m)
-    if m.dim > 8:
-        raise NumericalError(f"eigh_small is restricted to dim <= 8, got {m.dim}")
-    w, v = np.linalg.eigh(m.entries)
-    return w, v
+    n = onsite.shape[0]
+    coupling = np.broadcast_to(coupling, (n - 1, 3, 3))
+    bands = np.zeros((bandwidth + 1, 3 * n), dtype=np.result_type(onsite, coupling))
+    for a in range(3):
+        for b in range(a, 3):
+            bands[bandwidth + a - b, b::3] = onsite[:, a, b]
+    for a, b in zip(*np.nonzero(coupling.any(axis=0))):
+        d = 3 + b - a  # M[3i+a, 3i+3+b] lies d above the diagonal
+        if d > bandwidth:
+            raise NumericalError(
+                f"coupling entry ({a}, {b}) lies outside bandwidth {bandwidth}")
+        bands[bandwidth - d, 3 + b::3] = coupling[:, a, b]
+    return bands
 
 
-def eigh_banded(m, eigenvectors=False):
-    """Full spectrum of a BandedHermitian; optionally the eigenvectors too."""
+def eigh_banded(m):
+    """Ascending eigenvalues of a BandedHermitian."""
     import scipy.linalg  # loaded on first use: only the spectrum path needs it
 
     if not np.all(np.isfinite(m.bands)):
         raise NumericalError("non-finite entries in banded matrix")
-    if eigenvectors:
-        w, v = scipy.linalg.eig_banded(m.bands, lower=False)
-        return w, v
-    w = scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
-    return w
+    return scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
 
 
 EIGVEC_ITERATIONS = 3

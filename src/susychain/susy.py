@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuum import GAMMA, potential_matrix
+from .continuum import GAMMA, DiracOperatorSpec, apply_dirac, potential_matrix
 from .errors import NumericalError, SingularFrameError
 from .numcore import Grid, diff_central, integrate_cumulative
 
@@ -183,16 +183,8 @@ class TransformationFrame:
 
     @cached_property
     def _u(self):
-        n = self.grid.n_points
-        u = np.zeros((n, 3, 3), dtype=complex)
-        u[:, 0, 0] = 1j * self.psi0
-        u[:, 0, 1] = 1j * self.psi1
-        u[:, 0, 2] = 1j * self.psi2
-        u[:, 1, 0] = self.phi0
-        u[:, 1, 1] = self.phi1
-        u[:, 1, 2] = self.phi2
-        u[:, 2, 1] = self.xi1
-        u[:, 2, 2] = self.xi2
+        u = _frame_stack((self.psi0, self.psi1, self.psi2),
+                         (self.phi0, self.phi1, self.phi2), (self.xi1, self.xi2))
         u.flags.writeable = False
         return u
 
@@ -204,17 +196,8 @@ class TransformationFrame:
         return u_inv
 
     def du_stack(self):
-        n = self.grid.n_points
-        du = np.zeros((n, 3, 3), dtype=complex)
-        du[:, 0, 0] = 1j * self.dpsi0
-        du[:, 0, 1] = 1j * self.dpsi1
-        du[:, 0, 2] = 1j * self.dpsi2
-        du[:, 1, 0] = self.dphi0
-        du[:, 1, 1] = self.dphi1
-        du[:, 1, 2] = self.dphi2
-        du[:, 2, 1] = self.dxi1
-        du[:, 2, 2] = self.dxi2
-        return du
+        return _frame_stack((self.dpsi0, self.dpsi1, self.dpsi2),
+                            (self.dphi0, self.dphi1, self.dphi2), (self.dxi1, self.dxi2))
 
     @property
     def wronskian_samples(self):
@@ -230,6 +213,17 @@ class TransformationFrame:
         return float(np.abs(self.det).min())
 
 
+def _frame_stack(psi, phi, xi):
+    """(n, 3, 3) stack with rows (i*psi0, i*psi1, i*psi2), (phi0, phi1, phi2)
+    and (0, xi1, xi2): the layout of U and of dU/dx."""
+    u = np.zeros((len(phi[0]), 3, 3), dtype=complex)
+    for j in range(3):
+        u[:, 0, j] = 1j * psi[j]
+        u[:, 1, j] = phi[j]
+    u[:, 2, 1], u[:, 2, 2] = xi
+    return u
+
+
 def _adjugate3(u):
     """Adjugate of an (n, 3, 3) stack (transpose of cofactors)."""
     adj = np.empty_like(u)
@@ -242,8 +236,14 @@ def _adjugate3(u):
     return adj
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked from the samples
 def assemble_frame(s, grid):
-    """Sample all seed functions on a grid and validate regularity."""
+    """Sample all seed functions on a grid and validate regularity.
+
+    The entries of U grow like exp(kappa0*|x|) and exp(A*|x|), so det U
+    grows like exp((2*kappa0 + |A|)*|x|); a box on which any sample leaves
+    the double range raises NumericalError.
+    """
     x = grid.x
     psi0f, phi0f = seed_epsilon_state(s)
     phi1f, phi2f, psi1f, psi2f = seed_lambda_states(s)
@@ -276,6 +276,14 @@ def assemble_frame(s, grid):
     hadamard = (np.hypot(psi0, phi0)
                 * np.sqrt(psi1**2 + phi1**2 + xi1**2)
                 * np.sqrt(psi2**2 + phi2**2 + xi2**2))
+    finite = np.isfinite([psi0, psi1, psi2, phi0, phi1, phi2, xi1, xi2, dpsi0, dpsi1,
+                          dpsi2, dphi0, dphi1, dphi2, dxi1, dxi2, det, hadamard]).all(axis=0)
+    if not finite.all():
+        raise NumericalError(
+            f"seed frame overflows at x={x[np.argmin(finite)]:.6g}: det U grows like "
+            f"exp((2*kappa0 + |A|)*|x|), with kappa0={k0:.6g} and |A|={abs(a):.6g}, "
+            f"on a box of half-width {max(-grid.x_min, grid.x_max):.6g}; "
+            f"shrink the box, the mass or the seed constants")
     bad = np.abs(det) < SINGULARITY_REL_TOL * hadamard
     if bad.any():
         i = int(np.argmax(hadamard / np.maximum(np.abs(det), 1e-300)))
@@ -293,18 +301,6 @@ def assemble_frame(s, grid):
     )
 
 
-def apply_seed_hamiltonian(s, state, grid):
-    """Apply the decoupled seed operator to a sampled (3, n) spinor."""
-    f = np.asarray(state, dtype=complex)
-    df = diff_central(f, grid)
-    m, a, v, lam = s.mass, s.gauge_a, s.scalar_v, s.flat_energy
-    out = np.empty_like(f)
-    out[0] = (m + v) * f[0] - 1j * (df[1] + a * f[1])
-    out[1] = -1j * (df[0] - a * f[0]) + (-m + v) * f[1]
-    out[2] = lam * f[2]
-    return out
-
-
 def frame_eigen_residuals(frame):
     """Relative sup-norm residuals of (H - E) on each U column.
 
@@ -312,12 +308,13 @@ def frame_eigen_residuals(frame):
     is O(h^2) for exact seed functions.
     """
     s = frame.seed
+    seed_op = DiracOperatorSpec(seed_potential_matrix(s))
     u = frame.u_stack()
     energies = (s.epsilon, s.flat_energy, s.flat_energy)
     res = []
     for j, e in enumerate(energies):
         col = u[:, :, j].T  # (3, n)
-        r = apply_seed_hamiltonian(s, col, frame.grid) - e * col
+        r = apply_dirac(seed_op, col, frame.grid) - e * col
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
 
@@ -339,22 +336,8 @@ class PotentialComponents:
         return potential_matrix(self.v11, self.v12, self.v13, self.v23,
                                 self.scalar_v, self.flat_energy)
 
-    def apply_to(self, state, grid=None):
-        """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor."""
-        g = grid if grid is not None else self.grid
-        f = np.asarray(state, dtype=complex)
-        df = diff_central(f, g)
-        v, lam = self.scalar_v, self.flat_energy
-        out = np.empty_like(f)
-        out[0] = ((self.v11 + v) * f[0] - 1j * self.v12 * f[1]
-                  - 1j * self.v13 * f[2] - 1j * df[1])
-        out[1] = (1j * self.v12 * f[0] + (-self.v11 + v) * f[1]
-                  + self.v23 * f[2] - 1j * df[0])
-        out[2] = 1j * self.v13 * f[0] + self.v23 * f[1] + lam * f[2]
-        return out
 
-
-def transformed_potential(frame, s=None):
+def transformed_potential(frame):
     """Transformed potential from the explicit closed-form ratios.
 
     All four components share the denominator
@@ -362,7 +345,7 @@ def transformed_potential(frame, s=None):
     which coincides with det U / i, so frame regularity already
     guarantees it is bounded away from zero.
     """
-    s = s if s is not None else frame.seed
+    s = frame.seed
     pref = s.epsilon - s.flat_energy
     den = frame.det
     if np.abs(den).min() == 0.0:
@@ -425,13 +408,14 @@ def intertwining_residual(frame, states, n_levels=3):
     for _ in range(n_levels - 1):
         grids.append(grids[-1].refined())
     residuals = np.empty((len(states), n_levels))
+    seed_op = DiracOperatorSpec(seed_potential_matrix(frame.seed))
     for li, g in enumerate(grids):
         fr = frame if g is frame.grid else assemble_frame(frame.seed, g)
-        comps = transformed_potential(fr)
+        new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
         for si, state in enumerate(states):
             f = np.asarray(state(g.x), dtype=complex)
-            lhs = apply_darboux(fr, apply_seed_hamiltonian(fr.seed, f, g))
-            rhs = comps.apply_to(apply_darboux(fr, f))
+            lhs = apply_darboux(fr, apply_dirac(seed_op, f, g))
+            rhs = apply_dirac(new_op, apply_darboux(fr, f), g)
             residuals[si, li] = np.abs(lhs - rhs).max()
     orders = np.log2(residuals[:, :-1] / residuals[:, 1:])
     return residuals, orders
@@ -454,13 +438,13 @@ def inverse_dagger_states(frame):
     s = frame.seed
     g = frame.grid
     w = np.conj(np.swapaxes(frame.u_inv_stack(), 1, 2))  # (n, 3, 3)
-    comps = transformed_potential(frame)
+    new_op = DiracOperatorSpec(transformed_potential(frame).matrix_stack())
     energies = (s.epsilon, s.flat_energy, s.flat_energy)
     states, reports = [], []
     n_tail = max(3, g.n_points // 5)
     for j, e in enumerate(energies):
         st = w[:, :, j].T  # (3, n)
-        r = comps.apply_to(st) - e * st
+        r = apply_dirac(new_op, st, g) - e * st
         amp = np.linalg.norm(st, axis=0)
         mass = float(np.trapezoid(amp**2, g.x))
         tail = np.log(np.maximum(amp[-n_tail:], 1e-300))

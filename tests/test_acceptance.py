@@ -15,7 +15,7 @@ from susychain.lattice import TightBindingParams, band_structure, \
     bloch_hamiltonian, build_finite_chain, chain_spectrum, default_k_grid, \
     tune_flat_band
 from susychain.models import ModelKind, ModelParams
-from susychain.numcore import Grid, eigh_small
+from susychain.numcore import Grid
 from susychain.susy import assemble_frame, transformed_potential
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -52,7 +52,7 @@ def test_criterion_1_flat_band_tuning():
 
 def test_criterion_2_dirac_point_closure():
     p = TightBindingParams(t_ab=1.0, t_ab_inter=1.0)
-    w, _ = eigh_small(bloch_hamiltonian(p, np.pi / p.a))
+    w = np.linalg.eigh(bloch_hamiltonian(p, np.pi / p.a))[0]
     gap = w[2] - w[0]
     report(2, "dispersive bands close at the zone corner", gap <= 1e-12,
            f"gap={gap:.1e}")

@@ -246,6 +246,27 @@ def test_susy_invalid_model_exits_2(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model,mass", [("I", "1e5"), ("II", "10")])
+def test_susy_frame_overflow_exits_3_before_output(tmp_path, capsys, model, mass):
+    # at box 20 the frame leaves the double range from m ~ 9.5 on
+    rc = main(["susy", "--out", str(tmp_path), "--set", f"model={model}",
+               "--set", f"mass={mass}"])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "overflows" in err and "kappa0=" in err and "half-width 20" in err
+    assert not (tmp_path / "susy_potential.csv").exists()
+    assert not (tmp_path / "susy_verify.json").exists()
+
+
+def test_susy_huge_model_mass_exits_2(tmp_path, capsys):
+    rc = main(["susy", "--out", str(tmp_path), "--set", "model=I",
+               "--set", "mass=1e155"])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "susy_potential.csv").exists()
+
+
 # ------------------------------------------------------------ spectrum
 
 def test_spectrum_chain(tmp_path):

@@ -117,6 +117,19 @@ def test_discretize_is_hermitian_and_matches_apply():
                                atol=1e-10)
 
 
+def test_apply_dirac_constant_potential_matches_its_stack():
+    grid = Grid(-3.0, 4.0, 57)
+    rng = np.random.default_rng(9)
+    f = rng.normal(size=(3, grid.n_points)) + 1j * rng.normal(size=(3, grid.n_points))
+    v = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.3, -0.2)
+    const = apply_dirac(DiracOperatorSpec(v, kinetic_scale=1.7), f, grid)
+    stack = np.broadcast_to(v, (grid.n_points, 3, 3))
+    stacked = apply_dirac(DiracOperatorSpec(stack, kinetic_scale=1.7), f, grid)
+    assert np.abs(const - stacked).max() <= 1e-15 * np.abs(stacked).max()
+    with pytest.raises(NumericalError, match="shape"):
+        apply_dirac(DiracOperatorSpec(stack[1:]), f, grid)
+
+
 def _discretize_reference(spec, grid):
     """Band storage of discretize, filled entry by entry, point by point."""
     n = grid.n_points

@@ -45,14 +45,15 @@ def _params(vals):
 
 def test_bloch_hermitian_and_periodic():
     for k in (-2.0, 0.0, 0.7, np.pi):
-        h = bloch_hamiltonian(P_REF, k).entries
+        h = bloch_hamiltonian(P_REF, k)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
-        h2 = bloch_hamiltonian(P_REF, k + 2 * np.pi).entries
+        h2 = bloch_hamiltonian(P_REF, k + 2 * np.pi)
         np.testing.assert_allclose(h, h2, atol=1e-14)
 
 
 def test_bloch_entries():
-    h = bloch_hamiltonian(P_REF, 0.3).entries
+    h = bloch_hamiltonian(P_REF, 0.3)
+    assert h.shape == (3, 3)
     assert h[0, 1] == pytest.approx(1.0 + np.exp(-0.3j), abs=1e-15)
     assert h[0, 2] == pytest.approx(0.2)
     assert h[1, 2] == pytest.approx(0.01)
@@ -65,7 +66,7 @@ def test_det_secular_matches_numpy_det():
         p = _params(rng.uniform(-2, 2, size=7))
         k = rng.uniform(-np.pi, np.pi)
         e = rng.uniform(-3, 3)
-        direct = np.linalg.det(bloch_hamiltonian(p, k).entries - e * np.eye(3))
+        direct = np.linalg.det(bloch_hamiltonian(p, k) - e * np.eye(3))
         assert det_secular(p, k, e) == pytest.approx(direct.real, abs=1e-10)
         assert abs(direct.imag) < 1e-12
 
@@ -81,7 +82,7 @@ def test_band_structure_sorted_and_shapes():
 def test_band_structure_matches_per_k_eigh_bitwise(vals, n_k):
     p = _params(vals)
     k = default_k_grid(p, n_k)
-    per_k = np.array([np.linalg.eigh(bloch_hamiltonian(p, q).entries)[0] for q in k])
+    per_k = np.array([np.linalg.eigh(bloch_hamiltonian(p, q))[0] for q in k])
     assert np.array_equal(band_structure(p, k).energies, per_k)
 
 
@@ -164,6 +165,42 @@ def test_build_finite_chain_matches_dense_reference():
     np.testing.assert_allclose(dense, want, atol=1e-15)
 
 
+def _chain_bands_reference(profile):
+    """Band storage of build_finite_chain, filled entry by entry, cell by cell."""
+    n = profile.n_cells
+    bands = np.zeros((3, 3 * n))
+
+    def put(row, col, value):  # M[row, col] with row <= col
+        bands[2 + row - col, col] = value
+
+    for c in range(n):
+        a, b, cc = 3 * c, 3 * c + 1, 3 * c + 2
+        put(a, a, profile.eps_a[c])
+        put(b, b, profile.eps_b[c])
+        put(cc, cc, profile.eps_c[c])
+        put(a, b, profile.t_ab[c])
+        put(a, cc, profile.t_ac[c])
+        put(b, cc, profile.t_bc[c])
+        if c > 0:
+            put(3 * (c - 1) + 1, a, profile.t_ab_inter[c])
+    return bands
+
+
+@pytest.mark.parametrize("profile", [
+    lambda: models.sample_chain_profile(ModelParams(ModelKind.I, 0.07, 0.0), 101),
+    lambda: models.sample_chain_profile(ModelParams(ModelKind.II, 0.1, 0.05), 64,
+                                        box_halfwidth=9.0),
+    lambda: ChainProfile.uniform(TightBindingParams(t_ab=0.4, t_ab_inter=1.0,
+                                                    eps_c=10.0), 60),
+    lambda: ChainProfile(*np.random.default_rng(6).uniform(-1, 1, size=(7, 2))),
+], ids=["model_I", "model_II", "ssh", "two_cells"])
+def test_build_finite_chain_matches_per_entry_reference_bitwise(profile):
+    prof = profile()
+    got, want = build_finite_chain(prof).bands, _chain_bands_reference(prof)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_uniform_chain_spectrum_within_bloch_bands():
     # open-chain eigenvalues of a uniform profile must lie inside the
     # Bloch band ranges (union over k), up to edge effects
@@ -211,8 +248,7 @@ def test_edge_state_detection_ssh_limit():
     # to be walked (and get vectors) rather than counted as the flat cluster
     p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
     chain = build_finite_chain(ChainProfile.uniform(p, 60))
-    rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-20,
-                         window=(-5.0, 5.0))
+    rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-20)
     near_zero = np.abs(rep.eigenvalues) < 0.3
     assert near_zero.sum() == 2
     assert np.isfinite(rep.ipr[near_zero]).all()
@@ -233,7 +269,7 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors():
     ipr = np.full(w.size, np.nan)
     edge = np.zeros(w.size, dtype=bool)
     walked = []
-    assert np.isnan(_walk_to_gap_edge(chain, w, pair, ipr, edge, 3, walked))
+    assert np.isnan(_walk_to_gap_edge(chain, w, pair, ipr, edge, walked))
     vectors = np.array([v for _, v in walked])
     np.testing.assert_allclose(vectors @ vectors.conj().T, np.eye(2), atol=1e-8)
     assert edge[pair].all()
@@ -243,9 +279,9 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors():
 
 def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
     """chain_spectrum's summary from every eigenvector of a dense solve."""
-    w, v = eigh_banded(chain, eigenvectors=True)
+    w, v = np.linalg.eigh(chain.to_dense())
     ipr = inverse_participation_ratio(v)
-    edge = _edge_mask(v, 3)
+    edge = _edge_mask(v)
     bulk = (np.abs(w - flat_energy) > max(gap_exclusion, cluster_tol)) & ~edge
     return (w, ipr, edge, int((np.abs(w - flat_energy) <= cluster_tol).sum()),
             w[bulk & (w < flat_energy)].max(), w[bulk & (w > flat_energy)].min())

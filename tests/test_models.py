@@ -58,6 +58,16 @@ def test_validate_params_flags_violations():
     assert validate_params(ModelParams(ModelKind.I, np.nan, 0.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_validate_params_bounds_mass_and_flat_energy(kind):
+    # m**2 of a Python float raises OverflowError from m ~ 1.3e154 on
+    assert validate_params(ModelParams(kind, 1e155, 0.0))
+    assert validate_params(ModelParams(kind, 1e101, 0.0))
+    assert validate_params(ModelParams(kind, 1.0, -1e101))
+    assert validate_params(ModelParams(kind, 1e100, 0.0)) == []
+
+
 def test_operations_reject_invalid_params():
     bad = ModelParams(ModelKind.I, 0.07, 0.08)
     with pytest.raises(NumericalError):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from susychain.continuum import DiracOperatorSpec, apply_dirac
 from susychain.errors import NumericalError, SingularFrameError
-from susychain.models import ModelKind, ModelParams
-from susychain.numcore import Grid
+from susychain.models import ModelKind, ModelParams, model_potential_components
+from susychain.numcore import Grid, diff_central
 from susychain.susy import (
     SeedData,
     _adjugate3,
     apply_darboux,
-    apply_seed_hamiltonian,
     assemble_frame,
     commutator_potential,
     dual_path_difference,
@@ -238,12 +238,76 @@ def test_darboux_intertwines_on_eigenstate():
     fr = _frame()
     state = _gaussian_states(fr.grid)[0]
     f = state(fr.grid.x)
-    comps = transformed_potential(fr)
-    lhs = apply_darboux(fr, apply_seed_hamiltonian(SEED, f, fr.grid))
-    rhs = comps.apply_to(apply_darboux(fr, f))
+    seed_op = DiracOperatorSpec(seed_potential_matrix(SEED))
+    new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
+    lhs = apply_darboux(fr, apply_dirac(seed_op, f, fr.grid))
+    rhs = apply_dirac(new_op, apply_darboux(fr, f), fr.grid)
     interior = slice(10, -10)
     scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
     assert np.abs(lhs - rhs)[:, interior].max() / scale < 1e-3
+
+
+def _seed_operator_rows(s, f, grid):
+    # the seed operator written out row by row, kept as a reference
+    df = diff_central(f, grid)
+    m, a, v, lam = s.mass, s.gauge_a, s.scalar_v, s.flat_energy
+    out = np.empty_like(f)
+    out[0] = (m + v) * f[0] - 1j * (df[1] + a * f[1])
+    out[1] = -1j * (df[0] - a * f[0]) + (-m + v) * f[1]
+    out[2] = lam * f[2]
+    return out
+
+
+def _transformed_operator_rows(c, f, grid):
+    # -i*gamma*d/dx + V_new written out row by row, kept as a reference
+    df = diff_central(f, grid)
+    v, lam = c.scalar_v, c.flat_energy
+    out = np.empty_like(f)
+    out[0] = ((c.v11 + v) * f[0] - 1j * c.v12 * f[1]
+              - 1j * c.v13 * f[2] - 1j * df[1])
+    out[1] = (1j * c.v12 * f[0] + (-c.v11 + v) * f[1]
+              + c.v23 * f[2] - 1j * df[0])
+    out[2] = 1j * c.v13 * f[0] + c.v23 * f[1] + lam * f[2]
+    return out
+
+
+def test_apply_dirac_matches_row_by_row_operators():
+    fr = _frame()
+    g = fr.grid
+    rng = np.random.default_rng(21)
+    seed = replace(SEED, scalar_v=0.2)
+    comps = replace(transformed_potential(fr), scalar_v=0.2)
+    for _ in range(3):
+        f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
+        pairs = [
+            (apply_dirac(DiracOperatorSpec(seed_potential_matrix(seed)), f, g),
+             _seed_operator_rows(seed, f, g)),
+            (apply_dirac(DiracOperatorSpec(comps.matrix_stack()), f, g),
+             _transformed_operator_rows(comps, f, g)),
+        ]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frame_just_inside_the_double_range_stays_finite():
+    # (2*kappa0 + A)*20 = 689 at m = 9, below log(max double) = 709.8
+    for kind in ModelKind:
+        p = ModelParams(kind, 9.0, 0.0)
+        fr = assemble_frame(p.seed_data(), GRID)
+        assert np.isfinite(fr.u_inv_stack()).all()
+        assert np.isfinite(frame_eigen_residuals(fr)).all()
+        stack = transformed_potential(fr).matrix_stack()
+        oracle = model_potential_components(p, GRID).matrix_stack()
+        assert np.abs(stack - oracle).max() < 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_frame_overflow_raises_naming_kappa0_and_box(kind):
+    # (2*kappa0 + A)*20 = 727 at m = 9.5
+    with pytest.raises(NumericalError, match=r"kappa0=13.435.*half-width 20"):
+        assemble_frame(ModelParams(kind, 9.5, 0.0).seed_data(), GRID)
 
 
 # ------------------------------------------------- transformed states
