@@ -56,11 +56,8 @@ from .susy import (
     TransformationFrame,
     apply_darboux,
     assemble_frame,
-    hermitize_xi1,
     intertwining_residual,
     inverse_dagger_states,
-    seed_epsilon_state,
-    seed_lambda_states,
     transformed_potential,
 )
 

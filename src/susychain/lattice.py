@@ -166,7 +166,6 @@ class ChainProfile:
     t_ab_inter: np.ndarray
     t_ac: np.ndarray
     t_bc: np.ndarray
-    x: np.ndarray = None  # optional cell-center positions
 
     def __post_init__(self):
         n = len(self.eps_a)

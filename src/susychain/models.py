@@ -24,7 +24,7 @@ from .continuum import AsymptoticCell
 from .errors import NumericalError
 from .lattice import ChainProfile
 from .numcore import Grid
-from .susy import PotentialComponents, SeedData
+from .susy import MAX_MODEL_PARAM, PotentialComponents, SeedData
 
 
 class ModelKind(enum.Enum):
@@ -64,16 +64,10 @@ class ModelParams:
             mass=self.mass,
             flat_energy=self.flat_energy,
             gauge_a=self.gauge_a,
-            epsilon=self.mass,
             c0=w0 * self.omega + c1,
             c1=c1,
             w0=w0,
         )
-
-
-# the model formulas are at most cubic in m and lambda, and the cube root
-# of the largest double is 5.6e102
-MAX_MODEL_PARAM = 1e100
 
 
 def validate_params(p):
@@ -175,7 +169,7 @@ def model_potential(p, x):
 def model_potential_components(p, grid):
     """PotentialComponents table of either model on a grid."""
     v11, v12, v13, v23 = model_potential(p, grid.x)
-    return PotentialComponents(grid, v11, v12, v13, v23, 0.0, p.flat_energy)
+    return PotentialComponents(grid, v11, v12, v13, v23, p.flat_energy)
 
 
 def asymptotic_cell(p, side):
@@ -255,5 +249,4 @@ def sample_chain_profile(p, n_cells, box_halfwidth=None):
         t_ab_inter=t_inter,
         t_ac=v13,
         t_bc=v23,
-        x=x,
     )

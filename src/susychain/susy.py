@@ -24,25 +24,35 @@ import numpy as np
 
 from .continuum import GAMMA, DiracOperatorSpec, apply_dirac, potential_matrix
 from .errors import NumericalError, SingularFrameError
-from .numcore import Grid, diff_central, integrate_cumulative
+from .numcore import Grid, diff_central
 
 SINGULARITY_REL_TOL = 1e-8
+
+# kappa0^2 squares the seed constants and the model formulas are at most
+# cubic in m and lambda; the cube root of the largest double is 5.6e102
+MAX_MODEL_PARAM = 1e100
 
 
 @dataclass(frozen=True)
 class SeedData:
-    """Constants defining the decoupled seed Hamiltonian and its eigenstates."""
+    """Constants of the decoupled seed Hamiltonian and its eigencolumns:
+    column 0 sits at energy mass, columns 1 and 2 at flat_energy; c0 and c1
+    are the quadrature constants of phi1 and xi1, and w0 scales phi1's."""
 
     mass: float
     flat_energy: float
     gauge_a: float
-    epsilon: float
-    scalar_v: float = 0.0
     c0: float = 0.0
     c1: float = 0.0
     w0: float = 1.0
 
     def __post_init__(self):
+        for name in ("mass", "flat_energy", "gauge_a"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and abs(value) <= MAX_MODEL_PARAM):
+                raise NumericalError(
+                    f"{name} = {value!r} must be finite with magnitude at most "
+                    f"{MAX_MODEL_PARAM:g}")
         if abs(self.flat_energy) == abs(self.mass):
             raise NumericalError("|flat_energy| must differ from |mass|")
         if self.w0 == 0.0:
@@ -69,84 +79,10 @@ class SeedData:
 def seed_potential_matrix(s):
     """Potential part of the seed Hamiltonian (constant in x)."""
     return np.array([
-        [s.mass + s.scalar_v, -1j * s.gauge_a, 0.0],
-        [1j * s.gauge_a, -s.mass + s.scalar_v, 0.0],
+        [s.mass, -1j * s.gauge_a, 0.0],
+        [1j * s.gauge_a, -s.mass, 0.0],
         [0.0, 0.0, s.flat_energy],
     ])
-
-
-def seed_epsilon_state(s):
-    """Closed-form eigenstate (i*psi0, phi0, 0) at energy epsilon = mass."""
-    if s.epsilon != s.mass:
-        raise NumericalError("only the epsilon = mass specialization is implemented")
-    m, a = s.mass, s.gauge_a
-
-    def psi0(x):
-        return -m * np.exp(-a * np.asarray(x, dtype=float))
-
-    def phi0(x):
-        return a * np.exp(-a * np.asarray(x, dtype=float))
-
-    return psi0, phi0
-
-
-def seed_lambda_states(s):
-    """Closed-form flat-level seeds (phi1, phi2, psi1, psi2).
-
-    phi2 = cosh(kappa0 x); phi1 follows by reduction of order with
-    quadrature constant c0; psi_a = (phi_a' + A*phi_a)/(mass - flat_energy).
-    """
-    if s.mass == s.flat_energy:
-        raise NumericalError("mass = flat_energy: psi components diverge")
-    k0, a = s.kappa0, s.gauge_a
-    denom = s.mass - s.flat_energy
-    w0, c0 = s.w0, s.c0
-
-    def phi2(x):
-        return np.cosh(k0 * np.asarray(x, dtype=float))
-
-    def phi1(x):
-        x = np.asarray(x, dtype=float)
-        return np.cosh(k0 * x) * (w0 * np.tanh(k0 * x) / k0 + c0)
-
-    def psi2(x):
-        x = np.asarray(x, dtype=float)
-        return (k0 * np.sinh(k0 * x) + a * np.cosh(k0 * x)) / denom
-
-    def psi1(x):
-        x = np.asarray(x, dtype=float)
-        dphi1 = np.sinh(k0 * x) * (w0 * np.tanh(k0 * x) + k0 * c0) + w0 / np.cosh(k0 * x)
-        return (dphi1 + a * phi1(x)) / denom
-
-    return phi1, phi2, psi1, psi2
-
-
-def hermitize_xi1(s, xi2=None, grid=None):
-    """Third-column function xi1 that restores hermiticity of V_new.
-
-    xi1 = xi2 * (c1 - (epsilon - flat_energy) * Wbar * Integral dx/xi2^2),
-    with Wbar the actual constant phi2*psi1 - phi1*psi2. With xi2 = None
-    the default cosh seed is used and the integral is done in closed form
-    (tanh); otherwise xi2 is sampled on the given grid and the integral is
-    taken by cumulative trapezoid anchored at x = 0.
-    """
-    w = (s.epsilon - s.flat_energy) * s.wronskian_constant
-    if xi2 is None:
-        k0, c1 = s.kappa0, s.c1
-
-        def xi1(x):
-            x = np.asarray(x, dtype=float)
-            return np.cosh(k0 * x) * (c1 - w * np.tanh(k0 * x) / k0)
-
-        return xi1
-    if grid is None:
-        raise NumericalError("a grid is required to hermitize a general xi2")
-    xi2_samples = np.asarray(xi2(grid.x), dtype=float)
-    if np.abs(xi2_samples).min() == 0.0:
-        i = int(np.argmin(np.abs(xi2_samples)))
-        raise SingularFrameError(grid.x[i], 0.0, what="xi2")
-    integral = integrate_cumulative(1.0 / xi2_samples**2, grid)
-    return xi2_samples * (s.c1 - w * integral)
 
 
 @dataclass(frozen=True)
@@ -195,6 +131,27 @@ class TransformationFrame:
         u_inv.flags.writeable = False
         return u_inv
 
+    @cached_property
+    def _potential(self):
+        # the closed-form ratios documented at transformed_potential
+        s = self.seed
+        pref = s.mass - s.flat_energy
+        den = self.det
+        if np.abs(den).min() == 0.0:
+            i = int(np.argmin(np.abs(den)))
+            raise SingularFrameError(self.grid.x[i], 0.0,
+                                     what="potential denominator")
+        q_psi = self.xi2 * self.psi1 - self.xi1 * self.psi2
+        q_phi = self.xi2 * self.phi1 - self.xi1 * self.phi2
+        w_flip = self.phi1 * self.psi2 - self.phi2 * self.psi1
+        v12 = -s.gauge_a + pref * (self.psi0 * q_psi - self.phi0 * q_phi) / den
+        v13 = pref * self.psi0 * w_flip / den
+        v23 = -pref * self.phi0 * w_flip / den
+        v11 = -s.mass + pref * (self.psi0 * q_phi + self.phi0 * q_psi) / den
+        for v in (v11, v12, v13, v23):
+            v.flags.writeable = False
+        return PotentialComponents(self.grid, v11, v12, v13, v23, s.flat_energy)
+
     def du_stack(self):
         return _frame_stack((self.dpsi0, self.dpsi1, self.dpsi2),
                             (self.dphi0, self.dphi1, self.dphi2), (self.dxi1, self.dxi2))
@@ -206,6 +163,9 @@ class TransformationFrame:
     @property
     def wronskian_relative_stdev(self):
         w = self.wronskian_samples
+        # squaring samples near 1e170 overflows np.std; scaling by an exact
+        # power of two keeps every bit of the ratio
+        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
         return float(np.std(w) / np.abs(np.mean(w)))
 
     @property
@@ -238,36 +198,45 @@ def _adjugate3(u):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked from the samples
 def assemble_frame(s, grid):
-    """Sample all seed functions on a grid and validate regularity.
+    """Sample the seed frame and its x-derivatives on a grid; check regularity.
 
     The entries of U grow like exp(kappa0*|x|) and exp(A*|x|), so det U
     grows like exp((2*kappa0 + |A|)*|x|); a box on which any sample leaves
     the double range raises NumericalError.
     """
     x = grid.x
-    psi0f, phi0f = seed_epsilon_state(s)
-    phi1f, phi2f, psi1f, psi2f = seed_lambda_states(s)
-    xi1f = hermitize_xi1(s)
-
     k0, a, w0, c0, c1 = s.kappa0, s.gauge_a, s.w0, s.c0, s.c1
     denom = s.mass - s.flat_energy
     ch, sh, th = np.cosh(k0 * x), np.sinh(k0 * x), np.tanh(k0 * x)
     sech = 1.0 / ch
-    w = (s.epsilon - s.flat_energy) * s.wronskian_constant
+    ea = np.exp(-a * x)
 
-    psi0, phi0 = psi0f(x), phi0f(x)
-    phi1, phi2, psi1, psi2 = phi1f(x), phi2f(x), psi1f(x), psi2f(x)
-    xi1, xi2 = xi1f(x), ch
-
-    dpsi0 = a * s.mass * np.exp(-a * x)
-    dphi0 = -(a**2) * np.exp(-a * x)
-    dphi2 = k0 * sh
-    dphi1 = sh * (w0 * th + k0 * c0) + w0 * sech
+    # first column (i*psi0, phi0, 0), at energy mass
+    psi0 = -s.mass * ea
+    phi0 = a * ea
+    dpsi0 = a * s.mass * ea
+    dphi0 = -(a**2) * ea
+    # flat-level columns: phi2 = cosh(kappa0 x); phi1 follows by reduction
+    # of order with quadrature constant c0; psi_a = (phi_a' + A*phi_a)/denom.
+    # psi1 divides by ch where dphi1 multiplies by sech: the two differ in
+    # the last bit when w0 != 1, and each keeps its own rounding
+    phi2 = xi2 = ch
+    phi1 = ch * (w0 * th / k0 + c0)
+    dphi2 = dxi2 = k0 * sh
+    grow1 = sh * (w0 * th + k0 * c0)
+    dphi1 = grow1 + w0 * sech
+    psi2 = (k0 * sh + a * ch) / denom
+    psi1 = (grow1 + w0 / ch + a * phi1) / denom
     # phi_a'' = kappa0^2 * phi_a  =>  psi_a' = (kappa0^2*phi_a + A*phi_a')/denom
     dpsi1 = (k0**2 * phi1 + a * dphi1) / denom
     dpsi2 = (k0**2 * phi2 + a * dphi2) / denom
-    dxi2 = k0 * sh
-    dxi1 = k0 * sh * (c1 - w * th / k0) - w * sech
+    # third column: with xi2 = cosh(kappa0 x), xi1 = xi2*(c1 - w*Integral dx/xi2^2)
+    # hermitizes V_new, where w = (mass - flat_energy) times the actual
+    # Wronskian constant phi2*psi1 - phi1*psi2; Integral sech^2 = tanh/kappa0
+    w = (s.mass - s.flat_energy) * s.wronskian_constant
+    hermit = c1 - w * th / k0
+    xi1 = ch * hermit
+    dxi1 = dxi2 * hermit - w * sech
 
     det = psi0 * (phi1 * xi2 - phi2 * xi1) - phi0 * (psi1 * xi2 - psi2 * xi1)
     # scale-invariant regularity: compare |det| to the Hadamard bound at
@@ -310,7 +279,7 @@ def frame_eigen_residuals(frame):
     s = frame.seed
     seed_op = DiracOperatorSpec(seed_potential_matrix(s))
     u = frame.u_stack()
-    energies = (s.epsilon, s.flat_energy, s.flat_energy)
+    energies = (s.mass, s.flat_energy, s.flat_energy)
     res = []
     for j, e in enumerate(energies):
         col = u[:, :, j].T  # (3, n)
@@ -328,13 +297,12 @@ class PotentialComponents:
     v12: np.ndarray
     v13: np.ndarray
     v23: np.ndarray
-    scalar_v: float
     flat_energy: float
 
     def matrix_stack(self):
         """V(x_i) as an (n, 3, 3) complex stack."""
         return potential_matrix(self.v11, self.v12, self.v13, self.v23,
-                                self.scalar_v, self.flat_energy)
+                                0.0, self.flat_energy)
 
 
 def transformed_potential(frame):
@@ -343,24 +311,10 @@ def transformed_potential(frame):
     All four components share the denominator
         psi0*(xi2*phi1 - xi1*phi2) - phi0*(xi2*psi1 - xi1*psi2),
     which coincides with det U / i, so frame regularity already
-    guarantees it is bounded away from zero.
+    guarantees it is bounded away from zero. The components are computed
+    once per frame and returned read-only.
     """
-    s = frame.seed
-    pref = s.epsilon - s.flat_energy
-    den = frame.det
-    if np.abs(den).min() == 0.0:
-        i = int(np.argmin(np.abs(den)))
-        raise SingularFrameError(frame.grid.x[i], 0.0,
-                                 what="potential denominator")
-    q_psi = frame.xi2 * frame.psi1 - frame.xi1 * frame.psi2
-    q_phi = frame.xi2 * frame.phi1 - frame.xi1 * frame.phi2
-    w_flip = frame.phi1 * frame.psi2 - frame.phi2 * frame.psi1
-    v12 = -s.gauge_a + pref * (frame.psi0 * q_psi - frame.phi0 * q_phi) / den
-    v13 = pref * frame.psi0 * w_flip / den
-    v23 = -pref * frame.phi0 * w_flip / den
-    v11 = -s.mass + pref * (frame.psi0 * q_phi + frame.phi0 * q_psi) / den
-    return PotentialComponents(frame.grid, v11, v12, v13, v23,
-                               s.scalar_v, s.flat_energy)
+    return frame._potential
 
 
 def commutator_potential(frame):
@@ -400,23 +354,25 @@ def apply_darboux(frame, state):
 def intertwining_residual(frame, states, n_levels=3):
     """||(L H - H_new L) psi||_inf across grid refinements.
 
-    states are callables x -> (3,) or (3, n) complex samples. Returns
-    residuals of shape (n_states, n_levels) and the measured orders
-    log2(r_l / r_{l+1}).
+    states maps a grid's x to an (n_states, 3, n) array of spinors.
+    Returns residuals of shape (n_states, n_levels) and the measured
+    orders log2(r_l / r_{l+1}).
     """
     grids = [frame.grid]
     for _ in range(n_levels - 1):
         grids.append(grids[-1].refined())
-    residuals = np.empty((len(states), n_levels))
+    residuals = []
     seed_op = DiracOperatorSpec(seed_potential_matrix(frame.seed))
-    for li, g in enumerate(grids):
+    for g in grids:
         fr = frame if g is frame.grid else assemble_frame(frame.seed, g)
         new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
-        for si, state in enumerate(states):
-            f = np.asarray(state(g.x), dtype=complex)
+        level = []
+        for f in np.asarray(states(g.x), dtype=complex):
             lhs = apply_darboux(fr, apply_dirac(seed_op, f, g))
             rhs = apply_dirac(new_op, apply_darboux(fr, f), g)
-            residuals[si, li] = np.abs(lhs - rhs).max()
+            level.append(np.abs(lhs - rhs).max())
+        residuals.append(level)
+    residuals = np.array(residuals).T
     orders = np.log2(residuals[:, :-1] / residuals[:, 1:])
     return residuals, orders
 
@@ -433,13 +389,13 @@ def inverse_dagger_states(frame):
     """Candidate eigenstates of the transformed operator: columns of (U^{-1})^dag.
 
     Returns (states, reports): states[j] is a (3, n) array expected to
-    satisfy (H_new - E_j) state = O(h^2) with E = (epsilon, flat, flat).
+    satisfy (H_new - E_j) state = O(h^2) with E = (mass, flat, flat).
     """
     s = frame.seed
     g = frame.grid
     w = np.conj(np.swapaxes(frame.u_inv_stack(), 1, 2))  # (n, 3, 3)
     new_op = DiracOperatorSpec(transformed_potential(frame).matrix_stack())
-    energies = (s.epsilon, s.flat_energy, s.flat_energy)
+    energies = (s.mass, s.flat_energy, s.flat_energy)
     states, reports = [], []
     n_tail = max(3, g.n_points // 5)
     for j, e in enumerate(energies):

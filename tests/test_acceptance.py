@@ -127,8 +127,8 @@ def test_criterion_6_intertwining():
         p = ModelParams(kind, m, lam)
         grid = Grid(-20.0, 20.0, 601)
         fr = assemble_frame(p.seed_data(), grid)
-        states = cli._smooth_test_states(grid)
-        residuals, _ = susy.intertwining_residual(fr, states, n_levels=3)
+        residuals, _ = susy.intertwining_residual(fr, cli._smooth_test_states,
+                                                  n_levels=3)
         min_factor = min(min_factor,
                          (residuals[:, :-1] / residuals[:, 1:]).min())
         u = fr.u_stack()

@@ -267,6 +267,41 @@ def test_susy_huge_model_mass_exits_2(tmp_path, capsys):
     assert not (tmp_path / "susy_potential.csv").exists()
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("mass", ["7", "9"])
+def test_susy_large_mass_writes_finite_json(tmp_path, model, mass):
+    # the Wronskian samples reach ~1e170 here, so squaring them overflowed
+    # np.std and the report held the non-JSON token Infinity
+    for bad in ('{"a": Infinity}', '{"a": NaN}', '{"a": -Infinity}'):
+        with pytest.raises(ValueError):
+            _strict_json(bad)
+    rc = main(["susy", "--out", str(tmp_path), "--set", f"model={model}",
+               "--set", f"mass={mass}"])
+    assert rc == EXIT_OK
+    rep = _strict_json((tmp_path / "susy_verify.json").read_text())
+    assert np.isfinite(rep["w0_relative_stdev"])
+
+
+@pytest.mark.parametrize("field,value", [("mass", "1e200"), ("gauge_a", "-1e200"),
+                                         ("flat_energy", "1e101"), ("mass", "nan")])
+def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):
+    settings = {"mass": "0.3", "gauge_a": "1", "flat_energy": "0.1", field: value}
+    argv = ["susy", "--out", str(tmp_path)]
+    for key, val in settings.items():
+        argv += ["--set", f"{key}={val}"]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"{field} = " in err and "finite" in err
+    assert not (tmp_path / "susy_potential.csv").exists()
+
+
 # ------------------------------------------------------------ spectrum
 
 def test_spectrum_chain(tmp_path):

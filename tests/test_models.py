@@ -171,7 +171,6 @@ def test_model_potential_components_wrapper():
     grid = Grid(-5.0, 5.0, 51)
     comps = model_potential_components(P1, grid)
     assert comps.flat_energy == P1.flat_energy
-    assert comps.scalar_v == 0.0
     stack = comps.matrix_stack()
     v = stack[25]
     np.testing.assert_allclose(v, v.conj().T, atol=1e-15)
@@ -233,8 +232,8 @@ def test_model2_asymptotic_spectrum_identity(m, frac, side):
 def test_sample_chain_profile_shape_and_content():
     prof = sample_chain_profile(P1, 101)
     assert prof.n_cells == 101
-    np.testing.assert_allclose(prof.x, np.linspace(-50.5, 50.5, 101))
-    v11, v12, v13, v23 = model1_potential(P1, prof.x)
+    # cell centers are uniform over the default box [-50.5, 50.5]
+    v11, v12, v13, v23 = model1_potential(P1, np.linspace(-50.5, 50.5, 101))
     np.testing.assert_allclose(prof.eps_a, v11)
     np.testing.assert_allclose(prof.eps_b, -v11)
     np.testing.assert_allclose(prof.eps_c, P1.flat_energy)
@@ -246,6 +245,10 @@ def test_sample_chain_profile_shape_and_content():
 
 def test_sample_chain_profile_custom_box():
     prof = sample_chain_profile(P2, 11, box_halfwidth=5.0)
-    np.testing.assert_allclose(prof.x, np.linspace(-5.0, 5.0, 11))
+    v11, v12, v13, v23 = model2_potential(P2, np.linspace(-5.0, 5.0, 11))
+    np.testing.assert_allclose(prof.eps_a, v11)
+    np.testing.assert_allclose(prof.t_ab, 1.0 + v12)
+    np.testing.assert_allclose(prof.t_ac, v13)
+    np.testing.assert_allclose(prof.t_bc, v23)
     with pytest.raises(NumericalError):
         sample_chain_profile(P2, 1)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import DiracOperatorSpec, apply_dirac
+from susychain.continuum import DiracOperatorSpec, apply_dirac, potential_matrix
 from susychain.errors import NumericalError, SingularFrameError
 from susychain.models import ModelKind, ModelParams, model_potential_components
-from susychain.numcore import Grid, diff_central
+from susychain.numcore import Grid, diff_central, integrate_cumulative
 from susychain.susy import (
     SeedData,
     _adjugate3,
@@ -20,7 +20,6 @@ from susychain.susy import (
     dual_path_difference,
     frame_eigen_residuals,
     hermiticity_asymmetry,
-    hermitize_xi1,
     intertwining_residual,
     inverse_dagger_states,
     seed_potential_matrix,
@@ -42,26 +41,28 @@ def _frame(seed=SEED, grid=GRID):
 
 def test_seed_data_validation():
     with pytest.raises(NumericalError):
-        SeedData(mass=0.1, flat_energy=0.1, gauge_a=0.2, epsilon=0.1)
+        SeedData(mass=0.1, flat_energy=0.1, gauge_a=0.2)
     with pytest.raises(NumericalError):
-        SeedData(mass=0.1, flat_energy=-0.1, gauge_a=0.2, epsilon=0.1)
+        SeedData(mass=0.1, flat_energy=-0.1, gauge_a=0.2)
     with pytest.raises(NumericalError):
-        SeedData(mass=0.1, flat_energy=0.0, gauge_a=0.2, epsilon=0.1, w0=0.0)
+        SeedData(mass=0.1, flat_energy=0.0, gauge_a=0.2, w0=0.0)
     with pytest.raises(NumericalError):
         # kappa0^2 = a^2 + m^2 - lam^2 <= 0
-        SeedData(mass=0.1, flat_energy=0.3, gauge_a=0.1, epsilon=0.1)
+        SeedData(mass=0.1, flat_energy=0.3, gauge_a=0.1)
+    # squaring 1e200 in kappa0_sq would overflow; nan would pass every
+    # later comparison
+    for field in ("mass", "flat_energy", "gauge_a"):
+        for value in (1e200, -1.1e100, np.inf, np.nan):
+            kwargs = dict(mass=0.3, flat_energy=0.1, gauge_a=0.4)
+            kwargs[field] = value
+            with pytest.raises(NumericalError, match=field):
+                SeedData(**kwargs)
+    assert SeedData(mass=1e100, flat_energy=0.0, gauge_a=-1e100).kappa0 > 0.0
 
 
 def test_kappa0():
-    s = SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.4, epsilon=0.3)
+    s = SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.4)
     assert s.kappa0 == pytest.approx(np.sqrt(0.16 + 0.09 - 0.01))
-
-
-def test_epsilon_must_equal_mass():
-    s = SeedData(mass=0.1, flat_energy=0.0, gauge_a=0.2, epsilon=0.09)
-    from susychain.susy import seed_epsilon_state
-    with pytest.raises(NumericalError):
-        seed_epsilon_state(s)
 
 
 # --------------------------------------------------- seed eigenstates
@@ -99,19 +100,15 @@ def test_analytic_derivatives_match_stencil():
         assert np.abs(num - df).max() / scale < 1e-3, name
 
 
-def test_hermitize_xi1_closed_form_vs_quadrature():
-    closed = hermitize_xi1(SEED)(GRID.x)
-    k0 = SEED.kappa0
-    numeric = hermitize_xi1(SEED, xi2=lambda x: np.cosh(k0 * x), grid=GRID)
-    np.testing.assert_allclose(numeric, closed,
-                               atol=1e-6 * (1 + np.abs(closed).max()))
-
-
-def test_hermitize_xi1_rejects_vanishing_xi2():
-    with pytest.raises(SingularFrameError):
-        hermitize_xi1(SEED, xi2=lambda x: np.sinh(SEED.kappa0 * x), grid=GRID)
-    with pytest.raises(NumericalError):
-        hermitize_xi1(SEED, xi2=lambda x: np.cosh(x))  # no grid
+def test_xi1_closed_form_vs_quadrature():
+    # xi1 = xi2 * (c1 - w * Integral dx/xi2^2) with w = (m - lambda) times
+    # the actual Wronskian constant; the frame takes the integral in
+    # closed form, the trapezoid here
+    fr = _frame()
+    w = (SEED.mass - SEED.flat_energy) * SEED.wronskian_constant
+    numeric = fr.xi2 * (SEED.c1 - w * integrate_cumulative(1.0 / fr.xi2**2, GRID))
+    np.testing.assert_allclose(numeric, fr.xi1,
+                               atol=1e-6 * (1 + np.abs(fr.xi1).max()))
 
 
 # ------------------------------------------------ transformed potential
@@ -134,6 +131,61 @@ def test_negative_control_breaks_commutator_hermiticity():
     broken = replace(fr, xi1=fr.xi2.copy(), dxi1=fr.dxi2.copy())
     assert not np.array_equal(broken.u_inv_stack(), fr.u_inv_stack())
     assert hermiticity_asymmetry(commutator_potential(broken)) > 1e-4
+
+
+# --------------------------------------- frame against the closed forms
+
+def _reference_frame_samples(s, x):
+    # every frame sample as one closed form per function, in the operation
+    # order the engine has always used: psi1 divides by cosh where dphi1
+    # multiplies by sech, and w is not simplified to w0; kept as the
+    # bitwise reference for assemble_frame
+    m, a, k0 = s.mass, s.gauge_a, s.kappa0
+    w0, c0, c1 = s.w0, s.c0, s.c1
+    denom = s.mass - s.flat_energy
+    w = (s.mass - s.flat_energy) * s.wronskian_constant
+    ch, sh, th = np.cosh(k0 * x), np.sinh(k0 * x), np.tanh(k0 * x)
+    sech = 1.0 / ch
+    phi1 = ch * (w0 * th / k0 + c0)
+    dphi1 = sh * (w0 * th + k0 * c0) + w0 * sech
+    out = {
+        "psi0": -m * np.exp(-a * x),
+        "phi0": a * np.exp(-a * x),
+        "phi1": phi1,
+        "phi2": ch,
+        "psi1": (sh * (w0 * th + k0 * c0) + w0 / ch + a * phi1) / denom,
+        "psi2": (k0 * sh + a * ch) / denom,
+        "xi1": ch * (c1 - w * th / k0),
+        "xi2": ch,
+        "dpsi0": a * m * np.exp(-a * x),
+        "dphi0": -(a**2) * np.exp(-a * x),
+        "dphi1": dphi1,
+        "dphi2": k0 * sh,
+        "dpsi1": (k0**2 * phi1 + a * dphi1) / denom,
+        "dpsi2": (k0**2 * ch + a * (k0 * sh)) / denom,
+        "dxi1": k0 * sh * (c1 - w * th / k0) - w * sech,
+        "dxi2": k0 * sh,
+    }
+    psi0, phi0, psi1, psi2, xi1 = (out[k] for k in ("psi0", "phi0", "psi1", "psi2", "xi1"))
+    out["det"] = psi0 * (phi1 * ch - ch * xi1) - phi0 * (psi1 * ch - psi2 * xi1)
+    return out
+
+
+# w0 is chosen so that (m - lambda) * (w0 / (m - lambda)) != w0 in double
+# precision, which makes the unsimplified w observable
+FRAME_SEEDS = [
+    ModelParams(ModelKind.I, 0.07, 0.0).seed_data(w0=1.7, c1=0.1),
+    ModelParams(ModelKind.II, 0.1, 0.05).seed_data(w0=1.7, c1=-0.4),
+    SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.2, c0=0.3, c1=-0.2, w0=0.9),
+]
+
+
+@pytest.mark.parametrize("seed", FRAME_SEEDS)
+@pytest.mark.parametrize("grid", [GRID, Grid(-7.5, 12.0, 1201)])
+def test_frame_samples_match_closed_forms_bitwise(seed, grid):
+    fr = assemble_frame(seed, grid)
+    for name, want in _reference_frame_samples(seed, grid.x).items():
+        assert _same_bits(getattr(fr, name), want), name
 
 
 # ---------------------------------------------------------- frame cache
@@ -168,7 +220,7 @@ def test_adjugate3_matches_minor_reference_bitwise():
 
 def test_frame_cache_matches_per_call_recomputation():
     fr = _frame()
-    f = _gaussian_states(fr.grid)[0](fr.grid.x)
+    f = _gaussian_states(fr.grid.x)[0]
     # replace() with no changes is a frame with an empty cache, so each
     # right-hand side recomputes U and U^{-1} from the samples; the second
     # pass reads fr's cache
@@ -177,15 +229,24 @@ def test_frame_cache_matches_per_call_recomputation():
         assert _same_bits(commutator_potential(fr),
                           commutator_potential(replace(fr)))
         assert _same_bits(fr.u_inv_stack(), replace(fr).u_inv_stack())
+        fresh = transformed_potential(replace(fr))
+        for c in ("v11", "v12", "v13", "v23"):
+            assert _same_bits(getattr(transformed_potential(fr), c), getattr(fresh, c))
     assert fr.u_inv_stack() is fr.u_inv_stack() and fr.u_stack() is fr.u_stack()
+    assert transformed_potential(fr) is transformed_potential(fr)
 
 
 def test_frame_cache_is_read_only():
     fr = _frame()
+    comps = transformed_potential(fr)
     for stack in (fr.u_stack(), fr.u_inv_stack()):
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
+    for arr in (comps.v11, comps.v12, comps.v13, comps.v23):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_potential_decays_to_asymptotic_constants():
@@ -202,23 +263,18 @@ def test_seed_potential_matrix_hermitian():
 
 # ------------------------------------------------------- intertwining
 
-def _gaussian_states(grid):
-    width = 0.1 * (grid.x_max - grid.x_min)
-
-    def make(weights, freq):
-        def state(x):
-            env = np.exp(-((x / width) ** 2))
-            return np.array([w * env * np.cos(freq * x / width)
-                             for w in weights])
-        return state
-
-    return [make((1.0, 0.4, -0.3), 1.0), make((-0.2, 1.0, 0.5), 2.0)]
+def _gaussian_states(x):
+    # two Gaussian-enveloped spinors sampled on x: a (2, 3, len(x)) array
+    width = 0.1 * (x[-1] - x[0])
+    env = np.exp(-((x / width) ** 2))
+    waves = np.cos(np.array([1.0, 2.0])[:, None] * x / width)
+    weights = np.array([(1.0, 0.4, -0.3), (-0.2, 1.0, 0.5)])
+    return weights[:, :, None] * env * waves[:, None, :]
 
 
 def test_intertwining_second_order():
     fr = _frame(grid=Grid(-15.0, 15.0, 301))
-    residuals, orders = intertwining_residual(fr, _gaussian_states(fr.grid),
-                                              n_levels=3)
+    residuals, orders = intertwining_residual(fr, _gaussian_states, n_levels=3)
     assert residuals.shape == (2, 3)
     assert orders.min() > 1.9
 
@@ -236,8 +292,7 @@ def test_darboux_intertwines_on_eigenstate():
     # L maps the epsilon seed state to (numerically) zero, so H_new L u0
     # = epsilon L u0 holds trivially; check instead on a generic state
     fr = _frame()
-    state = _gaussian_states(fr.grid)[0]
-    f = state(fr.grid.x)
+    f = _gaussian_states(fr.grid.x)[0]
     seed_op = DiracOperatorSpec(seed_potential_matrix(SEED))
     new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
     lhs = apply_darboux(fr, apply_dirac(seed_op, f, fr.grid))
@@ -247,10 +302,11 @@ def test_darboux_intertwines_on_eigenstate():
     assert np.abs(lhs - rhs)[:, interior].max() / scale < 1e-3
 
 
-def _seed_operator_rows(s, f, grid):
-    # the seed operator written out row by row, kept as a reference
+def _seed_operator_rows(s, v, f, grid):
+    # the seed operator plus a scalar shift v on the two Dirac rows,
+    # written out row by row, kept as a reference
     df = diff_central(f, grid)
-    m, a, v, lam = s.mass, s.gauge_a, s.scalar_v, s.flat_energy
+    m, a, lam = s.mass, s.gauge_a, s.flat_energy
     out = np.empty_like(f)
     out[0] = (m + v) * f[0] - 1j * (df[1] + a * f[1])
     out[1] = -1j * (df[0] - a * f[0]) + (-m + v) * f[1]
@@ -258,10 +314,11 @@ def _seed_operator_rows(s, f, grid):
     return out
 
 
-def _transformed_operator_rows(c, f, grid):
-    # -i*gamma*d/dx + V_new written out row by row, kept as a reference
+def _transformed_operator_rows(c, v, f, grid):
+    # -i*gamma*d/dx + V_new plus a scalar shift v, written out row by row,
+    # kept as a reference
     df = diff_central(f, grid)
-    v, lam = c.scalar_v, c.flat_energy
+    lam = c.flat_energy
     out = np.empty_like(f)
     out[0] = ((c.v11 + v) * f[0] - 1j * c.v12 * f[1]
               - 1j * c.v13 * f[2] - 1j * df[1])
@@ -275,15 +332,21 @@ def test_apply_dirac_matches_row_by_row_operators():
     fr = _frame()
     g = fr.grid
     rng = np.random.default_rng(21)
-    seed = replace(SEED, scalar_v=0.2)
-    comps = replace(transformed_potential(fr), scalar_v=0.2)
+    s, v = SEED, 0.2
+    comps = transformed_potential(fr)
+    # the seed potential is the constant potential_matrix with v12 = A
+    assert np.array_equal(seed_potential_matrix(s), potential_matrix(
+        s.mass, s.gauge_a, 0.0, 0.0, 0.0, s.flat_energy))
+    seed_shifted = potential_matrix(s.mass, s.gauge_a, 0.0, 0.0, v, s.flat_energy)
+    comps_shifted = potential_matrix(comps.v11, comps.v12, comps.v13, comps.v23,
+                                     v, comps.flat_energy)
     for _ in range(3):
         f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
         pairs = [
-            (apply_dirac(DiracOperatorSpec(seed_potential_matrix(seed)), f, g),
-             _seed_operator_rows(seed, f, g)),
-            (apply_dirac(DiracOperatorSpec(comps.matrix_stack()), f, g),
-             _transformed_operator_rows(comps, f, g)),
+            (apply_dirac(DiracOperatorSpec(seed_shifted), f, g),
+             _seed_operator_rows(s, v, f, g)),
+            (apply_dirac(DiracOperatorSpec(comps_shifted), f, g),
+             _transformed_operator_rows(comps, v, f, g)),
         ]
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -316,7 +379,7 @@ def test_inverse_dagger_states_are_eigenstates():
     fr = _frame(grid=Grid(-15.0, 15.0, 1201))
     states, reports = inverse_dagger_states(fr)
     energies = [r.energy for r in reports]
-    assert energies == [SEED.epsilon, SEED.flat_energy, SEED.flat_energy]
+    assert energies == [SEED.mass, SEED.flat_energy, SEED.flat_energy]
     for st_, rep in zip(states, reports):
         assert st_.shape == (3, fr.grid.n_points)
         assert rep.residual < 1e-5
@@ -330,7 +393,7 @@ def test_inverse_dagger_states_are_eigenstates():
 
 valid_seed = st.builds(
     lambda m, frac, a, c0, c1, w0: SeedData(
-        mass=m, flat_energy=frac * m, gauge_a=a, epsilon=m,
+        mass=m, flat_energy=frac * m, gauge_a=a,
         c0=c0, c1=c1, w0=w0),
     m=st.floats(0.05, 0.3),
     frac=st.floats(-0.9, 0.9),
