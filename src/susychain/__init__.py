@@ -34,10 +34,8 @@ from .models import (
     AnalyticSpectrum,
     ModelKind,
     ModelParams,
-    model1_potential,
-    model1_spectrum,
-    model2_potential,
-    model2_thresholds,
+    model_potential,
+    model_spectrum,
     sample_chain_profile,
     validate_params,
 )

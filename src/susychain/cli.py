@@ -20,7 +20,7 @@ import numpy as np
 from . import lattice, models, susy
 from .continuum import DiracOperatorSpec, discretize, symbol_dispersion, \
     threshold_scan
-from .errors import ConfigError, SusychainError
+from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, build_finite_chain, \
     chain_spectrum, default_k_grid, flat_band_residual, tune_flat_band
 from .models import ModelKind, ModelParams
@@ -74,7 +74,6 @@ class Settings:
     """Merged view of config file + CLI flags for one command."""
 
     def __init__(self, command, config, overrides):
-        self.command = command
         self.values = {}
         for key, val in config.items():
             name = key.split(".", 1)[1] if key.startswith(command + ".") else key
@@ -120,13 +119,12 @@ def _model_params(st):
     kind_text = str(st.require("model", str)).upper()
     if kind_text not in ("I", "II"):
         raise ConfigError(f"field 'model': expected I or II, got {kind_text!r}")
-    p = ModelParams(kind=ModelKind(kind_text),
-                    mass=st.require("mass"),
-                    flat_energy=st.get("flat_energy", 0.0, float))
-    violations = models.validate_params(p)
-    if violations:
-        raise ConfigError("invalid model parameters: " + "; ".join(violations))
-    return p
+    try:
+        return ModelParams(kind=ModelKind(kind_text),
+                           mass=st.require("mass"),
+                           flat_energy=st.get("flat_energy", 0.0, float))
+    except NumericalError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_csv(path, header, columns):

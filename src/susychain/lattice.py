@@ -169,6 +169,8 @@ class ChainProfile:
 
     def __post_init__(self):
         n = len(self.eps_a)
+        if n < 2:
+            raise NumericalError("need at least 2 cells")
         arrays = [self.eps_a, self.eps_b, self.eps_c, self.t_ab,
                   self.t_ab_inter, self.t_ac, self.t_bc]
         for arr in arrays:
@@ -196,8 +198,6 @@ def build_finite_chain(profile):
     so the matrix is banded with bandwidth 2.
     """
     n = profile.n_cells
-    if n < 2:
-        raise NumericalError("need at least 2 cells")
     p = profile
     onsite = np.stack([p.eps_a, p.t_ab, p.t_ac,
                        p.t_ab, p.eps_b, p.t_bc,
@@ -212,13 +212,11 @@ class SpectrumReport:
     """Spectral summary of a finite chain or discretized operator."""
 
     eigenvalues: np.ndarray
-    flat_energy: float
-    cluster_tol: float
     cluster_count: int
     gap_edge_neg: float  # largest bulk eigenvalue below the cluster (nan if none)
     gap_edge_pos: float  # smallest bulk eigenvalue above the cluster (nan if none)
-    ipr: np.ndarray = None               # nan where no vector was computed
-    edge_state_mask: np.ndarray = None   # False where no vector was computed
+    ipr: np.ndarray               # nan where no vector was computed
+    edge_state_mask: np.ndarray   # False where no vector was computed
 
 
 def inverse_participation_ratio(vectors):
@@ -294,8 +292,6 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=None)
     gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, walked)
     return SpectrumReport(
         eigenvalues=w,
-        flat_energy=flat_energy,
-        cluster_tol=cluster_tol,
         cluster_count=int((np.abs(offset) <= cluster_tol).sum()),
         gap_edge_neg=gap_edge_neg,
         gap_edge_pos=gap_edge_pos,

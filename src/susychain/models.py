@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import AsymptoticCell
+from .continuum import AsymptoticCell, threshold_scan
 from .errors import NumericalError
 from .lattice import ChainProfile
-from .numcore import Grid
 from .susy import MAX_MODEL_PARAM, PotentialComponents, SeedData
 
 
@@ -34,9 +33,17 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
+    """One admissible (kind, mass, flat energy) triple; construction checks
+    it with validate_params and raises NumericalError on any violation."""
+
     kind: ModelKind
     mass: float
     flat_energy: float
+
+    def __post_init__(self):
+        violations = validate_params(self)
+        if violations:
+            raise NumericalError("invalid model parameters: " + "; ".join(violations))
 
     @property
     def gauge_a(self):
@@ -74,6 +81,8 @@ def validate_params(p):
     """List of violated admissibility conditions (empty means ok)."""
     m, lam = p.mass, p.flat_energy
     out = []
+    if not isinstance(p.kind, ModelKind):
+        return [f"kind must be a ModelKind, got {p.kind!r}"]
     if not (np.isfinite(m) and np.isfinite(lam)):
         return ["mass and flat_energy must be finite"]
     if max(abs(m), abs(lam)) > MAX_MODEL_PARAM:
@@ -85,8 +94,6 @@ def validate_params(p):
             out.append(f"-2m < lambda violated (lambda = {lam:g}, m = {m:g})")
         if not (lam < m):
             out.append(f"lambda < m violated (lambda = {lam:g}, m = {m:g})")
-        if not (2 * m + lam > 0):
-            out.append("2m + lambda must be > 0")
     else:
         if not (lam**2 < 2 * m**2):
             out.append(f"lambda^2 < 2 m^2 violated (lambda^2 = {lam**2:g}, "
@@ -99,12 +106,6 @@ def validate_params(p):
         if abs(p.kappa - kappa0) > 1e-14 * max(1.0, p.kappa):
             out.append("internal: kappa != kappa0")
     return out
-
-
-def _require_valid(p):
-    violations = validate_params(p)
-    if violations:
-        raise NumericalError("invalid model parameters: " + "; ".join(violations))
 
 
 # beyond |2 kappa x| = 700, tanh is +-1 in double precision and sech is
@@ -122,48 +123,29 @@ def _hyperbolic_arg(k, x, c):
     return np.clip(2 * k * np.asarray(x, dtype=float), -limit, limit)
 
 
-def model1_potential(p, x):
-    """Closed-form potential components of Model I."""
-    if p.kind is not ModelKind.I:
-        raise NumericalError("model1_potential requires a Model I parameter set")
-    _require_valid(p)
+def model_potential(p, x):
+    """Closed-form potential components (v11, v12, v13, v23) of either model."""
     m, lam, k = p.mass, p.flat_energy, p.kappa
-    z = _hyperbolic_arg(k, x, 2 * m - lam)
+    model1 = p.kind is ModelKind.I
+    z = _hyperbolic_arg(k, x, 2 * m - lam if model1 else 2 * (m - lam) ** 2)
     sech2 = 1.0 / np.cosh(z)
     tanh2 = np.tanh(z)
     cosh2 = np.cosh(z)
-    root = np.sqrt(m * (m - lam))
-    den_a = 2 * m - lam + 4 * m * sech2
-    den_b = 4 * m + (2 * m - lam) * cosh2
-    v12 = -lam * (2 * root * (1 + sech2) - k * tanh2) / den_a
-    v13 = np.sqrt(m * (2 * m + lam)) * k / den_b
-    v23 = k**2 / den_b
-    v11 = -(lam**2 + 4 * m**2 * sech2 + 2 * root * k * tanh2) / den_a
-    return v11, v12, v13, v23
-
-
-def model2_potential(p, x):
-    """Closed-form potential components of Model II."""
-    if p.kind is not ModelKind.II:
-        raise NumericalError("model2_potential requires a Model II parameter set")
-    _require_valid(p)
-    m, lam, k = p.mass, p.flat_energy, p.kappa
-    z = _hyperbolic_arg(k, x, 2 * (m - lam) ** 2)
-    sech2 = 1.0 / np.cosh(z)
-    tanh2 = np.tanh(z)
-    cosh2 = np.cosh(z)
+    if model1:
+        root = np.sqrt(m * (m - lam))
+        den_a = 2 * m - lam + 4 * m * sech2
+        den_b = 4 * m + (2 * m - lam) * cosh2
+        v12 = -lam * (2 * root * (1 + sech2) - k * tanh2) / den_a
+        v13 = np.sqrt(m * (2 * m + lam)) * k / den_b
+        v23 = k**2 / den_b
+        v11 = -(lam**2 + 4 * m**2 * sech2 + 2 * root * k * tanh2) / den_a
+        return v11, v12, v13, v23
     v12 = -lam * np.ones_like(z)
     v13 = (m - lam) * k**2 / ((2 * m - lam) ** 2 + 2 * (m - lam) ** 2 * cosh2)
     v23 = v13.copy()
     v11 = (-k * ((2 * m - lam) * k * sech2 + 2 * (m - lam) ** 2 * tanh2)
            / (2 * (m - lam) ** 2 + (2 * m - lam) ** 2 * sech2))
     return v11, v12, v13, v23
-
-
-def model_potential(p, x):
-    if p.kind is ModelKind.I:
-        return model1_potential(p, x)
-    return model2_potential(p, x)
 
 
 def model_potential_components(p, grid):
@@ -194,36 +176,24 @@ class AnalyticSpectrum:
     derived_not_published: bool
 
 
-def model1_spectrum(p):
-    """Band edges +-sqrt(m(2m - lambda)) plus the flat level."""
-    if p.kind is not ModelKind.I:
-        raise NumericalError("model1_spectrum requires a Model I parameter set")
-    _require_valid(p)
-    m, lam = p.mass, p.flat_energy
-    edge = float(np.sqrt(m * (2 * m - lam)))
-    # consistency with the asymptotics: v11^2 + v12^2 = m(2m - lambda)
-    cell = asymptotic_cell(p, +1)
-    if abs(cell.v11**2 + cell.v12**2 - edge**2) > 1e-12 * max(1.0, edge**2):
-        raise NumericalError("asymptotic identity v11^2 + v12^2 = m(2m - lambda) failed")
-    return AnalyticSpectrum(gap_edge=edge, flat_energy=lam,
-                            derived_not_published=False)
-
-
-def model2_thresholds(p):
-    """Derived band edges +-sqrt(2)*|m| (independent of lambda)."""
-    if p.kind is not ModelKind.II:
-        raise NumericalError("model2_thresholds requires a Model II parameter set")
-    _require_valid(p)
-    cell = asymptotic_cell(p, +1)
-    edge = float(np.hypot(cell.v11, cell.v12))
-    return AnalyticSpectrum(gap_edge=edge, flat_energy=p.flat_energy,
-                            derived_not_published=True)
-
-
 def model_spectrum(p):
+    """Band edges +-gap_edge plus the flat level.
+
+    Model I: +-sqrt(m(2m - lambda)), checked against the asymptotic cell.
+    Model II: +-sqrt(2)*|m| (independent of lambda), derived from the
+    asymptotic cell and flagged as such.
+    """
+    cell = asymptotic_cell(p, +1)
     if p.kind is ModelKind.I:
-        return model1_spectrum(p)
-    return model2_thresholds(p)
+        m, lam = p.mass, p.flat_energy
+        edge = float(np.sqrt(m * (2 * m - lam)))
+        # consistency with the asymptotics: v11^2 + v12^2 = m(2m - lambda)
+        if abs(cell.v11**2 + cell.v12**2 - edge**2) > 1e-12 * max(1.0, edge**2):
+            raise NumericalError("asymptotic identity v11^2 + v12^2 = m(2m - lambda) failed")
+        return AnalyticSpectrum(gap_edge=edge, flat_energy=lam,
+                                derived_not_published=False)
+    return AnalyticSpectrum(gap_edge=threshold_scan(cell)[1], flat_energy=p.flat_energy,
+                            derived_not_published=True)
 
 
 def sample_chain_profile(p, n_cells, box_halfwidth=None):
@@ -234,8 +204,6 @@ def sample_chain_profile(p, n_cells, box_halfwidth=None):
     the regularization consistent with t_ab_inter = 1. The potential is
     sampled once per cell (shared by the A, B, C sites).
     """
-    if n_cells < 2:
-        raise NumericalError("need at least 2 cells")
     if box_halfwidth is None:
         box_halfwidth = n_cells / 2.0
     x = np.linspace(-box_halfwidth, box_halfwidth, n_cells)

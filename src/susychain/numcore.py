@@ -1,7 +1,8 @@
 """Shared numerical kernels: grids, stencils, quadrature, eigensolvers.
 
-Everything here is a pure function of its inputs; the data types are frozen
-after construction and safe to share between threads.
+Everything here is a pure function of its inputs. `Grid` and `QuadRoots`
+are immutable; `BandedHermitian` is a plain holder of band storage that no
+function here writes to.
 """
 
 from dataclasses import dataclass

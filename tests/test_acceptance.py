@@ -141,7 +141,7 @@ def test_criterion_6_intertwining():
            f"min shrink factor={min_factor:.2f}, kernel residual={worst_kernel:.1e}")
 
 
-def test_criterion_7_model1_spectrum():
+def test_criterion_7_model1_chain_spectrum():
     worst_identity = 0.0
     for m, lam in MODEL_GRID_I:
         cell = models.asymptotic_cell(ModelParams(ModelKind.I, m, lam), +1)
@@ -149,7 +149,7 @@ def test_criterion_7_model1_spectrum():
                              abs(cell.v11**2 + cell.v12**2 - m * (2 * m - lam)))
 
     p = ModelParams(ModelKind.I, 0.07, 0.0)
-    edge = models.model1_spectrum(p).gap_edge
+    edge = models.model_spectrum(p).gap_edge
     delta = 0.1 * edge
     n_cells = 400
     profile = models.sample_chain_profile(p, n_cells, box_halfwidth=300.0)
@@ -176,7 +176,7 @@ def test_criterion_8_model2_spectrum():
     details = []
     for lam in (-0.015, 0.0, 0.015):
         p = ModelParams(ModelKind.II, m, lam)
-        spec = models.model2_thresholds(p)
+        spec = models.model_spectrum(p)
         profile = models.sample_chain_profile(p, 600, box_halfwidth=450.0)
         rep = chain_spectrum(build_finite_chain(profile), flat_energy=lam,
                              cluster_tol=1e-6,

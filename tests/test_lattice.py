@@ -223,8 +223,12 @@ def test_chain_profile_validation():
         arrs = [np.ones(4) for _ in range(7)]
         arrs[2] = np.array([1.0, np.nan, 1.0, 1.0])
         ChainProfile(*arrs)
-    with pytest.raises(NumericalError):
-        build_finite_chain(ChainProfile.uniform(P_REF, 1))
+
+
+@pytest.mark.parametrize("n_cells", [0, 1])
+def test_chain_profile_needs_two_cells(n_cells):
+    with pytest.raises(NumericalError, match="need at least 2 cells"):
+        ChainProfile.uniform(P_REF, n_cells)
 
 
 def test_chain_spectrum_gap_exclusion():

@@ -1,5 +1,7 @@
 """Unit tests for the two closed-form models."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,6 @@ from susychain.models import (
     ModelKind,
     ModelParams,
     asymptotic_cell,
-    model1_potential,
-    model1_spectrum,
-    model2_potential,
-    model2_thresholds,
     model_potential,
     model_potential_components,
     model_spectrum,
@@ -50,34 +48,36 @@ def test_validate_params_accepts_admissible():
     assert validate_params(P2) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_params_flags_violations():
-    assert validate_params(ModelParams(ModelKind.I, 0.07, 0.07))
-    assert validate_params(ModelParams(ModelKind.I, 0.07, 0.08))
-    assert validate_params(ModelParams(ModelKind.I, 0.07, -0.15))
-    assert validate_params(ModelParams(ModelKind.II, 0.03, 0.05))
-    assert validate_params(ModelParams(ModelKind.I, np.nan, 0.0))
+    # construction refuses these before asymptotic_cell, .kappa or
+    # .seed_data() could take the square root of a negative number
+    for kind, m, lam in ((ModelKind.I, 0.07, 0.07), (ModelKind.I, 0.07, 0.08),
+                         (ModelKind.I, 0.07, -0.15), (ModelKind.II, 0.03, 0.05),
+                         (ModelKind.I, np.nan, 0.0), ("I", 0.07, 0.0)):
+        with pytest.raises(NumericalError, match="^invalid model parameters: "):
+            asymptotic_cell(ModelParams(kind, m, lam), +1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_validate_params_bounds_mass_and_flat_energy(kind):
     # m**2 of a Python float raises OverflowError from m ~ 1.3e154 on
-    assert validate_params(ModelParams(kind, 1e155, 0.0))
-    assert validate_params(ModelParams(kind, 1e101, 0.0))
-    assert validate_params(ModelParams(kind, 1.0, -1e101))
+    for m, lam in ((1e155, 0.0), (1e101, 0.0), (1.0, -1e101)):
+        with pytest.raises(NumericalError, match="must not exceed 1e"):
+            ModelParams(kind, m, lam)
     assert validate_params(ModelParams(kind, 1e100, 0.0)) == []
 
 
 def test_operations_reject_invalid_params():
-    bad = ModelParams(ModelKind.I, 0.07, 0.08)
-    with pytest.raises(NumericalError):
-        model1_potential(bad, np.zeros(3))
-    with pytest.raises(NumericalError):
-        model1_spectrum(bad)
-    with pytest.raises(NumericalError):
-        model1_potential(P2, np.zeros(3))  # kind mismatch
-    with pytest.raises(NumericalError):
-        model2_thresholds(P1)
+    # no operation ever sees an invalid set: construction raises first,
+    # naming every violation that validate_params finds
+    raw = SimpleNamespace(kind=ModelKind.I, mass=0.07, flat_energy=0.07)
+    violations = validate_params(raw)
+    assert len(violations) == 3
+    with pytest.raises(NumericalError) as exc:
+        ModelParams(raw.kind, raw.mass, raw.flat_energy)
+    assert str(exc.value) == "invalid model parameters: " + "; ".join(violations)
 
 
 def test_seed_kappa_consistency():
@@ -92,7 +92,7 @@ def test_seed_kappa_consistency():
 def test_model1_matches_darboux_pipeline():
     grid = Grid(-20.0, 20.0, 801)
     comps = transformed_potential(assemble_frame(P1.seed_data(), grid))
-    v11, v12, v13, v23 = model1_potential(P1, grid.x)
+    v11, v12, v13, v23 = model_potential(P1, grid.x)
     np.testing.assert_allclose(comps.v11, v11, atol=1e-10)
     np.testing.assert_allclose(comps.v12, v12, atol=1e-10)
     np.testing.assert_allclose(comps.v13, v13, atol=1e-10)
@@ -102,7 +102,7 @@ def test_model1_matches_darboux_pipeline():
 def test_model2_matches_darboux_pipeline():
     grid = Grid(-20.0, 20.0, 801)
     comps = transformed_potential(assemble_frame(P2.seed_data(), grid))
-    v11, v12, v13, v23 = model2_potential(P2, grid.x)
+    v11, v12, v13, v23 = model_potential(P2, grid.x)
     np.testing.assert_allclose(comps.v11, v11, atol=1e-10)
     np.testing.assert_allclose(comps.v12, v12, atol=1e-10)
     np.testing.assert_allclose(comps.v13, v13, atol=1e-10)
@@ -111,13 +111,13 @@ def test_model2_matches_darboux_pipeline():
 
 def test_model2_constant_dimerization():
     x = np.linspace(-30, 30, 501)
-    _, v12, _, _ = model2_potential(P2, x)
+    _, v12, _, _ = model_potential(P2, x)
     np.testing.assert_allclose(v12, -P2.flat_energy, atol=1e-15)
 
 
 def test_model2_symmetric_interchain_coupling():
     x = np.linspace(-30, 30, 501)
-    _, _, v13, v23 = model2_potential(P2, x)
+    _, _, v13, v23 = model_potential(P2, x)
     np.testing.assert_allclose(v13, v23, atol=1e-15)
 
 
@@ -183,16 +183,16 @@ def test_model_potential_components_wrapper():
 
 # ------------------------------------------------------------ spectra
 
-def test_model1_spectrum_closed_form():
-    spec = model1_spectrum(P1)
+def test_model1_closed_form_spectrum():
+    spec = model_spectrum(P1)
     m, lam = P1.mass, P1.flat_energy
     assert spec.gap_edge == pytest.approx(np.sqrt(m * (2 * m - lam)))
     assert spec.flat_energy == lam
     assert not spec.derived_not_published
 
 
-def test_model2_thresholds_flagged_derived():
-    spec = model2_thresholds(P2)
+def test_model2_derived_thresholds_flagged():
+    spec = model_spectrum(P2)
     assert spec.gap_edge == pytest.approx(np.sqrt(2) * abs(P2.mass))
     assert spec.derived_not_published
 
@@ -207,8 +207,9 @@ def test_flat_level_sits_in_the_gap():
 @given(m=st.floats(0.02, 0.5), frac=st.floats(-1.9, 0.9))
 def test_model1_asymptotic_spectrum_identity(m, frac):
     lam = frac * m
-    p = ModelParams(ModelKind.I, m, lam)
-    if validate_params(p):
+    try:
+        p = ModelParams(ModelKind.I, m, lam)
+    except NumericalError:
         return
     cell = asymptotic_cell(p, +1)
     assert cell.v11**2 + cell.v12**2 == pytest.approx(m * (2 * m - lam),
@@ -219,8 +220,9 @@ def test_model1_asymptotic_spectrum_identity(m, frac):
 @given(m=st.floats(0.02, 0.5), frac=st.floats(-1.3, 1.3), side=st.sampled_from([-1, 1]))
 def test_model2_asymptotic_spectrum_identity(m, frac, side):
     lam = frac * m
-    p = ModelParams(ModelKind.II, m, lam)
-    if validate_params(p):
+    try:
+        p = ModelParams(ModelKind.II, m, lam)
+    except NumericalError:
         return
     cell = asymptotic_cell(p, side)
     assert np.hypot(cell.v11, cell.v12) == pytest.approx(np.sqrt(2) * m,
@@ -233,7 +235,7 @@ def test_sample_chain_profile_shape_and_content():
     prof = sample_chain_profile(P1, 101)
     assert prof.n_cells == 101
     # cell centers are uniform over the default box [-50.5, 50.5]
-    v11, v12, v13, v23 = model1_potential(P1, np.linspace(-50.5, 50.5, 101))
+    v11, v12, v13, v23 = model_potential(P1, np.linspace(-50.5, 50.5, 101))
     np.testing.assert_allclose(prof.eps_a, v11)
     np.testing.assert_allclose(prof.eps_b, -v11)
     np.testing.assert_allclose(prof.eps_c, P1.flat_energy)
@@ -245,7 +247,7 @@ def test_sample_chain_profile_shape_and_content():
 
 def test_sample_chain_profile_custom_box():
     prof = sample_chain_profile(P2, 11, box_halfwidth=5.0)
-    v11, v12, v13, v23 = model2_potential(P2, np.linspace(-5.0, 5.0, 11))
+    v11, v12, v13, v23 = model_potential(P2, np.linspace(-5.0, 5.0, 11))
     np.testing.assert_allclose(prof.eps_a, v11)
     np.testing.assert_allclose(prof.t_ab, 1.0 + v12)
     np.testing.assert_allclose(prof.t_ac, v13)
