@@ -136,17 +136,35 @@ def _checked_potential(spec, grid):
     return v
 
 
+# D = diag(1, i, i) at every point. Every potential that potential_matrix
+# builds has imaginary V12, V13 and real V23 and diagonal, and the kinetic
+# hop is imaginary, so conj(D_a) * H_ab * D_b is real for all of them.
+GAUGE = np.array([1.0, 1j, 1j])
+
+
 def discretize(spec, grid):
-    """Finite-difference matrix of the Dirac operator on a grid.
+    """Finite-difference matrix of the Dirac operator on a grid, stored as
+    D^H H D with the constant gauge D = diag(1, i, i) at every point.
 
     -i d/dx becomes the antisymmetric central-difference stencil (times
     -i, hence Hermitian); the potential is taken point by point; the
     chain is simply truncated at the box walls. Point-major ordering
     keeps the bandwidth at 4.
+
+    D is unitary and diagonal, so D^H H D has the spectrum of H, and its
+    eigenvectors are D^H times those of H: |v|^2 per point, hence IPR
+    and edge flags, are unchanged. For every potential potential_matrix
+    builds (both models, continuum_limit) the gauged matrix is real and
+    the bands are float64, so the eigensolves run in real arithmetic;
+    any other Hermitian potential keeps complex bands.
     """
-    # kinetic block from point i to i+1: -i * scale * gamma / (2h)
-    hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA
-    return BandedHermitian(block_tridiagonal_bands(_potential_stack(spec, grid), hop, 4))
+    gauge = GAUGE.conj()[:, None] * GAUGE  # entry (a, b) is conj(D_a) * D_b
+    v = _potential_stack(spec, grid) * gauge
+    # kinetic block from point i to i+1: -i * scale * gamma / (2h), gauged
+    hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA * gauge
+    if not v.imag.any():
+        v, hop = v.real, hop.real
+    return BandedHermitian(block_tridiagonal_bands(v, hop, 4))
 
 
 def apply_dirac(spec, state, grid):

@@ -162,11 +162,15 @@ class TransformationFrame:
 
     @property
     def wronskian_relative_stdev(self):
-        w = self.wronskian_samples
-        # squaring samples near 1e170 overflows np.std; scaling by an exact
-        # power of two keeps every bit of the ratio
-        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-        return float(np.std(w) / np.abs(np.mean(w)))
+        """Rms over samples of (w - W) / (|phi2*psi1| + |phi1*psi2|).
+
+        W is the exact constant. The two products grow like cosh^2 on wide
+        boxes and cancel to W, so each sample's deviation is measured in
+        units of its own rounding scale, not of W.
+        """
+        a, b = self.phi2 * self.psi1, self.phi1 * self.psi2
+        dev = (a - b - self.seed.wronskian_constant) / (np.abs(a) + np.abs(b))
+        return float(np.sqrt(np.mean(dev**2)))
 
     @property
     def min_abs_det(self):

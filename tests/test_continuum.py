@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from susychain.continuum import (
     GAMMA,
+    GAUGE,
     AsymptoticCell,
     DiracOperatorSpec,
     apply_dirac,
@@ -40,6 +41,8 @@ def test_continuum_limit_components():
     v = spec.potential
     want = potential_matrix(0.2, 0.2, 0.2, 0.01, 0.1, 0.05)
     np.testing.assert_allclose(v, want, atol=1e-15)
+    # real in the gauge of discretize, so its bands are float64
+    assert discretize(spec, Grid(-10.0, 10.0, 51)).bands.dtype == np.float64
     with pytest.raises(NumericalError):
         continuum_limit(TightBindingParams(t_ab=1.0))
 
@@ -105,8 +108,13 @@ def test_discretize_is_hermitian_and_matches_apply():
     spec = DiracOperatorSpec(
         potential=mat + 0.01 * np.tanh(grid.x)[:, None, None] * GAMMA)
     op = discretize(spec, grid)
-    dense = op.to_dense()
-    np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
+    # a real GAMMA term is imaginary in the gauge, so the bands stay complex
+    assert op.bands.dtype == np.complex128
+    gauged = op.to_dense()
+    np.testing.assert_allclose(gauged, gauged.conj().T, atol=1e-14)
+    # undo the gauge: H = G (D^H H D) G^H with G = kron(I_n, D)
+    g = np.kron(np.eye(grid.n_points), np.diag(GAUGE))
+    dense = g @ gauged @ g.conj().T
     # matrix-vector action agrees with the stencil application away from
     # the box walls (the truncation differs only in the first/last point)
     rng = np.random.default_rng(2)
@@ -131,21 +139,24 @@ def test_apply_dirac_constant_potential_matches_its_stack():
 
 
 def _discretize_reference(spec, grid):
-    """Band storage of discretize, filled entry by entry, point by point."""
+    """Band storage of discretize, filled entry by entry, point by point,
+    each entry (a, b) of the potential and the hop gauged to
+    conj(D_a) * H_ab * D_b."""
     n = grid.n_points
+    d = GAUGE
     v = np.broadcast_to(np.asarray(spec.potential, dtype=complex), (n, 3, 3))
     bands = np.zeros((5, 3 * n), dtype=complex)
     for i in range(n):
         for a in range(3):
             for b in range(a, 3):
-                bands[4 + a - b, 3 * i + b] = v[i, a, b]
+                bands[4 + a - b, 3 * i + b] = d[a].conjugate() * v[i, a, b] * d[b]
     hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA
     for i in range(n - 1):
         for a in range(3):
             for b in range(3):
                 if hop[a, b] != 0:
                     row, col = 3 * i + a, 3 * (i + 1) + b
-                    bands[4 + row - col, col] = hop[a, b]
+                    bands[4 + row - col, col] = d[a].conjugate() * hop[a, b] * d[b]
     return bands
 
 
@@ -159,8 +170,11 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
     else:
         potential = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.3, -0.2)
     spec = DiracOperatorSpec(potential=potential, kinetic_scale=1.7)
-    assert np.array_equal(discretize(spec, grid).bands,
-                          _discretize_reference(spec, grid))
+    bands = discretize(spec, grid).bands
+    reference = _discretize_reference(spec, grid)
+    assert bands.dtype == np.float64
+    assert not reference.imag.any()
+    assert np.array_equal(bands, reference.real)
 
 
 def test_discretize_rejects_bad_potential():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susychain import models
-from susychain.continuum import DiracOperatorSpec, discretize
+from susychain.continuum import GAMMA, DiracOperatorSpec, discretize
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
     ChainProfile,
@@ -26,7 +26,7 @@ from susychain.lattice import (
     inverse_participation_ratio,
 )
 from susychain.models import ModelKind, ModelParams
-from susychain.numcore import Grid, eigh_banded
+from susychain.numcore import BandedHermitian, Grid, block_tridiagonal_bands, eigh_banded
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -336,3 +336,33 @@ def test_chain_spectrum_matches_dense_reference(case):
     np.testing.assert_array_equal(rep.edge_state_mask[has], edge[has])
     np.testing.assert_allclose(rep.ipr[has], ipr[has], rtol=0, atol=1e-8)
     assert not rep.edge_state_mask[~has].any()
+
+
+@pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
+                                           (ModelKind.II, 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
+    # discretize stores D^H H D with D = diag(1, i, i) per point, in real
+    # bands; the ungauged complex bands of H must give the same report
+    p = ModelParams(kind, mass, lam)
+    gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
+    grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
+    stack = models.model_potential_components(p, grid).matrix_stack()
+    gauged = discretize(DiracOperatorSpec(stack), grid)
+    assert gauged.bands.dtype == np.float64
+    ungauged = BandedHermitian(
+        block_tridiagonal_bands(stack, -1j / (2 * grid.h) * GAMMA, 4))
+    ref, rep = (chain_spectrum(op, flat_energy=lam, cluster_tol=1e-6,
+                               gap_exclusion=gap_exclusion)
+                for op in (ungauged, gauged))
+    scale = np.abs(ungauged.to_dense()).sum(axis=1).max()
+    np.testing.assert_allclose(rep.eigenvalues, ref.eigenvalues, rtol=0,
+                               atol=1e-12 * scale)
+    assert rep.cluster_count == ref.cluster_count
+    assert rep.gap_edge_neg == pytest.approx(ref.gap_edge_neg, abs=1e-12)
+    assert rep.gap_edge_pos == pytest.approx(ref.gap_edge_pos, abs=1e-12)
+    np.testing.assert_array_equal(rep.edge_state_mask, ref.edge_state_mask)
+    has = np.isfinite(ref.ipr)
+    np.testing.assert_array_equal(np.isfinite(rep.ipr), has)
+    np.testing.assert_allclose(rep.ipr[has], ref.ipr[has], rtol=0, atol=1e-12)
+

@@ -88,6 +88,18 @@ def test_wronskian_constant_semantics():
     assert fr.wronskian_relative_stdev < 1e-9
 
 
+@pytest.mark.parametrize("kind", [ModelKind.I, ModelKind.II])
+@pytest.mark.parametrize("mass", [7.0, 9.0])
+def test_wronskian_constancy_holds_on_wide_boxes(kind, mass):
+    # the two products of phi2*psi1 - phi1*psi2 reach ~1e170 here and
+    # cancel to W; measured against each sample's rounding scale the frame
+    # is exact, while a 1e-6 error in psi1 still shows
+    fr = assemble_frame(ModelParams(kind, mass, 0.0).seed_data(), GRID)
+    assert fr.wronskian_relative_stdev < 1e-10
+    bad = replace(fr, psi1=fr.psi1 * (1.0 + 1e-6))
+    assert bad.wronskian_relative_stdev > 1e-10
+
+
 def test_analytic_derivatives_match_stencil():
     fr = _frame()
     from susychain.numcore import diff_central
