@@ -1,0 +1,170 @@
+"""The invariant battery behind `susychain verify`, and its two helpers
+that `susychain susy` also reports."""
+
+from dataclasses import replace
+
+import numpy as np
+
+from . import lattice, models, susy
+from .continuum import symbol_dispersion, threshold_scan
+from .lattice import TightBindingParams, band_structure, default_k_grid, \
+    flat_band_residual, tune_flat_band
+from .models import ModelKind, ModelParams
+from .numcore import Grid, diff_central, integrate_cumulative
+from .susy import assemble_frame, transformed_potential
+
+
+def oracle_max_diff(p, comps):
+    """Largest |engine - closed form| over the four potential components."""
+    oracle = models.model_potential_components(p, comps.grid)
+    return float(max(np.abs(getattr(comps, c) - getattr(oracle, c)).max()
+                     for c in ("v11", "v12", "v13", "v23")))
+
+
+def smooth_test_states(x):
+    """Three Gaussian-enveloped spinors sampled on x: a (3, 3, len(x)) array."""
+    # envelope must be negligible at the walls so the one-sided endpoint
+    # stencils do not pollute the measured interior convergence order;
+    # x[-1] - x[0] is the box width exactly, as Grid.x is a linspace
+    width = 0.1 * (x[-1] - x[0])
+    env = np.exp(-((x / width) ** 2))
+    weights = np.array([(1.0, 0.5, 0.25), (0.3, -1.0, 0.6), (-0.7, 0.2, 1.0)])
+    waves = np.cos(np.array([1.0, 2.0, 3.0])[:, None] * x / width)
+    return weights[:, :, None] * env * waves[:, None, :]
+
+
+def invariant_checks(seed, tol_override):
+    """The invariant battery behind `susychain verify`.
+
+    Each entry: (name, measured, threshold, kind) with kind 'max' (pass if
+    measured <= threshold) or 'min' (pass if measured >= threshold).
+    Thresholds of 'max' checks can be overridden with --tol.
+    """
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    def add_max(name, measured, threshold):
+        t = threshold if tol_override is None else tol_override
+        checks.append((name, float(measured), float(t), "max"))
+
+    def add_min(name, measured, threshold):
+        checks.append((name, float(measured), float(threshold), "min"))
+
+    # flat-band tuning against the known exact point
+    p_ref = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
+    sols = tune_flat_band(p_ref)
+    best = min(sols, key=lambda s: abs(s.flat_energy))
+    add_max("tune_eps_c_exact", abs(best.eps_c - 1.0 / 500.0), 1e-12)
+    add_max("tune_flat_energy_exact", abs(best.flat_energy), 1e-12)
+    tuned = replace(p_ref, eps_c=best.eps_c)
+    bs = band_structure(tuned, default_k_grid(tuned, 513))
+    add_max("tuned_middle_band_spread", bs.spreads()[1], 1e-10)
+
+    # Dirac point closure for the pure AB chain
+    p_ab = TightBindingParams(t_ab=1.0, t_ab_inter=1.0)
+    w = np.linalg.eigh(lattice.bloch_hamiltonian(p_ab, np.pi / p_ab.a))[0]
+    add_max("dirac_point_gap", w[2] - w[0], 1e-12)
+
+    # randomized tuning residual sweep
+    worst = 0.0
+    found = 0
+    while found < 5:
+        vals = rng.uniform(-1.5, 1.5, size=6)
+        cand = TightBindingParams(eps_a=vals[0], eps_b=vals[1],
+                                  t_ab=vals[2], t_ab_inter=vals[3],
+                                  t_ac=vals[4], t_bc=vals[5])
+        if abs(cand.t_ab) < 0.1 or abs(cand.t_ab_inter) < 0.1 \
+                or abs(cand.t_ac * cand.t_bc) < 1e-3:
+            continue
+        found += 1
+        for sol in tune_flat_band(cand):
+            worst = max(worst, flat_band_residual(cand, sol, n_k=256))
+    add_max("random_tune_residual", worst, 1e-10)
+
+    # Bloch periodicity and global gauge covariance
+    k_samples = rng.uniform(-np.pi, np.pi, size=8)
+    per = max(
+        np.abs(lattice.bloch_hamiltonian(p_ref, k)
+               - lattice.bloch_hamiltonian(p_ref, k + 2 * np.pi / p_ref.a)).max()
+        for k in k_samples
+    )
+    add_max("bloch_periodicity", per, 1e-14)
+    shift = 0.37
+    shifted = replace(p_ref, eps_a=p_ref.eps_a + shift, eps_b=p_ref.eps_b + shift,
+                      eps_c=p_ref.eps_c + shift)
+    gauge = max(
+        np.abs(np.sort(np.linalg.eigvalsh(lattice.bloch_hamiltonian(shifted, k)))
+               - np.sort(np.linalg.eigvalsh(lattice.bloch_hamiltonian(p_ref, k)))
+               - shift).max()
+        for k in k_samples
+    )
+    add_max("gauge_covariance", gauge, 1e-12)
+
+    # Darboux engine invariants on one parameter set per model
+    model_comps = {}
+    for kind, m, lam in ((ModelKind.I, 0.07, 0.0), (ModelKind.II, 0.03, 0.015)):
+        tag = f"model_{kind.value}"
+        p = ModelParams(kind, m, lam)
+        grid = Grid(-20.0, 20.0, 1201)
+        frame = assemble_frame(p.seed_data(), grid)
+        comps = model_comps[kind] = transformed_potential(frame)
+        stack = comps.matrix_stack()
+        add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(stack), 1e-10)
+        add_max(f"{tag}_w0_constancy", frame.wronskian_relative_stdev, 1e-10)
+        add_max(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
+        add_max(f"{tag}_oracle_match", oracle_max_diff(p, comps), 1e-8)
+        # negative control: xi1 = xi2 must break hermiticity of the
+        # commutator-form potential (the component formulas are Hermitian
+        # by construction and blind to a wrong xi1)
+        broken = replace(frame, xi1=frame.xi2.copy(), dxi1=frame.dxi2.copy())
+        add_min(f"{tag}_negative_control",
+                susy.hermiticity_asymmetry(susy.commutator_potential(broken)),
+                1e-4)
+        # intertwining convergence
+        residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
+                                                       n_levels=3)
+        add_min(f"{tag}_intertwining_order", orders.min(), np.log2(3.6))
+        # L annihilates its own seed columns
+        u = frame.u_stack()
+        kernel = max(np.abs(susy.apply_darboux(frame, u[:, :, j].T)).max()
+                     for j in range(3))
+        add_max(f"{tag}_darboux_kernel", kernel, 1e-8)
+        # frame eigen-residual convergence
+        r_coarse = max(susy.frame_eigen_residuals(frame))
+        r_fine = max(susy.frame_eigen_residuals(assemble_frame(p.seed_data(),
+                                                               grid.refined())))
+        add_min(f"{tag}_eigenframe_order", np.log2(r_coarse / r_fine), 1.9)
+
+    # Model II constant dimerization component, on the loop's Model II frame
+    comps2 = model_comps[ModelKind.II]
+    add_max("model_II_v12_constant",
+            np.abs(comps2.v12 + comps2.flat_energy).max(), 1e-10)
+
+    # Model I asymptotic spectrum identity over the admissible grid
+    worst = 0.0
+    for m in (0.05, 0.08, 0.11, 0.15, 0.2):
+        for frac in (-1.5, -0.75, 0.0, 0.45, 0.9):
+            pm = ModelParams(ModelKind.I, m, frac * m)
+            cell = models.asymptotic_cell(pm, +1)
+            worst = max(worst, abs(cell.v11**2 + cell.v12**2
+                                   - m * (2 * m - pm.flat_energy)))
+    add_max("model_I_spectrum_identity", worst, 1e-12)
+
+    # threshold_scan equals a brute-force minimum over a fine k-grid
+    cell = models.asymptotic_cell(ModelParams(ModelKind.I, 0.16, 0.09), +1)
+    _, edge, _ = threshold_scan(cell)
+    w = symbol_dispersion(cell, np.linspace(-2.0, 2.0, 4001))
+    dispersive = np.abs(w[np.abs(w - cell.flat_energy) > 1e-9])
+    add_max("threshold_scan_vs_sweep", abs(dispersive.min() - edge), 1e-10)
+
+    # stencil convergence orders on smooth functions
+    g1 = Grid(-1.0, 1.0, 101)
+    g2 = g1.refined()
+    e1 = np.abs(diff_central(np.sin(g1.x), g1) - np.cos(g1.x)).max()
+    e2 = np.abs(diff_central(np.sin(g2.x), g2) - np.cos(g2.x)).max()
+    add_min("diff_central_order", np.log2(e1 / e2), 1.9)
+    i1 = np.abs(integrate_cumulative(1 / np.cosh(g1.x) ** 2, g1) - np.tanh(g1.x)).max()
+    i2 = np.abs(integrate_cumulative(1 / np.cosh(g2.x) ** 2, g2) - np.tanh(g2.x)).max()
+    add_min("integrate_cumulative_order", np.log2(i1 / i2), 1.9)
+
+    return checks

@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Subcommands: bands | tune | susy | spectrum | verify. Parameters come
-from an optional flat key-value config file (``key = value`` per line,
-``#`` comments, dotted prefixes allowed) overridden by command-line
-flags. All numeric CSV output uses 17 significant digits; JSON floats use
+Subcommands: bands | tune | susy | spectrum | verify. Each command reads
+the keys of one table (``BANDS_KEYS`` ... ``VERIFY_KEYS``): key -> (cast,
+default, help), listed by ``susychain <command> --help``. Values come
+from an optional flat config file (``key = value`` per line, ``#``
+comments), then ``--set KEY=VALUE``, then the flags ``--grid-points``,
+``--box``, ``--cells``, ``--seed`` and ``--tol``, which exist only on the
+commands whose table holds the key. A later source wins; within the file
+or the ``--set`` values ``command.key`` wins over ``key``. The config
+file may hold keys of other commands, so one file serves them all;
+anything else a command does not read is a config error, as are a value
+of the wrong type (2.7 or true for an integer) and a value out of range.
+All numeric CSV output uses 17 significant digits; JSON floats use
 Python's shortest round-trip repr. Exit codes: 0 success, 2 config
 error, 3 numerical/singularity error, 4 verification failure.
 """
@@ -11,15 +19,16 @@ error, 3 numerical/singularity error, 4 verification failure.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import lattice, models, susy
-from .continuum import DiracOperatorSpec, discretize, symbol_dispersion, \
-    threshold_scan
+from . import models, susy
+from .checks import invariant_checks, oracle_max_diff, smooth_test_states
+from .continuum import DiracOperatorSpec, discretize
 from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, build_finite_chain, \
     chain_spectrum, default_k_grid, flat_band_residual, tune_flat_band
@@ -70,59 +79,136 @@ def _parse_value(text):
         return text
 
 
+REQUIRED = object()  # table default of a key the command cannot run without
+
+
+class Key(NamedTuple):
+    """One key of a command's table; cast(value) checks and converts it."""
+
+    cast: object
+    default: object
+    help: str
+
+
+def _real(val):
+    # bool is an int, but `t_ab = true` is a slip, not 1.0
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"expected a number, got {val!r}")
+    return float(val)
+
+
+def _count(least):
+    """Cast to an int of at least `least`; 2.7 and true are not counts."""
+    def cast(val):
+        if not _real(val).is_integer():
+            raise ValueError(f"expected an integer, got {val!r}")
+        if val < least:
+            raise ValueError(f"need at least {least}, got {val!r}")
+        return int(val)
+    return cast
+
+
+def _positive(val):
+    if not 0.0 < _real(val) < math.inf:
+        raise ValueError(f"expected a finite number > 0, got {val!r}")
+    return float(val)
+
+
+def _choice(*options, fold=str):
+    def cast(val):
+        text = fold(val)
+        if text not in options:
+            raise ValueError(f"expected {' or '.join(options)}, got {text!r}")
+        return text
+    return cast
+
+
 class Settings:
-    """Merged view of config file + CLI flags for one command."""
+    """One command's values, checked against its key table.
 
-    def __init__(self, command, config, overrides):
+    Layers apply in order, later ones winning: the config file, then each
+    of `overrides` (the --set values, then the flags). Within a layer
+    `command.key` wins over `key`, and None means unset. Only the config
+    file may hold keys that another command reads or that carry another
+    command's prefix, so one file can serve every command; those are
+    skipped. Any other key is a ConfigError.
+    """
+
+    def __init__(self, command, config, *overrides):
+        self.command = command
+        self.table = COMMANDS[command][1]
         self.values = {}
-        for key, val in config.items():
-            name = key.split(".", 1)[1] if key.startswith(command + ".") else key
-            self.values[name] = val
-        for key, val in overrides.items():
-            if val is not None:
-                self.values[key] = val
+        for layer, shared in ((config, True), *((o, False) for o in overrides)):
+            # `command.key` sorts after `key`, so it wins
+            for key in sorted(layer, key=lambda k: "." in k):
+                name = self._name(key, shared)
+                if name is None or layer[key] is None:
+                    continue
+                try:
+                    self.values[name] = self.table[name].cast(layer[key])
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(f"field '{name}': {exc}") from exc
 
-    def get(self, name, default=None, cast=None):
-        val = self.values.get(name, default)
-        if val is None:
+    def _name(self, key, shared):
+        """The table key that `key` sets, or None to skip it."""
+        prefix, dot, name = key.partition(".")
+        if not (dot and prefix in COMMANDS):
+            prefix, name = None, key
+        elif shared and prefix != self.command:
             return None
-        if cast is not None:
-            try:
-                return cast(val)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field '{name}': cannot read {val!r}") from exc
+        readers = [c for c, (_, table) in COMMANDS.items()
+                   if name in table and prefix in (None, c)]
+        if self.command in readers:
+            return name
+        if readers and shared:
+            return None
+        if readers:
+            raise ConfigError(f"key {key!r} is not read by {self.command} "
+                              f"(read by {', '.join(readers)})")
+        import difflib  # only here: a clean run never pays its import
+        known = {k for c, (_, table) in COMMANDS.items() if prefix in (None, c)
+                 for k in table}
+        near = difflib.get_close_matches(name, known, n=1)
+        raise ConfigError(f"unknown key {key!r}"
+                          + (f"; nearest known key: {near[0]!r}" if near else ""))
+
+    def __getitem__(self, name):
+        val = self.values.get(name, self.table[name].default)
+        if val is REQUIRED:
+            raise ConfigError(f"missing required field '{name}'")
         return val
 
-    def require(self, name, cast=float):
-        if name not in self.values:
-            raise ConfigError(f"missing required field '{name}'")
-        return self.get(name, cast=cast)
+
+TIGHT_BINDING_KEYS = {
+    "eps_a": Key(_real, 0.0, "on-site energy of A"),
+    "eps_b": Key(_real, 0.0, "on-site energy of B"),
+    "eps_c": Key(_real, 0.0, "on-site energy of the side site C"),
+    "t_ab": Key(_real, 0.0, "A-B hopping within a cell"),
+    "t_ab_inter": Key(_real, 0.0, "A-B hopping to the previous cell"),
+    "t_ac": Key(_real, 0.0, "A-C hopping"),
+    "t_bc": Key(_real, 0.0, "B-C hopping"),
+    "a": Key(_real, 1.0, "lattice constant"),
+}
+_MODEL_KIND = _choice("I", "II", fold=lambda val: str(val).upper())
+MODEL_KEYS = {
+    "model": Key(_MODEL_KIND, REQUIRED, "closed-form model, I or II"),
+    "mass": Key(_real, REQUIRED, "mass m"),
+    "flat_energy": Key(_real, 0.0, "flat level lambda"),
+}
 
 
 def _tb_params(st):
     try:
-        return TightBindingParams(
-            eps_a=st.get("eps_a", 0.0, float),
-            eps_b=st.get("eps_b", 0.0, float),
-            eps_c=st.get("eps_c", 0.0, float),
-            t_ab=st.get("t_ab", 0.0, float),
-            t_ab_inter=st.get("t_ab_inter", 0.0, float),
-            t_ac=st.get("t_ac", 0.0, float),
-            t_bc=st.get("t_bc", 0.0, float),
-            a=st.get("a", 1.0, float),
-        )
+        return TightBindingParams(**{k: st[k] for k in st.table
+                                     if k in TIGHT_BINDING_KEYS})
     except SusychainError as exc:
         raise ConfigError(f"invalid tight-binding parameters: {exc}") from exc
 
 
 def _model_params(st):
-    kind_text = str(st.require("model", str)).upper()
-    if kind_text not in ("I", "II"):
-        raise ConfigError(f"field 'model': expected I or II, got {kind_text!r}")
     try:
-        return ModelParams(kind=ModelKind(kind_text),
-                           mass=st.require("mass"),
-                           flat_energy=st.get("flat_energy", 0.0, float))
+        return ModelParams(kind=ModelKind(st["model"]), mass=st["mass"],
+                           flat_energy=st["flat_energy"])
     except NumericalError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -143,9 +229,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+# at 1 or 2 k points (both zone edges) every band has zero spread
+BANDS_KEYS = {**TIGHT_BINDING_KEYS,
+              "grid_points": Key(_count(3), 513, "k points over one zone")}
+
+
 def cmd_bands(st, out_dir):
     p = _tb_params(st)
-    n_k = st.get("grid_points", 513, int)
+    n_k = st["grid_points"]
     bs = band_structure(p, default_k_grid(p, n_k))
     _write_csv(os.path.join(out_dir, "bands.csv"),
                ["k", "E1", "E2", "E3"],
@@ -158,15 +249,17 @@ def cmd_bands(st, out_dir):
         if spreads[j] <= FLAT_BAND_THRESHOLD * (1.0 + abs(means[j]))
     ]
     _write_json(os.path.join(out_dir, "bands_summary.json"), {
-        "params": {k: getattr(p, k) for k in
-                   ("eps_a", "eps_b", "eps_c", "t_ab", "t_ab_inter",
-                    "t_ac", "t_bc", "a")},
+        "params": {k: getattr(p, k) for k in TIGHT_BINDING_KEYS},
         "k_points": n_k,
         "band_spreads": [float(s) for s in spreads],
         "flat_bands": flat,
         "flat_threshold": FLAT_BAND_THRESHOLD,
     })
     return EXIT_OK
+
+
+# tuning solves for eps_c, so it reads no eps_c
+TUNE_KEYS = {k: v for k, v in TIGHT_BINDING_KEYS.items() if k != "eps_c"}
 
 
 def cmd_tune(st, out_dir):
@@ -187,24 +280,32 @@ def cmd_tune(st, out_dir):
     return EXIT_OK
 
 
+SUSY_KEYS = {
+    **MODEL_KEYS,
+    "model": Key(_MODEL_KIND, None,
+                 "closed-form model, I or II; unset: the general seed"),
+    "gauge_a": Key(_real, REQUIRED, "seed gauge A; general seed only"),
+    "c0": Key(_real, 0.0, "quadrature constant of phi1; general seed only"),
+    "c1": Key(_real, 0.0, "quadrature constant of xi1"),
+    "w0": Key(_real, 1.0, "scale of phi1's quadrature"),
+    "box": Key(_positive, 20.0, "half-width of the potential table"),
+    "grid_points": Key(_count(3), 2001, "points of the potential table"),
+}
+
+
 def _seed_and_frame(st):
-    if "model" in st.values:
-        p = _model_params(st)
-        seed = p.seed_data(w0=st.get("w0", 1.0, float), c1=st.get("c1", 0.0, float))
-    else:
+    if st["model"] is None:
         p = None
-        seed = susy.SeedData(
-            mass=st.require("mass"),
-            flat_energy=st.get("flat_energy", 0.0, float),
-            gauge_a=st.require("gauge_a"),
-            c0=st.get("c0", 0.0, float),
-            c1=st.get("c1", 0.0, float),
-            w0=st.get("w0", 1.0, float),
-        )
-    # potential-table window; the spectral commands pick their own boxes
-    box = st.get("box", 20.0, float)
-    n = st.get("grid_points", 2001, int)
-    grid = Grid(-box, box, n)
+        seed = susy.SeedData(mass=st["mass"], flat_energy=st["flat_energy"],
+                             gauge_a=st["gauge_a"], c0=st["c0"], c1=st["c1"],
+                             w0=st["w0"])
+    else:
+        fixed = [k for k in ("gauge_a", "c0") if k in st.values]
+        if fixed:
+            raise ConfigError(f"field '{fixed[0]}': model {st['model']} fixes it")
+        p = _model_params(st)
+        seed = p.seed_data(w0=st["w0"], c1=st["c1"])
+    grid = Grid(-st["box"], st["box"], st["grid_points"])
     return p, seed, assemble_frame(seed, grid)
 
 
@@ -216,7 +317,7 @@ def cmd_susy(st, out_dir):
                [frame.grid.x, comps.v11, comps.v12, comps.v13, comps.v23])
 
     stack = comps.matrix_stack()
-    residuals, orders = susy.intertwining_residual(frame, _smooth_test_states,
+    residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
                                                    n_levels=2)
     verification = {
         "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(stack),
@@ -227,56 +328,47 @@ def cmd_susy(st, out_dir):
         "intertwining_orders": orders.tolist(),
     }
     if p is not None:
-        verification["model_oracle_max_diff"] = _oracle_max_diff(p, comps)
+        verification["model_oracle_max_diff"] = oracle_max_diff(p, comps)
     _write_json(os.path.join(out_dir, "susy_verify.json"), verification)
     return EXIT_OK
 
 
-def _oracle_max_diff(p, comps):
-    """Largest |engine - closed form| over the four potential components."""
-    oracle = models.model_potential_components(p, comps.grid)
-    return float(max(np.abs(getattr(comps, c) - getattr(oracle, c)).max()
-                     for c in ("v11", "v12", "v13", "v23")))
-
-
-def _smooth_test_states(x):
-    """Three Gaussian-enveloped spinors sampled on x: a (3, 3, len(x)) array."""
-    # envelope must be negligible at the walls so the one-sided endpoint
-    # stencils do not pollute the measured interior convergence order;
-    # x[-1] - x[0] is the box width exactly, as Grid.x is a linspace
-    width = 0.1 * (x[-1] - x[0])
-    env = np.exp(-((x / width) ** 2))
-    weights = np.array([(1.0, 0.5, 0.25), (0.3, -1.0, 0.6), (-0.7, 0.2, 1.0)])
-    waves = np.cos(np.array([1.0, 2.0, 3.0])[:, None] * x / width)
-    return weights[:, :, None] * env * waves[:, None, :]
+SPECTRUM_KEYS = {
+    **MODEL_KEYS,
+    "method": Key(_choice("chain", "continuum", "both"), "chain",
+                  "route: chain, continuum or both"),
+    "cluster_tol": Key(_positive, 1e-6,
+                       "largest distance of a flat-cluster state from lambda"),
+    # gap edges ignore flat-cluster members that leak slightly past
+    # cluster_tol at finite size
+    "gap_exclusion": Key(_positive, None, "distance from lambda inside which no "
+                         "state is a gap edge; unset: 0.1 x the analytic gap edge"),
+    "cells": Key(_count(2), 400, "cells of the finite chain"),
+    "box": Key(_positive, None, "half-width of the sampled box; unset: "
+               "cells/2 for the chain, 12/kappa for the continuum"),
+    "grid_points": Key(_count(3), 2001, "points of the continuum grid"),
+}
 
 
 def cmd_spectrum(st, out_dir):
     p = _model_params(st)
     spectrum = models.model_spectrum(p)
-    method = str(st.get("method", "chain", str))
-    if method not in ("chain", "continuum", "both"):
-        raise ConfigError(f"field 'method': expected chain|continuum|both, got {method!r}")
-    cluster_tol = st.get("cluster_tol", 1e-6, float)
-    # when estimating gap edges, ignore flat-cluster members that leak
-    # slightly past cluster_tol at finite size
-    gap_exclusion = st.get("gap_exclusion", 0.1 * spectrum.gap_edge, float)
+    method = st["method"]
+    cluster_tol = st["cluster_tol"]
+    gap_exclusion = st["gap_exclusion"]
+    if gap_exclusion is None:
+        gap_exclusion = 0.1 * spectrum.gap_edge
     reports = {}
 
     if method in ("chain", "both"):
-        n_cells = st.get("cells", 400, int)
-        if n_cells < 2:
-            raise ConfigError("field 'cells': need at least 2")
-        box = st.get("box", None, float)
-        profile = models.sample_chain_profile(p, n_cells, box_halfwidth=box)
+        profile = models.sample_chain_profile(p, st["cells"],
+                                              box_halfwidth=st["box"])
         reports["chain"] = chain_spectrum(
             build_finite_chain(profile), flat_energy=p.flat_energy,
             cluster_tol=cluster_tol, gap_exclusion=gap_exclusion)
     if method in ("continuum", "both"):
-        kappa = p.kappa
-        box = st.get("box", 12.0 / kappa, float)
-        n = st.get("grid_points", 2001, int)
-        grid = Grid(-box, box, n)
+        box = st["box"] or 12.0 / p.kappa
+        grid = Grid(-box, box, st["grid_points"])
         comps = models.model_potential_components(p, grid)
         op = discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
         reports["continuum"] = chain_spectrum(
@@ -310,148 +402,15 @@ def cmd_spectrum(st, out_dir):
     return EXIT_OK
 
 
-def _verify_checks(seed, tol_override):
-    """The invariant battery behind `susychain verify`.
-
-    Each entry: (name, measured, threshold, kind) with kind 'max' (pass if
-    measured <= threshold) or 'min' (pass if measured >= threshold).
-    Thresholds of 'max' checks can be overridden with --tol.
-    """
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def add_max(name, measured, threshold):
-        t = threshold if tol_override is None else tol_override
-        checks.append((name, float(measured), float(t), "max"))
-
-    def add_min(name, measured, threshold):
-        checks.append((name, float(measured), float(threshold), "min"))
-
-    # flat-band tuning against the known exact point
-    p_ref = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
-    sols = tune_flat_band(p_ref)
-    best = min(sols, key=lambda s: abs(s.flat_energy))
-    add_max("tune_eps_c_exact", abs(best.eps_c - 1.0 / 500.0), 1e-12)
-    add_max("tune_flat_energy_exact", abs(best.flat_energy), 1e-12)
-    tuned = replace(p_ref, eps_c=best.eps_c)
-    bs = band_structure(tuned, default_k_grid(tuned, 513))
-    add_max("tuned_middle_band_spread", bs.spreads()[1], 1e-10)
-
-    # Dirac point closure for the pure AB chain
-    p_ab = TightBindingParams(t_ab=1.0, t_ab_inter=1.0)
-    w = np.linalg.eigh(lattice.bloch_hamiltonian(p_ab, np.pi / p_ab.a))[0]
-    add_max("dirac_point_gap", w[2] - w[0], 1e-12)
-
-    # randomized tuning residual sweep
-    worst = 0.0
-    found = 0
-    while found < 5:
-        vals = rng.uniform(-1.5, 1.5, size=6)
-        cand = TightBindingParams(eps_a=vals[0], eps_b=vals[1],
-                                  t_ab=vals[2], t_ab_inter=vals[3],
-                                  t_ac=vals[4], t_bc=vals[5])
-        if abs(cand.t_ab) < 0.1 or abs(cand.t_ab_inter) < 0.1 \
-                or abs(cand.t_ac * cand.t_bc) < 1e-3:
-            continue
-        found += 1
-        for sol in tune_flat_band(cand):
-            worst = max(worst, flat_band_residual(cand, sol, n_k=256))
-    add_max("random_tune_residual", worst, 1e-10)
-
-    # Bloch periodicity and global gauge covariance
-    k_samples = rng.uniform(-np.pi, np.pi, size=8)
-    per = max(
-        np.abs(lattice.bloch_hamiltonian(p_ref, k)
-               - lattice.bloch_hamiltonian(p_ref, k + 2 * np.pi / p_ref.a)).max()
-        for k in k_samples
-    )
-    add_max("bloch_periodicity", per, 1e-14)
-    shift = 0.37
-    shifted = replace(p_ref, eps_a=p_ref.eps_a + shift, eps_b=p_ref.eps_b + shift,
-                      eps_c=p_ref.eps_c + shift)
-    gauge = max(
-        np.abs(np.sort(np.linalg.eigvalsh(lattice.bloch_hamiltonian(shifted, k)))
-               - np.sort(np.linalg.eigvalsh(lattice.bloch_hamiltonian(p_ref, k)))
-               - shift).max()
-        for k in k_samples
-    )
-    add_max("gauge_covariance", gauge, 1e-12)
-
-    # Darboux engine invariants on one parameter set per model
-    model_comps = {}
-    for kind, m, lam in ((ModelKind.I, 0.07, 0.0), (ModelKind.II, 0.03, 0.015)):
-        tag = f"model_{kind.value}"
-        p = ModelParams(kind, m, lam)
-        grid = Grid(-20.0, 20.0, 1201)
-        frame = assemble_frame(p.seed_data(), grid)
-        comps = model_comps[kind] = transformed_potential(frame)
-        stack = comps.matrix_stack()
-        add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(stack), 1e-10)
-        add_max(f"{tag}_w0_constancy", frame.wronskian_relative_stdev, 1e-10)
-        add_max(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
-        add_max(f"{tag}_oracle_match", _oracle_max_diff(p, comps), 1e-8)
-        # negative control: xi1 = xi2 must break hermiticity of the
-        # commutator-form potential (the component formulas are Hermitian
-        # by construction and blind to a wrong xi1)
-        broken = replace(frame, xi1=frame.xi2.copy(), dxi1=frame.dxi2.copy())
-        add_min(f"{tag}_negative_control",
-                susy.hermiticity_asymmetry(susy.commutator_potential(broken)),
-                1e-4)
-        # intertwining convergence
-        residuals, orders = susy.intertwining_residual(frame, _smooth_test_states,
-                                                       n_levels=3)
-        add_min(f"{tag}_intertwining_order", orders.min(), np.log2(3.6))
-        # L annihilates its own seed columns
-        u = frame.u_stack()
-        kernel = max(np.abs(susy.apply_darboux(frame, u[:, :, j].T)).max()
-                     for j in range(3))
-        add_max(f"{tag}_darboux_kernel", kernel, 1e-8)
-        # frame eigen-residual convergence
-        r_coarse = max(susy.frame_eigen_residuals(frame))
-        r_fine = max(susy.frame_eigen_residuals(assemble_frame(p.seed_data(),
-                                                               grid.refined())))
-        add_min(f"{tag}_eigenframe_order", np.log2(r_coarse / r_fine), 1.9)
-
-    # Model II constant dimerization component, on the loop's Model II frame
-    comps2 = model_comps[ModelKind.II]
-    add_max("model_II_v12_constant",
-            np.abs(comps2.v12 + comps2.flat_energy).max(), 1e-10)
-
-    # Model I asymptotic spectrum identity over the admissible grid
-    worst = 0.0
-    for m in (0.05, 0.08, 0.11, 0.15, 0.2):
-        for frac in (-1.5, -0.75, 0.0, 0.45, 0.9):
-            pm = ModelParams(ModelKind.I, m, frac * m)
-            cell = models.asymptotic_cell(pm, +1)
-            worst = max(worst, abs(cell.v11**2 + cell.v12**2
-                                   - m * (2 * m - pm.flat_energy)))
-    add_max("model_I_spectrum_identity", worst, 1e-12)
-
-    # threshold_scan equals a brute-force minimum over a fine k-grid
-    cell = models.asymptotic_cell(ModelParams(ModelKind.I, 0.16, 0.09), +1)
-    _, edge, _ = threshold_scan(cell)
-    w = symbol_dispersion(cell, np.linspace(-2.0, 2.0, 4001))
-    dispersive = np.abs(w[np.abs(w - cell.flat_energy) > 1e-9])
-    add_max("threshold_scan_vs_sweep", abs(dispersive.min() - edge), 1e-10)
-
-    # stencil convergence orders on smooth functions
-    g1 = Grid(-1.0, 1.0, 101)
-    g2 = g1.refined()
-    from .numcore import diff_central, integrate_cumulative
-    e1 = np.abs(diff_central(np.sin(g1.x), g1) - np.cos(g1.x)).max()
-    e2 = np.abs(diff_central(np.sin(g2.x), g2) - np.cos(g2.x)).max()
-    add_min("diff_central_order", np.log2(e1 / e2), 1.9)
-    i1 = np.abs(integrate_cumulative(1 / np.cosh(g1.x) ** 2, g1) - np.tanh(g1.x)).max()
-    i2 = np.abs(integrate_cumulative(1 / np.cosh(g2.x) ** 2, g2) - np.tanh(g2.x)).max()
-    add_min("integrate_cumulative_order", np.log2(i1 / i2), 1.9)
-
-    return checks
+VERIFY_KEYS = {
+    "seed": Key(_count(0), 0, "seed of the randomized checks"),
+    "tol": Key(_real, None, "threshold of every '<=' check; unset: its own"),
+}
 
 
 def cmd_verify(st, out_dir):
-    seed = st.get("seed", 0, int)
-    tol_override = st.get("tol", None, float)
-    checks = _verify_checks(seed, tol_override)
+    seed = st["seed"]
+    checks = invariant_checks(seed, st["tol"])
     results = []
     all_pass = True
     for name, measured, threshold, kind in checks:
@@ -474,12 +433,18 @@ def cmd_verify(st, out_dir):
 
 
 COMMANDS = {
-    "bands": cmd_bands,
-    "tune": cmd_tune,
-    "susy": cmd_susy,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
+    "bands": (cmd_bands, BANDS_KEYS),
+    "tune": (cmd_tune, TUNE_KEYS),
+    "susy": (cmd_susy, SUSY_KEYS),
+    "spectrum": (cmd_spectrum, SPECTRUM_KEYS),
+    "verify": (cmd_verify, VERIFY_KEYS),
 }
+# keys that also have a --flag, on the commands that read them
+FLAGS = ("seed", "tol", "grid_points", "box", "cells")
+
+
+def _shown(default):
+    return {REQUIRED: "required", None: "unset"}.get(default, default)
 
 
 @functools.cache
@@ -490,40 +455,38 @@ def build_parser():
         description="Saw-chain flat bands and Darboux-coupled Dirac chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
+    for name, (_, table) in COMMANDS.items():
+        keys = "\n".join(f"  {k:<14}{_shown(key.default)!s:<10}{key.help}"
+                         for k, key in table.items())
+        cmd = sub.add_parser(
+            name, formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog=f"keys (config file, --set or flag), default, meaning:\n{keys}")
         cmd.add_argument("--config", default=None, help="flat key=value file")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-        cmd.add_argument("--box", type=float, default=None)
-        cmd.add_argument("--cells", type=int, default=None)
+        for key in FLAGS:
+            if key in table:
+                cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 type=_parse_value, help=table[key].help)
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                         help="override any config field")
+                         help="set any key of the table below")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    run, table = COMMANDS[args.command]
     try:
         config = parse_config(args.config) if args.config else {}
+        sets = {}
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
-            config[key.strip()] = _parse_value(value.strip())
-        overrides = {
-            "seed": args.seed,
-            "tol": args.tol,
-            "grid_points": args.grid_points,
-            "box": args.box,
-            "cells": args.cells,
-        }
-        st = Settings(args.command, config, overrides)
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-        return COMMANDS[args.command](st, out_dir)
+            sets[key.strip()] = _parse_value(value.strip())
+        flags = {key: getattr(args, key) for key in FLAGS if key in table}
+        st = Settings(args.command, config, sets, flags)
+        os.makedirs(args.out, exist_ok=True)
+        return run(st, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from susychain import cli, lattice, models, susy
+from susychain import checks, cli, lattice, models, susy
 from susychain.lattice import TightBindingParams, band_structure, \
     bloch_hamiltonian, build_finite_chain, chain_spectrum, default_k_grid, \
     tune_flat_band
@@ -127,7 +127,7 @@ def test_criterion_6_intertwining():
         p = ModelParams(kind, m, lam)
         grid = Grid(-20.0, 20.0, 601)
         fr = assemble_frame(p.seed_data(), grid)
-        residuals, _ = susy.intertwining_residual(fr, cli._smooth_test_states,
+        residuals, _ = susy.intertwining_residual(fr, checks.smooth_test_states,
                                                   n_levels=3)
         min_factor = min(min_factor,
                          (residuals[:, :-1] / residuals[:, 1:]).min())

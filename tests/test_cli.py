@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susychain
+from susychain import cli
 from susychain.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY,
+    FLAGS,
     Settings,
     _write_csv,
     build_parser,
@@ -100,12 +103,128 @@ def test_parse_config_errors(tmp_path):
 
 
 def test_settings_dotted_prefix_and_overrides():
-    st = Settings("bands", {"bands.grid_points": 65, "tune.grid_points": 9,
-                            "mass": 0.1}, {"cells": 7, "box": None})
-    assert st.get("grid_points") == 65
-    assert st.get("mass") == 0.1
-    assert st.get("cells") == 7
-    assert st.get("box", 3.0) == 3.0
+    config = {"spectrum.grid_points": 65, "grid_points": 5, "bands.grid_points": 9,
+              "mass": 0.1, "cells": 3}
+    st = Settings("spectrum", config, {"cells": 7, "box": None})
+    assert st["grid_points"] == 65      # own prefix beats the bare key and bands.
+    assert st["mass"] == 0.1
+    assert st["cells"] == 7             # overrides beat the config file
+    assert st["box"] is None and st["cluster_tol"] == 1e-6   # table defaults
+    # a later layer wins even over a prefixed key of an earlier one
+    st = Settings("spectrum", config, {"spectrum.cells": 8}, {"cells": 9})
+    assert st["cells"] == 9
+
+
+def test_typo_exits_2_and_names_the_nearest_key(tmp_path, capsys):
+    assert main(["bands", "--out", str(tmp_path), "--set", "eps_cc=5",
+                 "--set", "t_ab=1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'eps_cc'" in err and "'eps_c'" in err
+    assert main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
+                 "--set", "mass=0.07", "--set", "methd=continuum"]) == EXIT_CONFIG
+    assert "'method'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_one_config_file_serves_bands_and_spectrum(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("t_ab = 1\nt_ab_inter = 1\nt_ac = 0.2\nt_bc = 0.01\n"
+                   "eps_c = 0.002\nbands.grid_points = 33\n"
+                   "model = I\nmass = 0.07\ncells = 50\nspectrum.cells = 60\n"
+                   "spectrum.grid_points = 301\n")
+    for name in ("bands", "spectrum"):
+        assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "bands_summary.json").read_text())["k_points"] == 33
+    _, rows = read_csv(tmp_path / "spectrum_chain.csv")
+    assert rows.shape == (3 * 60, 4)
+    # a key no command reads is an error in a shared file too
+    with open(cfg, "a") as fh:
+        fh.write("spectrum.cels = 4\n")
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "'cells'" in capsys.readouterr().err
+
+
+UNREAD_FLAGS = [(name, key) for name, (_, table) in COMMANDS.items()
+                for key in FLAGS if key not in table]
+
+
+def test_seventeen_flags_are_gone():
+    assert len(UNREAD_FLAGS) == 17
+
+
+@pytest.mark.parametrize("command,key", UNREAD_FLAGS)
+def test_unread_flag_exits_2(tmp_path, capsys, command, key):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path), f"--{key.replace('_', '-')}", "5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # the same key through --set is no quieter
+    assert main([command, "--out", str(tmp_path), "--set", f"{key}=5"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_the_command_table(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    table = COMMANDS[command][1]
+    for key, spec in table.items():
+        line = next(line for line in out.splitlines() if line.split()[:1] == [key])
+        assert line.split()[1] == str(cli._shown(spec.default))
+    for key in FLAGS:
+        assert (f"--{key.replace('_', '-')} " in out) == (key in table)
+
+
+MODEL_I = ["--set", "model=I", "--set", "mass=0.07"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["spectrum", *MODEL_I, "--set", "cells=2.7"], "cells"),
+    (["spectrum", *MODEL_I, "--cells", "1e400"], "cells"),
+    (["spectrum", *MODEL_I, "--set", "method=continuum", "--grid-points", "301.5"],
+     "grid_points"),
+    (["verify", "--set", "seed=2.9"], "seed"),
+    (["verify", "--seed", "true"], "seed"),
+    (["bands", "--set", "t_ab=true"], "t_ab"),
+    (["bands", "--set", "t_ab=1" + "0" * 400], "t_ab"),
+    (["susy", "--set", "model=I", "--set", "mass=false"], "mass"),
+    (["spectrum", *MODEL_I, "--set", "cluster_tol=abc"], "cluster_tol"),
+])
+def test_non_integral_and_boolean_values_exit_2(tmp_path, capsys, argv, key):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["susy", *MODEL_I, "--grid-points", "2"], "grid_points"),
+    (["spectrum", *MODEL_I, "--set", "method=continuum", "--grid-points", "2"],
+     "grid_points"),
+    (["spectrum", *MODEL_I, "--cells", "1"], "cells"),
+    (["spectrum", *MODEL_I, "--set", "method=chain", "--cells", "40", "--box", "-10"],
+     "box"),
+    (["spectrum", *MODEL_I, "--set", "method=continuum", "--box", "0"], "box"),
+    (["susy", *MODEL_I, "--box", "inf"], "box"),
+    (["bands", "--grid-points", "2"], "grid_points"),
+    (["verify", "--seed", "-1"], "seed"),
+    (["spectrum", *MODEL_I, "--set", "cluster_tol=-1"], "cluster_tol"),
+    (["spectrum", *MODEL_I, "--set", "cluster_tol=nan"], "cluster_tol"),
+    (["spectrum", *MODEL_I, "--set", "gap_exclusion=-1"], "gap_exclusion"),
+])
+def test_out_of_range_values_exit_2(tmp_path, capsys, argv, key):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["gauge_a", "c0"])
+def test_susy_model_rejects_what_it_fixes(tmp_path, capsys, key):
+    assert main(["susy", "--out", str(tmp_path), *MODEL_I,
+                 "--set", f"{key}=3"]) == EXIT_CONFIG
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "susy_potential.csv").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

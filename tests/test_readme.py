@@ -1,14 +1,21 @@
-"""The README's library example runs as written."""
+"""The README's examples run as written, and its key tables match the CLI's."""
 
 import re
+import shlex
 from pathlib import Path
+
+from susychain import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(),
+                      flags=re.DOTALL | re.MULTILINE)
+
+
 def test_readme_python_example_runs(capsys):
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
-                        flags=re.DOTALL | re.MULTILINE)
+    blocks = _blocks("python")
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     lines = capsys.readouterr().out.splitlines()
@@ -17,3 +24,23 @@ def test_readme_python_example_runs(capsys):
     assert float(lines[0]) < 1e-6
     count, edge_neg, edge_pos = lines[1].split()
     assert int(count) > 0 and float(edge_neg) < 0.0 < float(edge_pos)
+
+
+def test_readme_cli_examples_run(tmp_path):
+    argvs = [shlex.split(line, comments=True)
+             for block in _blocks("sh")
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("susychain ")]
+    assert len(argvs) == 3
+    for argv in argvs:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert cli.main(argv[1:]) == cli.EXIT_OK, argv
+
+
+def test_readme_key_tables_match_the_cli():
+    text = README.read_text()
+    for _, table in cli.COMMANDS.values():
+        for key, spec in table.items():
+            row = f"| `{key}` | {cli._shown(spec.default)} | {spec.help} |"
+            assert row in text, row
