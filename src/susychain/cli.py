@@ -11,9 +11,9 @@ or the ``--set`` values ``command.key`` wins over ``key``. The config
 file may hold keys of other commands, so one file serves them all;
 anything else a command does not read is a config error, as are a value
 of the wrong type (2.7 or true for an integer) and a value out of range.
-All numeric CSV output uses 17 significant digits; JSON floats use
-Python's shortest round-trip repr. Exit codes: 0 success, 2 config
-error, 3 numerical/singularity error, 4 verification failure.
+All numeric CSV output uses 17 significant digits; JSON floats use Python's
+shortest round-trip repr, null if not finite. Exit codes: 0 success, 2
+config error, 3 numerical/singularity error, 4 verification failure.
 """
 
 import argparse
@@ -223,9 +223,19 @@ def _write_csv(path, header, columns):
         fh.writelines(row_format % row for row in zip(*columns))
 
 
+def _null_if_not_finite(value):
+    """The payload with NaN and +-inf, which JSON lacks, as None (null)."""
+    if isinstance(value, dict):
+        return {k: _null_if_not_finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_if_not_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_null_if_not_finite(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central
+from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, stack_matvec
 
 GAMMA = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 0.0],
@@ -24,13 +24,15 @@ GAMMA = np.array([[0.0, 1.0, 0.0],
 def potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy):
     """Assemble the 3x3 Hermitian potential from its real components.
 
-    Array components give a stack of shape broadcast_shape + (3, 3).
+    Array components give a stack of shape broadcast_shape + (3, 3), as a
+    view of component-major (3, 3) + broadcast_shape storage.
     """
     entries = np.broadcast_arrays(
         v11 + scalar_v, -1j * v12, -1j * v13,
         1j * v12, -v11 + scalar_v, v23,
         1j * v13, v23, flat_energy)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+    stack = np.stack(entries).reshape((3, 3) + entries[0].shape)
+    return np.moveaxis(stack, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +179,8 @@ def apply_dirac(spec, state, grid):
     """
     f = np.asarray(state, dtype=complex)
     v = _checked_potential(spec, grid)
-    kinetic = -1j * spec.kinetic_scale * (GAMMA @ diff_central(f, grid))
-    if v.ndim == 2:
-        return kinetic + v @ f
-    return kinetic + np.einsum("nij,jn->in", v, f)
+    out = v @ f if v.ndim == 2 else stack_matvec(v, f)
+    # gamma swaps components 0 and 1 and drops component 2
+    kinetic = -1j * spec.kinetic_scale * diff_central(f, grid)
+    out[:2] += kinetic[1::-1]
+    return out

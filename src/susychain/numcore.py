@@ -2,7 +2,9 @@
 
 Everything here is a pure function of its inputs. `Grid` and `QuadRoots`
 are immutable; `BandedHermitian` is a plain holder of band storage that no
-function here writes to.
+function here writes to. `stack_matmul` and `stack_matvec` multiply 3x3
+stacks point by point over length-n vectors, contiguous for component-major
+stacks: (n, 3, 3) views of (3, 3, n) storage, like U, dU/dx and V(x).
 """
 
 from dataclasses import dataclass
@@ -206,7 +208,8 @@ def _band_matvec(ab, v):
 
 
 def diff_central(samples, grid):
-    """O(h^2) first derivative: central interior, one-sided at the ends."""
+    """O(h^2) first derivative, C-ordered: central interior, one-sided at the ends.
+    Complex samples scale by 1/(2h) in their real view: numpy's bits for f/(2h)."""
     f = np.asarray(samples)
     n = f.shape[-1]
     if n < 3:
@@ -214,11 +217,38 @@ def diff_central(samples, grid):
     if n != grid.n_points:
         raise NumericalError("sample count does not match grid")
     h = grid.h
-    d = np.empty_like(f)
-    d[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * h)
-    d[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * h)
-    d[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * h)
+    d = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
+    d[..., 0] = -3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]
+    d[..., -1] = 3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]
+    if np.iscomplexobj(d):
+        parts = d.view(d.real.dtype)
+        parts *= 1.0 / (2 * h)
+    else:
+        d /= 2 * h
     return d
+
+
+def stack_matmul(a, b):
+    """np.einsum("nij,njk->nik", a, b) for (n, 3, 3) a and (n, 3, k) b, as a
+    view of (3, k, n) storage: multiply-adds over length-n vectors, j = 0, 1,
+    2 in einsum's order. Where every entry of a (or of b) is purely real or
+    purely imaginary each product is exact, fused or not, so the result is
+    einsum's bit for bit (up to the sign of a zero); general complex stacks
+    agree to rounding."""
+    out = np.empty((3, b.shape[2], a.shape[0]), dtype=np.result_type(a, b))
+    tmp = np.empty_like(out[0, 0])
+    for i, k in np.ndindex(out.shape[:2]):
+        np.multiply(a[:, i, 0], b[:, 0, k], out=out[i, k])
+        for j in (1, 2):
+            out[i, k] += np.multiply(a[:, i, j], b[:, j, k], out=tmp)
+    return np.moveaxis(out, -1, 0)
+
+
+def stack_matvec(m, f):
+    """np.einsum("nij,jn->in", m, f) for a (3, n) spinor f, C-ordered: the
+    stack_matmul of m with f as a one-column stack."""
+    return stack_matmul(m, f.T[:, :, None])[:, :, 0].T
 
 
 def integrate_cumulative(samples, grid):

@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuum import GAMMA, DiracOperatorSpec, apply_dirac, potential_matrix
+from .continuum import DiracOperatorSpec, apply_dirac, potential_matrix
 from .errors import NumericalError, SingularFrameError
-from .numcore import Grid, diff_central
+from .numcore import Grid, diff_central, stack_matmul, stack_matvec
 
 SINGULARITY_REL_TOL = 1e-8
 
@@ -179,17 +179,18 @@ class TransformationFrame:
 
 def _frame_stack(psi, phi, xi):
     """(n, 3, 3) stack with rows (i*psi0, i*psi1, i*psi2), (phi0, phi1, phi2)
-    and (0, xi1, xi2): the layout of U and of dU/dx."""
-    u = np.zeros((len(phi[0]), 3, 3), dtype=complex)
+    and (0, xi1, xi2), the layout of U and of dU/dx, as a view of
+    component-major (3, 3, n) storage."""
+    u = np.zeros((3, 3, len(phi[0])), dtype=complex)
     for j in range(3):
-        u[:, 0, j] = 1j * psi[j]
-        u[:, 1, j] = phi[j]
-    u[:, 2, 1], u[:, 2, 2] = xi
-    return u
+        u[0, j] = 1j * psi[j]
+        u[1, j] = phi[j]
+    u[2, 1], u[2, 2] = xi
+    return np.moveaxis(u, -1, 0)
 
 
 def _adjugate3(u):
-    """Adjugate of an (n, 3, 3) stack (transpose of cofactors)."""
+    """Adjugate of an (n, 3, 3) stack (transpose of cofactors), in u's layout."""
     adj = np.empty_like(u)
     for i in range(3):
         for j in range(3):
@@ -327,10 +328,12 @@ def commutator_potential(frame):
     Uses the analytic derivatives of the seed functions, so it shares no
     algebra with the closed-form ratios of transformed_potential.
     """
-    s = frame.seed
-    v_seed = seed_potential_matrix(s)
-    m = np.einsum("nij,njk->nik", frame.du_stack(), frame.u_inv_stack())
-    comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
+    v_seed = seed_potential_matrix(frame.seed)
+    m = stack_matmul(frame.du_stack(), frame.u_inv_stack())
+    # gamma m swaps rows 0 and 1 and drops row 2; m gamma does so to columns
+    comm = np.zeros_like(m)
+    comm[:, :2] = m[:, 1::-1]
+    comm[:, :, :2] -= m[:, :, 1::-1]
     return v_seed[None, :, :] - 1j * comm
 
 
@@ -350,9 +353,8 @@ def hermiticity_asymmetry(stack):
 def apply_darboux(frame, state):
     """L acting on a sampled (3, n) spinor: U d/dx (U^{-1} state)."""
     f = np.asarray(state, dtype=complex)
-    y = np.einsum("nij,jn->in", frame.u_inv_stack(), f)
-    dy = diff_central(y, frame.grid)
-    return np.einsum("nij,jn->in", frame.u_stack(), dy)
+    y = stack_matvec(frame.u_inv_stack(), f)
+    return stack_matvec(frame.u_stack(), diff_central(y, frame.grid))
 
 
 def intertwining_residual(frame, states, n_levels=3):

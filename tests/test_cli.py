@@ -473,6 +473,35 @@ def test_spectrum_continuum_and_both(tmp_path):
     assert summary["continuum"]["cluster_count"] >= 300
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_spectrum_without_bulk_states_writes_strict_json(tmp_path):
+    # two cells hold no bulk state outside gap_exclusion on either side
+    rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2",
+               "--set", "model=I", "--set", "mass=0.07"])
+    assert rc == EXIT_OK
+    text = (tmp_path / "spectrum_summary.json").read_text()
+    chain = json.loads(text, parse_constant=_reject_constant)["chain"]
+    for key in ("gap_edge_neg", "gap_edge_pos",
+                "relative_error_neg", "relative_error_pos"):
+        assert chain[key] is None
+
+
+def test_write_json_nulls_only_non_finite_floats(tmp_path):
+    finite = {"a": 0.1, "b": [1e-300, -2.5, 3], "c": {"d": np.float64(1 / 3)},
+              "e": "text", "f": True}
+    cli._write_json(tmp_path / "finite.json", finite)
+    want = json.dumps(finite, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "finite.json").read_text() == want
+    odd = {"x": [np.nan, np.inf, -np.inf, 1.5], "y": {"z": np.float64(np.nan)}}
+    cli._write_json(tmp_path / "odd.json", odd)
+    odd = json.loads((tmp_path / "odd.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert odd == {"x": [None, None, None, 1.5], "y": {"z": None}}
+
+
 def test_spectrum_bad_method_exits_2(tmp_path):
     rc = main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
                "--set", "mass=0.07", "--set", "method=banana"])
@@ -494,6 +523,22 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     payload = json.loads(b1)
     assert payload["all_passed"]
     assert payload["seed"] == 3
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name, golden", [
+    (["verify", "--seed", "3"], "verify.json", "verify_seed3.json"),
+    (["susy", "--set", "model=I", "--set", "mass=0.07", "--grid-points", "201"],
+     "susy_verify.json", "susy_verify_model1.json"),
+    (["susy", "--set", "mass=0.3", "--set", "gauge_a=0.2",
+      "--set", "flat_energy=0.1", "--grid-points", "201"],
+     "susy_verify.json", "susy_verify_general.json"),
+])
+def test_darboux_reports_match_golden_bytes(tmp_path, capsys, argv, name, golden):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_impossible_tol_exits_4(tmp_path, capsys):
