@@ -76,7 +76,9 @@ def bloch_hamiltonian(p, k):
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise NumericalError("k must be finite")
-    off = p.t_ab + p.t_ab_inter * np.exp(-1j * k * p.a)
+    # + 0.0 turns a -0 part into +0, which the scalar and array paths of
+    # the product otherwise sign differently (and eigh then differs)
+    off = p.t_ab + p.t_ab_inter * np.exp(-1j * k * p.a) + 0.0
     h = np.empty(k.shape + (3, 3), dtype=complex)
     h[...] = [[p.eps_a, 0.0, p.t_ac],
               [0.0, p.eps_b, p.t_bc],

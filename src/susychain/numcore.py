@@ -124,12 +124,44 @@ def block_tridiagonal_bands(onsite, coupling, bandwidth):
 
 
 def eigh_banded(m):
-    """Ascending eigenvalues of a BandedHermitian."""
+    """All `dim` eigenvalues of a BandedHermitian, ascending.
+
+    A site whose off-diagonal absolute row sum r_j is at most
+    tau = eps * ||M||_1 / (2 * bandwidth) is deflated: its diagonal entry is
+    returned as an eigenvalue. The kept sites are compacted into band storage
+    of the same bandwidth (dropping indices only shortens distances) and go
+    to one LAPACK solve. The dropped couplings form a Hermitian E with
+    ||E||_2 <= ||E||_1 <= 2 * bandwidth * tau = eps * ||M||_1, so by Weyl's
+    inequality no eigenvalue moves by more than eps * ||M||_1, the size of
+    LAPACK's own backward error. The saw chain's C sites far from the kink,
+    whose couplings decay below double precision, are such sites. With no
+    site deflated the compact storage is the full matrix's, so the values
+    are those of one solve of it, bit for bit.
+    """
     import scipy.linalg  # loaded on first use: only the spectrum path needs it
 
-    if not np.all(np.isfinite(m.bands)):
+    b, u = m.bands, m.bandwidth
+    if not np.all(np.isfinite(b)):
         raise NumericalError("non-finite entries in banded matrix")
-    return scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
+    absb = np.abs(b)
+    row_sums = np.zeros(m.dim)
+    for d in range(1, u + 1):  # absb[u - d, j] = |M[j - d, j]|
+        row_sums[d:] += absb[u - d, d:]
+        row_sums[:-d] += absb[u - d, d:]
+    norm_1 = (absb[u] + row_sums).max(initial=0.0)
+    loose = row_sums <= np.finfo(float).eps * norm_1 / (2 * max(u, 1))
+    kept = np.flatnonzero(~loose)
+    compact = np.zeros((u + 1, kept.size), dtype=b.dtype)
+    compact[u] = b[u, kept]
+    for d in range(1, u + 1):  # compact[u - d, c] = M[kept[c - d], kept[c]]
+        dist = kept[d:] - kept[:-d]
+        near = np.flatnonzero(dist <= u)
+        compact[u - d, d + near] = b[u - dist[near], kept[d + near]]
+    # at most kept.size - 1 superdiagonals: for a 1x1 matrix ?sbevd/?hbevd
+    # read the top row of the storage, the diagonal only when it is row 0
+    band = compact[max(u + 1 - kept.size, 0):]
+    w = scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
+    return np.sort(np.concatenate([w, b[u, loose].real]))
 
 
 EIGVEC_ITERATIONS = 3
@@ -139,7 +171,7 @@ EIGVEC_RESIDUAL_TOL = 1e-10
 def banded_eigvec(m, energy, previous=()):
     """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
 
-    Inverse iteration with a banded LU of M - energy*I (general band
+    Inverse iteration with one banded LU of M - energy*I (general band
     storage, lower diagonals the conjugates of the stored upper ones, so
     complex matrices work too). The start vector is fixed, so reruns give
     identical vectors. Three solves damp every other eigencomponent by
@@ -166,22 +198,24 @@ def banded_eigvec(m, energy, previous=()):
     scale = max(float(np.abs(ab).sum(axis=0).max()), np.finfo(float).tiny)
     group = [q for e, q in previous
              if abs(e - energy) <= EIGVEC_RESIDUAL_TOL * scale]
-    shifted = ab.copy()
-    shifted[u] -= energy
+    # factor M - energy*I once (gbtrf, the first half of gbsv) for the
+    # solves (gbtrs); pivoting fills the u extra rows on top
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    shifted = np.zeros((3 * u + 1, n), dtype=ab.dtype)
+    shifted[u:] = ab
+    shifted[2 * u] -= energy
+    lu, piv, info = gbtrf(shifted, u, u)
+    if info > 0:
+        # an exactly zero pivot (say, a decoupled site at the shift):
+        # move the shift off the eigenvalue by one rounding unit
+        shifted[2 * u] -= np.finfo(float).eps * scale
+        lu, piv, info = gbtrf(shifted, u, u)
+        if info > 0:
+            raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
     v = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)
     v /= np.linalg.norm(v)
     for _ in range(EIGVEC_ITERATIONS):
-        try:
-            v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
-        except np.linalg.LinAlgError:
-            # an exactly zero pivot (say, a decoupled site at the shift):
-            # move the shift off the eigenvalue by one rounding unit
-            shifted[u] -= np.finfo(float).eps * scale
-            try:
-                v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"inverse iteration at E={energy:.6g}: singular shift") from exc
+        v = gbtrs(lu, u, u, v, piv)[0]
         for q in group:
             v -= q * np.vdot(q, v)
         norm = np.linalg.norm(v)

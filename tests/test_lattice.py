@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from susychain import models
+from susychain import lattice, models
 from susychain.continuum import GAMMA, DiracOperatorSpec, discretize
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
@@ -79,6 +80,8 @@ def test_band_structure_sorted_and_shapes():
 
 @settings(max_examples=40, deadline=None)
 @given(vals=st.tuples(*[finite] * 7), n_k=st.integers(1, 300))
+# -5e-324 * e^{-i pi/2} has a zero real part that the array path signed -0
+@example(vals=(0.0, 0.0, 1.8021368491067915, -0.0, -5e-324, 1.0, 2.0), n_k=5)
 def test_band_structure_matches_per_k_eigh_bitwise(vals, n_k):
     p = _params(vals)
     k = default_k_grid(p, n_k)
@@ -336,6 +339,33 @@ def test_chain_spectrum_matches_dense_reference(case):
     np.testing.assert_array_equal(rep.edge_state_mask[has], edge[has])
     np.testing.assert_allclose(rep.ipr[has], ipr[has], rtol=0, atol=1e-8)
     assert not rep.edge_state_mask[~has].any()
+
+
+def _full_eigh_banded(m):
+    """eigh_banded without deflation: one LAPACK solve of the whole matrix."""
+    return scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
+
+
+@pytest.mark.parametrize("cells", [400, 800])
+@pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
+                                           (ModelKind.II, 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind,
+                                                               mass, lam, cells):
+    p = ModelParams(kind, mass, lam)
+    chain = build_finite_chain(models.sample_chain_profile(p, cells))
+    gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
+    rep = chain_spectrum(chain, flat_energy=lam, gap_exclusion=gap_exclusion)
+    monkeypatch.setattr(lattice, "eigh_banded", _full_eigh_banded)
+    full = chain_spectrum(chain, flat_energy=lam, gap_exclusion=gap_exclusion)
+    # C sites far from the kink are deflated: exactly eps_c = lam
+    assert (rep.eigenvalues == lam).sum() > (full.eigenvalues == lam).sum() + 40
+    np.testing.assert_allclose(rep.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
+    assert rep.cluster_count == full.cluster_count
+    assert rep.gap_edge_neg == pytest.approx(full.gap_edge_neg, rel=0, abs=1e-12)
+    assert rep.gap_edge_pos == pytest.approx(full.gap_edge_pos, rel=0, abs=1e-12)
+    np.testing.assert_array_equal(np.isnan(rep.ipr), np.isnan(full.ipr))
+    np.testing.assert_array_equal(rep.edge_state_mask, full.edge_state_mask)
 
 
 @pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),

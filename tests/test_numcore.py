@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susychain.errors import NonHermitianError, NumericalError
@@ -110,16 +111,146 @@ def test_eigh_banded_values_only():
     np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_banded_eigvec_matches_dense_eigenvectors(dtype):
-    rng = np.random.default_rng(8)
-    dim, bw = 40, 3
+# ------------------------------------------- deflation of loose sites
+
+EPS = np.finfo(float).eps
+
+
+def _full_solve(m):
+    return scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
+
+
+def _loose_sites(m):
+    """Sites whose off-diagonal row sum is at most eps * ||M||_1 / (2 u)."""
+    a = np.abs(m.to_dense())
+    return _off_diagonal_sums(a) <= EPS * a.sum(axis=0).max() / (2 * max(m.bandwidth, 1))
+
+
+def _off_diagonal_sums(a):
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    return off.sum(axis=1)
+
+
+def _random_banded(rng, dim, bw, dtype):
     dense = np.diag(rng.normal(size=dim)).astype(dtype)
-    for d in range(1, bw + 1):
+    for d in range(1, min(bw, dim - 1) + 1):
         vals = rng.normal(size=dim - d)
         if dtype is complex:
             vals = vals + 1j * rng.normal(size=dim - d)
         dense += np.diag(vals, d) + np.diag(np.conj(vals), -d)
+    return dense
+
+
+# a factor f sets a site's off-diagonal row sum to f * tau
+FACTORS = (None, 0.0, 0.5, 0.99, 0.999999, 1.000001, 1.01, 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(2, 40), bw=st.integers(1, 4), dtype=st.sampled_from([float, complex]),
+       seed=st.integers(0, 2**32 - 1), factors=st.lists(st.sampled_from(FACTORS), max_size=40))
+# one kept site (5) between loose ones: a 1x1 solve in bandwidth-1 storage
+@example(dim=7, bw=1, dtype=float, seed=0, factors=[0.0, 0.0, 0.5, 0.99])
+def test_eigh_banded_deflation_agrees_with_the_full_solve(dim, bw, dtype, seed, factors):
+    dense = _random_banded(np.random.default_rng(seed), dim, bw, dtype)
+    # sites more than bw apart share no entry, so each is scaled on its own
+    scaled = [(j, f) for j, f in zip(range(0, dim, bw + 1), factors) if f is not None]
+    for _ in range(3):  # tau moves with ||M||_1 as the rows shrink
+        a = np.abs(dense)
+        tau = EPS * a.sum(axis=0).max() / (2 * bw)
+        off = _off_diagonal_sums(a)
+        for j, f in scaled:
+            s = f * tau / off[j] if off[j] else 0.0
+            diag = dense[j, j]
+            dense[j, :] *= s
+            dense[:, j] *= s
+            dense[j, j] = diag
+    m = BandedHermitian.from_dense(dense, bw)
+    w, ref = eigh_banded(m), _full_solve(m)
+    assert w.shape == (dim,) and w.dtype == float
+    assert np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12)
+    if not _loose_sites(m).any():
+        assert np.array_equal(w, ref)  # the one full solve, same bits
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_eigh_banded_deflates_exactly_up_to_eps_norm_over_twice_bandwidth(factor):
+    # sites 0 and 1 are degenerate at 0 and coupled by c; site 3 sets
+    # ||M||_1 = 100, so tau = eps * 100 / (2 * 2). The pair splits to +-c
+    # only when c exceeds tau.
+    c = factor * EPS * 100.0 / 4
+    dense = np.diag([0.0, 0.0, 5.0, 100.0])
+    dense[0, 1] = dense[1, 0] = c
+    w = eigh_banded(BandedHermitian.from_dense(dense, 2))
+    if factor < 1:
+        assert np.array_equal(w, [0.0, 0.0, 5.0, 100.0])
+    else:
+        np.testing.assert_allclose(w, [-c, c, 5.0, 100.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigh_banded_every_site_loose(dtype):
+    diag = np.array([3.0, -1.0, 2.0, 0.5, -1.0])
+    for bw in (0, 2):
+        bands = np.zeros((bw + 1, diag.size), dtype=dtype)
+        bands[bw] = diag
+        w = eigh_banded(BandedHermitian(bands))
+        assert w.dtype == float
+        assert np.array_equal(w, np.sort(diag))
+    # a 1x1 matrix in bandwidth-1 storage, which ?sbevd itself misreads
+    assert np.array_equal(eigh_banded(BandedHermitian([[0.0], [3.0]])), [3.0])
+
+
+def test_eigh_banded_fewer_kept_sites_than_the_band():
+    # bandwidth 4, but only sites 1 and 3 are coupled: two kept sites
+    dense = np.diag([0.3, 1.0, -2.0, 0.7, 4.0, -0.1])
+    dense[1, 3] = dense[3, 1] = 0.25
+    m = BandedHermitian.from_dense(dense, 4)
+    assert np.flatnonzero(~_loose_sites(m)).tolist() == [1, 3]
+    np.testing.assert_allclose(eigh_banded(m), np.linalg.eigvalsh(dense), atol=1e-15)
+
+
+def _solve_banded_eigvec(m, energy):
+    """banded_eigvec's iteration as it was: three scipy.linalg.solve_banded
+    calls, each factoring M - energy*I anew (gbsv for bandwidth >= 2)."""
+    u, n = m.bandwidth, m.dim
+    dense = m.to_dense()
+    ab = np.zeros((2 * u + 1, n), dtype=np.result_type(dense, float))
+    for d in range(-u, u + 1):
+        ab[u - d, max(d, 0): n + min(d, 0)] = np.diagonal(dense, d)
+    scale = float(np.abs(ab).sum(axis=0).max())
+    shifted = ab.copy()
+    shifted[u] -= energy
+    v = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)
+    v /= np.linalg.norm(v)
+    for _ in range(3):
+        try:
+            v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
+        except np.linalg.LinAlgError:
+            shifted[u] -= EPS * scale
+            v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
+        v /= np.linalg.norm(v)
+    return v
+
+
+@pytest.mark.parametrize("dtype, bw", [(float, 2), (complex, 4), (float, 3)])
+def test_banded_eigvec_factored_once_equals_three_solves_bitwise(dtype, bw):
+    dense = _random_banded(np.random.default_rng(21), 30, bw, dtype)
+    # site 7 decoupled: the shift at its diagonal hits an exact zero pivot
+    diag = dense[7, 7]
+    dense[7, :] = dense[:, 7] = 0.0
+    dense[7, 7] = diag
+    m = BandedHermitian.from_dense(dense, bw)
+    w = np.linalg.eigvalsh(dense)
+    for energy in (w[0], w[11], w[-1], diag):
+        assert np.array_equal(banded_eigvec(m, energy), _solve_banded_eigvec(m, energy))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_banded_eigvec_matches_dense_eigenvectors(dtype):
+    dim, bw = 40, 3
+    dense = _random_banded(np.random.default_rng(8), dim, bw, dtype)
     banded = BandedHermitian.from_dense(dense, bw)
     w, v = np.linalg.eigh(dense)
     for j in (0, 17, dim - 1):
