@@ -116,7 +116,9 @@ def invariant_checks(seed, tol_override):
         # negative control: xi1 = xi2 must break hermiticity of the
         # commutator-form potential (the component formulas are Hermitian
         # by construction and blind to a wrong xi1)
-        broken = replace(frame, xi1=frame.xi2.copy(), dxi1=frame.dxi2.copy())
+        f, df = frame.f.copy(), frame.df.copy()
+        f[2, 1], df[2, 1] = f[2, 2], df[2, 2]
+        broken = replace(frame, f=f, df=df)
         add_min(f"{tag}_negative_control",
                 susy.hermiticity_asymmetry(susy.commutator_potential(broken)),
                 1e-4)
@@ -125,9 +127,7 @@ def invariant_checks(seed, tol_override):
                                                        n_levels=3)
         add_min(f"{tag}_intertwining_order", orders.min(), np.log2(3.6))
         # L annihilates its own seed columns
-        u = frame.u_stack()
-        kernel = max(np.abs(susy.apply_darboux(frame, u[:, :, j].T)).max()
-                     for j in range(3))
+        kernel = max(np.abs(susy.apply_darboux(frame, col)).max() for col in frame.u.T)
         add_max(f"{tag}_darboux_kernel", kernel, 1e-8)
         # frame eigen-residual convergence
         r_coarse = max(susy.frame_eigen_residuals(frame))

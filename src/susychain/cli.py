@@ -333,7 +333,7 @@ def cmd_susy(st, out_dir):
         "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(stack),
         "w0_relative_stdev": frame.wronskian_relative_stdev,
         "dual_path_max_diff": susy.dual_path_difference(frame),
-        "min_abs_det": frame.min_abs_det,
+        "min_abs_det": float(np.abs(frame.det).min()),
         "intertwining_residuals": residuals.tolist(),
         "intertwining_orders": orders.tolist(),
     }
@@ -355,7 +355,7 @@ SPECTRUM_KEYS = {
                          "state is a gap edge; unset: 0.1 x the analytic gap edge"),
     "cells": Key(_count(2), 400, "cells of the finite chain"),
     "box": Key(_positive, None, "half-width of the sampled box; unset: "
-               "cells/2 for the chain, 12/kappa for the continuum"),
+               "(cells - 1)/2 for the chain (cell spacing 1), 12/kappa for the continuum"),
     "grid_points": Key(_count(3), 2001, "points of the continuum grid"),
 }
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
-from .numcore import BandedHermitian, banded_eigvec, block_tridiagonal_bands, \
-    eigh_banded, quad_roots
+from .numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, banded_eigvec, \
+    block_tridiagonal_bands, eigh_banded, norm_1, quad_roots
 
 
 @dataclass(frozen=True)
@@ -221,10 +221,10 @@ class SpectrumReport:
     edge_state_mask: np.ndarray   # False where no vector was computed
 
 
-def inverse_participation_ratio(vectors):
-    """IPR of each column: sum|v|^4 / (sum|v|^2)^2; 1/dim for extended states."""
-    p = np.abs(vectors) ** 2
-    return (p**2).sum(axis=0) / p.sum(axis=0) ** 2
+def inverse_participation_ratio(density):
+    """IPR of each column of site densities p = |v|^2: sum p^2 / (sum p)^2;
+    1/dim for extended states."""
+    return (density**2).sum(axis=0) / density.sum(axis=0) ** 2
 
 
 # a state is edge-localized when at least EDGE_MASS of its weight lies in
@@ -234,13 +234,12 @@ EDGE_FRACTION = 0.05
 EDGE_MASS = 0.5
 
 
-def _edge_mask(vectors):
-    """True for edge-localized states (columns of `vectors`)."""
-    dim = vectors.shape[0]
+def _edge_mask(density):
+    """True for edge-localized states (columns of site densities |v|^2)."""
+    dim = density.shape[0]
     n_pts = dim // SITES_PER_POINT
     n_edge = max(1, int(np.ceil(EDGE_FRACTION * n_pts)))
-    w = np.abs(vectors) ** 2
-    w = w / w.sum(axis=0)
+    w = density / density.sum(axis=0)
     cells = w.reshape(n_pts, SITES_PER_POINT, -1).sum(axis=1)
     edge_mass = cells[:n_edge].sum(axis=0) + cells[-n_edge:].sum(axis=0)
     return edge_mass >= EDGE_MASS
@@ -249,16 +248,25 @@ def _edge_mask(vectors):
 def _walk_to_gap_edge(chain, w, indices, ipr, edge, walked):
     """Fill ipr/edge along `indices` up to the first non-edge state; return
     its eigenvalue (nan if every state on the walk is edge-localized).
-    Appends each (eigenvalue, vector) to `walked`; banded_eigvec keeps each
-    new vector orthogonal to the degenerate ones already there."""
-    for i in indices:
-        v = banded_eigvec(chain, w[i], previous=walked)
-        walked.append((w[i], v))
-        v = v[:, None]
-        ipr[i] = inverse_participation_ratio(v)[0]
-        edge[i] = _edge_mask(v)[0]
-        if not edge[i]:
-            return float(w[i])
+    States within EIGVEC_RESIDUAL_TOL * norm_1 of a group's first form one
+    numerically degenerate group, walked whole; its rows get the IPR and
+    edge flag of its mean density, which no rotation within it changes.
+    Appends each (eigenvalue, vector) to `walked`, to which banded_eigvec
+    keeps each new vector of a group orthogonal."""
+    tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
+    while len(indices):
+        group = indices[np.abs(w[indices] - w[indices[0]]) <= tol]
+        indices = indices[group.size:]
+        density = 0.0
+        for i in group:
+            v = banded_eigvec(chain, w[i], previous=walked)
+            walked.append((w[i], v))
+            density = density + np.abs(v) ** 2
+        density = (density / group.size)[:, None]
+        ipr[group] = inverse_participation_ratio(density)[0]
+        edge[group] = _edge_mask(density)[0]
+        if not edge[group[0]]:
+            return float(w[group[0]])
     return float("nan")
 
 
@@ -277,8 +285,9 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=None)
     on each side, starting beyond max(gap_exclusion, cluster_tol) and
     stopping at the first state that is not edge-localized, which is the
     gap edge. `ipr` holds nan on every other row (the flat cluster
-    included) and `edge_state_mask` holds False there. The vectors of a
-    numerically degenerate walked group are orthonormal.
+    included) and `edge_state_mask` holds False there. A numerically
+    degenerate group is walked whole, and each of its rows holds the IPR
+    and edge flag of the group's mean density.
     """
     w = eigh_banded(chain)
     if gap_exclusion is None:

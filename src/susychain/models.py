@@ -199,16 +199,19 @@ def model_spectrum(p):
 def sample_chain_profile(p, n_cells, box_halfwidth=None):
     """Finite saw-chain profile realizing the model potential.
 
-    Cell centers are uniform over [-box, box]; with the default box
-    n_cells/2 the cell spacing equals the lattice constant a = 1, which is
-    the regularization consistent with t_ab_inter = 1. The potential is
-    sampled once per cell (shared by the A, B, C sites).
+    Cell centers are uniform over [-box, box], at spacing
+    h = 2*box/(n_cells - 1). The chain's kinetic scale is t_ab_inter*h, so
+    t_ab_inter = 1/h and t_ab = 1/h + v12 keep it at the model's 1 for any
+    spacing. The default box (n_cells - 1)/2 gives h = 1 and unit hoppings.
+    The potential is sampled once per cell (shared by the A, B, C sites).
     """
+    if n_cells < 2:
+        raise NumericalError("need at least 2 cells")
     if box_halfwidth is None:
-        box_halfwidth = n_cells / 2.0
+        box_halfwidth = (n_cells - 1) / 2.0
     x = np.linspace(-box_halfwidth, box_halfwidth, n_cells)
     v11, v12, v13, v23 = model_potential(p, x)
-    t_inter = np.ones(n_cells)
+    t_inter = np.full(n_cells, (n_cells - 1) / (2.0 * box_halfwidth))
     return ChainProfile(
         eps_a=v11,
         eps_b=-v11,

@@ -164,7 +164,27 @@ def eigh_banded(m):
     return np.sort(np.concatenate([w, b[u, loose].real]))
 
 
+def _general_bands(m):
+    """A BandedHermitian in general band storage: its u stored upper
+    diagonals, the diagonal, then the u lower ones as their conjugates."""
+    u, n = m.bandwidth, m.dim
+    ab = np.zeros((2 * u + 1, n), dtype=np.result_type(m.bands, float))
+    ab[: u + 1] = m.bands
+    for d in range(1, u + 1):
+        ab[u + d, : n - d] = np.conj(m.bands[u - d, d:])
+    return ab
+
+
+def norm_1(m):
+    """||M||_1 of a BandedHermitian, its largest absolute column sum,
+    floored at the smallest normal double."""
+    return max(float(np.abs(_general_bands(m)).sum(axis=0).max()), np.finfo(float).tiny)
+
+
 EIGVEC_ITERATIONS = 3
+# residual bound of banded_eigvec, and the eigenvalue distance within which
+# it (and chain_spectrum) treat states as one numerically degenerate group,
+# both in units of norm_1
 EIGVEC_RESIDUAL_TOL = 1e-10
 
 
@@ -177,33 +197,31 @@ def banded_eigvec(m, energy, previous=()):
     identical vectors. Three solves damp every other eigencomponent by
     (rounding / spectral gap)**3, well below what an IPR or an edge flag
     resolves. Raises NumericalError unless ||Mv - energy*v|| is at most
-    EIGVEC_RESIDUAL_TOL times the largest absolute row sum of M.
+    EIGVEC_RESIDUAL_TOL * norm_1(m).
 
     Within a numerically degenerate group the vector is some unit vector
     of the group's eigenspace, not a particular basis member. `previous`
     holds (eigenvalue, unit vector) pairs computed before; those whose
-    eigenvalue lies within EIGVEC_RESIDUAL_TOL times the row-sum scale of
-    `energy` are projected out after every solve, so successive calls over a
-    degenerate group give an orthonormal set.
+    eigenvalue lies within EIGVEC_RESIDUAL_TOL * norm_1(m) of `energy` are
+    projected out after every solve, so successive calls over a degenerate
+    group give an orthonormal set.
     """
     import scipy.linalg
 
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
     u, n = m.bandwidth, m.dim
-    ab = np.zeros((2 * u + 1, n), dtype=np.result_type(m.bands, float))
-    ab[: u + 1] = m.bands
-    for d in range(1, u + 1):
-        ab[u + d, : n - d] = np.conj(m.bands[u - d, d:])
-    scale = max(float(np.abs(ab).sum(axis=0).max()), np.finfo(float).tiny)
+    scale = norm_1(m)
     group = [q for e, q in previous
              if abs(e - energy) <= EIGVEC_RESIDUAL_TOL * scale]
     # factor M - energy*I once (gbtrf, the first half of gbsv) for the
-    # solves (gbtrs); pivoting fills the u extra rows on top
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    # solves (gbtrs), in general band storage whose u extra rows on top
+    # take the fill-in of pivoting
+    ab = _general_bands(m)
     shifted = np.zeros((3 * u + 1, n), dtype=ab.dtype)
     shifted[u:] = ab
     shifted[2 * u] -= energy
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (shifted,))
     lu, piv, info = gbtrf(shifted, u, u)
     if info > 0:
         # an exactly zero pivot (say, a decoupled site at the shift):
@@ -212,7 +230,7 @@ def banded_eigvec(m, energy, previous=()):
         lu, piv, info = gbtrf(shifted, u, u)
         if info > 0:
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
-    v = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)
+    v = np.random.default_rng(0).standard_normal(n).astype(shifted.dtype)
     v /= np.linalg.norm(v)
     for _ in range(EIGVEC_ITERATIONS):
         v = gbtrs(lu, u, u, v, piv)[0]
@@ -222,23 +240,15 @@ def banded_eigvec(m, energy, previous=()):
         if not np.isfinite(norm):
             raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
         v /= norm
-    residual = float(np.linalg.norm(_band_matvec(ab, v) - energy * v))
+    # M v - energy v by BLAS on the stored upper band
+    (bmv,) = scipy.linalg.get_blas_funcs(
+        ("hbmv" if np.iscomplexobj(v) else "sbmv",), (v,))
+    residual = float(np.linalg.norm(bmv(u, 1.0, m.bands, v, beta=-energy, y=v)))
     if residual > EIGVEC_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"inverse iteration at E={energy:.6g}: residual {residual:.3e} "
             f"exceeds {EIGVEC_RESIDUAL_TOL:.0e} x {scale:.3e}")
     return v
-
-
-def _band_matvec(ab, v):
-    """M @ v for M in general band storage with equal lower/upper widths."""
-    u = ab.shape[0] // 2
-    n = v.size
-    out = ab[u] * v
-    for d in range(1, u + 1):
-        out[: n - d] += ab[u - d, d:] * v[d:]   # superdiagonal d
-        out[d:] += ab[u + d, : n - d] * v[: n - d]  # subdiagonal d
-    return out
 
 
 def diff_central(samples, grid):

@@ -87,49 +87,36 @@ def seed_potential_matrix(s):
 
 @dataclass(frozen=True)
 class TransformationFrame:
-    """Seed functions, their derivatives and det U sampled on a grid."""
+    """The seed frame sampled on a grid. f holds the rows of U without the
+    factor i of its first row, (psi0, psi1, psi2), (phi0, phi1, phi2) and
+    (0, xi1, xi2), as a read-only real (3, 3, n) array; df holds the same
+    rows of dU/dx; det U = i * det."""
 
     grid: Grid
     seed: SeedData
-    psi0: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
-    phi0: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
-    dpsi0: np.ndarray
-    dpsi1: np.ndarray
-    dpsi2: np.ndarray
-    dphi0: np.ndarray
-    dphi1: np.ndarray
-    dphi2: np.ndarray
-    dxi1: np.ndarray
-    dxi2: np.ndarray
-    det: np.ndarray  # det U = i * det (this real array)
-
-    def u_stack(self):
-        """U(x_i) as a read-only (n, 3, 3) complex stack, built once per frame."""
-        return self._u
-
-    def u_inv_stack(self):
-        """Read-only per-point U^{-1}, computed once per frame."""
-        return self._u_inv
+    f: np.ndarray
+    df: np.ndarray
+    det: np.ndarray
 
     @cached_property
-    def _u(self):
-        u = _frame_stack((self.psi0, self.psi1, self.psi2),
-                         (self.phi0, self.phi1, self.phi2), (self.xi1, self.xi2))
+    def u(self):
+        """U(x_i) as a read-only (n, 3, 3) complex stack, built once per frame."""
+        u = _frame_stack(self.f)
         u.flags.writeable = False
         return u
 
     @cached_property
-    def _u_inv(self):
+    def u_inv(self):
+        """Read-only per-point U^{-1}, computed once per frame."""
         # the 3x3 adjugate formula; det U = i * self.det
-        u_inv = _adjugate3(self._u) / (1j * self.det)[:, None, None]
+        u_inv = _adjugate3(self.u) / (1j * self.det)[:, None, None]
         u_inv.flags.writeable = False
         return u_inv
+
+    @property
+    def du(self):
+        """dU/dx as an (n, 3, 3) complex stack, built on each access."""
+        return _frame_stack(self.df)
 
     @cached_property
     def _potential(self):
@@ -141,24 +128,22 @@ class TransformationFrame:
             i = int(np.argmin(np.abs(den)))
             raise SingularFrameError(self.grid.x[i], 0.0,
                                      what="potential denominator")
-        q_psi = self.xi2 * self.psi1 - self.xi1 * self.psi2
-        q_phi = self.xi2 * self.phi1 - self.xi1 * self.phi2
-        w_flip = self.phi1 * self.psi2 - self.phi2 * self.psi1
-        v12 = -s.gauge_a + pref * (self.psi0 * q_psi - self.phi0 * q_phi) / den
-        v13 = pref * self.psi0 * w_flip / den
-        v23 = -pref * self.phi0 * w_flip / den
-        v11 = -s.mass + pref * (self.psi0 * q_phi + self.phi0 * q_psi) / den
+        (psi0, psi1, psi2), (phi0, phi1, phi2), (_, xi1, xi2) = self.f
+        q_psi = xi2 * psi1 - xi1 * psi2
+        q_phi = xi2 * phi1 - xi1 * phi2
+        w_flip = phi1 * psi2 - phi2 * psi1
+        v12 = -s.gauge_a + pref * (psi0 * q_psi - phi0 * q_phi) / den
+        v13 = pref * psi0 * w_flip / den
+        v23 = -pref * phi0 * w_flip / den
+        v11 = -s.mass + pref * (psi0 * q_phi + phi0 * q_psi) / den
         for v in (v11, v12, v13, v23):
             v.flags.writeable = False
         return PotentialComponents(self.grid, v11, v12, v13, v23, s.flat_energy)
 
-    def du_stack(self):
-        return _frame_stack((self.dpsi0, self.dpsi1, self.dpsi2),
-                            (self.dphi0, self.dphi1, self.dphi2), (self.dxi1, self.dxi2))
-
     @property
     def wronskian_samples(self):
-        return self.phi2 * self.psi1 - self.phi1 * self.psi2
+        (_, psi1, psi2), (_, phi1, phi2), _ = self.f
+        return phi2 * psi1 - phi1 * psi2
 
     @property
     def wronskian_relative_stdev(self):
@@ -168,25 +153,20 @@ class TransformationFrame:
         boxes and cancel to W, so each sample's deviation is measured in
         units of its own rounding scale, not of W.
         """
-        a, b = self.phi2 * self.psi1, self.phi1 * self.psi2
+        (_, psi1, psi2), (_, phi1, phi2), _ = self.f
+        a, b = phi2 * psi1, phi1 * psi2
         dev = (a - b - self.seed.wronskian_constant) / (np.abs(a) + np.abs(b))
         return float(np.sqrt(np.mean(dev**2)))
 
-    @property
-    def min_abs_det(self):
-        return float(np.abs(self.det).min())
+
+# U's first row carries a factor i; its other rows are real
+ROW_PHASE = np.array([1j, 1.0, 1.0])
 
 
-def _frame_stack(psi, phi, xi):
-    """(n, 3, 3) stack with rows (i*psi0, i*psi1, i*psi2), (phi0, phi1, phi2)
-    and (0, xi1, xi2), the layout of U and of dU/dx, as a view of
-    component-major (3, 3, n) storage."""
-    u = np.zeros((3, 3, len(phi[0])), dtype=complex)
-    for j in range(3):
-        u[0, j] = 1j * psi[j]
-        u[1, j] = phi[j]
-    u[2, 1], u[2, 2] = xi
-    return np.moveaxis(u, -1, 0)
+def _frame_stack(rows):
+    """U (or dU/dx) from its real (3, 3, n) rows, as an (n, 3, 3) view of
+    component-major storage."""
+    return np.moveaxis(ROW_PHASE[:, None, None] * rows, -1, 0)
 
 
 def _adjugate3(u):
@@ -215,33 +195,38 @@ def assemble_frame(s, grid):
     ch, sh, th = np.cosh(k0 * x), np.sinh(k0 * x), np.tanh(k0 * x)
     sech = 1.0 / ch
     ea = np.exp(-a * x)
+    # each sample is written into its row of f (U) or df (dU/dx); U[2, 0]
+    # and its derivative stay 0
+    f, df = np.zeros((2, 3, 3, x.size))
+    (psi0, psi1, psi2), (phi0, phi1, phi2), (_, xi1, xi2) = f
+    (dpsi0, dpsi1, dpsi2), (dphi0, dphi1, dphi2), (_, dxi1, dxi2) = df
 
     # first column (i*psi0, phi0, 0), at energy mass
-    psi0 = -s.mass * ea
-    phi0 = a * ea
-    dpsi0 = a * s.mass * ea
-    dphi0 = -(a**2) * ea
+    psi0[:] = -s.mass * ea
+    phi0[:] = a * ea
+    dpsi0[:] = a * s.mass * ea
+    dphi0[:] = -(a**2) * ea
     # flat-level columns: phi2 = cosh(kappa0 x); phi1 follows by reduction
     # of order with quadrature constant c0; psi_a = (phi_a' + A*phi_a)/denom.
     # psi1 divides by ch where dphi1 multiplies by sech: the two differ in
     # the last bit when w0 != 1, and each keeps its own rounding
-    phi2 = xi2 = ch
-    phi1 = ch * (w0 * th / k0 + c0)
-    dphi2 = dxi2 = k0 * sh
+    phi2[:] = xi2[:] = ch
+    phi1[:] = ch * (w0 * th / k0 + c0)
+    dphi2[:] = dxi2[:] = k0 * sh
     grow1 = sh * (w0 * th + k0 * c0)
-    dphi1 = grow1 + w0 * sech
-    psi2 = (k0 * sh + a * ch) / denom
-    psi1 = (grow1 + w0 / ch + a * phi1) / denom
+    dphi1[:] = grow1 + w0 * sech
+    psi2[:] = (k0 * sh + a * ch) / denom
+    psi1[:] = (grow1 + w0 / ch + a * phi1) / denom
     # phi_a'' = kappa0^2 * phi_a  =>  psi_a' = (kappa0^2*phi_a + A*phi_a')/denom
-    dpsi1 = (k0**2 * phi1 + a * dphi1) / denom
-    dpsi2 = (k0**2 * phi2 + a * dphi2) / denom
+    dpsi1[:] = (k0**2 * phi1 + a * dphi1) / denom
+    dpsi2[:] = (k0**2 * phi2 + a * dphi2) / denom
     # third column: with xi2 = cosh(kappa0 x), xi1 = xi2*(c1 - w*Integral dx/xi2^2)
     # hermitizes V_new, where w = (mass - flat_energy) times the actual
     # Wronskian constant phi2*psi1 - phi1*psi2; Integral sech^2 = tanh/kappa0
     w = (s.mass - s.flat_energy) * s.wronskian_constant
     hermit = c1 - w * th / k0
-    xi1 = ch * hermit
-    dxi1 = dxi2 * hermit - w * sech
+    xi1[:] = ch * hermit
+    dxi1[:] = dxi2 * hermit - w * sech
 
     det = psi0 * (phi1 * xi2 - phi2 * xi1) - phi0 * (psi1 * xi2 - psi2 * xi1)
     # scale-invariant regularity: compare |det| to the Hadamard bound at
@@ -250,8 +235,8 @@ def assemble_frame(s, grid):
     hadamard = (np.hypot(psi0, phi0)
                 * np.sqrt(psi1**2 + phi1**2 + xi1**2)
                 * np.sqrt(psi2**2 + phi2**2 + xi2**2))
-    finite = np.isfinite([psi0, psi1, psi2, phi0, phi1, phi2, xi1, xi2, dpsi0, dpsi1,
-                          dpsi2, dphi0, dphi1, dphi2, dxi1, dxi2, det, hadamard]).all(axis=0)
+    finite = (np.isfinite(f).all(axis=(0, 1)) & np.isfinite(df).all(axis=(0, 1))
+              & np.isfinite(det) & np.isfinite(hadamard))
     if not finite.all():
         raise NumericalError(
             f"seed frame overflows at x={x[np.argmin(finite)]:.6g}: det U grows like "
@@ -262,17 +247,8 @@ def assemble_frame(s, grid):
     if bad.any():
         i = int(np.argmax(hadamard / np.maximum(np.abs(det), 1e-300)))
         raise SingularFrameError(x[i], float(np.abs(det[i])))
-
-    return TransformationFrame(
-        grid=grid, seed=s,
-        psi0=psi0, psi1=psi1, psi2=psi2,
-        phi0=phi0, phi1=phi1, phi2=phi2,
-        xi1=xi1, xi2=xi2,
-        dpsi0=dpsi0, dpsi1=dpsi1, dpsi2=dpsi2,
-        dphi0=dphi0, dphi1=dphi1, dphi2=dphi2,
-        dxi1=dxi1, dxi2=dxi2,
-        det=det,
-    )
+    f.flags.writeable = df.flags.writeable = False
+    return TransformationFrame(grid=grid, seed=s, f=f, df=df, det=det)
 
 
 def frame_eigen_residuals(frame):
@@ -283,11 +259,9 @@ def frame_eigen_residuals(frame):
     """
     s = frame.seed
     seed_op = DiracOperatorSpec(seed_potential_matrix(s))
-    u = frame.u_stack()
     energies = (s.mass, s.flat_energy, s.flat_energy)
     res = []
-    for j, e in enumerate(energies):
-        col = u[:, :, j].T  # (3, n)
+    for col, e in zip(frame.u.T, energies):  # the columns of U, each (3, n)
         r = apply_dirac(seed_op, col, frame.grid) - e * col
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
@@ -329,7 +303,7 @@ def commutator_potential(frame):
     algebra with the closed-form ratios of transformed_potential.
     """
     v_seed = seed_potential_matrix(frame.seed)
-    m = stack_matmul(frame.du_stack(), frame.u_inv_stack())
+    m = stack_matmul(frame.du, frame.u_inv)
     # gamma m swaps rows 0 and 1 and drops row 2; m gamma does so to columns
     comm = np.zeros_like(m)
     comm[:, :2] = m[:, 1::-1]
@@ -353,8 +327,8 @@ def hermiticity_asymmetry(stack):
 def apply_darboux(frame, state):
     """L acting on a sampled (3, n) spinor: U d/dx (U^{-1} state)."""
     f = np.asarray(state, dtype=complex)
-    y = stack_matvec(frame.u_inv_stack(), f)
-    return stack_matvec(frame.u_stack(), diff_central(y, frame.grid))
+    y = stack_matvec(frame.u_inv, f)
+    return stack_matvec(frame.u, diff_central(y, frame.grid))
 
 
 def intertwining_residual(frame, states, n_levels=3):
@@ -399,7 +373,7 @@ def inverse_dagger_states(frame):
     """
     s = frame.seed
     g = frame.grid
-    w = np.conj(np.swapaxes(frame.u_inv_stack(), 1, 2))  # (n, 3, 3)
+    w = np.conj(np.swapaxes(frame.u_inv, 1, 2))  # (n, 3, 3)
     new_op = DiracOperatorSpec(transformed_potential(frame).matrix_stack())
     energies = (s.mass, s.flat_energy, s.flat_energy)
     states, reports = [], []

@@ -87,7 +87,9 @@ def test_criterion_4_hermitization():
         fr = assemble_frame(p.seed_data(), Grid(-20.0, 20.0, 1201))
         stack = transformed_potential(fr).matrix_stack()
         worst_asym = max(worst_asym, susy.hermiticity_asymmetry(stack))
-        broken = replace(fr, xi1=fr.xi2.copy(), dxi1=fr.dxi2.copy())
+        f, df = fr.f.copy(), fr.df.copy()
+        f[2, 1], df[2, 1] = f[2, 2], df[2, 2]
+        broken = replace(fr, f=f, df=df)
         control = susy.hermiticity_asymmetry(susy.commutator_potential(broken))
         worst_control = min(worst_control, control)
     report(4, "hermitized potential is Hermitian; xi1 -> xi2 breaks it",
@@ -131,7 +133,7 @@ def test_criterion_6_intertwining():
                                                   n_levels=3)
         min_factor = min(min_factor,
                          (residuals[:, :-1] / residuals[:, 1:]).min())
-        u = fr.u_stack()
+        u = fr.u
         for j in range(3):
             out = susy.apply_darboux(fr, u[:, :, j].T)
             scale = 1.0 + np.abs(u[:, :, j]).max()

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -345,11 +346,13 @@ def test_susy_model_run(tmp_path):
     assert min(rep["intertwining_orders"][0]) > 1.9
 
 
+GENERAL_SEED_ARGV = ["susy", "--set", "mass=0.3", "--set", "gauge_a=0.26832815729997476",
+                     "--set", "flat_energy=0.06", "--set", "c0=-3.0516766992011266",
+                     "--grid-points", "401"]
+
+
 def test_susy_general_seed_run(tmp_path):
-    rc = main(["susy", "--out", str(tmp_path), "--set", "mass=0.3",
-               "--set", "gauge_a=0.26832815729997476",
-               "--set", "flat_energy=0.06",
-               "--set", "c0=-3.0516766992011266", "--grid-points", "401"])
+    rc = main([*GENERAL_SEED_ARGV, "--out", str(tmp_path)])
     assert rc == EXIT_OK
     rep = json.loads((tmp_path / "susy_verify.json").read_text())
     assert "model_oracle_max_diff" not in rep
@@ -539,6 +542,20 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_darboux_reports_match_golden_bytes(tmp_path, capsys, argv, name, golden):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# SHA-256 of each susy_potential.csv: a change to how the frame stores U
+# must not move any sample of the potential table
+@pytest.mark.parametrize("argv, digest", [
+    (["susy", "--set", "model=I", "--set", "mass=0.07", "--grid-points", "2001"],
+     "939ced43c5147544e46b583edfd0152c7055fe92c76aaa673d843e198c3c113e"),
+    (GENERAL_SEED_ARGV,
+     "2c0d7453315007ffd645cdd9baf5a2486769af41733b1cf9cabed857c43bcf3f"),
+], ids=["model_I", "general_seed"])
+def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    table = (tmp_path / "susy_potential.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == digest
 
 
 def test_verify_impossible_tol_exits_4(tmp_path, capsys):

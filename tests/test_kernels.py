@@ -75,23 +75,24 @@ def _apply_dirac_ref(spec, f, grid):
 
 
 def _apply_darboux_ref(frame, f):
-    y = np.einsum("nij,jn->in", frame.u_inv_stack(), f)
+    y = np.einsum("nij,jn->in", frame.u_inv, f)
     dy = _diff_central_ref(y, frame.grid)
-    return np.einsum("nij,jn->in", frame.u_stack(), dy)
+    return np.einsum("nij,jn->in", frame.u, dy)
 
 
 def _commutator_potential_ref(frame):
-    m = np.einsum("nij,njk->nik", frame.du_stack(), frame.u_inv_stack())
+    m = np.einsum("nij,njk->nik", frame.du, frame.u_inv)
     comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
     return seed_potential_matrix(frame.seed)[None, :, :] - 1j * comm
 
 
-def _frame_stack_ref(psi, phi, xi):
-    u = np.zeros((len(phi[0]), 3, 3), dtype=complex)
+def _frame_stack_ref(rows):
+    # U (or dU/dx) entry by entry from its real rows, the first times i
+    u = np.zeros((rows.shape[-1], 3, 3), dtype=complex)
     for j in range(3):
-        u[:, 0, j] = 1j * psi[j]
-        u[:, 1, j] = phi[j]
-    u[:, 2, 1], u[:, 2, 2] = xi
+        u[:, 0, j] = 1j * rows[0, j]
+        u[:, 1, j] = rows[1, j]
+    u[:, 2, 1], u[:, 2, 2] = rows[2, 1:]
     return u
 
 
@@ -104,7 +105,7 @@ def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
 
 
 def _engine_stacks(frame):
-    stacks = [frame.u_stack(), frame.u_inv_stack(), frame.du_stack(),
+    stacks = [frame.u, frame.u_inv, frame.du,
               transformed_potential(frame).matrix_stack()]
     for p in MODELS.values():
         stacks.append(model_potential_components(p, frame.grid).matrix_stack())
@@ -230,17 +231,15 @@ def test_darboux_engine_equals_its_einsum_formulas(name):
 def test_stack_producers_keep_shape_values_and_flags(name):
     fr = assemble_frame(SEEDS[name], GRID)
     n = GRID.n_points
-    u_ref = _frame_stack_ref((fr.psi0, fr.psi1, fr.psi2),
-                             (fr.phi0, fr.phi1, fr.phi2), (fr.xi1, fr.xi2))
-    du_ref = _frame_stack_ref((fr.dpsi0, fr.dpsi1, fr.dpsi2),
-                              (fr.dphi0, fr.dphi1, fr.dphi2), (fr.dxi1, fr.dxi2))
+    u_ref = _frame_stack_ref(fr.f)
+    du_ref = _frame_stack_ref(fr.df)
     u_inv_ref = _adjugate3(u_ref) / (1j * fr.det)[:, None, None]
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
                                   0.0, comps.flat_energy)
-    for got, want, writeable in ((fr.u_stack(), u_ref, False),
-                                 (fr.u_inv_stack(), u_inv_ref, False),
-                                 (fr.du_stack(), du_ref, True),
+    for got, want, writeable in ((fr.u, u_ref, False),
+                                 (fr.u_inv, u_inv_ref, False),
+                                 (fr.du, du_ref, True),
                                  (comps.matrix_stack(), v_ref, True)):
         assert got.shape == (n, 3, 3)
         assert _same_bits(got, want)

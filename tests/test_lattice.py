@@ -27,7 +27,8 @@ from susychain.lattice import (
     inverse_participation_ratio,
 )
 from susychain.models import ModelKind, ModelParams
-from susychain.numcore import BandedHermitian, Grid, block_tridiagonal_bands, eigh_banded
+from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
+    block_tridiagonal_bands, eigh_banded, norm_1
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -282,14 +283,52 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors():
     assert edge[pair].all()
 
 
+def test_degenerate_walked_group_gets_one_ipr_whatever_the_rounding(monkeypatch):
+    # Model II's two wall states at 800 cells are 2e-15 apart: one group.
+    # Nudging their eigenvalues by 3e-17 rotates the vectors within the
+    # group, enough to move a per-vector IPR between 0.026 and 0.030; the
+    # group's mean density does not move
+    p = ModelParams(ModelKind.II, 0.1, 0.05)
+    chain = build_finite_chain(models.sample_chain_profile(p, 800))
+    excl = 0.1 * models.model_spectrum(p).gap_edge
+    rep = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=excl)
+    walked = np.flatnonzero(np.isfinite(rep.ipr))
+    w = rep.eigenvalues
+    group = walked[np.abs(w[walked] - 0.1322875655532) < 1e-12]
+    assert group.size == 2
+    assert rep.edge_state_mask[group].all() and rep.ipr[group[0]] == rep.ipr[group[1]]
+    nudged = w.copy()
+    nudged[group] += [-3e-17, 3e-17]
+    monkeypatch.setattr(lattice, "eigh_banded", lambda m: nudged)
+    again = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=excl)
+    assert again.ipr[group[0]] == again.ipr[group[1]]
+    np.testing.assert_allclose(again.ipr[group], rep.ipr[group], rtol=1e-10)
+
+
 # ------------------------------------- walked spectrum vs dense reference
 
 def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
-    """chain_spectrum's summary from every eigenvector of a dense solve."""
+    """chain_spectrum's summary from every eigenvector of a dense solve.
+
+    Outside the excluded zone, eigenvalues within EIGVEC_RESIDUAL_TOL *
+    norm_1 of the first of a group, counted outward from flat_energy on
+    each side, form one group; each of its rows gets the IPR and edge flag
+    of the group's mean density."""
     w, v = np.linalg.eigh(chain.to_dense())
-    ipr = inverse_participation_ratio(v)
-    edge = _edge_mask(v)
-    bulk = (np.abs(w - flat_energy) > max(gap_exclusion, cluster_tol)) & ~edge
+    tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
+    excluded = max(gap_exclusion, cluster_tol)
+    ipr = np.full(w.size, np.nan)
+    edge = np.zeros(w.size, dtype=bool)
+    offset = w - flat_energy
+    for side in (np.flatnonzero(offset > excluded),
+                 np.flatnonzero(offset < -excluded)[::-1]):
+        while side.size:
+            group = side[np.abs(w[side] - w[side[0]]) <= tol]
+            side = side[group.size:]
+            density = (np.abs(v[:, group]) ** 2).mean(axis=1, keepdims=True)
+            ipr[group] = inverse_participation_ratio(density)[0]
+            edge[group] = _edge_mask(density)[0]
+    bulk = (np.abs(offset) > excluded) & ~edge
     return (w, ipr, edge, int((np.abs(w - flat_energy) <= cluster_tol).sum()),
             w[bulk & (w < flat_energy)].max(), w[bulk & (w > flat_energy)].min())
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from susychain.continuum import potential_matrix
 from susychain.errors import NumericalError
+from susychain.lattice import build_finite_chain, chain_spectrum
 from susychain.models import (
     ModelKind,
     ModelParams,
@@ -234,8 +235,8 @@ def test_model2_asymptotic_spectrum_identity(m, frac, side):
 def test_sample_chain_profile_shape_and_content():
     prof = sample_chain_profile(P1, 101)
     assert prof.n_cells == 101
-    # cell centers are uniform over the default box [-50.5, 50.5]
-    v11, v12, v13, v23 = model_potential(P1, np.linspace(-50.5, 50.5, 101))
+    # cell centers are uniform over the default box [-50, 50], spacing 1
+    v11, v12, v13, v23 = model_potential(P1, np.linspace(-50.0, 50.0, 101))
     np.testing.assert_allclose(prof.eps_a, v11)
     np.testing.assert_allclose(prof.eps_b, -v11)
     np.testing.assert_allclose(prof.eps_c, P1.flat_energy)
@@ -254,3 +255,34 @@ def test_sample_chain_profile_custom_box():
     np.testing.assert_allclose(prof.t_bc, v23)
     with pytest.raises(NumericalError):
         sample_chain_profile(P2, 1)
+
+
+# the allowance for lattice corrections of perfbench's chain gap-edge check
+LATTICE_EDGE_TOL = 0.01
+
+
+@pytest.mark.parametrize("p", [ModelParams(ModelKind.I, 0.07, 0.0),
+                               ModelParams(ModelKind.II, 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_chain_hopping_follows_cell_spacing(p):
+    # at spacing h the hoppings are 1/h, so the chain realizes the model
+    # operator at any box: both gap edges stay within the finite-box shift
+    # sqrt(1 + (2 pi / (L E))^2) - 1 (box length L = 2 * box) plus the
+    # lattice allowance, and the error falls with h
+    box = 200.0
+    edge = model_spectrum(p).gap_edge
+    bound = np.sqrt(1.0 + (np.pi / (box * edge)) ** 2) - 1.0 + LATTICE_EDGE_TOL
+    errors = []
+    for h in (2.0, 1.0, 0.5):
+        n_cells = int(2 * box / h) + 1
+        prof = sample_chain_profile(p, n_cells, box_halfwidth=box)
+        v12 = model_potential(p, np.linspace(-box, box, n_cells))[1]
+        assert np.array_equal(prof.t_ab_inter, np.full(n_cells, 1.0 / h))
+        assert np.array_equal(prof.t_ab, 1.0 / h + v12)
+        rep = chain_spectrum(build_finite_chain(prof), flat_energy=p.flat_energy,
+                             gap_exclusion=0.1 * edge)
+        err = max(abs(abs(rep.gap_edge_neg) / edge - 1.0),
+                  abs(rep.gap_edge_pos / edge - 1.0))
+        assert err <= bound, (h, err, bound)
+        errors.append(err)
+    assert errors[0] > errors[1] > errors[2]

@@ -96,31 +96,28 @@ def test_wronskian_constancy_holds_on_wide_boxes(kind, mass):
     # is exact, while a 1e-6 error in psi1 still shows
     fr = assemble_frame(ModelParams(kind, mass, 0.0).seed_data(), GRID)
     assert fr.wronskian_relative_stdev < 1e-10
-    bad = replace(fr, psi1=fr.psi1 * (1.0 + 1e-6))
+    f = fr.f.copy()
+    f[0, 1] *= 1.0 + 1e-6  # psi1
+    bad = replace(fr, f=f)
     assert bad.wronskian_relative_stdev > 1e-10
 
 
 def test_analytic_derivatives_match_stencil():
     fr = _frame()
-    from susychain.numcore import diff_central
-    for name in ("psi0", "psi1", "psi2", "phi0", "phi1", "phi2",
-                 "xi1", "xi2"):
-        f = getattr(fr, name)
-        df = getattr(fr, "d" + name)
-        num = diff_central(f, GRID)
-        scale = 1.0 + np.abs(df).max()
-        assert np.abs(num - df).max() / scale < 1e-3, name
+    for i, j in np.ndindex(3, 3):
+        num = diff_central(fr.f[i, j], GRID)
+        scale = 1.0 + np.abs(fr.df[i, j]).max()
+        assert np.abs(num - fr.df[i, j]).max() / scale < 1e-3, (i, j)
 
 
 def test_xi1_closed_form_vs_quadrature():
     # xi1 = xi2 * (c1 - w * Integral dx/xi2^2) with w = (m - lambda) times
     # the actual Wronskian constant; the frame takes the integral in
     # closed form, the trapezoid here
-    fr = _frame()
+    xi1, xi2 = _frame().f[2, 1:]
     w = (SEED.mass - SEED.flat_energy) * SEED.wronskian_constant
-    numeric = fr.xi2 * (SEED.c1 - w * integrate_cumulative(1.0 / fr.xi2**2, GRID))
-    np.testing.assert_allclose(numeric, fr.xi1,
-                               atol=1e-6 * (1 + np.abs(fr.xi1).max()))
+    numeric = xi2 * (SEED.c1 - w * integrate_cumulative(1.0 / xi2**2, GRID))
+    np.testing.assert_allclose(numeric, xi1, atol=1e-6 * (1 + np.abs(xi1).max()))
 
 
 # ------------------------------------------------ transformed potential
@@ -140,8 +137,10 @@ def test_negative_control_breaks_commutator_hermiticity():
     # frame has already cached its U^{-1}
     fr = _frame()
     commutator_potential(fr)
-    broken = replace(fr, xi1=fr.xi2.copy(), dxi1=fr.dxi2.copy())
-    assert not np.array_equal(broken.u_inv_stack(), fr.u_inv_stack())
+    f, df = fr.f.copy(), fr.df.copy()
+    f[2, 1], df[2, 1] = f[2, 2], df[2, 2]
+    broken = replace(fr, f=f, df=df)
+    assert not np.array_equal(broken.u_inv, fr.u_inv)
     assert hermiticity_asymmetry(commutator_potential(broken)) > 1e-4
 
 
@@ -151,7 +150,8 @@ def _reference_frame_samples(s, x):
     # every frame sample as one closed form per function, in the operation
     # order the engine has always used: psi1 divides by cosh where dphi1
     # multiplies by sech, and w is not simplified to w0; kept as the
-    # bitwise reference for assemble_frame
+    # bitwise reference for assemble_frame. Returns the rows of U without
+    # the factor i, the rows of dU/dx, and det U / i
     m, a, k0 = s.mass, s.gauge_a, s.kappa0
     w0, c0, c1 = s.w0, s.c0, s.c1
     denom = s.mass - s.flat_energy
@@ -160,27 +160,19 @@ def _reference_frame_samples(s, x):
     sech = 1.0 / ch
     phi1 = ch * (w0 * th / k0 + c0)
     dphi1 = sh * (w0 * th + k0 * c0) + w0 * sech
-    out = {
-        "psi0": -m * np.exp(-a * x),
-        "phi0": a * np.exp(-a * x),
-        "phi1": phi1,
-        "phi2": ch,
-        "psi1": (sh * (w0 * th + k0 * c0) + w0 / ch + a * phi1) / denom,
-        "psi2": (k0 * sh + a * ch) / denom,
-        "xi1": ch * (c1 - w * th / k0),
-        "xi2": ch,
-        "dpsi0": a * m * np.exp(-a * x),
-        "dphi0": -(a**2) * np.exp(-a * x),
-        "dphi1": dphi1,
-        "dphi2": k0 * sh,
-        "dpsi1": (k0**2 * phi1 + a * dphi1) / denom,
-        "dpsi2": (k0**2 * ch + a * (k0 * sh)) / denom,
-        "dxi1": k0 * sh * (c1 - w * th / k0) - w * sech,
-        "dxi2": k0 * sh,
-    }
-    psi0, phi0, psi1, psi2, xi1 = (out[k] for k in ("psi0", "phi0", "psi1", "psi2", "xi1"))
-    out["det"] = psi0 * (phi1 * ch - ch * xi1) - phi0 * (psi1 * ch - psi2 * xi1)
-    return out
+    psi0 = -m * np.exp(-a * x)
+    phi0 = a * np.exp(-a * x)
+    psi1 = (sh * (w0 * th + k0 * c0) + w0 / ch + a * phi1) / denom
+    psi2 = (k0 * sh + a * ch) / denom
+    xi1 = ch * (c1 - w * th / k0)
+    zero = np.zeros_like(x)
+    f = [[psi0, psi1, psi2], [phi0, phi1, ch], [zero, xi1, ch]]
+    df = [[a * m * np.exp(-a * x), (k0**2 * phi1 + a * dphi1) / denom,
+           (k0**2 * ch + a * (k0 * sh)) / denom],
+          [-(a**2) * np.exp(-a * x), dphi1, k0 * sh],
+          [zero, k0 * sh * (c1 - w * th / k0) - w * sech, k0 * sh]]
+    det = psi0 * (phi1 * ch - ch * xi1) - phi0 * (psi1 * ch - psi2 * xi1)
+    return np.array(f), np.array(df), det
 
 
 # w0 is chosen so that (m - lambda) * (w0 / (m - lambda)) != w0 in double
@@ -196,8 +188,9 @@ FRAME_SEEDS = [
 @pytest.mark.parametrize("grid", [GRID, Grid(-7.5, 12.0, 1201)])
 def test_frame_samples_match_closed_forms_bitwise(seed, grid):
     fr = assemble_frame(seed, grid)
-    for name, want in _reference_frame_samples(seed, grid.x).items():
-        assert _same_bits(getattr(fr, name), want), name
+    f, df, det = _reference_frame_samples(seed, grid.x)
+    for got, want in ((fr.f, f), (fr.df, df), (fr.det, det)):
+        assert _same_bits(got, want)
 
 
 # ---------------------------------------------------------- frame cache
@@ -225,7 +218,7 @@ def test_adjugate3_matches_minor_reference_bitwise():
     u = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
     u[:5] = 0.0
     u[5:10] *= 1e-160  # cofactors underflow to signed zeros
-    stacks = [u, _frame().u_stack(), _frame(grid=Grid(-3.0, 3.0, 31)).u_stack()]
+    stacks = [u, _frame().u, _frame(grid=Grid(-3.0, 3.0, 31)).u]
     for stack in stacks:
         assert _same_bits(_adjugate3(stack), _adjugate3_by_minors(stack))
 
@@ -240,18 +233,18 @@ def test_frame_cache_matches_per_call_recomputation():
         assert _same_bits(apply_darboux(fr, f), apply_darboux(replace(fr), f))
         assert _same_bits(commutator_potential(fr),
                           commutator_potential(replace(fr)))
-        assert _same_bits(fr.u_inv_stack(), replace(fr).u_inv_stack())
+        assert _same_bits(fr.u_inv, replace(fr).u_inv)
         fresh = transformed_potential(replace(fr))
         for c in ("v11", "v12", "v13", "v23"):
             assert _same_bits(getattr(transformed_potential(fr), c), getattr(fresh, c))
-    assert fr.u_inv_stack() is fr.u_inv_stack() and fr.u_stack() is fr.u_stack()
+    assert fr.u_inv is fr.u_inv and fr.u is fr.u
     assert transformed_potential(fr) is transformed_potential(fr)
 
 
 def test_frame_cache_is_read_only():
     fr = _frame()
     comps = transformed_potential(fr)
-    for stack in (fr.u_stack(), fr.u_inv_stack()):
+    for stack in (fr.f, fr.df, fr.u, fr.u_inv):
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
@@ -293,7 +286,7 @@ def test_intertwining_second_order():
 
 def test_darboux_annihilates_frame_columns():
     fr = _frame()
-    u = fr.u_stack()
+    u = fr.u
     for j in range(3):
         out = apply_darboux(fr, u[:, :, j].T)
         scale = 1.0 + np.abs(u[:, :, j]).max()
@@ -370,7 +363,7 @@ def test_frame_just_inside_the_double_range_stays_finite():
     for kind in ModelKind:
         p = ModelParams(kind, 9.0, 0.0)
         fr = assemble_frame(p.seed_data(), GRID)
-        assert np.isfinite(fr.u_inv_stack()).all()
+        assert np.isfinite(fr.u_inv).all()
         assert np.isfinite(frame_eigen_residuals(fr)).all()
         stack = transformed_potential(fr).matrix_stack()
         oracle = model_potential_components(p, GRID).matrix_stack()
