@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -343,6 +344,30 @@ def cmd_susy(st, out_dir):
     return EXIT_OK
 
 
+def _run_concurrently(first, second):
+    """(first(), second()), with first() on a worker thread while second()
+    runs on this one; their eigensolves release the GIL, so the two
+    overlap. An exception of first() is raised here once the worker has
+    ended, ahead of any exception of second(), as if they ran in turn."""
+    outcome = {}
+
+    def work():
+        try:
+            outcome["value"] = first()
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        value = second()
+    finally:
+        worker.join()
+        if "error" in outcome:
+            raise outcome["error"]
+    return outcome["value"], value
+
+
 SPECTRUM_KEYS = {
     **MODEL_KEYS,
     "method": Key(_choice("chain", "continuum", "both"), "chain",
@@ -368,22 +393,25 @@ def cmd_spectrum(st, out_dir):
     gap_exclusion = st["gap_exclusion"]
     if gap_exclusion is None:
         gap_exclusion = 0.1 * spectrum.gap_edge
-    reports = {}
 
-    if method in ("chain", "both"):
-        profile = models.sample_chain_profile(p, st["cells"],
-                                              box_halfwidth=st["box"])
-        reports["chain"] = chain_spectrum(
-            build_finite_chain(profile), flat_energy=p.flat_energy,
-            cluster_tol=cluster_tol, gap_exclusion=gap_exclusion)
-    if method in ("continuum", "both"):
+    def chain_route():
+        profile = models.sample_chain_profile(p, st["cells"], box_halfwidth=st["box"])
+        return chain_spectrum(build_finite_chain(profile), flat_energy=p.flat_energy,
+                              cluster_tol=cluster_tol, gap_exclusion=gap_exclusion)
+
+    def continuum_route():
         box = st["box"] or 12.0 / p.kappa
         grid = Grid(-box, box, st["grid_points"])
         comps = models.model_potential_components(p, grid)
         op = discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
-        reports["continuum"] = chain_spectrum(
-            op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
-            gap_exclusion=gap_exclusion)
+        return chain_spectrum(op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
+                              gap_exclusion=gap_exclusion)
+
+    routes = {"chain": chain_route, "continuum": continuum_route}
+    if method == "both":
+        reports = dict(zip(routes, _run_concurrently(*routes.values())))
+    else:
+        reports = {method: routes[method]()}
 
     summary = {
         "model": p.kind.value,

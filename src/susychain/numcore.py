@@ -7,6 +7,7 @@ stacks point by point over length-n vectors, contiguous for component-major
 stacks: (n, 3, 3) views of (3, 3, n) storage, like U, dU/dx and V(x).
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,8 +139,6 @@ def eigh_banded(m):
     site deflated the compact storage is the full matrix's, so the values
     are those of one solve of it, bit for bit.
     """
-    import scipy.linalg  # loaded on first use: only the spectrum path needs it
-
     b, u = m.bands, m.bandwidth
     if not np.all(np.isfinite(b)):
         raise NumericalError("non-finite entries in banded matrix")
@@ -151,17 +150,87 @@ def eigh_banded(m):
     norm_1 = (absb[u] + row_sums).max(initial=0.0)
     loose = row_sums <= np.finfo(float).eps * norm_1 / (2 * max(u, 1))
     kept = np.flatnonzero(~loose)
-    compact = np.zeros((u + 1, kept.size), dtype=b.dtype)
+    compact = np.zeros((u + 1, kept.size), dtype=complex if np.iscomplexobj(b) else float,
+                       order="F")
     compact[u] = b[u, kept]
     for d in range(1, u + 1):  # compact[u - d, c] = M[kept[c - d], kept[c]]
         dist = kept[d:] - kept[:-d]
         near = np.flatnonzero(dist <= u)
         compact[u - d, d + near] = b[u - dist[near], kept[d + near]]
-    # at most kept.size - 1 superdiagonals: for a 1x1 matrix ?sbevd/?hbevd
-    # read the top row of the storage, the diagonal only when it is row 0
-    band = compact[max(u + 1 - kept.size, 0):]
-    w = scipy.linalg.eig_banded(band, lower=False, eigvals_only=True)
+    w = _band_eigvalsh(compact)
     return np.sort(np.concatenate([w, b[u, loose].real]))
+
+
+@functools.cache
+def _lapack(name):
+    """LAPACK routine `name` of scipy's Cython bindings as a ctypes function
+    of pointer arguments (returning a double for the ?lan* norms). A ctypes
+    call releases the GIL, which scipy's f2py wrappers hold, so solves on
+    two threads run at once."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    signature = get_name(capsule)  # the C signature, "void (char *, int *, ...)"
+    restype = None if signature.startswith(b"void ") else ctypes.c_double
+    n_args = signature.count(b",") + 1
+    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * n_args)(
+        get_pointer(capsule, signature))
+
+
+# ?sbevd's scaling range [rmin, rmax]: the square roots of safe minimum /
+# precision and of its inverse, 2**-485 and 2**485
+_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_RMAX = np.sqrt(np.finfo(float).eps / np.finfo(float).tiny)
+
+
+def _band_eigvalsh(ab):
+    """Eigenvalues, ascending, of the Hermitian matrix whose upper band
+    storage is `ab` (float64 or complex128, Fortran order; overwritten).
+
+    These are the steps of LAPACK's ?sbevd / ?hbevd without vectors, so the
+    values are scipy.linalg.eig_banded's bit for bit: scale the matrix by
+    sigma if its max-abs norm lies outside [rmin, rmax], reduce it to
+    tridiagonal form (?sbtrd / ?hbtrd), take the tridiagonal's eigenvalues
+    (dsterf) and scale them by 1/sigma. A band wider than the matrix is
+    read as it is (?sbevd's own scaling rejects one), and a 1x1 matrix is
+    read from its diagonal row (?sbevd's quick return reads the top row).
+    """
+    import ctypes
+
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    if n <= 1:
+        return ab[u].real.copy()
+    norm, reduce = ("zlanhb", "zhbtrd") if np.iscomplexobj(ab) else ("dlansb", "dsbtrd")
+    n_, kd, ldab, one = (ctypes.byref(ctypes.c_int(v)) for v in (n, u, u + 1, 1))
+    d, e = np.empty(n), np.empty(n)
+    work = np.empty(n, dtype=ab.dtype)
+    info = ctypes.c_int(0)
+    # max-abs norm; its work argument (d) is not referenced for "M"
+    anrm = _lapack(norm)(b"M", b"U", n_, kd, ab.ctypes.data, ldab, d.ctypes.data)
+    sigma = 1.0
+    if 0.0 < anrm < _RMIN:
+        sigma = _RMIN / anrm
+    elif anrm > _RMAX:
+        sigma = _RMAX / anrm
+    if sigma != 1.0:
+        ab *= sigma
+    # its Q argument (work) is not referenced without vectors
+    _lapack(reduce)(b"N", b"U", n_, kd, ab.ctypes.data, ldab, d.ctypes.data,
+                    e.ctypes.data, work.ctypes.data, one, work.ctypes.data,
+                    ctypes.byref(info))
+    _lapack("dsterf")(n_, d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise NumericalError(f"dsterf: {info.value} off-diagonal elements did not converge")
+    if sigma != 1.0:
+        d *= 1.0 / sigma
+    return d
 
 
 def _general_bands(m):

@@ -141,11 +141,6 @@ class TransformationFrame:
         return PotentialComponents(self.grid, v11, v12, v13, v23, s.flat_energy)
 
     @property
-    def wronskian_samples(self):
-        (_, psi1, psi2), (_, phi1, phi2), _ = self.f
-        return phi2 * psi1 - phi1 * psi2
-
-    @property
     def wronskian_relative_stdev(self):
         """Rms over samples of (w - W) / (|phi2*psi1| + |phi1*psi2|).
 

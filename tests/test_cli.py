@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from susychain.cli import (
     main,
     parse_config,
 )
+from susychain.errors import NumericalError
 
 FIG_PARAMS = ["--set", "t_ab=1", "--set", "t_ab_inter=1",
               "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
@@ -474,6 +476,46 @@ def test_spectrum_continuum_and_both(tmp_path):
     assert os.path.exists(tmp_path / "spectrum_continuum.csv")
     # continuum flat level: one eigenvalue per grid point at lambda
     assert summary["continuum"]["cluster_count"] >= 300
+
+
+@pytest.mark.parametrize("params", [["model=I", "mass=0.07"],
+                                    ["model=II", "mass=0.1", "flat_energy=0.05"]],
+                         ids=["model_I", "model_II"])
+def test_spectrum_both_writes_the_bytes_of_each_route_alone(tmp_path, params):
+    # the two routes run on two threads; each must write what it writes alone
+    argv = ["spectrum", *(a for v in params for a in ("--set", v)),
+            "--grid-points", "301"]
+    for method in ("both", "chain", "continuum"):
+        assert main([*argv, "--set", f"method={method}",
+                     "--out", str(tmp_path / method)]) == EXIT_OK
+    both = json.loads((tmp_path / "both" / "spectrum_summary.json").read_text())
+    for route in ("chain", "continuum"):
+        name = f"spectrum_{route}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == \
+            (tmp_path / route / name).read_bytes()
+        alone = json.loads((tmp_path / route / "spectrum_summary.json").read_text())
+        assert json.dumps(both[route]) == json.dumps(alone[route])
+
+
+@pytest.mark.parametrize("method", ["chain", "both"])
+def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(tmp_path, capsys,
+                                                               monkeypatch, method):
+    def broken(chain, **kwargs):
+        if chain.dim == 3 * 60:  # the chain route's matrix: 60 cells
+            raise NumericalError("chain route failed")
+        return spectrum(chain, **kwargs)
+
+    spectrum = cli.chain_spectrum
+
+    monkeypatch.setattr(cli, "chain_spectrum", broken)
+    threads = threading.active_count()
+    rc = main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
+               "--set", "mass=0.07", "--set", f"method={method}",
+               "--cells", "60", "--grid-points", "301"])
+    assert rc == EXIT_NUMERICAL
+    assert "chain route failed" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert not (tmp_path / "spectrum_summary.json").exists()
 
 
 def _reject_constant(token):

@@ -117,13 +117,19 @@ EPS = np.finfo(float).eps
 
 
 def _full_solve(m):
-    return scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
+    """scipy's one LAPACK solve of m, in storage of at most dim - 1
+    superdiagonals: ?sbevd / ?hbevd read a 1x1 matrix from the top storage
+    row, and their scaling of a tiny or huge matrix (?lascl) rejects a wider
+    band, leaving it unscaled."""
+    bands = m.bands[max(m.bandwidth + 1 - m.dim, 0):]
+    return scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)
 
 
 def _loose_sites(m):
     """Sites whose off-diagonal row sum is at most eps * ||M||_1 / (2 u)."""
     a = np.abs(m.to_dense())
-    return _off_diagonal_sums(a) <= EPS * a.sum(axis=0).max() / (2 * max(m.bandwidth, 1))
+    tau = EPS * a.sum(axis=0).max(initial=0.0) / (2 * max(m.bandwidth, 1))
+    return _off_diagonal_sums(a) <= tau
 
 
 def _off_diagonal_sums(a):
@@ -144,20 +150,34 @@ def _random_banded(rng, dim, bw, dtype):
 
 # a factor f sets a site's off-diagonal row sum to f * tau
 FACTORS = (None, 0.0, 0.5, 0.99, 0.999999, 1.000001, 1.01, 2.0)
+# 1e-150 and 1e150 put the max-abs norm below rmin = 2**-485 and above
+# rmax = 2**485, where LAPACK scales the matrix before the solve
+SCALES = (1.0, 1e-150, 1e150)
 
 
-@settings(max_examples=80, deadline=None)
-@given(dim=st.integers(2, 40), bw=st.integers(1, 4), dtype=st.sampled_from([float, complex]),
-       seed=st.integers(0, 2**32 - 1), factors=st.lists(st.sampled_from(FACTORS), max_size=40))
+@settings(max_examples=120, deadline=None)
+@given(dim=st.integers(0, 40), bw=st.integers(0, 4), dtype=st.sampled_from([float, complex]),
+       seed=st.integers(0, 2**32 - 1), factors=st.lists(st.sampled_from(FACTORS), max_size=40),
+       scale=st.sampled_from(SCALES))
 # one kept site (5) between loose ones: a 1x1 solve in bandwidth-1 storage
-@example(dim=7, bw=1, dtype=float, seed=0, factors=[0.0, 0.0, 0.5, 0.99])
-def test_eigh_banded_deflation_agrees_with_the_full_solve(dim, bw, dtype, seed, factors):
+@example(dim=7, bw=1, dtype=float, seed=0, factors=[0.0, 0.0, 0.5, 0.99], scale=1.0)
+@example(dim=7, bw=1, dtype=complex, seed=0, factors=[0.0, 0.0, 0.5, 0.99], scale=1e-150)
+@example(dim=0, bw=2, dtype=float, seed=0, factors=[], scale=1.0)
+@example(dim=1, bw=3, dtype=complex, seed=0, factors=[], scale=1e150)
+# a band wider than the matrix, scaled by LAPACK
+@example(dim=3, bw=4, dtype=complex, seed=1, factors=[], scale=1e150)
+@example(dim=2, bw=3, dtype=float, seed=1, factors=[], scale=1e-150)
+# no loose site: one solve of the whole matrix, scipy's bits
+@example(dim=40, bw=4, dtype=complex, seed=2, factors=[], scale=1e-150)
+@example(dim=40, bw=2, dtype=float, seed=2, factors=[], scale=1e150)
+def test_eigh_banded_deflation_agrees_with_the_full_solve(dim, bw, dtype, seed, factors,
+                                                          scale):
     dense = _random_banded(np.random.default_rng(seed), dim, bw, dtype)
     # sites more than bw apart share no entry, so each is scaled on its own
     scaled = [(j, f) for j, f in zip(range(0, dim, bw + 1), factors) if f is not None]
     for _ in range(3):  # tau moves with ||M||_1 as the rows shrink
         a = np.abs(dense)
-        tau = EPS * a.sum(axis=0).max() / (2 * bw)
+        tau = EPS * a.sum(axis=0).max(initial=0.0) / (2 * max(bw, 1))
         off = _off_diagonal_sums(a)
         for j, f in scaled:
             s = f * tau / off[j] if off[j] else 0.0
@@ -165,11 +185,15 @@ def test_eigh_banded_deflation_agrees_with_the_full_solve(dim, bw, dtype, seed, 
             dense[j, :] *= s
             dense[:, j] *= s
             dense[j, j] = diag
-    m = BandedHermitian.from_dense(dense, bw)
+    dense *= scale
+    if dim:
+        m = BandedHermitian.from_dense(dense, bw)
+    else:
+        m = BandedHermitian(np.zeros((bw + 1, 0), dtype=dtype))
     w, ref = eigh_banded(m), _full_solve(m)
     assert w.shape == (dim,) and w.dtype == float
     assert np.all(np.diff(w) >= 0)
-    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12 * scale)
     if not _loose_sites(m).any():
         assert np.array_equal(w, ref)  # the one full solve, same bits
 

@@ -80,7 +80,8 @@ def test_frame_columns_are_seed_eigenstates():
 def test_wronskian_constant_semantics():
     # phi2*psi1 - phi1*psi2 is constant in x and equals w0/(m - lambda)
     fr = _frame()
-    w = fr.wronskian_samples
+    (_, psi1, psi2), (_, phi1, phi2), _ = fr.f
+    w = phi2 * psi1 - phi1 * psi2
     want = SEED.w0 / (SEED.mass - SEED.flat_energy)
     # pointwise agreement is limited by cosh*cosh cancellation at the
     # box walls; the relative stdev is the tighter invariant
