@@ -245,24 +245,22 @@ def _edge_mask(density):
     return edge_mass >= EDGE_MASS
 
 
-def _walk_to_gap_edge(chain, w, indices, ipr, edge, walked):
+def _walk_to_gap_edge(chain, w, indices, ipr, edge):
     """Fill ipr/edge along `indices` up to the first non-edge state; return
     its eigenvalue (nan if every state on the walk is edge-localized).
     States within EIGVEC_RESIDUAL_TOL * norm_1 of a group's first form one
-    numerically degenerate group, walked whole; its rows get the IPR and
-    edge flag of its mean density, which no rotation within it changes.
-    Appends each (eigenvalue, vector) to `walked`, to which banded_eigvec
-    keeps each new vector of a group orthogonal."""
+    numerically degenerate group, walked whole: banded_eigvec keeps each of
+    its vectors orthogonal to those computed before it. Its rows get the
+    IPR and edge flag of its mean density, which no rotation within it
+    changes."""
     tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
     while len(indices):
         group = indices[np.abs(w[indices] - w[indices[0]]) <= tol]
         indices = indices[group.size:]
-        density = 0.0
+        vectors = []
         for i in group:
-            v = banded_eigvec(chain, w[i], previous=walked)
-            walked.append((w[i], v))
-            density = density + np.abs(v) ** 2
-        density = (density / group.size)[:, None]
+            vectors.append(banded_eigvec(chain, w[i], vectors))
+        density = (sum(np.abs(v) ** 2 for v in vectors) / group.size)[:, None]
         ipr[group] = inverse_participation_ratio(density)[0]
         edge[group] = _edge_mask(density)[0]
         if not edge[group[0]]:
@@ -298,9 +296,8 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=None)
     excluded = max(gap_exclusion, cluster_tol)
     above = np.flatnonzero(offset > excluded)           # ascending
     below = np.flatnonzero(offset < -excluded)[::-1]    # descending
-    walked = []
-    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge, walked)
-    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge, walked)
+    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge)
+    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge)
     return SpectrumReport(
         eigenvalues=w,
         cluster_count=int((np.abs(offset) <= cluster_tol).sum()),

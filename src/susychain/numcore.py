@@ -163,10 +163,9 @@ def eigh_banded(m):
 
 @functools.cache
 def _lapack(name):
-    """LAPACK routine `name` of scipy's Cython bindings as a ctypes function
-    of pointer arguments (returning a double for the ?lan* norms). A ctypes
-    call releases the GIL, which scipy's f2py wrappers hold, so solves on
-    two threads run at once."""
+    """LAPACK subroutine `name` of scipy's Cython bindings as a ctypes
+    function of pointer arguments. A ctypes call releases the GIL, which
+    scipy's f2py wrappers hold, so solves on two threads run at once."""
     import ctypes
 
     from scipy.linalg import cython_lapack
@@ -178,59 +177,39 @@ def _lapack(name):
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
     signature = get_name(capsule)  # the C signature, "void (char *, int *, ...)"
-    restype = None if signature.startswith(b"void ") else ctypes.c_double
     n_args = signature.count(b",") + 1
-    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * n_args)(
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
         get_pointer(capsule, signature))
-
-
-# ?sbevd's scaling range [rmin, rmax]: the square roots of safe minimum /
-# precision and of its inverse, 2**-485 and 2**485
-_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
-_RMAX = np.sqrt(np.finfo(float).eps / np.finfo(float).tiny)
 
 
 def _band_eigvalsh(ab):
     """Eigenvalues, ascending, of the Hermitian matrix whose upper band
     storage is `ab` (float64 or complex128, Fortran order; overwritten).
 
-    These are the steps of LAPACK's ?sbevd / ?hbevd without vectors, so the
-    values are scipy.linalg.eig_banded's bit for bit: scale the matrix by
-    sigma if its max-abs norm lies outside [rmin, rmax], reduce it to
-    tridiagonal form (?sbtrd / ?hbtrd), take the tridiagonal's eigenvalues
-    (dsterf) and scale them by 1/sigma. A band wider than the matrix is
-    read as it is (?sbevd's own scaling rejects one), and a 1x1 matrix is
-    read from its diagonal row (?sbevd's quick return reads the top row).
+    One call of LAPACK's ?sbevd / ?hbevd without vectors, the driver of
+    scipy.linalg.eig_banded, so the values are its bits. Only the
+    kd = min(bandwidth, n - 1) superdiagonals next to the diagonal are
+    passed: the driver's scaling of a tiny or huge matrix rejects kd >= n.
     """
     import ctypes
 
     u, n = ab.shape[0] - 1, ab.shape[1]
     if n <= 1:
         return ab[u].real.copy()
-    norm, reduce = ("zlanhb", "zhbtrd") if np.iscomplexobj(ab) else ("dlansb", "dsbtrd")
-    n_, kd, ldab, one = (ctypes.byref(ctypes.c_int(v)) for v in (n, u, u + 1, 1))
-    d, e = np.empty(n), np.empty(n)
-    work = np.empty(n, dtype=ab.dtype)
-    info = ctypes.c_int(0)
-    # max-abs norm; its work argument (d) is not referenced for "M"
-    anrm = _lapack(norm)(b"M", b"U", n_, kd, ab.ctypes.data, ldab, d.ctypes.data)
-    sigma = 1.0
-    if 0.0 < anrm < _RMIN:
-        sigma = _RMIN / anrm
-    elif anrm > _RMAX:
-        sigma = _RMAX / anrm
-    if sigma != 1.0:
-        ab *= sigma
-    # its Q argument (work) is not referenced without vectors
-    _lapack(reduce)(b"N", b"U", n_, kd, ab.ctypes.data, ldab, d.ctypes.data,
-                    e.ctypes.data, work.ctypes.data, one, work.ctypes.data,
-                    ctypes.byref(info))
-    _lapack("dsterf")(n_, d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    kd = min(u, n - 1)
+    w, rwork = np.empty(n), np.empty(n)
+    work = np.empty(2 * n, dtype=ab.dtype)
+    n_, kd_, ldab, one, lwork = (ctypes.byref(ctypes.c_int(v)) for v in (n, kd, u + 1, 1, 2 * n))
+    iwork, info = ctypes.c_int(0), ctypes.c_int(0)
+    name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
+    rwork_args = (rwork.ctypes.data, n_) if name == "zhbevd" else ()
+    # its Z argument (work) is not referenced without vectors
+    _lapack(name)(b"N", b"U", n_, kd_, ab[u - kd:].ctypes.data, ldab, w.ctypes.data,
+                  work.ctypes.data, one, work.ctypes.data, lwork, *rwork_args,
+                  ctypes.byref(iwork), one, ctypes.byref(info))
     if info.value:
-        raise NumericalError(f"dsterf: {info.value} off-diagonal elements did not converge")
-    if sigma != 1.0:
-        d *= 1.0 / sigma
-    return d
+        raise NumericalError(f"{name}: {info.value} off-diagonal elements did not converge")
+    return w
 
 
 def _general_bands(m):
@@ -252,12 +231,12 @@ def norm_1(m):
 
 EIGVEC_ITERATIONS = 3
 # residual bound of banded_eigvec, and the eigenvalue distance within which
-# it (and chain_spectrum) treat states as one numerically degenerate group,
-# both in units of norm_1
+# chain_spectrum treats states as one numerically degenerate group, both in
+# units of norm_1
 EIGVEC_RESIDUAL_TOL = 1e-10
 
 
-def banded_eigvec(m, energy, previous=()):
+def banded_eigvec(m, energy, group=()):
     """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
 
     Inverse iteration with one banded LU of M - energy*I (general band
@@ -269,11 +248,10 @@ def banded_eigvec(m, energy, previous=()):
     EIGVEC_RESIDUAL_TOL * norm_1(m).
 
     Within a numerically degenerate group the vector is some unit vector
-    of the group's eigenspace, not a particular basis member. `previous`
-    holds (eigenvalue, unit vector) pairs computed before; those whose
-    eigenvalue lies within EIGVEC_RESIDUAL_TOL * norm_1(m) of `energy` are
-    projected out after every solve, so successive calls over a degenerate
-    group give an orthonormal set.
+    of the group's eigenspace, not a particular basis member. `group` holds
+    the unit vectors already computed for the group of `energy`; they are
+    projected out after every solve, so successive calls over the group
+    give an orthonormal set.
     """
     import scipy.linalg
 
@@ -281,8 +259,6 @@ def banded_eigvec(m, energy, previous=()):
         raise NumericalError("non-finite input to banded_eigvec")
     u, n = m.bandwidth, m.dim
     scale = norm_1(m)
-    group = [q for e, q in previous
-             if abs(e - energy) <= EIGVEC_RESIDUAL_TOL * scale]
     # factor M - energy*I once (gbtrf, the first half of gbsv) for the
     # solves (gbtrs), in general band storage whose u extra rows on top
     # take the fill-in of pivoting

@@ -28,7 +28,7 @@ from susychain.lattice import (
 )
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
-    block_tridiagonal_bands, eigh_banded, norm_1
+    banded_eigvec, block_tridiagonal_bands, eigh_banded, norm_1
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -265,7 +265,7 @@ def test_edge_state_detection_ssh_limit():
     assert abs(rep.gap_edge_pos) > 0.3
 
 
-def test_walk_gives_degenerate_pair_orthonormal_vectors():
+def test_walk_gives_degenerate_pair_orthonormal_vectors(monkeypatch):
     # the two SSH zero modes are split by ~2e-17; inverse iteration from
     # one fixed start vector finds the same vector for both unless the
     # second is kept orthogonal to the first
@@ -277,8 +277,14 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors():
     ipr = np.full(w.size, np.nan)
     edge = np.zeros(w.size, dtype=bool)
     walked = []
-    assert np.isnan(_walk_to_gap_edge(chain, w, pair, ipr, edge, walked))
-    vectors = np.array([v for _, v in walked])
+
+    def recorded(m, energy, group=()):
+        walked.append(banded_eigvec(m, energy, group))
+        return walked[-1]
+
+    monkeypatch.setattr(lattice, "banded_eigvec", recorded)
+    assert np.isnan(_walk_to_gap_edge(chain, w, pair, ipr, edge))
+    vectors = np.array(walked)
     np.testing.assert_allclose(vectors @ vectors.conj().T, np.eye(2), atol=1e-8)
     assert edge[pair].all()
 

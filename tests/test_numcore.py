@@ -1,5 +1,9 @@
 """Unit tests for grids, banded matrices, stencils and quadratic roots."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susychain.errors import NonHermitianError, NumericalError
+from susychain.lattice import build_finite_chain
+from susychain.models import ModelKind, ModelParams, sample_chain_profile
 from susychain.numcore import (
     BandedHermitian,
     Grid,
@@ -233,6 +239,74 @@ def test_eigh_banded_fewer_kept_sites_than_the_band():
     m = BandedHermitian.from_dense(dense, 4)
     assert np.flatnonzero(~_loose_sites(m)).tolist() == [1, 3]
     np.testing.assert_allclose(eigh_banded(m), np.linalg.eigvalsh(dense), atol=1e-15)
+
+
+# kept sites of a bandwidth-2 or -4 matrix, fewer than bandwidth + 1: the
+# compacted block has fewer rows than its band storage has diagonals
+NARROW_BLOCKS = [(2, [1, 3]), (4, [1, 3]), (4, [1, 2, 5]), (4, [0, 1, 3, 4])]
+
+
+@pytest.mark.parametrize("bw, kept", NARROW_BLOCKS)
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("scale", [1e-150, 1e150, 1e-300, 1e300])
+def test_eigh_banded_narrow_block_is_scaled_like_eig_banded(bw, kept, dtype, scale):
+    # at these scales LAPACK scales the matrix before the solve, which it
+    # refuses for a band as wide as the block; the values must still be
+    # eig_banded's on the block in storage of at most dim - 1 superdiagonals
+    rng = np.random.default_rng(bw + len(kept))
+    block = _random_banded(rng, len(kept), len(kept) - 1, dtype) * scale
+    dense = np.diag(rng.normal(size=7) * scale).astype(dtype)
+    dense[np.ix_(kept, kept)] = block
+    m = BandedHermitian.from_dense(dense, bw)
+    assert np.flatnonzero(~_loose_sites(m)).tolist() == kept
+    loose = np.delete(dense.diagonal().real, kept)
+    ref = _full_solve(BandedHermitian.from_dense(block, bw))
+    assert np.array_equal(eigh_banded(m), np.sort(np.concatenate([ref, loose])))
+
+
+def _count_while(solve):
+    """Iterations of a Python loop on this thread while `solve` runs on another."""
+    started, done = threading.Event(), []
+
+    def work():
+        started.set()
+        try:
+            solve()
+        finally:
+            done.append(True)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    assert started.wait(timeout=60)
+    time.sleep(0.005)  # lets the worker reach the solve before the count starts
+    count = 0
+    while not done:
+        count += 1
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return count
+
+
+def test_eigh_banded_releases_the_gil():
+    # scipy's eig_banded holds the GIL through its LAPACK call, so the loop
+    # here stalls while it runs; eigh_banded's LAPACK call lets it run on.
+    # The loop also runs whenever the worker waits to take the GIL back, up
+    # to one switch interval; a short one keeps that share small
+    p = ModelParams(ModelKind.II, 0.03, 0.015)
+    chain = build_finite_chain(sample_chain_profile(p, 800))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        held = np.median([_count_while(
+            lambda: scipy.linalg.eig_banded(chain.bands, eigvals_only=True))
+            for _ in range(5)])
+        released = np.median([_count_while(lambda: eigh_banded(chain)) for _ in range(5)])
+    finally:
+        sys.setswitchinterval(interval)
+    # on 2 cores the medians differ 250- to 610-fold (18-fold or more with
+    # three busy processes beside the test), and at most 3-fold when
+    # eigh_banded solves through eig_banded
+    assert released > 5 * held
 
 
 def _solve_banded_eigvec(m, energy):
