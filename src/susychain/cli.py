@@ -13,7 +13,8 @@ anything else a command does not read is a config error, as are a value
 of the wrong type (2.7 or true for an integer) and a value out of range.
 All numeric CSV output uses 17 significant digits; JSON floats use Python's
 shortest round-trip repr, null if not finite. Exit codes: 0 success, 2
-config error, 3 numerical/singularity error, 4 verification failure.
+config error, 3 numerical/singularity error or out of memory, 4
+verification failure.
 """
 
 import argparse
@@ -22,7 +23,6 @@ import json
 import math
 import os
 import sys
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -98,13 +98,18 @@ def _real(val):
     return float(val)
 
 
-def _count(least):
-    """Cast to an int of at least `least`; 2.7 and true are not counts."""
+MAX_SIZE = 2**53  # the largest count a float value gives exactly
+
+
+def _count(least, most=MAX_SIZE):
+    """Cast to an int in [least, most]; 2.7 and true are not counts."""
     def cast(val):
         if not _real(val).is_integer():
             raise ValueError(f"expected an integer, got {val!r}")
         if val < least:
             raise ValueError(f"need at least {least}, got {val!r}")
+        if val > most:
+            raise ValueError(f"need at most {most}, got {val!r}")
         return int(val)
     return cast
 
@@ -344,30 +349,6 @@ def cmd_susy(st, out_dir):
     return EXIT_OK
 
 
-def _run_concurrently(first, second):
-    """(first(), second()), with first() on a worker thread while second()
-    runs on this one; their eigensolves release the GIL, so the two
-    overlap. An exception of first() is raised here once the worker has
-    ended, ahead of any exception of second(), as if they ran in turn."""
-    outcome = {}
-
-    def work():
-        try:
-            outcome["value"] = first()
-        except BaseException as exc:  # re-raised on the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        value = second()
-    finally:
-        worker.join()
-        if "error" in outcome:
-            raise outcome["error"]
-    return outcome["value"], value
-
-
 SPECTRUM_KEYS = {
     **MODEL_KEYS,
     "method": Key(_choice("chain", "continuum", "both"), "chain",
@@ -407,11 +388,16 @@ def cmd_spectrum(st, out_dir):
         return chain_spectrum(op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
                               gap_exclusion=gap_exclusion)
 
+    # imported here, so only spectrum pays for it; scipy.linalg loads it anyway
+    from concurrent.futures import ThreadPoolExecutor
+
     routes = {"chain": chain_route, "continuum": continuum_route}
-    if method == "both":
-        reports = dict(zip(routes, _run_concurrently(*routes.values())))
-    else:
-        reports = {method: routes[method]()}
+    # the eigensolves release the GIL, so both routes overlap; reading the
+    # results chain first reports a chain error ahead of a continuum one
+    with ThreadPoolExecutor() as pool:
+        futures = {name: pool.submit(route) for name, route in routes.items()
+                   if method in (name, "both")}
+    reports = {name: future.result() for name, future in futures.items()}
 
     summary = {
         "model": p.kind.value,
@@ -441,8 +427,9 @@ def cmd_spectrum(st, out_dir):
 
 
 VERIFY_KEYS = {
-    "seed": Key(_count(0), 0, "seed of the randomized checks"),
-    "tol": Key(_real, None, "threshold of every '<=' check; unset: its own"),
+    "seed": Key(_count(0, math.inf), 0, "seed of the randomized checks"),
+    "tol": Key(_positive, None,
+               "threshold of every '<=' check, finite and > 0; unset: its own"),
 }
 
 
@@ -528,7 +515,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SusychainError as exc:
+    except (SusychainError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

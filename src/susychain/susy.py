@@ -78,11 +78,7 @@ class SeedData:
 
 def seed_potential_matrix(s):
     """Potential part of the seed Hamiltonian (constant in x)."""
-    return np.array([
-        [s.mass, -1j * s.gauge_a, 0.0],
-        [1j * s.gauge_a, -s.mass, 0.0],
-        [0.0, 0.0, s.flat_energy],
-    ])
+    return potential_matrix(s.mass, s.gauge_a, 0.0, 0.0, 0.0, s.flat_energy)
 
 
 @dataclass(frozen=True)

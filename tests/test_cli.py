@@ -215,6 +215,13 @@ def test_non_integral_and_boolean_values_exit_2(tmp_path, capsys, argv, key):
     (["spectrum", *MODEL_I, "--set", "cluster_tol=-1"], "cluster_tol"),
     (["spectrum", *MODEL_I, "--set", "cluster_tol=nan"], "cluster_tol"),
     (["spectrum", *MODEL_I, "--set", "gap_exclusion=-1"], "gap_exclusion"),
+    # past numpy's index range: a config error, not a failed allocation
+    (["spectrum", *MODEL_I, "--cells", str(10**19)], "cells"),
+    (["susy", *MODEL_I, "--grid-points", str(10**19)], "grid_points"),
+    # nan fails every check and inf passes every one, whatever was measured
+    (["verify", "--tol", "nan"], "tol"),
+    (["verify", "--tol", "-1"], "tol"),
+    (["verify", "--tol", "inf"], "tol"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, argv, key):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -261,15 +268,16 @@ def test_only_spectrum_loads_scipy_linalg(tmp_path):
         out = {str(tmp_path)!r}
         tb = ["--set", "t_ab=1", "--set", "t_ab_inter=1",
               "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
-        assert "scipy.linalg" not in sys.modules
+        lazy = {{"scipy.linalg", "concurrent.futures"}}
+        assert not lazy & sys.modules.keys()
         for argv in (["bands", *tb], ["tune", *tb],
                      ["susy", "--set", "model=I", "--set", "mass=0.07"],
                      ["verify", "--seed", "3"]):
             assert main([argv[0], "--out", out, *argv[1:]]) == 0, argv
-        assert "scipy.linalg" not in sys.modules
+        assert not lazy & sys.modules.keys()
         assert main(["spectrum", "--out", out, "--set", "model=I",
                      "--set", "mass=0.07", "--cells", "60"]) == 0
-        assert "scipy.linalg" in sys.modules
+        assert lazy <= sys.modules.keys()
     """)
     src = str(Path(susychain.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -497,13 +505,24 @@ def test_spectrum_both_writes_the_bytes_of_each_route_alone(tmp_path, params):
         assert json.dumps(both[route]) == json.dumps(alone[route])
 
 
-@pytest.mark.parametrize("method", ["chain", "both"])
-def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(tmp_path, capsys,
-                                                               monkeypatch, method):
-    def broken(chain, **kwargs):
-        if chain.dim == 3 * 60:  # the chain route's matrix: 60 cells
-            raise NumericalError("chain route failed")
-        return spectrum(chain, **kwargs)
+@pytest.mark.parametrize("method,failing,error,shown", [
+    ("chain", ["chain"], NumericalError, "chain"),
+    ("both", ["chain"], NumericalError, "chain"),
+    ("both", ["continuum"], NumericalError, "continuum"),
+    ("both", ["chain", "continuum"], NumericalError, "chain"),
+    ("both", ["continuum"], MemoryError, "continuum"),
+], ids=["chain", "both", "both_continuum_fails", "both_routes_fail",
+        "both_memory_error"])
+def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(
+        tmp_path, capsys, monkeypatch, method, failing, error, shown):
+    # each route is told apart by its matrix: 60 cells, 301 grid points
+    dims = {"chain": 3 * 60, "continuum": 3 * 301}
+    broken_dims = {dims[route]: route for route in failing}
+
+    def broken(op, **kwargs):
+        if op.dim in broken_dims:
+            raise error(f"{broken_dims[op.dim]} route failed")
+        return spectrum(op, **kwargs)
 
     spectrum = cli.chain_spectrum
 
@@ -513,7 +532,9 @@ def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(tmp_path, capsys
                "--set", "mass=0.07", "--set", f"method={method}",
                "--cells", "60", "--grid-points", "301"])
     assert rc == EXIT_NUMERICAL
-    assert "chain route failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one message, the first route's in chain-then-continuum order
+    assert err == f"error: {shown} route failed\n"
     assert threading.active_count() == threads
     assert not (tmp_path / "spectrum_summary.json").exists()
 

@@ -339,16 +339,20 @@ def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
             w[bulk & (w < flat_energy)].max(), w[bulk & (w > flat_energy)].min())
 
 
+def _route_operator(p, route, size, box=12.0):
+    """The chain of `size` cells, or the continuum on `size` points over
+    [-box/kappa, box/kappa]."""
+    if route == "chain":
+        return build_finite_chain(models.sample_chain_profile(p, size))
+    grid = Grid(-box / p.kappa, box / p.kappa, size)
+    comps = models.model_potential_components(p, grid)
+    return discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
+
+
 def _model_case(kind, mass, lam, route):
     p = ModelParams(kind, mass, lam)
-    gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
-    if route == "chain":
-        op = build_finite_chain(models.sample_chain_profile(p, 100))
-    else:
-        grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 101)
-        comps = models.model_potential_components(p, grid)
-        op = discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
-    return op, lam, 1e-6, gap_exclusion
+    op = _route_operator(p, route, 100 if route == "chain" else 101)
+    return op, lam, 1e-6, 0.1 * models.model_spectrum(p).gap_edge
 
 
 def _ssh_case(end_potentials):
@@ -391,19 +395,24 @@ def _full_eigh_banded(m):
     return scipy.linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
 
 
-@pytest.mark.parametrize("cells", [400, 800])
+@pytest.mark.parametrize("route,size,box", [("chain", 400, None),
+                                            ("chain", 800, None),
+                                            ("continuum", 601, 36.0)],
+                         ids=["400", "800", "continuum"])
 @pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
                                            (ModelKind.II, 0.1, 0.05)],
                          ids=["model_I", "model_II"])
 def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind,
-                                                               mass, lam, cells):
+                                                               mass, lam, route,
+                                                               size, box):
     p = ModelParams(kind, mass, lam)
-    chain = build_finite_chain(models.sample_chain_profile(p, cells))
+    op = _route_operator(p, route, size, box)
     gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
-    rep = chain_spectrum(chain, flat_energy=lam, gap_exclusion=gap_exclusion)
+    rep = chain_spectrum(op, flat_energy=lam, gap_exclusion=gap_exclusion)
     monkeypatch.setattr(lattice, "eigh_banded", _full_eigh_banded)
-    full = chain_spectrum(chain, flat_energy=lam, gap_exclusion=gap_exclusion)
-    # C sites far from the kink are deflated: exactly eps_c = lam
+    full = chain_spectrum(op, flat_energy=lam, gap_exclusion=gap_exclusion)
+    # sites left uncoupled are deflated, exactly lam: the chain's C sites far
+    # from the kink, the continuum's third component where v13, v23 vanish
     assert (rep.eigenvalues == lam).sum() > (full.eigenvalues == lam).sum() + 40
     np.testing.assert_allclose(rep.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12)
     assert rep.cluster_count == full.cluster_count
