@@ -36,19 +36,24 @@ def smooth_test_states(x):
 def invariant_checks(seed, tol_override):
     """The invariant battery behind `susychain verify`.
 
-    Each entry: (name, measured, threshold, kind) with kind 'max' (pass if
-    measured <= threshold) or 'min' (pass if measured >= threshold).
-    Thresholds of 'max' checks can be overridden with --tol.
+    Each entry is one row of verify.json: name, passed, measured,
+    threshold and comparison, '<=' (pass if measured <= threshold) or '>='.
+    tol_override, unless None, replaces the threshold of every '<=' check.
     """
     rng = np.random.default_rng(seed)
     checks = []
 
+    def add(name, measured, threshold, comparison):
+        measured, threshold = float(measured), float(threshold)
+        passed = measured <= threshold if comparison == "<=" else measured >= threshold
+        checks.append({"name": name, "passed": passed, "measured": measured,
+                       "threshold": threshold, "comparison": comparison})
+
     def add_max(name, measured, threshold):
-        t = threshold if tol_override is None else tol_override
-        checks.append((name, float(measured), float(t), "max"))
+        add(name, measured, threshold if tol_override is None else tol_override, "<=")
 
     def add_min(name, measured, threshold):
-        checks.append((name, float(measured), float(threshold), "min"))
+        add(name, measured, threshold, ">=")
 
     # flat-band tuning against the known exact point
     p_ref = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)

@@ -222,9 +222,9 @@ class SpectrumReport:
 
 
 def inverse_participation_ratio(density):
-    """IPR of each column of site densities p = |v|^2: sum p^2 / (sum p)^2;
-    1/dim for extended states."""
-    return (density**2).sum(axis=0) / density.sum(axis=0) ** 2
+    """IPR of the site densities p = |v|^2 of one state: sum p^2 / (sum p)^2;
+    1/dim for an extended state."""
+    return (density**2).sum() / density.sum() ** 2
 
 
 # a state is edge-localized when at least EDGE_MASS of its weight lies in
@@ -235,48 +235,44 @@ EDGE_MASS = 0.5
 
 
 def _edge_mask(density):
-    """True for edge-localized states (columns of site densities |v|^2)."""
-    dim = density.shape[0]
-    n_pts = dim // SITES_PER_POINT
+    """True if the state of site densities |v|^2 is edge-localized."""
+    n_pts = density.size // SITES_PER_POINT
     n_edge = max(1, int(np.ceil(EDGE_FRACTION * n_pts)))
-    w = density / density.sum(axis=0)
-    cells = w.reshape(n_pts, SITES_PER_POINT, -1).sum(axis=1)
-    edge_mass = cells[:n_edge].sum(axis=0) + cells[-n_edge:].sum(axis=0)
-    return edge_mass >= EDGE_MASS
+    cells = (density / density.sum()).reshape(n_pts, SITES_PER_POINT).sum(axis=1)
+    return cells[:n_edge].sum() + cells[-n_edge:].sum() >= EDGE_MASS
 
 
-def _walk_to_gap_edge(chain, w, indices, ipr, edge):
+def _walk_to_gap_edge(chain, w, indices, group_tol, ipr, edge):
     """Fill ipr/edge along `indices` up to the first non-edge state; return
     its eigenvalue (nan if every state on the walk is edge-localized).
-    States within EIGVEC_RESIDUAL_TOL * norm_1 of a group's first form one
-    numerically degenerate group, walked whole: banded_eigvec keeps each of
-    its vectors orthogonal to those computed before it. Its rows get the
-    IPR and edge flag of its mean density, which no rotation within it
+    States within group_tol of a group's first form one numerically
+    degenerate group, walked whole: banded_eigvec keeps each of its
+    vectors orthogonal to those computed before it. Its rows get the IPR
+    and edge flag of its mean density, which no rotation within it
     changes."""
-    tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
     while len(indices):
-        group = indices[np.abs(w[indices] - w[indices[0]]) <= tol]
+        group = indices[np.abs(w[indices] - w[indices[0]]) <= group_tol]
         indices = indices[group.size:]
         vectors = []
         for i in group:
             vectors.append(banded_eigvec(chain, w[i], vectors))
-        density = (sum(np.abs(v) ** 2 for v in vectors) / group.size)[:, None]
-        ipr[group] = inverse_participation_ratio(density)[0]
-        edge[group] = _edge_mask(density)[0]
+        density = sum(np.abs(v) ** 2 for v in vectors) / group.size
+        ipr[group] = inverse_participation_ratio(density)
+        edge[group] = _edge_mask(density)
         if not edge[group[0]]:
             return float(w[group[0]])
     return float("nan")
 
 
-def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=None):
+def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=0.0):
     """Diagonalize a banded chain and summarize its spectrum.
 
     Eigenvalues within cluster_tol of flat_energy form the flat-band
     cluster. Gap edges are the nearest remaining eigenvalues on either
     side, after discarding edge-localized states (>= 50% of weight in
-    the outer 5% of cells) and everything within gap_exclusion of
-    flat_energy (finite-size members of the flat cluster can leak
-    slightly past cluster_tol; default gap_exclusion = cluster_tol).
+    the outer 5% of cells) and everything within max(gap_exclusion,
+    cluster_tol) of flat_energy (finite-size members of the flat cluster
+    can leak slightly past cluster_tol).
 
     Only eigenvalues come from the full solve. Eigenvectors are computed
     one at a time by inverse iteration, walking outward from flat_energy
@@ -288,16 +284,15 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=None)
     and edge flag of the group's mean density.
     """
     w = eigh_banded(chain)
-    if gap_exclusion is None:
-        gap_exclusion = cluster_tol
     ipr = np.full(w.size, np.nan)
     edge = np.zeros(w.size, dtype=bool)
     offset = w - flat_energy
     excluded = max(gap_exclusion, cluster_tol)
     above = np.flatnonzero(offset > excluded)           # ascending
     below = np.flatnonzero(offset < -excluded)[::-1]    # descending
-    gap_edge_pos = _walk_to_gap_edge(chain, w, above, ipr, edge)
-    gap_edge_neg = _walk_to_gap_edge(chain, w, below, ipr, edge)
+    group_tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
+    gap_edge_pos = _walk_to_gap_edge(chain, w, above, group_tol, ipr, edge)
+    gap_edge_neg = _walk_to_gap_edge(chain, w, below, group_tol, ipr, edge)
     return SpectrumReport(
         eigenvalues=w,
         cluster_count=int((np.abs(offset) <= cluster_tol).sum()),

@@ -74,16 +74,10 @@ class BandedHermitian:
         self.dim = b.shape[1]
 
     @classmethod
-    def from_dense(cls, m, bandwidth=None):
+    def from_dense(cls, m, bandwidth):
         m = np.asarray(m)
         n = m.shape[0]
         _require_hermitian(m)
-        if bandwidth is None:
-            bandwidth = 0
-            for d in range(n - 1, 0, -1):
-                if np.abs(np.diagonal(m, d)).max() > 0:
-                    bandwidth = d
-                    break
         b = np.zeros((bandwidth + 1, n), dtype=m.dtype)
         for d in range(bandwidth + 1):
             b[bandwidth - d, d:] = np.diagonal(m, d)
@@ -127,7 +121,7 @@ def block_tridiagonal_bands(onsite, coupling, bandwidth):
 def eigh_banded(m):
     """All `dim` eigenvalues of a BandedHermitian, ascending.
 
-    A site whose off-diagonal absolute row sum r_j is at most
+    A site whose off-diagonal absolute column sum r_j is at most
     tau = eps * ||M||_1 / (2 * bandwidth) is deflated: its diagonal entry is
     returned as an eigenvalue. The kept sites are compacted into band storage
     of the same bandwidth (dropping indices only shortens distances) and go
@@ -142,13 +136,8 @@ def eigh_banded(m):
     b, u = m.bands, m.bandwidth
     if not np.all(np.isfinite(b)):
         raise NumericalError("non-finite entries in banded matrix")
-    absb = np.abs(b)
-    row_sums = np.zeros(m.dim)
-    for d in range(1, u + 1):  # absb[u - d, j] = |M[j - d, j]|
-        row_sums[d:] += absb[u - d, d:]
-        row_sums[:-d] += absb[u - d, d:]
-    norm_1 = (absb[u] + row_sums).max(initial=0.0)
-    loose = row_sums <= np.finfo(float).eps * norm_1 / (2 * max(u, 1))
+    off_sums, sums = _column_sums(m)
+    loose = off_sums <= np.finfo(float).eps * sums.max(initial=0.0) / (2 * max(u, 1))
     kept = np.flatnonzero(~loose)
     compact = np.zeros((u + 1, kept.size), dtype=complex if np.iscomplexobj(b) else float,
                        order="F")
@@ -212,21 +201,24 @@ def _band_eigvalsh(ab):
     return w
 
 
-def _general_bands(m):
-    """A BandedHermitian in general band storage: its u stored upper
-    diagonals, the diagonal, then the u lower ones as their conjugates."""
-    u, n = m.bandwidth, m.dim
-    ab = np.zeros((2 * u + 1, n), dtype=np.result_type(m.bands, float))
-    ab[: u + 1] = m.bands
-    for d in range(1, u + 1):
-        ab[u + d, : n - d] = np.conj(m.bands[u - d, d:])
-    return ab
+def _column_sums(m):
+    """Absolute sums of each column of a BandedHermitian, without and with
+    its diagonal entry, each added from the column's top entry down."""
+    absb, u = np.abs(m.bands), m.bandwidth
+    off_sums = np.zeros(m.dim)
+    for d in range(u, 0, -1):  # |M[j - d, j]| = absb[u - d, j]
+        off_sums[d:] += absb[u - d, d:]
+    sums = off_sums + absb[u]
+    for d in range(1, u + 1):  # |M[j + d, j]| = absb[u - d, j + d]
+        off_sums[:-d] += absb[u - d, d:]
+        sums[:-d] += absb[u - d, d:]
+    return off_sums, sums
 
 
 def norm_1(m):
     """||M||_1 of a BandedHermitian, its largest absolute column sum,
     floored at the smallest normal double."""
-    return max(float(np.abs(_general_bands(m)).sum(axis=0).max()), np.finfo(float).tiny)
+    return max(float(_column_sums(m)[1].max()), np.finfo(float).tiny)
 
 
 EIGVEC_ITERATIONS = 3
@@ -260,11 +252,13 @@ def banded_eigvec(m, energy, group=()):
     u, n = m.bandwidth, m.dim
     scale = norm_1(m)
     # factor M - energy*I once (gbtrf, the first half of gbsv) for the
-    # solves (gbtrs), in general band storage whose u extra rows on top
-    # take the fill-in of pivoting
-    ab = _general_bands(m)
-    shifted = np.zeros((3 * u + 1, n), dtype=ab.dtype)
-    shifted[u:] = ab
+    # solves (gbtrs), in general band storage: u rows on top for the
+    # fill-in of pivoting, the u + 1 stored rows, then the u lower
+    # diagonals as the conjugates of the upper ones
+    shifted = np.zeros((3 * u + 1, n), dtype=np.result_type(m.bands, float))
+    shifted[u : 2 * u + 1] = m.bands
+    for d in range(1, min(u, n - 1) + 1):
+        shifted[2 * u + d, : n - d] = np.conj(m.bands[u - d, d:])
     shifted[2 * u] -= energy
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (shifted,))
     lu, piv, info = gbtrf(shifted, u, u)

@@ -539,6 +539,43 @@ def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(
     assert not (tmp_path / "spectrum_summary.json").exists()
 
 
+def _record_route_threads(monkeypatch):
+    """Patch cli.chain_spectrum to note, per route, the thread it runs on
+    and the live thread count; routes are told apart by their matrix size
+    (60 cells, 301 grid points)."""
+    routes = {3 * 60: "chain", 3 * 301: "continuum"}
+    seen = {}
+    spectrum = cli.chain_spectrum
+
+    def recorded(op, **kwargs):
+        seen[routes[op.dim]] = (threading.current_thread(), threading.active_count())
+        return spectrum(op, **kwargs)
+
+    monkeypatch.setattr(cli, "chain_spectrum", recorded)
+    return seen
+
+
+def _spectrum_60_cells(tmp_path, method):
+    return main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
+                 "--set", "mass=0.07", "--set", f"method={method}",
+                 "--cells", "60", "--grid-points", "301"])
+
+
+@pytest.mark.parametrize("method", ["chain", "continuum"])
+def test_spectrum_lone_route_starts_no_thread(tmp_path, monkeypatch, method):
+    seen = _record_route_threads(monkeypatch)
+    threads = threading.active_count()
+    assert _spectrum_60_cells(tmp_path, method) == EXIT_OK
+    assert seen == {method: (threading.main_thread(), threads)}
+
+
+def test_spectrum_both_runs_the_continuum_route_on_another_thread(tmp_path, monkeypatch):
+    seen = _record_route_threads(monkeypatch)
+    assert _spectrum_60_cells(tmp_path, "both") == EXIT_OK
+    assert seen["chain"][0] is threading.current_thread()
+    assert seen["continuum"][0] is not threading.current_thread()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 

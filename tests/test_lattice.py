@@ -283,7 +283,8 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors(monkeypatch):
         return walked[-1]
 
     monkeypatch.setattr(lattice, "banded_eigvec", recorded)
-    assert np.isnan(_walk_to_gap_edge(chain, w, pair, ipr, edge))
+    tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
+    assert np.isnan(_walk_to_gap_edge(chain, w, pair, tol, ipr, edge))
     vectors = np.array(walked)
     np.testing.assert_allclose(vectors @ vectors.conj().T, np.eye(2), atol=1e-8)
     assert edge[pair].all()
@@ -331,9 +332,9 @@ def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
         while side.size:
             group = side[np.abs(w[side] - w[side[0]]) <= tol]
             side = side[group.size:]
-            density = (np.abs(v[:, group]) ** 2).mean(axis=1, keepdims=True)
-            ipr[group] = inverse_participation_ratio(density)[0]
-            edge[group] = _edge_mask(density)[0]
+            density = (np.abs(v[:, group]) ** 2).mean(axis=1)
+            ipr[group] = inverse_participation_ratio(density)
+            edge[group] = _edge_mask(density)
     bulk = (np.abs(offset) > excluded) & ~edge
     return (w, ipr, edge, int((np.abs(w - flat_energy) <= cluster_tol).sum()),
             w[bulk & (w < flat_energy)].max(), w[bulk & (w > flat_energy)].min())

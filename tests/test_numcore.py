@@ -21,6 +21,7 @@ from susychain.numcore import (
     diff_central,
     eigh_banded,
     integrate_cumulative,
+    norm_1,
     quad_roots,
 )
 
@@ -62,7 +63,7 @@ def test_grid_rejects_bad_input():
 def test_banded_from_dense_rejects_asymmetry():
     bad = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
     with pytest.raises(NonHermitianError) as exc:
-        BandedHermitian.from_dense(bad)
+        BandedHermitian.from_dense(bad, 1)
     assert exc.value.row == 0 and exc.value.col == 1
 
 
@@ -152,6 +153,18 @@ def _random_banded(rng, dim, bw, dtype):
             vals = vals + 1j * rng.normal(size=dim - d)
         dense += np.diag(vals, d) + np.diag(np.conj(vals), -d)
     return dense
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
+def test_norm_1_is_the_largest_absolute_column_sum(dtype, scale):
+    rng = np.random.default_rng(5)
+    for bw in range(5):
+        for dim in range(1, 30):
+            dense = _random_banded(rng, dim, bw, dtype) * scale
+            m = BandedHermitian.from_dense(dense, bw)
+            ref = max(np.abs(m.to_dense()).sum(axis=0).max(), np.finfo(float).tiny)
+            np.testing.assert_allclose(norm_1(m), ref, rtol=4 * EPS, atol=0)
 
 
 # a factor f sets a site's off-diagonal row sum to f * tau
@@ -366,6 +379,14 @@ def test_banded_eigvec_exact_eigenvalue_of_decoupled_site():
     banded = BandedHermitian.from_dense(np.diag([3.0, 1.0, 2.0]), 1)
     x = banded_eigvec(banded, 2.0)
     np.testing.assert_allclose(np.abs(x), [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_banded_eigvec_band_wider_than_the_matrix():
+    # bandwidth 4 on a 2x2 matrix: only one lower diagonal exists to fill
+    dense = np.array([[1.0, 0.5], [0.5, -2.0]])
+    w, v = np.linalg.eigh(dense)
+    x = banded_eigvec(BandedHermitian.from_dense(dense, 4), w[0])
+    assert abs(np.vdot(v[:, 0], x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_banded_eigvec_rejects_non_eigenvalue():
