@@ -328,13 +328,13 @@ def _seed_and_frame(st):
 def cmd_susy(st, out_dir):
     p, seed, frame = _seed_and_frame(st)
     comps = transformed_potential(frame)
+    residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
+                                                   n_levels=2)
     _write_csv(os.path.join(out_dir, "susy_potential.csv"),
                ["x", "v11", "v12", "v13", "v23"],
                [frame.grid.x, comps.v11, comps.v12, comps.v13, comps.v23])
 
     stack = comps.matrix_stack()
-    residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
-                                                   n_levels=2)
     verification = {
         "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(stack),
         "w0_relative_stdev": frame.wronskian_relative_stdev,

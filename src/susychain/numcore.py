@@ -125,13 +125,14 @@ def eigh_banded(m):
     tau = eps * ||M||_1 / (2 * bandwidth) is deflated: its diagonal entry is
     returned as an eigenvalue. The kept sites are compacted into band storage
     of the same bandwidth (dropping indices only shortens distances) and go
-    to one LAPACK solve. The dropped couplings form a Hermitian E with
-    ||E||_2 <= ||E||_1 <= 2 * bandwidth * tau = eps * ||M||_1, so by Weyl's
-    inequality no eigenvalue moves by more than eps * ||M||_1, the size of
-    LAPACK's own backward error. The saw chain's C sites far from the kink,
-    whose couplings decay below double precision, are such sites. With no
-    site deflated the compact storage is the full matrix's, so the values
-    are those of one solve of it, bit for bit.
+    to _band_eigvalsh, which returns eig_banded's values for them. The
+    dropped couplings form a Hermitian E with ||E||_2 <= ||E||_1 <=
+    2 * bandwidth * tau = eps * ||M||_1, so by Weyl's inequality no
+    eigenvalue moves by more than eps * ||M||_1, the size of LAPACK's own
+    backward error. The saw chain's C sites far from the kink, whose
+    couplings decay below double precision, are such sites. With no site
+    deflated the compact storage is the full matrix's, so the values are
+    eig_banded's for it, bit for bit.
     """
     b, u = m.bands, m.bandwidth
     if not np.all(np.isfinite(b)):
@@ -175,27 +176,61 @@ def _band_eigvalsh(ab):
     """Eigenvalues, ascending, of the Hermitian matrix whose upper band
     storage is `ab` (float64 or complex128, Fortran order; overwritten).
 
-    One call of LAPACK's ?sbevd / ?hbevd without vectors, the driver of
-    scipy.linalg.eig_banded, so the values are its bits. Only the
+    The values are the bits of LAPACK's ?sbevd / ?hbevd without vectors,
+    the driver of scipy.linalg.eig_banded. A complex band, or a real one the
+    driver scales (max |entry| outside [sqrt(safmin/eps), sqrt(eps/safmin)]),
+    takes one driver call. A real band runs the driver's two other stages
+    here, dsbtrd (band to tridiagonal) and dsterf (its values), and dsbtrd
+    starts late. Above the first row s with an entry two or more places off
+    the diagonal the matrix is tridiagonal; the rotations dsbtrd makes for
+    such a row are identities, and none touches an earlier row. So it
+    reduces rows s-3..n-1 alone, and rows 0..s-4 put their diagonal and
+    superdiagonal in front of its output. The three extra rows
+    keep enough identity rotations in flight that each step still picks
+    dsbtrd's many-rotation kernel (?lartv, not ?rot) where the whole
+    reduction does; the two kernels round differently. Only the
     kd = min(bandwidth, n - 1) superdiagonals next to the diagonal are
     passed: the driver's scaling of a tiny or huge matrix rejects kd >= n.
+    A band of two or more rows has a bandwidth of at least 1: eigh_banded
+    deflates every site of a diagonal matrix.
     """
     import ctypes
 
     u, n = ab.shape[0] - 1, ab.shape[1]
     if n <= 1:
         return ab[u].real.copy()
-    kd = min(u, n - 1)
-    w, rwork = np.empty(n), np.empty(n)
-    work = np.empty(2 * n, dtype=ab.dtype)
-    n_, kd_, ldab, one, lwork = (ctypes.byref(ctypes.c_int(v)) for v in (n, kd, u + 1, 1, 2 * n))
-    iwork, info = ctypes.c_int(0), ctypes.c_int(0)
-    name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-    rwork_args = (rwork.ctypes.data, n_) if name == "zhbevd" else ()
-    # its Z argument (work) is not referenced without vectors
-    _lapack(name)(b"N", b"U", n_, kd_, ab[u - kd:].ctypes.data, ldab, w.ctypes.data,
-                  work.ctypes.data, one, work.ctypes.data, lwork, *rwork_args,
-                  ctypes.byref(iwork), one, ctypes.byref(info))
+    w, info, one = np.empty(n), ctypes.c_int(0), ctypes.byref(ctypes.c_int(1))
+    ldab = ctypes.byref(ctypes.c_int(u + 1))
+    # rmin = sqrt(safmin / eps), rmax = 1 / rmin with LAPACK's dlamch('S'), dlamch('P')
+    rmin, anrm = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps), np.abs(ab).max()
+    if not np.iscomplexobj(ab) and (anrm == 0 or rmin <= anrm <= 1 / rmin):
+        # first row with a nonzero M[i, i + d], d >= 2, stored at ab[u - d, i + d]
+        wide = [nz[0] for d in range(2, u + 1) if (nz := np.flatnonzero(ab[u - d, d:])).size]
+        start = max(min(wide) - 3, 0) if wide else n
+        e, work = np.zeros(n), np.empty(n)  # e: the superdiagonal and one spare entry
+        w[:start] = ab[u, :start]
+        e[: min(start, n - 1)] = ab[u - 1, 1 : start + 1]
+        if start < n:
+            kd = min(u, n - start - 1)
+            # its Q argument (e) is not referenced without vectors
+            _lapack("dsbtrd")(b"N", b"U", ctypes.byref(ctypes.c_int(n - start)),
+                              ctypes.byref(ctypes.c_int(kd)), ab[u - kd :, start:].ctypes.data,
+                              ldab, w[start:].ctypes.data, e[start:].ctypes.data,
+                              e.ctypes.data, one, work.ctypes.data, ctypes.byref(info))
+        name = "dsterf"
+        _lapack(name)(ctypes.byref(ctypes.c_int(n)), w.ctypes.data, e.ctypes.data,
+                      ctypes.byref(info))
+    else:
+        kd = min(u, n - 1)
+        rwork, work = np.empty(n), np.empty(2 * n, dtype=ab.dtype)
+        n_, kd_, lwork = (ctypes.byref(ctypes.c_int(v)) for v in (n, kd, 2 * n))
+        iwork = ctypes.c_int(0)
+        name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
+        rwork_args = (rwork.ctypes.data, n_) if name == "zhbevd" else ()
+        # its Z argument (work) is not referenced without vectors
+        _lapack(name)(b"N", b"U", n_, kd_, ab[u - kd:].ctypes.data, ldab, w.ctypes.data,
+                      work.ctypes.data, one, work.ctypes.data, lwork, *rwork_args,
+                      ctypes.byref(iwork), one, ctypes.byref(info))
     if info.value:
         raise NumericalError(f"{name}: {info.value} off-diagonal elements did not converge")
     return w
@@ -278,6 +313,8 @@ def banded_eigvec(m, energy, group=()):
         norm = np.linalg.norm(v)
         if not np.isfinite(norm):
             raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
+        if norm == 0:
+            raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
         v /= norm
     # M v - energy v by BLAS on the stored upper band
     (bmv,) = scipy.linalg.get_blas_funcs(

@@ -322,12 +322,15 @@ def apply_darboux(frame, state):
     return stack_matvec(frame.u, diff_central(y, frame.grid))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is raised below
 def intertwining_residual(frame, states, n_levels=3):
     """||(L H - H_new L) psi||_inf across grid refinements.
 
     states maps a grid's x to an (n_states, 3, n) array of spinors.
     Returns residuals of shape (n_states, n_levels) and the measured
-    orders log2(r_l / r_{l+1}).
+    orders log2(r_l / r_{l+1}). Raises NumericalError naming the grid
+    spacing where a residual is not finite (the stencil's 1/(2h) overflows
+    on a tiny box).
     """
     grids = [frame.grid]
     for _ in range(n_levels - 1):
@@ -342,6 +345,9 @@ def intertwining_residual(frame, states, n_levels=3):
             lhs = apply_darboux(fr, apply_dirac(seed_op, f, g))
             rhs = apply_dirac(new_op, apply_darboux(fr, f), g)
             level.append(np.abs(lhs - rhs).max())
+        if not np.all(np.isfinite(level)):
+            raise NumericalError(f"intertwining residual is not finite at grid spacing "
+                                 f"h={g.h:.6g}")
         residuals.append(level)
     residuals = np.array(residuals).T
     orders = np.log2(residuals[:, :-1] / residuals[:, 1:])

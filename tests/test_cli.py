@@ -421,6 +421,22 @@ def test_susy_large_mass_writes_finite_json(tmp_path, model, mass):
     assert np.isfinite(rep["w0_relative_stdev"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,shown", [
+    ("spectrum", "error: inverse iteration at E=7.82456e+299: iterate has norm 0"),
+    ("susy", "error: intertwining residual is not finite at grid spacing h=1e-303"),
+])
+def test_tiny_box_exits_3_with_one_line(tmp_path, capsys, command, shown):
+    # at box 1e-300 the hopping and the stencil's 1/(2h) reach ~1e300: the
+    # inverse iterate underflows to zero and the intertwining residual
+    # overflows; before, one divided by zero and the other wrote nulls
+    rc = main([command, "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07",
+               "--box", "1e-300"])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err == shown + "\n"
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("field,value", [("mass", "1e200"), ("gauge_a", "-1e200"),
                                          ("flat_energy", "1e101"), ("mass", "nan")])
 def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from susychain import numcore
 from susychain.errors import NonHermitianError, NumericalError
 from susychain.lattice import build_finite_chain
 from susychain.models import ModelKind, ModelParams, sample_chain_profile
@@ -320,6 +321,109 @@ def test_eigh_banded_releases_the_gil():
     # three busy processes beside the test), and at most 3-fold when
     # eigh_banded solves through eig_banded
     assert released > 5 * held
+
+
+# ------------------------------- band reduction below a tridiagonal lead
+
+# 1e+-140 lie inside LAPACK's unscaled range [2**-485, 2**485], where the
+# real-band path runs; 1e+-150 and 1e+-300 lie outside it, where one
+# ?sbevd call scales the matrix first
+LEAD_SCALES = (1.0, 1e-140, 1e140, 1e-150, 1e150, 1e-300, 1e300)
+
+
+def _band_with_lead(dim, bw, lead, seed, sparse):
+    """Random real band storage whose rows 0..lead-1 have no entry two or
+    more places above the diagonal; below them a wide entry is nonzero with
+    probability 1 - sparse."""
+    rng = np.random.default_rng(seed)
+    bands = rng.normal(size=(bw + 1, dim))
+    for d in range(1, bw + 1):  # M[i, i + d] = bands[bw - d, i + d]
+        bands[bw - d, :d] = 0.0
+        if d >= 2:
+            bands[bw - d, d : d + lead] = 0.0
+            bands[bw - d, rng.random(dim) < sparse] = 0.0
+    return bands
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 60), bw=st.integers(2, 4), lead=st.integers(0, 59),
+       seed=st.integers(0, 2**32 - 1), sparse=st.sampled_from([0.0, 0.5, 0.9]),
+       scale=st.sampled_from(LEAD_SCALES))
+# lead lengths 0, 1, n - 2 and n - 1; the last two leave the matrix tridiagonal
+@example(dim=30, bw=2, lead=0, seed=1, sparse=0.0, scale=1.0)
+@example(dim=30, bw=4, lead=1, seed=2, sparse=0.0, scale=1.0)
+@example(dim=30, bw=3, lead=28, seed=3, sparse=0.0, scale=1.0)
+@example(dim=30, bw=2, lead=29, seed=4, sparse=0.0, scale=1.0)
+@example(dim=40, bw=4, lead=0, seed=5, sparse=0.5, scale=1e-150)
+@example(dim=40, bw=3, lead=1, seed=6, sparse=0.0, scale=1e300)
+@example(dim=40, bw=2, lead=38, seed=7, sparse=0.0, scale=1e-300)
+@example(dim=40, bw=4, lead=39, seed=8, sparse=0.0, scale=1e150)
+def test_eigh_banded_below_a_tridiagonal_lead_keeps_eig_banded_bits(
+        dim, bw, lead, seed, sparse, scale):
+    m = BandedHermitian(_band_with_lead(dim, bw, min(lead, dim - 1), seed, sparse) * scale)
+    assert np.array_equal(eigh_banded(m), _full_solve(m))
+
+
+CHAINS = [(ModelKind.I, 0.12, 0.03, 400), (ModelKind.I, 0.12, 0.03, 800),
+          (ModelKind.II, 0.1, 0.05, 400), (ModelKind.II, 0.1, 0.05, 800),
+          (ModelKind.I, 0.05, 0.0, 400)]
+
+
+def _chain(kind, mass, flat, cells):
+    return build_finite_chain(sample_chain_profile(ModelParams(kind, mass, flat), cells))
+
+
+def _record_band_solves(monkeypatch):
+    """Patch numcore._band_eigvalsh to keep, per call, a copy of its band
+    storage and its values."""
+    seen = []
+    solve = numcore._band_eigvalsh
+
+    def recorded(ab):
+        copy = ab.copy()
+        w = solve(ab)
+        seen.append((copy, w))
+        return w
+
+    monkeypatch.setattr(numcore, "_band_eigvalsh", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("kind, mass, flat, cells", CHAINS)
+def test_chain_band_solve_keeps_eig_banded_bits(monkeypatch, kind, mass, flat, cells):
+    chain = _chain(kind, mass, flat, cells)
+    seen = _record_band_solves(monkeypatch)
+    eigh_banded(chain)
+    ((ab, w),) = seen
+    if mass == 0.05:  # every C site is kept: the kept chain is the chain
+        assert ab.shape == chain.bands.shape
+    assert np.array_equal(w, scipy.linalg.eig_banded(ab, eigvals_only=True))
+
+
+def test_chain_band_reduction_starts_below_the_tridiagonal_lead(monkeypatch):
+    # dsbtrd reduces rows s - 3 .. n - 1 only, s the first row of the kept
+    # chain with an entry two places above the diagonal; dsterf takes every
+    # kept site, and no single ?sbevd call is made
+    seen = _record_band_solves(monkeypatch)
+    sizes = []
+    lapack = numcore._lapack
+
+    def recorded(name):
+        call = lapack(name)
+
+        def counted(*args):
+            # N is dsterf's first argument and dsbtrd's third
+            sizes.append((name, args[0 if name == "dsterf" else 2]._obj.value))
+            return call(*args)
+        return counted
+
+    monkeypatch.setattr(numcore, "_lapack", recorded)
+    eigh_banded(_chain(ModelKind.II, 0.1, 0.05, 800))
+    ((ab, _),) = seen
+    kept = ab.shape[1]
+    s = np.flatnonzero(ab[0, 2:])[0]
+    assert kept < 3 * 800 and s > kept // 4
+    assert sizes == [("dsbtrd", kept - (s - 3)), ("dsterf", kept)]
 
 
 def _solve_banded_eigvec(m, energy):

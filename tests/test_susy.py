@@ -285,6 +285,14 @@ def test_intertwining_second_order():
     assert orders.min() > 1.9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_intertwining_residual_rejects_an_overflowing_stencil():
+    # on a box of half-width 1e-300 the stencil's 1/(2h) overflows
+    fr = _frame(grid=Grid(-1e-300, 1e-300, 201))
+    with pytest.raises(NumericalError, match=r"not finite at grid spacing h=1e-302"):
+        intertwining_residual(fr, _gaussian_states, n_levels=2)
+
+
 def test_darboux_annihilates_frame_columns():
     fr = _frame()
     u = fr.u
