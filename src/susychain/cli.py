@@ -388,7 +388,7 @@ def cmd_spectrum(st, out_dir):
         return chain_spectrum(op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
                               gap_exclusion=gap_exclusion)
 
-    # imported here, so only spectrum pays for it; scipy.linalg loads it anyway
+    # imported here, so only spectrum pays for it
     from concurrent.futures import ThreadPoolExecutor
 
     routes = {"chain": chain_route, "continuum": continuum_route}

@@ -5,6 +5,8 @@ are immutable; `BandedHermitian` is a plain holder of band storage that no
 function here writes to. `stack_matmul` and `stack_matvec` multiply 3x3
 stacks point by point over length-n vectors, contiguous for component-major
 stacks: (n, 3, 3) views of (3, 3, n) storage, like U, dU/dx and V(x).
+The banded eigensolvers call LAPACK and BLAS in numpy's own OpenBLAS
+(`_lapack`), so nothing here imports scipy.
 """
 
 import functools
@@ -153,23 +155,29 @@ def eigh_banded(m):
 
 @functools.cache
 def _lapack(name):
-    """LAPACK subroutine `name` of scipy's Cython bindings as a ctypes
-    function of pointer arguments. A ctypes call releases the GIL, which
-    scipy's f2py wrappers hold, so solves on two threads run at once."""
+    """LAPACK or BLAS subroutine `name` from the OpenBLAS that numpy links
+    (ILP64, exported as scipy_<name>_64_), as a function of Python values:
+    an int goes by reference as a 64-bit integer, bytes as a character
+    (gfortran's hidden length, 1, appended), anything else as the data of
+    np.asarray of it. A ctypes call releases the GIL, so solves on two
+    threads run at once. Raises NumericalError if numpy lacks the symbol."""
     import ctypes
 
-    from scipy.linalg import cython_lapack
+    symbol = f"scipy_{name}_64_"
+    try:
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), symbol)
+    except AttributeError:
+        raise NumericalError(f"numpy's LAPACK has no {symbol}") from None
+    routine.restype = None
 
-    capsule = cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    signature = get_name(capsule)  # the C signature, "void (char *, int *, ...)"
-    n_args = signature.count(b",") + 1
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
-        get_pointer(capsule, signature))
+    def call(*args):
+        # `data` keeps each converted array alive through the call
+        data = [a if isinstance(a, bytes) else
+                np.asarray(a, np.int64 if isinstance(a, (int, np.integer)) else None)
+                for a in args]
+        routine(*[ctypes.c_char_p(a) if isinstance(a, bytes) else ctypes.c_void_p(a.ctypes.data)
+                  for a in data], *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in data))
+    return call
 
 
 def _band_eigvalsh(ab):
@@ -194,13 +202,10 @@ def _band_eigvalsh(ab):
     A band of two or more rows has a bandwidth of at least 1: eigh_banded
     deflates every site of a diagonal matrix.
     """
-    import ctypes
-
     u, n = ab.shape[0] - 1, ab.shape[1]
     if n <= 1:
         return ab[u].real.copy()
-    w, info, one = np.empty(n), ctypes.c_int(0), ctypes.byref(ctypes.c_int(1))
-    ldab = ctypes.byref(ctypes.c_int(u + 1))
+    w, info = np.empty(n), np.zeros(1, np.int64)
     # rmin = sqrt(safmin / eps), rmax = 1 / rmin with LAPACK's dlamch('S'), dlamch('P')
     rmin, anrm = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps), np.abs(ab).max()
     if not np.iscomplexobj(ab) and (anrm == 0 or rmin <= anrm <= 1 / rmin):
@@ -213,26 +218,20 @@ def _band_eigvalsh(ab):
         if start < n:
             kd = min(u, n - start - 1)
             # its Q argument (e) is not referenced without vectors
-            _lapack("dsbtrd")(b"N", b"U", ctypes.byref(ctypes.c_int(n - start)),
-                              ctypes.byref(ctypes.c_int(kd)), ab[u - kd :, start:].ctypes.data,
-                              ldab, w[start:].ctypes.data, e[start:].ctypes.data,
-                              e.ctypes.data, one, work.ctypes.data, ctypes.byref(info))
+            _lapack("dsbtrd")(b"N", b"U", n - start, kd, ab[u - kd :, start:], u + 1,
+                              w[start:], e[start:], e, 1, work, info)
         name = "dsterf"
-        _lapack(name)(ctypes.byref(ctypes.c_int(n)), w.ctypes.data, e.ctypes.data,
-                      ctypes.byref(info))
+        _lapack(name)(n, w, e, info)
     else:
         kd = min(u, n - 1)
         rwork, work = np.empty(n), np.empty(2 * n, dtype=ab.dtype)
-        n_, kd_, lwork = (ctypes.byref(ctypes.c_int(v)) for v in (n, kd, 2 * n))
-        iwork = ctypes.c_int(0)
         name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-        rwork_args = (rwork.ctypes.data, n_) if name == "zhbevd" else ()
+        rwork_args = (rwork, n) if name == "zhbevd" else ()
         # its Z argument (work) is not referenced without vectors
-        _lapack(name)(b"N", b"U", n_, kd_, ab[u - kd:].ctypes.data, ldab, w.ctypes.data,
-                      work.ctypes.data, one, work.ctypes.data, lwork, *rwork_args,
-                      ctypes.byref(iwork), one, ctypes.byref(info))
-    if info.value:
-        raise NumericalError(f"{name}: {info.value} off-diagonal elements did not converge")
+        _lapack(name)(b"N", b"U", n, kd, ab[u - kd:], u + 1, w, work, 1, work, 2 * n,
+                      *rwork_args, np.zeros(1, np.int64), 1, info)
+    if info[0]:
+        raise NumericalError(f"{name}: {info[0]} off-diagonal elements did not converge")
     return w
 
 
@@ -280,34 +279,39 @@ def banded_eigvec(m, energy, group=()):
     projected out after every solve, so successive calls over the group
     give an orthonormal set.
     """
-    import scipy.linalg
-
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
     u, n = m.bandwidth, m.dim
+    # M - energy*I, its shift and its residual are multiplied by the power of
+    # two s that puts s * ||M||_1 in [1/2, 1): exact, so the vector has the
+    # same bits at every scale at which M stays normal
     scale = norm_1(m)
-    # factor M - energy*I once (gbtrf, the first half of gbsv) for the
+    s = np.ldexp(1.0, -np.frexp(scale)[1])
+    # factor s*(M - energy*I) once (gbtrf, the first half of gbsv) for the
     # solves (gbtrs), in general band storage: u rows on top for the
     # fill-in of pivoting, the u + 1 stored rows, then the u lower
     # diagonals as the conjugates of the upper ones
-    shifted = np.zeros((3 * u + 1, n), dtype=np.result_type(m.bands, float))
+    shifted = np.zeros((3 * u + 1, n), dtype=np.result_type(m.bands, float), order="F")
     shifted[u : 2 * u + 1] = m.bands
     for d in range(1, min(u, n - 1) + 1):
         shifted[2 * u + d, : n - d] = np.conj(m.bands[u - d, d:])
     shifted[2 * u] -= energy
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (shifted,))
-    lu, piv, info = gbtrf(shifted, u, u)
-    if info > 0:
+    shifted *= s
+    kind = "z" if np.iscomplexobj(shifted) else "d"
+    lu, piv, info = shifted.copy(order="F"), np.empty(n, np.int64), np.zeros(1, np.int64)
+    _lapack(kind + "gbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
+    if info[0] > 0:
         # an exactly zero pivot (say, a decoupled site at the shift):
         # move the shift off the eigenvalue by one rounding unit
-        shifted[2 * u] -= np.finfo(float).eps * scale
-        lu, piv, info = gbtrf(shifted, u, u)
-        if info > 0:
+        shifted[2 * u] -= np.finfo(float).eps * (s * scale)
+        lu = shifted.copy(order="F")
+        _lapack(kind + "gbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
+        if info[0] > 0:
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
     v = np.random.default_rng(0).standard_normal(n).astype(shifted.dtype)
     v /= np.linalg.norm(v)
     for _ in range(EIGVEC_ITERATIONS):
-        v = gbtrs(lu, u, u, v, piv)[0]
+        _lapack(kind + "gbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
         for q in group:
             v -= q * np.vdot(q, v)
         norm = np.linalg.norm(v)
@@ -316,10 +320,12 @@ def banded_eigvec(m, energy, group=()):
         if norm == 0:
             raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
         v /= norm
-    # M v - energy v by BLAS on the stored upper band
-    (bmv,) = scipy.linalg.get_blas_funcs(
-        ("hbmv" if np.iscomplexobj(v) else "sbmv",), (v,))
-    residual = float(np.linalg.norm(bmv(u, 1.0, m.bands, v, beta=-energy, y=v)))
+    # s*(M v - energy v) by BLAS on the stored upper band
+    r = v.copy()
+    _lapack("zhbmv" if kind == "z" else "dsbmv")(
+        b"U", n, u, np.array(s, v.dtype), np.asfortranarray(m.bands, v.dtype), u + 1, v, 1,
+        np.array(-energy * s, v.dtype), r, 1)
+    residual = float(np.linalg.norm(r)) / s
     if residual > EIGVEC_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"inverse iteration at E={energy:.6g}: residual {residual:.3e} "

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susychain
-from susychain import cli
+from susychain import cli, numcore
 from susychain.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -261,23 +261,27 @@ def test_main_calls_share_one_parser_without_leaking_values(tmp_path):
         assert rows.shape == (3 * cells, 4)
 
 
-def test_only_spectrum_loads_scipy_linalg(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
+    # numpy's own LAPACK serves every command; a blocked scipy import
+    # raises ImportError, so each command exits 0 without it
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None
         from susychain.cli import main
         out = {str(tmp_path)!r}
         tb = ["--set", "t_ab=1", "--set", "t_ab_inter=1",
               "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
-        lazy = {{"scipy.linalg", "concurrent.futures"}}
-        assert not lazy & sys.modules.keys()
+        assert "concurrent.futures" not in sys.modules
         for argv in (["bands", *tb], ["tune", *tb],
                      ["susy", "--set", "model=I", "--set", "mass=0.07"],
                      ["verify", "--seed", "3"]):
             assert main([argv[0], "--out", out, *argv[1:]]) == 0, argv
-        assert not lazy & sys.modules.keys()
-        assert main(["spectrum", "--out", out, "--set", "model=I",
-                     "--set", "mass=0.07", "--cells", "60"]) == 0
-        assert lazy <= sys.modules.keys()
+        assert "concurrent.futures" not in sys.modules
+        assert main(["spectrum", "--out", out, "--set", "model=I", "--set", "mass=0.07",
+                     "--set", "method=both", "--cells", "60",
+                     "--grid-points", "101"]) == 0
+        assert "concurrent.futures" in sys.modules
+        assert sys.modules["scipy"] is None
     """)
     src = str(Path(susychain.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -286,6 +290,24 @@ def test_only_spectrum_loads_scipy_linalg(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "spectrum_chain.csv").exists()
+    assert (tmp_path / "spectrum_continuum.csv").exists()
+
+
+def test_missing_lapack_symbol_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # a LAPACK routine numpy does not export ends spectrum with one line
+    # naming its symbol: no fallback, no traceback, no output file
+    lapack, asked = numcore._lapack, []
+
+    def missing(name):
+        asked.append(name)
+        return lapack("no" + name)
+
+    monkeypatch.setattr(numcore, "_lapack", missing)
+    rc = main(["spectrum", "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07"])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"error: numpy's LAPACK has no scipy_no{asked[0]}_64_\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_bad_set_syntax_exits_2(tmp_path):
@@ -423,18 +445,32 @@ def test_susy_large_mass_writes_finite_json(tmp_path, model, mass):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,shown", [
-    ("spectrum", "error: inverse iteration at E=7.82456e+299: iterate has norm 0"),
     ("susy", "error: intertwining residual is not finite at grid spacing h=1e-303"),
 ])
 def test_tiny_box_exits_3_with_one_line(tmp_path, capsys, command, shown):
-    # at box 1e-300 the hopping and the stencil's 1/(2h) reach ~1e300: the
-    # inverse iterate underflows to zero and the intertwining residual
-    # overflows; before, one divided by zero and the other wrote nulls
+    # at box 1e-300 the stencil's 1/(2h) reaches ~1e300 and the intertwining
+    # residual overflows; before, it wrote nulls
     rc = main([command, "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07",
                "--box", "1e-300"])
     assert rc == EXIT_NUMERICAL
     assert capsys.readouterr().err == shown + "\n"
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("box", ["1e-170", "1e-200", "1e-300"])
+def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
+    # the hopping 1/h reaches ~1e300, and the chain's gap edges with it.
+    # Before, the inverse iteration overflowed its residual (1e-170) or
+    # underflowed its iterate (1e-200, 1e-300) and spectrum exited 3
+    def edges(box):
+        out = tmp_path / box
+        assert main(["spectrum", "--out", str(out), "--set", "model=I",
+                     "--set", "mass=0.07", "--box", box]) == EXIT_OK
+        chain = json.loads((out / "spectrum_summary.json").read_text())["chain"]
+        return np.array([chain["gap_edge_neg"], chain["gap_edge_pos"]]) * float(box)
+
+    np.testing.assert_allclose(edges(box), edges("1e-150"), rtol=1e-12)
 
 
 @pytest.mark.parametrize("field,value", [("mass", "1e200"), ("gauge_a", "-1e200"),

@@ -413,7 +413,7 @@ def test_chain_band_reduction_starts_below_the_tridiagonal_lead(monkeypatch):
 
         def counted(*args):
             # N is dsterf's first argument and dsbtrd's third
-            sizes.append((name, args[0 if name == "dsterf" else 2]._obj.value))
+            sizes.append((name, int(args[0 if name == "dsterf" else 2])))
             return call(*args)
         return counted
 
@@ -476,6 +476,24 @@ def test_banded_eigvec_matches_dense_eigenvectors(dtype):
     # fixed start vector: reruns are bit-identical
     np.testing.assert_array_equal(banded_eigvec(banded, w[5]),
                                   banded_eigvec(banded, w[5]))
+
+
+@pytest.mark.parametrize("dtype, bw", [(float, 2), (complex, 4)])
+def test_banded_eigvec_has_the_same_bits_at_every_scale(dtype, bw):
+    # M - E*I is solved after an exact power-of-two scaling by ~1/||M||_1,
+    # so 2**k * M gives k = 0's vector, also where the unscaled iterate or
+    # the residual's sum of squares would leave the double range
+    dense = _random_banded(np.random.default_rng(5), 30, bw, dtype)
+    diag = dense[7, 7]
+    dense[7, :] = dense[:, 7] = 0.0
+    dense[7, 7] = diag  # a decoupled site: the zero-pivot shift scales too
+    w = np.linalg.eigvalsh(dense)
+    m = BandedHermitian.from_dense(dense, bw)
+    for energy in (w[0], w[13], diag):
+        v = banded_eigvec(m, energy)
+        for k in (500, -500, 900, -900):
+            scaled = BandedHermitian(m.bands * 2.0**k)  # exact, complex parts too
+            assert np.array_equal(banded_eigvec(scaled, energy * 2.0**k), v), k
 
 
 def test_banded_eigvec_exact_eigenvalue_of_decoupled_site():
