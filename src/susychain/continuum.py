@@ -155,18 +155,19 @@ def discretize(spec, grid):
 
     D is unitary and diagonal, so D^H H D has the spectrum of H, and its
     eigenvectors are D^H times those of H: |v|^2 per point, hence IPR
-    and edge flags, are unchanged. For every potential potential_matrix
-    builds (both models, continuum_limit) the gauged matrix is real and
-    the bands are float64, so the eigensolves run in real arithmetic;
-    any other Hermitian potential keeps complex bands.
+    and edge flags, are unchanged. The potential must have potential_matrix's
+    form (both models, continuum_limit): then the gauged matrix is real and
+    its float64 bands go to real eigensolves. Any other potential raises
+    NumericalError.
     """
     gauge = GAUGE.conj()[:, None] * GAUGE  # entry (a, b) is conj(D_a) * D_b
     v = _potential_stack(spec, grid) * gauge
-    # kinetic block from point i to i+1: -i * scale * gamma / (2h), gauged
-    hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA * gauge
-    if not v.imag.any():
-        v, hop = v.real, hop.real
-    return BandedHermitian(block_tridiagonal_bands(v, hop, 4))
+    if v.imag.any():
+        raise NumericalError("potential is not of potential_matrix's form: "
+                             "its gauged matrix is complex")
+    # kinetic block from point i to i+1: -i * scale * gamma / (2h), gauged: real
+    hop = (-1j * spec.kinetic_scale / (2 * grid.h) * GAMMA * gauge).real
+    return BandedHermitian(block_tridiagonal_bands(v.real, hop, 4))
 
 
 def apply_dirac(spec, state, grid):

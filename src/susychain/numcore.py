@@ -1,12 +1,14 @@
 """Shared numerical kernels: grids, stencils, quadrature, eigensolvers.
 
 Everything here is a pure function of its inputs. `Grid` and `QuadRoots`
-are immutable; `BandedHermitian` is a plain holder of band storage that no
-function here writes to. `stack_matmul` and `stack_matvec` multiply 3x3
-stacks point by point over length-n vectors, contiguous for component-major
-stacks: (n, 3, 3) views of (3, 3, n) storage, like U, dU/dx and V(x).
-The banded eigensolvers call LAPACK and BLAS in numpy's own OpenBLAS
-(`_lapack`), so nothing here imports scipy.
+are immutable; `BandedHermitian` is a plain holder of real band storage
+that no function here writes to. `stack_matmul` and `stack_matvec` multiply
+3x3 stacks point by point over length-n vectors, contiguous for
+component-major stacks: (n, 3, 3) views of (3, 3, n) storage, like U,
+dU/dx and V(x).
+The banded eigensolvers call five LAPACK and BLAS routines (dsbtrd,
+dsterf, dgbtrf, dgbtrs, dsbmv) in numpy's own OpenBLAS (`_lapack`), so
+nothing here imports scipy.
 """
 
 import functools
@@ -52,17 +54,8 @@ class Grid:
         return int(np.argmin(np.abs(self.x - x0)))
 
 
-def _require_hermitian(m):
-    """Raise NonHermitianError at the worst entry of m - m^H beyond tolerance."""
-    scale = max(np.abs(m).max(), 1.0)
-    asym = np.abs(m - m.conj().T)
-    if asym.max() > HERMITICITY_TOL * scale:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        raise NonHermitianError(int(i), int(j), float(asym[i, j]))
-
-
 class BandedHermitian:
-    """Hermitian matrix stored by upper diagonals (LAPACK band layout).
+    """Real symmetric matrix stored by upper diagonals (LAPACK band layout).
 
     bands[u + i - j, j] == M[i, j] for j - bandwidth <= i <= j.
     """
@@ -71,16 +64,22 @@ class BandedHermitian:
         b = np.asarray(bands)
         if b.ndim != 2:
             raise NumericalError("band storage must be 2D")
+        if np.iscomplexobj(b):
+            raise NumericalError("band storage must be real")
         self.bands = b
         self.bandwidth = b.shape[0] - 1
         self.dim = b.shape[1]
 
     @classmethod
     def from_dense(cls, m, bandwidth):
+        """Band storage of dense m; NonHermitianError names the worst entry
+        of m - m^H beyond HERMITICITY_TOL * max(max |m|, 1)."""
         m = np.asarray(m)
-        n = m.shape[0]
-        _require_hermitian(m)
-        b = np.zeros((bandwidth + 1, n), dtype=m.dtype)
+        asym = np.abs(m - m.conj().T)
+        if asym.max() > HERMITICITY_TOL * max(np.abs(m).max(), 1.0):
+            i, j = np.unravel_index(np.argmax(asym), asym.shape)
+            raise NonHermitianError(int(i), int(j), float(asym[i, j]))
+        b = np.zeros((bandwidth + 1, m.shape[0]), dtype=m.dtype)
         for d in range(bandwidth + 1):
             b[bandwidth - d, d:] = np.diagonal(m, d)
         return cls(b)
@@ -89,10 +88,8 @@ class BandedHermitian:
         n, u = self.dim, self.bandwidth
         m = np.zeros((n, n), dtype=self.bands.dtype)
         for d in range(u + 1):
-            idx = np.arange(n - d)
-            m[idx, idx + d] = self.bands[u - d, d:]
-        out = m + np.conj(np.triu(m, 1)).T
-        return out
+            m[np.arange(n - d), np.arange(d, n)] = self.bands[u - d, d:]
+        return m + np.triu(m, 1).T
 
 
 def block_tridiagonal_bands(onsite, coupling, bandwidth):
@@ -142,15 +139,14 @@ def eigh_banded(m):
     off_sums, sums = _column_sums(m)
     loose = off_sums <= np.finfo(float).eps * sums.max(initial=0.0) / (2 * max(u, 1))
     kept = np.flatnonzero(~loose)
-    compact = np.zeros((u + 1, kept.size), dtype=complex if np.iscomplexobj(b) else float,
-                       order="F")
+    compact = np.zeros((u + 1, kept.size), order="F")
     compact[u] = b[u, kept]
     for d in range(1, u + 1):  # compact[u - d, c] = M[kept[c - d], kept[c]]
         dist = kept[d:] - kept[:-d]
         near = np.flatnonzero(dist <= u)
         compact[u - d, d + near] = b[u - dist[near], kept[d + near]]
     w = _band_eigvalsh(compact)
-    return np.sort(np.concatenate([w, b[u, loose].real]))
+    return np.sort(np.concatenate([w, b[u, loose]]))
 
 
 @functools.cache
@@ -181,57 +177,48 @@ def _lapack(name):
 
 
 def _band_eigvalsh(ab):
-    """Eigenvalues, ascending, of the Hermitian matrix whose upper band
-    storage is `ab` (float64 or complex128, Fortran order; overwritten).
+    """Eigenvalues, ascending, of the real symmetric matrix whose upper band
+    storage is `ab` (float64, Fortran order; overwritten).
 
-    The values are the bits of LAPACK's ?sbevd / ?hbevd without vectors,
-    the driver of scipy.linalg.eig_banded. A complex band, or a real one the
-    driver scales (max |entry| outside [sqrt(safmin/eps), sqrt(eps/safmin)]),
-    takes one driver call. A real band runs the driver's two other stages
-    here, dsbtrd (band to tridiagonal) and dsterf (its values), and dsbtrd
-    starts late. Above the first row s with an entry two or more places off
-    the diagonal the matrix is tridiagonal; the rotations dsbtrd makes for
-    such a row are identities, and none touches an earlier row. So it
-    reduces rows s-3..n-1 alone, and rows 0..s-4 put their diagonal and
-    superdiagonal in front of its output. The three extra rows
+    The bits of scipy.linalg.eig_banded, by the stages of its LAPACK driver
+    (?sbevd, values only): a band whose largest |entry| lies outside
+    [rmin, 1/rmin], rmin = sqrt(safmin/eps), is multiplied once by the sigma
+    that moves it to the nearer end (dlascl); dsbtrd reduces it to a
+    tridiagonal, dsterf takes the values, and they are multiplied by
+    1/sigma. dsbtrd starts late. Above the first row s with an entry two or
+    more places off the diagonal the matrix is tridiagonal; the rotations
+    dsbtrd makes for such a row are identities, and none touches an earlier
+    row. So it reduces rows s-3..n-1 alone, and rows 0..s-4 put their
+    diagonal and superdiagonal in front of its output. The three extra rows
     keep enough identity rotations in flight that each step still picks
     dsbtrd's many-rotation kernel (?lartv, not ?rot) where the whole
-    reduction does; the two kernels round differently. Only the
-    kd = min(bandwidth, n - 1) superdiagonals next to the diagonal are
-    passed: the driver's scaling of a tiny or huge matrix rejects kd >= n.
-    A band of two or more rows has a bandwidth of at least 1: eigh_banded
-    deflates every site of a diagonal matrix.
+    reduction does; the two kernels round differently. A band of two or more
+    rows has a bandwidth of at least 1: eigh_banded deflates every site of a
+    diagonal matrix.
     """
     u, n = ab.shape[0] - 1, ab.shape[1]
     if n <= 1:
-        return ab[u].real.copy()
-    w, info = np.empty(n), np.zeros(1, np.int64)
-    # rmin = sqrt(safmin / eps), rmax = 1 / rmin with LAPACK's dlamch('S'), dlamch('P')
+        return ab[u].copy()
+    # rmin = sqrt(safmin / eps) = 2**-485 with LAPACK's dlamch('S'), dlamch('P')
     rmin, anrm = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps), np.abs(ab).max()
-    if not np.iscomplexobj(ab) and (anrm == 0 or rmin <= anrm <= 1 / rmin):
-        # first row with a nonzero M[i, i + d], d >= 2, stored at ab[u - d, i + d]
-        wide = [nz[0] for d in range(2, u + 1) if (nz := np.flatnonzero(ab[u - d, d:])).size]
-        start = max(min(wide) - 3, 0) if wide else n
-        e, work = np.zeros(n), np.empty(n)  # e: the superdiagonal and one spare entry
-        w[:start] = ab[u, :start]
-        e[: min(start, n - 1)] = ab[u - 1, 1 : start + 1]
-        if start < n:
-            kd = min(u, n - start - 1)
-            # its Q argument (e) is not referenced without vectors
-            _lapack("dsbtrd")(b"N", b"U", n - start, kd, ab[u - kd :, start:], u + 1,
-                              w[start:], e[start:], e, 1, work, info)
-        name = "dsterf"
-        _lapack(name)(n, w, e, info)
-    else:
-        kd = min(u, n - 1)
-        rwork, work = np.empty(n), np.empty(2 * n, dtype=ab.dtype)
-        name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-        rwork_args = (rwork, n) if name == "zhbevd" else ()
-        # its Z argument (work) is not referenced without vectors
-        _lapack(name)(b"N", b"U", n, kd, ab[u - kd:], u + 1, w, work, 1, work, 2 * n,
-                      *rwork_args, np.zeros(1, np.int64), 1, info)
+    sigma = rmin / anrm if 0 < anrm < rmin else 1 / rmin / anrm if anrm > 1 / rmin else 1.0
+    ab *= sigma
+    # first row with a nonzero M[i, i + d], d >= 2, stored at ab[u - d, i + d]
+    wide = [nz[0] for d in range(2, u + 1) if (nz := np.flatnonzero(ab[u - d, d:])).size]
+    start = max(min(wide) - 3, 0) if wide else n
+    # e: the superdiagonal and one spare entry
+    w, e, work, info = np.empty(n), np.zeros(n), np.empty(n), np.zeros(1, np.int64)
+    w[:start] = ab[u, :start]
+    e[: min(start, n - 1)] = ab[u - 1, 1 : start + 1]
+    if start < n:
+        kd = min(u, n - start - 1)
+        # its Q argument (e) is not referenced without vectors
+        _lapack("dsbtrd")(b"N", b"U", n - start, kd, ab[u - kd :, start:], u + 1,
+                          w[start:], e[start:], e, 1, work, info)
+    _lapack("dsterf")(n, w, e, info)
     if info[0]:
-        raise NumericalError(f"{name}: {info[0]} off-diagonal elements did not converge")
+        raise NumericalError(f"dsterf: {info[0]} off-diagonal elements did not converge")
+    w *= 1 / sigma
     return w
 
 
@@ -266,12 +253,11 @@ def banded_eigvec(m, energy, group=()):
     """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
 
     Inverse iteration with one banded LU of M - energy*I (general band
-    storage, lower diagonals the conjugates of the stored upper ones, so
-    complex matrices work too). The start vector is fixed, so reruns give
-    identical vectors. Three solves damp every other eigencomponent by
-    (rounding / spectral gap)**3, well below what an IPR or an edge flag
-    resolves. Raises NumericalError unless ||Mv - energy*v|| is at most
-    EIGVEC_RESIDUAL_TOL * norm_1(m).
+    storage, lower diagonals copied from the stored upper ones). The start
+    vector is fixed, so reruns give identical vectors. Three solves damp
+    every other eigencomponent by (rounding / spectral gap)**3, well below
+    what an IPR or an edge flag resolves. Raises NumericalError unless
+    ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m).
 
     Within a numerically degenerate group the vector is some unit vector
     of the group's eigenspace, not a particular basis member. `group` holds
@@ -289,29 +275,27 @@ def banded_eigvec(m, energy, group=()):
     s = np.ldexp(1.0, -np.frexp(scale)[1])
     # factor s*(M - energy*I) once (gbtrf, the first half of gbsv) for the
     # solves (gbtrs), in general band storage: u rows on top for the
-    # fill-in of pivoting, the u + 1 stored rows, then the u lower
-    # diagonals as the conjugates of the upper ones
-    shifted = np.zeros((3 * u + 1, n), dtype=np.result_type(m.bands, float), order="F")
+    # fill-in of pivoting, the u + 1 stored rows, then the u lower diagonals
+    shifted = np.zeros((3 * u + 1, n), order="F")
     shifted[u : 2 * u + 1] = m.bands
     for d in range(1, min(u, n - 1) + 1):
-        shifted[2 * u + d, : n - d] = np.conj(m.bands[u - d, d:])
+        shifted[2 * u + d, : n - d] = m.bands[u - d, d:]
     shifted[2 * u] -= energy
     shifted *= s
-    kind = "z" if np.iscomplexobj(shifted) else "d"
     lu, piv, info = shifted.copy(order="F"), np.empty(n, np.int64), np.zeros(1, np.int64)
-    _lapack(kind + "gbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
+    _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
     if info[0] > 0:
         # an exactly zero pivot (say, a decoupled site at the shift):
         # move the shift off the eigenvalue by one rounding unit
         shifted[2 * u] -= np.finfo(float).eps * (s * scale)
         lu = shifted.copy(order="F")
-        _lapack(kind + "gbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
+        _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
         if info[0] > 0:
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
-    v = np.random.default_rng(0).standard_normal(n).astype(shifted.dtype)
+    v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     for _ in range(EIGVEC_ITERATIONS):
-        _lapack(kind + "gbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
+        _lapack("dgbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
         for q in group:
             v -= q * np.vdot(q, v)
         norm = np.linalg.norm(v)
@@ -322,9 +306,8 @@ def banded_eigvec(m, energy, group=()):
         v /= norm
     # s*(M v - energy v) by BLAS on the stored upper band
     r = v.copy()
-    _lapack("zhbmv" if kind == "z" else "dsbmv")(
-        b"U", n, u, np.array(s, v.dtype), np.asfortranarray(m.bands, v.dtype), u + 1, v, 1,
-        np.array(-energy * s, v.dtype), r, 1)
+    _lapack("dsbmv")(b"U", n, u, s, np.asfortranarray(m.bands, float), u + 1, v, 1,
+                     -energy * s, r, 1)
     residual = float(np.linalg.norm(r)) / s
     if residual > EIGVEC_RESIDUAL_TOL * scale:
         raise NumericalError(

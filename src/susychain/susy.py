@@ -53,6 +53,9 @@ class SeedData:
                 raise NumericalError(
                     f"{name} = {value!r} must be finite with magnitude at most "
                     f"{MAX_MODEL_PARAM:g}")
+        for name in ("w0", "c1", "c0"):  # c0 last: a model computes it from w0 and c1
+            if not np.isfinite(getattr(self, name)):
+                raise NumericalError(f"{name} = {getattr(self, name)!r} must be finite")
         if abs(self.flat_energy) == abs(self.mass):
             raise NumericalError("|flat_energy| must differ from |mass|")
         if self.w0 == 0.0:

@@ -474,7 +474,8 @@ def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
 
 
 @pytest.mark.parametrize("field,value", [("mass", "1e200"), ("gauge_a", "-1e200"),
-                                         ("flat_energy", "1e101"), ("mass", "nan")])
+                                         ("flat_energy", "1e101"), ("mass", "nan"),
+                                         ("c0", "nan"), ("c1", "inf"), ("w0", "nan")])
 def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):
     settings = {"mass": "0.3", "gauge_a": "1", "flat_energy": "0.1", field: value}
     argv = ["susy", "--out", str(tmp_path)]
@@ -483,6 +484,18 @@ def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):
     assert main(argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert f"{field} = " in err and "finite" in err
+    assert not (tmp_path / "susy_potential.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [("w0", "nan"), ("c1", "inf"), ("w0", "-inf")])
+def test_susy_model_seed_non_finite_constant_exits_3(tmp_path, capsys, field, value):
+    # a model computes c0 from w0 and c1, so the error names the field set
+    argv = ["susy", "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07",
+            "--set", f"{field}={value}"]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"{field} = " in err and "finite" in err and "c0" not in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "susy_potential.csv").exists()
 
 

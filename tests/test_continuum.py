@@ -101,15 +101,24 @@ def test_threshold_is_symbol_minimum(v11, v12, k):
     assert dispersive.min() >= hi - 1e-9
 
 
-def test_discretize_is_hermitian_and_matches_apply():
-    m, lam = 0.07, 0.0
-    mat = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.0, lam)
+def test_discretize_refuses_a_potential_not_of_potential_matrix_form():
+    # a real GAMMA term is imaginary in the gauge D = diag(1, i, i)
+    mat = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.0, 0.0)
     grid = Grid(-5.0, 5.0, 201)
     spec = DiracOperatorSpec(
         potential=mat + 0.01 * np.tanh(grid.x)[:, None, None] * GAMMA)
+    with pytest.raises(NumericalError, match="potential_matrix's form") as exc:
+        discretize(spec, grid)
+    assert "\n" not in str(exc.value)
+
+
+def test_discretize_is_hermitian_and_matches_apply():
+    grid = Grid(-5.0, 5.0, 201)
+    t, sech = np.tanh(grid.x), 1 / np.cosh(grid.x)
+    spec = DiracOperatorSpec(potential=potential_matrix(
+        0.03 + 0.01 * t, -0.02 * t, 0.01 * sech, 0.005 * sech, 0.004 * t, 0.0))
     op = discretize(spec, grid)
-    # a real GAMMA term is imaginary in the gauge, so the bands stay complex
-    assert op.bands.dtype == np.complex128
+    assert op.bands.dtype == np.float64
     gauged = op.to_dense()
     np.testing.assert_allclose(gauged, gauged.conj().T, atol=1e-14)
     # undo the gauge: H = G (D^H H D) G^H with G = kron(I_n, D)

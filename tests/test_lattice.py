@@ -28,7 +28,7 @@ from susychain.lattice import (
 )
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
-    banded_eigvec, block_tridiagonal_bands, eigh_banded, norm_1
+    banded_eigvec, eigh_banded, norm_1
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -314,15 +314,14 @@ def test_degenerate_walked_group_gets_one_ipr_whatever_the_rounding(monkeypatch)
 
 # ------------------------------------- walked spectrum vs dense reference
 
-def _dense_reference(chain, flat_energy, cluster_tol, gap_exclusion):
+def _dense_reference(dense, tol, flat_energy, cluster_tol, gap_exclusion):
     """chain_spectrum's summary from every eigenvector of a dense solve.
 
-    Outside the excluded zone, eigenvalues within EIGVEC_RESIDUAL_TOL *
-    norm_1 of the first of a group, counted outward from flat_energy on
-    each side, form one group; each of its rows gets the IPR and edge flag
-    of the group's mean density."""
-    w, v = np.linalg.eigh(chain.to_dense())
-    tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
+    Outside the excluded zone, eigenvalues within tol (chain_spectrum's
+    EIGVEC_RESIDUAL_TOL * norm_1) of the first of a group, counted outward
+    from flat_energy on each side, form one group; each of its rows gets
+    the IPR and edge flag of the group's mean density."""
+    w, v = np.linalg.eigh(dense)
     excluded = max(gap_exclusion, cluster_tol)
     ipr = np.full(w.size, np.nan)
     edge = np.zeros(w.size, dtype=bool)
@@ -378,7 +377,8 @@ def _ssh_case(end_potentials):
         "model_I_continuum", "model_II_continuum"])
 def test_chain_spectrum_matches_dense_reference(case):
     op, flat, tol, excl = case()
-    w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(op, flat, tol, excl)
+    w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(
+        op.to_dense(), EIGVEC_RESIDUAL_TOL * norm_1(op), flat, tol, excl)
     rep = chain_spectrum(op, flat_energy=flat, cluster_tol=tol, gap_exclusion=excl)
     np.testing.assert_allclose(rep.eigenvalues, w, atol=1e-12)
     assert rep.cluster_count == count
@@ -428,26 +428,29 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
                          ids=["model_I", "model_II"])
 def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     # discretize stores D^H H D with D = diag(1, i, i) per point, in real
-    # bands; the ungauged complex bands of H must give the same report
+    # bands; a dense solve of the ungauged complex H must give the same report
     p = ModelParams(kind, mass, lam)
     gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
     stack = models.model_potential_components(p, grid).matrix_stack()
     gauged = discretize(DiracOperatorSpec(stack), grid)
     assert gauged.bands.dtype == np.float64
-    ungauged = BandedHermitian(
-        block_tridiagonal_bands(stack, -1j / (2 * grid.h) * GAMMA, 4))
-    ref, rep = (chain_spectrum(op, flat_energy=lam, cluster_tol=1e-6,
-                               gap_exclusion=gap_exclusion)
-                for op in (ungauged, gauged))
-    scale = np.abs(ungauged.to_dense()).sum(axis=1).max()
-    np.testing.assert_allclose(rep.eigenvalues, ref.eigenvalues, rtol=0,
-                               atol=1e-12 * scale)
-    assert rep.cluster_count == ref.cluster_count
-    assert rep.gap_edge_neg == pytest.approx(ref.gap_edge_neg, abs=1e-12)
-    assert rep.gap_edge_pos == pytest.approx(ref.gap_edge_pos, abs=1e-12)
-    np.testing.assert_array_equal(rep.edge_state_mask, ref.edge_state_mask)
-    has = np.isfinite(ref.ipr)
-    np.testing.assert_array_equal(np.isfinite(rep.ipr), has)
-    np.testing.assert_allclose(rep.ipr[has], ref.ipr[has], rtol=0, atol=1e-12)
+    hop = -1j / (2 * grid.h) * GAMMA  # the block from point i to point i + 1
+    n = grid.n_points
+    h = (scipy.linalg.block_diag(*stack) + np.kron(np.eye(n, k=1), hop)
+         + np.kron(np.eye(n, k=-1), hop.conj().T))
+    w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(
+        h, EIGVEC_RESIDUAL_TOL * norm_1(gauged), lam, 1e-6, gap_exclusion)
+    rep = chain_spectrum(gauged, flat_energy=lam, cluster_tol=1e-6,
+                         gap_exclusion=gap_exclusion)
+    scale = np.abs(h).sum(axis=1).max()
+    np.testing.assert_allclose(rep.eigenvalues, w, rtol=0, atol=1e-12 * scale)
+    assert rep.cluster_count == count
+    assert rep.gap_edge_neg == pytest.approx(edge_neg, abs=1e-12)
+    assert rep.gap_edge_pos == pytest.approx(edge_pos, abs=1e-12)
+    # each walked group: the IPR and edge flag of its mean |v|^2
+    has = np.isfinite(rep.ipr)
+    assert has.sum() >= 2
+    np.testing.assert_array_equal(rep.edge_state_mask[has], edge[has])
+    np.testing.assert_allclose(rep.ipr[has], ipr[has], rtol=0, atol=1e-12)
 
