@@ -115,9 +115,9 @@ def invariant_checks(seed, tol_override):
         # negative control: xi1 = xi2 must break hermiticity of the
         # commutator-form potential (the component formulas are Hermitian
         # by construction and blind to a wrong xi1)
-        f, df = frame.f.copy(), frame.df.copy()
-        f[2, 1], df[2, 1] = f[2, 2], df[2, 2]
-        broken = replace(frame, f=f, df=df)
+        uhat0, uhat1 = frame.uhat0.copy(), frame.uhat1.copy()
+        uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
+        broken = replace(frame, uhat0=uhat0, uhat1=uhat1)
         add_min(f"{tag}_negative_control",
                 susy.hermiticity_asymmetry(susy.commutator_potential(broken)),
                 1e-4)

@@ -27,12 +27,13 @@ class NumericalError(SusychainError):
 
 
 class SingularFrameError(NumericalError):
-    """det U (or a potential denominator) vanishes somewhere on the grid."""
+    """det U vanishes at x, a grid point or a pole anywhere on the line;
+    value is |det Uhat| there, det U over its column scales."""
 
-    def __init__(self, x, value, what="det U"):
+    def __init__(self, x, value):
         self.x = x
         self.value = value
-        super().__init__(f"{what} too close to zero at x={x:.6g} (|{what}|={value:.3e})")
+        super().__init__(f"det U too close to zero at x={x:.6g} (|det Uhat|={value:.3e})")
 
 
 class DegenerateDispersionError(SusychainError):

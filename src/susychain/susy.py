@@ -12,9 +12,14 @@ integral condition so that V_new comes out Hermitian. The resulting
 operator couples the two subsystems through exponentially localized
 off-diagonal terms while keeping a flat level at flat_energy.
 
-Convention note: the Wronskian-like constant phi2*psi1 - phi1*psi2 equals
-w0 / (mass - flat_energy) with the w0 entering phi1's quadrature; the
-hermitization integral needs the actual constant, not w0 itself.
+U = Uhat(t) G with t = tanh(kappa0*x), G = diag(e^{-Ax}, cosh(kappa0*x),
+cosh(kappa0*x)) and Uhat linear in t. The engine samples only the bounded
+Uhat, as G cancels from V_new, from (dU/dx) U^{-1} and from L's stencil
+weights; det Uhat = i*q(t) with q quadratic, so the seed's poles are the
+roots of q in (-1, 1), found in closed form.
+
+Convention note: phi2*psi1 - phi1*psi2 = w0 / (mass - flat_energy), and the
+hermitization integral takes (mass - flat_energy) times it: w0.
 """
 
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ import numpy as np
 
 from .continuum import DiracOperatorSpec, apply_dirac, potential_matrix
 from .errors import NumericalError, SingularFrameError
-from .numcore import Grid, diff_central, stack_matmul, stack_matvec
+from .numcore import Grid, quad_roots, stack_matmul, stack_matvec
 
 SINGULARITY_REL_TOL = 1e-8
 
@@ -61,9 +66,8 @@ class SeedData:
         if self.w0 == 0.0:
             raise NumericalError("w0 = 0 makes the two flat-level seeds dependent")
         if self.kappa0_sq <= 0.0:
-            raise NumericalError(
-                f"kappa0^2 = {self.kappa0_sq:.3e} <= 0: oscillatory seeds unsupported"
-            )
+            raise NumericalError(f"kappa0^2 = {self.kappa0_sq:.3e} <= 0: "
+                                 "oscillatory seeds unsupported")
 
     @property
     def kappa0_sq(self):
@@ -84,49 +88,94 @@ def seed_potential_matrix(s):
     return potential_matrix(s.mass, s.gauge_a, 0.0, 0.0, 0.0, s.flat_energy)
 
 
+def frame_factor(s):
+    """The rows uhat0, uhat1 (without the first row's factor i) of the seed
+    frame U = (uhat0 + t*uhat1) G, and q = (q2, q1, q0) with det Uhat / i =
+    q(t). Plain arithmetic on s's fields: symbols give symbolic constants."""
+    m, a, k0, w0, c0, c1 = s.mass, s.gauge_a, s.kappa0, s.w0, s.c0, s.c1
+    d = s.mass - s.flat_energy
+    # columns (-i*m, A, 0) and (i*psi_a, phi_a, xi_a) over G: phi2 = xi2 =
+    # cosh, phi1 by reduction of order, psi_a = (phi_a' + A*phi_a)/d, and
+    # xi1 = xi2*(c1 - w0*tanh/kappa0) hermitizes V_new
+    uhat0 = ((-m, (w0 + a * c0) / d, a / d), (a, c0, 1), (0, c1, 1))
+    uhat1 = ((0, (k0 * c0 + a * w0 / k0) / d, k0 / d), (0, w0 / k0, 0), (0, -w0 / k0, 0))
+    delta = c0 - c1
+    q = (-(a * w0 / d),
+         -(2 * m * w0 / k0 + a / d * (k0 * delta + 2 * a * w0 / k0)),
+         -(m * delta + a / d * (w0 + a * delta)))
+    return uhat0, uhat1, q
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class TransformationFrame:
-    """The seed frame sampled on a grid. f holds the rows of U without the
-    factor i of its first row, (psi0, psi1, psi2), (phi0, phi1, phi2) and
-    (0, xi1, xi2), as a read-only real (3, 3, n) array; df holds the same
-    rows of dU/dx; det U = i * det."""
+    """The seed frame U = (uhat0 + t*uhat1) G on a grid: frame_factor's real
+    3x3 constants, the samples of t = tanh(kappa0*x), and log G as a (3, n)
+    array. Arrays built from them on first use are read-only; only u and
+    u_inv multiply G = diag(e^{-Ax}, cosh(kappa0*x), cosh(kappa0*x)) back in."""
 
     grid: Grid
     seed: SeedData
-    f: np.ndarray
-    df: np.ndarray
-    det: np.ndarray
+    uhat0: np.ndarray
+    uhat1: np.ndarray
+    t: np.ndarray
+    log_g: np.ndarray
+
+    @cached_property
+    def f(self):
+        """The rows of Uhat without the factor i, (psi0, psi1, psi2), (phi0,
+        phi1, phi2) and (0, xi1, xi2) over G, as a real (3, 3, n) array."""
+        return _frozen(self.uhat0[:, :, None] + self.t * self.uhat1[:, :, None])
+
+    @cached_property
+    def det(self):
+        """det Uhat / i = q(t), from the samples."""
+        (psi0, psi1, psi2), (phi0, phi1, phi2), (_, xi1, xi2) = self.f
+        return _frozen(psi0 * (phi1 * xi2 - phi2 * xi1) - phi0 * (psi1 * xi2 - psi2 * xi1))
+
+    @cached_property
+    def uhat(self):
+        """Uhat(x_i) as an (n, 3, 3) complex stack."""
+        return _frozen(_frame_stack(self.f))
+
+    @cached_property
+    def uhat_inv(self):
+        """Per-point Uhat^{-1}: the 3x3 adjugate over det Uhat."""
+        return _frozen(_adjugate3(self.uhat) / (1j * self.det)[:, None, None])
+
+    @property
+    def duhat(self):
+        """(dU/dx) G^{-1} = kappa0*(1 - t^2)*uhat1 + Uhat diag(-A, kappa0*t,
+        kappa0*t) as an (n, 3, 3) complex stack, built on each access."""
+        k0, t = self.seed.kappa0, self.t
+        rate = np.stack([np.full_like(t, -self.seed.gauge_a), k0 * t, k0 * t])
+        return _frame_stack(k0 * (1.0 - t * t) * self.uhat1[:, :, None] + self.f * rate)
 
     @cached_property
     def u(self):
-        """U(x_i) as a read-only (n, 3, 3) complex stack, built once per frame."""
-        u = _frame_stack(self.f)
-        u.flags.writeable = False
-        return u
+        """U = Uhat G, for the checks that act on U's own columns; it leaves
+        the double range on wide boxes."""
+        return _frozen(_frame_stack(self.f * np.exp(self.log_g)))
 
     @cached_property
     def u_inv(self):
-        """Read-only per-point U^{-1}, computed once per frame."""
-        # the 3x3 adjugate formula; det U = i * self.det
-        u_inv = _adjugate3(self.u) / (1j * self.det)[:, None, None]
-        u_inv.flags.writeable = False
-        return u_inv
+        """U^{-1} = G^{-1} Uhat^{-1}."""
+        return _frozen(self.uhat_inv * np.exp(-self.log_g).T[:, :, None])
 
-    @property
-    def du(self):
-        """dU/dx as an (n, 3, 3) complex stack, built on each access."""
-        return _frame_stack(self.df)
+    @cached_property
+    def _weights(self):
+        # G_i/G_{i+1} and G_{i+1}/G_i, (3, n - 1), for apply_darboux
+        return np.exp(-np.diff(self.log_g)), np.exp(np.diff(self.log_g))
 
     @cached_property
     def _potential(self):
         # the closed-form ratios documented at transformed_potential
-        s = self.seed
+        s, den = self.seed, self.det
         pref = s.mass - s.flat_energy
-        den = self.det
-        if np.abs(den).min() == 0.0:
-            i = int(np.argmin(np.abs(den)))
-            raise SingularFrameError(self.grid.x[i], 0.0,
-                                     what="potential denominator")
         (psi0, psi1, psi2), (phi0, phi1, phi2), (_, xi1, xi2) = self.f
         q_psi = xi2 * psi1 - xi1 * psi2
         q_phi = xi2 * phi1 - xi1 * phi2
@@ -135,32 +184,24 @@ class TransformationFrame:
         v13 = pref * psi0 * w_flip / den
         v23 = -pref * phi0 * w_flip / den
         v11 = -s.mass + pref * (psi0 * q_phi + phi0 * q_psi) / den
-        for v in (v11, v12, v13, v23):
-            v.flags.writeable = False
-        return PotentialComponents(self.grid, v11, v12, v13, v23, s.flat_energy)
+        return PotentialComponents(self.grid, *map(_frozen, (v11, v12, v13, v23)),
+                                   s.flat_energy)
 
     @property
     def wronskian_relative_stdev(self):
-        """Rms over samples of (w - W) / (|phi2*psi1| + |phi1*psi2|).
-
-        W is the exact constant. The two products grow like cosh^2 on wide
-        boxes and cancel to W, so each sample's deviation is measured in
-        units of its own rounding scale, not of W.
-        """
+        """Rms of (w - W*(1 - t^2)) / (|phi2*psi1| + |phi1*psi2|), w = phi2*psi1 -
+        phi1*psi2 on Uhat's rows: each sample's deviation in rounding units."""
         (_, psi1, psi2), (_, phi1, phi2), _ = self.f
         a, b = phi2 * psi1, phi1 * psi2
-        dev = (a - b - self.seed.wronskian_constant) / (np.abs(a) + np.abs(b))
+        exact = self.seed.wronskian_constant * (1.0 - self.t * self.t)
+        dev = (a - b - exact) / (np.abs(a) + np.abs(b))
         return float(np.sqrt(np.mean(dev**2)))
 
 
-# U's first row carries a factor i; its other rows are real
-ROW_PHASE = np.array([1j, 1.0, 1.0])
-
-
 def _frame_stack(rows):
-    """U (or dU/dx) from its real (3, 3, n) rows, as an (n, 3, 3) view of
-    component-major storage."""
-    return np.moveaxis(ROW_PHASE[:, None, None] * rows, -1, 0)
+    """A complex (n, 3, 3) frame stack from its real (3, 3, n) rows, the
+    first times i, as a view of component-major storage."""
+    return np.moveaxis(np.array([1j, 1.0, 1.0])[:, None, None] * rows, -1, 0)
 
 
 def _adjugate3(u):
@@ -175,74 +216,33 @@ def _adjugate3(u):
     return adj
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is checked from the samples
+@np.errstate(over="ignore", invalid="ignore")  # non-finite constants are raised below
 def assemble_frame(s, grid):
-    """Sample the seed frame and its x-derivatives on a grid; check regularity.
+    """Sample the seed frame's bounded factor Uhat on a grid; check regularity.
 
-    The entries of U grow like exp(kappa0*|x|) and exp(A*|x|), so det U
-    grows like exp((2*kappa0 + |A|)*|x|); a box on which any sample leaves
-    the double range raises NumericalError.
-    """
-    x = grid.x
-    k0, a, w0, c0, c1 = s.kappa0, s.gauge_a, s.w0, s.c0, s.c1
-    denom = s.mass - s.flat_energy
-    ch, sh, th = np.cosh(k0 * x), np.sinh(k0 * x), np.tanh(k0 * x)
-    sech = 1.0 / ch
-    ea = np.exp(-a * x)
-    # each sample is written into its row of f (U) or df (dU/dx); U[2, 0]
-    # and its derivative stay 0
-    f, df = np.zeros((2, 3, 3, x.size))
-    (psi0, psi1, psi2), (phi0, phi1, phi2), (_, xi1, xi2) = f
-    (dpsi0, dpsi1, dpsi2), (dphi0, dphi1, dphi2), (_, dxi1, dxi2) = df
-
-    # first column (i*psi0, phi0, 0), at energy mass
-    psi0[:] = -s.mass * ea
-    phi0[:] = a * ea
-    dpsi0[:] = a * s.mass * ea
-    dphi0[:] = -(a**2) * ea
-    # flat-level columns: phi2 = cosh(kappa0 x); phi1 follows by reduction
-    # of order with quadrature constant c0; psi_a = (phi_a' + A*phi_a)/denom.
-    # psi1 divides by ch where dphi1 multiplies by sech: the two differ in
-    # the last bit when w0 != 1, and each keeps its own rounding
-    phi2[:] = xi2[:] = ch
-    phi1[:] = ch * (w0 * th / k0 + c0)
-    dphi2[:] = dxi2[:] = k0 * sh
-    grow1 = sh * (w0 * th + k0 * c0)
-    dphi1[:] = grow1 + w0 * sech
-    psi2[:] = (k0 * sh + a * ch) / denom
-    psi1[:] = (grow1 + w0 / ch + a * phi1) / denom
-    # phi_a'' = kappa0^2 * phi_a  =>  psi_a' = (kappa0^2*phi_a + A*phi_a')/denom
-    dpsi1[:] = (k0**2 * phi1 + a * dphi1) / denom
-    dpsi2[:] = (k0**2 * phi2 + a * dphi2) / denom
-    # third column: with xi2 = cosh(kappa0 x), xi1 = xi2*(c1 - w*Integral dx/xi2^2)
-    # hermitizes V_new, where w = (mass - flat_energy) times the actual
-    # Wronskian constant phi2*psi1 - phi1*psi2; Integral sech^2 = tanh/kappa0
-    w = (s.mass - s.flat_energy) * s.wronskian_constant
-    hermit = c1 - w * th / k0
-    xi1[:] = ch * hermit
-    dxi1[:] = dxi2 * hermit - w * sech
-
-    det = psi0 * (phi1 * xi2 - phi2 * xi1) - phi0 * (psi1 * xi2 - psi2 * xi1)
-    # scale-invariant regularity: compare |det| to the Hadamard bound at
-    # each point (the frame functions grow exponentially, so a single
-    # global scale would misclassify large boxes)
-    hadamard = (np.hypot(psi0, phi0)
-                * np.sqrt(psi1**2 + phi1**2 + xi1**2)
-                * np.sqrt(psi2**2 + phi2**2 + xi2**2))
-    finite = (np.isfinite(f).all(axis=(0, 1)) & np.isfinite(df).all(axis=(0, 1))
-              & np.isfinite(det) & np.isfinite(hadamard))
-    if not finite.all():
-        raise NumericalError(
-            f"seed frame overflows at x={x[np.argmin(finite)]:.6g}: det U grows like "
-            f"exp((2*kappa0 + |A|)*|x|), with kappa0={k0:.6g} and |A|={abs(a):.6g}, "
-            f"on a box of half-width {max(-grid.x_min, grid.x_max):.6g}; "
-            f"shrink the box, the mass or the seed constants")
-    bad = np.abs(det) < SINGULARITY_REL_TOL * hadamard
-    if bad.any():
+    |det Uhat| is compared with the Hadamard bound of Uhat's columns at each
+    point, a ratio that column scaling leaves alone, so it guards the
+    conditioning of U. det U = i*e^{-Ax}*cosh^2(kappa0*x)*q(t), so a root
+    of q with |t| < 1 is a pole at x = atanh(t)/kappa0, wherever the box
+    is; a root at t = +-1 lies at x = +-inf. One that rounding alone puts
+    inside is refused too: q(+-1) is zero to working precision there."""
+    uhat0, uhat1, q = (np.array(c, dtype=float) for c in frame_factor(s))
+    if not all(np.isfinite(c).all() for c in (uhat0, uhat1, q)):
+        raise NumericalError("the seed constants overflow the frame's factor Uhat: "
+                             "shrink the mass or the seed constants")
+    x, k0 = grid.x, s.kappa0
+    k0x = np.abs(k0 * x)
+    log_cosh = k0x + np.log1p(np.exp(-2.0 * k0x)) - np.log(2.0)
+    frame = TransformationFrame(grid, s, uhat0, uhat1, np.tanh(k0 * x),
+                                np.stack([-s.gauge_a * x, log_cosh, log_cosh]))
+    det, hadamard = frame.det, np.sqrt((frame.f**2).sum(axis=0)).prod(axis=0)
+    if (np.abs(det) < SINGULARITY_REL_TOL * hadamard).any():
         i = int(np.argmax(hadamard / np.maximum(np.abs(det), 1e-300)))
         raise SingularFrameError(x[i], float(np.abs(det[i])))
-    f.flags.writeable = df.flags.writeable = False
-    return TransformationFrame(grid=grid, seed=s, f=f, df=df, det=det)
+    for t in quad_roots(*q).roots:
+        if abs(t) < 1.0:
+            raise SingularFrameError(float(np.arctanh(t)) / k0, 0.0)
+    return frame
 
 
 def frame_eigen_residuals(frame):
@@ -279,13 +279,10 @@ class PotentialComponents:
 
 
 def transformed_potential(frame):
-    """Transformed potential from the explicit closed-form ratios.
-
-    All four components share the denominator
-        psi0*(xi2*phi1 - xi1*phi2) - phi0*(xi2*psi1 - xi1*psi2),
-    which coincides with det U / i, so frame regularity already
-    guarantees it is bounded away from zero. The components are computed
-    once per frame and returned read-only.
+    """Transformed potential from the explicit closed-form ratios on Uhat's
+    rows, G cancelled. All four components share the denominator det Uhat / i,
+    which assemble_frame keeps away from zero; they are computed once per
+    frame and returned read-only.
     """
     return frame._potential
 
@@ -293,11 +290,12 @@ def transformed_potential(frame):
 def commutator_potential(frame):
     """Independent route: V_new = V - i[gamma, (dU/dx) U^{-1}] per point.
 
-    Uses the analytic derivatives of the seed functions, so it shares no
-    algebra with the closed-form ratios of transformed_potential.
+    (dU/dx) U^{-1} = (Uhat' + Uhat G'G^{-1}) Uhat^{-1} takes the analytic
+    derivatives of the seed functions, so it shares no algebra with the
+    closed-form ratios of transformed_potential.
     """
     v_seed = seed_potential_matrix(frame.seed)
-    m = stack_matmul(frame.du, frame.u_inv)
+    m = stack_matmul(frame.duhat, frame.uhat_inv)
     # gamma m swaps rows 0 and 1 and drops row 2; m gamma does so to columns
     comm = np.zeros_like(m)
     comm[:, :2] = m[:, 1::-1]
@@ -319,10 +317,19 @@ def hermiticity_asymmetry(stack):
 
 
 def apply_darboux(frame, state):
-    """L acting on a sampled (3, n) spinor: U d/dx (U^{-1} state)."""
-    f = np.asarray(state, dtype=complex)
-    y = stack_matvec(frame.u_inv, f)
-    return stack_matvec(frame.u, diff_central(y, frame.grid))
+    """L acting on a sampled (3, n) spinor: U d/dx (U^{-1} state) with the
+    stencil of diff_central, as Uhat D_G (Uhat^{-1} state), where D_G weights
+    the neighbour j of point i by G_i/G_j = exp(log G_i - log G_j)."""
+    z = stack_matvec(frame.uhat_inv, np.asarray(state, dtype=complex))
+    up, down = frame._weights
+    d = np.empty_like(z)
+    d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
+    d[:, -1] = 3 * z[:, -1] - down[:, -1] * (4 * z[:, -2] - down[:, -2] * z[:, -3])
+    np.multiply(up[:, 1:], z[:, 2:], out=d[:, 1:-1])
+    z[:, :-2] *= down[:, :-1]  # in place: the ends are done
+    d[:, 1:-1] -= z[:, :-2]
+    d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)  # numpy's bits for d / (2h)
+    return stack_matvec(frame.uhat, d)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is raised below
@@ -332,16 +339,13 @@ def intertwining_residual(frame, states, n_levels=3):
     states maps a grid's x to an (n_states, 3, n) array of spinors.
     Returns residuals of shape (n_states, n_levels) and the measured
     orders log2(r_l / r_{l+1}). Raises NumericalError naming the grid
-    spacing where a residual is not finite (the stencil's 1/(2h) overflows
-    on a tiny box).
+    spacing where a residual is not finite: the stencil's 1/(2h) overflows
+    on a tiny box, L's weights e^{kappa0*h} where h does not resolve kappa0.
     """
-    grids = [frame.grid]
-    for _ in range(n_levels - 1):
-        grids.append(grids[-1].refined())
-    residuals = []
+    residuals, g = [], frame.grid
     seed_op = DiracOperatorSpec(seed_potential_matrix(frame.seed))
-    for g in grids:
-        fr = frame if g is frame.grid else assemble_frame(frame.seed, g)
+    for i in range(n_levels):
+        fr = frame if i == 0 else assemble_frame(frame.seed, g)
         new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
         level = []
         for f in np.asarray(states(g.x), dtype=complex):
@@ -352,6 +356,7 @@ def intertwining_residual(frame, states, n_levels=3):
             raise NumericalError(f"intertwining residual is not finite at grid spacing "
                                  f"h={g.h:.6g}")
         residuals.append(level)
+        g = g.refined()
     residuals = np.array(residuals).T
     orders = np.log2(residuals[:, :-1] / residuals[:, 1:])
     return residuals, orders
@@ -371,25 +376,18 @@ def inverse_dagger_states(frame):
     Returns (states, reports): states[j] is a (3, n) array expected to
     satisfy (H_new - E_j) state = O(h^2) with E = (mass, flat, flat).
     """
-    s = frame.seed
-    g = frame.grid
+    s, g = frame.seed, frame.grid
     w = np.conj(np.swapaxes(frame.u_inv, 1, 2))  # (n, 3, 3)
     new_op = DiracOperatorSpec(transformed_potential(frame).matrix_stack())
-    energies = (s.mass, s.flat_energy, s.flat_energy)
     states, reports = [], []
     n_tail = max(3, g.n_points // 5)
-    for j, e in enumerate(energies):
-        st = w[:, :, j].T  # (3, n)
+    for st, e in zip(w.T, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
         r = apply_dirac(new_op, st, g) - e * st
         amp = np.linalg.norm(st, axis=0)
         mass = float(np.trapezoid(amp**2, g.x))
         tail = np.log(np.maximum(amp[-n_tail:], 1e-300))
         rate = float(np.polyfit(g.x[-n_tail:], tail, 1)[0])
         states.append(st)
-        reports.append(EigenstateReport(
-            energy=e,
-            residual=float(np.abs(r).max() / (1.0 + np.abs(st).max())),
-            l2_mass=mass,
-            tail_decay_rate=rate,
-        ))
+        residual = float(np.abs(r).max() / (1.0 + np.abs(st).max()))
+        reports.append(EigenstateReport(e, residual, mass, rate))
     return states, reports

@@ -87,9 +87,9 @@ def test_criterion_4_hermitization():
         fr = assemble_frame(p.seed_data(), Grid(-20.0, 20.0, 1201))
         stack = transformed_potential(fr).matrix_stack()
         worst_asym = max(worst_asym, susy.hermiticity_asymmetry(stack))
-        f, df = fr.f.copy(), fr.df.copy()
-        f[2, 1], df[2, 1] = f[2, 2], df[2, 2]
-        broken = replace(fr, f=f, df=df)
+        uhat0, uhat1 = fr.uhat0.copy(), fr.uhat1.copy()
+        uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
+        broken = replace(fr, uhat0=uhat0, uhat1=uhat1)
         control = susy.hermiticity_asymmetry(susy.commutator_potential(broken))
         worst_control = min(worst_control, control)
     report(4, "hermitized potential is Hermitian; xi1 -> xi2 breaks it",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susychain
-from susychain import cli, numcore
+from susychain import cli, models, numcore
 from susychain.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -379,7 +379,7 @@ def test_susy_model_run(tmp_path):
 
 
 GENERAL_SEED_ARGV = ["susy", "--set", "mass=0.3", "--set", "gauge_a=0.26832815729997476",
-                     "--set", "flat_energy=0.06", "--set", "c0=-3.0516766992011266",
+                     "--set", "flat_energy=0.06", "--set", "c0=-20.0",
                      "--grid-points", "401"]
 
 
@@ -401,16 +401,53 @@ def test_susy_invalid_model_exits_2(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("model,mass", [("I", "1e5"), ("II", "10")])
-def test_susy_frame_overflow_exits_3_before_output(tmp_path, capsys, model, mass):
-    # at box 20 the frame leaves the double range from m ~ 9.5 on
+@pytest.mark.parametrize("model,mass,flat_energy,box", [
+    ("I", "9.5", "0", "20"), ("II", "10", "0", "20"), ("I", "1.0", "0.2", "400"),
+    ("I", "0.3", "0.06", "2000"), ("I", "1e5", "0", "2e-4")])
+def test_susy_past_the_double_range_of_u_matches_model_potential(
+        tmp_path, model, mass, flat_energy, box):
+    # U = Uhat * G grows like exp((2*kappa0 + |A|)*|x|) and leaves the double
+    # range on each of these boxes; the engine samples only Uhat
     rc = main(["susy", "--out", str(tmp_path), "--set", f"model={model}",
-               "--set", f"mass={mass}"])
+               "--set", f"mass={mass}", "--set", f"flat_energy={flat_energy}",
+               "--box", box])
+    assert rc == EXIT_OK
+    _, rows = read_csv(tmp_path / "susy_potential.csv")
+    assert np.isfinite(rows).all()
+    p = models.ModelParams(models.ModelKind(model), float(mass), float(flat_energy))
+    oracle = np.column_stack(models.model_potential(p, rows[:, 0]))
+    assert np.abs(rows[:, 1:] - oracle).max() <= 1e-8 * (1.0 + np.abs(oracle).max())
+    rep = json.loads((tmp_path / "susy_verify.json").read_text())
+    assert rep["model_oracle_max_diff"] <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_susy_grid_that_misses_the_kink_exits_3_naming_h(tmp_path, capsys):
+    # kappa0 = 1.4e5 at m = 1e5, so kappa0*h = 2828 at box 20: the discrete
+    # L = U D U^{-1} weights a neighbour by G_i/G_j = e^2828, and the
+    # intertwining residual is not finite, while the table itself is right
+    rc = main(["susy", "--out", str(tmp_path), "--set", "model=I", "--set", "mass=1e5"])
     assert rc == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "overflows" in err and "kappa0=" in err and "half-width 20" in err
-    assert not (tmp_path / "susy_potential.csv").exists()
-    assert not (tmp_path / "susy_verify.json").exists()
+    assert capsys.readouterr().err == (
+        "error: intertwining residual is not finite at grid spacing h=0.02\n")
+    assert not os.listdir(tmp_path)
+    p = models.ModelParams(models.ModelKind.I, 1e5, 0.0)
+    grid = numcore.Grid(-20.0, 20.0, 2001)
+    comps = susychain.transformed_potential(susychain.assemble_frame(p.seed_data(), grid))
+    oracle = models.model_potential(p, grid.x)
+    diff = max(np.abs(getattr(comps, c) - o).max()
+               for c, o in zip(("v11", "v12", "v13", "v23"), oracle))
+    assert diff <= 1e-8 * (1.0 + max(np.abs(o).max() for o in oracle))
+
+
+def test_susy_general_seed_with_a_pole_exits_3_naming_it(tmp_path, capsys):
+    # this seed had a golden report: q(t) has the root t = -0.40254, which
+    # is the pole x = atanh(t)/kappa0 = -1.2317
+    rc = main(["susy", "--out", str(tmp_path), "--set", "mass=0.3",
+               "--set", "gauge_a=0.2", "--set", "flat_energy=0.1"])
+    assert rc == EXIT_NUMERICAL
+    assert "x=-1.2317" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_susy_huge_model_mass_exits_2(tmp_path, capsys):
@@ -701,7 +738,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["susy", "--set", "model=I", "--set", "mass=0.07", "--grid-points", "201"],
      "susy_verify.json", "susy_verify_model1.json"),
     (["susy", "--set", "mass=0.3", "--set", "gauge_a=0.2",
-      "--set", "flat_energy=0.1", "--grid-points", "201"],
+      "--set", "flat_energy=0.1", "--set", "c0=-20", "--grid-points", "201"],
      "susy_verify.json", "susy_verify_general.json"),
 ])
 def test_darboux_reports_match_golden_bytes(tmp_path, capsys, argv, name, golden):
@@ -709,13 +746,13 @@ def test_darboux_reports_match_golden_bytes(tmp_path, capsys, argv, name, golden
     assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-# SHA-256 of each susy_potential.csv: a change to how the frame stores U
+# SHA-256 of each susy_potential.csv: a change to how the frame stores Uhat
 # must not move any sample of the potential table
 @pytest.mark.parametrize("argv, digest", [
     (["susy", "--set", "model=I", "--set", "mass=0.07", "--grid-points", "2001"],
-     "939ced43c5147544e46b583edfd0152c7055fe92c76aaa673d843e198c3c113e"),
+     "049f67cc257391514d1856daccd7ac8bcdba09b87870b93516c262430d24e83e"),
     (GENERAL_SEED_ARGV,
-     "2c0d7453315007ffd645cdd9baf5a2486769af41733b1cf9cabed857c43bcf3f"),
+     "69f1bed60929329c136f142e2003df5ecc8df709049aca86aacc5bf7f73b1202"),
 ], ids=["model_I", "general_seed"])
 def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK

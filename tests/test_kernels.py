@@ -27,7 +27,7 @@ MODELS = {
 }
 SEEDS = {
     **{name: p.seed_data() for name, p in MODELS.items()},
-    "general": SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.2),
+    "general": SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.2, c0=-20.0),
 }
 
 
@@ -74,20 +74,36 @@ def _apply_dirac_ref(spec, f, grid):
     return kinetic + np.einsum("nij,jn->in", v, f)
 
 
+def _weighted_diff_ref(z, log_g, grid):
+    # G * D(z / G) point by point, G = exp(log_g): row i takes its
+    # stencil neighbour j with the weight G_i/G_j = exp(log_g[i] - log_g[j]),
+    # and the end rows reach two points as (G_0/G_1)*(G_1/G_2)
+    def w(i, j):
+        return np.exp(log_g[:, i] - log_g[:, j])
+
+    n = z.shape[-1]
+    d = np.empty_like(z)
+    for i in range(1, n - 1):
+        d[:, i] = w(i, i + 1) * z[:, i + 1] - w(i, i - 1) * z[:, i - 1]
+    d[:, 0] = -3 * z[:, 0] + w(0, 1) * (4 * z[:, 1] - w(1, 2) * z[:, 2])
+    d[:, -1] = 3 * z[:, -1] - w(n - 1, n - 2) * (4 * z[:, -2] - w(n - 2, n - 3) * z[:, -3])
+    return d / (2 * grid.h)
+
+
 def _apply_darboux_ref(frame, f):
-    y = np.einsum("nij,jn->in", frame.u_inv, f)
-    dy = _diff_central_ref(y, frame.grid)
-    return np.einsum("nij,jn->in", frame.u, dy)
+    z = np.einsum("nij,jn->in", frame.uhat_inv, f)
+    dz = _weighted_diff_ref(z, frame.log_g, frame.grid)
+    return np.einsum("nij,jn->in", frame.uhat, dz)
 
 
 def _commutator_potential_ref(frame):
-    m = np.einsum("nij,njk->nik", frame.du, frame.u_inv)
+    m = np.einsum("nij,njk->nik", frame.duhat, frame.uhat_inv)
     comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
     return seed_potential_matrix(frame.seed)[None, :, :] - 1j * comm
 
 
 def _frame_stack_ref(rows):
-    # U (or dU/dx) entry by entry from its real rows, the first times i
+    # a frame stack entry by entry from its real rows, the first times i
     u = np.zeros((rows.shape[-1], 3, 3), dtype=complex)
     for j in range(3):
         u[:, 0, j] = 1j * rows[0, j]
@@ -105,7 +121,7 @@ def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
 
 
 def _engine_stacks(frame):
-    stacks = [frame.u, frame.u_inv, frame.du,
+    stacks = [frame.uhat, frame.uhat_inv, frame.duhat, frame.u, frame.u_inv,
               transformed_potential(frame).matrix_stack()]
     for p in MODELS.values():
         stacks.append(model_potential_components(p, frame.grid).matrix_stack())
@@ -231,15 +247,23 @@ def test_darboux_engine_equals_its_einsum_formulas(name):
 def test_stack_producers_keep_shape_values_and_flags(name):
     fr = assemble_frame(SEEDS[name], GRID)
     n = GRID.n_points
-    u_ref = _frame_stack_ref(fr.f)
-    du_ref = _frame_stack_ref(fr.df)
-    u_inv_ref = _adjugate3(u_ref) / (1j * fr.det)[:, None, None]
+    s, t, g = fr.seed, fr.t, np.exp(fr.log_g)
+    rate = (np.full_like(t, -s.gauge_a), s.kappa0 * t, s.kappa0 * t)
+    du_rows = np.empty_like(fr.f)
+    for i, j in np.ndindex(3, 3):
+        du_rows[i, j] = s.kappa0 * (1.0 - t * t) * fr.uhat1[i, j] + fr.f[i, j] * rate[j]
+    uhat_ref = _frame_stack_ref(fr.f)
+    uhat_inv_ref = _adjugate3(uhat_ref) / (1j * fr.det)[:, None, None]
+    u_ref = _frame_stack_ref(fr.f * g)
+    u_inv_ref = uhat_inv_ref * np.exp(-fr.log_g).T[:, :, None]
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
                                   0.0, comps.flat_energy)
-    for got, want, writeable in ((fr.u, u_ref, False),
+    for got, want, writeable in ((fr.uhat, uhat_ref, False),
+                                 (fr.uhat_inv, uhat_inv_ref, False),
+                                 (fr.duhat, _frame_stack_ref(du_rows), True),
+                                 (fr.u, u_ref, False),
                                  (fr.u_inv, u_inv_ref, False),
-                                 (fr.du, du_ref, True),
                                  (comps.matrix_stack(), v_ref, True)):
         assert got.shape == (n, 3, 3)
         assert _same_bits(got, want)
