@@ -2,8 +2,7 @@
 
 from .continuum import (
     GAMMA,
-    AsymptoticCell,
-    DiracOperatorSpec,
+    PotentialComponents,
     apply_dirac,
     continuum_limit,
     discretize,
@@ -49,7 +48,6 @@ from .numcore import (
     quad_roots,
 )
 from .susy import (
-    PotentialComponents,
     SeedData,
     TransformationFrame,
     apply_darboux,

@@ -14,9 +14,9 @@ from .numcore import Grid, diff_central, integrate_cumulative
 from .susy import assemble_frame, transformed_potential
 
 
-def oracle_max_diff(p, comps):
-    """Largest |engine - closed form| over the four potential components."""
-    oracle = models.model_potential_components(p, comps.grid)
+def oracle_max_diff(p, comps, grid):
+    """Largest |engine - closed form| over the four components on grid."""
+    oracle = models.model_potential_components(p, grid)
     return float(max(np.abs(getattr(comps, c) - getattr(oracle, c)).max()
                      for c in ("v11", "v12", "v13", "v23")))
 
@@ -111,7 +111,7 @@ def invariant_checks(seed, tol_override):
         add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(stack), 1e-10)
         add_max(f"{tag}_w0_constancy", frame.wronskian_relative_stdev, 1e-10)
         add_max(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
-        add_max(f"{tag}_oracle_match", oracle_max_diff(p, comps), 1e-8)
+        add_max(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
         # negative control: xi1 = xi2 must break hermiticity of the
         # commutator-form potential (the component formulas are Hermitian
         # by construction and blind to a wrong xi1)

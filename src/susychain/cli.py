@@ -29,7 +29,7 @@ import numpy as np
 
 from . import models, susy
 from .checks import invariant_checks, oracle_max_diff, smooth_test_states
-from .continuum import DiracOperatorSpec, discretize
+from .continuum import discretize
 from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, build_finite_chain, \
     chain_spectrum, default_k_grid, flat_band_residual, tune_flat_band
@@ -330,6 +330,13 @@ def cmd_susy(st, out_dir):
     comps = transformed_potential(frame)
     residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
                                                    n_levels=2)
+    h = frame.grid.h
+    kh = seed.kappa0 * h
+    if kh > 0.25:
+        # the stencil's error is O((kappa0*h)^2) only once h resolves the kink
+        print(f"warning: kappa0*h = {kh:.3g} at h = {h:.3g} does not "
+              "resolve the kink: intertwining_orders are not convergence orders",
+              file=sys.stderr)
     _write_csv(os.path.join(out_dir, "susy_potential.csv"),
                ["x", "v11", "v12", "v13", "v23"],
                [frame.grid.x, comps.v11, comps.v12, comps.v13, comps.v23])
@@ -344,7 +351,7 @@ def cmd_susy(st, out_dir):
         "intertwining_orders": orders.tolist(),
     }
     if p is not None:
-        verification["model_oracle_max_diff"] = oracle_max_diff(p, comps)
+        verification["model_oracle_max_diff"] = oracle_max_diff(p, comps, frame.grid)
     _write_json(os.path.join(out_dir, "susy_verify.json"), verification)
     return EXIT_OK
 
@@ -383,8 +390,7 @@ def cmd_spectrum(st, out_dir):
     def continuum_route():
         box = st["box"] or 12.0 / p.kappa
         grid = Grid(-box, box, st["grid_points"])
-        comps = models.model_potential_components(p, grid)
-        op = discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
+        op = discretize(models.model_potential_components(p, grid), grid)
         return chain_spectrum(op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
                               gap_exclusion=gap_exclusion)
 

@@ -2,11 +2,12 @@
 
 The low-energy operator acts on three-component spinors as
 
-    H = -i * kinetic_scale * gamma * d/dx + V(x),
+    H = -i * gamma * d/dx + V(x),
 
 where gamma couples the first two components only and V(x) is a 3x3
-Hermitian potential. Constant potentials are summarized by their
-asymptotic cell, whose symbol eigenvalues give the band thresholds.
+Hermitian potential with five real components. A constant potential
+(one spatial side's asymptotic cell) has symbol eigenvalues that give
+the band thresholds.
 """
 
 from dataclasses import dataclass
@@ -35,62 +36,43 @@ def potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy):
     return np.moveaxis(stack, (0, 1), (-2, -1))
 
 
-@dataclass(frozen=True, eq=False)
-class DiracOperatorSpec:
-    """-i*kinetic_scale*gamma*d/dx + V(x).
-
-    `potential` holds V sampled on a grid: one 3x3 matrix for a constant
-    potential, or an (n_points, 3, 3) stack with one matrix per point.
-    """
-
-    potential: np.ndarray
-    kinetic_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kinetic_scale == 0.0:
-            raise NumericalError("kinetic scale must be nonzero")
-
-
 @dataclass(frozen=True)
-class AsymptoticCell:
-    """Constant potential data on one spatial side (x -> +inf or -inf)."""
+class PotentialComponents:
+    """The real components of V = potential_matrix(v11, v12, v13, v23, 0,
+    flat_energy): arrays sampled on a grid's points, or floats for a
+    constant potential."""
 
-    v11: float
-    v12: float
-    v13: float
-    v23: float
+    v11: np.ndarray
+    v12: np.ndarray
+    v13: np.ndarray
+    v23: np.ndarray
     flat_energy: float
 
-    @property
-    def decoupled(self):
-        return self.v13 == 0.0 and self.v23 == 0.0
+    def matrix_stack(self):
+        """V(x_i) as an (n, 3, 3) complex stack; floats give one 3x3 matrix."""
+        return potential_matrix(self.v11, self.v12, self.v13, self.v23,
+                                0.0, self.flat_energy)
 
 
 def continuum_limit(p):
-    """Dirac operator obtained by expanding H(k) around the zone corner.
+    """Constant potential of the Dirac operator obtained by expanding H(k)
+    around the zone corner, as a 3x3 matrix.
 
     Valid in the regime t_ab ~ t_ab_inter where the two dispersive bands
     nearly touch at k = pi/a. The potential is constant: diagonal
     (eps_a, eps_b, eps_c), AB mass/dimerization split, and the static
-    inter-chain couplings. kinetic_scale = t_ab_inter * a; rescale x to
-    normalize it to 1.
+    inter-chain couplings. x is in units of t_ab_inter * a, which makes
+    the kinetic term -i*gamma*d/dx.
     """
     if p.t_ab_inter == 0.0:
         raise NumericalError("no Dirac expansion for t_ab_inter = 0")
-    v11 = 0.5 * (p.eps_a - p.eps_b)
-    scalar_v = 0.5 * (p.eps_a + p.eps_b)
-    v12 = p.t_ab - p.t_ab_inter
-    v13 = p.t_ac
-    v23 = p.t_bc
-    flat_energy = p.eps_c
-    mat = potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy)
-    return DiracOperatorSpec(potential=mat, kinetic_scale=p.t_ab_inter * p.a)
+    return potential_matrix(0.5 * (p.eps_a - p.eps_b), p.t_ab - p.t_ab_inter,
+                            p.t_ac, p.t_bc, 0.5 * (p.eps_a + p.eps_b), p.eps_c)
 
 
 def symbol_matrix(cell, k):
     """Symbol at momentum k; an array k gives a k.shape + (3, 3) stack."""
-    return np.multiply.outer(k, GAMMA) + potential_matrix(
-        cell.v11, cell.v12, cell.v13, cell.v23, 0.0, cell.flat_energy)
+    return np.multiply.outer(k, GAMMA) + cell.matrix_stack()
 
 
 def symbol_dispersion(cell, k):
@@ -107,9 +89,9 @@ def threshold_scan(cell):
     """Continuum band edges (E-, E+) and the flat energy.
 
     The dispersive branches attain their extrema at k = 0, giving edges
-    +-sqrt(v11^2 + v12^2). Only decoupled asymptotic cells are supported.
+    +-sqrt(v11^2 + v12^2). Only decoupled constant potentials are supported.
     """
-    if not cell.decoupled:
+    if cell.v13 != 0.0 or cell.v23 != 0.0:
         raise NumericalError(
             "threshold_scan requires a decoupled asymptotic cell "
             "(v13 = v23 = 0)"
@@ -118,35 +100,9 @@ def threshold_scan(cell):
     return -edge, edge, cell.flat_energy
 
 
-def _potential_stack(spec, grid):
-    """The spec's potential as an (n_points, 3, 3) complex stack."""
-    v = np.broadcast_to(_checked_potential(spec, grid), (grid.n_points, 3, 3))
-    finite = np.isfinite(v).all(axis=(1, 2))
-    if not finite.all():
-        x = grid.x[np.argmin(finite)]
-        raise NumericalError(f"non-finite potential sample at x={x:.6g}")
-    return v
-
-
-def _checked_potential(spec, grid):
-    """The spec's potential as a complex 3x3 or (n_points, 3, 3) array."""
-    v = np.asarray(spec.potential, dtype=complex)
-    n = grid.n_points
-    if v.shape not in ((3, 3), (n, 3, 3)):
-        raise NumericalError(
-            f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
-    return v
-
-
-# D = diag(1, i, i) at every point. Every potential that potential_matrix
-# builds has imaginary V12, V13 and real V23 and diagonal, and the kinetic
-# hop is imaginary, so conj(D_a) * H_ab * D_b is real for all of them.
-GAUGE = np.array([1.0, 1j, 1j])
-
-
-def discretize(spec, grid):
-    """Finite-difference matrix of the Dirac operator on a grid, stored as
-    D^H H D with the constant gauge D = diag(1, i, i) at every point.
+def discretize(comps, grid):
+    """Finite-difference matrix of H on a grid, stored as D^H H D with the
+    constant gauge D = diag(1, i, i) at every point.
 
     -i d/dx becomes the antisymmetric central-difference stencil (times
     -i, hence Hermitian); the potential is taken point by point; the
@@ -155,23 +111,33 @@ def discretize(spec, grid):
 
     D is unitary and diagonal, so D^H H D has the spectrum of H, and its
     eigenvectors are D^H times those of H: |v|^2 per point, hence IPR
-    and edge flags, are unchanged. The potential must have potential_matrix's
-    form (both models, continuum_limit): then the gauged matrix is real and
-    its float64 bands go to real eigensolves. Any other potential raises
-    NumericalError.
+    and edge flags, are unchanged. D makes every entry real: the on-site
+    block is [[v11, v12, v13], [v12, -v11, v23], [v13, v23, flat_energy]],
+    and the hop to the next point is +1/(2h) from component 0 to 1 and
+    -1/(2h) from 1 to 0. Each component is a float or holds one sample
+    per grid point.
     """
-    gauge = GAUGE.conj()[:, None] * GAUGE  # entry (a, b) is conj(D_a) * D_b
-    v = _potential_stack(spec, grid) * gauge
-    if v.imag.any():
-        raise NumericalError("potential is not of potential_matrix's form: "
-                             "its gauged matrix is complex")
-    # kinetic block from point i to i+1: -i * scale * gamma / (2h), gauged: real
-    hop = (-1j * spec.kinetic_scale / (2 * grid.h) * GAMMA * gauge).real
-    return BandedHermitian(block_tridiagonal_bands(v.real, hop, 4))
+    n = grid.n_points
+    values = []
+    for name, v in vars(comps).items():  # v11, v12, v13, v23, flat_energy
+        v = np.asarray(v)
+        if v.shape not in ((), (n,)):
+            raise NumericalError(f"{name} must be a scalar or of shape ({n},), "
+                                 f"got shape {v.shape}")
+        values.append(np.broadcast_to(v, (n,)))
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        x = grid.x[np.argmin(finite)]
+        raise NumericalError(f"non-finite potential sample at x={x:.6g}")
+    v11, v12, v13, v23, lam = values
+    onsite = np.moveaxis(np.array([[v11, v12, v13], [v12, -v11, v23], [v13, v23, lam]]),
+                         -1, 0)
+    hop = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
+    return BandedHermitian(block_tridiagonal_bands(onsite, hop, 4))
 
 
-def apply_dirac(spec, state, grid):
-    """Apply -i*scale*gamma*d/dx + V(x) to a sampled (3, n) spinor.
+def apply_dirac(potential, state, grid):
+    """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor.
 
     The one operator action of the package: the seed, the transformed and
     the discretized operators differ only in V. A constant 3x3 potential
@@ -179,9 +145,13 @@ def apply_dirac(spec, state, grid):
     the potential is checked; a non-finite V gives a non-finite result.
     """
     f = np.asarray(state, dtype=complex)
-    v = _checked_potential(spec, grid)
+    v = np.asarray(potential, dtype=complex)
+    n = grid.n_points
+    if v.shape not in ((3, 3), (n, 3, 3)):
+        raise NumericalError(
+            f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
     out = v @ f if v.ndim == 2 else stack_matvec(v, f)
     # gamma swaps components 0 and 1 and drops component 2
-    kinetic = -1j * spec.kinetic_scale * diff_central(f, grid)
+    kinetic = -1j * diff_central(f, grid)
     out[:2] += kinetic[1::-1]
     return out

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import AsymptoticCell, threshold_scan
+from .continuum import PotentialComponents, threshold_scan
 from .errors import NumericalError
 from .lattice import ChainProfile
-from .susy import MAX_MODEL_PARAM, PotentialComponents, SeedData
+from .susy import MAX_MODEL_PARAM, SeedData
 
 
 class ModelKind(enum.Enum):
@@ -151,11 +151,12 @@ def model_potential(p, x):
 def model_potential_components(p, grid):
     """PotentialComponents table of either model on a grid."""
     v11, v12, v13, v23 = model_potential(p, grid.x)
-    return PotentialComponents(grid, v11, v12, v13, v23, p.flat_energy)
+    return PotentialComponents(v11, v12, v13, v23, p.flat_energy)
 
 
 def asymptotic_cell(p, side):
-    """Constant potential limit on one side (+1 for x -> +inf)."""
+    """Constant potential limit on one side (+1 for x -> +inf), as
+    PotentialComponents of floats."""
     m, lam, k = p.mass, p.flat_energy, p.kappa
     s = 1.0 if side > 0 else -1.0
     if p.kind is ModelKind.I:
@@ -165,8 +166,7 @@ def asymptotic_cell(p, side):
     else:
         v12 = -lam
         v11 = -s * k
-    return AsymptoticCell(v11=float(v11), v12=float(v12), v13=0.0, v23=0.0,
-                          flat_energy=lam)
+    return PotentialComponents(float(v11), float(v12), 0.0, 0.0, lam)
 
 
 @dataclass(frozen=True)

@@ -298,9 +298,12 @@ def banded_eigvec(m, energy, group=()):
         _lapack("dgbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
         for q in group:
             v -= q * np.vdot(q, v)
-        norm = np.linalg.norm(v)
-        if not np.isfinite(norm):
+        peak = np.abs(v).max()
+        if not np.isfinite(peak):
             raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
+        if peak > 2.0**500:  # the norm squares entries
+            v /= peak
+        norm = np.linalg.norm(v)
         if norm == 0:
             raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
         v /= norm

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuum import DiracOperatorSpec, apply_dirac, potential_matrix
+from .continuum import PotentialComponents, apply_dirac, potential_matrix
 from .errors import NumericalError, SingularFrameError
 from .numcore import Grid, quad_roots, stack_matmul, stack_matvec
 
@@ -184,8 +184,7 @@ class TransformationFrame:
         v13 = pref * psi0 * w_flip / den
         v23 = -pref * phi0 * w_flip / den
         v11 = -s.mass + pref * (psi0 * q_phi + phi0 * q_psi) / den
-        return PotentialComponents(self.grid, *map(_frozen, (v11, v12, v13, v23)),
-                                   s.flat_energy)
+        return PotentialComponents(*map(_frozen, (v11, v12, v13, v23)), s.flat_energy)
 
     @property
     def wronskian_relative_stdev(self):
@@ -252,30 +251,13 @@ def frame_eigen_residuals(frame):
     is O(h^2) for exact seed functions.
     """
     s = frame.seed
-    seed_op = DiracOperatorSpec(seed_potential_matrix(s))
+    v_seed = seed_potential_matrix(s)
     energies = (s.mass, s.flat_energy, s.flat_energy)
     res = []
     for col, e in zip(frame.u.T, energies):  # the columns of U, each (3, n)
-        r = apply_dirac(seed_op, col, frame.grid) - e * col
+        r = apply_dirac(v_seed, col, frame.grid) - e * col
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
-
-
-@dataclass(frozen=True)
-class PotentialComponents:
-    """Real component functions of the transformed 3x3 potential."""
-
-    grid: Grid
-    v11: np.ndarray
-    v12: np.ndarray
-    v13: np.ndarray
-    v23: np.ndarray
-    flat_energy: float
-
-    def matrix_stack(self):
-        """V(x_i) as an (n, 3, 3) complex stack."""
-        return potential_matrix(self.v11, self.v12, self.v13, self.v23,
-                                0.0, self.flat_energy)
 
 
 def transformed_potential(frame):
@@ -343,14 +325,14 @@ def intertwining_residual(frame, states, n_levels=3):
     on a tiny box, L's weights e^{kappa0*h} where h does not resolve kappa0.
     """
     residuals, g = [], frame.grid
-    seed_op = DiracOperatorSpec(seed_potential_matrix(frame.seed))
+    v_seed = seed_potential_matrix(frame.seed)
     for i in range(n_levels):
         fr = frame if i == 0 else assemble_frame(frame.seed, g)
-        new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
+        v_new = transformed_potential(fr).matrix_stack()
         level = []
         for f in np.asarray(states(g.x), dtype=complex):
-            lhs = apply_darboux(fr, apply_dirac(seed_op, f, g))
-            rhs = apply_dirac(new_op, apply_darboux(fr, f), g)
+            lhs = apply_darboux(fr, apply_dirac(v_seed, f, g))
+            rhs = apply_dirac(v_new, apply_darboux(fr, f), g)
             level.append(np.abs(lhs - rhs).max())
         if not np.all(np.isfinite(level)):
             raise NumericalError(f"intertwining residual is not finite at grid spacing "
@@ -378,11 +360,11 @@ def inverse_dagger_states(frame):
     """
     s, g = frame.seed, frame.grid
     w = np.conj(np.swapaxes(frame.u_inv, 1, 2))  # (n, 3, 3)
-    new_op = DiracOperatorSpec(transformed_potential(frame).matrix_stack())
+    v_new = transformed_potential(frame).matrix_stack()
     states, reports = [], []
     n_tail = max(3, g.n_points // 5)
     for st, e in zip(w.T, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
-        r = apply_dirac(new_op, st, g) - e * st
+        r = apply_dirac(v_new, st, g) - e * st
         amp = np.linalg.norm(st, axis=0)
         mass = float(np.trapezoid(amp**2, g.x))
         tail = np.log(np.maximum(amp[-n_tail:], 1e-300))

@@ -383,6 +383,19 @@ GENERAL_SEED_ARGV = ["susy", "--set", "mass=0.3", "--set", "gauge_a=0.2683281572
                      "--grid-points", "401"]
 
 
+def test_susy_warns_when_the_grid_misses_the_kink(tmp_path, capsys):
+    # kappa0*h = 28 on the default grid: the stencil does not resolve the
+    # kink, so the measured orders are no convergence orders
+    argv = ["susy", "--out", str(tmp_path), "--set", "model=I"]
+    assert main([*argv, "--set", "mass=1000"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "kappa0*h = 28.3 at h = 0.02" in err
+    assert "intertwining_orders are not convergence orders" in err
+    assert main([*argv, "--set", "mass=0.07"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_susy_general_seed_run(tmp_path):
     rc = main([*GENERAL_SEED_ARGV, "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -508,6 +521,26 @@ def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
         return np.array([chain["gap_edge_neg"], chain["gap_edge_pos"]]) * float(box)
 
     np.testing.assert_allclose(edges(box), edges("1e-150"), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("box", ["1e100", "1e150"])
+def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
+    # the hopping 1/h falls to ~1e-150 and inverse iteration's iterate passes
+    # 1e154, where a norm's squares overflow; it is scaled by its largest
+    # entry first
+    def report(box):
+        out = tmp_path / box
+        assert main(["spectrum", "--out", str(out), "--set", "model=I",
+                     "--set", "mass=0.07", "--set", "method=chain", "--box", box]) == EXIT_OK
+        chain = json.loads((out / "spectrum_summary.json").read_text())["chain"]
+        _, rows = read_csv(out / "spectrum_chain.csv")
+        return np.array([chain["gap_edge_neg"], chain["gap_edge_pos"]]), rows[:, 1]
+
+    edges, energies = report(box)
+    edges_60, energies_60 = report("1e60")
+    np.testing.assert_allclose(edges, edges_60, rtol=1e-12)
+    np.testing.assert_allclose(energies, energies_60, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("field,value", [("mass", "1e200"), ("gauge_a", "-1e200"),
@@ -758,6 +791,31 @@ def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     table = (tmp_path / "susy_potential.csv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == digest
+
+
+# SHA-256 of each spectrum output: a refactor of either route must not
+# move a bit
+@pytest.mark.parametrize("argv, digests", [
+    (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=both"],
+     {"spectrum_chain.csv":
+      "f0047e68a956039a7dc3abc9242f40d663d1b1610fd61f06628ffc76e8cbbe91",
+      "spectrum_continuum.csv":
+      "9fd68fc8f846f9408d806e9a47e85b220a07426f83bd8a410577947bd7982210",
+      "spectrum_summary.json":
+      "1bcc5f23cbab9cd696509b5bba84cbffc7eddef1133041160f48e924f3220af0"}),
+    (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
+      "--set", "method=both", "--cells", "300", "--grid-points", "201"],
+     {"spectrum_chain.csv":
+      "49520ab5236d15401880e6fef1979f59a1c70fc6588140a4c03aeece6ac7c53e",
+      "spectrum_continuum.csv":
+      "a7fd65911de3f9e4046b1ecb464d6ec175cf39bf6b071bf220653ffd9fa10c84",
+      "spectrum_summary.json":
+      "120494379ceba75fe5543f3ebac62f8a4b56a44b54aa05090256099ff13f521f"}),
+], ids=["model_I_default", "model_II_small"])
+def test_spectrum_outputs_keep_their_bytes(tmp_path, argv, digests):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_verify_impossible_tol_exits_4(tmp_path, capsys):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from susychain.continuum import (
     GAMMA,
-    GAUGE,
-    AsymptoticCell,
-    DiracOperatorSpec,
+    PotentialComponents,
     apply_dirac,
     continuum_limit,
     discretize,
@@ -22,6 +20,9 @@ from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
 
 finite = st.floats(-2.0, 2.0)
+
+# the gauge in which discretize stores its real bands
+D = np.array([1.0, 1j, 1j])
 
 
 def test_potential_matrix_hermitian():
@@ -36,13 +37,9 @@ def test_potential_matrix_hermitian():
 def test_continuum_limit_components():
     p = TightBindingParams(eps_a=0.3, eps_b=-0.1, eps_c=0.05, t_ab=1.2,
                            t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
-    spec = continuum_limit(p)
-    assert spec.kinetic_scale == pytest.approx(1.0)
-    v = spec.potential
+    v = continuum_limit(p)
     want = potential_matrix(0.2, 0.2, 0.2, 0.01, 0.1, 0.05)
     np.testing.assert_allclose(v, want, atol=1e-15)
-    # real in the gauge of discretize, so its bands are float64
-    assert discretize(spec, Grid(-10.0, 10.0, 51)).bands.dtype == np.float64
     with pytest.raises(NumericalError):
         continuum_limit(TightBindingParams(t_ab=1.0))
 
@@ -52,8 +49,8 @@ def test_continuum_limit_matches_lattice_near_zone_corner():
     # +-sqrt(q^2 + v11^2 + v12^2) with q the deviation from the corner
     p = TightBindingParams(eps_a=0.02, eps_b=-0.02, t_ab=1.01,
                            t_ab_inter=1.0, eps_c=10.0)
-    cell = AsymptoticCell(v11=0.02, v12=0.01, v13=0.0, v23=0.0,
-                          flat_energy=10.0)
+    cell = PotentialComponents(v11=0.02, v12=0.01, v13=0.0, v23=0.0,
+                               flat_energy=10.0)
     for q in (0.0, 0.01, 0.03):
         k = np.pi - q
         lat = band_structure(p, [k]).energies[0]
@@ -63,8 +60,8 @@ def test_continuum_limit_matches_lattice_near_zone_corner():
 
 
 def test_symbol_dispersion_decoupled_closed_form():
-    cell = AsymptoticCell(v11=0.3, v12=-0.4, v13=0.0, v23=0.0,
-                          flat_energy=0.05)
+    cell = PotentialComponents(v11=0.3, v12=-0.4, v13=0.0, v23=0.0,
+                               flat_energy=0.05)
     for k in (-1.0, 0.0, 0.7):
         w = symbol_dispersion(cell, k)
         e = np.hypot(k, 0.5)
@@ -75,61 +72,50 @@ def test_symbol_dispersion_decoupled_closed_form():
 @settings(max_examples=30, deadline=None)
 @given(v=st.tuples(finite, finite, finite, finite, finite))
 def test_symbol_dispersion_array_matches_per_k_bitwise(v):
-    cell = AsymptoticCell(*v)
+    cell = PotentialComponents(*v)
     k = np.linspace(-2.0, 2.0, 201)
     per_k = np.array([symbol_dispersion(cell, q) for q in k])
     assert np.array_equal(symbol_dispersion(cell, k), per_k)
 
 
 def test_threshold_scan():
-    cell = AsymptoticCell(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
-                          flat_energy=0.01)
+    cell = PotentialComponents(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
+                               flat_energy=0.01)
     lo, hi, flat = threshold_scan(cell)
     assert (lo, hi, flat) == pytest.approx((-0.1, 0.1, 0.01))
     with pytest.raises(NumericalError):
-        threshold_scan(AsymptoticCell(0.1, 0.1, 0.05, 0.0, 0.0))
+        threshold_scan(PotentialComponents(0.1, 0.1, 0.05, 0.0, 0.0))
 
 
 @settings(max_examples=50, deadline=None)
 @given(v11=finite, v12=finite, k=st.floats(-3.0, 3.0))
 def test_threshold_is_symbol_minimum(v11, v12, k):
-    cell = AsymptoticCell(v11=v11, v12=v12, v13=0.0, v23=0.0,
-                          flat_energy=123.0)
+    cell = PotentialComponents(v11=v11, v12=v12, v13=0.0, v23=0.0,
+                               flat_energy=123.0)
     _, hi, _ = threshold_scan(cell)
     w = symbol_dispersion(cell, k)
     dispersive = np.abs(w[np.abs(w - 123.0) > 1e-9])
     assert dispersive.min() >= hi - 1e-9
 
 
-def test_discretize_refuses_a_potential_not_of_potential_matrix_form():
-    # a real GAMMA term is imaginary in the gauge D = diag(1, i, i)
-    mat = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.0, 0.0)
-    grid = Grid(-5.0, 5.0, 201)
-    spec = DiracOperatorSpec(
-        potential=mat + 0.01 * np.tanh(grid.x)[:, None, None] * GAMMA)
-    with pytest.raises(NumericalError, match="potential_matrix's form") as exc:
-        discretize(spec, grid)
-    assert "\n" not in str(exc.value)
-
-
 def test_discretize_is_hermitian_and_matches_apply():
     grid = Grid(-5.0, 5.0, 201)
     t, sech = np.tanh(grid.x), 1 / np.cosh(grid.x)
-    spec = DiracOperatorSpec(potential=potential_matrix(
-        0.03 + 0.01 * t, -0.02 * t, 0.01 * sech, 0.005 * sech, 0.004 * t, 0.0))
-    op = discretize(spec, grid)
+    comps = PotentialComponents(0.03 + 0.01 * t, -0.02 * t, 0.01 * sech,
+                                0.005 * sech, 0.004 * t)
+    op = discretize(comps, grid)
     assert op.bands.dtype == np.float64
     gauged = op.to_dense()
     np.testing.assert_allclose(gauged, gauged.conj().T, atol=1e-14)
     # undo the gauge: H = G (D^H H D) G^H with G = kron(I_n, D)
-    g = np.kron(np.eye(grid.n_points), np.diag(GAUGE))
+    g = np.kron(np.eye(grid.n_points), np.diag(D))
     dense = g @ gauged @ g.conj().T
     # matrix-vector action agrees with the stencil application away from
     # the box walls (the truncation differs only in the first/last point)
     rng = np.random.default_rng(2)
     f = rng.normal(size=(3, grid.n_points))
     via_matrix = (dense @ f.T.ravel()).reshape(grid.n_points, 3).T
-    via_stencil = apply_dirac(spec, f, grid)
+    via_stencil = apply_dirac(comps.matrix_stack(), f, grid)
     np.testing.assert_allclose(via_matrix[:, 1:-1], via_stencil[:, 1:-1],
                                atol=1e-10)
 
@@ -139,27 +125,27 @@ def test_apply_dirac_constant_potential_matches_its_stack():
     rng = np.random.default_rng(9)
     f = rng.normal(size=(3, grid.n_points)) + 1j * rng.normal(size=(3, grid.n_points))
     v = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.3, -0.2)
-    const = apply_dirac(DiracOperatorSpec(v, kinetic_scale=1.7), f, grid)
+    const = apply_dirac(v, f, grid)
     stack = np.broadcast_to(v, (grid.n_points, 3, 3))
-    stacked = apply_dirac(DiracOperatorSpec(stack, kinetic_scale=1.7), f, grid)
+    stacked = apply_dirac(stack, f, grid)
     assert np.abs(const - stacked).max() <= 1e-15 * np.abs(stacked).max()
     with pytest.raises(NumericalError, match="shape"):
-        apply_dirac(DiracOperatorSpec(stack[1:]), f, grid)
+        apply_dirac(stack[1:], f, grid)
 
 
-def _discretize_reference(spec, grid):
+def _discretize_reference(comps, grid):
     """Band storage of discretize, filled entry by entry, point by point,
     each entry (a, b) of the potential and the hop gauged to
     conj(D_a) * H_ab * D_b."""
     n = grid.n_points
-    d = GAUGE
-    v = np.broadcast_to(np.asarray(spec.potential, dtype=complex), (n, 3, 3))
+    d = D
+    v = np.broadcast_to(comps.matrix_stack(), (n, 3, 3))
     bands = np.zeros((5, 3 * n), dtype=complex)
     for i in range(n):
         for a in range(3):
             for b in range(a, 3):
                 bands[4 + a - b, 3 * i + b] = d[a].conjugate() * v[i, a, b] * d[b]
-    hop = -1j * spec.kinetic_scale / (2 * grid.h) * GAMMA
+    hop = -1j / (2 * grid.h) * GAMMA
     for i in range(n - 1):
         for a in range(3):
             for b in range(3):
@@ -174,13 +160,11 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
     grid = Grid(-3.0, 4.0, 37)
     rng = np.random.default_rng(7)
     if stacked:
-        comps = rng.normal(size=(4, grid.n_points))
-        potential = potential_matrix(*comps, 0.3, -0.2)
+        comps = PotentialComponents(*rng.normal(size=(4, grid.n_points)), -0.2)
     else:
-        potential = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.3, -0.2)
-    spec = DiracOperatorSpec(potential=potential, kinetic_scale=1.7)
-    bands = discretize(spec, grid).bands
-    reference = _discretize_reference(spec, grid)
+        comps = PotentialComponents(0.03, -0.02, 0.01, 0.005, -0.2)
+    bands = discretize(comps, grid).bands
+    reference = _discretize_reference(comps, grid)
     assert bands.dtype == np.float64
     assert not reference.imag.any()
     assert np.array_equal(bands, reference.real)
@@ -188,30 +172,26 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
 
 def test_discretize_rejects_bad_potential():
     grid = Grid(-1.0, 1.0, 11)
-    with pytest.raises(NumericalError, match="shape"):
-        discretize(DiracOperatorSpec(potential=np.zeros((10, 3, 3))), grid)
-    stack = np.zeros((11, 3, 3))
-    stack[4, 1, 1] = np.nan
+    with pytest.raises(NumericalError, match="v12 .*shape"):
+        discretize(PotentialComponents(0.0, np.zeros(10), 0.0, 0.0, 0.0), grid)
+    v11 = np.zeros(11)
+    v11[4] = np.nan
     with pytest.raises(NumericalError, match="x=-0.2"):
-        discretize(DiracOperatorSpec(potential=stack), grid)
+        discretize(PotentialComponents(v11, 0.0, 0.0, 0.0, 0.0), grid)
+    # a complex component has no real gauged band
+    with pytest.raises(NumericalError, match="real"):
+        discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid)
 
 
 def test_discretized_free_dirac_spectrum():
     # constant decoupled potential: eigenvalues must respect the gap
     # +-sqrt(v11^2+v12^2) up to O(h^2) and truncation effects
-    cell = AsymptoticCell(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
-                          flat_energy=0.0)
-    mat = potential_matrix(cell.v11, cell.v12, 0.0, 0.0, 0.0, 0.0)
-    spec = DiracOperatorSpec(potential=mat)
+    cell = PotentialComponents(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
+                               flat_energy=0.0)
     grid = Grid(-60.0, 60.0, 1201)
-    w = eigh_banded(discretize(spec, grid))
+    w = eigh_banded(discretize(cell, grid))
     _, hi, _ = threshold_scan(cell)
     dispersive = w[np.abs(w) > 1e-9]
     assert np.abs(dispersive).min() >= hi - 5e-3
     # flat level of the decoupled C chain: one per grid point
     assert (np.abs(w) <= 1e-9).sum() == grid.n_points
-
-
-def test_kinetic_scale_validation():
-    with pytest.raises(NumericalError):
-        DiracOperatorSpec(potential=np.eye(3), kinetic_scale=0.0)

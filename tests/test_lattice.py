@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susychain import lattice, models
-from susychain.continuum import GAMMA, DiracOperatorSpec, discretize
+from susychain.continuum import GAMMA, discretize
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
     ChainProfile,
@@ -345,8 +345,7 @@ def _route_operator(p, route, size, box=12.0):
     if route == "chain":
         return build_finite_chain(models.sample_chain_profile(p, size))
     grid = Grid(-box / p.kappa, box / p.kappa, size)
-    comps = models.model_potential_components(p, grid)
-    return discretize(DiracOperatorSpec(comps.matrix_stack()), grid)
+    return discretize(models.model_potential_components(p, grid), grid)
 
 
 def _model_case(kind, mass, lam, route):
@@ -432,8 +431,9 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     p = ModelParams(kind, mass, lam)
     gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
-    stack = models.model_potential_components(p, grid).matrix_stack()
-    gauged = discretize(DiracOperatorSpec(stack), grid)
+    comps = models.model_potential_components(p, grid)
+    gauged = discretize(comps, grid)
+    stack = comps.matrix_stack()
     assert gauged.bands.dtype == np.float64
     hop = -1j / (2 * grid.h) * GAMMA  # the block from point i to point i + 1
     n = grid.n_points

@@ -131,7 +131,7 @@ def test_potentials_approach_asymptotic_cells():
             assert v11[0] == pytest.approx(cell.v11, abs=1e-12)
             assert v12[0] == pytest.approx(cell.v12, abs=1e-12)
             assert abs(v13[0]) < 1e-12 and abs(v23[0]) < 1e-12
-            assert cell.decoupled
+            assert cell.v13 == cell.v23 == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

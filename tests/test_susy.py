@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import DiracOperatorSpec, apply_dirac, potential_matrix
+from susychain.continuum import apply_dirac, potential_matrix
 from susychain.errors import NumericalError, SingularFrameError
 from susychain.models import ModelKind, ModelParams, model_potential_components
 from susychain.numcore import Grid, diff_central, integrate_cumulative, quad_roots
@@ -363,10 +363,10 @@ def test_darboux_intertwines_on_eigenstate():
     # = epsilon L u0 holds trivially; check instead on a generic state
     fr = _frame()
     f = _gaussian_states(fr.grid.x)[0]
-    seed_op = DiracOperatorSpec(seed_potential_matrix(SEED))
-    new_op = DiracOperatorSpec(transformed_potential(fr).matrix_stack())
-    lhs = apply_darboux(fr, apply_dirac(seed_op, f, fr.grid))
-    rhs = apply_dirac(new_op, apply_darboux(fr, f), fr.grid)
+    v_seed = seed_potential_matrix(SEED)
+    v_new = transformed_potential(fr).matrix_stack()
+    lhs = apply_darboux(fr, apply_dirac(v_seed, f, fr.grid))
+    rhs = apply_dirac(v_new, apply_darboux(fr, f), fr.grid)
     interior = slice(10, -10)
     scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
     assert np.abs(lhs - rhs)[:, interior].max() / scale < 1e-3
@@ -413,9 +413,9 @@ def test_apply_dirac_matches_row_by_row_operators():
     for _ in range(3):
         f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
         pairs = [
-            (apply_dirac(DiracOperatorSpec(seed_shifted), f, g),
+            (apply_dirac(seed_shifted, f, g),
              _seed_operator_rows(s, v, f, g)),
-            (apply_dirac(DiracOperatorSpec(comps_shifted), f, g),
+            (apply_dirac(comps_shifted, f, g),
              _transformed_operator_rows(comps, v, f, g)),
         ]
         for got, want in pairs:
