@@ -19,13 +19,11 @@ from .errors import (
 )
 from .lattice import (
     BandStructure,
-    ChainProfile,
     FlatBandSolution,
     SpectrumReport,
     TightBindingParams,
     band_structure,
     bloch_hamiltonian,
-    build_finite_chain,
     chain_spectrum,
     tune_flat_band,
 )
@@ -34,8 +32,8 @@ from .models import (
     ModelKind,
     ModelParams,
     model_potential,
+    model_potential_components,
     model_spectrum,
-    sample_chain_profile,
     validate_params,
 )
 from .numcore import (

@@ -31,8 +31,8 @@ from . import models, susy
 from .checks import invariant_checks, oracle_max_diff, smooth_test_states
 from .continuum import discretize
 from .errors import ConfigError, NumericalError, SusychainError
-from .lattice import TightBindingParams, band_structure, build_finite_chain, \
-    chain_spectrum, default_k_grid, flat_band_residual, tune_flat_band
+from .lattice import TightBindingParams, band_structure, chain_spectrum, \
+    default_k_grid, flat_band_residual, tune_flat_band
 from .models import ModelKind, ModelParams
 from .numcore import Grid
 from .susy import assemble_frame, transformed_potential
@@ -382,29 +382,28 @@ def cmd_spectrum(st, out_dir):
     if gap_exclusion is None:
         gap_exclusion = 0.1 * spectrum.gap_edge
 
-    def chain_route():
-        profile = models.sample_chain_profile(p, st["cells"], box_halfwidth=st["box"])
-        return chain_spectrum(build_finite_chain(profile), flat_energy=p.flat_energy,
-                              cluster_tol=cluster_tol, gap_exclusion=gap_exclusion)
+    # route -> (stencil, grid points, default box half-width)
+    routes = {"chain": ("saw", st["cells"], (st["cells"] - 1) / 2.0),
+              "continuum": ("central", st["grid_points"], 12.0 / p.kappa)}
 
-    def continuum_route():
-        box = st["box"] or 12.0 / p.kappa
-        grid = Grid(-box, box, st["grid_points"])
-        op = discretize(models.model_potential_components(p, grid), grid)
+    def route(name):
+        stencil, n, default_box = routes[name]
+        box = st["box"] or default_box
+        grid = Grid(-box, box, n)
+        op = discretize(models.model_potential_components(p, grid), grid, stencil)
         return chain_spectrum(op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
                               gap_exclusion=gap_exclusion)
 
     # imported here, so only spectrum pays for it
     from concurrent.futures import ThreadPoolExecutor
 
-    routes = {"chain": chain_route, "continuum": continuum_route}
     names = [name for name in routes if method in (name, "both")]
     # the first route runs here; the pool starts a thread only for a second
     # one, which overlaps it since the eigensolves release the GIL. A chain
     # error, raised here, is reported ahead of a continuum one
     with ThreadPoolExecutor() as pool:
-        futures = {name: pool.submit(routes[name]) for name in names[1:]}
-        reports = {names[0]: routes[names[0]]()}
+        futures = {name: pool.submit(route, name) for name in names[1:]}
+        reports = {names[0]: route(names[0])}
     reports.update((name, future.result()) for name, future in futures.items())
 
     summary = {

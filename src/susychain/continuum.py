@@ -100,22 +100,28 @@ def threshold_scan(cell):
     return -edge, edge, cell.flat_energy
 
 
-def discretize(comps, grid):
-    """Finite-difference matrix of H on a grid, stored as D^H H D with the
-    constant gauge D = diag(1, i, i) at every point.
+def discretize(comps, grid, stencil):
+    """Band storage of H on a grid, by one of two stencils. Each component
+    is a float or holds one sample per grid point.
 
-    -i d/dx becomes the antisymmetric central-difference stencil (times
-    -i, hence Hermitian); the potential is taken point by point; the
-    chain is simply truncated at the box walls. Point-major ordering
-    keeps the bandwidth at 4.
-
+    "central": the finite-difference matrix, stored as D^H H D with the
+    constant gauge D = diag(1, i, i) at every point. -i d/dx becomes the
+    antisymmetric central-difference stencil (times -i, hence Hermitian);
+    the potential is taken point by point; the chain is simply truncated
+    at the box walls. Point-major ordering keeps the bandwidth at 4.
     D is unitary and diagonal, so D^H H D has the spectrum of H, and its
     eigenvectors are D^H times those of H: |v|^2 per point, hence IPR
     and edge flags, are unchanged. D makes every entry real: the on-site
     block is [[v11, v12, v13], [v12, -v11, v23], [v13, v23, flat_energy]],
     and the hop to the next point is +1/(2h) from component 0 to 1 and
-    -1/(2h) from 1 to 0. Each component is a float or holds one sample
-    per grid point.
+    -1/(2h) from 1 to 0.
+
+    "saw": the finite open saw chain, one cell (A, B, C) per grid point.
+    The on-site block is [[v11, t + v12, v13], [t + v12, -v11, v23],
+    [v13, v23, flat_energy]] and the one hop t runs from B at point j to
+    A at point j + 1: bandwidth 2. The chain's kinetic scale is t*h, so
+    t = 1/h keeps it at the operator's 1 for any spacing; it is computed
+    as (n - 1)/(x_max - x_min), which can differ from 1/h in the last bit.
     """
     n = grid.n_points
     values = []
@@ -130,10 +136,19 @@ def discretize(comps, grid):
         x = grid.x[np.argmin(finite)]
         raise NumericalError(f"non-finite potential sample at x={x:.6g}")
     v11, v12, v13, v23, lam = values
+    if stencil == "central":
+        hop = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
+        bandwidth = 4
+    elif stencil == "saw":
+        t = (n - 1) / (grid.x_max - grid.x_min)
+        hop = np.array([[0.0, 0.0, 0.0], [t, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        v12 = t + v12
+        bandwidth = 2
+    else:
+        raise NumericalError(f"stencil must be 'central' or 'saw', got {stencil!r}")
     onsite = np.moveaxis(np.array([[v11, v12, v13], [v12, -v11, v23], [v13, v23, lam]]),
                          -1, 0)
-    hop = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
-    return BandedHermitian(block_tridiagonal_bands(onsite, hop, 4))
+    return BandedHermitian(block_tridiagonal_bands(onsite, hop, bandwidth))
 
 
 def apply_dirac(potential, state, grid):

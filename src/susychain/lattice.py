@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
-from .numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, banded_eigvec, \
-    block_tridiagonal_bands, eigh_banded, norm_1, quad_roots
+from .numcore import EIGVEC_RESIDUAL_TOL, banded_eigvec, eigh_banded, norm_1, \
+    quad_roots
 
 
 @dataclass(frozen=True)
@@ -155,58 +155,6 @@ def flat_band_residual(p, sol, n_k=256):
     tuned = replace(p, eps_c=sol.eps_c)
     k = default_k_grid(p, n_k)
     return float(np.abs(det_secular(tuned, k, sol.flat_energy)).max())
-
-
-@dataclass(frozen=True)
-class ChainProfile:
-    """Per-cell saw-chain parameters of a finite open chain."""
-
-    eps_a: np.ndarray
-    eps_b: np.ndarray
-    eps_c: np.ndarray
-    t_ab: np.ndarray
-    t_ab_inter: np.ndarray
-    t_ac: np.ndarray
-    t_bc: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.eps_a)
-        if n < 2:
-            raise NumericalError("need at least 2 cells")
-        arrays = [self.eps_a, self.eps_b, self.eps_c, self.t_ab,
-                  self.t_ab_inter, self.t_ac, self.t_bc]
-        for arr in arrays:
-            if len(arr) != n:
-                raise NumericalError("profile arrays must share one length")
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError("non-finite profile entries")
-
-    @property
-    def n_cells(self):
-        return len(self.eps_a)
-
-    @classmethod
-    def uniform(cls, p, n_cells):
-        ones = np.ones(n_cells)
-        return cls(p.eps_a * ones, p.eps_b * ones, p.eps_c * ones,
-                   p.t_ab * ones, p.t_ab_inter * ones,
-                   p.t_ac * ones, p.t_bc * ones)
-
-
-def build_finite_chain(profile):
-    """Open-boundary 3N x 3N hopping matrix, site order (A_n, B_n, C_n).
-
-    The only inter-cell bond is t_ab_inter(n) between A_n and B_{n-1},
-    so the matrix is banded with bandwidth 2.
-    """
-    n = profile.n_cells
-    p = profile
-    onsite = np.stack([p.eps_a, p.t_ab, p.t_ac,
-                       p.t_ab, p.eps_b, p.t_bc,
-                       p.t_ac, p.t_bc, p.eps_c], axis=-1).reshape(n, 3, 3)
-    coupling = np.zeros((n - 1, 3, 3))
-    coupling[:, 1, 0] = p.t_ab_inter[1:]  # B_n to A_{n+1}
-    return BandedHermitian(block_tridiagonal_bands(onsite, coupling, 2))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Both are two-parameter (mass m, flat energy lambda) specializations of the
 Darboux engine in which the quadrature constants are chosen so that w0 and
 c1 drop out of the final potential. They serve as analytic oracles for the
-general pipeline and as sources of finite-chain profiles.
+general pipeline.
 
 Model I:  gauge A = sqrt(m(m - lambda)), kappa = sqrt((m - lambda)(2m + lambda)).
           Regular for -2m < lambda < m (m > 0). Continuum spectrum
@@ -22,7 +22,6 @@ import numpy as np
 
 from .continuum import PotentialComponents, threshold_scan
 from .errors import NumericalError
-from .lattice import ChainProfile
 from .susy import MAX_MODEL_PARAM, SeedData
 
 
@@ -194,30 +193,3 @@ def model_spectrum(p):
                                 derived_not_published=False)
     return AnalyticSpectrum(gap_edge=threshold_scan(cell)[1], flat_energy=p.flat_energy,
                             derived_not_published=True)
-
-
-def sample_chain_profile(p, n_cells, box_halfwidth=None):
-    """Finite saw-chain profile realizing the model potential.
-
-    Cell centers are uniform over [-box, box], at spacing
-    h = 2*box/(n_cells - 1). The chain's kinetic scale is t_ab_inter*h, so
-    t_ab_inter = 1/h and t_ab = 1/h + v12 keep it at the model's 1 for any
-    spacing. The default box (n_cells - 1)/2 gives h = 1 and unit hoppings.
-    The potential is sampled once per cell (shared by the A, B, C sites).
-    """
-    if n_cells < 2:
-        raise NumericalError("need at least 2 cells")
-    if box_halfwidth is None:
-        box_halfwidth = (n_cells - 1) / 2.0
-    x = np.linspace(-box_halfwidth, box_halfwidth, n_cells)
-    v11, v12, v13, v23 = model_potential(p, x)
-    t_inter = np.full(n_cells, (n_cells - 1) / (2.0 * box_halfwidth))
-    return ChainProfile(
-        eps_a=v11,
-        eps_b=-v11,
-        eps_c=np.full(n_cells, p.flat_energy),
-        t_ab=t_inter + v12,
-        t_ab_inter=t_inter,
-        t_ac=v13,
-        t_bc=v23,
-    )

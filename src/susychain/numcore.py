@@ -24,7 +24,7 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1D grid on [x_min, x_max] with n_points >= 3 samples."""
+    """Uniform 1D grid on [x_min, x_max] with n_points >= 2 samples."""
 
     x_min: float
     x_max: float
@@ -35,8 +35,8 @@ class Grid:
             raise NumericalError("grid endpoints must be finite")
         if self.x_min >= self.x_max:
             raise NumericalError("grid requires x_min < x_max")
-        if self.n_points < 3:
-            raise NumericalError("grid requires n_points >= 3")
+        if self.n_points < 2:
+            raise NumericalError("grid requires n_points >= 2")
 
     @property
     def h(self):

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 
 from susychain import checks, cli, lattice, models, susy
+from susychain.continuum import discretize
 from susychain.lattice import TightBindingParams, band_structure, \
-    bloch_hamiltonian, build_finite_chain, chain_spectrum, default_k_grid, \
-    tune_flat_band
+    bloch_hamiltonian, chain_spectrum, default_k_grid, tune_flat_band
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import Grid
 from susychain.susy import assemble_frame, transformed_potential
@@ -154,9 +154,9 @@ def test_criterion_7_model1_chain_spectrum():
     edge = models.model_spectrum(p).gap_edge
     delta = 0.1 * edge
     n_cells = 400
-    profile = models.sample_chain_profile(p, n_cells, box_halfwidth=300.0)
-    rep = chain_spectrum(build_finite_chain(profile), flat_energy=0.0,
-                         cluster_tol=1e-6, gap_exclusion=delta)
+    g = Grid(-300.0, 300.0, n_cells)
+    chain = discretize(models.model_potential_components(p, g), g, "saw")
+    rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=delta)
     w = rep.eigenvalues
     # emptiness of the shrunken gap: nothing outside the flat-cluster
     # zone |E| <= delta after edge-state filtering
@@ -179,9 +179,9 @@ def test_criterion_8_model2_spectrum():
     for lam in (-0.015, 0.0, 0.015):
         p = ModelParams(ModelKind.II, m, lam)
         spec = models.model_spectrum(p)
-        profile = models.sample_chain_profile(p, 600, box_halfwidth=450.0)
-        rep = chain_spectrum(build_finite_chain(profile), flat_energy=lam,
-                             cluster_tol=1e-6,
+        g = Grid(-450.0, 450.0, 600)
+        chain = discretize(models.model_potential_components(p, g), g, "saw")
+        rep = chain_spectrum(chain, flat_energy=lam, cluster_tol=1e-6,
                              gap_exclusion=0.1 * spec.gap_edge)
         err_neg = abs(abs(rep.gap_edge_neg) / spec.gap_edge - 1.0)
         err_pos = abs(abs(rep.gap_edge_pos) / spec.gap_edge - 1.0)

@@ -811,7 +811,21 @@ def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
       "a7fd65911de3f9e4046b1ecb464d6ec175cf39bf6b071bf220653ffd9fa10c84",
       "spectrum_summary.json":
       "120494379ceba75fe5543f3ebac62f8a4b56a44b54aa05090256099ff13f521f"}),
-], ids=["model_I_default", "model_II_small"])
+    # cell spacing 600/499, where the hop (n - 1)/(2 box) and 1/h differ in the last bit
+    (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
+      "--set", "method=chain", "--cells", "500", "--box", "300"],
+     {"spectrum_chain.csv":
+      "4e6138954cc2cd251306b29739ec298ce8978ed2a2435b340948fb678c21e1c7",
+      "spectrum_summary.json":
+      "89385aae4072d6aa35d589c1f4a315cc814fc85e6c79ac098848518649380743"}),
+    # the smallest chain, a 2-point grid
+    (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=chain",
+      "--cells", "2"],
+     {"spectrum_chain.csv":
+      "a2dba717a5b45b28762ab5120e7e72f3c182e2fb2702db7534eebcfe3ca2230c",
+      "spectrum_summary.json":
+      "e9a89bbca4aa12a460dff0b919382d38bbad32f39bdaf2e8fb22b0000460a193"}),
+], ids=["model_I_default", "model_II_small", "model_II_box_300", "two_cells"])
 def test_spectrum_outputs_keep_their_bytes(tmp_path, argv, digests):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     for name, digest in digests.items():

@@ -103,7 +103,7 @@ def test_discretize_is_hermitian_and_matches_apply():
     t, sech = np.tanh(grid.x), 1 / np.cosh(grid.x)
     comps = PotentialComponents(0.03 + 0.01 * t, -0.02 * t, 0.01 * sech,
                                 0.005 * sech, 0.004 * t)
-    op = discretize(comps, grid)
+    op = discretize(comps, grid, "central")
     assert op.bands.dtype == np.float64
     gauged = op.to_dense()
     np.testing.assert_allclose(gauged, gauged.conj().T, atol=1e-14)
@@ -163,7 +163,7 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
         comps = PotentialComponents(*rng.normal(size=(4, grid.n_points)), -0.2)
     else:
         comps = PotentialComponents(0.03, -0.02, 0.01, 0.005, -0.2)
-    bands = discretize(comps, grid).bands
+    bands = discretize(comps, grid, "central").bands
     reference = _discretize_reference(comps, grid)
     assert bands.dtype == np.float64
     assert not reference.imag.any()
@@ -172,15 +172,18 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
 
 def test_discretize_rejects_bad_potential():
     grid = Grid(-1.0, 1.0, 11)
-    with pytest.raises(NumericalError, match="v12 .*shape"):
-        discretize(PotentialComponents(0.0, np.zeros(10), 0.0, 0.0, 0.0), grid)
-    v11 = np.zeros(11)
-    v11[4] = np.nan
-    with pytest.raises(NumericalError, match="x=-0.2"):
-        discretize(PotentialComponents(v11, 0.0, 0.0, 0.0, 0.0), grid)
-    # a complex component has no real gauged band
-    with pytest.raises(NumericalError, match="real"):
-        discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid)
+    for stencil in ("central", "saw"):
+        with pytest.raises(NumericalError, match="v12 .*shape"):
+            discretize(PotentialComponents(0.0, np.zeros(10), 0.0, 0.0, 0.0), grid, stencil)
+        v11 = np.zeros(11)
+        v11[4] = np.nan
+        with pytest.raises(NumericalError, match="x=-0.2"):
+            discretize(PotentialComponents(v11, 0.0, 0.0, 0.0, 0.0), grid, stencil)
+        # a complex component has no real gauged band
+        with pytest.raises(NumericalError, match="real"):
+            discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid, stencil)
+    with pytest.raises(NumericalError, match="stencil"):
+        discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.0), grid, "upwind")
 
 
 def test_discretized_free_dirac_spectrum():
@@ -189,7 +192,7 @@ def test_discretized_free_dirac_spectrum():
     cell = PotentialComponents(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
                                flat_energy=0.0)
     grid = Grid(-60.0, 60.0, 1201)
-    w = eigh_banded(discretize(cell, grid))
+    w = eigh_banded(discretize(cell, grid, "central"))
     _, hi, _ = threshold_scan(cell)
     dispersive = w[np.abs(w) > 1e-9]
     assert np.abs(dispersive).min() >= hi - 5e-3

@@ -1,7 +1,5 @@
 """Unit tests for the saw-chain tight-binding layer."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,14 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susychain import lattice, models
-from susychain.continuum import GAMMA, discretize
+from susychain.continuum import GAMMA, PotentialComponents, discretize
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
-    ChainProfile,
     TightBindingParams,
     band_structure,
     bloch_hamiltonian,
-    build_finite_chain,
     chain_spectrum,
     default_k_grid,
     det_secular,
@@ -149,29 +145,28 @@ def test_tune_residual_property(vals):
 
 # ------------------------------------------------------- finite chain
 
-def test_build_finite_chain_matches_dense_reference():
-    rng = np.random.default_rng(5)
-    n = 6
-    prof = ChainProfile(*[rng.uniform(-1, 1, size=n) for _ in range(7)])
-    dense = build_finite_chain(prof).to_dense()
-    want = np.zeros((3 * n, 3 * n))
-    for c in range(n):
-        a, b, cc = 3 * c, 3 * c + 1, 3 * c + 2
-        want[a, a] = prof.eps_a[c]
-        want[b, b] = prof.eps_b[c]
-        want[cc, cc] = prof.eps_c[c]
-        want[a, b] = want[b, a] = prof.t_ab[c]
-        want[a, cc] = want[cc, a] = prof.t_ac[c]
-        want[b, cc] = want[cc, b] = prof.t_bc[c]
-        if c > 0:
-            prev_b = 3 * (c - 1) + 1
-            want[a, prev_b] = want[prev_b, a] = prof.t_ab_inter[c]
-    np.testing.assert_allclose(dense, want, atol=1e-15)
+def _unit_grid(n_cells):
+    """Grid of n_cells points at spacing 1, centred on 0."""
+    return Grid(-(n_cells - 1) / 2, (n_cells - 1) / 2, n_cells)
 
 
-def _chain_bands_reference(profile):
-    """Band storage of build_finite_chain, filled entry by entry, cell by cell."""
-    n = profile.n_cells
+def _uniform_chain(comps, n_cells):
+    """The saw chain of constant components at cell spacing 1 (hop t = 1)."""
+    return discretize(comps, _unit_grid(n_cells), "saw")
+
+
+# the dimerized AB chain t_ab = 0.4, t_ab_inter = 1 with the C level parked
+# at 10: topological, with two zero modes at its ends
+SSH = PotentialComponents(0.0, -0.6, 0.0, 0.0, 10.0)
+
+
+def _saw_bands_reference(comps, grid):
+    """Band storage of the saw stencil, filled entry by entry, cell by cell,
+    from the components and the hop t = (n - 1)/(x_max - x_min)."""
+    n = grid.n_points
+    t = (n - 1) / (grid.x_max - grid.x_min)
+    v11, v12, v13, v23, lam = (np.broadcast_to(v, (n,)) for v in (
+        comps.v11, comps.v12, comps.v13, comps.v23, comps.flat_energy))
     bands = np.zeros((3, 3 * n))
 
     def put(row, col, value):  # M[row, col] with row <= col
@@ -179,28 +174,32 @@ def _chain_bands_reference(profile):
 
     for c in range(n):
         a, b, cc = 3 * c, 3 * c + 1, 3 * c + 2
-        put(a, a, profile.eps_a[c])
-        put(b, b, profile.eps_b[c])
-        put(cc, cc, profile.eps_c[c])
-        put(a, b, profile.t_ab[c])
-        put(a, cc, profile.t_ac[c])
-        put(b, cc, profile.t_bc[c])
+        put(a, a, v11[c])
+        put(b, b, -v11[c])
+        put(cc, cc, lam[c])
+        put(a, b, t + v12[c])
+        put(a, cc, v13[c])
+        put(b, cc, v23[c])
         if c > 0:
-            put(3 * (c - 1) + 1, a, profile.t_ab_inter[c])
+            put(3 * (c - 1) + 1, a, t)  # B of the previous cell to A
     return bands
 
 
-@pytest.mark.parametrize("profile", [
-    lambda: models.sample_chain_profile(ModelParams(ModelKind.I, 0.07, 0.0), 101),
-    lambda: models.sample_chain_profile(ModelParams(ModelKind.II, 0.1, 0.05), 64,
-                                        box_halfwidth=9.0),
-    lambda: ChainProfile.uniform(TightBindingParams(t_ab=0.4, t_ab_inter=1.0,
-                                                    eps_c=10.0), 60),
-    lambda: ChainProfile(*np.random.default_rng(6).uniform(-1, 1, size=(7, 2))),
+def _model_chain_case(p, n_cells, box):
+    grid = Grid(-box, box, n_cells)
+    return models.model_potential_components(p, grid), grid
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _model_chain_case(ModelParams(ModelKind.I, 0.07, 0.0), 101, 50.0),
+    lambda: _model_chain_case(ModelParams(ModelKind.II, 0.1, 0.05), 64, 9.0),
+    lambda: (SSH, _unit_grid(60)),
+    lambda: (PotentialComponents(*np.random.default_rng(6).uniform(-1, 1, size=(5, 2))),
+             Grid(-1.7, 2.2, 2)),
 ], ids=["model_I", "model_II", "ssh", "two_cells"])
-def test_build_finite_chain_matches_per_entry_reference_bitwise(profile):
-    prof = profile()
-    got, want = build_finite_chain(prof).bands, _chain_bands_reference(prof)
+def test_saw_stencil_matches_per_entry_reference_bitwise(case):
+    comps, grid = case()
+    got, want = discretize(comps, grid, "saw").bands, _saw_bands_reference(comps, grid)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -211,7 +210,8 @@ def test_uniform_chain_spectrum_within_bloch_bands():
     sol = min(tune_flat_band(P_REF), key=lambda s: abs(s.flat_energy))
     p = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01,
                            eps_c=sol.eps_c)
-    chain = build_finite_chain(ChainProfile.uniform(p, 40))
+    # p as components: v11 = eps_a, v12 = t_ab - t_ab_inter, v13 = t_ac, v23 = t_bc
+    chain = _uniform_chain(PotentialComponents(0.0, 0.0, 0.2, 0.01, sol.eps_c), 40)
     rep = chain_spectrum(chain, flat_energy=sol.flat_energy)
     bs = band_structure(p, default_k_grid(p, 513))
     lo, hi = bs.energies.min() - 1e-9, bs.energies.max() + 1e-9
@@ -220,26 +220,10 @@ def test_uniform_chain_spectrum_within_bloch_bands():
     assert rep.cluster_count >= 40 - 2
 
 
-def test_chain_profile_validation():
-    with pytest.raises(NumericalError):
-        ChainProfile(*([np.ones(4)] * 6 + [np.ones(3)]))
-    with pytest.raises(NumericalError):
-        arrs = [np.ones(4) for _ in range(7)]
-        arrs[2] = np.array([1.0, np.nan, 1.0, 1.0])
-        ChainProfile(*arrs)
-
-
-@pytest.mark.parametrize("n_cells", [0, 1])
-def test_chain_profile_needs_two_cells(n_cells):
-    with pytest.raises(NumericalError, match="need at least 2 cells"):
-        ChainProfile.uniform(P_REF, n_cells)
-
-
 def test_chain_spectrum_gap_exclusion():
     # a spurious near-flat eigenvalue must not be mistaken for a gap edge
-    prof = ChainProfile.uniform(
-        TightBindingParams(t_ab=1.0, t_ab_inter=1.0, eps_c=5.0), 30)
-    chain = build_finite_chain(prof)
+    # t_ab = t_ab_inter = 1, eps_c = 5
+    chain = _uniform_chain(PotentialComponents(0.0, 0.0, 0.0, 0.0, 5.0), 30)
     # pure AB chain bands are +-|1 + e^{ik}|: gap closes at k = pi, so
     # every eigenvalue close to 0 is genuine; use eps_c to park the C
     # level far away and fake a "remnant" by a tiny eps shift
@@ -254,8 +238,7 @@ def test_edge_state_detection_ssh_limit():
     # dimerized AB chain in the topological phase hosts midgap edge modes;
     # they sit at |E| ~ 5e-17, so cluster_tol must lie below that for them
     # to be walked (and get vectors) rather than counted as the flat cluster
-    p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
-    chain = build_finite_chain(ChainProfile.uniform(p, 60))
+    chain = _uniform_chain(SSH, 60)
     rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-20)
     near_zero = np.abs(rep.eigenvalues) < 0.3
     assert near_zero.sum() == 2
@@ -269,8 +252,7 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors(monkeypatch):
     # the two SSH zero modes are split by ~2e-17; inverse iteration from
     # one fixed start vector finds the same vector for both unless the
     # second is kept orthogonal to the first
-    p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
-    chain = build_finite_chain(ChainProfile.uniform(p, 60))
+    chain = _uniform_chain(SSH, 60)
     w = eigh_banded(chain)
     pair = np.flatnonzero(np.abs(w) < 0.3)
     assert pair.size == 2
@@ -296,7 +278,7 @@ def test_degenerate_walked_group_gets_one_ipr_whatever_the_rounding(monkeypatch)
     # group, enough to move a per-vector IPR between 0.026 and 0.030; the
     # group's mean density does not move
     p = ModelParams(ModelKind.II, 0.1, 0.05)
-    chain = build_finite_chain(models.sample_chain_profile(p, 800))
+    chain = _route_operator(p, "chain", 800)
     excl = 0.1 * models.model_spectrum(p).gap_edge
     rep = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=excl)
     walked = np.flatnonzero(np.isfinite(rep.ipr))
@@ -343,9 +325,10 @@ def _route_operator(p, route, size, box=12.0):
     """The chain of `size` cells, or the continuum on `size` points over
     [-box/kappa, box/kappa]."""
     if route == "chain":
-        return build_finite_chain(models.sample_chain_profile(p, size))
-    grid = Grid(-box / p.kappa, box / p.kappa, size)
-    return discretize(models.model_potential_components(p, grid), grid)
+        grid, stencil = _unit_grid(size), "saw"
+    else:
+        grid, stencil = Grid(-box / p.kappa, box / p.kappa, size), "central"
+    return discretize(models.model_potential_components(p, grid), grid, stencil)
 
 
 def _model_case(kind, mass, lam, route):
@@ -355,14 +338,13 @@ def _model_case(kind, mass, lam, route):
 
 
 def _ssh_case(end_potentials):
-    p = TightBindingParams(t_ab=0.4, t_ab_inter=1.0, eps_c=10.0)
-    prof = ChainProfile.uniform(p, 60)
+    chain = _uniform_chain(SSH, 60)
     if end_potentials:
         # lift the two zero modes apart (left mode on A_0, right on B_59)
         # so both are walked as distinct in-gap edge states
-        prof = replace(prof, eps_a=np.r_[0.05, prof.eps_a[1:]],
-                       eps_b=np.r_[prof.eps_b[:-1], 0.08])
-    return build_finite_chain(prof), 0.0, 1e-9, 1e-9
+        chain.bands[2, 0] = 0.05
+        chain.bands[2, 3 * 59 + 1] = 0.08
+    return chain, 0.0, 1e-9, 1e-9
 
 
 @pytest.mark.parametrize("case", [
@@ -432,7 +414,7 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
     comps = models.model_potential_components(p, grid)
-    gauged = discretize(comps, grid)
+    gauged = discretize(comps, grid, "central")
     stack = comps.matrix_stack()
     assert gauged.bands.dtype == np.float64
     hop = -1j / (2 * grid.h) * GAMMA  # the block from point i to point i + 1

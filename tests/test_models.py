@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import potential_matrix
+from susychain.continuum import discretize, potential_matrix
 from susychain.errors import NumericalError
-from susychain.lattice import build_finite_chain, chain_spectrum
+from susychain.lattice import chain_spectrum
 from susychain.models import (
     ModelKind,
     ModelParams,
@@ -17,7 +17,6 @@ from susychain.models import (
     model_potential,
     model_potential_components,
     model_spectrum,
-    sample_chain_profile,
     validate_params,
 )
 from susychain.numcore import Grid
@@ -230,31 +229,24 @@ def test_model2_asymptotic_spectrum_identity(m, frac, side):
                                                          rel=1e-12)
 
 
-# ------------------------------------------------------ chain profile
+# ------------------------------------------------------ saw chain
 
-def test_sample_chain_profile_shape_and_content():
-    prof = sample_chain_profile(P1, 101)
-    assert prof.n_cells == 101
-    # cell centers are uniform over the default box [-50, 50], spacing 1
-    v11, v12, v13, v23 = model_potential(P1, np.linspace(-50.0, 50.0, 101))
-    np.testing.assert_allclose(prof.eps_a, v11)
-    np.testing.assert_allclose(prof.eps_b, -v11)
-    np.testing.assert_allclose(prof.eps_c, P1.flat_energy)
-    np.testing.assert_allclose(prof.t_ab, 1.0 + v12)
-    np.testing.assert_allclose(prof.t_ab_inter, 1.0)
-    np.testing.assert_allclose(prof.t_ac, v13)
-    np.testing.assert_allclose(prof.t_bc, v23)
-
-
-def test_sample_chain_profile_custom_box():
-    prof = sample_chain_profile(P2, 11, box_halfwidth=5.0)
-    v11, v12, v13, v23 = model_potential(P2, np.linspace(-5.0, 5.0, 11))
-    np.testing.assert_allclose(prof.eps_a, v11)
-    np.testing.assert_allclose(prof.t_ab, 1.0 + v12)
-    np.testing.assert_allclose(prof.t_ac, v13)
-    np.testing.assert_allclose(prof.t_bc, v23)
-    with pytest.raises(NumericalError):
-        sample_chain_profile(P2, 1)
+@pytest.mark.parametrize("p, n_cells, box", [(P1, 101, 50.0), (P2, 21, 5.0)],
+                         ids=["spacing_1", "spacing_0.5"])
+def test_saw_stencil_entries(p, n_cells, box):
+    # one cell per point of [-box, box]; the hop t is 1/spacing
+    grid = Grid(-box, box, n_cells)
+    bands = discretize(model_potential_components(p, grid), grid, "saw").bands
+    t = (n_cells - 1) / (2 * box)
+    v11, v12, v13, v23 = model_potential(p, np.linspace(-box, box, n_cells))
+    zero = np.zeros(n_cells)
+    # per cell (A, B, C): the diagonal, then M[C_prev, A], M[A, B], M[B, C],
+    # then M[B_prev, A], M[C_prev, B], M[A, C]
+    np.testing.assert_array_equal(bands[2].reshape(-1, 3),
+                                  np.c_[v11, -v11, zero + p.flat_energy])
+    np.testing.assert_array_equal(bands[1].reshape(-1, 3), np.c_[zero, t + v12, v23])
+    np.testing.assert_array_equal(bands[0].reshape(-1, 3),
+                                  np.c_[np.r_[0.0, zero[1:] + t], zero, v13])
 
 
 # the allowance for lattice corrections of perfbench's chain gap-edge check
@@ -275,12 +267,13 @@ def test_chain_hopping_follows_cell_spacing(p):
     errors = []
     for h in (2.0, 1.0, 0.5):
         n_cells = int(2 * box / h) + 1
-        prof = sample_chain_profile(p, n_cells, box_halfwidth=box)
+        grid = Grid(-box, box, n_cells)
+        chain = discretize(model_potential_components(p, grid), grid, "saw")
         v12 = model_potential(p, np.linspace(-box, box, n_cells))[1]
-        assert np.array_equal(prof.t_ab_inter, np.full(n_cells, 1.0 / h))
-        assert np.array_equal(prof.t_ab, 1.0 / h + v12)
-        rep = chain_spectrum(build_finite_chain(prof), flat_energy=p.flat_energy,
-                             gap_exclusion=0.1 * edge)
+        # the hop B_j -> A_{j+1}, and M[A_j, B_j]
+        assert np.array_equal(chain.bands[0, 3::3], np.full(n_cells - 1, 1.0 / h))
+        assert np.array_equal(chain.bands[1, 1::3], 1.0 / h + v12)
+        rep = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=0.1 * edge)
         err = max(abs(abs(rep.gap_edge_neg) / edge - 1.0),
                   abs(rep.gap_edge_pos / edge - 1.0))
         assert err <= bound, (h, err, bound)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from susychain import numcore
 from susychain.errors import NonHermitianError, NumericalError
-from susychain.lattice import build_finite_chain
-from susychain.models import ModelKind, ModelParams, sample_chain_profile
+from susychain.continuum import discretize
+from susychain.models import ModelKind, ModelParams, model_potential_components
 from susychain.numcore import (
     BandedHermitian,
     Grid,
@@ -54,9 +54,22 @@ def test_grid_rejects_bad_input():
     with pytest.raises(NumericalError):
         Grid(1.0, -1.0, 5)
     with pytest.raises(NumericalError):
-        Grid(0.0, 1.0, 2)
+        Grid(0.0, 1.0, 1)
     with pytest.raises(NumericalError):
         Grid(0.0, np.inf, 5)
+
+
+def test_diff_central_needs_three_samples():
+    # a 2-point grid (a 2-cell chain) is a grid, but no central difference
+    grid = Grid(0.0, 1.0, 2)
+    with pytest.raises(NumericalError, match="at least 3 samples"):
+        diff_central(np.array([0.0, 1.0]), grid)
+
+
+def _saw_chain(p, n_cells):
+    """The model's saw chain of n_cells cells at cell spacing 1."""
+    g = Grid(-(n_cells - 1) / 2, (n_cells - 1) / 2, n_cells)
+    return discretize(model_potential_components(p, g), g, "saw")
 
 
 # ---------------------------------------------------- banded matrices
@@ -316,7 +329,7 @@ def test_eigh_banded_releases_the_gil():
     # The loop also runs whenever the worker waits to take the GIL back, up
     # to one switch interval; a short one keeps that share small
     p = ModelParams(ModelKind.II, 0.03, 0.015)
-    chain = build_finite_chain(sample_chain_profile(p, 800))
+    chain = _saw_chain(p, 800)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
@@ -397,7 +410,7 @@ CHAINS = [(ModelKind.I, 0.12, 0.03, 400), (ModelKind.I, 0.12, 0.03, 800),
 
 
 def _chain(kind, mass, flat, cells):
-    return build_finite_chain(sample_chain_profile(ModelParams(kind, mass, flat), cells))
+    return _saw_chain(ModelParams(kind, mass, flat), cells)
 
 
 def _record_band_solves(monkeypatch):
