@@ -107,8 +107,8 @@ def invariant_checks(seed, tol_override):
         grid = Grid(-20.0, 20.0, 1201)
         frame = assemble_frame(p.seed_data(), grid)
         comps = model_comps[kind] = transformed_potential(frame)
-        stack = comps.matrix_stack()
-        add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(stack), 1e-10)
+        add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(comps.matrix_stack()),
+                1e-10)
         add_max(f"{tag}_w0_constancy", frame.wronskian_relative_stdev, 1e-10)
         add_max(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
         add_max(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
@@ -121,6 +121,7 @@ def invariant_checks(seed, tol_override):
         add_min(f"{tag}_negative_control",
                 susy.hermiticity_asymmetry(susy.commutator_potential(broken)),
                 1e-4)
+        del broken  # and its cached stacks, before the intertwining test
         # intertwining convergence
         residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
                                                        n_levels=3)

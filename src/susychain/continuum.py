@@ -166,7 +166,10 @@ def apply_dirac(potential, state, grid):
         raise NumericalError(
             f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
     out = v @ f if v.ndim == 2 else stack_matvec(v, f)
-    # gamma swaps components 0 and 1 and drops component 2
-    kinetic = -1j * diff_central(f, grid)
-    out[:2] += kinetic[1::-1]
+    # gamma swaps components 0 and 1 and drops component 2; row by row, as
+    # numpy may buffer a reversed two-row view whole
+    kinetic = diff_central(f, grid)
+    kinetic *= -1j
+    out[0] += kinetic[1]
+    out[1] += kinetic[0]
     return out

@@ -35,6 +35,8 @@ class Grid:
             raise NumericalError("grid endpoints must be finite")
         if self.x_min >= self.x_max:
             raise NumericalError("grid requires x_min < x_max")
+        if float(self.x_max) - float(self.x_min) == np.inf:
+            raise NumericalError("grid width x_max - x_min overflows")
         if self.n_points < 2:
             raise NumericalError("grid requires n_points >= 2")
 
@@ -253,7 +255,9 @@ def banded_eigvec(m, energy, group=()):
     """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
 
     Inverse iteration with one banded LU of M - energy*I (general band
-    storage, lower diagonals copied from the stored upper ones). The start
+    storage, lower diagonals copied from the stored upper ones), or of M
+    minus a shift one rounding unit below energy where that LU has a zero
+    pivot or a solve overflows. The start
     vector is fixed, so reruns give identical vectors. Three solves damp
     every other eigencomponent by (rounding / spectral gap)**3, well below
     what an IPR or an edge flag resolves. Raises NumericalError unless
@@ -282,31 +286,45 @@ def banded_eigvec(m, energy, group=()):
         shifted[2 * u + d, : n - d] = m.bands[u - d, d:]
     shifted[2 * u] -= energy
     shifted *= s
-    lu, piv, info = shifted.copy(order="F"), np.empty(n, np.int64), np.zeros(1, np.int64)
-    _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
-    if info[0] > 0:
-        # an exactly zero pivot (say, a decoupled site at the shift):
-        # move the shift off the eigenvalue by one rounding unit
-        shifted[2 * u] -= np.finfo(float).eps * (s * scale)
-        lu = shifted.copy(order="F")
+    lu, piv, info = np.empty_like(shifted), np.empty(n, np.int64), np.zeros(1, np.int64)
+
+    def factor():
+        lu[:] = shifted
         _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
-        if info[0] > 0:
+        return info[0] == 0
+
+    def iterate():
+        # from the fixed start vector; None if a solve overflows
+        v = np.random.default_rng(0).standard_normal(n)
+        v /= np.linalg.norm(v)
+        for _ in range(EIGVEC_ITERATIONS):
+            _lapack("dgbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
+            for q in group:
+                v -= q * np.vdot(q, v)
+            peak = np.abs(v).max()
+            if not np.isfinite(peak):
+                return None
+            if peak > 2.0**500:  # the norm squares entries
+                v /= peak
+            norm = np.linalg.norm(v)
+            if norm == 0:
+                raise NumericalError(f"inverse iteration at E={energy:.6g}: "
+                                     "iterate has norm 0")
+            v /= norm
+        return v
+
+    v = iterate() if factor() else None
+    if v is None:
+        # an exactly zero pivot (say, a decoupled site at the shift), or one
+        # so small that a solve overflows (cells that the hopping all but
+        # decouples, from --box 1e160 on): move the shift off the eigenvalue
+        # by one rounding unit and start again
+        shifted[2 * u] -= np.finfo(float).eps * (s * scale)
+        if not factor():
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(EIGVEC_ITERATIONS):
-        _lapack("dgbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
-        for q in group:
-            v -= q * np.vdot(q, v)
-        peak = np.abs(v).max()
-        if not np.isfinite(peak):
-            raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
-        if peak > 2.0**500:  # the norm squares entries
-            v /= peak
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
-        v /= norm
+        v = iterate()
+    if v is None:
+        raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
     # s*(M v - energy v) by BLAS on the stored upper band
     r = v.copy()
     _lapack("dsbmv")(b"U", n, u, s, np.asfortranarray(m.bands, float), u + 1, v, 1,

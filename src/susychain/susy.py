@@ -144,8 +144,10 @@ class TransformationFrame:
 
     @cached_property
     def uhat_inv(self):
-        """Per-point Uhat^{-1}: the 3x3 adjugate over det Uhat."""
-        return _frozen(_adjugate3(self.uhat) / (1j * self.det)[:, None, None])
+        """Per-point Uhat^{-1}: the 3x3 adjugate over det Uhat, divided in place."""
+        adj = _adjugate3(self.uhat)
+        adj /= (1j * self.det)[:, None, None]
+        return _frozen(adj)
 
     @property
     def duhat(self):
@@ -307,11 +309,28 @@ def apply_darboux(frame, state):
     d = np.empty_like(z)
     d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
     d[:, -1] = 3 * z[:, -1] - down[:, -1] * (4 * z[:, -2] - down[:, -2] * z[:, -3])
-    np.multiply(up[:, 1:], z[:, 2:], out=d[:, 1:-1])
-    z[:, :-2] *= down[:, :-1]  # in place: the ends are done
+    # row by row: numpy 2.4 casts a 1-D real operand in chunks, a 2-D one of
+    # up to ~4000 columns whole
+    for c in range(3):
+        np.multiply(up[c, 1:], z[c, 2:], out=d[c, 1:-1])
+        z[c, :-2] *= down[c, :-1]  # in place: the ends are done
     d[:, 1:-1] -= z[:, :-2]
     d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)  # numpy's bits for d / (2h)
+    del z
     return stack_matvec(frame.uhat, d)
+
+
+def _level_residuals(fr, v_seed, states):
+    """||(L H - H_new L) psi||_inf on fr's grid for each of states(x).
+    V_new, the test states and a frame built for this call die with it."""
+    g = fr.grid
+    v_new = transformed_potential(fr).matrix_stack()
+    level = []
+    for f in states(g.x):  # real rows: each call makes its own complex copy
+        lhs = apply_darboux(fr, apply_dirac(v_seed, f, g))
+        lhs -= apply_dirac(v_new, apply_darboux(fr, f), g)
+        level.append(np.abs(lhs).max())
+    return level
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is raised below
@@ -320,20 +339,16 @@ def intertwining_residual(frame, states, n_levels=3):
 
     states maps a grid's x to an (n_states, 3, n) array of spinors.
     Returns residuals of shape (n_states, n_levels) and the measured
-    orders log2(r_l / r_{l+1}). Raises NumericalError naming the grid
+    orders log2(r_l / r_{l+1}). Only one level's frame, V_new and test
+    states are alive at a time. Raises NumericalError naming the grid
     spacing where a residual is not finite: the stencil's 1/(2h) overflows
     on a tiny box, L's weights e^{kappa0*h} where h does not resolve kappa0.
     """
     residuals, g = [], frame.grid
     v_seed = seed_potential_matrix(frame.seed)
     for i in range(n_levels):
-        fr = frame if i == 0 else assemble_frame(frame.seed, g)
-        v_new = transformed_potential(fr).matrix_stack()
-        level = []
-        for f in np.asarray(states(g.x), dtype=complex):
-            lhs = apply_darboux(fr, apply_dirac(v_seed, f, g))
-            rhs = apply_dirac(v_new, apply_darboux(fr, f), g)
-            level.append(np.abs(lhs - rhs).max())
+        level = _level_residuals(frame if i == 0 else assemble_frame(frame.seed, g),
+                                 v_seed, states)
         if not np.all(np.isfinite(level)):
             raise NumericalError(f"intertwining residual is not finite at grid spacing "
                                  f"h={g.h:.6g}")
@@ -348,8 +363,6 @@ def intertwining_residual(frame, states, n_levels=3):
 class EigenstateReport:
     energy: float
     residual: float
-    l2_mass: float
-    tail_decay_rate: float  # fitted d(log amplitude)/dx on the right tail
 
 
 def inverse_dagger_states(frame):
@@ -362,14 +375,9 @@ def inverse_dagger_states(frame):
     w = np.conj(np.swapaxes(frame.u_inv, 1, 2))  # (n, 3, 3)
     v_new = transformed_potential(frame).matrix_stack()
     states, reports = [], []
-    n_tail = max(3, g.n_points // 5)
     for st, e in zip(w.T, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
         r = apply_dirac(v_new, st, g) - e * st
-        amp = np.linalg.norm(st, axis=0)
-        mass = float(np.trapezoid(amp**2, g.x))
-        tail = np.log(np.maximum(amp[-n_tail:], 1e-300))
-        rate = float(np.polyfit(g.x[-n_tail:], tail, 1)[0])
         states.append(st)
         residual = float(np.abs(r).max() / (1.0 + np.abs(st).max()))
-        reports.append(EigenstateReport(e, residual, mass, rate))
+        reports.append(EigenstateReport(e, residual))
     return states, reports

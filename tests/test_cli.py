@@ -524,11 +524,12 @@ def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("box", ["1e100", "1e150"])
+@pytest.mark.parametrize("box", ["1e100", "1e150", "1e160", "1e200"])
 def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
     # the hopping 1/h falls to ~1e-150 and inverse iteration's iterate passes
     # 1e154, where a norm's squares overflow; it is scaled by its largest
-    # entry first
+    # entry first. From 1e160 on the LU of M - E*I also holds pivots of
+    # ~1e-304 and a solve overflows; the shift moves one rounding unit
     def report(box):
         out = tmp_path / box
         assert main(["spectrum", "--out", str(out), "--set", "model=I",

@@ -57,6 +57,9 @@ def test_grid_rejects_bad_input():
         Grid(0.0, 1.0, 1)
     with pytest.raises(NumericalError):
         Grid(0.0, np.inf, 5)
+    # both ends finite, their distance not: h and x would be inf and nan
+    with pytest.raises(NumericalError, match="width"):
+        Grid(-1e308, 1e308, 5)
 
 
 def test_diff_central_needs_three_samples():
