@@ -48,6 +48,18 @@ class PotentialComponents:
     v23: np.ndarray
     flat_energy: float
 
+    def samples(self, n):
+        """The five components, each broadcast to n read-only samples.
+        Raises NumericalError for a component neither scalar nor of shape (n,)."""
+        values = []
+        for name, v in vars(self).items():  # v11, v12, v13, v23, flat_energy
+            v = np.asarray(v)
+            if v.shape not in ((), (n,)):
+                raise NumericalError(f"{name} must be a scalar or of shape ({n},), "
+                                     f"got shape {v.shape}")
+            values.append(np.broadcast_to(v, (n,)))
+        return values
+
     def matrix_stack(self):
         """V(x_i) as an (n, 3, 3) complex stack; floats give one 3x3 matrix."""
         return potential_matrix(self.v11, self.v12, self.v13, self.v23,
@@ -124,13 +136,7 @@ def discretize(comps, grid, stencil):
     as (n - 1)/(x_max - x_min), which can differ from 1/h in the last bit.
     """
     n = grid.n_points
-    values = []
-    for name, v in vars(comps).items():  # v11, v12, v13, v23, flat_energy
-        v = np.asarray(v)
-        if v.shape not in ((), (n,)):
-            raise NumericalError(f"{name} must be a scalar or of shape ({n},), "
-                                 f"got shape {v.shape}")
-        values.append(np.broadcast_to(v, (n,)))
+    values = comps.samples(n)
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         x = grid.x[np.argmin(finite)]
@@ -151,21 +157,50 @@ def discretize(comps, grid, stencil):
     return BandedHermitian(block_tridiagonal_bands(onsite, hop, bandwidth))
 
 
+def _components_matvec(comps, f):
+    """V f from V's real components, entry by entry: a real times f, turned
+    by +-i where V's entry is imaginary, summed in stack_matvec's order. Each
+    product is exact either way, so this is stack_matvec(comps.matrix_stack(),
+    f) up to the sign of a zero."""
+    v11, v12, v13, v23, lam = comps.samples(f.shape[-1])
+
+    def turned(c, g, phase):
+        out = c * g
+        out *= phase
+        return out
+
+    out = np.empty_like(f)
+    np.multiply(v11, f[0], out=out[0])
+    out[0] += turned(v12, f[1], -1j)
+    out[0] += turned(v13, f[2], -1j)
+    out[1] = turned(v12, f[0], 1j)
+    out[1] -= v11 * f[1]
+    out[1] += v23 * f[2]
+    out[2] = turned(v13, f[0], 1j)
+    out[2] += v23 * f[1]
+    out[2] += lam * f[2]
+    return out
+
+
 def apply_dirac(potential, state, grid):
     """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor.
 
     The one operator action of the package: the seed, the transformed and
     the discretized operators differ only in V. A constant 3x3 potential
-    acts as V @ f, an (n, 3, 3) stack point by point. Only the shape of
-    the potential is checked; a non-finite V gives a non-finite result.
+    acts as V @ f, an (n, 3, 3) stack point by point, and PotentialComponents
+    entry by entry without forming V. Only the shape of the potential is
+    checked; a non-finite V gives a non-finite result.
     """
     f = np.asarray(state, dtype=complex)
-    v = np.asarray(potential, dtype=complex)
-    n = grid.n_points
-    if v.shape not in ((3, 3), (n, 3, 3)):
-        raise NumericalError(
-            f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
-    out = v @ f if v.ndim == 2 else stack_matvec(v, f)
+    if isinstance(potential, PotentialComponents):
+        out = _components_matvec(potential, f)
+    else:
+        v = np.asarray(potential, dtype=complex)
+        n = grid.n_points
+        if v.shape not in ((3, 3), (n, 3, 3)):
+            raise NumericalError(
+                f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
+        out = v @ f if v.ndim == 2 else stack_matvec(v, f)
     # gamma swaps components 0 and 1 and drops component 2; row by row, as
     # numpy may buffer a reversed two-row view whole
     kinetic = diff_central(f, grid)

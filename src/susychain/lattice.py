@@ -201,9 +201,9 @@ def _walk_to_gap_edge(chain, w, indices, group_tol, ipr, edge):
     while len(indices):
         group = indices[np.abs(w[indices] - w[indices[0]]) <= group_tol]
         indices = indices[group.size:]
-        vectors = []
-        for i in group:
-            vectors.append(banded_eigvec(chain, w[i], vectors))
+        vectors = np.empty((group.size, chain.dim))
+        for k, i in enumerate(group):
+            vectors[k] = banded_eigvec(chain, w[i], vectors[:k])
         density = sum(np.abs(v) ** 2 for v in vectors) / group.size
         ipr[group] = inverse_participation_ratio(density)
         edge[group] = _edge_mask(density)

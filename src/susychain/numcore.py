@@ -249,6 +249,10 @@ EIGVEC_ITERATIONS = 3
 # chain_spectrum treats states as one numerically degenerate group, both in
 # units of norm_1
 EIGVEC_RESIDUAL_TOL = 1e-10
+# largest overlap banded_eigvec accepts between its vector and the group's
+# earlier ones: rounding leaves up to ~7e-10 at an exact shift, a vector
+# that repeats one found before leaves ~1
+GROUP_OVERLAP_TOL = EIGVEC_RESIDUAL_TOL ** 0.5
 
 
 def banded_eigvec(m, energy, group=()):
@@ -257,17 +261,18 @@ def banded_eigvec(m, energy, group=()):
     Inverse iteration with one banded LU of M - energy*I (general band
     storage, lower diagonals copied from the stored upper ones), or of M
     minus a shift one rounding unit below energy where that LU has a zero
-    pivot or a solve overflows. The start
-    vector is fixed, so reruns give identical vectors. Three solves damp
-    every other eigencomponent by (rounding / spectral gap)**3, well below
-    what an IPR or an edge flag resolves. Raises NumericalError unless
+    pivot, a solve overflows or the vector overlaps `group` by more than
+    GROUP_OVERLAP_TOL. The start vector is fixed, so reruns give identical
+    vectors. Three solves damp every other eigencomponent by (rounding /
+    spectral gap)**3, well below what an IPR or an edge flag resolves. Raises NumericalError unless
     ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m).
 
     Within a numerically degenerate group the vector is some unit vector
     of the group's eigenspace, not a particular basis member. `group` holds
-    the unit vectors already computed for the group of `energy`; they are
-    projected out after every solve, so successive calls over the group
-    give an orthonormal set.
+    the unit vectors already computed for the group of `energy`, as rows;
+    they are projected out after every solve, so successive calls over the
+    group give an orthonormal set. Raises NumericalError if the moved shift
+    too leaves an overlap above GROUP_OVERLAP_TOL.
     """
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
@@ -313,18 +318,27 @@ def banded_eigvec(m, energy, group=()):
             v /= norm
         return v
 
+    def overlap(v):
+        return float(np.abs(np.asarray(group) @ v).max()) if len(group) else 0.0
+
     v = iterate() if factor() else None
-    if v is None:
+    restart = v is None or overlap(v) > GROUP_OVERLAP_TOL
+    if restart:
         # an exactly zero pivot (say, a decoupled site at the shift), or one
         # so small that a solve overflows (cells that the hopping all but
-        # decouples, from --box 1e160 on): move the shift off the eigenvalue
-        # by one rounding unit and start again
+        # decouples, from --box 1e160 on), or pivots so far apart that one
+        # solve lifts some group members far past the others and projecting
+        # out those found leaves rounding noise (--box 1e60 to 1e150): move
+        # the shift off the eigenvalue by one rounding unit and start again
         shifted[2 * u] -= np.finfo(float).eps * (s * scale)
         if not factor():
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
         v = iterate()
     if v is None:
         raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
+    if restart and overlap(v) > GROUP_OVERLAP_TOL:
+        raise NumericalError(f"inverse iteration at E={energy:.6g}: the vector overlaps "
+                             f"its degenerate group by {overlap(v):.3e}")
     # s*(M v - energy v) by BLAS on the stored upper band
     r = v.copy()
     _lapack("dsbmv")(b"U", n, u, s, np.asfortranarray(m.bands, float), u + 1, v, 1,

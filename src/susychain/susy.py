@@ -138,13 +138,24 @@ class TransformationFrame:
         return _frozen(psi0 * (phi1 * xi2 - phi2 * xi1) - phi0 * (psi1 * xi2 - psi2 * xi1))
 
     @cached_property
+    def f_inv(self):
+        """F^{-1} for Uhat = diag(i, 1, 1) F, F = f per point, as a real (3, 3,
+        n) array: the adjugate times 1/det, as numpy's complex division
+        scales, so F^{-1} diag(-i, 1, 1) has uhat_inv's values."""
+        adj = _adjugate3(np.moveaxis(self.f, -1, 0))
+        adj *= (1.0 / self.det)[:, None, None]
+        return _frozen(np.moveaxis(adj, 0, -1))
+
+    @cached_property
     def uhat(self):
-        """Uhat(x_i) as an (n, 3, 3) complex stack."""
+        """Uhat(x_i) = diag(i, 1, 1) F as an (n, 3, 3) complex stack, for
+        uhat_inv."""
         return _frozen(_frame_stack(self.f))
 
     @cached_property
     def uhat_inv(self):
-        """Per-point Uhat^{-1}: the 3x3 adjugate over det Uhat, divided in place."""
+        """Per-point Uhat^{-1}: the 3x3 adjugate over det Uhat, divided in
+        place, for the commutator route and U^{-1}."""
         adj = _adjugate3(self.uhat)
         adj /= (1j * self.det)[:, None, None]
         return _frozen(adj)
@@ -303,8 +314,13 @@ def hermiticity_asymmetry(stack):
 def apply_darboux(frame, state):
     """L acting on a sampled (3, n) spinor: U d/dx (U^{-1} state) with the
     stencil of diff_central, as Uhat D_G (Uhat^{-1} state), where D_G weights
-    the neighbour j of point i by G_i/G_j = exp(log G_i - log G_j)."""
-    z = stack_matvec(frame.uhat_inv, np.asarray(state, dtype=complex))
+    the neighbour j of point i by G_i/G_j = exp(log G_i - log G_j). With
+    Uhat = diag(i, 1, 1) F, component 0 turns by -i, F^{-1} and F act as
+    real stacks and row 0 turns back by i: each product with a real or
+    i*real factor is exact, so the result has the complex stacks' values."""
+    z = np.array(state, dtype=complex)  # a copy: component 0 turns in place
+    z[0] *= -1j
+    z = stack_matvec(np.moveaxis(frame.f_inv, -1, 0), z)
     up, down = frame._weights
     d = np.empty_like(z)
     d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
@@ -317,14 +333,16 @@ def apply_darboux(frame, state):
     d[:, 1:-1] -= z[:, :-2]
     d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)  # numpy's bits for d / (2h)
     del z
-    return stack_matvec(frame.uhat, d)
+    out = stack_matvec(np.moveaxis(frame.f, -1, 0), d)
+    out[0] *= 1j
+    return out
 
 
 def _level_residuals(fr, v_seed, states):
     """||(L H - H_new L) psi||_inf on fr's grid for each of states(x).
     V_new, the test states and a frame built for this call die with it."""
     g = fr.grid
-    v_new = transformed_potential(fr).matrix_stack()
+    v_new = transformed_potential(fr)
     level = []
     for f in states(g.x):  # real rows: each call makes its own complex copy
         lhs = apply_darboux(fr, apply_dirac(v_seed, f, g))
@@ -373,7 +391,7 @@ def inverse_dagger_states(frame):
     """
     s, g = frame.seed, frame.grid
     w = np.conj(np.swapaxes(frame.u_inv, 1, 2))  # (n, 3, 3)
-    v_new = transformed_potential(frame).matrix_stack()
+    v_new = transformed_potential(frame)
     states, reports = [], []
     for st, e in zip(w.T, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
         r = apply_dirac(v_new, st, g) - e * st

@@ -529,13 +529,20 @@ def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
     # the hopping 1/h falls to ~1e-150 and inverse iteration's iterate passes
     # 1e154, where a norm's squares overflow; it is scaled by its largest
     # entry first. From 1e160 on the LU of M - E*I also holds pivots of
-    # ~1e-304 and a solve overflows; the shift moves one rounding unit
+    # ~1e-304 and a solve overflows; the shift moves one rounding unit. Up
+    # to 1e150 the exact shift lifts some of a degenerate group's members
+    # far past the others: a vector that repeats one found before also
+    # moves the shift, so each walked group of 400 decoupled cells stays
+    # orthonormal and reads ipr 1/400
     def report(box):
         out = tmp_path / box
         assert main(["spectrum", "--out", str(out), "--set", "model=I",
                      "--set", "mass=0.07", "--set", "method=chain", "--box", box]) == EXIT_OK
         chain = json.loads((out / "spectrum_summary.json").read_text())["chain"]
         _, rows = read_csv(out / "spectrum_chain.csv")
+        ipr = rows[:, 2][np.isfinite(rows[:, 2])]
+        assert ipr.size > 0
+        np.testing.assert_allclose(ipr, 1 / 400, rtol=1e-12)
         return np.array([chain["gap_edge_neg"], chain["gap_edge_pos"]]), rows[:, 1]
 
     edges, energies = report(box)

@@ -554,6 +554,23 @@ def test_banded_eigvec_band_wider_than_the_matrix():
     assert abs(np.vdot(v[:, 0], x)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_banded_eigvec_keeps_a_degenerate_pair_apart(monkeypatch):
+    # a coupled 6x6 matrix with the eigenvalue 1 twice: the second vector
+    # is orthogonal to the first; with no overlap allowed, the restart at
+    # the moved shift cannot meet the bound either and is refused
+    q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
+    dense = (q * [1.0, 1.0, 2.0, 3.0, -1.0, 0.5]) @ q.T
+    dense = 0.5 * (dense + dense.T)
+    banded = BandedHermitian.from_dense(dense, 5)
+    w = np.linalg.eigvalsh(dense)
+    first = banded_eigvec(banded, w[2])
+    second = banded_eigvec(banded, w[3], first[None, :])
+    assert abs(np.vdot(first, second)) <= numcore.GROUP_OVERLAP_TOL
+    monkeypatch.setattr(numcore, "GROUP_OVERLAP_TOL", 0.0)
+    with pytest.raises(NumericalError, match="overlaps its degenerate group"):
+        banded_eigvec(banded, w[3], first[None, :])
+
+
 def test_banded_eigvec_rejects_non_eigenvalue():
     banded = BandedHermitian.from_dense(np.diag([3.0, 1.0, 2.0]), 1)
     with pytest.raises(NumericalError, match="residual"):
