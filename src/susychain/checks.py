@@ -127,7 +127,8 @@ def invariant_checks(seed, tol_override):
                                                        n_levels=3)
         add_min(f"{tag}_intertwining_order", orders.min(), np.log2(3.6))
         # L annihilates its own seed columns
-        kernel = max(np.abs(susy.apply_darboux(frame, col)).max() for col in frame.u.T)
+        kernel = max(np.abs(susy.apply_darboux(frame, col)).max()
+                     for col in susy.seed_columns(frame))
         add_max(f"{tag}_darboux_kernel", kernel, 1e-8)
         # frame eigen-residual convergence
         r_coarse = max(susy.frame_eigen_residuals(frame))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, stack_matvec
+from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central
 
 GAMMA = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 0.0],
@@ -157,12 +157,19 @@ def discretize(comps, grid, stencil):
     return BandedHermitian(block_tridiagonal_bands(onsite, hop, bandwidth))
 
 
-def _components_matvec(comps, f):
-    """V f from V's real components, entry by entry: a real times f, turned
-    by +-i where V's entry is imaginary, summed in stack_matvec's order. Each
-    product is exact either way, so this is stack_matvec(comps.matrix_stack(),
-    f) up to the sign of a zero."""
-    v11, v12, v13, v23, lam = comps.samples(f.shape[-1])
+def apply_dirac(potential, state, grid):
+    """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor.
+
+    The one operator action of the package: the seed, the transformed and
+    the discretized operators differ only in V, given as PotentialComponents.
+    V f is taken entry by entry without forming V: a real component times
+    f, turned by +-i where V's entry is imaginary, summed in stack_matvec's
+    order. Each product is exact either way, so this is stack_matvec(
+    potential.matrix_stack(), f) up to the sign of a zero. Only the shapes of
+    the components are checked; a non-finite V gives a non-finite result.
+    """
+    f = np.asarray(state, dtype=complex)
+    v11, v12, v13, v23, lam = potential.samples(f.shape[-1])
 
     def turned(c, g, phase):
         out = c * g
@@ -179,28 +186,6 @@ def _components_matvec(comps, f):
     out[2] = turned(v13, f[0], 1j)
     out[2] += v23 * f[1]
     out[2] += lam * f[2]
-    return out
-
-
-def apply_dirac(potential, state, grid):
-    """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor.
-
-    The one operator action of the package: the seed, the transformed and
-    the discretized operators differ only in V. A constant 3x3 potential
-    acts as V @ f, an (n, 3, 3) stack point by point, and PotentialComponents
-    entry by entry without forming V. Only the shape of the potential is
-    checked; a non-finite V gives a non-finite result.
-    """
-    f = np.asarray(state, dtype=complex)
-    if isinstance(potential, PotentialComponents):
-        out = _components_matvec(potential, f)
-    else:
-        v = np.asarray(potential, dtype=complex)
-        n = grid.n_points
-        if v.shape not in ((3, 3), (n, 3, 3)):
-            raise NumericalError(
-                f"potential must be 3x3 or ({n}, 3, 3), got shape {v.shape}")
-        out = v @ f if v.ndim == 2 else stack_matvec(v, f)
     # gamma swaps components 0 and 1 and drops component 2; row by row, as
     # numpy may buffer a reversed two-row view whole
     kinetic = diff_central(f, grid)

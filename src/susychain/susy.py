@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuum import PotentialComponents, apply_dirac, potential_matrix
+from .continuum import PotentialComponents, apply_dirac
 from .errors import NumericalError, SingularFrameError
 from .numcore import Grid, quad_roots, stack_matmul, stack_matvec
 
@@ -83,9 +83,9 @@ class SeedData:
         return self.w0 / (self.mass - self.flat_energy)
 
 
-def seed_potential_matrix(s):
+def seed_components(s):
     """Potential part of the seed Hamiltonian (constant in x)."""
-    return potential_matrix(s.mass, s.gauge_a, 0.0, 0.0, 0.0, s.flat_energy)
+    return PotentialComponents(s.mass, s.gauge_a, 0.0, 0.0, s.flat_energy)
 
 
 def frame_factor(s):
@@ -115,8 +115,10 @@ def _frozen(a):
 class TransformationFrame:
     """The seed frame U = (uhat0 + t*uhat1) G on a grid: frame_factor's real
     3x3 constants, the samples of t = tanh(kappa0*x), and log G as a (3, n)
-    array. Arrays built from them on first use are read-only; only u and
-    u_inv multiply G = diag(e^{-Ax}, cosh(kappa0*x), cosh(kappa0*x)) back in."""
+    array. Uhat = diag(i, 1, 1) F with F real, so the frame keeps F, its
+    determinant and F^{-1} as real arrays, read-only once built; only
+    seed_columns multiplies G = diag(e^{-Ax}, cosh(kappa0*x), cosh(kappa0*x))
+    back in."""
 
     grid: Grid
     seed: SeedData
@@ -139,45 +141,21 @@ class TransformationFrame:
 
     @cached_property
     def f_inv(self):
-        """F^{-1} for Uhat = diag(i, 1, 1) F, F = f per point, as a real (3, 3,
-        n) array: the adjugate times 1/det, as numpy's complex division
-        scales, so F^{-1} diag(-i, 1, 1) has uhat_inv's values."""
+        """F^{-1} per point as a real (3, 3, n) array: the adjugate times
+        1/det, which numpy's complex division by i*det also computes, so
+        Uhat^{-1} = F^{-1} diag(-i, 1, 1) has the values of that division."""
         adj = _adjugate3(np.moveaxis(self.f, -1, 0))
         adj *= (1.0 / self.det)[:, None, None]
         return _frozen(np.moveaxis(adj, 0, -1))
 
-    @cached_property
-    def uhat(self):
-        """Uhat(x_i) = diag(i, 1, 1) F as an (n, 3, 3) complex stack, for
-        uhat_inv."""
-        return _frozen(_frame_stack(self.f))
-
-    @cached_property
-    def uhat_inv(self):
-        """Per-point Uhat^{-1}: the 3x3 adjugate over det Uhat, divided in
-        place, for the commutator route and U^{-1}."""
-        adj = _adjugate3(self.uhat)
-        adj /= (1j * self.det)[:, None, None]
-        return _frozen(adj)
-
     @property
-    def duhat(self):
-        """(dU/dx) G^{-1} = kappa0*(1 - t^2)*uhat1 + Uhat diag(-A, kappa0*t,
-        kappa0*t) as an (n, 3, 3) complex stack, built on each access."""
+    def df(self):
+        """(dU/dx) G^{-1} = kappa0*(1 - t^2)*uhat1 + F diag(-A, kappa0*t,
+        kappa0*t), without the first row's factor i, as a real (3, 3, n)
+        array built on each access."""
         k0, t = self.seed.kappa0, self.t
         rate = np.stack([np.full_like(t, -self.seed.gauge_a), k0 * t, k0 * t])
-        return _frame_stack(k0 * (1.0 - t * t) * self.uhat1[:, :, None] + self.f * rate)
-
-    @cached_property
-    def u(self):
-        """U = Uhat G, for the checks that act on U's own columns; it leaves
-        the double range on wide boxes."""
-        return _frozen(_frame_stack(self.f * np.exp(self.log_g)))
-
-    @cached_property
-    def u_inv(self):
-        """U^{-1} = G^{-1} Uhat^{-1}."""
-        return _frozen(self.uhat_inv * np.exp(-self.log_g).T[:, :, None])
+        return k0 * (1.0 - t * t) * self.uhat1[:, :, None] + self.f * rate
 
     @cached_property
     def _weights(self):
@@ -208,12 +186,6 @@ class TransformationFrame:
         exact = self.seed.wronskian_constant * (1.0 - self.t * self.t)
         dev = (a - b - exact) / (np.abs(a) + np.abs(b))
         return float(np.sqrt(np.mean(dev**2)))
-
-
-def _frame_stack(rows):
-    """A complex (n, 3, 3) frame stack from its real (3, 3, n) rows, the
-    first times i, as a view of component-major storage."""
-    return np.moveaxis(np.array([1j, 1.0, 1.0])[:, None, None] * rows, -1, 0)
 
 
 def _adjugate3(u):
@@ -257,6 +229,14 @@ def assemble_frame(s, grid):
     return frame
 
 
+def seed_columns(frame):
+    """The columns of U = Uhat G, F G with row 0 times i, as a complex (3, 3,
+    n) array whose [j] is column j, a (3, n) spinor. Built on each call for
+    the checks on U's own columns: U leaves the double range on wide boxes."""
+    u = np.array([1j, 1.0, 1.0])[:, None, None] * (frame.f * np.exp(frame.log_g))
+    return u.swapaxes(0, 1)
+
+
 def frame_eigen_residuals(frame):
     """Relative sup-norm residuals of (H - E) on each U column.
 
@@ -264,10 +244,10 @@ def frame_eigen_residuals(frame):
     is O(h^2) for exact seed functions.
     """
     s = frame.seed
-    v_seed = seed_potential_matrix(s)
+    v_seed = seed_components(s)
     energies = (s.mass, s.flat_energy, s.flat_energy)
     res = []
-    for col, e in zip(frame.u.T, energies):  # the columns of U, each (3, n)
+    for col, e in zip(seed_columns(frame), energies):
         r = apply_dirac(v_seed, col, frame.grid) - e * col
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
@@ -287,10 +267,15 @@ def commutator_potential(frame):
 
     (dU/dx) U^{-1} = (Uhat' + Uhat G'G^{-1}) Uhat^{-1} takes the analytic
     derivatives of the seed functions, so it shares no algebra with the
-    closed-form ratios of transformed_potential.
+    closed-form ratios of transformed_potential. With Uhat = diag(i, 1, 1) F
+    it is diag(i, 1, 1) df F^{-1} diag(-i, 1, 1): the real product, its row 0
+    turned by i and its column 0 by -i, each turn exact.
     """
-    v_seed = seed_potential_matrix(frame.seed)
-    m = stack_matmul(frame.duhat, frame.uhat_inv)
+    v_seed = seed_components(frame.seed).matrix_stack()
+    m = stack_matmul(np.moveaxis(frame.df, -1, 0), np.moveaxis(frame.f_inv, -1, 0))
+    m = m.astype(complex)
+    m[:, 0] *= 1j
+    m[:, :, 0] *= -1j
     # gamma m swaps rows 0 and 1 and drops row 2; m gamma does so to columns
     comm = np.zeros_like(m)
     comm[:, :2] = m[:, 1::-1]
@@ -363,7 +348,7 @@ def intertwining_residual(frame, states, n_levels=3):
     on a tiny box, L's weights e^{kappa0*h} where h does not resolve kappa0.
     """
     residuals, g = [], frame.grid
-    v_seed = seed_potential_matrix(frame.seed)
+    v_seed = seed_components(frame.seed)
     for i in range(n_levels):
         level = _level_residuals(frame if i == 0 else assemble_frame(frame.seed, g),
                                  v_seed, states)
@@ -390,10 +375,11 @@ def inverse_dagger_states(frame):
     satisfy (H_new - E_j) state = O(h^2) with E = (mass, flat, flat).
     """
     s, g = frame.seed, frame.grid
-    w = np.conj(np.swapaxes(frame.u_inv, 1, 2))  # (n, 3, 3)
+    # U^{-1} = G^{-1} F^{-1} diag(-i, 1, 1): state j is its row j conjugated
+    w = np.exp(-frame.log_g)[:, None, :] * frame.f_inv * np.array([1j, 1.0, 1.0])[:, None]
     v_new = transformed_potential(frame)
     states, reports = [], []
-    for st, e in zip(w.T, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
+    for st, e in zip(w, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
         r = apply_dirac(v_new, st, g) - e * st
         states.append(st)
         residual = float(np.abs(r).max() / (1.0 + np.abs(st).max()))

@@ -115,22 +115,9 @@ def test_discretize_is_hermitian_and_matches_apply():
     rng = np.random.default_rng(2)
     f = rng.normal(size=(3, grid.n_points))
     via_matrix = (dense @ f.T.ravel()).reshape(grid.n_points, 3).T
-    via_stencil = apply_dirac(comps.matrix_stack(), f, grid)
+    via_stencil = apply_dirac(comps, f, grid)
     np.testing.assert_allclose(via_matrix[:, 1:-1], via_stencil[:, 1:-1],
                                atol=1e-10)
-
-
-def test_apply_dirac_constant_potential_matches_its_stack():
-    grid = Grid(-3.0, 4.0, 57)
-    rng = np.random.default_rng(9)
-    f = rng.normal(size=(3, grid.n_points)) + 1j * rng.normal(size=(3, grid.n_points))
-    v = potential_matrix(0.03, -0.02, 0.01, 0.005, 0.3, -0.2)
-    const = apply_dirac(v, f, grid)
-    stack = np.broadcast_to(v, (grid.n_points, 3, 3))
-    stacked = apply_dirac(stack, f, grid)
-    assert np.abs(const - stacked).max() <= 1e-15 * np.abs(stacked).max()
-    with pytest.raises(NumericalError, match="shape"):
-        apply_dirac(stack[1:], f, grid)
 
 
 def _discretize_reference(comps, grid):
@@ -172,9 +159,13 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
 
 def test_discretize_rejects_bad_potential():
     grid = Grid(-1.0, 1.0, 11)
+    short = PotentialComponents(0.0, np.zeros(10), 0.0, 0.0, 0.0)
+    # apply_dirac reads the components through the same shape check
+    with pytest.raises(NumericalError, match="v12 .*shape"):
+        apply_dirac(short, np.zeros((3, 11)), grid)
     for stencil in ("central", "saw"):
         with pytest.raises(NumericalError, match="v12 .*shape"):
-            discretize(PotentialComponents(0.0, np.zeros(10), 0.0, 0.0, 0.0), grid, stencil)
+            discretize(short, grid, stencil)
         v11 = np.zeros(11)
         v11[4] = np.nan
         with pytest.raises(NumericalError, match="x=-0.2"):

@@ -1,6 +1,8 @@
 """The per-point 3x3 kernels and the stencil of the Darboux engine against
 the einsum and division formulas they replaced, kept here as references."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from susychain.susy import (
     apply_darboux,
     assemble_frame,
     commutator_potential,
-    seed_potential_matrix,
+    seed_columns,
+    seed_components,
     transformed_potential,
 )
 
@@ -66,11 +69,10 @@ def _diff_central_ref(f, grid):
     return d
 
 
-def _apply_dirac_ref(v, f, grid):
-    v = np.asarray(v, dtype=complex)
+def _apply_dirac_ref(comps, f, grid):
+    # V as a complex stack; a constant one broadcast to every point
+    v = np.broadcast_to(comps.matrix_stack(), (grid.n_points, 3, 3))
     kinetic = -1j * (GAMMA @ _diff_central_ref(f, grid))
-    if v.ndim == 2:
-        return kinetic + v @ f
     return kinetic + np.einsum("nij,jn->in", v, f)
 
 
@@ -90,26 +92,32 @@ def _weighted_diff_ref(z, log_g, grid):
     return d / (2 * grid.h)
 
 
-def _apply_darboux_ref(frame, f):
-    z = np.einsum("nij,jn->in", frame.uhat_inv, f)
-    dz = _weighted_diff_ref(z, frame.log_g, frame.grid)
-    return np.einsum("nij,jn->in", frame.uhat, dz)
-
-
-def _commutator_potential_ref(frame):
-    m = np.einsum("nij,njk->nik", frame.duhat, frame.uhat_inv)
-    comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
-    return seed_potential_matrix(frame.seed)[None, :, :] - 1j * comm
-
-
 def _frame_stack_ref(rows):
-    # a frame stack entry by entry from its real rows, the first times i
+    # a complex frame stack entry by entry from its real rows, the first
+    # times i: Uhat from frame.f, (dU/dx) G^{-1} from frame.df, U from F G
     u = np.zeros((rows.shape[-1], 3, 3), dtype=complex)
     for j in range(3):
         u[:, 0, j] = 1j * rows[0, j]
         u[:, 1, j] = rows[1, j]
     u[:, 2, 1], u[:, 2, 2] = rows[2, 1:]
     return u
+
+
+def _uhat_inv_ref(frame):
+    # Uhat^{-1}: the adjugate of the complex Uhat over det Uhat = i*det
+    return _adjugate3(_frame_stack_ref(frame.f)) / (1j * frame.det)[:, None, None]
+
+
+def _apply_darboux_ref(frame, f):
+    z = np.einsum("nij,jn->in", _uhat_inv_ref(frame), f)
+    dz = _weighted_diff_ref(z, frame.log_g, frame.grid)
+    return np.einsum("nij,jn->in", _frame_stack_ref(frame.f), dz)
+
+
+def _commutator_potential_ref(frame):
+    m = np.einsum("nij,njk->nik", _frame_stack_ref(frame.df), _uhat_inv_ref(frame))
+    comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
+    return seed_components(frame.seed).matrix_stack()[None, :, :] - 1j * comm
 
 
 def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
@@ -120,9 +128,21 @@ def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
+def _component_major_copy(stack):
+    # the (n, 3, 3) view of (3, 3, n) storage that the engine's stacks use
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+
+
 def _engine_stacks(frame):
-    stacks = [frame.uhat, frame.uhat_inv, frame.duhat, frame.u, frame.u_inv,
-              transformed_potential(frame).matrix_stack()]
+    # the complex Uhat, Uhat^{-1}, (dU/dx) G^{-1}, U and U^{-1}, the frame's
+    # F and F^{-1} as complex stacks, and the potentials' stacks
+    uhat_inv = _uhat_inv_ref(frame)
+    stacks = [_frame_stack_ref(frame.f), uhat_inv, _frame_stack_ref(frame.df),
+              seed_columns(frame).T, uhat_inv * np.exp(-frame.log_g).T[:, :, None]]
+    stacks = [_component_major_copy(m) for m in stacks]
+    stacks += [np.moveaxis(frame.f, -1, 0).astype(complex),
+               np.moveaxis(frame.f_inv, -1, 0).astype(complex),
+               transformed_potential(frame).matrix_stack()]
     for p in MODELS.values():
         stacks.append(model_potential_components(p, frame.grid).matrix_stack())
     return stacks
@@ -228,15 +248,26 @@ def test_diff_central_equals_the_division_formula_bitwise(n):
 
 # -------------------------------------------------- the engine's products
 
+def _broken(frame):
+    # the negative control's frame: xi1 = xi2 in both of Uhat's constants
+    uhat0, uhat1 = frame.uhat0.copy(), frame.uhat1.copy()
+    uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
+    return replace(frame, uhat0=uhat0, uhat1=uhat1)
+
+
 @pytest.mark.parametrize("name", SEEDS)
 def test_darboux_engine_equals_its_einsum_formulas(name):
     frame = assemble_frame(SEEDS[name], GRID)
     rng = np.random.default_rng(11)
     f = _spinor(rng, GRID.n_points)
     assert _same_values(apply_darboux(frame, f), _apply_darboux_ref(frame, f))
-    assert _same_values(commutator_potential(frame), _commutator_potential_ref(frame))
-    stack = transformed_potential(frame).matrix_stack()
-    for v in (seed_potential_matrix(frame.seed), stack):
+    # the real product with its row and column turned against the complex
+    # one, also where xi1 = xi2 leaves the result non-Hermitian
+    for fr in (frame, _broken(frame)):
+        got, want = commutator_potential(fr), _commutator_potential_ref(fr)
+        assert _same_values(got, want)
+        assert _same_bits(np.abs(got), np.abs(want))
+    for v in (seed_components(frame.seed), transformed_potential(frame)):
         assert _same_values(apply_dirac(v, f, GRID), _apply_dirac_ref(v, f, GRID))
 
 
@@ -249,23 +280,27 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     du_rows = np.empty_like(fr.f)
     for i, j in np.ndindex(3, 3):
         du_rows[i, j] = s.kappa0 * (1.0 - t * t) * fr.uhat1[i, j] + fr.f[i, j] * rate[j]
-    uhat_ref = _frame_stack_ref(fr.f)
-    uhat_inv_ref = _adjugate3(uhat_ref) / (1j * fr.det)[:, None, None]
-    u_ref = _frame_stack_ref(fr.f * g)
-    u_inv_ref = uhat_inv_ref * np.exp(-fr.log_g).T[:, :, None]
+    # (dU/dx) G^{-1}'s real rows, built on each access
+    assert fr.df.shape == (3, 3, n) and fr.df.flags.c_contiguous
+    assert _same_bits(fr.df, du_rows) and fr.df.flags.writeable
+    # F^{-1} diag(-i, 1, 1) is Uhat^{-1} up to the sign of a zero
+    f_inv = np.moveaxis(fr.f_inv, -1, 0)
+    assert f_inv.shape == (n, 3, 3) and _component_major(f_inv)
+    assert not fr.f_inv.flags.writeable
+    assert _same_values(f_inv * np.array([-1j, 1.0, 1.0]), _uhat_inv_ref(fr))
+    # U's columns, U = Uhat G with its rows times G's entries, built on each
+    # call: [j] is column j
+    cols = seed_columns(fr)
+    assert cols.shape == (3, 3, n) and cols.flags.writeable
+    assert _same_bits(cols, _frame_stack_ref(fr.f * g).T)
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
                                   0.0, comps.flat_energy)
-    for got, want, writeable in ((fr.uhat, uhat_ref, False),
-                                 (fr.uhat_inv, uhat_inv_ref, False),
-                                 (fr.duhat, _frame_stack_ref(du_rows), True),
-                                 (fr.u, u_ref, False),
-                                 (fr.u_inv, u_inv_ref, False),
-                                 (comps.matrix_stack(), v_ref, True)):
-        assert got.shape == (n, 3, 3)
-        assert _same_bits(got, want)
-        assert got.flags.writeable == writeable
-        assert _component_major(got)
+    got = comps.matrix_stack()
+    assert got.shape == (n, 3, 3)
+    assert _same_bits(got, v_ref)
+    assert got.flags.writeable
+    assert _component_major(got)
 
 
 def test_potential_matrix_scalar_and_broadcast_shapes():

@@ -27,7 +27,8 @@ from susychain.susy import (
     hermiticity_asymmetry,
     intertwining_residual,
     inverse_dagger_states,
-    seed_potential_matrix,
+    seed_columns,
+    seed_components,
     transformed_potential,
 )
 
@@ -40,6 +41,22 @@ GRID = Grid(-20.0, 20.0, 801)
 
 def _frame(seed=SEED, grid=GRID):
     return assemble_frame(seed, grid)
+
+
+# the complex frame stacks, built here from the frame's real arrays as
+# references: Uhat = diag(i, 1, 1) F, Uhat^{-1} by the adjugate over det
+# Uhat = i*det, and U^{-1} = G^{-1} Uhat^{-1}
+
+def _uhat(frame):
+    return np.moveaxis(np.array([1j, 1.0, 1.0])[:, None, None] * frame.f, -1, 0)
+
+
+def _uhat_inv(frame):
+    return _adjugate3(_uhat(frame)) / (1j * frame.det)[:, None, None]
+
+
+def _u_inv(frame):
+    return _uhat_inv(frame) * np.exp(-frame.log_g).T[:, :, None]
 
 
 # --------------------------------------------------------- seed data
@@ -91,7 +108,7 @@ def test_wronskian_constant_semantics():
     (_, psi1, psi2), (_, phi1, phi2), _ = fr.f
     np.testing.assert_allclose(phi2 * psi1 - phi1 * psi2, want * (1.0 - fr.t**2),
                                rtol=0.0, atol=1e-14)
-    u = fr.u  # its first row carries the factor i
+    u = seed_columns(fr).T  # (n, 3, 3); its first row carries the factor i
     w = (u[:, 1, 2] * u[:, 0, 1] - u[:, 1, 1] * u[:, 0, 2]) / 1j
     # pointwise agreement is limited by cosh*cosh cancellation at the
     # box walls; the relative stdev is the tighter invariant
@@ -115,21 +132,21 @@ def test_wronskian_constancy_holds_on_wide_boxes(kind, mass):
 
 
 def test_analytic_derivatives_match_stencil():
-    # dU/dx = duhat * G against the stencil on U's samples
+    # dU/dx = diag(i, 1, 1) df G against the stencil on U's samples
     fr = _frame()
-    du = fr.duhat * np.exp(fr.log_g).T[:, None, :]
-    num = diff_central(np.moveaxis(fr.u, 0, -1), GRID)
+    du = np.array([1j, 1.0, 1.0])[:, None, None] * fr.df * np.exp(fr.log_g)
+    num = diff_central(seed_columns(fr).swapaxes(0, 1), GRID)  # U's rows
     for i, j in np.ndindex(3, 3):
-        scale = 1.0 + np.abs(du[:, i, j]).max()
-        assert np.abs(num[i, j] - du[:, i, j]).max() / scale < 1e-3, (i, j)
+        scale = 1.0 + np.abs(du[i, j]).max()
+        assert np.abs(num[i, j] - du[i, j]).max() / scale < 1e-3, (i, j)
 
 
 def test_xi1_closed_form_vs_quadrature():
     # xi1 = xi2 * (c1 - w * Integral dx/xi2^2) with w = (m - lambda) times
     # the actual Wronskian constant; the frame takes the integral in
     # closed form, the trapezoid here
-    u = _frame().u
-    xi1, xi2 = u[:, 2, 1].real, u[:, 2, 2].real
+    cols = seed_columns(_frame())
+    xi1, xi2 = cols[1, 2].real, cols[2, 2].real
     w = (SEED.mass - SEED.flat_energy) * SEED.wronskian_constant
     numeric = xi2 * (SEED.c1 - w * integrate_cumulative(1.0 / xi2**2, GRID))
     np.testing.assert_allclose(numeric, xi1, atol=1e-6 * (1 + np.abs(xi1).max()))
@@ -149,13 +166,13 @@ def test_dual_path_agreement():
 def test_negative_control_breaks_commutator_hermiticity():
     # replacing xi1 by xi2 (in both of Uhat's constants) violates the
     # hermitization condition; the commutator construction must detect it,
-    # also when the original frame has already cached its Uhat^{-1}
+    # also when the original frame has already cached its F^{-1}
     fr = _frame()
     commutator_potential(fr)
     uhat0, uhat1 = fr.uhat0.copy(), fr.uhat1.copy()
     uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
     broken = replace(fr, uhat0=uhat0, uhat1=uhat1)
-    assert not np.array_equal(broken.uhat_inv, fr.uhat_inv)
+    assert not np.array_equal(broken.f_inv, fr.f_inv)
     assert hermiticity_asymmetry(commutator_potential(broken)) > 1e-4
 
 
@@ -206,14 +223,6 @@ def _reference_frame_samples(s, x):
     return np.array(f), np.array(df), det
 
 
-def _real_rows(stack):
-    # the real (3, 3, n) rows of an (n, 3, 3) frame stack, without the
-    # factor i of its first row
-    rows = np.moveaxis(stack, 0, -1) * np.array([-1j, 1.0, 1.0])[:, None, None]
-    assert not rows.imag.any()
-    return rows.real
-
-
 def _sup_rel(got, want):
     # per function: max |got - want| over max |want|
     return max(np.abs(g - w).max() / np.abs(w).max()
@@ -237,12 +246,12 @@ def test_frame_samples_match_closed_forms_bitwise(seed, grid):
     t = np.tanh(seed.kappa0 * grid.x)
     assert _same_bits(fr.t, t)
     assert _same_bits(fr.f, _closed_form_uhat(seed, t))
-    # U = Uhat * G and dU/dx = duhat * G against the old formulas; each
+    # U = Uhat * G and dU/dx = diag(i, 1, 1) df G against the old formulas; each
     # determinant, a sum of products of three samples, rounds a few times more
     f, df, det = _reference_frame_samples(seed, grid.x)
     g = np.exp(fr.log_g)
     assert _sup_rel(fr.f * g, f) < 1e-15
-    assert _sup_rel(_real_rows(fr.duhat) * g, df) < 1e-15
+    assert _sup_rel(fr.df * g, df) < 1e-15
     assert _sup_rel(fr.det * g.prod(axis=0), det) < 4e-15
     # det Uhat / i is q(t)
     q = np.polyval(np.array(frame_factor(seed)[2]), t)
@@ -274,7 +283,10 @@ def test_adjugate3_matches_minor_reference_bitwise():
     u = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
     u[:5] = 0.0
     u[5:10] *= 1e-160  # cofactors underflow to signed zeros
-    stacks = [u, _frame().uhat, _frame().u, _frame(grid=Grid(-3.0, 3.0, 31)).u]
+    # the real F that F^{-1} takes, and the complex Uhat and U
+    fr = _frame()
+    stacks = [u, np.moveaxis(fr.f, -1, 0), _uhat(fr), seed_columns(fr).T,
+              seed_columns(_frame(grid=Grid(-3.0, 3.0, 31))).T]
     for stack in stacks:
         assert _same_bits(_adjugate3(stack), _adjugate3_by_minors(stack))
 
@@ -283,26 +295,29 @@ def test_frame_cache_matches_per_call_recomputation():
     fr = _frame()
     f = _gaussian_states(fr.grid.x)[0]
     # replace() with no changes is a frame with an empty cache, so each
-    # right-hand side recomputes Uhat, Uhat^{-1}, U and U^{-1} from the
-    # constants; the second pass reads fr's cache
+    # right-hand side recomputes F, det and F^{-1} from the constants; the
+    # second pass reads fr's cache
     for _ in range(2):
         assert _same_bits(apply_darboux(fr, f), apply_darboux(replace(fr), f))
         assert _same_bits(commutator_potential(fr),
                           commutator_potential(replace(fr)))
-        for name in ("det", "uhat_inv", "u", "u_inv"):
+        for name in ("f", "det", "f_inv", "df"):
             assert _same_bits(getattr(fr, name), getattr(replace(fr), name))
+        assert _same_bits(seed_columns(fr), seed_columns(replace(fr)))
         fresh = transformed_potential(replace(fr))
         for c in ("v11", "v12", "v13", "v23"):
             assert _same_bits(getattr(transformed_potential(fr), c), getattr(fresh, c))
-    for name in ("f", "det", "uhat", "uhat_inv", "u", "u_inv"):
+    for name in ("f", "det", "f_inv"):
         assert getattr(fr, name) is getattr(fr, name)
     assert transformed_potential(fr) is transformed_potential(fr)
+    # df and U's columns are built on each call, not cached
+    assert fr.df is not fr.df and seed_columns(fr) is not seed_columns(fr)
 
 
 def test_frame_cache_is_read_only():
     fr = _frame()
     comps = transformed_potential(fr)
-    for stack in (fr.f, fr.uhat, fr.uhat_inv, fr.u, fr.u_inv):
+    for stack in (fr.f, fr.f_inv):
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1.0
@@ -322,7 +337,7 @@ def test_potential_decays_to_asymptotic_constants():
 
 
 def test_seed_potential_matrix_hermitian():
-    v = seed_potential_matrix(SEED)
+    v = seed_components(SEED).matrix_stack()
     np.testing.assert_allclose(v, v.conj().T, atol=1e-16)
 
 
@@ -367,8 +382,7 @@ def _apply_dirac_ref(v, f, grid):
 
 
 def _apply_darboux_ref(frame, f):
-    uhat_inv = _adjugate3(frame.uhat) / (1j * frame.det)[:, None, None]
-    z = stack_matvec(uhat_inv, np.asarray(f, dtype=complex))
+    z = stack_matvec(_uhat_inv(frame), np.asarray(f, dtype=complex))
     up, down = np.exp(-np.diff(frame.log_g)), np.exp(np.diff(frame.log_g))
     d = np.empty_like(z)
     d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
@@ -377,12 +391,12 @@ def _apply_darboux_ref(frame, f):
     z[:, :-2] *= down[:, :-1]
     d[:, 1:-1] -= z[:, :-2]
     d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)
-    return stack_matvec(frame.uhat, d)
+    return stack_matvec(_uhat(frame), d)
 
 
 def _intertwining_residual_ref(frame, states, n_levels):
     residuals, g = [], frame.grid
-    v_seed = seed_potential_matrix(frame.seed)
+    v_seed = seed_components(frame.seed).matrix_stack()
     for i in range(n_levels):
         fr = frame if i == 0 else assemble_frame(frame.seed, g)
         v_new = transformed_potential(fr).matrix_stack()
@@ -413,7 +427,8 @@ def test_intertwining_residual_matches_reference_loop_bitwise(name, n_levels):
     got = intertwining_residual(replace(fr), smooth_test_states, n_levels)
     for a, b in zip(got, want):
         assert _same_bits(a, b)
-    assert _same_bits(fr.uhat_inv, _adjugate3(fr.uhat) / (1j * fr.det)[:, None, None])
+    # the cached F^{-1} is untouched by the run
+    assert _same_bits(fr.f_inv, replace(fr).f_inv)
 
 
 @pytest.mark.parametrize("name", LEVEL_SEEDS)
@@ -431,7 +446,7 @@ def test_real_frame_factors_match_complex_stacks_bitwise(name):
         assert _same_bits(apply_darboux(fr, f), _apply_darboux_ref(fr, f))
         assert _same_bits(apply_dirac(comps, f, g), _apply_dirac_ref(stack, f, g))
     # Uhat^{-1} = F^{-1} diag(-i, 1, 1), up to the sign of a zero
-    assert np.array_equal(np.moveaxis(fr.f_inv, -1, 0) * [-1j, 1, 1], fr.uhat_inv)
+    assert np.array_equal(np.moveaxis(fr.f_inv, -1, 0) * [-1j, 1, 1], _uhat_inv(fr))
     assert not fr.f_inv.flags.writeable and fr.f_inv is fr.f_inv
 
 
@@ -469,10 +484,9 @@ def test_intertwining_residual_holds_one_level_at_a_time(p, n_points, n_levels):
 
 def test_darboux_annihilates_frame_columns():
     fr = _frame()
-    u = fr.u
-    for j in range(3):
-        out = apply_darboux(fr, u[:, :, j].T)
-        scale = 1.0 + np.abs(u[:, :, j]).max()
+    for col in seed_columns(fr):
+        out = apply_darboux(fr, col)
+        scale = 1.0 + np.abs(col).max()
         assert np.abs(out).max() / scale < 1e-8
 
 
@@ -481,8 +495,8 @@ def test_darboux_intertwines_on_eigenstate():
     # = epsilon L u0 holds trivially; check instead on a generic state
     fr = _frame()
     f = _gaussian_states(fr.grid.x)[0]
-    v_seed = seed_potential_matrix(SEED)
-    v_new = transformed_potential(fr).matrix_stack()
+    v_seed = seed_components(SEED)
+    v_new = transformed_potential(fr)
     lhs = apply_darboux(fr, apply_dirac(v_seed, f, fr.grid))
     rhs = apply_dirac(v_new, apply_darboux(fr, f), fr.grid)
     interior = slice(10, -10)
@@ -490,28 +504,24 @@ def test_darboux_intertwines_on_eigenstate():
     assert np.abs(lhs - rhs)[:, interior].max() / scale < 1e-3
 
 
-def _seed_operator_rows(s, v, f, grid):
-    # the seed operator plus a scalar shift v on the two Dirac rows,
-    # written out row by row, kept as a reference
+def _seed_operator_rows(s, f, grid):
+    # the seed operator written out row by row, kept as a reference
     df = diff_central(f, grid)
     m, a, lam = s.mass, s.gauge_a, s.flat_energy
     out = np.empty_like(f)
-    out[0] = (m + v) * f[0] - 1j * (df[1] + a * f[1])
-    out[1] = -1j * (df[0] - a * f[0]) + (-m + v) * f[1]
+    out[0] = m * f[0] - 1j * (df[1] + a * f[1])
+    out[1] = -1j * (df[0] - a * f[0]) - m * f[1]
     out[2] = lam * f[2]
     return out
 
 
-def _transformed_operator_rows(c, v, f, grid):
-    # -i*gamma*d/dx + V_new plus a scalar shift v, written out row by row,
-    # kept as a reference
+def _transformed_operator_rows(c, f, grid):
+    # -i*gamma*d/dx + V_new written out row by row, kept as a reference
     df = diff_central(f, grid)
     lam = c.flat_energy
     out = np.empty_like(f)
-    out[0] = ((c.v11 + v) * f[0] - 1j * c.v12 * f[1]
-              - 1j * c.v13 * f[2] - 1j * df[1])
-    out[1] = (1j * c.v12 * f[0] + (-c.v11 + v) * f[1]
-              + c.v23 * f[2] - 1j * df[0])
+    out[0] = c.v11 * f[0] - 1j * c.v12 * f[1] - 1j * c.v13 * f[2] - 1j * df[1]
+    out[1] = 1j * c.v12 * f[0] - c.v11 * f[1] + c.v23 * f[2] - 1j * df[0]
     out[2] = 1j * c.v13 * f[0] + c.v23 * f[1] + lam * f[2]
     return out
 
@@ -520,21 +530,16 @@ def test_apply_dirac_matches_row_by_row_operators():
     fr = _frame()
     g = fr.grid
     rng = np.random.default_rng(21)
-    s, v = SEED, 0.2
+    s = SEED
     comps = transformed_potential(fr)
     # the seed potential is the constant potential_matrix with v12 = A
-    assert np.array_equal(seed_potential_matrix(s), potential_matrix(
+    assert np.array_equal(seed_components(s).matrix_stack(), potential_matrix(
         s.mass, s.gauge_a, 0.0, 0.0, 0.0, s.flat_energy))
-    seed_shifted = potential_matrix(s.mass, s.gauge_a, 0.0, 0.0, v, s.flat_energy)
-    comps_shifted = potential_matrix(comps.v11, comps.v12, comps.v13, comps.v23,
-                                     v, comps.flat_energy)
     for _ in range(3):
         f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
         pairs = [
-            (apply_dirac(seed_shifted, f, g),
-             _seed_operator_rows(s, v, f, g)),
-            (apply_dirac(comps_shifted, f, g),
-             _transformed_operator_rows(comps, v, f, g)),
+            (apply_dirac(seed_components(s), f, g), _seed_operator_rows(s, f, g)),
+            (apply_dirac(comps, f, g), _transformed_operator_rows(comps, f, g)),
         ]
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -547,7 +552,8 @@ def test_frame_just_inside_the_double_range_stays_finite():
     for kind in ModelKind:
         p = ModelParams(kind, 9.0, 0.0)
         fr = assemble_frame(p.seed_data(), GRID)
-        assert np.isfinite(fr.u_inv).all()
+        assert np.isfinite(seed_columns(fr)).all()
+        assert np.isfinite(inverse_dagger_states(fr)[0]).all()  # U^{-1}'s rows
         assert np.isfinite(frame_eigen_residuals(fr)).all()
         stack = transformed_potential(fr).matrix_stack()
         oracle = model_potential_components(p, GRID).matrix_stack()
@@ -633,6 +639,9 @@ def test_inverse_dagger_states_are_eigenstates():
     for st_, rep in zip(states, reports):
         assert st_.shape == (3, fr.grid.n_points)
         assert rep.residual < 1e-5
+    # state j is row j of U^{-1} conjugated, up to the sign of a zero
+    for j, st_ in enumerate(states):
+        assert np.array_equal(st_, np.conj(_u_inv(fr)[:, j].T))
 
 
 # ----------------------------------------------------- property tests
