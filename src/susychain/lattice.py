@@ -194,17 +194,14 @@ def _walk_to_gap_edge(chain, w, indices, group_tol, ipr, edge):
     """Fill ipr/edge along `indices` up to the first non-edge state; return
     its eigenvalue (nan if every state on the walk is edge-localized).
     States within group_tol of a group's first form one numerically
-    degenerate group, walked whole: banded_eigvec keeps each of its
-    vectors orthogonal to those computed before it. Its rows get the IPR
-    and edge flag of its mean density, which no rotation within it
-    changes."""
+    degenerate group: one banded_eigvec call at the group's mean eigenvalue
+    gives an orthonormal basis of its eigenspace. Its rows get the IPR and
+    edge flag of its mean density, which no rotation within it changes."""
     while len(indices):
         group = indices[np.abs(w[indices] - w[indices[0]]) <= group_tol]
         indices = indices[group.size:]
-        vectors = np.empty((group.size, chain.dim))
-        for k, i in enumerate(group):
-            vectors[k] = banded_eigvec(chain, w[i], vectors[:k])
-        density = sum(np.abs(v) ** 2 for v in vectors) / group.size
+        vectors = banded_eigvec(chain, w[group].mean(), group.size)
+        density = (vectors**2).mean(axis=0)
         ipr[group] = inverse_participation_ratio(density)
         edge[group] = _edge_mask(density)
         if not edge[group[0]]:
@@ -222,14 +219,14 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=0.0):
     cluster_tol) of flat_energy (finite-size members of the flat cluster
     can leak slightly past cluster_tol).
 
-    Only eigenvalues come from the full solve. Eigenvectors are computed
-    one at a time by inverse iteration, walking outward from flat_energy
-    on each side, starting beyond max(gap_exclusion, cluster_tol) and
-    stopping at the first state that is not edge-localized, which is the
-    gap edge. `ipr` holds nan on every other row (the flat cluster
-    included) and `edge_state_mask` holds False there. A numerically
-    degenerate group is walked whole, and each of its rows holds the IPR
-    and edge flag of the group's mean density.
+    Only eigenvalues come from the full solve. Eigenvectors come from
+    inverse iteration, one call and one LU per numerically degenerate
+    group, walking outward from flat_energy on each side, starting beyond
+    max(gap_exclusion, cluster_tol) and stopping at the first group that
+    is not edge-localized, which holds the gap edge. `ipr` holds nan on
+    every other row (the flat cluster included) and `edge_state_mask`
+    holds False there. Each row of a group holds the IPR and edge flag of
+    the group's mean density.
     """
     w = eigh_banded(chain)
     ipr = np.full(w.size, np.nan)

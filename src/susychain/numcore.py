@@ -249,36 +249,34 @@ EIGVEC_ITERATIONS = 3
 # chain_spectrum treats states as one numerically degenerate group, both in
 # units of norm_1
 EIGVEC_RESIDUAL_TOL = 1e-10
-# largest overlap banded_eigvec accepts between its vector and the group's
-# earlier ones: rounding leaves up to ~7e-10 at an exact shift, a vector
-# that repeats one found before leaves ~1
+# largest max |V V^T - I| banded_eigvec accepts for its `count` vectors:
+# rounding leaves ~1e-15 (a group of 400 decoupled cells at its exact
+# eigenvalue: 7e-16), a vector that repeats another leaves ~1
 GROUP_OVERLAP_TOL = EIGVEC_RESIDUAL_TOL ** 0.5
 
 
-def banded_eigvec(m, energy, group=()):
-    """Unit eigenvector of a BandedHermitian at a known eigenvalue `energy`.
+def banded_eigvec(m, energy, count=1):
+    """`count` orthonormal eigenvectors of a BandedHermitian at a known
+    eigenvalue `energy` of that multiplicity, as the rows of a (count, dim)
+    array: some basis of a numerically degenerate group's eigenspace.
 
-    Inverse iteration with one banded LU of M - energy*I (general band
+    Block inverse iteration with one banded LU of M - energy*I (general band
     storage, lower diagonals copied from the stored upper ones), or of M
     minus a shift one rounding unit below energy where that LU has a zero
-    pivot, a solve overflows or the vector overlaps `group` by more than
-    GROUP_OVERLAP_TOL. The start vector is fixed, so reruns give identical
-    vectors. Three solves damp every other eigencomponent by (rounding /
-    spectral gap)**3, well below what an IPR or an edge flag resolves. Raises NumericalError unless
-    ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m).
-
-    Within a numerically degenerate group the vector is some unit vector
-    of the group's eigenspace, not a particular basis member. `group` holds
-    the unit vectors already computed for the group of `energy`, as rows;
-    they are projected out after every solve, so successive calls over the
-    group give an orthonormal set. Raises NumericalError if the moved shift
-    too leaves an overlap above GROUP_OVERLAP_TOL.
+    pivot, a solve overflows or max |V V^T - I| exceeds GROUP_OVERLAP_TOL.
+    Each solve takes every row as a right-hand side; then each row in turn
+    is projected off the rows before it and normalised. The start block is
+    fixed, so reruns give identical vectors. Three solves damp every other
+    eigencomponent by (rounding / spectral gap)**3, well below what an IPR
+    or an edge flag resolves. Raises NumericalError unless each row's
+    ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m), or if
+    max |V V^T - I| stays above GROUP_OVERLAP_TOL at the moved shift.
     """
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
     u, n = m.bandwidth, m.dim
     # M - energy*I, its shift and its residual are multiplied by the power of
-    # two s that puts s * ||M||_1 in [1/2, 1): exact, so the vector has the
+    # two s that puts s * ||M||_1 in [1/2, 1): exact, so the vectors have the
     # same bits at every scale at which M stays normal
     scale = norm_1(m)
     s = np.ldexp(1.0, -np.frexp(scale)[1])
@@ -292,6 +290,8 @@ def banded_eigvec(m, energy, group=()):
     shifted[2 * u] -= energy
     shifted *= s
     lu, piv, info = np.empty_like(shifted), np.empty(n, np.int64), np.zeros(1, np.int64)
+    start = np.random.default_rng(0).standard_normal((count, n))
+    start /= np.array([np.linalg.norm(row) for row in start])[:, None]
 
     def factor():
         lu[:] = shifted
@@ -299,37 +299,38 @@ def banded_eigvec(m, energy, group=()):
         return info[0] == 0
 
     def iterate():
-        # from the fixed start vector; None if a solve overflows
-        v = np.random.default_rng(0).standard_normal(n)
-        v /= np.linalg.norm(v)
+        # None if a solve overflows; v's C-ordered rows are gbtrs's columns
+        v = start.copy()
         for _ in range(EIGVEC_ITERATIONS):
-            _lapack("dgbtrs")(b"N", n, u, u, 1, lu, 3 * u + 1, piv, v, n, info)
-            for q in group:
-                v -= q * np.vdot(q, v)
-            peak = np.abs(v).max()
-            if not np.isfinite(peak):
-                return None
-            if peak > 2.0**500:  # the norm squares entries
-                v /= peak
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                raise NumericalError(f"inverse iteration at E={energy:.6g}: "
-                                     "iterate has norm 0")
-            v /= norm
+            _lapack("dgbtrs")(b"N", n, u, u, count, lu, 3 * u + 1, piv, v, n, info)
+            for k, row in enumerate(v):
+                if k:
+                    row -= (v[:k] @ row) @ v[:k]
+                peak = np.abs(row).max()
+                if not np.isfinite(peak):
+                    return None
+                if peak > 2.0**500:  # the norm squares entries
+                    row /= peak
+                norm = np.linalg.norm(row)
+                if norm == 0:
+                    raise NumericalError(f"inverse iteration at E={energy:.6g}: "
+                                         "iterate has norm 0")
+                row /= norm
         return v
 
     def overlap(v):
-        return float(np.abs(np.asarray(group) @ v).max()) if len(group) else 0.0
+        gram = v @ v.T
+        gram.flat[:: count + 1] -= 1.0  # V V^T - I
+        return float(np.abs(gram, out=gram).max())
 
     v = iterate() if factor() else None
     restart = v is None or overlap(v) > GROUP_OVERLAP_TOL
     if restart:
-        # an exactly zero pivot (say, a decoupled site at the shift), or one
-        # so small that a solve overflows (cells that the hopping all but
-        # decouples, from --box 1e160 on), or pivots so far apart that one
-        # solve lifts some group members far past the others and projecting
-        # out those found leaves rounding noise (--box 1e60 to 1e150): move
-        # the shift off the eigenvalue by one rounding unit and start again
+        # an exactly zero pivot (say, a decoupled site at the shift), one so
+        # small that a solve overflows (cells that the hopping all but
+        # decouples, from --box 1e160 on, at their exact eigenvalue), or rows
+        # that the projection leaves short of orthonormal: move the shift
+        # off the eigenvalue by one rounding unit and start again
         shifted[2 * u] -= np.finfo(float).eps * (s * scale)
         if not factor():
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
@@ -337,13 +338,14 @@ def banded_eigvec(m, energy, group=()):
     if v is None:
         raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
     if restart and overlap(v) > GROUP_OVERLAP_TOL:
-        raise NumericalError(f"inverse iteration at E={energy:.6g}: the vector overlaps "
+        raise NumericalError(f"inverse iteration at E={energy:.6g}: a vector overlaps "
                              f"its degenerate group by {overlap(v):.3e}")
-    # s*(M v - energy v) by BLAS on the stored upper band
-    r = v.copy()
-    _lapack("dsbmv")(b"U", n, u, s, np.asfortranarray(m.bands, float), u + 1, v, 1,
-                     -energy * s, r, 1)
-    residual = float(np.linalg.norm(r)) / s
+    # s*(M v - energy v) by BLAS on the stored upper band, row by row
+    bands, residual = np.asfortranarray(m.bands, float), 0.0
+    for row in v:
+        r = row.copy()
+        _lapack("dsbmv")(b"U", n, u, s, bands, u + 1, row, 1, -energy * s, r, 1)
+        residual = max(residual, float(np.linalg.norm(r)) / s)
     if residual > EIGVEC_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"inverse iteration at E={energy:.6g}: residual {residual:.3e} "

@@ -526,14 +526,13 @@ def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("box", ["1e100", "1e150", "1e160", "1e200"])
 def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
-    # the hopping 1/h falls to ~1e-150 and inverse iteration's iterate passes
-    # 1e154, where a norm's squares overflow; it is scaled by its largest
-    # entry first. From 1e160 on the LU of M - E*I also holds pivots of
-    # ~1e-304 and a solve overflows; the shift moves one rounding unit. Up
-    # to 1e150 the exact shift lifts some of a degenerate group's members
-    # far past the others: a vector that repeats one found before also
-    # moves the shift, so each walked group of 400 decoupled cells stays
-    # orthonormal and reads ipr 1/400
+    # the hopping 1/h falls to ~1e-98 and below, and the cells all but
+    # decouple: each gap edge is one group of 400 equal eigenvalues. The
+    # walk solves each group as one block of 400 rows from one LU at their
+    # mean, each row projected off the rows before it, so the group stays
+    # orthonormal and every walked row reads ipr 1/400. (At the exact
+    # eigenvalue the iterate passes 2**500 or a solve overflows; numcore's
+    # tests cover the peak scaling and the moved shift there.)
     def report(box):
         out = tmp_path / box
         assert main(["spectrum", "--out", str(out), "--set", "model=I",

@@ -251,7 +251,7 @@ def test_edge_state_detection_ssh_limit():
 def test_walk_gives_degenerate_pair_orthonormal_vectors(monkeypatch):
     # the two SSH zero modes are split by ~2e-17; inverse iteration from
     # one fixed start vector finds the same vector for both unless the
-    # second is kept orthogonal to the first
+    # second is kept orthogonal to the first: the walk asks for both at once
     chain = _uniform_chain(SSH, 60)
     w = eigh_banded(chain)
     pair = np.flatnonzero(np.abs(w) < 0.3)
@@ -260,14 +260,15 @@ def test_walk_gives_degenerate_pair_orthonormal_vectors(monkeypatch):
     edge = np.zeros(w.size, dtype=bool)
     walked = []
 
-    def recorded(m, energy, group=()):
-        walked.append(banded_eigvec(m, energy, group))
+    def recorded(m, energy, count=1):
+        walked.append(banded_eigvec(m, energy, count))
         return walked[-1]
 
     monkeypatch.setattr(lattice, "banded_eigvec", recorded)
     tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
     assert np.isnan(_walk_to_gap_edge(chain, w, pair, tol, ipr, edge))
-    vectors = np.array(walked)
+    (vectors,) = walked
+    assert vectors.shape == (2, chain.dim)
     np.testing.assert_allclose(vectors @ vectors.conj().T, np.eye(2), atol=1e-8)
     assert edge[pair].all()
 

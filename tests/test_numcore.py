@@ -502,7 +502,7 @@ def test_banded_eigvec_factored_once_equals_three_solves_bitwise(dtype, bw):
     m = BandedHermitian.from_dense(dense, bw)
     w = np.linalg.eigvalsh(dense)
     for energy in (w[0], w[11], w[-1], diag):
-        assert np.array_equal(banded_eigvec(m, energy), _solve_banded_eigvec(m, energy))
+        assert np.array_equal(banded_eigvec(m, energy)[0], _solve_banded_eigvec(m, energy))
 
 
 @pytest.mark.parametrize("dtype", [float])
@@ -542,7 +542,7 @@ def test_banded_eigvec_has_the_same_bits_at_every_scale(dtype, bw):
 def test_banded_eigvec_exact_eigenvalue_of_decoupled_site():
     # the shift hits a zero pivot exactly; the kernel must still succeed
     banded = BandedHermitian.from_dense(np.diag([3.0, 1.0, 2.0]), 1)
-    x = banded_eigvec(banded, 2.0)
+    x = banded_eigvec(banded, 2.0)[0]
     np.testing.assert_allclose(np.abs(x), [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -555,20 +555,81 @@ def test_banded_eigvec_band_wider_than_the_matrix():
 
 
 def test_banded_eigvec_keeps_a_degenerate_pair_apart(monkeypatch):
-    # a coupled 6x6 matrix with the eigenvalue 1 twice: the second vector
-    # is orthogonal to the first; with no overlap allowed, the restart at
-    # the moved shift cannot meet the bound either and is refused
+    # a coupled 6x6 matrix with the eigenvalue 1 twice: one call for the
+    # pair gives two orthogonal vectors; with no overlap allowed, the
+    # restart at the moved shift cannot meet the bound either and is refused
     q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
     dense = (q * [1.0, 1.0, 2.0, 3.0, -1.0, 0.5]) @ q.T
     dense = 0.5 * (dense + dense.T)
     banded = BandedHermitian.from_dense(dense, 5)
     w = np.linalg.eigvalsh(dense)
-    first = banded_eigvec(banded, w[2])
-    second = banded_eigvec(banded, w[3], first[None, :])
+    first, second = banded_eigvec(banded, w[2:4].mean(), 2)
     assert abs(np.vdot(first, second)) <= numcore.GROUP_OVERLAP_TOL
     monkeypatch.setattr(numcore, "GROUP_OVERLAP_TOL", 0.0)
     with pytest.raises(NumericalError, match="overlaps its degenerate group"):
-        banded_eigvec(banded, w[3], first[None, :])
+        banded_eigvec(banded, w[2:4].mean(), 2)
+
+
+def _record_factorizations(monkeypatch):
+    """Patch numcore._lapack to append "dgbtrf" to the returned list each
+    time that routine is fetched, which banded_eigvec does once per LU."""
+    factored = []
+    lapack = numcore._lapack
+
+    def recorded(name):
+        if name == "dgbtrf":
+            factored.append(name)
+        return lapack(name)
+
+    monkeypatch.setattr(numcore, "_lapack", recorded)
+    return factored
+
+
+@pytest.mark.parametrize("g", [2, 7, 64])
+def test_banded_eigvec_spans_a_degenerate_eigenspace_with_one_lu(monkeypatch, g):
+    # g identical decoupled 3x3 cells beside a coupled part: the cells'
+    # middle eigenvalue E has multiplicity g. One call gives g orthonormal
+    # rows spanning dense eigh's eigenspace at E, from a single LU
+    cell = np.array([[1.0, 0.3, 0.1], [0.3, -0.5, 0.2], [0.1, 0.2, 0.7]])
+    coupled = _random_banded(np.random.default_rng(9), 30, 2) + 10.0 * np.eye(30)
+    dense = np.zeros((30 + 3 * g, 30 + 3 * g))
+    dense[:30, :30] = coupled
+    for c in range(g):
+        dense[30 + 3 * c : 33 + 3 * c, 30 + 3 * c : 33 + 3 * c] = cell
+    w, q = np.linalg.eigh(dense)
+    energy = np.linalg.eigvalsh(cell)[1]
+    near = np.argsort(np.abs(w - energy))
+    assert abs(w[near[g]] - energy) > 0.1  # E has multiplicity g exactly
+    factored = _record_factorizations(monkeypatch)
+    v = banded_eigvec(BandedHermitian.from_dense(dense, 2), energy, g)
+    assert v.shape == (g, dense.shape[0])
+    np.testing.assert_allclose(v @ v.T, np.eye(g), rtol=0, atol=1e-12)
+    space = q[:, near[:g]]
+    np.testing.assert_allclose(v.T @ v, space @ space.T, rtol=0, atol=1e-10)
+    assert len(factored) == 1
+
+
+@pytest.mark.parametrize("box, factors", [(1e60, 1), (1e100, 1), (1e160, 2)])
+def test_banded_eigvec_moves_the_shift_where_a_solve_overflows(monkeypatch, box, factors):
+    # Model I's 400 cells all but decouple at these boxes, and the state
+    # above the gap is one group of 400 bitwise-equal eigenvalues. At that
+    # exact eigenvalue a solve lifts some rows far past the others (1e60),
+    # which the block's projection absorbs, past 2**500 (1e100, entries of
+    # ~1e197), which scaling by the peak absorbs, or past the double range
+    # (1e160, LU pivots of ~1e-304), which moves the shift one rounding unit
+    # and factors again
+    g = Grid(-box, box, 400)
+    chain = discretize(model_potential_components(ModelParams(ModelKind.I, 0.07, 0.0), g),
+                       g, "saw")
+    w = eigh_banded(chain)
+    energy = w[np.flatnonzero(w > 0.05)[0]]
+    assert (w == energy).sum() == 400
+    factored = _record_factorizations(monkeypatch)
+    for count in (1, 400):
+        factored.clear()
+        v = banded_eigvec(chain, energy, count)
+        np.testing.assert_allclose(v @ v.T, np.eye(count), rtol=0, atol=1e-12)
+        assert len(factored) == factors
 
 
 def test_banded_eigvec_rejects_non_eigenvalue():
