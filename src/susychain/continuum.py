@@ -25,15 +25,13 @@ GAMMA = np.array([[0.0, 1.0, 0.0],
 def potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy):
     """Assemble the 3x3 Hermitian potential from its real components.
 
-    Array components give a stack of shape broadcast_shape + (3, 3), as a
-    view of component-major (3, 3) + broadcast_shape storage.
+    Array components give a C-ordered stack of shape broadcast_shape + (3, 3).
     """
     entries = np.broadcast_arrays(
         v11 + scalar_v, -1j * v12, -1j * v13,
         1j * v12, -v11 + scalar_v, v23,
         1j * v13, v23, flat_energy)
-    stack = np.stack(entries).reshape((3, 3) + entries[0].shape)
-    return np.moveaxis(stack, (0, 1), (-2, -1))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -163,13 +161,16 @@ def apply_dirac(potential, state, grid):
     The one operator action of the package: the seed, the transformed and
     the discretized operators differ only in V, given as PotentialComponents.
     V f is taken entry by entry without forming V: a real component times
-    f, turned by +-i where V's entry is imaginary, summed in stack_matvec's
-    order. Each product is exact either way, so this is stack_matvec(
-    potential.matrix_stack(), f) up to the sign of a zero. Only the shapes of
+    f, turned by +-i where V's entry is imaginary, summed over j = 0, 1, 2
+    in einsum's order. Each product is exact either way, so this is
+    np.einsum("nij,jn->in", potential.matrix_stack(), f) up to the sign of a
+    zero. A constant component enters as a Python float. Only the shapes of
     the components are checked; a non-finite V gives a non-finite result.
     """
     f = np.asarray(state, dtype=complex)
-    v11, v12, v13, v23, lam = potential.samples(f.shape[-1])
+    potential.samples(f.shape[-1])  # raises for a component of the wrong shape
+    v11, v12, v13, v23, lam = (v if np.ndim(v) else float(v)
+                               for v in vars(potential).values())
 
     def turned(c, g, phase):
         out = c * g

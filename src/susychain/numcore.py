@@ -2,13 +2,9 @@
 
 Everything here is a pure function of its inputs. `Grid` and `QuadRoots`
 are immutable; `BandedHermitian` is a plain holder of real band storage
-that no function here writes to. `stack_matmul` and `stack_matvec` multiply
-3x3 stacks point by point over length-n vectors, contiguous for
-component-major stacks: (n, 3, 3) views of (3, 3, n) storage, like the
-Darboux frame's real F, F^{-1} and (dU/dx) G^{-1}.
-The banded eigensolvers call five LAPACK and BLAS routines (dsbtrd,
-dsterf, dgbtrf, dgbtrs, dsbmv) in numpy's own OpenBLAS (`_lapack`), so
-nothing here imports scipy.
+that no function here writes to. The banded eigensolvers call five LAPACK
+and BLAS routines (dsbtrd, dsterf, dgbtrf, dgbtrs, dsbmv) in numpy's own
+OpenBLAS (`_lapack`), so nothing here imports scipy.
 """
 
 import functools
@@ -373,28 +369,6 @@ def diff_central(samples, grid):
     else:
         d /= 2 * h
     return d
-
-
-def stack_matmul(a, b):
-    """np.einsum("nij,njk->nik", a, b) for (n, 3, 3) a and (n, 3, k) b, as a
-    view of (3, k, n) storage: multiply-adds over length-n vectors, j = 0, 1,
-    2 in einsum's order. The Darboux engine passes real stacks. Where every
-    entry of a complex a (or b) is purely real or purely imaginary each
-    product is exact, fused or not, so the result is einsum's bit for bit
-    (up to the sign of a zero); general complex stacks agree to rounding."""
-    out = np.empty((3, b.shape[2], a.shape[0]), dtype=np.result_type(a, b))
-    tmp = np.empty_like(out[0, 0])
-    for i, k in np.ndindex(out.shape[:2]):
-        np.multiply(a[:, i, 0], b[:, 0, k], out=out[i, k])
-        for j in (1, 2):
-            out[i, k] += np.multiply(a[:, i, j], b[:, j, k], out=tmp)
-    return np.moveaxis(out, -1, 0)
-
-
-def stack_matvec(m, f):
-    """np.einsum("nij,jn->in", m, f) for a (3, n) spinor f, C-ordered: the
-    stack_matmul of m with f as a one-column stack."""
-    return stack_matmul(m, f.T[:, :, None])[:, :, 0].T
 
 
 def integrate_cumulative(samples, grid):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .continuum import PotentialComponents, apply_dirac
 from .errors import NumericalError, SingularFrameError
-from .numcore import Grid, quad_roots, stack_matmul, stack_matvec
+from .numcore import Grid, quad_roots
 
 SINGULARITY_REL_TOL = 1e-8
 
@@ -144,9 +144,9 @@ class TransformationFrame:
         """F^{-1} per point as a real (3, 3, n) array: the adjugate times
         1/det, which numpy's complex division by i*det also computes, so
         Uhat^{-1} = F^{-1} diag(-i, 1, 1) has the values of that division."""
-        adj = _adjugate3(np.moveaxis(self.f, -1, 0))
-        adj *= (1.0 / self.det)[:, None, None]
-        return _frozen(np.moveaxis(adj, 0, -1))
+        adj = _adjugate3(self.f)
+        adj *= 1.0 / self.det
+        return _frozen(adj)
 
     @property
     def df(self):
@@ -189,14 +189,13 @@ class TransformationFrame:
 
 
 def _adjugate3(u):
-    """Adjugate of an (n, 3, 3) stack (transpose of cofactors), in u's layout."""
+    """Adjugate (transpose of cofactors) of a (3, 3, n) array per point."""
     adj = np.empty_like(u)
     for i in range(3):
         for j in range(3):
             r0, r1 = (a for a in range(3) if a != j)
             c0, c1 = (b for b in range(3) if b != i)
-            cof = u[:, r0, c0] * u[:, r1, c1] - u[:, r0, c1] * u[:, r1, c0]
-            adj[:, i, j] = (-1) ** (i + j) * cof
+            adj[i, j] = (-1) ** (i + j) * (u[r0, c0] * u[r1, c1] - u[r0, c1] * u[r1, c0])
     return adj
 
 
@@ -272,8 +271,7 @@ def commutator_potential(frame):
     turned by i and its column 0 by -i, each turn exact.
     """
     v_seed = seed_components(frame.seed).matrix_stack()
-    m = stack_matmul(np.moveaxis(frame.df, -1, 0), np.moveaxis(frame.f_inv, -1, 0))
-    m = m.astype(complex)
+    m = np.einsum("ijn,jkn->nik", frame.df, frame.f_inv).astype(complex)
     m[:, 0] *= 1j
     m[:, :, 0] *= -1j
     # gamma m swaps rows 0 and 1 and drops row 2; m gamma does so to columns
@@ -305,7 +303,7 @@ def apply_darboux(frame, state):
     i*real factor is exact, so the result has the complex stacks' values."""
     z = np.array(state, dtype=complex)  # a copy: component 0 turns in place
     z[0] *= -1j
-    z = stack_matvec(np.moveaxis(frame.f_inv, -1, 0), z)
+    z = np.einsum("ijn,jn->in", frame.f_inv, z)
     up, down = frame._weights
     d = np.empty_like(z)
     d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
@@ -318,7 +316,7 @@ def apply_darboux(frame, state):
     d[:, 1:-1] -= z[:, :-2]
     d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)  # numpy's bits for d / (2h)
     del z
-    out = stack_matvec(np.moveaxis(frame.f, -1, 0), d)
+    out = np.einsum("ijn,jn->in", frame.f, d)
     out[0] *= 1j
     return out
 

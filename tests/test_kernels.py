@@ -1,17 +1,14 @@
-"""The per-point 3x3 kernels and the stencil of the Darboux engine against
-the einsum and division formulas they replaced, kept here as references."""
+"""The Darboux engine's products and stencil against the complex einsum and
+division formulas they replaced, kept here as references."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from susychain.continuum import GAMMA, apply_dirac, potential_matrix
-from susychain.models import ModelKind, ModelParams, model_potential_components
-from susychain.numcore import Grid, diff_central, stack_matmul, stack_matvec
+from susychain.models import ModelKind, ModelParams
+from susychain.numcore import Grid, diff_central
 from susychain.susy import (
     SeedData,
     _adjugate3,
@@ -40,8 +37,8 @@ def _same_bits(a, b):
 
 def _same_values(a, b):
     # equal entry for entry: the same bits except, perhaps, the sign of an
-    # exact zero (einsum starts each sum from +0, the kernels from the
-    # first product)
+    # exact zero (einsum starts each sum from +0, apply_dirac from the first
+    # product)
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
@@ -50,14 +47,6 @@ def _spinor(rng, n):
 
 
 # -------------------------------------------------- the replaced formulas
-
-def _matvec_ref(m, f):
-    return np.einsum("nij,jn->in", m, f)
-
-
-def _matmul_ref(a, b):
-    return np.einsum("nij,njk->nik", a, b)
-
 
 def _diff_central_ref(f, grid):
     f = np.asarray(f)
@@ -93,29 +82,29 @@ def _weighted_diff_ref(z, log_g, grid):
 
 
 def _frame_stack_ref(rows):
-    # a complex frame stack entry by entry from its real rows, the first
-    # times i: Uhat from frame.f, (dU/dx) G^{-1} from frame.df, U from F G
-    u = np.zeros((rows.shape[-1], 3, 3), dtype=complex)
+    # a complex (3, 3, n) frame stack entry by entry from its real rows, the
+    # first times i: Uhat from frame.f, (dU/dx) G^{-1} from frame.df, U from F G
+    u = np.zeros(rows.shape, dtype=complex)
     for j in range(3):
-        u[:, 0, j] = 1j * rows[0, j]
-        u[:, 1, j] = rows[1, j]
-    u[:, 2, 1], u[:, 2, 2] = rows[2, 1:]
+        u[0, j] = 1j * rows[0, j]
+        u[1, j] = rows[1, j]
+    u[2, 1], u[2, 2] = rows[2, 1:]
     return u
 
 
 def _uhat_inv_ref(frame):
     # Uhat^{-1}: the adjugate of the complex Uhat over det Uhat = i*det
-    return _adjugate3(_frame_stack_ref(frame.f)) / (1j * frame.det)[:, None, None]
+    return _adjugate3(_frame_stack_ref(frame.f)) / (1j * frame.det)
 
 
 def _apply_darboux_ref(frame, f):
-    z = np.einsum("nij,jn->in", _uhat_inv_ref(frame), f)
+    z = np.einsum("ijn,jn->in", _uhat_inv_ref(frame), f)
     dz = _weighted_diff_ref(z, frame.log_g, frame.grid)
-    return np.einsum("nij,jn->in", _frame_stack_ref(frame.f), dz)
+    return np.einsum("ijn,jn->in", _frame_stack_ref(frame.f), dz)
 
 
 def _commutator_potential_ref(frame):
-    m = np.einsum("nij,njk->nik", _frame_stack_ref(frame.df), _uhat_inv_ref(frame))
+    m = np.einsum("ijn,jkn->nik", _frame_stack_ref(frame.df), _uhat_inv_ref(frame))
     comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
     return seed_components(frame.seed).matrix_stack()[None, :, :] - 1j * comm
 
@@ -126,101 +115,6 @@ def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
         1j * v12, -v11 + scalar_v, v23,
         1j * v13, v23, flat_energy)
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
-
-
-def _component_major_copy(stack):
-    # the (n, 3, 3) view of (3, 3, n) storage that the engine's stacks use
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
-
-
-def _engine_stacks(frame):
-    # the complex Uhat, Uhat^{-1}, (dU/dx) G^{-1}, U and U^{-1}, the frame's
-    # F and F^{-1} as complex stacks, and the potentials' stacks
-    uhat_inv = _uhat_inv_ref(frame)
-    stacks = [_frame_stack_ref(frame.f), uhat_inv, _frame_stack_ref(frame.df),
-              seed_columns(frame).T, uhat_inv * np.exp(-frame.log_g).T[:, :, None]]
-    stacks = [_component_major_copy(m) for m in stacks]
-    stacks += [np.moveaxis(frame.f, -1, 0).astype(complex),
-               np.moveaxis(frame.f_inv, -1, 0).astype(complex),
-               transformed_potential(frame).matrix_stack()]
-    for p in MODELS.values():
-        stacks.append(model_potential_components(p, frame.grid).matrix_stack())
-    return stacks
-
-
-def _component_major(stack):
-    return np.moveaxis(stack, 0, -1).flags.c_contiguous
-
-
-# ------------------------------------------------------------ the kernels
-
-@pytest.mark.parametrize("name", SEEDS)
-def test_kernels_equal_einsum_on_frames_and_potentials(name):
-    frame = assemble_frame(SEEDS[name], GRID)
-    stacks = _engine_stacks(frame)
-    rng = np.random.default_rng(3)
-    spinors = [_spinor(rng, GRID.n_points), stacks[0][:, :, 1].T,
-               np.ascontiguousarray(stacks[1][:, 2].T)]
-    for m in stacks:
-        for f in spinors:
-            assert _same_values(stack_matvec(m, f), _matvec_ref(m, f))
-    for a in stacks:
-        for b in stacks:
-            assert _same_values(stack_matmul(a, b), _matmul_ref(a, b))
-
-
-_ENTRIES = st.floats(-1e6, 1e6)
-
-
-@st.composite
-def _pure_stacks(draw, n):
-    """An (n, 3, 3) stack whose entries are each purely real or purely
-    imaginary, in C or component-major storage."""
-    values = draw(arrays(np.float64, (n, 3, 3), elements=_ENTRIES))
-    imaginary = draw(arrays(np.bool_, (n, 3, 3)))
-    stack = np.where(imaginary, 1j * values, values + 0j)
-    if draw(st.booleans()):
-        stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
-    return stack
-
-
-@st.composite
-def _pure_cases(draw):
-    n = draw(st.integers(1, 12))
-    f = draw(arrays(np.float64, (2, 3, n), elements=_ENTRIES))
-    return draw(_pure_stacks(n)), draw(_pure_stacks(n)), f[0] + 1j * f[1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_pure_cases())
-def test_kernels_equal_einsum_on_purely_real_or_imaginary_entries(case):
-    a, b, f = case
-    assert _same_values(stack_matvec(a, f), _matvec_ref(a, f))
-    assert _same_values(stack_matmul(a, b), _matmul_ref(a, b))
-    # exact products whichever factor is pure
-    general = b + 1j * b[:, ::-1]
-    assert _same_values(stack_matmul(a, general), _matmul_ref(a, general))
-    assert _same_values(stack_matmul(general, a), _matmul_ref(general, a))
-
-
-@pytest.mark.parametrize("n", [1, 7, 500])
-def test_kernels_agree_with_einsum_on_general_complex_stacks(n):
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-    b = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-    f = _spinor(rng, n)
-    for got, want in ((stack_matvec(a, f), _matvec_ref(a, f)),
-                      (stack_matmul(a, b), _matmul_ref(a, b))):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-
-
-def test_kernel_layouts():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 3, 3)) + 0j
-    assert _component_major(stack_matmul(a, a))
-    out = stack_matvec(a, _spinor(rng, 5))
-    assert out.shape == (3, 5) and out.flags.c_contiguous and out.flags.writeable
 
 
 # ---------------------------------------------------------------- stencil
@@ -284,23 +178,21 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     assert fr.df.shape == (3, 3, n) and fr.df.flags.c_contiguous
     assert _same_bits(fr.df, du_rows) and fr.df.flags.writeable
     # F^{-1} diag(-i, 1, 1) is Uhat^{-1} up to the sign of a zero
-    f_inv = np.moveaxis(fr.f_inv, -1, 0)
-    assert f_inv.shape == (n, 3, 3) and _component_major(f_inv)
+    assert fr.f_inv.shape == (3, 3, n) and fr.f_inv.flags.c_contiguous
     assert not fr.f_inv.flags.writeable
-    assert _same_values(f_inv * np.array([-1j, 1.0, 1.0]), _uhat_inv_ref(fr))
+    assert _same_values(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv_ref(fr))
     # U's columns, U = Uhat G with its rows times G's entries, built on each
     # call: [j] is column j
     cols = seed_columns(fr)
     assert cols.shape == (3, 3, n) and cols.flags.writeable
-    assert _same_bits(cols, _frame_stack_ref(fr.f * g).T)
+    assert _same_bits(cols, _frame_stack_ref(fr.f * g).swapaxes(0, 1))
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
                                   0.0, comps.flat_energy)
     got = comps.matrix_stack()
     assert got.shape == (n, 3, 3)
     assert _same_bits(got, v_ref)
-    assert got.flags.writeable
-    assert _component_major(got)
+    assert got.flags.writeable and got.flags.c_contiguous
 
 
 def test_potential_matrix_scalar_and_broadcast_shapes():

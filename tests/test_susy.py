@@ -12,8 +12,7 @@ from susychain.checks import smooth_test_states
 from susychain.continuum import apply_dirac, potential_matrix
 from susychain.errors import NumericalError, SingularFrameError
 from susychain.models import ModelKind, ModelParams, model_potential_components
-from susychain.numcore import Grid, diff_central, integrate_cumulative, quad_roots, \
-    stack_matvec
+from susychain.numcore import Grid, diff_central, integrate_cumulative, quad_roots
 from susychain.susy import (
     SeedData,
     TransformationFrame,
@@ -43,20 +42,20 @@ def _frame(seed=SEED, grid=GRID):
     return assemble_frame(seed, grid)
 
 
-# the complex frame stacks, built here from the frame's real arrays as
-# references: Uhat = diag(i, 1, 1) F, Uhat^{-1} by the adjugate over det
-# Uhat = i*det, and U^{-1} = G^{-1} Uhat^{-1}
+# the complex (3, 3, n) frame stacks, built here from the frame's real
+# arrays as references: Uhat = diag(i, 1, 1) F, Uhat^{-1} by the adjugate
+# over det Uhat = i*det, and U^{-1} = G^{-1} Uhat^{-1}
 
 def _uhat(frame):
-    return np.moveaxis(np.array([1j, 1.0, 1.0])[:, None, None] * frame.f, -1, 0)
+    return np.array([1j, 1.0, 1.0])[:, None, None] * frame.f
 
 
 def _uhat_inv(frame):
-    return _adjugate3(_uhat(frame)) / (1j * frame.det)[:, None, None]
+    return _adjugate3(_uhat(frame)) / (1j * frame.det)
 
 
 def _u_inv(frame):
-    return _uhat_inv(frame) * np.exp(-frame.log_g).T[:, :, None]
+    return _uhat_inv(frame) * np.exp(-frame.log_g)[:, None, :]
 
 
 # --------------------------------------------------------- seed data
@@ -268,9 +267,9 @@ def _adjugate3_by_minors(u):
         for j in range(3):
             r = [a for a in range(3) if a != j]
             c = [b for b in range(3) if b != i]
-            minor = u[:, r][:, :, c]
-            cof = minor[:, 0, 0] * minor[:, 1, 1] - minor[:, 0, 1] * minor[:, 1, 0]
-            adj[:, i, j] = (-1) ** (i + j) * cof
+            minor = u[r][:, c]
+            cof = minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
+            adj[i, j] = (-1) ** (i + j) * cof
     return adj
 
 
@@ -283,10 +282,11 @@ def test_adjugate3_matches_minor_reference_bitwise():
     u = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
     u[:5] = 0.0
     u[5:10] *= 1e-160  # cofactors underflow to signed zeros
-    # the real F that F^{-1} takes, and the complex Uhat and U
+    # the same 40 matrices as a (3, 3, 40) array, the real F that F^{-1}
+    # takes, and the complex Uhat and U
     fr = _frame()
-    stacks = [u, np.moveaxis(fr.f, -1, 0), _uhat(fr), seed_columns(fr).T,
-              seed_columns(_frame(grid=Grid(-3.0, 3.0, 31))).T]
+    stacks = [u.transpose(1, 2, 0), fr.f, _uhat(fr), seed_columns(fr).swapaxes(0, 1),
+              seed_columns(_frame(grid=Grid(-3.0, 3.0, 31))).swapaxes(0, 1)]
     for stack in stacks:
         assert _same_bits(_adjugate3(stack), _adjugate3_by_minors(stack))
 
@@ -375,14 +375,14 @@ def test_intertwining_residual_rejects_an_overflowing_stencil():
 def _apply_dirac_ref(v, f, grid):
     f = np.asarray(f, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    out = v @ f if v.ndim == 2 else stack_matvec(v, f)
+    out = v @ f if v.ndim == 2 else np.einsum("nij,jn->in", v, f)
     kinetic = -1j * diff_central(f, grid)
     out[:2] += kinetic[1::-1]
     return out
 
 
 def _apply_darboux_ref(frame, f):
-    z = stack_matvec(_uhat_inv(frame), np.asarray(f, dtype=complex))
+    z = np.einsum("ijn,jn->in", _uhat_inv(frame), np.asarray(f, dtype=complex))
     up, down = np.exp(-np.diff(frame.log_g)), np.exp(np.diff(frame.log_g))
     d = np.empty_like(z)
     d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
@@ -391,7 +391,7 @@ def _apply_darboux_ref(frame, f):
     z[:, :-2] *= down[:, :-1]
     d[:, 1:-1] -= z[:, :-2]
     d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)
-    return stack_matvec(_uhat(frame), d)
+    return np.einsum("ijn,jn->in", _uhat(frame), d)
 
 
 def _intertwining_residual_ref(frame, states, n_levels):
@@ -446,7 +446,7 @@ def test_real_frame_factors_match_complex_stacks_bitwise(name):
         assert _same_bits(apply_darboux(fr, f), _apply_darboux_ref(fr, f))
         assert _same_bits(apply_dirac(comps, f, g), _apply_dirac_ref(stack, f, g))
     # Uhat^{-1} = F^{-1} diag(-i, 1, 1), up to the sign of a zero
-    assert np.array_equal(np.moveaxis(fr.f_inv, -1, 0) * [-1j, 1, 1], _uhat_inv(fr))
+    assert np.array_equal(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv(fr))
     assert not fr.f_inv.flags.writeable and fr.f_inv is fr.f_inv
 
 
@@ -470,11 +470,11 @@ def _traced_peak(call):
     (ModelParams(ModelKind.II, 0.1, 0.05), 2001, 2)])
 def test_intertwining_residual_holds_one_level_at_a_time(p, n_points, n_levels):
     # the finest level's frame with its real F^{-1}, V_new's components,
-    # real test states and one state's operator products come to ~563 B a
-    # point of the finest grid; complex Uhat, Uhat^{-1} and V_new stacks read
-    # 907, and keeping the coarser level and all complex test states alive
-    # too read 1075 (Model I) and 1107 (Model II). The first call fills the
-    # coarsest frame's cache
+    # real test states and one state's operator products come to ~545 B a
+    # point of the finest grid (Model I; 561 for Model II); complex Uhat,
+    # Uhat^{-1} and V_new stacks read 907, and keeping the coarser level and
+    # all complex test states alive too read 1075 (Model I) and 1107 (Model
+    # II). The first call fills the coarsest frame's cache
     fr = assemble_frame(p.seed_data(), Grid(-20.0, 20.0, n_points))
     intertwining_residual(fr, smooth_test_states, n_levels)
     peak = _traced_peak(lambda: intertwining_residual(fr, smooth_test_states, n_levels))
@@ -641,7 +641,7 @@ def test_inverse_dagger_states_are_eigenstates():
         assert rep.residual < 1e-5
     # state j is row j of U^{-1} conjugated, up to the sign of a zero
     for j, st_ in enumerate(states):
-        assert np.array_equal(st_, np.conj(_u_inv(fr)[:, j].T))
+        assert np.array_equal(st_, np.conj(_u_inv(fr)[j]))
 
 
 # ----------------------------------------------------- property tests
