@@ -64,22 +64,6 @@ class PotentialComponents:
                                 0.0, self.flat_energy)
 
 
-def continuum_limit(p):
-    """Constant potential of the Dirac operator obtained by expanding H(k)
-    around the zone corner, as a 3x3 matrix.
-
-    Valid in the regime t_ab ~ t_ab_inter where the two dispersive bands
-    nearly touch at k = pi/a. The potential is constant: diagonal
-    (eps_a, eps_b, eps_c), AB mass/dimerization split, and the static
-    inter-chain couplings. x is in units of t_ab_inter * a, which makes
-    the kinetic term -i*gamma*d/dx.
-    """
-    if p.t_ab_inter == 0.0:
-        raise NumericalError("no Dirac expansion for t_ab_inter = 0")
-    return potential_matrix(0.5 * (p.eps_a - p.eps_b), p.t_ab - p.t_ab_inter,
-                            p.t_ac, p.t_bc, 0.5 * (p.eps_a + p.eps_b), p.eps_c)
-
-
 def symbol_matrix(cell, k):
     """Symbol at momentum k; an array k gives a k.shape + (3, 3) stack."""
     return np.multiply.outer(k, GAMMA) + cell.matrix_stack()

@@ -9,19 +9,6 @@ class ConfigError(SusychainError):
     """Invalid user-supplied configuration (bad field, missing file, ...)."""
 
 
-class NonHermitianError(SusychainError):
-    """A matrix that must be Hermitian is not, beyond tolerance."""
-
-    def __init__(self, row, col, asymmetry):
-        self.row = row
-        self.col = col
-        self.asymmetry = asymmetry
-        super().__init__(
-            f"entries ({row},{col})/({col},{row}) violate hermiticity "
-            f"by {asymmetry:.3e}"
-        )
-
-
 class NumericalError(SusychainError):
     """Non-finite data, failed convergence, or other numeric breakdown."""
 

@@ -13,9 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonHermitianError, NumericalError
-
-HERMITICITY_TOL = 1e-12
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -67,27 +65,6 @@ class BandedHermitian:
         self.bands = b
         self.bandwidth = b.shape[0] - 1
         self.dim = b.shape[1]
-
-    @classmethod
-    def from_dense(cls, m, bandwidth):
-        """Band storage of dense m; NonHermitianError names the worst entry
-        of m - m^H beyond HERMITICITY_TOL * max(max |m|, 1)."""
-        m = np.asarray(m)
-        asym = np.abs(m - m.conj().T)
-        if asym.max() > HERMITICITY_TOL * max(np.abs(m).max(), 1.0):
-            i, j = np.unravel_index(np.argmax(asym), asym.shape)
-            raise NonHermitianError(int(i), int(j), float(asym[i, j]))
-        b = np.zeros((bandwidth + 1, m.shape[0]), dtype=m.dtype)
-        for d in range(bandwidth + 1):
-            b[bandwidth - d, d:] = np.diagonal(m, d)
-        return cls(b)
-
-    def to_dense(self):
-        n, u = self.dim, self.bandwidth
-        m = np.zeros((n, n), dtype=self.bands.dtype)
-        for d in range(u + 1):
-            m[np.arange(n - d), np.arange(d, n)] = self.bands[u - d, d:]
-        return m + np.triu(m, 1).T
 
 
 def block_tridiagonal_bands(onsite, coupling, bandwidth):
@@ -259,14 +236,13 @@ def banded_eigvec(m, energy, count=1):
     Block inverse iteration with one banded LU of M - energy*I (general band
     storage, lower diagonals copied from the stored upper ones), or of M
     minus a shift one rounding unit below energy where that LU has a zero
-    pivot, a solve overflows or max |V V^T - I| exceeds GROUP_OVERLAP_TOL.
-    Each solve takes every row as a right-hand side; then each row in turn
-    is projected off the rows before it and normalised. The start block is
-    fixed, so reruns give identical vectors. Three solves damp every other
-    eigencomponent by (rounding / spectral gap)**3, well below what an IPR
-    or an edge flag resolves. Raises NumericalError unless each row's
-    ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m), or if
-    max |V V^T - I| stays above GROUP_OVERLAP_TOL at the moved shift.
+    pivot or a solve overflows. Each solve takes every row as a right-hand
+    side; then each row in turn is projected off the rows before it and
+    normalised. The start block is fixed, so reruns give identical vectors.
+    Three solves damp every other eigencomponent by (rounding / spectral
+    gap)**3, well below what an IPR or an edge flag resolves. Raises
+    NumericalError if max |V V^T - I| exceeds GROUP_OVERLAP_TOL, or unless
+    each row's ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m).
     """
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
@@ -314,28 +290,23 @@ def banded_eigvec(m, energy, count=1):
                 row /= norm
         return v
 
-    def overlap(v):
-        gram = v @ v.T
-        gram.flat[:: count + 1] -= 1.0  # V V^T - I
-        return float(np.abs(gram, out=gram).max())
-
     v = iterate() if factor() else None
-    restart = v is None or overlap(v) > GROUP_OVERLAP_TOL
-    if restart:
-        # an exactly zero pivot (say, a decoupled site at the shift), one so
+    if v is None:
+        # an exactly zero pivot (say, a decoupled site at the shift) or one so
         # small that a solve overflows (cells that the hopping all but
-        # decouples, from --box 1e160 on, at their exact eigenvalue), or rows
-        # that the projection leaves short of orthonormal: move the shift
-        # off the eigenvalue by one rounding unit and start again
+        # decouples, from --box 1e160 on, at their exact eigenvalue): move
+        # the shift off the eigenvalue by one rounding unit and start again
         shifted[2 * u] -= np.finfo(float).eps * (s * scale)
         if not factor():
             raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
         v = iterate()
-    if v is None:
-        raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
-    if restart and overlap(v) > GROUP_OVERLAP_TOL:
+        if v is None:
+            raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
+    gram = v @ v.T
+    gram.flat[:: count + 1] -= 1.0  # V V^T - I
+    if (worst := float(np.abs(gram, out=gram).max())) > GROUP_OVERLAP_TOL:
         raise NumericalError(f"inverse iteration at E={energy:.6g}: a vector overlaps "
-                             f"its degenerate group by {overlap(v):.3e}")
+                             f"its degenerate group by {worst:.3e}")
     # s*(M v - energy v) by BLAS on the stored upper band, row by row
     bands, residual = np.asfortranarray(m.bands, float), 0.0
     for row in v:

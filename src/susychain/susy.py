@@ -359,27 +359,3 @@ def intertwining_residual(frame, states, n_levels=3):
     orders = np.log2(residuals[:, :-1] / residuals[:, 1:])
     return residuals, orders
 
-
-@dataclass(frozen=True)
-class EigenstateReport:
-    energy: float
-    residual: float
-
-
-def inverse_dagger_states(frame):
-    """Candidate eigenstates of the transformed operator: columns of (U^{-1})^dag.
-
-    Returns (states, reports): states[j] is a (3, n) array expected to
-    satisfy (H_new - E_j) state = O(h^2) with E = (mass, flat, flat).
-    """
-    s, g = frame.seed, frame.grid
-    # U^{-1} = G^{-1} F^{-1} diag(-i, 1, 1): state j is its row j conjugated
-    w = np.exp(-frame.log_g)[:, None, :] * frame.f_inv * np.array([1j, 1.0, 1.0])[:, None]
-    v_new = transformed_potential(frame)
-    states, reports = [], []
-    for st, e in zip(w, (s.mass, s.flat_energy, s.flat_energy)):  # st: (3, n)
-        r = apply_dirac(v_new, st, g) - e * st
-        states.append(st)
-        residual = float(np.abs(r).max() / (1.0 + np.abs(st).max()))
-        reports.append(EigenstateReport(e, residual))
-    return states, reports

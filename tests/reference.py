@@ -1,0 +1,42 @@
+"""Reference code that only the tests use: dense <-> band storage, and the
+columns of (U^{-1})^dag, the transformed operator's eigenstates."""
+
+import numpy as np
+
+from susychain.continuum import apply_dirac
+from susychain.numcore import BandedHermitian
+from susychain.susy import transformed_potential
+
+
+def banded_from_dense(m, bandwidth):
+    """BandedHermitian of the upper `bandwidth` diagonals of dense m, in m's
+    dtype: a complex m is refused as BandedHermitian refuses it."""
+    m = np.asarray(m)
+    b = np.zeros((bandwidth + 1, m.shape[0]), dtype=m.dtype)
+    for d in range(bandwidth + 1):
+        b[bandwidth - d, d:] = np.diagonal(m, d)
+    return BandedHermitian(b)
+
+
+def banded_to_dense(m):
+    """The dense symmetric matrix of a BandedHermitian."""
+    n, u = m.dim, m.bandwidth
+    dense = np.zeros((n, n), dtype=m.bands.dtype)
+    for d in range(u + 1):
+        dense[np.arange(n - d), np.arange(d, n)] = m.bands[u - d, d:]
+    return dense + np.triu(dense, 1).T
+
+
+def inverse_dagger_states(frame):
+    """The columns of (U^{-1})^dag as (3, n) states, their energies E =
+    (mass, flat, flat), and each state's sup-norm residual of (H_new - E)
+    relative to 1 + its largest |entry|, O(h^2) for an exact frame."""
+    s, g = frame.seed, frame.grid
+    # U^{-1} = G^{-1} F^{-1} diag(-i, 1, 1): state j is its row j conjugated
+    states = np.exp(-frame.log_g)[:, None, :] * frame.f_inv * np.array([1j, 1.0, 1.0])[:, None]
+    energies = (s.mass, s.flat_energy, s.flat_energy)
+    v_new = transformed_potential(frame)
+    residuals = [float(np.abs(apply_dirac(v_new, st, g) - e * st).max()
+                       / (1.0 + np.abs(st).max()))
+                 for st, e in zip(states, energies)]
+    return states, energies, residuals

@@ -9,7 +9,6 @@ from susychain.continuum import (
     GAMMA,
     PotentialComponents,
     apply_dirac,
-    continuum_limit,
     discretize,
     potential_matrix,
     symbol_dispersion,
@@ -18,6 +17,8 @@ from susychain.continuum import (
 from susychain.errors import NumericalError
 from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
+
+from reference import banded_to_dense
 
 finite = st.floats(-2.0, 2.0)
 
@@ -34,17 +35,7 @@ def test_potential_matrix_hermitian():
     assert v[0, 1] == pytest.approx(0.2j)
 
 
-def test_continuum_limit_components():
-    p = TightBindingParams(eps_a=0.3, eps_b=-0.1, eps_c=0.05, t_ab=1.2,
-                           t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
-    v = continuum_limit(p)
-    want = potential_matrix(0.2, 0.2, 0.2, 0.01, 0.1, 0.05)
-    np.testing.assert_allclose(v, want, atol=1e-15)
-    with pytest.raises(NumericalError):
-        continuum_limit(TightBindingParams(t_ab=1.0))
-
-
-def test_continuum_limit_matches_lattice_near_zone_corner():
+def test_symbol_dispersion_matches_lattice_near_zone_corner():
     # near k = pi/a the two dispersive lattice bands approach
     # +-sqrt(q^2 + v11^2 + v12^2) with q the deviation from the corner
     p = TightBindingParams(eps_a=0.02, eps_b=-0.02, t_ab=1.01,
@@ -105,7 +96,7 @@ def test_discretize_is_hermitian_and_matches_apply():
                                 0.005 * sech, 0.004 * t)
     op = discretize(comps, grid, "central")
     assert op.bands.dtype == np.float64
-    gauged = op.to_dense()
+    gauged = banded_to_dense(op)
     np.testing.assert_allclose(gauged, gauged.conj().T, atol=1e-14)
     # undo the gauge: H = G (D^H H D) G^H with G = kron(I_n, D)
     g = np.kron(np.eye(grid.n_points), np.diag(D))

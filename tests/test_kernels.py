@@ -110,11 +110,19 @@ def _commutator_potential_ref(frame):
 
 
 def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
-    entries = np.broadcast_arrays(
-        v11 + scalar_v, -1j * v12, -1j * v13,
-        1j * v12, -v11 + scalar_v, v23,
-        1j * v13, v23, flat_energy)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+    # V[..., i, j] one entry at a time, each from its own formula
+    args = (v11, v12, v13, v23, scalar_v, flat_energy)
+    v = np.empty(np.broadcast_shapes(*map(np.shape, args)) + (3, 3), dtype=complex)
+    v[..., 0, 0] = v11 + scalar_v
+    v[..., 0, 1] = -1j * v12
+    v[..., 0, 2] = -1j * v13
+    v[..., 1, 0] = 1j * v12
+    v[..., 1, 1] = -v11 + scalar_v
+    v[..., 1, 2] = v23
+    v[..., 2, 0] = 1j * v13
+    v[..., 2, 1] = v23
+    v[..., 2, 2] = flat_energy
+    return v
 
 
 # ---------------------------------------------------------------- stencil

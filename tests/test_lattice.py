@@ -26,6 +26,8 @@ from susychain.models import ModelKind, ModelParams
 from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
     banded_eigvec, eigh_banded, norm_1
 
+from reference import banded_to_dense
+
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
 P_REF = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
@@ -360,7 +362,7 @@ def _ssh_case(end_potentials):
 def test_chain_spectrum_matches_dense_reference(case):
     op, flat, tol, excl = case()
     w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(
-        op.to_dense(), EIGVEC_RESIDUAL_TOL * norm_1(op), flat, tol, excl)
+        banded_to_dense(op), EIGVEC_RESIDUAL_TOL * norm_1(op), flat, tol, excl)
     rep = chain_spectrum(op, flat_energy=flat, cluster_tol=tol, gap_exclusion=excl)
     np.testing.assert_allclose(rep.eigenvalues, w, atol=1e-12)
     assert rep.cluster_count == count

@@ -1,9 +1,11 @@
 """The README's examples run as written, and its key tables match the CLI's."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
+import susychain
 from susychain import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -19,11 +21,22 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     lines = capsys.readouterr().out.splitlines()
-    # the flat-state residual, then cluster count and the two gap edges
+    # the engine's largest distance from the closed-form potential, then
+    # the cluster count and the two gap edges
     assert len(lines) == 2
     assert float(lines[0]) < 1e-6
     count, edge_neg, edge_pos = lines[1].split()
     assert int(count) > 0 and float(edge_neg) < 0.0 < float(edge_pos)
+
+
+def test_package_exports_the_readme_example_imports():
+    # an export the example does not use, or an example import the package
+    # lacks, fails here
+    (names,) = re.findall(r"^from susychain import \((.*?)\)", _blocks("python")[0],
+                          flags=re.DOTALL | re.MULTILINE)
+    exported = {name for name, obj in vars(susychain).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == set(re.findall(r"\w+", names))
 
 
 def test_readme_cli_examples_run(tmp_path):
