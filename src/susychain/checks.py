@@ -10,7 +10,7 @@ from .continuum import symbol_dispersion, threshold_scan
 from .lattice import TightBindingParams, band_structure, default_k_grid, \
     flat_band_residual, tune_flat_band
 from .models import ModelKind, ModelParams
-from .numcore import Grid, diff_central, integrate_cumulative
+from .numcore import Grid
 from .susy import assemble_frame, transformed_potential
 
 
@@ -127,9 +127,7 @@ def invariant_checks(seed, tol_override):
                                                        n_levels=3)
         add_min(f"{tag}_intertwining_order", orders.min(), np.log2(3.6))
         # L annihilates its own seed columns
-        kernel = max(np.abs(susy.apply_darboux(frame, col)).max()
-                     for col in susy.seed_columns(frame))
-        add_max(f"{tag}_darboux_kernel", kernel, 1e-8)
+        add_max(f"{tag}_darboux_kernel", max(susy.darboux_kernel(frame)), 1e-8)
         # frame eigen-residual convergence
         r_coarse = max(susy.frame_eigen_residuals(frame))
         r_fine = max(susy.frame_eigen_residuals(assemble_frame(p.seed_data(),
@@ -157,15 +155,5 @@ def invariant_checks(seed, tol_override):
     w = symbol_dispersion(cell, np.linspace(-2.0, 2.0, 4001))
     dispersive = np.abs(w[np.abs(w - cell.flat_energy) > 1e-9])
     add_max("threshold_scan_vs_sweep", abs(dispersive.min() - edge), 1e-10)
-
-    # stencil convergence orders on smooth functions
-    g1 = Grid(-1.0, 1.0, 101)
-    g2 = g1.refined()
-    e1 = np.abs(diff_central(np.sin(g1.x), g1) - np.cos(g1.x)).max()
-    e2 = np.abs(diff_central(np.sin(g2.x), g2) - np.cos(g2.x)).max()
-    add_min("diff_central_order", np.log2(e1 / e2), 1.9)
-    i1 = np.abs(integrate_cumulative(1 / np.cosh(g1.x) ** 2, g1) - np.tanh(g1.x)).max()
-    i2 = np.abs(integrate_cumulative(1 / np.cosh(g2.x) ** 2, g2) - np.tanh(g2.x)).max()
-    add_min("integrate_cumulative_order", np.log2(i1 / i2), 1.9)
 
     return checks

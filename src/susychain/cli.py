@@ -34,7 +34,7 @@ from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, chain_spectrum, \
     default_k_grid, flat_band_residual, tune_flat_band
 from .models import ModelKind, ModelParams
-from .numcore import Grid
+from .numcore import MAX_PARAM, Grid
 from .susy import assemble_frame, transformed_potential
 
 EXIT_OK = 0
@@ -120,6 +120,13 @@ def _positive(val):
     return float(val)
 
 
+def _bounded(val):
+    # tuning squares and multiplies tight-binding values: past 1e100 they overflow
+    if not abs(_real(val)) <= MAX_PARAM:
+        raise ValueError(f"expected a finite number, |value| <= {MAX_PARAM:g}, got {val!r}")
+    return float(val)
+
+
 def _choice(*options, fold=str):
     def cast(val):
         text = fold(val)
@@ -186,14 +193,14 @@ class Settings:
 
 
 TIGHT_BINDING_KEYS = {
-    "eps_a": Key(_real, 0.0, "on-site energy of A"),
-    "eps_b": Key(_real, 0.0, "on-site energy of B"),
-    "eps_c": Key(_real, 0.0, "on-site energy of the side site C"),
-    "t_ab": Key(_real, 0.0, "A-B hopping within a cell"),
-    "t_ab_inter": Key(_real, 0.0, "A-B hopping to the previous cell"),
-    "t_ac": Key(_real, 0.0, "A-C hopping"),
-    "t_bc": Key(_real, 0.0, "B-C hopping"),
-    "a": Key(_real, 1.0, "lattice constant"),
+    "eps_a": Key(_bounded, 0.0, "on-site energy of A"),
+    "eps_b": Key(_bounded, 0.0, "on-site energy of B"),
+    "eps_c": Key(_bounded, 0.0, "on-site energy of the side site C"),
+    "t_ab": Key(_bounded, 0.0, "A-B hopping within a cell"),
+    "t_ab_inter": Key(_bounded, 0.0, "A-B hopping to the previous cell"),
+    "t_ac": Key(_bounded, 0.0, "A-C hopping"),
+    "t_bc": Key(_bounded, 0.0, "B-C hopping"),
+    "a": Key(_bounded, 1.0, "lattice constant"),
 }
 _MODEL_KIND = _choice("I", "II", fold=lambda val: str(val).upper())
 MODEL_KEYS = {

@@ -22,7 +22,8 @@ import numpy as np
 
 from .continuum import PotentialComponents, threshold_scan
 from .errors import NumericalError
-from .susy import MAX_MODEL_PARAM, SeedData
+from .numcore import MAX_PARAM
+from .susy import SeedData
 
 
 class ModelKind(enum.Enum):
@@ -84,8 +85,8 @@ def validate_params(p):
         return [f"kind must be a ModelKind, got {p.kind!r}"]
     if not (np.isfinite(m) and np.isfinite(lam)):
         return ["mass and flat_energy must be finite"]
-    if max(abs(m), abs(lam)) > MAX_MODEL_PARAM:
-        return [f"|mass| and |flat_energy| must not exceed {MAX_MODEL_PARAM:g}"]
+    if max(abs(m), abs(lam)) > MAX_PARAM:
+        return [f"|mass| and |flat_energy| must not exceed {MAX_PARAM:g}"]
     if p.kind is ModelKind.I:
         if m * (m - lam) <= 0:
             out.append(f"m(m - lambda) = {m * (m - lam):.3e} must be > 0")

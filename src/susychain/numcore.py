@@ -1,4 +1,4 @@
-"""Shared numerical kernels: grids, stencils, quadrature, eigensolvers.
+"""Shared numerical kernels: grids, stencils, quadratic roots, eigensolvers.
 
 Everything here is a pure function of its inputs. `Grid` and `QuadRoots`
 are immutable; `BandedHermitian` is a plain holder of real band storage
@@ -14,6 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
+
+# the largest |value| of a model or tight-binding parameter: kappa0^2 and
+# the secular determinant square them, the model formulas are at most cubic
+# in them, and the cube root of the largest double is 5.6e102
+MAX_PARAM = 1e100
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,6 @@ class Grid:
     def refined(self):
         """Grid with halved spacing (same endpoints)."""
         return Grid(self.x_min, self.x_max, 2 * self.n_points - 1)
-
-    def index_nearest(self, x0=0.0):
-        return int(np.argmin(np.abs(self.x - x0)))
 
 
 class BandedHermitian:
@@ -340,23 +342,6 @@ def diff_central(samples, grid):
     else:
         d /= 2 * h
     return d
-
-
-def integrate_cumulative(samples, grid):
-    """Trapezoidal antiderivative, anchored to 0 at the point nearest x=0."""
-    f = np.asarray(samples)
-    if not np.all(np.isfinite(f)):
-        raise NumericalError("non-finite samples")
-    if f.shape[-1] != grid.n_points:
-        raise NumericalError("sample count does not match grid")
-    h = grid.h
-    steps = 0.5 * h * (f[..., 1:] + f[..., :-1])
-    out = np.concatenate(
-        [np.zeros(f.shape[:-1] + (1,), dtype=steps.dtype), np.cumsum(steps, axis=-1)],
-        axis=-1,
-    )
-    anchor = grid.index_nearest(0.0)
-    return out - out[..., anchor : anchor + 1]
 
 
 class QuadRoots(NamedTuple):

@@ -22,20 +22,16 @@ Convention note: phi2*psi1 - phi1*psi2 = w0 / (mass - flat_energy), and the
 hermitization integral takes (mass - flat_energy) times it: w0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .continuum import PotentialComponents, apply_dirac
 from .errors import NumericalError, SingularFrameError
-from .numcore import Grid, quad_roots
+from .numcore import MAX_PARAM, Grid, quad_roots
 
 SINGULARITY_REL_TOL = 1e-8
-
-# kappa0^2 squares the seed constants and the model formulas are at most
-# cubic in m and lambda; the cube root of the largest double is 5.6e102
-MAX_MODEL_PARAM = 1e100
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,10 @@ class SeedData:
     def __post_init__(self):
         for name in ("mass", "flat_energy", "gauge_a"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and abs(value) <= MAX_MODEL_PARAM):
+            if not (np.isfinite(value) and abs(value) <= MAX_PARAM):
                 raise NumericalError(
                     f"{name} = {value!r} must be finite with magnitude at most "
-                    f"{MAX_MODEL_PARAM:g}")
+                    f"{MAX_PARAM:g}")
         for name in ("w0", "c1", "c0"):  # c0 last: a model computes it from w0 and c1
             if not np.isfinite(getattr(self, name)):
                 raise NumericalError(f"{name} = {getattr(self, name)!r} must be finite")
@@ -116,9 +112,8 @@ class TransformationFrame:
     """The seed frame U = (uhat0 + t*uhat1) G on a grid: frame_factor's real
     3x3 constants, the samples of t = tanh(kappa0*x), and log G as a (3, n)
     array. Uhat = diag(i, 1, 1) F with F real, so the frame keeps F, its
-    determinant and F^{-1} as real arrays, read-only once built; only
-    seed_columns multiplies G = diag(e^{-Ax}, cosh(kappa0*x), cosh(kappa0*x))
-    back in."""
+    determinant and F^{-1} as real arrays, read-only once built; no method
+    samples G = diag(e^{-Ax}, cosh(kappa0*x), cosh(kappa0*x)) itself."""
 
     grid: Grid
     seed: SeedData
@@ -149,13 +144,23 @@ class TransformationFrame:
         return _frozen(adj)
 
     @property
-    def df(self):
-        """(dU/dx) G^{-1} = kappa0*(1 - t^2)*uhat1 + F diag(-A, kappa0*t,
-        kappa0*t), without the first row's factor i, as a real (3, 3, n)
-        array built on each access."""
+    def log_g_rate(self):
+        """(log G)' = (-A, kappa0*t, kappa0*t) as a real (3, n) array."""
         k0, t = self.seed.kappa0, self.t
-        rate = np.stack([np.full_like(t, -self.seed.gauge_a), k0 * t, k0 * t])
-        return k0 * (1.0 - t * t) * self.uhat1[:, :, None] + self.f * rate
+        return np.stack([np.full_like(t, -self.seed.gauge_a), k0 * t, k0 * t])
+
+    @property
+    def df(self):
+        """(dU/dx) G^{-1} = kappa0*(1 - t^2)*uhat1 + F diag((log G)'), without
+        the first row's factor i, as a real (3, 3, n) array built on each
+        access."""
+        k0, t = self.seed.kappa0, self.t
+        return k0 * (1.0 - t * t) * self.uhat1[:, :, None] + self.f * self.log_g_rate
+
+    def uhat_column(self, j):
+        """Column j of Uhat, row 0 of F's column times i, as a complex (3, n)
+        spinor built on each call: U's column j over its scale G_j."""
+        return np.array([1j, 1.0, 1.0])[:, None] * self.f[:, j]
 
     @cached_property
     def _weights(self):
@@ -228,28 +233,33 @@ def assemble_frame(s, grid):
     return frame
 
 
-def seed_columns(frame):
-    """The columns of U = Uhat G, F G with row 0 times i, as a complex (3, 3,
-    n) array whose [j] is column j, a (3, n) spinor. Built on each call for
-    the checks on U's own columns: U leaves the double range on wide boxes."""
-    u = np.array([1j, 1.0, 1.0])[:, None, None] * (frame.f * np.exp(frame.log_g))
-    return u.swapaxes(0, 1)
-
-
 def frame_eigen_residuals(frame):
-    """Relative sup-norm residuals of (H - E) on each U column.
-
-    Derivatives come from the finite-difference stencil, so the residual
-    is O(h^2) for exact seed functions.
+    """Sup-norm residuals of (H - E_j) on each column U_j = Uhat_j G_j of U,
+    E = (mass, flat, flat): G_j is scalar, so they are those of
+    (H - E_j - i*gamma*(log G_j)') on Uhat_j, taken relative to 1 + max|Uhat_j|.
+    The stencil makes them O(h^2); Uhat_0 is constant, so column 0's is rounding.
     """
     s = frame.seed
     v_seed = seed_components(s)
-    energies = (s.mass, s.flat_energy, s.flat_energy)
     res = []
-    for col, e in zip(seed_columns(frame), energies):
+    for j, (rate, e) in enumerate(zip(frame.log_g_rate, (s.mass, s.flat_energy, s.flat_energy))):
+        col = frame.uhat_column(j)
         r = apply_dirac(v_seed, col, frame.grid) - e * col
+        r[:2] -= 1j * rate * col[1::-1]  # gamma swaps components 0 and 1
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
+
+
+def darboux_kernel(frame):
+    """max |L U_j| / G_j for each column j of U: L U_j = G_j L_j Uhat_j, where
+    L_j = G_j^{-1} L G_j is L on the frame whose log G is shifted by log G_j.
+    Exactly 0, as Uhat^{-1} Uhat_j = e_j: F^{-1} F's rounding over h remains."""
+    out = []
+    for j in range(3):
+        shifted = replace(frame, log_g=frame.log_g - frame.log_g[j])
+        shifted.__dict__.update(f=frame.f, f_inv=frame.f_inv)  # neither reads log G
+        out.append(float(np.abs(apply_darboux(shifted, frame.uhat_column(j))).max()))
+    return out
 
 
 def transformed_potential(frame):

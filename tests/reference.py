@@ -1,5 +1,6 @@
-"""Reference code that only the tests use: dense <-> band storage, and the
-columns of (U^{-1})^dag, the transformed operator's eigenstates."""
+"""Reference code that only the tests use: dense <-> band storage, a
+trapezoidal antiderivative, the columns of the seed frame U, and those of
+(U^{-1})^dag, the transformed operator's eigenstates."""
 
 import numpy as np
 
@@ -40,3 +41,28 @@ def inverse_dagger_states(frame):
                        / (1.0 + np.abs(st).max()))
                  for st, e in zip(states, energies)]
     return states, energies, residuals
+
+
+def index_nearest(grid, x0=0.0):
+    """Index of the grid point nearest x0."""
+    return int(np.argmin(np.abs(grid.x - x0)))
+
+
+def integrate_cumulative(samples, grid):
+    """Trapezoidal antiderivative, anchored to 0 at the point nearest x=0."""
+    f = np.asarray(samples)
+    steps = 0.5 * grid.h * (f[..., 1:] + f[..., :-1])
+    out = np.concatenate(
+        [np.zeros(f.shape[:-1] + (1,), dtype=steps.dtype), np.cumsum(steps, axis=-1)],
+        axis=-1,
+    )
+    anchor = index_nearest(grid, 0.0)
+    return out - out[..., anchor : anchor + 1]
+
+
+def seed_columns(frame):
+    """The columns of U = Uhat G, F G with row 0 times i, as a complex (3, 3,
+    n) array whose [j] is column j, a (3, n) spinor. U leaves the double
+    range on wide boxes: (2*kappa0 + A)*box past about 710."""
+    u = np.array([1j, 1.0, 1.0])[:, None, None] * (frame.f * np.exp(frame.log_g))
+    return u.swapaxes(0, 1)

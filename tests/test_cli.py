@@ -359,6 +359,46 @@ def test_tune_degenerate_exits_3(tmp_path):
                "--set", "t_ab_inter=1"])
     assert rc == EXIT_NUMERICAL
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, rc, message", [
+    (["tune", "--set", "t_ab=1e200", "--set", "t_ab_inter=1", "--set", "t_ac=1e200",
+      "--set", "t_bc=1"], EXIT_CONFIG, "field 't_ab'"),
+    (["bands", "--set", "t_ab=1e308", "--set", "t_ab_inter=1e308"], EXIT_CONFIG,
+     "field 't_ab'"),
+    (["tune", "--set", "t_ab=1e-100", "--set", "t_ab_inter=1", "--set", "t_ac=1e100",
+      "--set", "t_bc=1e100"], EXIT_NUMERICAL, "flat-band tuning overflows")])
+def test_extreme_tight_binding_values_exit_without_a_traceback(tmp_path, capsys, argv,
+                                                               rc, message):
+    assert main([*argv, "--out", str(tmp_path)]) == rc
+    assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["bands", "tune"])
+@pytest.mark.parametrize("value", ["1.1e100", "-1e200", "inf", "nan"])
+def test_tight_binding_bound_names_the_field(tmp_path, capsys, command, value):
+    # tuning squares and multiplies them: 1e100 is the largest magnitude
+    # whose products stay inside the double range
+    names = [n for n in cli.TIGHT_BINDING_KEYS if not (command == "tune" and n == "eps_c")]
+    for name in names:
+        assert main([command, "--set", f"{name}={value}", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"field '{name}'" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+    # 1e100 itself is taken (tune at these values overflows: exit 3)
+    assert main(["bands", *(a for n in names for a in ("--set", f"{n}=1e100")),
+                 "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.filterwarnings("error")
+def test_tune_reports_a_tuned_eps_c_past_the_input_bound(tmp_path):
+    # t_ac*t_bc/t_ab = 1e150: the flat energies are +-1 and eps_c = 1e150,
+    # all finite; the bound is on the values a user gives, not on eps_c
+    assert main(["tune", "--set", "t_ab=1e-150", "--set", "t_ab_inter=1", "--set", "t_ac=1",
+                 "--set", "t_bc=1", "--out", str(tmp_path)]) == EXIT_OK
+    sols = json.loads((tmp_path / "tune.json").read_text())["solutions"]
+    assert [s["flat_energy"] for s in sols] == pytest.approx([-1.0, 1.0])
+    assert all(s["eps_c"] == pytest.approx(1e150) for s in sols)
+
 
 # --------------------------------------------------------------- susy
 

@@ -15,7 +15,6 @@ from susychain.susy import (
     apply_darboux,
     assemble_frame,
     commutator_potential,
-    seed_columns,
     seed_components,
     transformed_potential,
 )
@@ -83,7 +82,7 @@ def _weighted_diff_ref(z, log_g, grid):
 
 def _frame_stack_ref(rows):
     # a complex (3, 3, n) frame stack entry by entry from its real rows, the
-    # first times i: Uhat from frame.f, (dU/dx) G^{-1} from frame.df, U from F G
+    # first times i: Uhat from frame.f, (dU/dx) G^{-1} from frame.df
     u = np.zeros(rows.shape, dtype=complex)
     for j in range(3):
         u[0, j] = 1j * rows[0, j]
@@ -177,7 +176,7 @@ def test_darboux_engine_equals_its_einsum_formulas(name):
 def test_stack_producers_keep_shape_values_and_flags(name):
     fr = assemble_frame(SEEDS[name], GRID)
     n = GRID.n_points
-    s, t, g = fr.seed, fr.t, np.exp(fr.log_g)
+    s, t = fr.seed, fr.t
     rate = (np.full_like(t, -s.gauge_a), s.kappa0 * t, s.kappa0 * t)
     du_rows = np.empty_like(fr.f)
     for i, j in np.ndindex(3, 3):
@@ -189,11 +188,11 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     assert fr.f_inv.shape == (3, 3, n) and fr.f_inv.flags.c_contiguous
     assert not fr.f_inv.flags.writeable
     assert _same_values(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv_ref(fr))
-    # U's columns, U = Uhat G with its rows times G's entries, built on each
-    # call: [j] is column j
-    cols = seed_columns(fr)
-    assert cols.shape == (3, 3, n) and cols.flags.writeable
-    assert _same_bits(cols, _frame_stack_ref(fr.f * g).swapaxes(0, 1))
+    # Uhat's columns, built on each call: U's columns over G
+    for j in range(3):
+        col = fr.uhat_column(j)
+        assert col.shape == (3, n) and col.flags.writeable
+        assert _same_bits(col, _frame_stack_ref(fr.f)[:, j])
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
                                   0.0, comps.flat_energy)

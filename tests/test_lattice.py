@@ -132,6 +132,20 @@ def test_tune_degenerate_inputs_raise():
         tune_flat_band(TightBindingParams(t_ab=1.0, t_ab_inter=1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cast", [float, np.float64])
+@pytest.mark.parametrize("kwargs", [
+    # the discriminant (2e200)^2 + 4e600 overflows; the roots are near +-1
+    dict(t_ab=1e-100, t_ab_inter=1.0, t_ac=1e100, t_bc=1e100),
+    # t_ac*t_bc/t_ab overflows
+    dict(t_ab=1e-300, t_ab_inter=1.0, t_ac=1.0, t_bc=1.0),
+    dict(t_ab=1e100, t_ab_inter=1e100, t_ac=1e100, t_bc=1e100)])
+def test_tune_overflow_raises_numerical_error(kwargs, cast):
+    p = TightBindingParams(**{k: cast(v) for k, v in kwargs.items()})
+    with pytest.raises(NumericalError, match="overflows the double range"):
+        tune_flat_band(p)
+
+
 nonzero = st.floats(0.05, 3.0).flatmap(
     lambda v: st.sampled_from([v, -v]))
 

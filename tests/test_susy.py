@@ -12,7 +12,7 @@ from susychain.checks import smooth_test_states
 from susychain.continuum import apply_dirac, potential_matrix
 from susychain.errors import NumericalError, SingularFrameError
 from susychain.models import ModelKind, ModelParams, model_potential_components
-from susychain.numcore import Grid, diff_central, integrate_cumulative, quad_roots
+from susychain.numcore import Grid, diff_central, quad_roots
 from susychain.susy import (
     SeedData,
     TransformationFrame,
@@ -20,17 +20,17 @@ from susychain.susy import (
     apply_darboux,
     assemble_frame,
     commutator_potential,
+    darboux_kernel,
     dual_path_difference,
     frame_eigen_residuals,
     frame_factor,
     hermiticity_asymmetry,
     intertwining_residual,
-    seed_columns,
     seed_components,
     transformed_potential,
 )
 
-from reference import inverse_dagger_states
+from reference import integrate_cumulative, inverse_dagger_states, seed_columns
 
 # a frame known to be regular on the whole line (c1 shifts the quadrature
 # constants without affecting the final potential); generic (c0, c1) pairs
@@ -91,12 +91,56 @@ def test_kappa0():
 
 def test_frame_columns_are_seed_eigenstates():
     # the analytic closed forms must satisfy H u = E u with the stencil
-    # residual shrinking at second order
+    # residual shrinking at second order; Uhat's column 0, (-i*m, A, 0), is
+    # constant, so its residual is rounding alone
     res_c = frame_eigen_residuals(_frame())
     res_f = frame_eigen_residuals(_frame(grid=GRID.refined()))
     assert max(res_c) < 1e-4
-    for rc, rf in zip(res_c, res_f):
+    assert max(res_c[0], res_f[0]) < 1e-15
+    for rc, rf in zip(res_c[1:], res_f[1:]):
         assert np.log2(rc / rf) > 1.9
+
+
+def test_eigen_residuals_on_uhat_match_those_on_u_columns():
+    # (H - E_j)(Uhat_j G_j) = G_j (H - E_j - i*gamma*(log G_j)') Uhat_j: on a
+    # box where U stays small, the residual on U's columns over G_j and the
+    # one on Uhat_j are both O(h^2) = 1e-6 here, and differ by less
+    fr = _frame(grid=Grid(-3.0, 3.0, 601))
+    v_seed = seed_components(SEED)
+    energies = (SEED.mass, SEED.flat_energy, SEED.flat_energy)
+    for j, (col, e, res) in enumerate(zip(seed_columns(fr), energies,
+                                          frame_eigen_residuals(fr))):
+        on_u = (apply_dirac(v_seed, col, fr.grid) - e * col) / np.exp(fr.log_g[j])
+        scale = 1.0 + np.abs(fr.uhat_column(j)).max()
+        assert res < 1e-5 and abs(np.abs(on_u).max() / scale - res) < 1e-6
+
+
+def _uhat_eigen_residuals(fr, energies):
+    # frame_eigen_residuals' bracket (H - E_j - i*gamma*(log G_j)') Uhat_j
+    # at chosen energies
+    v_seed = seed_components(fr.seed)
+    res = []
+    for j, (rate, e) in enumerate(zip(fr.log_g_rate, energies)):
+        col = fr.uhat_column(j)
+        r = apply_dirac(v_seed, col, fr.grid) - e * col
+        r[:2] -= 1j * rate * col[1::-1]
+        res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
+    return res
+
+
+def test_negative_control_off_energy_breaks_the_eigen_residual_order():
+    # the bracket reads frame_eigen_residuals' bits at the seed's energies;
+    # with each E_j off by 1e-3*|E_j| it stops shrinking with h
+    s = SEED
+    exact = (s.mass, s.flat_energy, s.flat_energy)
+    frames = _frame(), _frame(grid=GRID.refined())
+    for fr in frames:
+        assert _uhat_eigen_residuals(fr, exact) == frame_eigen_residuals(fr)
+    off = [e * (1.0 + 1e-3) for e in exact]
+    res_c, res_f = (_uhat_eigen_residuals(fr, off) for fr in frames)
+    assert np.log2(max(res_c) / max(res_f)) < 0.5
+    for rc, rf in zip(res_c, res_f):
+        assert np.log2(rc / rf) < 1.0
 
 
 def test_wronskian_constant_semantics():
@@ -304,15 +348,14 @@ def test_frame_cache_matches_per_call_recomputation():
                           commutator_potential(replace(fr)))
         for name in ("f", "det", "f_inv", "df"):
             assert _same_bits(getattr(fr, name), getattr(replace(fr), name))
-        assert _same_bits(seed_columns(fr), seed_columns(replace(fr)))
         fresh = transformed_potential(replace(fr))
         for c in ("v11", "v12", "v13", "v23"):
             assert _same_bits(getattr(transformed_potential(fr), c), getattr(fresh, c))
     for name in ("f", "det", "f_inv"):
         assert getattr(fr, name) is getattr(fr, name)
     assert transformed_potential(fr) is transformed_potential(fr)
-    # df and U's columns are built on each call, not cached
-    assert fr.df is not fr.df and seed_columns(fr) is not seed_columns(fr)
+    # df and Uhat's columns are built on each call, not cached
+    assert fr.df is not fr.df and fr.uhat_column(1) is not fr.uhat_column(1)
 
 
 def test_frame_cache_is_read_only():
@@ -484,11 +527,25 @@ def test_intertwining_residual_holds_one_level_at_a_time(p, n_points, n_levels):
 
 
 def test_darboux_annihilates_frame_columns():
+    # on Uhat: L U_j / G_j = L_j Uhat_j, L_j = G_j^{-1} L G_j
     fr = _frame()
+    assert max(darboux_kernel(fr)) < 1e-8
+    # on U's own columns, with U^{-1} U_j = e_j to rounding
     for col in seed_columns(fr):
         out = apply_darboux(fr, col)
         scale = 1.0 + np.abs(col).max()
         assert np.abs(out).max() / scale < 1e-8
+
+
+def test_negative_control_unshifted_kernel_reads_the_rate_of_g():
+    # without the shift by log G_j, L acts on Uhat_j as on U_j / G_j: it
+    # returns -(log G_j)' Uhat_j, of size kappa0 (A for column 0), not 0
+    fr = _frame()
+    s = SEED
+    for j, scale in enumerate((abs(s.gauge_a), s.kappa0, s.kappa0)):
+        col = fr.uhat_column(j)
+        out = np.abs(apply_darboux(fr, col)).max()
+        assert out > 0.1 * scale * np.abs(col).max()
 
 
 def test_darboux_intertwines_on_eigenstate():
@@ -548,12 +605,11 @@ def test_apply_dirac_matches_row_by_row_operators():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_frame_just_inside_the_double_range_stays_finite():
-    # U and U^{-1}, which the checks on U's own columns build, stay finite
+    # U^{-1}, which the reference states (U^{-1})^dag build, stays finite
     # while (2*kappa0 + A)*20 < log(max double) = 709.8: 689 at m = 9
     for kind in ModelKind:
         p = ModelParams(kind, 9.0, 0.0)
         fr = assemble_frame(p.seed_data(), GRID)
-        assert np.isfinite(seed_columns(fr)).all()
         assert np.isfinite(inverse_dagger_states(fr)[0]).all()  # U^{-1}'s rows
         assert np.isfinite(frame_eigen_residuals(fr)).all()
         stack = transformed_potential(fr).matrix_stack()
@@ -565,7 +621,8 @@ def test_frame_just_inside_the_double_range_stays_finite():
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_frame_past_the_double_range_of_u_matches_model_potential(kind):
     # (2*kappa0 + A)*20 = 727 at m = 9.5, where U leaves the double range;
-    # the potential, the commutator route and L read only Uhat
+    # the potential, the commutator route, L and the checks on U's columns
+    # read only Uhat
     p = ModelParams(kind, 9.5, 0.0)
     fr = assemble_frame(p.seed_data(), GRID)
     stack = transformed_potential(fr).matrix_stack()
@@ -575,6 +632,20 @@ def test_frame_past_the_double_range_of_u_matches_model_potential(kind):
     assert dual_path_difference(fr) <= bound
     residuals, _ = intertwining_residual(fr, _gaussian_states, n_levels=2)
     assert np.isfinite(residuals).all()
+    assert np.isfinite(frame_eigen_residuals(fr)).all()
+    assert max(darboux_kernel(fr)) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_darboux_kernel_stays_at_rounding_on_a_wide_box():
+    # at box 400, (2*kappa0 + A)*400 = 1419: U's columns reach 5e230, and L
+    # on them, taken to rounding of U^{-1} U_j's unit vector, reads 1e216;
+    # L_j on Uhat_j reads rounding alone
+    p = ModelParams(ModelKind.I, 1.0, 0.2)
+    fr = assemble_frame(p.seed_data(), Grid(-400.0, 400.0, 2001))
+    on_u = max(np.abs(apply_darboux(fr, col)).max() for col in seed_columns(fr))
+    assert on_u > 1e200
+    assert max(darboux_kernel(fr)) <= 1e-8
 
 
 # ------------------------------------------------------------ poles
