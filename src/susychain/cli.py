@@ -309,8 +309,6 @@ SUSY_KEYS = {
                  "closed-form model, I or II; unset: the general seed"),
     "gauge_a": Key(_real, REQUIRED, "seed gauge A; general seed only"),
     "c0": Key(_real, 0.0, "quadrature constant of phi1; general seed only"),
-    "c1": Key(_real, 0.0, "quadrature constant of xi1"),
-    "w0": Key(_real, 1.0, "scale of phi1's quadrature"),
     "box": Key(_positive, 20.0, "half-width of the potential table"),
     "grid_points": Key(_count(3), 2001, "points of the potential table"),
 }
@@ -320,14 +318,13 @@ def _seed_and_frame(st):
     if st["model"] is None:
         p = None
         seed = susy.SeedData(mass=st["mass"], flat_energy=st["flat_energy"],
-                             gauge_a=st["gauge_a"], c0=st["c0"], c1=st["c1"],
-                             w0=st["w0"])
+                             gauge_a=st["gauge_a"], c0=st["c0"])
     else:
         fixed = [k for k in ("gauge_a", "c0") if k in st.values]
         if fixed:
             raise ConfigError(f"field '{fixed[0]}': model {st['model']} fixes it")
         p = _model_params(st)
-        seed = p.seed_data(w0=st["w0"], c1=st["c1"])
+        seed = p.seed_data()
     grid = Grid(-st["box"], st["box"], st["grid_points"])
     return p, seed, assemble_frame(seed, grid)
 

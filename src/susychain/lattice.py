@@ -140,9 +140,8 @@ def tune_flat_band(p):
     p1 = -r * (p.eps_a + p.eps_b) + p.t_bc**2 + p.t_ac**2
     p0 = (p.eps_a * p.eps_b * r - p.eps_a * p.t_bc**2 - p.eps_b * p.t_ac**2
           - (p.t_ab**2 + p.t_ab_inter**2) * r + 2 * p.t_ab * p.t_ac * p.t_bc)
-    res = quad_roots(p2, p1, p0)
     solutions = []
-    for e_flat in res.roots:
+    for e_flat in quad_roots(p2, p1, p0):
         eps_c = e_flat + r
         quad_lin = e_flat - (p.eps_a + p.eps_b + eps_c)
         quad_cos = -2 * p.t_ab * p.t_ab_inter

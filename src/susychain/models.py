@@ -1,9 +1,8 @@
 """The two closed-form coupled-chain models.
 
 Both are two-parameter (mass m, flat energy lambda) specializations of the
-Darboux engine in which the quadrature constants are chosen so that w0 and
-c1 drop out of the final potential. They serve as analytic oracles for the
-general pipeline.
+Darboux engine, each with its own quadrature constant c0 = omega. They serve
+as analytic oracles for the general pipeline.
 
 Model I:  gauge A = sqrt(m(m - lambda)), kappa = sqrt((m - lambda)(2m + lambda)).
           Regular for -2m < lambda < m (m > 0). Continuum spectrum
@@ -65,16 +64,10 @@ class ModelParams:
             return -4 * m / (np.sqrt(m * (m - lam)) * (2 * m + lam))
         return -2 * (2 * m - lam) / (2 * m**2 - lam**2)
 
-    def seed_data(self, w0=1.0, c1=0.0):
+    def seed_data(self):
         """SeedData realizing this model in the general engine."""
-        return SeedData(
-            mass=self.mass,
-            flat_energy=self.flat_energy,
-            gauge_a=self.gauge_a,
-            c0=w0 * self.omega + c1,
-            c1=c1,
-            w0=w0,
-        )
+        return SeedData(mass=self.mass, flat_energy=self.flat_energy,
+                        gauge_a=self.gauge_a, c0=self.omega)
 
 
 def validate_params(p):

@@ -1,7 +1,7 @@
 """Shared numerical kernels: grids, stencils, quadratic roots, eigensolvers.
 
-Everything here is a pure function of its inputs. `Grid` and `QuadRoots`
-are immutable; `BandedHermitian` is a plain holder of real band storage
+Everything here is a pure function of its inputs. `Grid` is immutable;
+`BandedHermitian` is a plain holder of real band storage
 that no function here writes to. The banded eigensolvers call five LAPACK
 and BLAS routines (dsbtrd, dsterf, dgbtrf, dgbtrs, dsbmv) in numpy's own
 OpenBLAS (`_lapack`), so nothing here imports scipy.
@@ -9,7 +9,6 @@ OpenBLAS (`_lapack`), so nothing here imports scipy.
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -344,34 +343,32 @@ def diff_central(samples, grid):
     return d
 
 
-class QuadRoots(NamedTuple):
-    roots: tuple
-    discriminant: float
-
-
 def quad_roots(p2, p1, p0):
-    """Real roots of p2*y^2 + p1*y + p0, ascending.
+    """Real roots of p2*y^2 + p1*y + p0, ascending, as a tuple.
 
     Uses the q = -(p1 + sign(p1)*sqrt(disc))/2 form so neither root suffers
-    cancellation. Degenerate p2 = 0 falls back to the linear solution.
+    cancellation. Degenerate p2 = 0 falls back to the linear solution. The
+    coefficients are first scaled by the power of two that puts the largest
+    in [0.5, 1), so the discriminant of finite coefficients is finite. The
+    scaling is exact, and leaves the roots' bits as they are, unless a
+    coefficient is below 2^-1022 times the largest.
     """
     if p2 == 0.0 and p1 == 0.0 and p0 == 0.0:
         raise NumericalError("quad_roots: all coefficients zero")
+    e = -np.frexp(max(abs(p2), abs(p1), abs(p0)))[1]
+    p2, p1, p0 = (float(np.ldexp(p, e)) for p in (p2, p1, p0))
     if p2 == 0.0:
         if p1 == 0.0:
-            return QuadRoots((), np.inf)  # p0 != 0: no roots
-        return QuadRoots((-p0 / p1,), np.nan)
+            return ()  # p0 != 0: no roots
+        return (-p0 / p1,)
     disc = p1 * p1 - 4.0 * p2 * p0
     if disc < 0.0:
-        return QuadRoots((), disc)
+        return ()
     s = np.sqrt(disc)
     if p1 >= 0.0:
         q = -0.5 * (p1 + s)
     else:
         q = -0.5 * (p1 - s)
     if q == 0.0:  # p1 == 0 and p0 == 0
-        r = (0.0, 0.0) if disc == 0.0 else tuple(sorted((-s / (2 * p2), s / (2 * p2))))
-        return QuadRoots(r, disc)
-    r1 = q / p2
-    r2 = p0 / q
-    return QuadRoots(tuple(sorted((r1, r2))), disc)
+        return (0.0, 0.0) if disc == 0.0 else tuple(sorted((-s / (2 * p2), s / (2 * p2))))
+    return tuple(sorted((q / p2, p0 / q)))

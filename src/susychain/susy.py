@@ -18,8 +18,10 @@ Uhat, as G cancels from V_new, from (dU/dx) U^{-1} and from L's stencil
 weights; det Uhat = i*q(t) with q quadratic, so the seed's poles are the
 roots of q in (-1, 1), found in closed form.
 
-Convention note: phi2*psi1 - phi1*psi2 = w0 / (mass - flat_energy), and the
-hermitization integral takes (mass - flat_energy) times it: w0.
+L and V_new see U only up to a constant right factor that mixes the two
+flat-level columns, so the seed fixes phi1's quadrature scale at 1 and
+xi1's constant at 0: c0 alone sets the frame, with phi2*psi1 - phi1*psi2 =
+1 / (mass - flat_energy).
 """
 
 from dataclasses import dataclass, replace
@@ -37,15 +39,13 @@ SINGULARITY_REL_TOL = 1e-8
 @dataclass(frozen=True)
 class SeedData:
     """Constants of the decoupled seed Hamiltonian and its eigencolumns:
-    column 0 sits at energy mass, columns 1 and 2 at flat_energy; c0 and c1
-    are the quadrature constants of phi1 and xi1, and w0 scales phi1's."""
+    column 0 sits at energy mass, columns 1 and 2 at flat_energy; c0 is
+    the quadrature constant of phi1."""
 
     mass: float
     flat_energy: float
     gauge_a: float
     c0: float = 0.0
-    c1: float = 0.0
-    w0: float = 1.0
 
     def __post_init__(self):
         for name in ("mass", "flat_energy", "gauge_a"):
@@ -54,13 +54,10 @@ class SeedData:
                 raise NumericalError(
                     f"{name} = {value!r} must be finite with magnitude at most "
                     f"{MAX_PARAM:g}")
-        for name in ("w0", "c1", "c0"):  # c0 last: a model computes it from w0 and c1
-            if not np.isfinite(getattr(self, name)):
-                raise NumericalError(f"{name} = {getattr(self, name)!r} must be finite")
+        if not np.isfinite(self.c0):
+            raise NumericalError(f"c0 = {self.c0!r} must be finite")
         if abs(self.flat_energy) == abs(self.mass):
             raise NumericalError("|flat_energy| must differ from |mass|")
-        if self.w0 == 0.0:
-            raise NumericalError("w0 = 0 makes the two flat-level seeds dependent")
         if self.kappa0_sq <= 0.0:
             raise NumericalError(f"kappa0^2 = {self.kappa0_sq:.3e} <= 0: "
                                  "oscillatory seeds unsupported")
@@ -76,7 +73,7 @@ class SeedData:
     @property
     def wronskian_constant(self):
         """Actual value of phi2*psi1 - phi1*psi2."""
-        return self.w0 / (self.mass - self.flat_energy)
+        return 1.0 / (self.mass - self.flat_energy)
 
 
 def seed_components(s):
@@ -88,17 +85,16 @@ def frame_factor(s):
     """The rows uhat0, uhat1 (without the first row's factor i) of the seed
     frame U = (uhat0 + t*uhat1) G, and q = (q2, q1, q0) with det Uhat / i =
     q(t). Plain arithmetic on s's fields: symbols give symbolic constants."""
-    m, a, k0, w0, c0, c1 = s.mass, s.gauge_a, s.kappa0, s.w0, s.c0, s.c1
+    m, a, k0, c0 = s.mass, s.gauge_a, s.kappa0, s.c0
     d = s.mass - s.flat_energy
     # columns (-i*m, A, 0) and (i*psi_a, phi_a, xi_a) over G: phi2 = xi2 =
-    # cosh, phi1 by reduction of order, psi_a = (phi_a' + A*phi_a)/d, and
-    # xi1 = xi2*(c1 - w0*tanh/kappa0) hermitizes V_new
-    uhat0 = ((-m, (w0 + a * c0) / d, a / d), (a, c0, 1), (0, c1, 1))
-    uhat1 = ((0, (k0 * c0 + a * w0 / k0) / d, k0 / d), (0, w0 / k0, 0), (0, -w0 / k0, 0))
-    delta = c0 - c1
-    q = (-(a * w0 / d),
-         -(2 * m * w0 / k0 + a / d * (k0 * delta + 2 * a * w0 / k0)),
-         -(m * delta + a / d * (w0 + a * delta)))
+    # cosh, phi1 = cosh*(c0 + tanh/kappa0) by reduction of order, psi_a =
+    # (phi_a' + A*phi_a)/d, and xi1 = -xi2*tanh/kappa0 hermitizes V_new
+    uhat0 = ((-m, (1 + a * c0) / d, a / d), (a, c0, 1), (0, 0, 1))
+    uhat1 = ((0, (k0 * c0 + a / k0) / d, k0 / d), (0, 1 / k0, 0), (0, -1 / k0, 0))
+    q = (-(a / d),
+         -(2 * m / k0 + a / d * (k0 * c0 + 2 * a / k0)),
+         -(m * c0 + a / d * (1 + a * c0)))
     return uhat0, uhat1, q
 
 
@@ -168,6 +164,7 @@ class TransformationFrame:
         return np.exp(-np.diff(self.log_g)), np.exp(np.diff(self.log_g))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite component is raised below
     def _potential(self):
         # the closed-form ratios documented at transformed_potential
         s, den = self.seed, self.det
@@ -180,6 +177,9 @@ class TransformationFrame:
         v13 = pref * psi0 * w_flip / den
         v23 = -pref * phi0 * w_flip / den
         v11 = -s.mass + pref * (psi0 * q_phi + phi0 * q_psi) / den
+        if not np.isfinite((v11, v12, v13, v23)).all():
+            raise NumericalError("the transformed potential overflows the double range: "
+                                 "shrink the mass or c0")
         return PotentialComponents(*map(_frozen, (v11, v12, v13, v23)), s.flat_energy)
 
     @property
@@ -223,11 +223,18 @@ def assemble_frame(s, grid):
     log_cosh = k0x + np.log1p(np.exp(-2.0 * k0x)) - np.log(2.0)
     frame = TransformationFrame(grid, s, uhat0, uhat1, np.tanh(k0 * x),
                                 np.stack([-s.gauge_a * x, log_cosh, log_cosh]))
-    det, hadamard = frame.det, np.sqrt((frame.f**2).sum(axis=0)).prod(axis=0)
+    # each column at each point scaled by the power of two that puts its
+    # largest entry in [0.5, 1): exact, and no square or product overflows.
+    # max and -min give that entry without a (3, 3, n) copy of |F|
+    e = -np.frexp(np.maximum(frame.f.max(axis=0), -frame.f.min(axis=0)))[1]
+    scaled = np.ldexp(frame.f, e)
+    scaled *= scaled
+    hadamard = np.sqrt(scaled.sum(axis=0)).prod(axis=0)
+    det = np.ldexp(frame.det, e.sum(axis=0))
     if (np.abs(det) < SINGULARITY_REL_TOL * hadamard).any():
         i = int(np.argmax(hadamard / np.maximum(np.abs(det), 1e-300)))
-        raise SingularFrameError(x[i], float(np.abs(det[i])))
-    for t in quad_roots(*q).roots:
+        raise SingularFrameError(x[i], float(np.abs(frame.det[i])))
+    for t in quad_roots(*q):
         if abs(t) < 1.0:
             raise SingularFrameError(float(np.arctanh(t)) / k0, 0.0)
     return frame

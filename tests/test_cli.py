@@ -592,7 +592,7 @@ def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
 
 @pytest.mark.parametrize("field,value", [("mass", "1e200"), ("gauge_a", "-1e200"),
                                          ("flat_energy", "1e101"), ("mass", "nan"),
-                                         ("c0", "nan"), ("c1", "inf"), ("w0", "nan")])
+                                         ("c0", "nan")])
 def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):
     settings = {"mass": "0.3", "gauge_a": "1", "flat_energy": "0.1", field: value}
     argv = ["susy", "--out", str(tmp_path)]
@@ -604,16 +604,53 @@ def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):
     assert not (tmp_path / "susy_potential.csv").exists()
 
 
-@pytest.mark.parametrize("field,value", [("w0", "nan"), ("c1", "inf"), ("w0", "-inf")])
-def test_susy_model_seed_non_finite_constant_exits_3(tmp_path, capsys, field, value):
-    # a model computes c0 from w0 and c1, so the error names the field set
-    argv = ["susy", "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07",
-            "--set", f"{field}={value}"]
+# the golden general seed but for c0
+GENERAL_SEED_NO_C0 = ["--set", "mass=0.3", "--set", "gauge_a=0.2", "--set", "flat_energy=0.1"]
+
+
+@pytest.mark.parametrize("seed", [MODEL_I, [*GENERAL_SEED_NO_C0, "--set", "c0=-20"]])
+@pytest.mark.parametrize("key", ["c1", "w0"])
+def test_susy_has_no_column_gauge_keys(tmp_path, capsys, seed, key):
+    # L and V_new see the seed frame only up to a constant right factor
+    # that mixes the flat-level columns: the seed is mass, flat_energy,
+    # gauge_a and c0, and a key for that factor is unknown
+    assert main(["susy", "--out", str(tmp_path), *seed, "--set", f"{key}=2"]) == EXIT_CONFIG
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c0", ["1e200", "1e300", "-1e300"])
+def test_susy_regular_seed_with_a_huge_c0_runs(tmp_path, c0):
+    # q's roots sit at about -3.46*c0 and -1.443, off (-1, 1): the seed is
+    # regular. The Hadamard bound of Uhat's columns squares entries of
+    # ~c0, and q's discriminant squares ~c0 too; both scale by powers of
+    # two first, so the table is c0 = 1e150's to rounding
+    def table(value, out):
+        argv = ["susy", *GENERAL_SEED_NO_C0, "--set", f"c0={value}", "--grid-points", "401"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        return read_csv(out / "susy_potential.csv")[1]
+
+    want = table("1e150", tmp_path / "ref")
+    got = table(c0, tmp_path / "big")
+    assert np.abs(got - want).max() <= 1e-15
+    rep = _strict_json((tmp_path / "big" / "susy_verify.json").read_text())
+    assert rep["hermiticity_max_asymmetry"] < 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [("1e40", "5e39", "0", "1e250"),
+                                  ("1.479e81", "1.4634e81", "0", "-1.66e152")])
+def test_susy_overflowing_potential_exits_3_naming_it(tmp_path, capsys, seed):
+    # a regular frame whose closed-form ratios overflow: pref*psi0*q_psi
+    # passes the double range before it is divided by det Uhat
+    argv = ["susy", "--out", str(tmp_path)]
+    for key, value in zip(("mass", "flat_energy", "gauge_a", "c0"), seed):
+        argv += ["--set", f"{key}={value}"]
     assert main(argv) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert f"{field} = " in err and "finite" in err and "c0" not in err
-    assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "susy_potential.csv").exists()
+    assert capsys.readouterr().err == ("error: the transformed potential overflows the "
+                                       "double range: shrink the mass or c0\n")
+    assert not os.listdir(tmp_path)
 
 
 # ------------------------------------------------------------ spectrum

@@ -679,21 +679,35 @@ def test_diff_central_complex_input():
 
 def test_quad_roots_simple():
     res = quad_roots(1.0, -3.0, 2.0)  # (x-1)(x-2)
-    np.testing.assert_allclose(res.roots, [1.0, 2.0], atol=1e-14)
-    assert res.discriminant == pytest.approx(1.0)
+    np.testing.assert_allclose(res, [1.0, 2.0], atol=1e-14)
 
 
 def test_quad_roots_linear_and_none():
     res = quad_roots(0.0, 2.0, -4.0)
-    np.testing.assert_allclose(res.roots, [2.0])
-    assert quad_roots(1.0, 0.0, 1.0).roots == ()
+    np.testing.assert_allclose(res, [2.0])
+    assert quad_roots(1.0, 0.0, 1.0) == ()
 
 
 def test_quad_roots_cancellation():
     # naive formula loses ~8 digits here; the stable form must not
     res = quad_roots(1.0, -1e8, 1.0)
-    small = min(res.roots)
+    small = min(res)
     assert small == pytest.approx(1e-8, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+def test_quad_roots_are_scale_free(k):
+    # (y + 1.5)(y - 2) and (y - 0.25)^2 times 2^k: from |k| = 600 on their
+    # discriminants leave the double range unscaled; the roots keep their bits
+    for coeffs, want in [((1.0, -0.5, -3.0), (-1.5, 2.0)),
+                         ((1.0, -0.5, 0.0625), (0.25, 0.25))]:
+        p2, p1, p0 = (np.ldexp(c, k) for c in coeffs)
+        assert quad_roots(p2, p1, p0) == want
+        if abs(k) >= 600:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                disc = p1 * p1 - 4.0 * p2 * p0
+            assert not (np.isfinite(disc) and disc > 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -706,7 +720,7 @@ def test_quad_roots_reconstructs_factored_polynomials(a, r1, r2):
     # rounding can push the discriminant of a near-double root negative
     assume(abs(r1 - r2) > 1e-3 * (1.0 + abs(r1) + abs(r2)))
     res = quad_roots(a, -a * (r1 + r2), a * r1 * r2)
-    got = sorted(res.roots)
+    got = sorted(res)
     want = sorted([r1, r2])
     scale = 1.0 + max(abs(r1), abs(r2))
     assert len(got) == 2

@@ -32,10 +32,9 @@ from susychain.susy import (
 
 from reference import integrate_cumulative, inverse_dagger_states, seed_columns
 
-# a frame known to be regular on the whole line (c1 shifts the quadrature
-# constants without affecting the final potential); generic (c0, c1) pairs
-# can give q(t) a root in (-1, 1), a pole, which assemble_frame refuses
-SEED = ModelParams(ModelKind.I, 0.3, 0.06).seed_data(c1=0.1)
+# a frame known to be regular on the whole line; a generic c0 can give q(t)
+# a root in (-1, 1), a pole, which assemble_frame refuses
+SEED = ModelParams(ModelKind.I, 0.3, 0.06).seed_data()
 GRID = Grid(-20.0, 20.0, 801)
 
 
@@ -66,8 +65,6 @@ def test_seed_data_validation():
         SeedData(mass=0.1, flat_energy=0.1, gauge_a=0.2)
     with pytest.raises(NumericalError):
         SeedData(mass=0.1, flat_energy=-0.1, gauge_a=0.2)
-    with pytest.raises(NumericalError):
-        SeedData(mass=0.1, flat_energy=0.0, gauge_a=0.2, w0=0.0)
     with pytest.raises(NumericalError):
         # kappa0^2 = a^2 + m^2 - lam^2 <= 0
         SeedData(mass=0.1, flat_energy=0.3, gauge_a=0.1)
@@ -145,10 +142,10 @@ def test_negative_control_off_energy_breaks_the_eigen_residual_order():
 
 def test_wronskian_constant_semantics():
     # phi2*psi1 - phi1*psi2 is constant in x on U's columns and equals
-    # w0/(m - lambda); on Uhat's, which are U's over cosh, it is that
+    # 1/(m - lambda); on Uhat's, which are U's over cosh, it is that
     # constant times sech^2 = 1 - t^2
     fr = _frame()
-    want = SEED.w0 / (SEED.mass - SEED.flat_energy)
+    want = 1.0 / (SEED.mass - SEED.flat_energy)
     (_, psi1, psi2), (_, phi1, phi2), _ = fr.f
     np.testing.assert_allclose(phi2 * psi1 - phi1 * psi2, want * (1.0 - fr.t**2),
                                rtol=0.0, atol=1e-14)
@@ -186,13 +183,13 @@ def test_analytic_derivatives_match_stencil():
 
 
 def test_xi1_closed_form_vs_quadrature():
-    # xi1 = xi2 * (c1 - w * Integral dx/xi2^2) with w = (m - lambda) times
-    # the actual Wronskian constant; the frame takes the integral in
-    # closed form, the trapezoid here
+    # xi1 = -xi2 * w * Integral dx/xi2^2 with w = (m - lambda) times the
+    # actual Wronskian constant; the frame takes the integral in closed
+    # form, the trapezoid here
     cols = seed_columns(_frame())
     xi1, xi2 = cols[1, 2].real, cols[2, 2].real
     w = (SEED.mass - SEED.flat_energy) * SEED.wronskian_constant
-    numeric = xi2 * (SEED.c1 - w * integrate_cumulative(1.0 / xi2**2, GRID))
+    numeric = -xi2 * w * integrate_cumulative(1.0 / xi2**2, GRID)
     np.testing.assert_allclose(numeric, xi1, atol=1e-6 * (1 + np.abs(xi1).max()))
 
 
@@ -227,42 +224,40 @@ def _closed_form_uhat(s, t):
     # a + t*b of its column (psi_a = (phi_a' + A*phi_a)/(m - lambda), phi1
     # by reduction of order, xi1 hermitizing) in the frame's operation
     # order; the bitwise reference for frame.f
-    m, a, k0 = s.mass, s.gauge_a, s.kappa0
-    w0, c0, c1 = s.w0, s.c0, s.c1
+    m, a, k0, c0 = s.mass, s.gauge_a, s.kappa0, s.c0
     d = s.mass - s.flat_energy
     const, zero = np.ones_like(t), np.zeros_like(t)
     return np.array([
-        [-m * const, (w0 + a * c0) / d + t * ((k0 * c0 + a * w0 / k0) / d),
+        [-m * const, (1 + a * c0) / d + t * ((k0 * c0 + a / k0) / d),
          a / d + t * (k0 / d)],
-        [a * const, c0 + t * (w0 / k0), const],
-        [zero, c1 + t * (-w0 / k0), const],
+        [a * const, c0 + t * (1 / k0), const],
+        [zero, zero + t * (-1 / k0), const],
     ])
 
 
 def _reference_frame_samples(s, x):
     # every sample of U as one closed form per function, as the frame
     # sampled U before it sampled Uhat: psi1 divides by cosh where dphi1
-    # multiplies by sech, and w is not simplified to w0. Returns the rows
+    # multiplies by sech, and w is not simplified to 1. Returns the rows
     # of U without the factor i, the rows of dU/dx, and det U / i
-    m, a, k0 = s.mass, s.gauge_a, s.kappa0
-    w0, c0, c1 = s.w0, s.c0, s.c1
+    m, a, k0, c0 = s.mass, s.gauge_a, s.kappa0, s.c0
     denom = s.mass - s.flat_energy
     w = (s.mass - s.flat_energy) * s.wronskian_constant
     ch, sh, th = np.cosh(k0 * x), np.sinh(k0 * x), np.tanh(k0 * x)
     sech = 1.0 / ch
-    phi1 = ch * (w0 * th / k0 + c0)
-    dphi1 = sh * (w0 * th + k0 * c0) + w0 * sech
+    phi1 = ch * (th / k0 + c0)
+    dphi1 = sh * (th + k0 * c0) + sech
     psi0 = -m * np.exp(-a * x)
     phi0 = a * np.exp(-a * x)
-    psi1 = (sh * (w0 * th + k0 * c0) + w0 / ch + a * phi1) / denom
+    psi1 = (sh * (th + k0 * c0) + 1 / ch + a * phi1) / denom
     psi2 = (k0 * sh + a * ch) / denom
-    xi1 = ch * (c1 - w * th / k0)
+    xi1 = ch * (-w * th / k0)
     zero = np.zeros_like(x)
     f = [[psi0, psi1, psi2], [phi0, phi1, ch], [zero, xi1, ch]]
     df = [[a * m * np.exp(-a * x), (k0**2 * phi1 + a * dphi1) / denom,
            (k0**2 * ch + a * (k0 * sh)) / denom],
           [-(a**2) * np.exp(-a * x), dphi1, k0 * sh],
-          [zero, k0 * sh * (c1 - w * th / k0) - w * sech, k0 * sh]]
+          [zero, k0 * sh * (-w * th / k0) - w * sech, k0 * sh]]
     det = psi0 * (phi1 * ch - ch * xi1) - phi0 * (psi1 * ch - psi2 * xi1)
     return np.array(f), np.array(df), det
 
@@ -274,12 +269,11 @@ def _sup_rel(got, want):
                                want.reshape(-1, want.shape[-1])) if w.any())
 
 
-# w0 is chosen so that (m - lambda) * (w0 / (m - lambda)) != w0 in double
-# precision, which the old formulas keep unsimplified
+# Models I and II, and the general seed of the CLI's susy tests
 FRAME_SEEDS = [
-    ModelParams(ModelKind.I, 0.07, 0.0).seed_data(w0=1.7, c1=0.1),
-    ModelParams(ModelKind.II, 0.1, 0.05).seed_data(w0=1.7, c1=-0.4),
-    SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.2, c0=-20.0, c1=-0.2, w0=0.9),
+    ModelParams(ModelKind.I, 0.07, 0.0).seed_data(),
+    ModelParams(ModelKind.II, 0.1, 0.05).seed_data(),
+    SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.2, c0=-20.0),
 ]
 
 
@@ -300,6 +294,39 @@ def test_frame_samples_match_closed_forms_bitwise(seed, grid):
     # det Uhat / i is q(t)
     q = np.polyval(np.array(frame_factor(seed)[2]), t)
     assert np.abs(fr.det / q - 1.0).max() < 4e-15
+
+
+# --------------------------------------------------------- column gauge
+
+def _potentials(fr):
+    return transformed_potential(fr).matrix_stack(), commutator_potential(fr)
+
+
+def _right_factor_gap(seed, c):
+    # each route's largest change, relative to 1 + max|V_new|, when the frame
+    # of U is swapped for the frame of U*C, C a constant 3x3 right factor
+    fr = assemble_frame(seed, GRID)
+    moved = replace(fr, uhat0=fr.uhat0 @ c, uhat1=fr.uhat1 @ c)
+    return [np.abs(b - a).max() / (1.0 + np.abs(a).max())
+            for a, b in zip(_potentials(fr), _potentials(moved))]
+
+
+@pytest.mark.parametrize("seed", FRAME_SEEDS)
+def test_flat_level_column_gauge_leaves_v_new_alone(seed):
+    # C mixes only columns 1 and 2, which share the energy lambda and the
+    # scale cosh(kappa0*x): L = U d/dx U^{-1} and V_new do not see it, so
+    # the seed needs no constant beyond c0
+    c = np.array([[1.0, 0.0, 0.0], [0.0, 1.7, 0.0], [0.0, -0.4, 1.0]])
+    assert max(_right_factor_gap(seed, c)) < 1e-14
+
+
+@pytest.mark.parametrize("seed", FRAME_SEEDS)
+def test_negative_control_mixing_column_0_moves_v_new(seed):
+    # column 0 sits at energy mass with scale e^{-Ax}: mixing it into
+    # column 1 is no gauge, and both routes see it
+    c = np.eye(3)
+    c[0, 1] = 0.3
+    assert min(_right_factor_gap(seed, c)) > 1e-5
 
 
 # ---------------------------------------------------------- frame cache
@@ -661,9 +688,9 @@ def test_golden_general_seed_of_old_has_a_pole_at_x_minus_1_23():
 
 
 def test_root_at_the_end_of_the_line_is_no_pole():
-    # A = 0 and kappa0 = 4, so q(t) = -5*t - 5*(c0 - c1) exactly
-    seed = SeedData(mass=5.0, flat_energy=3.0, gauge_a=0.0, c0=-1.0, w0=2.0)
-    assert quad_roots(*frame_factor(seed)[2]).roots == (1.0,)
+    # A = 0 and kappa0 = 4, so q(t) = -2.5*t - 5*c0 exactly
+    seed = SeedData(mass=5.0, flat_energy=3.0, gauge_a=0.0, c0=-0.5)
+    assert quad_roots(*frame_factor(seed)[2]) == (1.0,)
     # t = 1 is x = +inf: the seed is regular on the line
     fr = assemble_frame(seed, Grid(-2.0, 2.0, 201))
     assert (fr.det > 0.0).all()
@@ -674,8 +701,8 @@ def test_root_at_the_end_of_the_line_is_no_pole():
     assert err.value.value == 0.0 and 4.0 < err.value.x <= 20.0
     # a root inside (-1, 1), if only by one rounding, is a pole wherever
     # the box is
-    inside = replace(seed, c0=-(1.0 - 2.0**-52))
-    (t,) = quad_roots(*frame_factor(inside)[2]).roots
+    inside = replace(seed, c0=-0.5 * (1.0 - 2.0**-52))
+    (t,) = quad_roots(*frame_factor(inside)[2])
     assert 1.0 - 2.0**-51 < t < 1.0
     with pytest.raises(SingularFrameError) as err:
         assemble_frame(inside, Grid(-2.0, 2.0, 201))
@@ -690,8 +717,8 @@ def test_rounding_roots_near_the_model_ii_limit_are_refused():
     found = 0
     for eps in np.geomspace(1e-15, 1e-8, 15):
         for lam in (0.43 * (1.0 - eps), 0.43 * (1.0 + eps)):
-            seed = ModelParams(ModelKind.II, 0.43, lam).seed_data(w0=0.7, c1=0.3)
-            if not any(abs(t) < 1.0 for t in quad_roots(*frame_factor(seed)[2]).roots):
+            seed = ModelParams(ModelKind.II, 0.43, lam).seed_data()
+            if not any(abs(t) < 1.0 for t in quad_roots(*frame_factor(seed)[2])):
                 continue
             found += 1
             for box in (1.0, 20.0):
@@ -717,27 +744,25 @@ def test_inverse_dagger_states_are_eigenstates():
 
 # ----------------------------------------------------- property tests
 
-def _seed(m, frac, a, c0, c1, w0):
-    return SeedData(mass=m, flat_energy=frac * m, gauge_a=a, c0=c0, c1=c1, w0=w0)
+def _seed(m, frac, a, c0):
+    return SeedData(mass=m, flat_energy=frac * m, gauge_a=a, c0=c0)
 
 
-def _regular_seed(m, frac, a, c1, w0, side, margin):
-    # q(t) = P(t) - delta*R(t) with delta = c0 - c1. R(t) = m + A*(A +
-    # kappa0*t)/(m - lambda) is linear and has no root in [-1, 1], since
-    # (m*(m - lambda) + A^2)^2 - (A*kappa0)^2 = (m - lambda)^2*(m^2 + A^2)
-    # > 0; so |delta| > max|P| / min|R| over [-1, 1] leaves q no root there
-    p = np.array(frame_factor(_seed(m, frac, a, c1, c1, w0))[2])
-    r = p - np.array(frame_factor(_seed(m, frac, a, c1 + 1.0, c1, w0))[2])
+def _regular_seed(m, frac, a, side, margin):
+    # q(t) = P(t) - c0*R(t). R(t) = m + A*(A + kappa0*t)/(m - lambda) is
+    # linear and has no root in [-1, 1], since (m*(m - lambda) + A^2)^2 -
+    # (A*kappa0)^2 = (m - lambda)^2*(m^2 + A^2) > 0; so |c0| > max|P| /
+    # min|R| over [-1, 1] leaves q no root there
+    p = np.array(frame_factor(_seed(m, frac, a, 0.0))[2])
+    r = p - np.array(frame_factor(_seed(m, frac, a, 1.0))[2])
     bound = np.abs(p).sum() / min(abs(r[1] + r[2]), abs(r[2] - r[1]))
-    return _seed(m, frac, a, c1 + side * (1.5 + margin) * bound, c1, w0)
+    return _seed(m, frac, a, side * (1.5 + margin) * bound)
 
 
 SEED_RANGES = dict(
     m=st.floats(0.05, 0.3),
     frac=st.floats(-0.9, 0.9),
     a=st.floats(0.05, 0.5),
-    c1=st.floats(-1.5, 1.5),
-    w0=st.floats(0.2, 2.0),
 )
 regular_seed = st.builds(_regular_seed, side=st.sampled_from([-1.0, 1.0]),
                          margin=st.floats(0.0, 3.0), **SEED_RANGES)
@@ -762,7 +787,7 @@ def test_root_of_q_in_open_interval_iff_sampled_det_changes_sign(seed):
     uhat0, uhat1, q = (np.array(c) for c in frame_factor(seed))
     det = TransformationFrame(grid, seed, uhat0, uhat1, np.tanh(k0 * grid.x),
                               np.zeros((3, grid.n_points))).det
-    poles = [np.arctanh(t) / k0 for t in quad_roots(*q).roots if abs(t) < 1.0]
+    poles = [np.arctanh(t) / k0 for t in quad_roots(*q) if abs(t) < 1.0]
     # two poles within a few samples of each other would cancel their flips
     assume(len(poles) < 2 or abs(poles[1] - poles[0]) > 4 * grid.h)
     flips = np.flatnonzero(np.signbit(det[1:]) != np.signbit(det[:-1]))

@@ -3,7 +3,7 @@
 susy.frame_factor takes its seed's fields by plain arithmetic, so given
 sympy symbols it returns the symbolic constants uhat0 and uhat1 and the
 coefficients of q. The tests prove, for every seed:
-det(uhat0 + t*uhat1) = i*q(t), Uhat's Wronskian is w0/(m - lambda)*(1 - t^2),
+det(uhat0 + t*uhat1) = i*q(t), Uhat's Wronskian is (1 - t^2)/(m - lambda),
 and the columns of U = Uhat*diag(e^{-Ax}, cosh(kappa0*x), cosh(kappa0*x))
 with t = tanh(kappa0*x) solve the seed equation at energies (m, lambda,
 lambda) once kappa0^2 = A^2 + m^2 - lambda^2.
@@ -15,10 +15,8 @@ import sympy as sp
 
 from susychain.susy import frame_factor
 
-m, lam, a, k0, w0, c0, c1, t, x, e = sp.symbols(
-    "m lambda A kappa0 w0 c0 c1 t x E", real=True)
-SEED = SimpleNamespace(mass=m, flat_energy=lam, gauge_a=a, kappa0=k0,
-                       w0=w0, c0=c0, c1=c1)
+m, lam, a, k0, c0, t, x, e = sp.symbols("m lambda A kappa0 c0 t x E", real=True)
+SEED = SimpleNamespace(mass=m, flat_energy=lam, gauge_a=a, kappa0=k0, c0=c0)
 _UHAT0, _UHAT1, (Q2, Q1, Q0) = frame_factor(SEED)
 UHAT0, UHAT1 = sp.Matrix(_UHAT0), sp.Matrix(_UHAT1)
 # the first row of U and Uhat carries the factor i
@@ -29,7 +27,7 @@ def test_det_uhat_is_q_and_its_wronskian_is_w_sech2():
     rows = UHAT0 + t * UHAT1
     assert sp.cancel((ROW_PHASE * rows).det() - sp.I * (Q2 * t**2 + Q1 * t + Q0)) == 0
     wronskian = rows[1, 2] * rows[0, 1] - rows[1, 1] * rows[0, 2]
-    assert sp.cancel(wronskian - w0 / (m - lam) * (1 - t**2)) == 0
+    assert sp.cancel(wronskian - (1 - t**2) / (m - lam)) == 0
 
 
 def test_columns_of_u_solve_the_seed_equation():
