@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central
+from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, real_array
 
 GAMMA = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 0.0],
@@ -47,16 +47,14 @@ class PotentialComponents:
     flat_energy: float
 
     def samples(self, n):
-        """The five components, each broadcast to n read-only samples.
-        Raises NumericalError for a component neither scalar nor of shape (n,)."""
-        values = []
-        for name, v in vars(self).items():  # v11, v12, v13, v23, flat_energy
-            v = np.asarray(v)
-            if v.shape not in ((), (n,)):
+        """The five components as given, each a scalar or an array of shape
+        (n,). Raises NumericalError for any other shape."""
+        values = vars(self)  # v11, v12, v13, v23, flat_energy
+        for name, v in values.items():
+            if np.shape(v) not in ((), (n,)):
                 raise NumericalError(f"{name} must be a scalar or of shape ({n},), "
-                                     f"got shape {v.shape}")
-            values.append(np.broadcast_to(v, (n,)))
-        return values
+                                     f"got shape {np.shape(v)}")
+        return list(values.values())
 
     def matrix_stack(self):
         """V(x_i) as an (n, 3, 3) complex stack; floats give one 3x3 matrix."""
@@ -108,7 +106,9 @@ def discretize(comps, grid, stencil):
     and edge flags, are unchanged. D makes every entry real: the on-site
     block is [[v11, v12, v13], [v12, -v11, v23], [v13, v23, flat_energy]],
     and the hop to the next point is +1/(2h) from component 0 to 1 and
-    -1/(2h) from 1 to 0.
+    -1/(2h) from 1 to 0. D = i P S with P = diag(i, 1, 1), the gauge of
+    apply_dirac, and S = diag(-1, 1, 1), so this band is S times the real
+    form that apply_dirac applies, times S.
 
     "saw": the finite open saw chain, one cell (A, B, C) per grid point.
     The on-site block is [[v11, t + v12, v13], [t + v12, -v11, v23],
@@ -118,7 +118,7 @@ def discretize(comps, grid, stencil):
     as (n - 1)/(x_max - x_min), which can differ from 1/h in the last bit.
     """
     n = grid.n_points
-    values = comps.samples(n)
+    values = [np.broadcast_to(v, (n,)) for v in comps.samples(n)]
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         x = grid.x[np.argmin(finite)]
@@ -140,41 +140,26 @@ def discretize(comps, grid, stencil):
 
 
 def apply_dirac(potential, state, grid):
-    """Apply -i*gamma*d/dx + V(x) to a sampled (3, n) spinor.
+    """Apply -i*gamma*d/dx + V(x) to real (..., 3, n) spinors x, psi = diag(i, 1, 1) x.
 
     The one operator action of the package: the seed, the transformed and
     the discretized operators differ only in V, given as PotentialComponents.
-    V f is taken entry by entry without forming V: a real component times
-    f, turned by +-i where V's entry is imaginary, summed over j = 0, 1, 2
-    in einsum's order. Each product is exact either way, so this is
-    np.einsum("nij,jn->in", potential.matrix_stack(), f) up to the sign of a
-    zero. A constant component enters as a Python float. Only the shapes of
-    the components are checked; a non-finite V gives a non-finite result.
+    H maps the x of psi to that of H psi: V acts as [[v11, -v12, -v13],
+    [-v12, -v11, v23], [-v13, v23, flat_energy]] and -i*gamma*d/dx sends
+    (a, b, c) to (-b', a', 0). Any psi is two real states, the real and
+    imaginary parts of diag(-i, 1, 1) psi. Each row sums in the order of
+    np.einsum("nij,jn->in", potential.matrix_stack(), psi), the kinetic term
+    last, so the result has that product's values. Only the shapes of the
+    components are checked; a non-finite V gives a non-finite result.
     """
-    f = np.asarray(state, dtype=complex)
-    potential.samples(f.shape[-1])  # raises for a component of the wrong shape
-    v11, v12, v13, v23, lam = (v if np.ndim(v) else float(v)
-                               for v in vars(potential).values())
-
-    def turned(c, g, phase):
-        out = c * g
-        out *= phase
-        return out
-
-    out = np.empty_like(f)
-    np.multiply(v11, f[0], out=out[0])
-    out[0] += turned(v12, f[1], -1j)
-    out[0] += turned(v13, f[2], -1j)
-    out[1] = turned(v12, f[0], 1j)
-    out[1] -= v11 * f[1]
-    out[1] += v23 * f[2]
-    out[2] = turned(v13, f[0], 1j)
-    out[2] += v23 * f[1]
-    out[2] += lam * f[2]
-    # gamma swaps components 0 and 1 and drops component 2; row by row, as
-    # numpy may buffer a reversed two-row view whole
-    kinetic = diff_central(f, grid)
-    kinetic *= -1j
-    out[0] += kinetic[1]
-    out[1] += kinetic[0]
+    x = real_array(state, "apply_dirac")
+    v11, v12, v13, v23, lam = potential.samples(x.shape[-1])
+    out = np.empty_like(x)
+    for i, row in enumerate(((v11, -v12, -v13), (-v12, -v11, v23), (-v13, v23, lam))):
+        np.multiply(row[0], x[..., 0, :], out=out[..., i, :])
+        out[..., i, :] += row[1] * x[..., 1, :]
+        out[..., i, :] += row[2] * x[..., 2, :]
+    d = diff_central(x[..., :2, :], grid)
+    out[..., 0, :] -= d[..., 1, :]
+    out[..., 1, :] += d[..., 0, :]
     return out

@@ -321,25 +321,28 @@ def banded_eigvec(m, energy, count=1):
     return v
 
 
+def real_array(a, name):
+    """a as a float array; NumericalError for a complex one, which a cast would cut."""
+    if np.iscomplexobj(a):
+        raise NumericalError(f"{name} takes real arrays, got a complex one")
+    return np.asarray(a, dtype=float)
+
+
 def diff_central(samples, grid):
-    """O(h^2) first derivative, C-ordered: central interior, one-sided at the ends.
-    Complex samples scale by 1/(2h) in their real view: numpy's bits for f/(2h)."""
-    f = np.asarray(samples)
+    """O(h^2) first derivative of real samples, C-ordered: central interior,
+    one-sided at the ends. Scaled by the reciprocal 1/(2h): the bits of
+    ((f + 0j) / (2h)).real, as numpy divides by 2h + 0j that way."""
+    f = real_array(samples, "diff_central")
     n = f.shape[-1]
     if n < 3:
         raise NumericalError("diff_central needs at least 3 samples")
     if n != grid.n_points:
         raise NumericalError("sample count does not match grid")
-    h = grid.h
-    d = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    d = np.empty(f.shape)
     np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
     d[..., 0] = -3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]
     d[..., -1] = 3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]
-    if np.iscomplexobj(d):
-        parts = d.view(d.real.dtype)
-        parts *= 1.0 / (2 * h)
-    else:
-        d /= 2 * h
+    d *= 1.0 / (2 * grid.h)
     return d
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .continuum import PotentialComponents, apply_dirac
 from .errors import NumericalError, SingularFrameError
-from .numcore import MAX_PARAM, Grid, quad_roots
+from .numcore import MAX_PARAM, Grid, quad_roots, real_array
 
 SINGULARITY_REL_TOL = 1e-8
 
@@ -153,11 +153,6 @@ class TransformationFrame:
         k0, t = self.seed.kappa0, self.t
         return k0 * (1.0 - t * t) * self.uhat1[:, :, None] + self.f * self.log_g_rate
 
-    def uhat_column(self, j):
-        """Column j of Uhat, row 0 of F's column times i, as a complex (3, n)
-        spinor built on each call: U's column j over its scale G_j."""
-        return np.array([1j, 1.0, 1.0])[:, None] * self.f[:, j]
-
     @cached_property
     def _weights(self):
         # G_i/G_{i+1} and G_{i+1}/G_i, (3, n - 1), for apply_darboux
@@ -243,16 +238,18 @@ def assemble_frame(s, grid):
 def frame_eigen_residuals(frame):
     """Sup-norm residuals of (H - E_j) on each column U_j = Uhat_j G_j of U,
     E = (mass, flat, flat): G_j is scalar, so they are those of
-    (H - E_j - i*gamma*(log G_j)') on Uhat_j, taken relative to 1 + max|Uhat_j|.
+    (H - E_j - i*gamma*(log G_j)') on Uhat_j, taken relative to 1 + max|Uhat_j|:
+    in apply_dirac's gauge F_j and (a, b, c) -> (log G_j)' (-b, a, 0).
     The stencil makes them O(h^2); Uhat_0 is constant, so column 0's is rounding.
     """
     s = frame.seed
     v_seed = seed_components(s)
     res = []
     for j, (rate, e) in enumerate(zip(frame.log_g_rate, (s.mass, s.flat_energy, s.flat_energy))):
-        col = frame.uhat_column(j)
+        col = frame.f[:, j]
         r = apply_dirac(v_seed, col, frame.grid) - e * col
-        r[:2] -= 1j * rate * col[1::-1]  # gamma swaps components 0 and 1
+        r[0] -= rate * col[1]
+        r[1] += rate * col[0]
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
 
@@ -265,7 +262,7 @@ def darboux_kernel(frame):
     for j in range(3):
         shifted = replace(frame, log_g=frame.log_g - frame.log_g[j])
         shifted.__dict__.update(f=frame.f, f_inv=frame.f_inv)  # neither reads log G
-        out.append(float(np.abs(apply_darboux(shifted, frame.uhat_column(j))).max()))
+        out.append(float(np.abs(apply_darboux(shifted, frame.f[:, j])).max()))
     return out
 
 
@@ -312,42 +309,43 @@ def hermiticity_asymmetry(stack):
 
 
 def apply_darboux(frame, state):
-    """L acting on a sampled (3, n) spinor: U d/dx (U^{-1} state) with the
-    stencil of diff_central, as Uhat D_G (Uhat^{-1} state), where D_G weights
-    the neighbour j of point i by G_i/G_j = exp(log G_i - log G_j). With
-    Uhat = diag(i, 1, 1) F, component 0 turns by -i, F^{-1} and F act as
-    real stacks and row 0 turns back by i: each product with a real or
-    i*real factor is exact, so the result has the complex stacks' values."""
-    z = np.array(state, dtype=complex)  # a copy: component 0 turns in place
-    z[0] *= -1j
-    z = np.einsum("ijn,jn->in", frame.f_inv, z)
+    """L acting on real (..., 3, n) spinors in apply_dirac's gauge: U d/dx
+    (U^{-1} state) with the stencil of diff_central, as Uhat D_G (Uhat^{-1}
+    state), where D_G weights the neighbour j of point i by G_i/G_j =
+    exp(log G_i - log G_j). Uhat = diag(i, 1, 1) F, so in the gauge L is
+    F D_G F^{-1}, summed in the order of Uhat's products: it has their values."""
+    z = np.einsum("ijn,...jn->...in", frame.f_inv, real_array(state, "apply_darboux"))
     up, down = frame._weights
     d = np.empty_like(z)
-    d[:, 0] = -3 * z[:, 0] + up[:, 0] * (4 * z[:, 1] - up[:, 1] * z[:, 2])
-    d[:, -1] = 3 * z[:, -1] - down[:, -1] * (4 * z[:, -2] - down[:, -2] * z[:, -3])
-    # row by row: numpy 2.4 casts a 1-D real operand in chunks, a 2-D one of
-    # up to ~4000 columns whole
-    for c in range(3):
-        np.multiply(up[c, 1:], z[c, 2:], out=d[c, 1:-1])
-        z[c, :-2] *= down[c, :-1]  # in place: the ends are done
-    d[:, 1:-1] -= z[:, :-2]
-    d.view(np.float64)[:] *= 1.0 / (2 * frame.grid.h)  # numpy's bits for d / (2h)
+    d[..., 0] = -3 * z[..., 0] + up[:, 0] * (4 * z[..., 1] - up[:, 1] * z[..., 2])
+    d[..., -1] = 3 * z[..., -1] - down[:, -1] * (4 * z[..., -2] - down[:, -2] * z[..., -3])
+    np.multiply(up[:, 1:], z[..., 2:], out=d[..., 1:-1])
+    z[..., :-2] *= down[:, :-1]  # in place: the ends are done
+    d[..., 1:-1] -= z[..., :-2]
+    d *= 1.0 / (2 * frame.grid.h)  # diff_central's scaling
     del z
-    out = np.einsum("ijn,jn->in", frame.f, d)
-    out[0] *= 1j
-    return out
+    return np.einsum("ijn,...jn->...in", frame.f, d)
 
 
 def _level_residuals(fr, v_seed, states):
-    """||(L H - H_new L) psi||_inf on fr's grid for each of states(x).
-    V_new, the test states and a frame built for this call die with it."""
+    """||(L H - H_new L) psi||_inf on fr's grid for each of states(x). A
+    real state f is diag(i, 1, 1) (x + i x') with x = (0, f1, f2) and x' =
+    (-f0, 0, 0), run as one (2, 3, n) array; the modulus is numpy's complex
+    abs. V_new, the test states and a frame built for this call die with it."""
     g = fr.grid
     v_new = transformed_potential(fr)
     level = []
-    for f in states(g.x):  # real rows: each call makes its own complex copy
-        lhs = apply_darboux(fr, apply_dirac(v_seed, f, g))
-        lhs -= apply_dirac(v_new, apply_darboux(fr, f), g)
-        level.append(np.abs(lhs).max())
+    for f in states(g.x):
+        x = np.zeros((2,) + f.shape)
+        x[0, 1:] = f[1:]
+        np.negative(f[0], out=x[1, 0])
+        lhs = apply_darboux(fr, apply_dirac(v_seed, x, g))
+        x = apply_darboux(fr, x)  # rebinding frees x: one array fewer while H_new acts
+        lhs -= apply_dirac(v_new, x, g)
+        z = np.empty(f.shape, dtype=complex)
+        z.real, z.imag = lhs
+        level.append(np.abs(z, out=lhs[0]).max())
+        del x, lhs, z  # before the next state's arrays
     return level
 
 

@@ -1,12 +1,25 @@
 """Reference code that only the tests use: dense <-> band storage, a
-trapezoidal antiderivative, the columns of the seed frame U, and those of
-(U^{-1})^dag, the transformed operator's eigenstates."""
+trapezoidal antiderivative, the columns of the seed frame U, those of
+(U^{-1})^dag, the transformed operator's eigenstates, and the two converters
+between complex spinors and the real gauge of apply_dirac and apply_darboux."""
 
 import numpy as np
 
 from susychain.continuum import apply_dirac
 from susychain.numcore import BandedHermitian
 from susychain.susy import transformed_potential
+
+
+def split_spinor(psi):
+    """The real parts (x, x') of psi = diag(i, 1, 1) (x + i x'), as a (2, ...,
+    3, n) array: the real and imaginary parts of diag(-i, 1, 1) psi."""
+    z = np.asarray(psi, dtype=complex) * np.array([-1j, 1.0, 1.0])[:, None]
+    return np.stack([z.real, z.imag])
+
+
+def join_spinor(parts):
+    """The complex spinor diag(i, 1, 1) (x + i x') of split_spinor's (x, x')."""
+    return np.array([1j, 1.0, 1.0])[:, None] * (parts[0] + 1j * parts[1])
 
 
 def banded_from_dense(m, bandwidth):
@@ -33,13 +46,14 @@ def inverse_dagger_states(frame):
     (mass, flat, flat), and each state's sup-norm residual of (H_new - E)
     relative to 1 + its largest |entry|, O(h^2) for an exact frame."""
     s, g = frame.seed, frame.grid
-    # U^{-1} = G^{-1} F^{-1} diag(-i, 1, 1): state j is its row j conjugated
-    states = np.exp(-frame.log_g)[:, None, :] * frame.f_inv * np.array([1j, 1.0, 1.0])[:, None]
+    # U^{-1} = G^{-1} F^{-1} diag(-i, 1, 1): state j, its row j conjugated, is
+    # diag(i, 1, 1) times row j of the real G^{-1} F^{-1}, apply_dirac's gauge
+    rows = np.exp(-frame.log_g)[:, None, :] * frame.f_inv
     energies = (s.mass, s.flat_energy, s.flat_energy)
     v_new = transformed_potential(frame)
-    residuals = [float(np.abs(apply_dirac(v_new, st, g) - e * st).max()
-                       / (1.0 + np.abs(st).max()))
-                 for st, e in zip(states, energies)]
+    residuals = [float(np.abs(apply_dirac(v_new, x, g) - e * x).max() / (1.0 + np.abs(x).max()))
+                 for x, e in zip(rows, energies)]
+    states = rows * np.array([1j, 1.0, 1.0])[:, None]
     return states, energies, residuals
 
 

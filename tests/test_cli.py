@@ -877,6 +877,22 @@ def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
     assert hashlib.sha256(table).hexdigest() == digest
 
 
+# SHA-256 of susy_verify.json at the benchmark's size: the intertwining
+# residuals at 2001 and 4001 points must keep every bit through a change to
+# how L and H act
+@pytest.mark.parametrize("argv, digest", [
+    (["susy", "--set", "model=I", "--set", "mass=0.07"],
+     "5377c8863c872aad7d496a68f98276fedb874df60c8b364bafd2a09236115b64"),
+    (["susy", "--set", "model=II", "--set", "mass=0.03", "--set", "flat_energy=0.015",
+      "--grid-points", "2001"],
+     "72b5167b7701f7773953137ae0c6c8511675c83e93e63c8a0aa261d3edd03437"),
+], ids=["model_I_default", "model_II_2001"])
+def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    report = (tmp_path / "susy_verify.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
 # SHA-256 of each spectrum output: a refactor of either route must not
 # move a bit
 @pytest.mark.parametrize("argv, digests", [

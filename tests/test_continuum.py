@@ -18,7 +18,7 @@ from susychain.errors import NumericalError
 from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
 
-from reference import banded_to_dense
+from reference import banded_to_dense, join_spinor, split_spinor
 
 finite = st.floats(-2.0, 2.0)
 
@@ -106,8 +106,14 @@ def test_discretize_is_hermitian_and_matches_apply():
     rng = np.random.default_rng(2)
     f = rng.normal(size=(3, grid.n_points))
     via_matrix = (dense @ f.T.ravel()).reshape(grid.n_points, 3).T
-    via_stencil = apply_dirac(comps, f, grid)
+    via_stencil = join_spinor(apply_dirac(comps, split_spinor(f), grid))
     np.testing.assert_allclose(via_matrix[:, 1:-1], via_stencil[:, 1:-1],
+                               atol=1e-10)
+    # D = i P S with P = diag(i, 1, 1) and S = diag(-1, 1, 1): the real band
+    # is S times apply_dirac's real form times S
+    s = np.tile([-1.0, 1.0, 1.0], grid.n_points)
+    via_band = (s * (gauged @ (s * f.T.ravel()))).reshape(grid.n_points, 3).T
+    np.testing.assert_allclose(via_band[:, 1:-1], apply_dirac(comps, f, grid)[:, 1:-1],
                                atol=1e-10)
 
 
@@ -166,6 +172,15 @@ def test_discretize_rejects_bad_potential():
             discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid, stencil)
     with pytest.raises(NumericalError, match="stencil"):
         discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.0), grid, "upwind")
+
+
+def test_apply_dirac_rejects_complex_input():
+    # its states are real, x for psi = diag(i, 1, 1) x: a float cast of a
+    # complex one would keep the real part alone
+    grid = Grid(-1.0, 1.0, 11)
+    comps = PotentialComponents(0.1, 0.2, 0.0, 0.0, 0.3)
+    with pytest.raises(NumericalError, match="real"):
+        apply_dirac(comps, np.ones((3, 11)) + 1e-3j, grid)
 
 
 def test_discretized_free_dirac_spectrum():

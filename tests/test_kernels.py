@@ -1,10 +1,14 @@
 """The Darboux engine's products and stencil against the complex einsum and
-division formulas they replaced, kept here as references."""
+division formulas they replaced, kept here as references. The operators act
+on the real parts of a complex spinor, reached through tests/reference.py's
+converters."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susychain.continuum import GAMMA, apply_dirac, potential_matrix
 from susychain.models import ModelKind, ModelParams
@@ -18,6 +22,9 @@ from susychain.susy import (
     seed_components,
     transformed_potential,
 )
+
+from reference import join_spinor, split_spinor
+from test_susy import regular_seed
 
 GRID = Grid(-20.0, 20.0, 401)
 MODELS = {
@@ -127,23 +134,21 @@ def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
 # ---------------------------------------------------------------- stencil
 
 def _stencil_inputs(rng, n):
-    real = rng.standard_normal((3, n))
-    yield real
-    yield real + 1j * rng.standard_normal((3, n))
+    yield rng.standard_normal((3, n))
     yield rng.standard_normal((n, 3)).T  # transposed, not C-ordered
-    yield (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))).T
-    yield rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    yield rng.standard_normal((2, 3, n))
     yield rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 201])
 def test_diff_central_equals_the_division_formula_bitwise(n):
     # h = 3.4 / (n - 1) is not a power of two, so scaling by 1/(2h) and
-    # dividing by 2h round differently unless done as numpy divides
+    # dividing by 2h round differently; diff_central scales real samples as
+    # numpy divides complex ones
     grid = Grid(-1.3, 2.1, n)
     for f in _stencil_inputs(np.random.default_rng(n), n):
         got = diff_central(f, grid)
-        assert _same_bits(got, _diff_central_ref(f, grid))
+        assert _same_bits(got, _diff_central_ref(f + 0j, grid).real)
         assert got.flags.c_contiguous
 
 
@@ -161,7 +166,8 @@ def test_darboux_engine_equals_its_einsum_formulas(name):
     frame = assemble_frame(SEEDS[name], GRID)
     rng = np.random.default_rng(11)
     f = _spinor(rng, GRID.n_points)
-    assert _same_values(apply_darboux(frame, f), _apply_darboux_ref(frame, f))
+    got = join_spinor(apply_darboux(frame, split_spinor(f)))
+    assert _same_values(got, _apply_darboux_ref(frame, f))
     # the real product with its row and column turned against the complex
     # one, also where xi1 = xi2 leaves the result non-Hermitian
     for fr in (frame, _broken(frame)):
@@ -169,7 +175,22 @@ def test_darboux_engine_equals_its_einsum_formulas(name):
         assert _same_values(got, want)
         assert _same_bits(np.abs(got), np.abs(want))
     for v in (seed_components(frame.seed), transformed_potential(frame)):
-        assert _same_values(apply_dirac(v, f, GRID), _apply_dirac_ref(v, f, GRID))
+        got = join_spinor(apply_dirac(v, split_spinor(f), GRID))
+        assert _same_values(got, _apply_dirac_ref(v, f, GRID))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=regular_seed, n=st.integers(3, 301), rng_seed=st.integers(0, 2**32 - 1))
+def test_split_operators_equal_the_complex_formulas(seed, n, rng_seed):
+    # H and L on the real parts of a random complex spinor, joined back,
+    # give the complex formulas' values on any regular seed and grid size
+    grid = Grid(-8.0, 8.0, n)
+    frame = assemble_frame(seed, grid)
+    f = _spinor(np.random.default_rng(rng_seed), n)
+    x = split_spinor(f)
+    for v in (seed_components(seed), transformed_potential(frame)):
+        assert _same_values(join_spinor(apply_dirac(v, x, grid)), _apply_dirac_ref(v, f, grid))
+    assert _same_values(join_spinor(apply_darboux(frame, x)), _apply_darboux_ref(frame, f))
 
 
 @pytest.mark.parametrize("name", SEEDS)
@@ -188,11 +209,6 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     assert fr.f_inv.shape == (3, 3, n) and fr.f_inv.flags.c_contiguous
     assert not fr.f_inv.flags.writeable
     assert _same_values(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv_ref(fr))
-    # Uhat's columns, built on each call: U's columns over G
-    for j in range(3):
-        col = fr.uhat_column(j)
-        assert col.shape == (3, n) and col.flags.writeable
-        assert _same_bits(col, _frame_stack_ref(fr.f)[:, j])
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
                                   0.0, comps.flat_energy)

@@ -669,10 +669,14 @@ def test_integrate_cumulative_anchor_and_order():
     assert np.log2(errs[0] / errs[1]) > 1.9
 
 
-def test_diff_central_complex_input():
+def test_diff_central_rejects_complex_input():
+    # a float cast would keep the real part alone; a complex spinor goes
+    # through its two real parts instead
     g = Grid(-1.0, 1.0, 201)
-    f = np.exp(1j * g.x)
-    np.testing.assert_allclose(diff_central(f, g), 1j * f, atol=1e-4)
+    for f in (np.exp(1j * g.x), np.zeros((3, 201), dtype=complex)):
+        with pytest.raises(NumericalError, match="real"):
+            diff_central(f, g)
+    np.testing.assert_allclose(diff_central(np.sin(g.x), g), np.cos(g.x), atol=1e-4)
 
 
 # ----------------------------------------------------- quadratic roots

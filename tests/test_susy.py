@@ -30,7 +30,13 @@ from susychain.susy import (
     transformed_potential,
 )
 
-from reference import integrate_cumulative, inverse_dagger_states, seed_columns
+from reference import (
+    integrate_cumulative,
+    inverse_dagger_states,
+    join_spinor,
+    seed_columns,
+    split_spinor,
+)
 
 # a frame known to be regular on the whole line; a generic c0 can give q(t)
 # a root in (-1, 1), a pole, which assemble_frame refuses
@@ -56,6 +62,22 @@ def _uhat_inv(frame):
 
 def _u_inv(frame):
     return _uhat_inv(frame) * np.exp(-frame.log_g)[:, None, :]
+
+
+# the complex operators of the paper's gauge, reached through the real parts
+# of a complex spinor
+
+def _dirac(v, psi, grid):
+    return join_spinor(apply_dirac(v, split_spinor(psi), grid))
+
+
+def _darboux(frame, psi):
+    return join_spinor(apply_darboux(frame, split_spinor(psi)))
+
+
+def _diff(psi, grid):
+    # diff_central on each real part of a complex array
+    return diff_central(psi.real, grid) + 1j * diff_central(psi.imag, grid)
 
 
 # --------------------------------------------------------- seed data
@@ -107,8 +129,8 @@ def test_eigen_residuals_on_uhat_match_those_on_u_columns():
     energies = (SEED.mass, SEED.flat_energy, SEED.flat_energy)
     for j, (col, e, res) in enumerate(zip(seed_columns(fr), energies,
                                           frame_eigen_residuals(fr))):
-        on_u = (apply_dirac(v_seed, col, fr.grid) - e * col) / np.exp(fr.log_g[j])
-        scale = 1.0 + np.abs(fr.uhat_column(j)).max()
+        on_u = (_dirac(v_seed, col, fr.grid) - e * col) / np.exp(fr.log_g[j])
+        scale = 1.0 + np.abs(fr.f[:, j]).max()
         assert res < 1e-5 and abs(np.abs(on_u).max() / scale - res) < 1e-6
 
 
@@ -118,8 +140,8 @@ def _uhat_eigen_residuals(fr, energies):
     v_seed = seed_components(fr.seed)
     res = []
     for j, (rate, e) in enumerate(zip(fr.log_g_rate, energies)):
-        col = fr.uhat_column(j)
-        r = apply_dirac(v_seed, col, fr.grid) - e * col
+        col = _uhat(fr)[:, j]
+        r = _dirac(v_seed, col, fr.grid) - e * col
         r[:2] -= 1j * rate * col[1::-1]
         res.append(float(np.abs(r).max() / (1.0 + np.abs(col).max())))
     return res
@@ -176,7 +198,7 @@ def test_analytic_derivatives_match_stencil():
     # dU/dx = diag(i, 1, 1) df G against the stencil on U's samples
     fr = _frame()
     du = np.array([1j, 1.0, 1.0])[:, None, None] * fr.df * np.exp(fr.log_g)
-    num = diff_central(seed_columns(fr).swapaxes(0, 1), GRID)  # U's rows
+    num = _diff(seed_columns(fr).swapaxes(0, 1), GRID)  # U's rows
     for i, j in np.ndindex(3, 3):
         scale = 1.0 + np.abs(du[i, j]).max()
         assert np.abs(num[i, j] - du[i, j]).max() / scale < 1e-3, (i, j)
@@ -381,8 +403,8 @@ def test_frame_cache_matches_per_call_recomputation():
     for name in ("f", "det", "f_inv"):
         assert getattr(fr, name) is getattr(fr, name)
     assert transformed_potential(fr) is transformed_potential(fr)
-    # df and Uhat's columns are built on each call, not cached
-    assert fr.df is not fr.df and fr.uhat_column(1) is not fr.uhat_column(1)
+    # df is built on each access, not cached
+    assert fr.df is not fr.df
 
 
 def test_frame_cache_is_read_only():
@@ -441,13 +463,14 @@ def test_intertwining_residual_rejects_an_overflowing_stencil():
 # the level loop and the two operator actions as they were before each
 # level's frame, V_new and test states were released before the next level:
 # all complex test states at once, out-of-place kinetic term and adjugate
-# division, and 2-D real-by-complex products in L's stencil
+# division, and 2-D real-by-complex products in L's stencil; the operators
+# act on complex spinors, with the stencil taken on each real part
 
 def _apply_dirac_ref(v, f, grid):
     f = np.asarray(f, dtype=complex)
     v = np.asarray(v, dtype=complex)
     out = v @ f if v.ndim == 2 else np.einsum("nij,jn->in", v, f)
-    kinetic = -1j * diff_central(f, grid)
+    kinetic = -1j * _diff(f, grid)
     out[:2] += kinetic[1::-1]
     return out
 
@@ -514,8 +537,8 @@ def test_real_frame_factors_match_complex_stacks_bitwise(name):
     spinors = [real, real + 1j * rng.standard_normal((3, g.n_points)),
                *smooth_test_states(g.x)]
     for f in spinors:
-        assert _same_bits(apply_darboux(fr, f), _apply_darboux_ref(fr, f))
-        assert _same_bits(apply_dirac(comps, f, g), _apply_dirac_ref(stack, f, g))
+        assert _same_bits(_darboux(fr, f), _apply_darboux_ref(fr, f))
+        assert _same_bits(_dirac(comps, f, g), _apply_dirac_ref(stack, f, g))
     # Uhat^{-1} = F^{-1} diag(-i, 1, 1), up to the sign of a zero
     assert np.array_equal(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv(fr))
     assert not fr.f_inv.flags.writeable and fr.f_inv is fr.f_inv
@@ -541,11 +564,12 @@ def _traced_peak(call):
     (ModelParams(ModelKind.II, 0.1, 0.05), 2001, 2)])
 def test_intertwining_residual_holds_one_level_at_a_time(p, n_points, n_levels):
     # the finest level's frame with its real F^{-1}, V_new's components,
-    # real test states and one state's operator products come to ~545 B a
-    # point of the finest grid (Model I; 561 for Model II); complex Uhat,
-    # Uhat^{-1} and V_new stacks read 907, and keeping the coarser level and
-    # all complex test states alive too read 1075 (Model I) and 1107 (Model
-    # II). The first call fills the coarsest frame's cache
+    # real test states and one state's two real parts and operator products
+    # come to ~538 B a point of the finest grid (Model I; 554 for Model II),
+    # 545 and 561 with complex operator products; complex Uhat, Uhat^{-1}
+    # and V_new stacks read 907, and keeping the coarser level and all
+    # complex test states alive too read 1075 (Model I) and 1107 (Model II).
+    # The first call fills the coarsest frame's cache
     fr = assemble_frame(p.seed_data(), Grid(-20.0, 20.0, n_points))
     intertwining_residual(fr, smooth_test_states, n_levels)
     peak = _traced_peak(lambda: intertwining_residual(fr, smooth_test_states, n_levels))
@@ -559,7 +583,7 @@ def test_darboux_annihilates_frame_columns():
     assert max(darboux_kernel(fr)) < 1e-8
     # on U's own columns, with U^{-1} U_j = e_j to rounding
     for col in seed_columns(fr):
-        out = apply_darboux(fr, col)
+        out = _darboux(fr, col)
         scale = 1.0 + np.abs(col).max()
         assert np.abs(out).max() / scale < 1e-8
 
@@ -570,9 +594,17 @@ def test_negative_control_unshifted_kernel_reads_the_rate_of_g():
     fr = _frame()
     s = SEED
     for j, scale in enumerate((abs(s.gauge_a), s.kappa0, s.kappa0)):
-        col = fr.uhat_column(j)
+        col = fr.f[:, j]
         out = np.abs(apply_darboux(fr, col)).max()
         assert out > 0.1 * scale * np.abs(col).max()
+
+
+def test_apply_darboux_rejects_complex_input():
+    # its states are real, x for psi = diag(i, 1, 1) x: a float cast of a
+    # complex one would keep the real part alone
+    fr = _frame()
+    with pytest.raises(NumericalError, match="real"):
+        apply_darboux(fr, _uhat(fr)[:, 1])
 
 
 def test_darboux_intertwines_on_eigenstate():
@@ -591,7 +623,7 @@ def test_darboux_intertwines_on_eigenstate():
 
 def _seed_operator_rows(s, f, grid):
     # the seed operator written out row by row, kept as a reference
-    df = diff_central(f, grid)
+    df = _diff(f, grid)
     m, a, lam = s.mass, s.gauge_a, s.flat_energy
     out = np.empty_like(f)
     out[0] = m * f[0] - 1j * (df[1] + a * f[1])
@@ -602,7 +634,7 @@ def _seed_operator_rows(s, f, grid):
 
 def _transformed_operator_rows(c, f, grid):
     # -i*gamma*d/dx + V_new written out row by row, kept as a reference
-    df = diff_central(f, grid)
+    df = _diff(f, grid)
     lam = c.flat_energy
     out = np.empty_like(f)
     out[0] = c.v11 * f[0] - 1j * c.v12 * f[1] - 1j * c.v13 * f[2] - 1j * df[1]
@@ -623,8 +655,8 @@ def test_apply_dirac_matches_row_by_row_operators():
     for _ in range(3):
         f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
         pairs = [
-            (apply_dirac(seed_components(s), f, g), _seed_operator_rows(s, f, g)),
-            (apply_dirac(comps, f, g), _transformed_operator_rows(comps, f, g)),
+            (_dirac(seed_components(s), f, g), _seed_operator_rows(s, f, g)),
+            (_dirac(comps, f, g), _transformed_operator_rows(comps, f, g)),
         ]
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -670,7 +702,7 @@ def test_darboux_kernel_stays_at_rounding_on_a_wide_box():
     # L_j on Uhat_j reads rounding alone
     p = ModelParams(ModelKind.I, 1.0, 0.2)
     fr = assemble_frame(p.seed_data(), Grid(-400.0, 400.0, 2001))
-    on_u = max(np.abs(apply_darboux(fr, col)).max() for col in seed_columns(fr))
+    on_u = max(np.abs(_darboux(fr, col)).max() for col in seed_columns(fr))
     assert on_u > 1e200
     assert max(darboux_kernel(fr)) <= 1e-8
 
