@@ -4,7 +4,7 @@ The root exports the README example's names; the rest live in their modules."""
 
 from .continuum import discretize
 from .lattice import chain_spectrum
-from .models import ModelKind, ModelParams, model_potential_components, model_spectrum
+from .models import ModelKind, ModelParams, model_potential_components
 from .numcore import Grid
 from .susy import assemble_frame, transformed_potential
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import models, susy
+from . import susy
 from .checks import invariant_checks, oracle_max_diff, smooth_test_states
 from .continuum import discretize
 from .errors import ConfigError, NumericalError, SusychainError
@@ -379,23 +379,23 @@ SPECTRUM_KEYS = {
 
 def cmd_spectrum(st, out_dir):
     p = _model_params(st)
-    spectrum = models.model_spectrum(p)
+    seed = p.seed_data()
     method = st["method"]
     cluster_tol = st["cluster_tol"]
     gap_exclusion = st["gap_exclusion"]
     if gap_exclusion is None:
-        gap_exclusion = 0.1 * spectrum.gap_edge
+        gap_exclusion = 0.1 * seed.gap_edge
 
     # route -> (stencil, grid points, default box half-width)
     routes = {"chain": ("saw", st["cells"], (st["cells"] - 1) / 2.0),
-              "continuum": ("central", st["grid_points"], 12.0 / p.kappa)}
+              "continuum": ("central", st["grid_points"], 12.0 / seed.kappa0)}
 
     def route(name):
         stencil, n, default_box = routes[name]
         box = st["box"] or default_box
         grid = Grid(-box, box, n)
-        op = discretize(models.model_potential_components(p, grid), grid, stencil)
-        return chain_spectrum(op, flat_energy=p.flat_energy, cluster_tol=cluster_tol,
+        op = discretize(transformed_potential(assemble_frame(seed, grid)), grid, stencil)
+        return chain_spectrum(op, flat_energy=seed.flat_energy, cluster_tol=cluster_tol,
                               gap_exclusion=gap_exclusion)
 
     # imported here, so only spectrum pays for it
@@ -414,8 +414,8 @@ def cmd_spectrum(st, out_dir):
         "model": p.kind.value,
         "mass": p.mass,
         "flat_energy": p.flat_energy,
-        "analytic_gap_edge": spectrum.gap_edge,
-        "gap_edge_derived_not_published": spectrum.derived_not_published,
+        "analytic_gap_edge": seed.gap_edge,
+        "gap_edge_derived_not_published": p.kind is ModelKind.II,
         "cluster_tol": cluster_tol,
         "gap_exclusion": gap_exclusion,
     }
@@ -430,8 +430,8 @@ def cmd_spectrum(st, out_dir):
             "cluster_count": rep.cluster_count,
             "gap_edge_neg": rep.gap_edge_neg,
             "gap_edge_pos": rep.gap_edge_pos,
-            "relative_error_neg": abs(abs(rep.gap_edge_neg) / spectrum.gap_edge - 1.0),
-            "relative_error_pos": abs(abs(rep.gap_edge_pos) / spectrum.gap_edge - 1.0),
+            "relative_error_neg": abs(abs(rep.gap_edge_neg) / seed.gap_edge - 1.0),
+            "relative_error_pos": abs(abs(rep.gap_edge_pos) / seed.gap_edge - 1.0),
         }
     _write_json(os.path.join(out_dir, "spectrum_summary.json"), summary)
     return EXIT_OK

@@ -47,13 +47,15 @@ class PotentialComponents:
     flat_energy: float
 
     def samples(self, n):
-        """The five components as given, each a scalar or an array of shape
-        (n,). Raises NumericalError for any other shape."""
+        """The five components as given, each a real scalar or an array of
+        shape (n,). Raises NumericalError for any other shape or a complex one."""
         values = vars(self)  # v11, v12, v13, v23, flat_energy
         for name, v in values.items():
             if np.shape(v) not in ((), (n,)):
                 raise NumericalError(f"{name} must be a scalar or of shape ({n},), "
                                      f"got shape {np.shape(v)}")
+            if np.iscomplexobj(v):
+                raise NumericalError(f"{name} must be real, got a complex value")
         return list(values.values())
 
     def matrix_stack(self):
@@ -108,7 +110,11 @@ def discretize(comps, grid, stencil):
     and the hop to the next point is +1/(2h) from component 0 to 1 and
     -1/(2h) from 1 to 0. D = i P S with P = diag(i, 1, 1), the gauge of
     apply_dirac, and S = diag(-1, 1, 1), so this band is S times the real
-    form that apply_dirac applies, times S.
+    form that apply_dirac applies, times S. A Wilson term h*(-d^2/dx^2)*M,
+    M = [[c, s], [s, -c]] on components 0 and 1, lifts the stencil's doubler
+    at k = pi/h out of the gap: 2M/h on site, -M/h on the hop. Its angle
+    th = atan2(v23^2 - v13^2, 2*v13*v23), where |v13| + |v23| is largest,
+    keeps the flat level exact: u^T M u = 0 for u = (v23, -v13).
 
     "saw": the finite open saw chain, one cell (A, B, C) per grid point.
     The on-site block is [[v11, t + v12, v13], [t + v12, -v11, v23],
@@ -125,7 +131,14 @@ def discretize(comps, grid, stencil):
         raise NumericalError(f"non-finite potential sample at x={x:.6g}")
     v11, v12, v13, v23, lam = values
     if stencil == "central":
-        hop = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
+        j = np.argmax(np.abs(v13) + np.abs(v23))
+        # + 0.0: where v13 = v23 = 0, arctan2(0.0, -0.0) would give pi, not 0
+        th = np.arctan2(v23[j]**2 - v13[j]**2, 2 * v13[j] * v23[j] + 0.0)
+        c, s = np.cos(th), np.sin(th)
+        v11 = v11 + 2 / grid.h * c
+        v12 = v12 + 2 / grid.h * s
+        hop = (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
+               - np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 0.0]]) / grid.h)
         bandwidth = 4
     elif stencil == "saw":
         t = (n - 1) / (grid.x_max - grid.x_min)

@@ -156,11 +156,17 @@ def tune_flat_band(p):
     return solutions
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is raised below
 def flat_band_residual(p, sol, n_k=256):
-    """max_k |det(H(k) - flat_energy)| with eps_c set to the tuned value."""
+    """max_k |det(H(k) - flat_energy)| with eps_c set to the tuned value;
+    NumericalError where that cubic in flat_energy overflows."""
     tuned = replace(p, eps_c=sol.eps_c)
     k = default_k_grid(p, n_k)
-    return float(np.abs(det_secular(tuned, k, sol.flat_energy)).max())
+    residual = float(np.abs(det_secular(tuned, k, sol.flat_energy)).max())
+    if not np.isfinite(residual):
+        raise NumericalError(f"the flat-band residual overflows the double range at "
+                             f"flat energy {sol.flat_energy:.6g}")
+    return residual
 
 
 @dataclass(frozen=True)

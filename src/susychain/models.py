@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import PotentialComponents, threshold_scan
+from .continuum import PotentialComponents
 from .errors import NumericalError
 from .numcore import MAX_PARAM
 from .susy import SeedData
@@ -93,11 +93,6 @@ def validate_params(p):
                        f"2m^2 = {2 * m**2:g})")
     if abs(lam) == abs(m):
         out.append("|lambda| = |m| is excluded")
-    if not out:
-        # the model kappa must equal the seed kappa0
-        kappa0 = float(np.sqrt(p.gauge_a**2 + m**2 - lam**2))
-        if abs(p.kappa - kappa0) > 1e-14 * max(1.0, p.kappa):
-            out.append("internal: kappa != kappa0")
     return out
 
 
@@ -160,30 +155,3 @@ def asymptotic_cell(p, side):
         v12 = -lam
         v11 = -s * k
     return PotentialComponents(float(v11), float(v12), 0.0, 0.0, lam)
-
-
-@dataclass(frozen=True)
-class AnalyticSpectrum:
-    gap_edge: float  # continuum bands are (-inf, -edge] u [edge, inf)
-    flat_energy: float
-    derived_not_published: bool
-
-
-def model_spectrum(p):
-    """Band edges +-gap_edge plus the flat level.
-
-    Model I: +-sqrt(m(2m - lambda)), checked against the asymptotic cell.
-    Model II: +-sqrt(2)*|m| (independent of lambda), derived from the
-    asymptotic cell and flagged as such.
-    """
-    cell = asymptotic_cell(p, +1)
-    if p.kind is ModelKind.I:
-        m, lam = p.mass, p.flat_energy
-        edge = float(np.sqrt(m * (2 * m - lam)))
-        # consistency with the asymptotics: v11^2 + v12^2 = m(2m - lambda)
-        if abs(cell.v11**2 + cell.v12**2 - edge**2) > 1e-12 * max(1.0, edge**2):
-            raise NumericalError("asymptotic identity v11^2 + v12^2 = m(2m - lambda) failed")
-        return AnalyticSpectrum(gap_edge=edge, flat_energy=lam,
-                                derived_not_published=False)
-    return AnalyticSpectrum(gap_edge=threshold_scan(cell)[1], flat_energy=p.flat_energy,
-                            derived_not_published=True)

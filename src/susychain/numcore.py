@@ -37,6 +37,9 @@ class Grid:
             raise NumericalError("grid width x_max - x_min overflows")
         if self.n_points < 2:
             raise NumericalError("grid requires n_points >= 2")
+        # the stencils divide by h
+        if not (self.h > 0.0 and 2.0 / float(self.h) < np.inf):
+            raise NumericalError(f"grid spacing h={self.h:.6g} is too small: 2/h overflows")
 
     @property
     def h(self):
@@ -110,9 +113,11 @@ def eigh_banded(m):
     eig_banded's for it, bit for bit.
     """
     b, u = m.bands, m.bandwidth
-    if not np.all(np.isfinite(b)):
-        raise NumericalError("non-finite entries in banded matrix")
-    off_sums, sums = _column_sums(m)
+    with np.errstate(over="ignore"):  # a non-finite sum is raised below
+        off_sums, sums = _column_sums(m)
+    if not np.isfinite(sums).all():
+        raise NumericalError("the banded matrix has a non-finite entry, or a column sum "
+                             "past the double range")
     loose = off_sums <= np.finfo(float).eps * sums.max(initial=0.0) / (2 * max(u, 1))
     kept = np.flatnonzero(~loose)
     compact = np.zeros((u + 1, kept.size), order="F")

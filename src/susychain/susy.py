@@ -71,6 +71,12 @@ class SeedData:
         return float(np.sqrt(self.kappa0_sq))
 
     @property
+    def gap_edge(self):
+        """Edge of the continuous bands (-inf, -edge] u [edge, inf) of V_new,
+        which tends to the seed's constant potential up to a gauge."""
+        return float(np.hypot(self.mass, self.gauge_a))
+
+    @property
     def wronskian_constant(self):
         """Actual value of phi2*psi1 - phi1*psi2."""
         return 1.0 / (self.mass - self.flat_energy)

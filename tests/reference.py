@@ -1,7 +1,8 @@
 """Reference code that only the tests use: dense <-> band storage, a
 trapezoidal antiderivative, the columns of the seed frame U, those of
-(U^{-1})^dag, the transformed operator's eigenstates, and the two converters
-between complex spinors and the real gauge of apply_dirac and apply_darboux."""
+(U^{-1})^dag, the transformed operator's eigenstates, the two converters
+between complex spinors and the real gauge of apply_dirac and apply_darboux,
+and the matrix of the continuum stencil's Wilson term."""
 
 import numpy as np
 
@@ -20,6 +21,20 @@ def split_spinor(psi):
 def join_spinor(parts):
     """The complex spinor diag(i, 1, 1) (x + i x') of split_spinor's (x, x')."""
     return np.array([1j, 1.0, 1.0])[:, None] * (parts[0] + 1j * parts[1])
+
+
+def wilson_matrix(comps):
+    """The complex 3x3 M of discretize's "central" Wilson term h*(-d^2/dx^2)*M,
+    written out: cos(th)*sigma_z + sin(th)*sigma_y on components 0 and 1,
+    th = atan2(v23^2 - v13^2, 2*v13*v23) where |v13| + |v23| is largest,
+    and th = 0 where v13 = v23 = 0 everywhere."""
+    v13, v23 = np.broadcast_arrays(np.atleast_1d(comps.v13), np.atleast_1d(comps.v23))
+    j = np.argmax(np.abs(v13) + np.abs(v23))
+    th = 0.0
+    if v13[j] != 0.0 or v23[j] != 0.0:
+        th = np.arctan2(v23[j] ** 2 - v13[j] ** 2, 2 * v13[j] * v23[j])
+    c, s = np.cos(th), np.sin(th)
+    return np.array([[c, -1j * s, 0.0], [1j * s, -c, 0.0], [0.0, 0.0, 0.0]])
 
 
 def banded_from_dense(m, bandwidth):

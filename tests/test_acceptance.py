@@ -149,7 +149,7 @@ def test_criterion_7_model1_chain_spectrum():
                              abs(cell.v11**2 + cell.v12**2 - m * (2 * m - lam)))
 
     p = ModelParams(ModelKind.I, 0.07, 0.0)
-    edge = models.model_spectrum(p).gap_edge
+    edge = p.seed_data().gap_edge
     delta = 0.1 * edge
     n_cells = 400
     g = Grid(-300.0, 300.0, n_cells)
@@ -176,18 +176,17 @@ def test_criterion_8_model2_spectrum():
     details = []
     for lam in (-0.015, 0.0, 0.015):
         p = ModelParams(ModelKind.II, m, lam)
-        spec = models.model_spectrum(p)
+        edge = p.seed_data().gap_edge
         g = Grid(-450.0, 450.0, 600)
         chain = discretize(models.model_potential_components(p, g), g, "saw")
         rep = chain_spectrum(chain, flat_energy=lam, cluster_tol=1e-6,
-                             gap_exclusion=0.1 * spec.gap_edge)
-        err_neg = abs(abs(rep.gap_edge_neg) / spec.gap_edge - 1.0)
-        err_pos = abs(abs(rep.gap_edge_pos) / spec.gap_edge - 1.0)
+                             gap_exclusion=0.1 * edge)
+        err_neg = abs(abs(rep.gap_edge_neg) / edge - 1.0)
+        err_pos = abs(abs(rep.gap_edge_pos) / edge - 1.0)
         has_cluster = rep.cluster_count >= 300
         ok = ok and err_neg <= 0.05 and err_pos <= 0.05 and has_cluster
         details.append(f"lam={lam:g}: cluster={rep.cluster_count}, "
                        f"errs={err_neg:.3f}/{err_pos:.3f}")
-        assert spec.derived_not_published  # flagged as derived
     report(8, "Model II (derived edges): chain gap edges within 5% of "
               "+-sqrt(2)*m with a flat cluster at lambda",
            ok, "; ".join(details))

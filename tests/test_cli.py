@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 from pathlib import Path
@@ -400,6 +402,107 @@ def test_tune_reports_a_tuned_eps_c_past_the_input_bound(tmp_path):
     assert all(s["eps_c"] == pytest.approx(1e150) for s in sols)
 
 
+# ------------------------------------------------- the CLI contract
+
+def _doubles(max_exp=1024):
+    """Magnitudes log-uniform from the smallest subnormal up to 2**max_exp
+    (the whole double range by default), either sign; one draw in 20 is a
+    zero of either sign."""
+    def value(m, e, sign, zero):
+        return sign * (0.0 if zero == 0 else math.ldexp(m, e))
+    return st.builds(value, st.floats(0.5, 1.0, exclude_max=True),
+                     st.integers(-1073, max_exp), st.sampled_from([1.0, -1.0]),
+                     st.integers(0, 19))
+
+
+DOUBLES = _doubles()
+# past 2**332 < 1e100 a tight-binding or model value only meets the input
+# bound, so half the draws stay below it and reach the computation
+BOUNDED_DOUBLES = DOUBLES | _doubles(332)
+
+
+def _run_contract(command, values, check):
+    """main(command), each value of `values` that is not None given by --set:
+    it must exit 0, 2 or 3, and an exit 0 must write JSON that `check`
+    accepts. The callers turn warnings into errors."""
+    argv = [command]
+    for key, value in values.items():
+        if value is not None:
+            argv += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as out:
+        rc = main([*argv, "--out", out])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), argv
+        if rc == EXIT_OK:
+            check(Path(out), argv)
+
+
+def _check_spectrum(out, argv):
+    summary = _strict_json((out / "spectrum_summary.json").read_text())
+    # null only where a route found no bulk state on a side
+    may_be_null = {"gap_edge_neg", "gap_edge_pos", "relative_error_neg", "relative_error_pos"}
+    for key, value in summary.items():
+        routes = isinstance(value, dict)
+        for k, v in (value.items() if routes else [(key, value)]):
+            assert v is not None or (routes and k in may_be_null), (argv, key, k)
+    for route in ("chain", "continuum"):
+        if route in summary:
+            _, rows = read_csv(out / f"spectrum_{route}.csv")
+            assert np.isfinite(rows[:, 1]).all(), argv
+
+
+def _check_tune(out, argv):
+    for sol in _strict_json((out / "tune.json").read_text())["solutions"]:
+        assert all(v is not None for v in sol.values()), argv
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(model=st.sampled_from(["I", "II"]), mass=BOUNDED_DOUBLES, flat_energy=BOUNDED_DOUBLES,
+       method=st.sampled_from(["chain", "continuum", "both"]),
+       cells=st.integers(2, 60), grid_points=st.integers(3, 80),
+       box=st.none() | DOUBLES, cluster_tol=st.none() | DOUBLES,
+       gap_exclusion=st.none() | DOUBLES)
+def test_spectrum_contract(**values):
+    _run_contract("spectrum", values, _check_spectrum)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({k: BOUNDED_DOUBLES for k in cli.TUNE_KEYS}))
+def test_tune_contract(values):
+    _run_contract("tune", values, _check_tune)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_past_the_double_range_of_kappa_box_runs_without_a_warning(tmp_path):
+    # kappa0*box passes 1e308 here; the engine samples tanh and log cosh of
+    # kappa0*x, which stay finite
+    argv = ["spectrum", "--set", "model=II", "--set", "mass=-2.6310984748993027e+28",
+            "--set", "flat_energy=-1.0519234885844141e+28", "--cells", "34",
+            "--set", "method=chain", "--box", "2.2886044134772873e+294"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    chain = _strict_json((tmp_path / "spectrum_summary.json").read_text())["chain"]
+    assert chain["gap_edge_neg"] == pytest.approx(-3.7209351471417e28, rel=1e-13)
+    assert chain["gap_edge_pos"] == pytest.approx(3.7209351471417e28, rel=1e-13)
+    # cluster_tol = 1e-6 is absolute, far below one rounding unit of these
+    # energies, so the count depends on the last bits of each eigenvalue
+    assert chain["cluster_count"] == 21
+
+
+@pytest.mark.filterwarnings("error")
+def test_tune_residual_overflow_exits_3_naming_the_flat_energy(tmp_path, capsys):
+    # the flat energies are -1.41e194 and -8.3e-201: det(H - E) at the first
+    # multiplies three differences of size 1e194
+    argv = ["tune", "--set", "eps_a=5.439879194433456e+41",
+            "--set", "eps_b=6.768876854291906e-264", "--set", "t_ab=-0.0010812927492680304",
+            "--set", "t_ab_inter=7.953717766354442e-284",
+            "--set", "t_ac=2.125133801106931e-48", "--set", "t_bc=-1.6250216805660699e-245"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("error: the flat-band residual overflows the double "
+                                       "range at flat energy -1.41407e+194\n")
+    assert not os.listdir(tmp_path)
+
+
 # --------------------------------------------------------------- susy
 
 def test_susy_model_run(tmp_path):
@@ -544,6 +647,23 @@ def test_tiny_box_exits_3_with_one_line(tmp_path, capsys, command, shown):
                "--box", "1e-300"])
     assert rc == EXIT_NUMERICAL
     assert capsys.readouterr().err == shown + "\n"
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("box,shown", [
+    ("1e-307", "grid spacing h=1e-308 is too small: 2/h overflows"),
+    ("1.5e-307", "the banded matrix has a non-finite entry, or a column sum past the "
+                 "double range"),
+    ("5e-324", "grid spacing h=0 is too small: 2/h overflows"),
+])
+def test_continuum_box_past_the_double_range_of_the_stencil_exits_3(tmp_path, capsys,
+                                                                   box, shown):
+    # 21 points: 2/h, or the column sums of the band, pass the double range
+    assert main(["spectrum", "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07",
+                 "--set", "method=continuum", "--grid-points", "21",
+                 "--box", box]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {shown}\n"
     assert not os.listdir(tmp_path)
 
 
@@ -703,6 +823,58 @@ def test_spectrum_continuum_and_both(tmp_path):
     assert os.path.exists(tmp_path / "spectrum_continuum.csv")
     # continuum flat level: one eigenvalue per grid point at lambda
     assert summary["continuum"]["cluster_count"] >= 300
+
+
+def _continuum_run(out, kind, mass, lam, box_kappa, n):
+    """spectrum's continuum route at box box_kappa/kappa0 on n points: the
+    seed, the summary and the CSV's rows."""
+    seed = models.ModelParams(models.ModelKind(kind), mass, lam).seed_data()
+    assert main(["spectrum", "--out", str(out), "--set", f"model={kind}",
+                 "--set", f"mass={mass}", "--set", f"flat_energy={lam}",
+                 "--set", "method=continuum", "--box", repr(box_kappa / seed.kappa0),
+                 "--grid-points", str(n)]) == EXIT_OK
+    summary = json.loads((out / "spectrum_summary.json").read_text())
+    return seed, summary, read_csv(out / "spectrum_continuum.csv")[1]
+
+
+@pytest.mark.parametrize("kind,mass,lam", [("I", 0.07, 0.0), ("II", 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_continuum_gap_edges_within_the_box_shift(tmp_path, kind, mass, lam):
+    # the Wilson term removes the central stencil's doubler, whose kink
+    # states sat inside the gap: what is left of the error is the finite
+    # box's sqrt(1 + (pi/(L E))^2) - 1 (L = 2 box), plus 0.1 %, and it falls
+    # as the box grows
+    errors = []
+    for box_kappa in (12.0, 24.0):
+        seed, summary, _ = _continuum_run(tmp_path / str(box_kappa), kind, mass, lam,
+                                          box_kappa, 301)
+        box = box_kappa / seed.kappa0
+        shift = np.sqrt(1.0 + (np.pi / (2 * box * seed.gap_edge)) ** 2) - 1.0
+        rep = summary["continuum"]
+        err = max(rep["relative_error_neg"], rep["relative_error_pos"])
+        assert err <= shift + 1e-3, (box_kappa, err, shift)
+        errors.append(err)
+    assert errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("kind,mass,lam", [("I", 0.2, -0.1), ("II", 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_continuum_state_at_minus_lambda_is_a_right_wall_state(tmp_path, kind, mass, lam):
+    # the Wilson stencil binds one state at exactly -lambda, which the
+    # continuum operator lacks: all its weight sits at the wall x = +box.
+    # The walk flags it as an edge state and never reports it as a gap edge
+    seed, summary, rows = _continuum_run(tmp_path, kind, mass, lam, 36.0, 601)
+    energy, edge = rows[:, 1], rows[:, 3]
+    (i,) = np.flatnonzero(np.abs(energy + lam) <= 1e-12)
+    assert edge[i] == 1.0
+    rep = summary["continuum"]
+    assert rep["gap_edge_neg"] < energy[i] < rep["gap_edge_pos"]
+    box = 36.0 / seed.kappa0
+    grid = numcore.Grid(-box, box, 601)
+    op = susychain.discretize(susychain.transformed_potential(
+        susychain.assemble_frame(seed, grid)), grid, "central")
+    density = (numcore.banded_eigvec(op, energy[i])[0] ** 2).reshape(601, 3).sum(axis=1)
+    assert density[-31:].sum() > 0.999  # the outer 5 % of points at x = +box
 
 
 @pytest.mark.parametrize("params", [["model=I", "mass=0.07"],
@@ -898,31 +1070,31 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
 @pytest.mark.parametrize("argv, digests", [
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=both"],
      {"spectrum_chain.csv":
-      "f0047e68a956039a7dc3abc9242f40d663d1b1610fd61f06628ffc76e8cbbe91",
+      "60783612c5e3069ebeb88fa32c6de7f865a5277d3fbd235ea277d6910fb3055e",
       "spectrum_continuum.csv":
-      "9fd68fc8f846f9408d806e9a47e85b220a07426f83bd8a410577947bd7982210",
+      "2f87782ee9e81195359adacd2bea04a51fd7898019dd5b7b6488dc8180dc9fc6",
       "spectrum_summary.json":
-      "1bcc5f23cbab9cd696509b5bba84cbffc7eddef1133041160f48e924f3220af0"}),
+      "5732eca22738dd9cdcd119ec45ffa85b5d61277161d68427ae3fa228f95d3f6f"}),
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=both", "--cells", "300", "--grid-points", "201"],
      {"spectrum_chain.csv":
-      "49520ab5236d15401880e6fef1979f59a1c70fc6588140a4c03aeece6ac7c53e",
+      "c3b13cb3ed081b5e72d3943f52b6ac3526deaeca4c5465c0830c956cc3d83321",
       "spectrum_continuum.csv":
-      "a7fd65911de3f9e4046b1ecb464d6ec175cf39bf6b071bf220653ffd9fa10c84",
+      "e20f0bb0f29063a8c1fc0ea15fb4c9d09681dc8d4af213f8916d9c6c7075d18c",
       "spectrum_summary.json":
-      "120494379ceba75fe5543f3ebac62f8a4b56a44b54aa05090256099ff13f521f"}),
+      "8c50f43d026373b49e4dafae091ea19e47dc115e5594fdafd033efba385f7a45"}),
     # cell spacing 600/499, where the hop (n - 1)/(2 box) and 1/h differ in the last bit
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=chain", "--cells", "500", "--box", "300"],
      {"spectrum_chain.csv":
-      "4e6138954cc2cd251306b29739ec298ce8978ed2a2435b340948fb678c21e1c7",
+      "2670084ef25bc6ca03a591779ad2d18c2f2e6a6ba3d582227bacf11ba73bf1e1",
       "spectrum_summary.json":
-      "89385aae4072d6aa35d589c1f4a315cc814fc85e6c79ac098848518649380743"}),
+      "d5792b7bbefc2773cd4d148630784606178f42207b3df118ac759de88b186b42"}),
     # the smallest chain, a 2-point grid
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=chain",
       "--cells", "2"],
      {"spectrum_chain.csv":
-      "a2dba717a5b45b28762ab5120e7e72f3c182e2fb2702db7534eebcfe3ca2230c",
+      "c6cbdb287da10d6f87ec5b8b82fae59c063fa7bda4a07f696b3e11d587a467c4",
       "spectrum_summary.json":
       "e9a89bbca4aa12a460dff0b919382d38bbad32f39bdaf2e8fb22b0000460a193"}),
 ], ids=["model_I_default", "model_II_small", "model_II_box_300", "two_cells"])

@@ -18,7 +18,7 @@ from susychain.errors import NumericalError
 from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
 
-from reference import banded_to_dense, join_spinor, split_spinor
+from reference import banded_to_dense, join_spinor, split_spinor, wilson_matrix
 
 finite = st.floats(-2.0, 2.0)
 
@@ -101,35 +101,44 @@ def test_discretize_is_hermitian_and_matches_apply():
     # undo the gauge: H = G (D^H H D) G^H with G = kron(I_n, D)
     g = np.kron(np.eye(grid.n_points), np.diag(D))
     dense = g @ gauged @ g.conj().T
-    # matrix-vector action agrees with the stencil application away from
-    # the box walls (the truncation differs only in the first/last point)
+    # matrix-vector action agrees with the stencil application plus the
+    # Wilson term h*(-d^2/dx^2)*M away from the box walls (the truncation
+    # differs only in the first/last point)
     rng = np.random.default_rng(2)
     f = rng.normal(size=(3, grid.n_points))
+    m = wilson_matrix(comps)
     via_matrix = (dense @ f.T.ravel()).reshape(grid.n_points, 3).T
     via_stencil = join_spinor(apply_dirac(comps, split_spinor(f), grid))
+    via_stencil[:, 1:-1] += m @ (2 * f[:, 1:-1] - f[:, :-2] - f[:, 2:]) / grid.h
     np.testing.assert_allclose(via_matrix[:, 1:-1], via_stencil[:, 1:-1],
                                atol=1e-10)
     # D = i P S with P = diag(i, 1, 1) and S = diag(-1, 1, 1): the real band
-    # is S times apply_dirac's real form times S
+    # is S times apply_dirac's real form, with M as P^H M P, times S
     s = np.tile([-1.0, 1.0, 1.0], grid.n_points)
     via_band = (s * (gauged @ (s * f.T.ravel()))).reshape(grid.n_points, 3).T
-    np.testing.assert_allclose(via_band[:, 1:-1], apply_dirac(comps, f, grid)[:, 1:-1],
-                               atol=1e-10)
+    p = np.diag([1j, 1.0, 1.0])
+    m_real = (p.conj().T @ m @ p).real
+    via_apply = apply_dirac(comps, f, grid)
+    via_apply[:, 1:-1] += m_real @ (2 * f[:, 1:-1] - f[:, :-2] - f[:, 2:]) / grid.h
+    np.testing.assert_allclose(via_band[:, 1:-1], via_apply[:, 1:-1], atol=1e-10)
 
 
 def _discretize_reference(comps, grid):
     """Band storage of discretize, filled entry by entry, point by point,
     each entry (a, b) of the potential and the hop gauged to
-    conj(D_a) * H_ab * D_b."""
+    conj(D_a) * H_ab * D_b. The Wilson term h*(-d^2/dx^2)*M adds 2M/h on
+    site and -M/h to the hop."""
     n = grid.n_points
     d = D
-    v = np.broadcast_to(comps.matrix_stack(), (n, 3, 3))
+    m = wilson_matrix(comps)
+    v = np.broadcast_to(comps.matrix_stack() + 2 / grid.h * m, (n, 3, 3))
     bands = np.zeros((5, 3 * n), dtype=complex)
     for i in range(n):
         for a in range(3):
             for b in range(a, 3):
                 bands[4 + a - b, 3 * i + b] = d[a].conjugate() * v[i, a, b] * d[b]
-    hop = -1j / (2 * grid.h) * GAMMA
+    # M/h part by part: numpy's complex division by a real rounds otherwise
+    hop = -1j / (2 * grid.h) * GAMMA - (m.real / grid.h + 1j * (m.imag / grid.h))
     for i in range(n - 1):
         for a in range(3):
             for b in range(3):
@@ -172,6 +181,28 @@ def test_discretize_rejects_bad_potential():
             discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid, stencil)
     with pytest.raises(NumericalError, match="stencil"):
         discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.0), grid, "upwind")
+
+
+@pytest.mark.parametrize("caller", [
+    lambda comps, grid: apply_dirac(comps, np.zeros((3, grid.n_points)), grid),
+    lambda comps, grid: discretize(comps, grid, "central"),
+], ids=["apply_dirac", "discretize"])
+def test_complex_component_is_refused_naming_it(caller):
+    # a Hermitian V has real components; both callers read them through
+    # PotentialComponents.samples
+    grid = Grid(-1.0, 1.0, 11)
+    comps = PotentialComponents(0.1, 0.2, np.full(11, 0.05 + 1e-3j), 0.0, 0.3)
+    with pytest.raises(NumericalError, match="v13 must be real"):
+        caller(comps, grid)
+
+
+def test_wilson_term_of_a_decoupled_potential_ignores_the_sign_of_zero():
+    # v13 = -0.0 makes 2*v13*v23 = -0.0, and arctan2(0.0, -0.0) is pi: the
+    # Wilson matrix of a decoupled potential must not flip with that sign
+    grid = Grid(-2.0, 2.0, 21)
+    plus = discretize(PotentialComponents(0.1, 0.2, 0.0, 0.0, 0.3), grid, "central")
+    minus = discretize(PotentialComponents(0.1, 0.2, -0.0, 0.0, 0.3), grid, "central")
+    np.testing.assert_array_equal(plus.bands, minus.bands)
 
 
 def test_apply_dirac_rejects_complex_input():

@@ -26,7 +26,7 @@ from susychain.models import ModelKind, ModelParams
 from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
     banded_eigvec, eigh_banded, norm_1
 
-from reference import banded_to_dense
+from reference import banded_to_dense, wilson_matrix
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -296,7 +296,7 @@ def test_degenerate_walked_group_gets_one_ipr_whatever_the_rounding(monkeypatch)
     # group's mean density does not move
     p = ModelParams(ModelKind.II, 0.1, 0.05)
     chain = _route_operator(p, "chain", 800)
-    excl = 0.1 * models.model_spectrum(p).gap_edge
+    excl = 0.1 * p.seed_data().gap_edge
     rep = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=excl)
     walked = np.flatnonzero(np.isfinite(rep.ipr))
     w = rep.eigenvalues
@@ -351,7 +351,7 @@ def _route_operator(p, route, size, box=12.0):
 def _model_case(kind, mass, lam, route):
     p = ModelParams(kind, mass, lam)
     op = _route_operator(p, route, 100 if route == "chain" else 101)
-    return op, lam, 1e-6, 0.1 * models.model_spectrum(p).gap_edge
+    return op, lam, 1e-6, 0.1 * p.seed_data().gap_edge
 
 
 def _ssh_case(end_potentials):
@@ -406,7 +406,7 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
                                                                size, box):
     p = ModelParams(kind, mass, lam)
     op = _route_operator(p, route, size, box)
-    gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
+    gap_exclusion = 0.1 * p.seed_data().gap_edge
     rep = chain_spectrum(op, flat_energy=lam, gap_exclusion=gap_exclusion)
     monkeypatch.setattr(lattice, "eigh_banded", _full_eigh_banded)
     full = chain_spectrum(op, flat_energy=lam, gap_exclusion=gap_exclusion)
@@ -428,15 +428,18 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     # discretize stores D^H H D with D = diag(1, i, i) per point, in real
     # bands; a dense solve of the ungauged complex H must give the same report
     p = ModelParams(kind, mass, lam)
-    gap_exclusion = 0.1 * models.model_spectrum(p).gap_edge
+    gap_exclusion = 0.1 * p.seed_data().gap_edge
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
     comps = models.model_potential_components(p, grid)
     gauged = discretize(comps, grid, "central")
     stack = comps.matrix_stack()
     assert gauged.bands.dtype == np.float64
-    hop = -1j / (2 * grid.h) * GAMMA  # the block from point i to point i + 1
+    # the Wilson term h*(-d^2/dx^2)*M adds 2M/h on site and -M/h to the
+    # central hop, the block from point i to point i + 1
+    m = wilson_matrix(comps)
+    hop = -1j / (2 * grid.h) * GAMMA - m / grid.h
     n = grid.n_points
-    h = (scipy.linalg.block_diag(*stack) + np.kron(np.eye(n, k=1), hop)
+    h = (scipy.linalg.block_diag(*(stack + 2 / grid.h * m)) + np.kron(np.eye(n, k=1), hop)
          + np.kron(np.eye(n, k=-1), hop.conj().T))
     w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(
         h, EIGVEC_RESIDUAL_TOL * norm_1(gauged), lam, 1e-6, gap_exclusion)

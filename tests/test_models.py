@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import discretize, potential_matrix
+from susychain.continuum import discretize, potential_matrix, threshold_scan
 from susychain.errors import NumericalError
 from susychain.lattice import chain_spectrum
 from susychain.models import (
@@ -16,7 +16,6 @@ from susychain.models import (
     asymptotic_cell,
     model_potential,
     model_potential_components,
-    model_spectrum,
     validate_params,
 )
 from susychain.numcore import Grid
@@ -184,23 +183,21 @@ def test_model_potential_components_wrapper():
 # ------------------------------------------------------------ spectra
 
 def test_model1_closed_form_spectrum():
-    spec = model_spectrum(P1)
     m, lam = P1.mass, P1.flat_energy
-    assert spec.gap_edge == pytest.approx(np.sqrt(m * (2 * m - lam)))
-    assert spec.flat_energy == lam
-    assert not spec.derived_not_published
+    assert P1.seed_data().gap_edge == pytest.approx(np.sqrt(m * (2 * m - lam)))
 
 
 def test_model2_derived_thresholds_flagged():
-    spec = model_spectrum(P2)
-    assert spec.gap_edge == pytest.approx(np.sqrt(2) * abs(P2.mass))
-    assert spec.derived_not_published
+    # the seed's edge is the threshold of the asymptotic cell on either side
+    edge = P2.seed_data().gap_edge
+    assert edge == pytest.approx(np.sqrt(2) * abs(P2.mass))
+    for side in (-1, 1):
+        assert threshold_scan(asymptotic_cell(P2, side))[1] == pytest.approx(edge, rel=1e-14)
 
 
 def test_flat_level_sits_in_the_gap():
     for p in (P1, P2):
-        spec = model_spectrum(p)
-        assert abs(p.flat_energy) < spec.gap_edge
+        assert abs(p.flat_energy) < p.seed_data().gap_edge
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,7 +259,7 @@ def test_chain_hopping_follows_cell_spacing(p):
     # sqrt(1 + (2 pi / (L E))^2) - 1 (box length L = 2 * box) plus the
     # lattice allowance, and the error falls with h
     box = 200.0
-    edge = model_spectrum(p).gap_edge
+    edge = p.seed_data().gap_edge
     bound = np.sqrt(1.0 + (np.pi / (box * edge)) ** 2) - 1.0 + LATTICE_EDGE_TOL
     errors = []
     for h in (2.0, 1.0, 0.5):

@@ -106,6 +106,19 @@ def test_kappa0():
     assert s.kappa0 == pytest.approx(np.sqrt(0.16 + 0.09 - 0.01))
 
 
+@pytest.mark.parametrize("seed", [ModelParams(ModelKind.I, 0.2, -0.1).seed_data(),
+                                  ModelParams(ModelKind.II, 0.1, 0.05).seed_data(),
+                                  SeedData(mass=0.07, flat_energy=0.01, gauge_a=0.05, c0=50.0)],
+                         ids=["model_I", "model_II", "general"])
+def test_gap_edge_is_the_threshold_of_v_new_at_both_walls(seed):
+    # V_new decouples far from the kink, to a constant potential whose
+    # bands start at hypot(v11, v12): that is the seed's hypot(mass, gauge_a)
+    v = transformed_potential(assemble_frame(seed, Grid(-200.0, 200.0, 801)))
+    for i in (0, -1):
+        assert abs(v.v13[i]) + abs(v.v23[i]) < 1e-12
+        assert np.hypot(v.v11[i], v.v12[i]) == pytest.approx(seed.gap_edge, rel=1e-12)
+
+
 # --------------------------------------------------- seed eigenstates
 
 def test_frame_columns_are_seed_eigenstates():
