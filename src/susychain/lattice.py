@@ -89,8 +89,13 @@ def bloch_hamiltonian(p, k):
 
 
 def default_k_grid(p, n=513):
-    """Uniform k-grid over one Brillouin zone, both edges included."""
-    return np.linspace(-np.pi / p.a, np.pi / p.a, n)
+    """Uniform k-grid over one Brillouin zone, both edges included;
+    NumericalError where the zone's width 2*pi/a overflows."""
+    edge = np.pi / float(p.a)
+    if not 2 * edge < np.inf:
+        raise NumericalError(f"lattice constant a = {p.a:g} is too small: the zone's "
+                             "width 2*pi/a overflows")
+    return np.linspace(-edge, edge, n)
 
 
 def band_structure(p, k_grid):
@@ -140,6 +145,10 @@ def tune_flat_band(p):
     p1 = -r * (p.eps_a + p.eps_b) + p.t_bc**2 + p.t_ac**2
     p0 = (p.eps_a * p.eps_b * r - p.eps_a * p.t_bc**2 - p.eps_b * p.t_ac**2
           - (p.t_ab**2 + p.t_ab_inter**2) * r + 2 * p.t_ab * p.t_ac * p.t_bc)
+    if p2 == p1 == p0 == 0.0:
+        # p2 = r is 0 only where t_ac or t_bc is, and then p1 = t_ac^2 + t_bc^2 > 0
+        raise NumericalError(f"flat-band tuning: t_ac^2 + t_bc^2 underflows to 0 "
+                             f"(t_ac = {p.t_ac:g}, t_bc = {p.t_bc:g})")
     solutions = []
     for e_flat in quad_roots(p2, p1, p0):
         eps_c = e_flat + r

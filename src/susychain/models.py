@@ -81,14 +81,19 @@ def validate_params(p):
     if max(abs(m), abs(lam)) > MAX_PARAM:
         return [f"|mass| and |flat_energy| must not exceed {MAX_PARAM:g}"]
     if p.kind is ModelKind.I:
-        if m * (m - lam) <= 0:
+        # m - lambda of two distinct doubles is never 0
+        if m * (m - lam) == 0 and m != 0 and m != lam:
+            out.append(f"m(m - lambda) underflows to 0 (m = {m:g}, m - lambda = {m - lam:g})")
+        elif m * (m - lam) <= 0:
             out.append(f"m(m - lambda) = {m * (m - lam):.3e} must be > 0")
         if not (-2 * m < lam):
             out.append(f"-2m < lambda violated (lambda = {lam:g}, m = {m:g})")
         if not (lam < m):
             out.append(f"lambda < m violated (lambda = {lam:g}, m = {m:g})")
     else:
-        if not (lam**2 < 2 * m**2):
+        if m != 0 and 2 * m**2 == lam**2 == 0:
+            out.append(f"2m^2 and lambda^2 underflow to 0 (m = {m:g}, lambda = {lam:g})")
+        elif not (lam**2 < 2 * m**2):
             out.append(f"lambda^2 < 2 m^2 violated (lambda^2 = {lam**2:g}, "
                        f"2m^2 = {2 * m**2:g})")
     if abs(lam) == abs(m):

@@ -2,9 +2,9 @@
 
 Everything here is a pure function of its inputs. `Grid` is immutable;
 `BandedHermitian` is a plain holder of real band storage
-that no function here writes to. The banded eigensolvers call five LAPACK
-and BLAS routines (dsbtrd, dsterf, dgbtrf, dgbtrs, dsbmv) in numpy's own
-OpenBLAS (`_lapack`), so nothing here imports scipy.
+that no function here writes to. The banded eigensolvers call seven LAPACK
+and BLAS routines (dsbtrd, dsterf, dgbtrf, dgbtrs, dgeqrf, dorgqr, dsbmv) in
+numpy's own OpenBLAS (`_lapack`), so nothing here imports scipy.
 """
 
 import functools
@@ -228,10 +228,6 @@ EIGVEC_ITERATIONS = 3
 # chain_spectrum treats states as one numerically degenerate group, both in
 # units of norm_1
 EIGVEC_RESIDUAL_TOL = 1e-10
-# largest max |V V^T - I| banded_eigvec accepts for its `count` vectors:
-# rounding leaves ~1e-15 (a group of 400 decoupled cells at its exact
-# eigenvalue: 7e-16), a vector that repeats another leaves ~1
-GROUP_OVERLAP_TOL = EIGVEC_RESIDUAL_TOL ** 0.5
 
 
 def banded_eigvec(m, energy, count=1):
@@ -239,80 +235,59 @@ def banded_eigvec(m, energy, count=1):
     eigenvalue `energy` of that multiplicity, as the rows of a (count, dim)
     array: some basis of a numerically degenerate group's eigenspace.
 
-    Block inverse iteration with one banded LU of M - energy*I (general band
-    storage, lower diagonals copied from the stored upper ones), or of M
-    minus a shift one rounding unit below energy where that LU has a zero
-    pivot or a solve overflows. Each solve takes every row as a right-hand
-    side; then each row in turn is projected off the rows before it and
-    normalised. The start block is fixed, so reruns give identical vectors.
-    Three solves damp every other eigencomponent by (rounding / spectral
-    gap)**3, well below what an IPR or an edge flag resolves. Raises
-    NumericalError if max |V V^T - I| exceeds GROUP_OVERLAP_TOL, or unless
-    each row's ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL * norm_1(m).
+    Block inverse iteration with one banded LU (general band storage, lower
+    diagonals copied from the stored upper ones) of M minus a shift one
+    rounding unit of ||M||_1 above energy: a computed eigenvalue is only that
+    close anyway, and the LU at an exact eigenvalue may hold a zero pivot.
+    Each solve takes every row as a right-hand side; then each row is divided
+    by its largest |entry| and the block is orthonormalised by Householder
+    QR. The start block is fixed, so reruns give identical vectors. Three
+    solves damp every other eigencomponent by (rounding / spectral gap)**3,
+    well below what an IPR or an edge flag resolves. Raises NumericalError
+    unless each row's ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL *
+    norm_1(m), which also refuses more rows than the eigenspace holds.
     """
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
     u, n = m.bandwidth, m.dim
+    if not 0 < count <= n:
+        raise NumericalError(f"banded_eigvec: {count} vectors of a dimension-{n} matrix")
     # M - energy*I, its shift and its residual are multiplied by the power of
     # two s that puts s * ||M||_1 in [1/2, 1): exact, so the vectors have the
     # same bits at every scale at which M stays normal
     scale = norm_1(m)
     s = np.ldexp(1.0, -np.frexp(scale)[1])
-    # factor s*(M - energy*I) once (gbtrf, the first half of gbsv) for the
-    # solves (gbtrs), in general band storage: u rows on top for the
-    # fill-in of pivoting, the u + 1 stored rows, then the u lower diagonals
-    shifted = np.zeros((3 * u + 1, n), order="F")
-    shifted[u : 2 * u + 1] = m.bands
+    # s*(M - energy*I - shift) in general band storage (gbtrf, the first half
+    # of gbsv): u rows on top for the fill-in of pivoting, the u + 1 stored
+    # rows, then the u lower diagonals
+    lu = np.zeros((3 * u + 1, n), order="F")
+    lu[u : 2 * u + 1] = m.bands
     for d in range(1, min(u, n - 1) + 1):
-        shifted[2 * u + d, : n - d] = m.bands[u - d, d:]
-    shifted[2 * u] -= energy
-    shifted *= s
-    lu, piv, info = np.empty_like(shifted), np.empty(n, np.int64), np.zeros(1, np.int64)
-    start = np.random.default_rng(0).standard_normal((count, n))
-    start /= np.array([np.linalg.norm(row) for row in start])[:, None]
-
-    def factor():
-        lu[:] = shifted
-        _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
-        return info[0] == 0
-
-    def iterate():
-        # None if a solve overflows; v's C-ordered rows are gbtrs's columns
-        v = start.copy()
-        for _ in range(EIGVEC_ITERATIONS):
-            _lapack("dgbtrs")(b"N", n, u, u, count, lu, 3 * u + 1, piv, v, n, info)
-            for k, row in enumerate(v):
-                if k:
-                    row -= (v[:k] @ row) @ v[:k]
-                peak = np.abs(row).max()
-                if not np.isfinite(peak):
-                    return None
-                if peak > 2.0**500:  # the norm squares entries
-                    row /= peak
-                norm = np.linalg.norm(row)
-                if norm == 0:
-                    raise NumericalError(f"inverse iteration at E={energy:.6g}: "
-                                         "iterate has norm 0")
-                row /= norm
-        return v
-
-    v = iterate() if factor() else None
-    if v is None:
-        # an exactly zero pivot (say, a decoupled site at the shift) or one so
-        # small that a solve overflows (cells that the hopping all but
-        # decouples, from --box 1e160 on, at their exact eigenvalue): move
-        # the shift off the eigenvalue by one rounding unit and start again
-        shifted[2 * u] -= np.finfo(float).eps * (s * scale)
-        if not factor():
-            raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
-        v = iterate()
-        if v is None:
+        lu[2 * u + d, : n - d] = m.bands[u - d, d:]
+    lu[2 * u] -= energy
+    lu *= s
+    lu[2 * u] -= np.finfo(float).eps * (s * scale)
+    piv, info = np.empty(n, np.int64), np.zeros(1, np.int64)
+    _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
+    if info[0]:
+        raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
+    # v's C-ordered (count, n) rows are LAPACK's (n, count) Fortran columns.
+    # Fixed chirps cos(golden ratio * k * j^2) overlap every eigenvector as
+    # random rows do; sinusoids cos(golden ratio * k * j) miss some
+    v = np.cos(np.outer(np.arange(1, count + 1), np.arange(n) ** 2) * ((1 + 5**0.5) / 2))
+    # dgeqrf and dorgqr ask for nb columns of workspace per vector to block
+    # by nb (32 in OpenBLAS); with less they block less or not at all
+    tau, work = np.empty(count), np.empty(64 * count)
+    for _ in range(EIGVEC_ITERATIONS):
+        _lapack("dgbtrs")(b"N", n, u, u, count, lu, 3 * u + 1, piv, v, n, info)
+        peak = np.abs(v).max(axis=1, keepdims=True)
+        if not np.isfinite(peak).all():
             raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
-    gram = v @ v.T
-    gram.flat[:: count + 1] -= 1.0  # V V^T - I
-    if (worst := float(np.abs(gram, out=gram).max())) > GROUP_OVERLAP_TOL:
-        raise NumericalError(f"inverse iteration at E={energy:.6g}: a vector overlaps "
-                             f"its degenerate group by {worst:.3e}")
+        if not peak.all():
+            raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
+        v /= peak
+        _lapack("dgeqrf")(n, count, v, n, tau, work, work.size, info)
+        _lapack("dorgqr")(n, count, count, v, n, tau, work, work.size, info)
     # s*(M v - energy v) by BLAS on the stored upper band, row by row
     bands, residual = np.asfortranarray(m.bands, float), 0.0
     for row in v:

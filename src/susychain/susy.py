@@ -59,6 +59,15 @@ class SeedData:
         if abs(self.flat_energy) == abs(self.mass):
             raise NumericalError("|flat_energy| must differ from |mass|")
         if self.kappa0_sq <= 0.0:
+            # kappa0^2 after the exact power-of-two scaling that brings the
+            # largest constant into [1/2, 1): positive only if a square underflowed
+            values = (self.gauge_a, self.mass, self.flat_energy)
+            e = -np.frexp(max(map(abs, values)))[1]
+            a, m, lam = (np.ldexp(v, e) for v in values)
+            if a**2 + m**2 - lam**2 > 0.0:
+                raise NumericalError(
+                    f"kappa0^2 = A^2 + m^2 - lambda^2 underflows to {self.kappa0_sq:.3e} "
+                    f"(A = {self.gauge_a:g}, m = {self.mass:g}, lambda = {self.flat_energy:g})")
             raise NumericalError(f"kappa0^2 = {self.kappa0_sq:.3e} <= 0: "
                                  "oscillatory seeds unsupported")
 

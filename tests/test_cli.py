@@ -275,14 +275,16 @@ def test_no_command_loads_scipy(tmp_path):
               "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
         assert "concurrent.futures" not in sys.modules
         for argv in (["bands", *tb], ["tune", *tb],
-                     ["susy", "--set", "model=I", "--set", "mass=0.07"],
-                     ["verify", "--seed", "3"]):
+                     ["susy", "--set", "model=I", "--set", "mass=0.07"]):
             assert main([argv[0], "--out", out, *argv[1:]]) == 0, argv
         assert "concurrent.futures" not in sys.modules
         assert main(["spectrum", "--out", out, "--set", "model=I", "--set", "mass=0.07",
                      "--set", "method=both", "--cells", "60",
                      "--grid-points", "101"]) == 0
         assert "concurrent.futures" in sys.modules
+        # the walk's start block needs no generator; verify draws from one
+        assert not {{"numpy.random", "secrets", "_hashlib"}} & set(sys.modules)
+        assert main(["verify", "--out", out, "--seed", "3"]) == 0
         assert sys.modules["scipy"] is None
     """)
     src = str(Path(susychain.__file__).resolve().parents[1])
@@ -421,17 +423,17 @@ DOUBLES = _doubles()
 BOUNDED_DOUBLES = DOUBLES | _doubles(332)
 
 
-def _run_contract(command, values, check):
+def _run_contract(command, values, check, exits=(EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)):
     """main(command), each value of `values` that is not None given by --set:
-    it must exit 0, 2 or 3, and an exit 0 must write JSON that `check`
-    accepts. The callers turn warnings into errors."""
+    it must exit with one of `exits`, and an exit 0 must write outputs that
+    `check` accepts. The callers turn warnings into errors."""
     argv = [command]
     for key, value in values.items():
         if value is not None:
             argv += ["--set", f"{key}={value}"]
     with tempfile.TemporaryDirectory() as out:
         rc = main([*argv, "--out", out])
-        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), argv
+        assert rc in exits, argv
         if rc == EXIT_OK:
             check(Path(out), argv)
 
@@ -471,6 +473,99 @@ def test_spectrum_contract(**values):
 @given(st.fixed_dictionaries({k: BOUNDED_DOUBLES for k in cli.TUNE_KEYS}))
 def test_tune_contract(values):
     _run_contract("tune", values, _check_tune)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+def _check_all_finite(out, argv):
+    """bands, susy and verify document no null: every JSON value is one,
+    and every CSV value is finite."""
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            assert np.isfinite(read_csv(path)[1]).all(), (argv, path.name)
+        else:
+            assert None not in _leaves(_strict_json(path.read_text())), (argv, path.name)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({**{k: BOUNDED_DOUBLES for k in cli.TIGHT_BINDING_KEYS},
+                              "grid_points": st.integers(3, 80)}))
+def test_bands_contract(values):
+    _run_contract("bands", values, _check_all_finite)
+
+
+# a model fixes gauge_a and c0, and the general seed needs gauge_a: most
+# draws set the keys their seed reads, a few set the others too
+_SUSY_COMMON = {"mass": BOUNDED_DOUBLES, "flat_energy": BOUNDED_DOUBLES,
+                "box": st.none() | DOUBLES, "grid_points": st.integers(3, 80)}
+_SEED_KEYS = {"gauge_a": BOUNDED_DOUBLES, "c0": DOUBLES}
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({"model": st.sampled_from(["I", "II"]), **_SUSY_COMMON})
+       | st.fixed_dictionaries({**_SUSY_COMMON, **_SEED_KEYS})
+       | st.fixed_dictionaries({"model": st.none() | st.sampled_from(["I", "II"]),
+                                **_SUSY_COMMON}, optional=_SEED_KEYS))
+def test_susy_contract(values):
+    _run_contract("susy", values, _check_all_finite)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.none() | st.integers(0, 2**70) | DOUBLES, tol=st.none() | DOUBLES)
+def test_verify_contract(**values):
+    _run_contract("verify", values, _check_all_finite,
+                  exits=(EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_VERIFY))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, message", [
+    (["spectrum", "--set", "model=I", "--set", "mass=1e-200"], EXIT_CONFIG,
+     "m(m - lambda) underflows to 0 (m = 1e-200, m - lambda = 1e-200)"),
+    (["spectrum", "--set", "model=II", "--set", "mass=1e-200", "--set", "flat_energy=1e-201"],
+     EXIT_CONFIG, "2m^2 and lambda^2 underflow to 0 (m = 1e-200, lambda = 1e-201)"),
+    (["susy", "--set", "mass=1e-200", "--set", "gauge_a=3e-200", "--set", "flat_energy=1e-201"],
+     EXIT_NUMERICAL, "kappa0^2 = A^2 + m^2 - lambda^2 underflows to 0.000e+00 "
+     "(A = 3e-200, m = 1e-200, lambda = 1e-201)"),
+    (["tune", "--set", "t_ab=1e-200", "--set", "t_ab_inter=1e-200", "--set", "t_ac=1e-200",
+      "--set", "t_bc=1e-200"], EXIT_NUMERICAL,
+     "t_ac^2 + t_bc^2 underflows to 0 (t_ac = 1e-200, t_bc = 1e-200)"),
+], ids=["model_I", "model_II", "general_seed", "tune"])
+def test_an_underflow_is_refused_naming_it(tmp_path, capsys, argv, code, message):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_walks_a_dense_cluster_of_a_large_mass(tmp_path):
+    # at |m| = 1.8e4 the cells all but decouple, and the walk's groups lie in
+    # a dense cluster. Three solves from sinusoidal start rows,
+    # cos(golden ratio * k * j), left a row 3.7e-10 x ||H||_1 off its group
+    # and spectrum exited 3; the chirp rows leave 4.9e-11, below the 1e-10 bound
+    argv = ["spectrum", "--set", "model=II", "--set", "mass=-18006.422064235354",
+            "--set", "flat_energy=4.306842939454051e-175", "--set", "method=chain",
+            "--cells", "44", "--box", "52.04671425101906"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bands", "tune"])
+def test_a_zone_too_wide_for_doubles_exits_3_naming_it(tmp_path, capsys, command):
+    # 2*pi/a overflows: bands' k grid was inf - inf, and tune blamed its residual
+    argv = [command, "--set", "t_ab=1", "--set", "t_ab_inter=1", "--set", "t_ac=0.2",
+            "--set", "t_bc=0.01", "--set", "a=1e-310"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "the zone's width 2*pi/a overflows" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1070,31 +1165,31 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
 @pytest.mark.parametrize("argv, digests", [
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=both"],
      {"spectrum_chain.csv":
-      "60783612c5e3069ebeb88fa32c6de7f865a5277d3fbd235ea277d6910fb3055e",
+      "42e9f445619a1d919af498b78c24630147b75513b4c84bc2d840563de1eedc5f",
       "spectrum_continuum.csv":
-      "2f87782ee9e81195359adacd2bea04a51fd7898019dd5b7b6488dc8180dc9fc6",
+      "877df895e3d50ad98e97d288bcd433061653b3a33ff86ad686d65de425021b10",
       "spectrum_summary.json":
       "5732eca22738dd9cdcd119ec45ffa85b5d61277161d68427ae3fa228f95d3f6f"}),
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=both", "--cells", "300", "--grid-points", "201"],
      {"spectrum_chain.csv":
-      "c3b13cb3ed081b5e72d3943f52b6ac3526deaeca4c5465c0830c956cc3d83321",
+      "afb8fd56cffc6ac44358e2ca90eccc2b173bd1a0d74ddf9722569fea95db4af0",
       "spectrum_continuum.csv":
-      "e20f0bb0f29063a8c1fc0ea15fb4c9d09681dc8d4af213f8916d9c6c7075d18c",
+      "06777ba8ee5cb911755d46ad22addf8919edfaf3a36af46d6ba13f61cb54778d",
       "spectrum_summary.json":
       "8c50f43d026373b49e4dafae091ea19e47dc115e5594fdafd033efba385f7a45"}),
     # cell spacing 600/499, where the hop (n - 1)/(2 box) and 1/h differ in the last bit
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=chain", "--cells", "500", "--box", "300"],
      {"spectrum_chain.csv":
-      "2670084ef25bc6ca03a591779ad2d18c2f2e6a6ba3d582227bacf11ba73bf1e1",
+      "7fc34994b7a1f017deaaa7c0baa61b8c3b1a269ddf33b4e3e8d2399c1a8c7f89",
       "spectrum_summary.json":
       "d5792b7bbefc2773cd4d148630784606178f42207b3df118ac759de88b186b42"}),
     # the smallest chain, a 2-point grid
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=chain",
       "--cells", "2"],
      {"spectrum_chain.csv":
-      "c6cbdb287da10d6f87ec5b8b82fae59c063fa7bda4a07f696b3e11d587a467c4",
+      "dd81040bb2e6da498e3c4bc7d85eefaef99046fd76583e67b41682b8a2d5543e",
       "spectrum_summary.json":
       "e9a89bbca4aa12a460dff0b919382d38bbad32f39bdaf2e8fb22b0000460a193"}),
 ], ids=["model_I_default", "model_II_small", "model_II_box_300", "two_cells"])

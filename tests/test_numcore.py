@@ -464,32 +464,30 @@ def test_chain_band_reduction_starts_below_the_tridiagonal_lead(monkeypatch):
 
 
 def _solve_banded_eigvec(m, energy):
-    """banded_eigvec's iteration as it was: three scipy.linalg.solve_banded
-    calls, each factoring M - energy*I anew (gbsv for bandwidth >= 2)."""
+    """banded_eigvec's iteration for one vector: three
+    scipy.linalg.solve_banded calls (gbsv for bandwidth >= 2), each factoring
+    M minus a shift one rounding unit of ||M||_1 above energy anew, each
+    followed by a division by the largest |entry| and np.linalg.qr."""
     u, n = m.bandwidth, m.dim
     dense = banded_to_dense(m)
     ab = np.zeros((2 * u + 1, n), dtype=np.result_type(dense, float))
     for d in range(-u, u + 1):
         ab[u - d, max(d, 0): n + min(d, 0)] = np.diagonal(dense, d)
     scale = float(np.abs(ab).sum(axis=0).max())
-    shifted = ab.copy()
-    shifted[u] -= energy
-    v = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)
-    v /= np.linalg.norm(v)
+    ab[u] -= energy
+    ab[u] -= EPS * scale
+    v = np.cos(np.arange(n) ** 2 * ((1 + 5**0.5) / 2))
     for _ in range(3):
-        try:
-            v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
-        except np.linalg.LinAlgError:
-            shifted[u] -= EPS * scale
-            v = scipy.linalg.solve_banded((u, u), shifted, v, check_finite=False)
-        v /= np.linalg.norm(v)
+        v = scipy.linalg.solve_banded((u, u), ab, v, check_finite=False)
+        v /= np.abs(v).max()
+        v = np.linalg.qr(v[:, None])[0][:, 0]
     return v
 
 
 @pytest.mark.parametrize("dtype, bw", [(float, 2), (float, 3), (float, 4)])
 def test_banded_eigvec_factored_once_equals_three_solves_bitwise(dtype, bw):
     dense = _random_banded(np.random.default_rng(21), 30, bw)
-    # site 7 decoupled: the shift at its diagonal hits an exact zero pivot
+    # site 7 decoupled: without the shift its exact eigenvalue is a zero pivot
     diag = dense[7, 7]
     dense[7, :] = dense[:, 7] = 0.0
     dense[7, 7] = diag
@@ -565,19 +563,18 @@ def _record_factorizations(monkeypatch):
 
 def test_banded_eigvec_keeps_a_degenerate_pair_apart(monkeypatch):
     # a coupled 6x6 matrix with the eigenvalue 1 twice: one call for the
-    # pair gives two orthogonal vectors; with no overlap allowed, the block
-    # is refused at once, with no second LU at a moved shift
+    # pair gives two orthonormal vectors; a call for three, one more than the
+    # eigenspace holds, is refused by the residual, from one LU
     q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
     dense = (q * [1.0, 1.0, 2.0, 3.0, -1.0, 0.5]) @ q.T
     dense = 0.5 * (dense + dense.T)
     banded = banded_from_dense(dense, 5)
     w = np.linalg.eigvalsh(dense)
-    first, second = banded_eigvec(banded, w[2:4].mean(), 2)
-    assert abs(np.vdot(first, second)) <= numcore.GROUP_OVERLAP_TOL
-    monkeypatch.setattr(numcore, "GROUP_OVERLAP_TOL", 0.0)
+    v = banded_eigvec(banded, w[2:4].mean(), 2)
+    np.testing.assert_allclose(v @ v.T, np.eye(2), rtol=0, atol=1e-12)
     factored = _record_factorizations(monkeypatch)
-    with pytest.raises(NumericalError, match="overlaps its degenerate group"):
-        banded_eigvec(banded, w[2:4].mean(), 2)
+    with pytest.raises(NumericalError, match="residual"):
+        banded_eigvec(banded, w[2:4].mean(), 3)
     assert len(factored) == 1
 
 
@@ -605,15 +602,41 @@ def test_banded_eigvec_spans_a_degenerate_eigenspace_with_one_lu(monkeypatch, g)
     assert len(factored) == 1
 
 
-@pytest.mark.parametrize("box, factors", [(1e60, 1), (1e100, 1), (1e160, 2)])
-def test_banded_eigvec_moves_the_shift_where_a_solve_overflows(monkeypatch, box, factors):
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(bw=st.integers(1, 4), g=st.integers(1, 5), block=st.integers(1, 10),
+       rest=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 9))
+def test_banded_eigvec_spans_a_planted_eigenspace(bw, g, block, rest, seed, k):
+    # g copies of a random banded block beside a random banded rest: the
+    # block's k-th eigenvalue E has multiplicity g. One LU gives g
+    # orthonormal rows spanning dense eigh's eigenspace at E; g + 1 rows are
+    # refused by the residual
+    rng = np.random.default_rng(seed)
+    a, b = _random_banded(rng, block, bw), _random_banded(rng, rest, bw)
+    dense = scipy.linalg.block_diag(*[a] * g, b)
+    energy = np.linalg.eigvalsh(a)[k % block]
+    w, q = np.linalg.eigh(dense)
+    near = np.argsort(np.abs(w - energy))
+    m = banded_from_dense(dense, bw)
+    # a gap to the rest of the spectrum that leaves eigh's eigenspace well defined
+    assume(abs(w[near[g]] - energy) > 1e-4 * norm_1(m))
+    with pytest.MonkeyPatch.context() as patch:
+        factored = _record_factorizations(patch)
+        v = banded_eigvec(m, energy, g)
+        assert len(factored) == 1
+    np.testing.assert_allclose(v @ v.T, np.eye(g), rtol=0, atol=1e-12)
+    space = q[:, near[:g]]
+    np.testing.assert_allclose(v.T @ v, space @ space.T, rtol=0, atol=1e-10)
+    with pytest.raises(NumericalError, match="residual"):
+        banded_eigvec(m, energy, g + 1)
+
+
+@pytest.mark.parametrize("box", [1e60, 1e100, 1e160])
+def test_banded_eigvec_factors_once_at_every_huge_box(monkeypatch, box):
     # Model I's 400 cells all but decouple at these boxes, and the state
     # above the gap is one group of 400 bitwise-equal eigenvalues. At that
-    # exact eigenvalue a solve lifts some rows far past the others (1e60),
-    # which the block's projection absorbs, past 2**500 (1e100, entries of
-    # ~1e197), which scaling by the peak absorbs, or past the double range
-    # (1e160, LU pivots of ~1e-304), which moves the shift one rounding unit
-    # and factors again
+    # exact eigenvalue an LU holds pivots of ~1e-304 from 1e160 on, and a
+    # solve overflows. At the shift one rounding unit above it every solve
+    # stays below ~1e16, so each block comes from one LU at every box
     g = Grid(-box, box, 400)
     chain = discretize(model_potential_components(ModelParams(ModelKind.I, 0.07, 0.0), g),
                        g, "saw")
@@ -625,7 +648,7 @@ def test_banded_eigvec_moves_the_shift_where_a_solve_overflows(monkeypatch, box,
         factored.clear()
         v = banded_eigvec(chain, energy, count)
         np.testing.assert_allclose(v @ v.T, np.eye(count), rtol=0, atol=1e-12)
-        assert len(factored) == factors
+        assert len(factored) == 1
 
 
 def test_banded_eigvec_rejects_non_eigenvalue():
@@ -634,6 +657,28 @@ def test_banded_eigvec_rejects_non_eigenvalue():
         banded_eigvec(banded, 1.5)
     with pytest.raises(NumericalError):
         banded_eigvec(banded, np.nan)
+
+
+def test_banded_eigvec_refuses_a_singular_shift_and_a_broken_solve(monkeypatch):
+    # the shift one rounding unit of ||M||_1 = 1 above 1 - eps is exactly M = [1]
+    with pytest.raises(NumericalError, match="singular shift"):
+        banded_eigvec(BandedHermitian(np.ones((1, 1))), 1.0 - EPS)
+    banded = banded_from_dense(np.diag([3.0, 1.0, 2.0]), 1)
+    lapack = numcore._lapack
+    for fill, reason in ((np.inf, "overflowed"), (0.0, "norm 0")):
+        def broken(name, fill=fill):
+            routine = lapack(name)
+            if name != "dgbtrs":
+                return routine
+
+            def solve(*args):  # a solve that overflows, or one that gives 0
+                routine(*args)
+                args[8][:] = fill
+            return solve
+
+        monkeypatch.setattr(numcore, "_lapack", broken)
+        with pytest.raises(NumericalError, match=reason):
+            banded_eigvec(banded, 2.0)
 
 
 # ----------------------------------------------------------- stencils
