@@ -256,7 +256,9 @@ def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=0.0):
     excluded = max(gap_exclusion, cluster_tol)
     above = np.flatnonzero(offset > excluded)           # ascending
     below = np.flatnonzero(offset < -excluded)[::-1]    # descending
-    group_tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
+    # a group's residual at its mean can reach its spread, so a group spans a
+    # quarter of banded_eigvec's residual bound and leaves it room for rounding
+    group_tol = EIGVEC_RESIDUAL_TOL * norm_1(chain) / 4
     gap_edge_pos = _walk_to_gap_edge(chain, w, above, group_tol, ipr, edge)
     gap_edge_neg = _walk_to_gap_edge(chain, w, below, group_tol, ipr, edge)
     return SpectrumReport(

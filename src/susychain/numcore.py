@@ -2,9 +2,9 @@
 
 Everything here is a pure function of its inputs. `Grid` is immutable;
 `BandedHermitian` is a plain holder of real band storage
-that no function here writes to. The banded eigensolvers call seven LAPACK
-and BLAS routines (dsbtrd, dsterf, dgbtrf, dgbtrs, dgeqrf, dorgqr, dsbmv) in
-numpy's own OpenBLAS (`_lapack`), so nothing here imports scipy.
+that no function here writes to. The banded eigensolvers reduce, factor
+and solve the band by four LAPACK routines (dsbtrd, dsterf, dgbtrf, dgbtrs)
+in numpy's own OpenBLAS (`_lapack`), so nothing here imports scipy.
 """
 
 import functools
@@ -134,10 +134,11 @@ def eigh_banded(m):
 def _lapack(name):
     """LAPACK or BLAS subroutine `name` from the OpenBLAS that numpy links
     (ILP64, exported as scipy_<name>_64_), as a function of Python values:
-    an int goes by reference as a 64-bit integer, bytes as a character
-    (gfortran's hidden length, 1, appended), anything else as the data of
-    np.asarray of it. A ctypes call releases the GIL, so solves on two
-    threads run at once. Raises NumericalError if numpy lacks the symbol."""
+    an int goes by reference to a ctypes.c_int64 (ctypes would pass a bare
+    int by value, as a 32-bit C int), bytes as a char* (gfortran's hidden
+    length, 1, appended), a numpy array as the address of its data. A ctypes
+    call releases the GIL, so solves on two threads run at once. Raises
+    NumericalError if numpy lacks the symbol."""
     import ctypes
 
     symbol = f"scipy_{name}_64_"
@@ -148,12 +149,11 @@ def _lapack(name):
     routine.restype = None
 
     def call(*args):
-        # `data` keeps each converted array alive through the call
+        # `data` keeps each converted int alive through the call
         data = [a if isinstance(a, bytes) else
-                np.asarray(a, np.int64 if isinstance(a, (int, np.integer)) else None)
-                for a in args]
-        routine(*[ctypes.c_char_p(a) if isinstance(a, bytes) else ctypes.c_void_p(a.ctypes.data)
-                  for a in data], *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in data))
+                ctypes.byref(ctypes.c_int64(a)) if isinstance(a, (int, np.integer)) else
+                ctypes.c_void_p(a.ctypes.data) for a in args]
+        routine(*data, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
     return call
 
 
@@ -224,9 +224,7 @@ def norm_1(m):
 
 
 EIGVEC_ITERATIONS = 3
-# residual bound of banded_eigvec, and the eigenvalue distance within which
-# chain_spectrum treats states as one numerically degenerate group, both in
-# units of norm_1
+# residual bound of banded_eigvec, in units of norm_1
 EIGVEC_RESIDUAL_TOL = 1e-10
 
 
@@ -240,12 +238,13 @@ def banded_eigvec(m, energy, count=1):
     rounding unit of ||M||_1 above energy: a computed eigenvalue is only that
     close anyway, and the LU at an exact eigenvalue may hold a zero pivot.
     Each solve takes every row as a right-hand side; then each row is divided
-    by its largest |entry| and the block is orthonormalised by Householder
-    QR. The start block is fixed, so reruns give identical vectors. Three
-    solves damp every other eigencomponent by (rounding / spectral gap)**3,
-    well below what an IPR or an edge flag resolves. Raises NumericalError
-    unless each row's ||Mv - energy*v|| is at most EIGVEC_RESIDUAL_TOL *
-    norm_1(m), which also refuses more rows than the eigenspace holds.
+    by its largest |entry| and np.linalg.qr orthonormalises the block. The
+    start block is fixed, so reruns give identical vectors. Three solves
+    damp every other eigencomponent by (rounding / spectral gap)**3, well
+    below what an IPR or an edge flag resolves. Raises NumericalError unless
+    each row's ||Mv - energy*v||, formed from the stored diagonals, is at
+    most EIGVEC_RESIDUAL_TOL * norm_1(m), which also refuses more rows than
+    the eigenspace holds.
     """
     if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
         raise NumericalError("non-finite input to banded_eigvec")
@@ -275,9 +274,6 @@ def banded_eigvec(m, energy, count=1):
     # Fixed chirps cos(golden ratio * k * j^2) overlap every eigenvector as
     # random rows do; sinusoids cos(golden ratio * k * j) miss some
     v = np.cos(np.outer(np.arange(1, count + 1), np.arange(n) ** 2) * ((1 + 5**0.5) / 2))
-    # dgeqrf and dorgqr ask for nb columns of workspace per vector to block
-    # by nb (32 in OpenBLAS); with less they block less or not at all
-    tau, work = np.empty(count), np.empty(64 * count)
     for _ in range(EIGVEC_ITERATIONS):
         _lapack("dgbtrs")(b"N", n, u, u, count, lu, 3 * u + 1, piv, v, n, info)
         peak = np.abs(v).max(axis=1, keepdims=True)
@@ -286,14 +282,14 @@ def banded_eigvec(m, energy, count=1):
         if not peak.all():
             raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
         v /= peak
-        _lapack("dgeqrf")(n, count, v, n, tau, work, work.size, info)
-        _lapack("dorgqr")(n, count, count, v, n, tau, work, work.size, info)
-    # s*(M v - energy v) by BLAS on the stored upper band, row by row
-    bands, residual = np.asfortranarray(m.bands, float), 0.0
-    for row in v:
-        r = row.copy()
-        _lapack("dsbmv")(b"U", n, u, s, bands, u + 1, row, 1, -energy * s, r, 1)
-        residual = max(residual, float(np.linalg.norm(r)) / s)
+        v = np.linalg.qr(v.T)[0].T.copy()
+    # s*(M v - energy v), every row at once, from the stored upper diagonals
+    sb = s * m.bands
+    r = (sb[u] - s * energy) * v
+    for d in range(1, min(u, n - 1) + 1):
+        r[:, :-d] += sb[u - d, d:] * v[:, d:]
+        r[:, d:] += sb[u - d, d:] * v[:, :-d]
+    residual = float(np.linalg.norm(r, axis=1).max()) / s
     if residual > EIGVEC_RESIDUAL_TOL * scale:
         raise NumericalError(
             f"inverse iteration at E={energy:.6g}: residual {residual:.3e} "

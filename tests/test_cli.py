@@ -558,6 +558,34 @@ def test_spectrum_walks_a_dense_cluster_of_a_large_mass(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_spectrum_groups_well_inside_the_residual_bound(tmp_path):
+    # when the walk grouped eigenvalues within the whole residual bound, a
+    # group's residual at its mean could reach its spread: this run read
+    # "residual 1.671e-06 exceeds 1e-10 x 1.670e+04" and exited 3
+    argv = ["spectrum", "--set", "model=II", "--set", "mass=11807.692594817534",
+            "--set", "flat_energy=-5.0099543815919e-206", "--set", "method=both",
+            "--cells", "100", "--grid-points", "10"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_spectrum_calls_four_lapack_routines(tmp_path, monkeypatch):
+    # the band is reduced, factored and solved in LAPACK; numpy does the
+    # rest. At box 1e60 every site is deflated and a gap edge is one group
+    # of 400 vectors, orthonormalised as one block
+    lapack, names = numcore._lapack, set()
+
+    def recorded(name):
+        names.add(name)
+        return lapack(name)
+
+    monkeypatch.setattr(numcore, "_lapack", recorded)
+    for argv in (["--set", "method=both"], ["--set", "method=chain", "--box", "1e60"]):
+        assert main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
+                     "--set", "mass=0.07", *argv]) == EXIT_OK
+    assert names == {"dsbtrd", "dsterf", "dgbtrf", "dgbtrs"}
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["bands", "tune"])
 def test_a_zone_too_wide_for_doubles_exits_3_naming_it(tmp_path, capsys, command):
     # 2*pi/a overflows: bands' k grid was inf - inf, and tune blamed its residual

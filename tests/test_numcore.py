@@ -464,10 +464,11 @@ def test_chain_band_reduction_starts_below_the_tridiagonal_lead(monkeypatch):
 
 
 def _solve_banded_eigvec(m, energy):
-    """banded_eigvec's iteration for one vector: three
-    scipy.linalg.solve_banded calls (gbsv for bandwidth >= 2), each factoring
-    M minus a shift one rounding unit of ||M||_1 above energy anew, each
-    followed by a division by the largest |entry| and np.linalg.qr."""
+    """banded_eigvec's iteration for one vector, with three LUs for its one:
+    three scipy.linalg.solve_banded calls (gbsv for bandwidth >= 2), each
+    factoring M minus a shift one rounding unit of ||M||_1 above energy anew,
+    each followed, as in banded_eigvec, by a division by the largest |entry|
+    and np.linalg.qr."""
     u, n = m.bandwidth, m.dim
     dense = banded_to_dense(m)
     ab = np.zeros((2 * u + 1, n), dtype=np.result_type(dense, float))
@@ -657,6 +658,12 @@ def test_banded_eigvec_rejects_non_eigenvalue():
         banded_eigvec(banded, 1.5)
     with pytest.raises(NumericalError):
         banded_eigvec(banded, np.nan)
+    # 1e-3 off an eigenvalue 0.22 from its neighbours, three solves converge
+    # to its eigenvector: the residual of every diagonal's terms is 1e-3
+    dense = _random_banded(np.random.default_rng(3), 30, 3)
+    energy = np.linalg.eigvalsh(dense)[11] + 1e-3
+    with pytest.raises(NumericalError, match=r"residual 1\.000e-03 exceeds"):
+        banded_eigvec(banded_from_dense(dense, 3), energy)
 
 
 def test_banded_eigvec_refuses_a_singular_shift_and_a_broken_solve(monkeypatch):
