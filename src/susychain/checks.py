@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import lattice, models, susy
-from .continuum import symbol_dispersion, threshold_scan
 from .lattice import TightBindingParams, band_structure, default_k_grid, \
     flat_band_residual, tune_flat_band
 from .models import ModelKind, ModelParams
 from .numcore import Grid
-from .susy import assemble_frame, transformed_potential
+from .susy import SeedData, assemble_frame, transformed_potential
 
 
 def oracle_max_diff(p, comps, grid):
@@ -101,15 +100,16 @@ def invariant_checks(seed, tol_override):
 
     # Darboux engine invariants on one parameter set per model
     model_comps = {}
-    for kind, m, lam in ((ModelKind.I, 0.07, 0.0), (ModelKind.II, 0.03, 0.015)):
-        tag = f"model_{kind.value}"
-        p = ModelParams(kind, m, lam)
+    model_params = (ModelParams(ModelKind.I, 0.07, 0.0),
+                    ModelParams(ModelKind.II, 0.03, 0.015))
+    for p in model_params:
+        tag = f"model_{p.kind.value}"
         grid = Grid(-20.0, 20.0, 1201)
         frame = assemble_frame(p.seed_data(), grid)
-        comps = model_comps[kind] = transformed_potential(frame)
+        comps = model_comps[p.kind] = transformed_potential(frame)
         add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(comps.matrix_stack()),
                 1e-10)
-        add_max(f"{tag}_w0_constancy", frame.wronskian_relative_stdev, 1e-10)
+        add_max(f"{tag}_wronskian_constancy", frame.wronskian_relative_stdev, 1e-10)
         add_max(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
         add_max(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
         # negative control: xi1 = xi2 must break hermiticity of the
@@ -139,21 +139,15 @@ def invariant_checks(seed, tol_override):
     add_max("model_II_v12_constant",
             np.abs(comps2.v12 + comps2.flat_energy).max(), 1e-10)
 
-    # Model I asymptotic spectrum identity over the admissible grid
+    # the partner keeps the seed's continuum: at both walls of +-40/kappa0,
+    # where V_new is constant to rounding, its band edge hypot(v11, v12) is
+    # the seed's hypot(mass, gauge_a), for both models and a general seed
     worst = 0.0
-    for m in (0.05, 0.08, 0.11, 0.15, 0.2):
-        for frac in (-1.5, -0.75, 0.0, 0.45, 0.9):
-            pm = ModelParams(ModelKind.I, m, frac * m)
-            cell = models.asymptotic_cell(pm, +1)
-            worst = max(worst, abs(cell.v11**2 + cell.v12**2
-                                   - m * (2 * m - pm.flat_energy)))
-    add_max("model_I_spectrum_identity", worst, 1e-12)
-
-    # threshold_scan equals a brute-force minimum over a fine k-grid
-    cell = models.asymptotic_cell(ModelParams(ModelKind.I, 0.16, 0.09), +1)
-    _, edge, _ = threshold_scan(cell)
-    w = symbol_dispersion(cell, np.linspace(-2.0, 2.0, 4001))
-    dispersive = np.abs(w[np.abs(w - cell.flat_energy) > 1e-9])
-    add_max("threshold_scan_vs_sweep", abs(dispersive.min() - edge), 1e-10)
+    for s in (*(p.seed_data() for p in model_params),
+              SeedData(mass=0.3, flat_energy=0.1, gauge_a=0.2, c0=-20.0)):
+        walls = transformed_potential(assemble_frame(
+            s, Grid(-40.0 / s.kappa0, 40.0 / s.kappa0, 2)))
+        worst = max(worst, np.abs(np.hypot(walls.v11, walls.v12) / s.gap_edge - 1.0).max())
+    add_max("gap_edge_threshold", worst, 1e-12)
 
     return checks

@@ -348,7 +348,7 @@ def cmd_susy(st, out_dir):
     stack = comps.matrix_stack()
     verification = {
         "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(stack),
-        "w0_relative_stdev": frame.wronskian_relative_stdev,
+        "wronskian_relative_stdev": frame.wronskian_relative_stdev,
         "dual_path_max_diff": susy.dual_path_difference(frame),
         "min_abs_det": float(np.abs(frame.det).min()),
         "intertwining_residuals": residuals.tolist(),

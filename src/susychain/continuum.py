@@ -5,9 +5,7 @@ The low-energy operator acts on three-component spinors as
     H = -i * gamma * d/dx + V(x),
 
 where gamma couples the first two components only and V(x) is a 3x3
-Hermitian potential with five real components. A constant potential
-(one spatial side's asymptotic cell) has symbol eigenvalues that give
-the band thresholds.
+Hermitian potential with five real components.
 """
 
 from dataclasses import dataclass
@@ -16,10 +14,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, real_array
-
-GAMMA = np.array([[0.0, 1.0, 0.0],
-                  [1.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0]])
 
 
 def potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy):
@@ -62,36 +56,6 @@ class PotentialComponents:
         """V(x_i) as an (n, 3, 3) complex stack; floats give one 3x3 matrix."""
         return potential_matrix(self.v11, self.v12, self.v13, self.v23,
                                 0.0, self.flat_energy)
-
-
-def symbol_matrix(cell, k):
-    """Symbol at momentum k; an array k gives a k.shape + (3, 3) stack."""
-    return np.multiply.outer(k, GAMMA) + cell.matrix_stack()
-
-
-def symbol_dispersion(cell, k):
-    """Ascending eigenvalues of the constant-coefficient symbol at momentum k.
-
-    An array k gives one row of three eigenvalues per momentum. For a
-    decoupled cell (v13 = v23 = 0) these are flat_energy and
-    +-sqrt(k^2 + v11^2 + v12^2).
-    """
-    return np.linalg.eigvalsh(symbol_matrix(cell, k))
-
-
-def threshold_scan(cell):
-    """Continuum band edges (E-, E+) and the flat energy.
-
-    The dispersive branches attain their extrema at k = 0, giving edges
-    +-sqrt(v11^2 + v12^2). Only decoupled constant potentials are supported.
-    """
-    if cell.v13 != 0.0 or cell.v23 != 0.0:
-        raise NumericalError(
-            "threshold_scan requires a decoupled asymptotic cell "
-            "(v13 = v23 = 0)"
-        )
-    edge = float(np.hypot(cell.v11, cell.v12))
-    return -edge, edge, cell.flat_energy
 
 
 def discretize(comps, grid, stencil):

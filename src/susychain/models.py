@@ -146,17 +146,3 @@ def model_potential_components(p, grid):
     v11, v12, v13, v23 = model_potential(p, grid.x)
     return PotentialComponents(v11, v12, v13, v23, p.flat_energy)
 
-
-def asymptotic_cell(p, side):
-    """Constant potential limit on one side (+1 for x -> +inf), as
-    PotentialComponents of floats."""
-    m, lam, k = p.mass, p.flat_energy, p.kappa
-    s = 1.0 if side > 0 else -1.0
-    if p.kind is ModelKind.I:
-        root = np.sqrt(m * (m - lam))
-        v12 = s * k * lam / (2 * m - lam) - 2 * root * lam / (2 * m - lam)
-        v11 = -s * 2 * k * root / (2 * m - lam) - lam**2 / (2 * m - lam)
-    else:
-        v12 = -lam
-        v11 = -s * k
-    return PotentialComponents(float(v11), float(v12), 0.0, 0.0, lam)

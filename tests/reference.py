@@ -2,13 +2,25 @@
 trapezoidal antiderivative, the columns of the seed frame U, those of
 (U^{-1})^dag, the transformed operator's eigenstates, the two converters
 between complex spinors and the real gauge of apply_dirac and apply_darboux,
-and the matrix of the continuum stencil's Wilson term."""
+the matrix of the continuum stencil's Wilson term, and the continuum
+operator's gamma and its symbol at constant V."""
 
 import numpy as np
 
 from susychain.continuum import apply_dirac
 from susychain.numcore import BandedHermitian
 from susychain.susy import transformed_potential
+
+
+# the kinetic term of the continuum operator is -i * GAMMA * d/dx
+GAMMA = np.array([[0.0, 1.0, 0.0],
+                  [1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0]])
+
+
+def symbol(comps, k):
+    """k * GAMMA + V for a constant V: a k.shape + (3, 3) stack for an array k."""
+    return np.multiply.outer(k, GAMMA) + comps.matrix_stack()
 
 
 def split_spinor(psi):

@@ -142,11 +142,14 @@ def test_criterion_6_intertwining():
 
 
 def test_criterion_7_model1_chain_spectrum():
+    # at both walls far from the kink, the closed-form V's band edge
+    # hypot(v11, v12) is the published sqrt(m(2m - lambda))
     worst_identity = 0.0
     for m, lam in MODEL_GRID_I:
-        cell = models.asymptotic_cell(ModelParams(ModelKind.I, m, lam), +1)
-        worst_identity = max(worst_identity,
-                             abs(cell.v11**2 + cell.v12**2 - m * (2 * m - lam)))
+        p = ModelParams(ModelKind.I, m, lam)
+        v11, v12, _, _ = models.model_potential(p, np.array([-1e3, 1e3]) / p.kappa)
+        worst_identity = max(worst_identity, np.abs(np.hypot(v11, v12)
+                                                    - np.sqrt(m * (2 * m - lam))).max())
 
     p = ModelParams(ModelKind.I, 0.07, 0.0)
     edge = p.seed_data().gap_edge

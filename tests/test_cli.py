@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susychain
-from susychain import cli, models, numcore
+from susychain import cli, models, numcore, susy
 from susychain.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -638,7 +638,7 @@ def test_susy_model_run(tmp_path):
     assert rows.shape == (801, 5)
     rep = json.loads((tmp_path / "susy_verify.json").read_text())
     assert rep["hermiticity_max_asymmetry"] < 1e-10
-    assert rep["w0_relative_stdev"] < 1e-10
+    assert rep["wronskian_relative_stdev"] < 1e-10
     assert rep["dual_path_max_diff"] < 1e-8
     assert rep["model_oracle_max_diff"] < 1e-8
     assert min(rep["intertwining_orders"][0]) > 1.9
@@ -756,7 +756,7 @@ def test_susy_large_mass_writes_finite_json(tmp_path, model, mass):
                "--set", f"mass={mass}"])
     assert rc == EXIT_OK
     rep = _strict_json((tmp_path / "susy_verify.json").read_text())
-    assert np.isfinite(rep["w0_relative_stdev"])
+    assert np.isfinite(rep["wronskian_relative_stdev"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1177,10 +1177,10 @@ def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
 # how L and H act
 @pytest.mark.parametrize("argv, digest", [
     (["susy", "--set", "model=I", "--set", "mass=0.07"],
-     "5377c8863c872aad7d496a68f98276fedb874df60c8b364bafd2a09236115b64"),
+     "eeb911556740e5257c85b77e70c27220f33065477cec557267d5b0dce79a368a"),
     (["susy", "--set", "model=II", "--set", "mass=0.03", "--set", "flat_energy=0.015",
       "--grid-points", "2001"],
-     "72b5167b7701f7773953137ae0c6c8511675c83e93e63c8a0aa261d3edd03437"),
+     "6e5a60a248c4fa7afa42b9d3e15665cbd5f30154249c6a3dcf1fa8466c02a7ee"),
 ], ids=["model_I_default", "model_II_2001"])
 def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -1233,3 +1233,16 @@ def test_verify_impossible_tol_exits_4(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert not payload["all_passed"]
+
+
+def test_verify_fails_gap_edge_threshold_on_an_edge_off_by_1e_9(tmp_path, capsys,
+                                                                monkeypatch):
+    # an edge 1e-9 relative off the seed's hypot(mass, gauge_a) must fail the
+    # gap-edge row, and no other row reads the edge
+    exact = susy.SeedData.gap_edge.fget
+    monkeypatch.setattr(susy.SeedData, "gap_edge",
+                        property(lambda s: exact(s) * (1.0 + 1e-9)))
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_VERIFY
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["gap_edge_threshold"]
+    assert "FAIL gap_edge_threshold" in capsys.readouterr().out

@@ -2,25 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from susychain.continuum import (
-    GAMMA,
-    PotentialComponents,
-    apply_dirac,
-    discretize,
-    potential_matrix,
-    symbol_dispersion,
-    threshold_scan,
-)
+from susychain.continuum import PotentialComponents, apply_dirac, discretize, potential_matrix
 from susychain.errors import NumericalError
 from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
 
-from reference import banded_to_dense, join_spinor, split_spinor, wilson_matrix
-
-finite = st.floats(-2.0, 2.0)
+from reference import GAMMA, banded_to_dense, join_spinor, split_spinor, symbol, wilson_matrix
 
 # the gauge in which discretize stores its real bands
 D = np.array([1.0, 1j, 1j])
@@ -45,48 +33,9 @@ def test_symbol_dispersion_matches_lattice_near_zone_corner():
     for q in (0.0, 0.01, 0.03):
         k = np.pi - q
         lat = band_structure(p, [k]).energies[0]
-        sym = np.sort(symbol_dispersion(cell, q))
+        sym = np.linalg.eigvalsh(symbol(cell, q))
         # the C level sits far away; compare the two dispersive bands
         np.testing.assert_allclose(lat[:2], sym[:2], atol=5e-4)
-
-
-def test_symbol_dispersion_decoupled_closed_form():
-    cell = PotentialComponents(v11=0.3, v12=-0.4, v13=0.0, v23=0.0,
-                               flat_energy=0.05)
-    for k in (-1.0, 0.0, 0.7):
-        w = symbol_dispersion(cell, k)
-        e = np.hypot(k, 0.5)
-        np.testing.assert_allclose(np.sort(w), np.sort([0.05, -e, e]),
-                                   atol=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(v=st.tuples(finite, finite, finite, finite, finite))
-def test_symbol_dispersion_array_matches_per_k_bitwise(v):
-    cell = PotentialComponents(*v)
-    k = np.linspace(-2.0, 2.0, 201)
-    per_k = np.array([symbol_dispersion(cell, q) for q in k])
-    assert np.array_equal(symbol_dispersion(cell, k), per_k)
-
-
-def test_threshold_scan():
-    cell = PotentialComponents(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
-                               flat_energy=0.01)
-    lo, hi, flat = threshold_scan(cell)
-    assert (lo, hi, flat) == pytest.approx((-0.1, 0.1, 0.01))
-    with pytest.raises(NumericalError):
-        threshold_scan(PotentialComponents(0.1, 0.1, 0.05, 0.0, 0.0))
-
-
-@settings(max_examples=50, deadline=None)
-@given(v11=finite, v12=finite, k=st.floats(-3.0, 3.0))
-def test_threshold_is_symbol_minimum(v11, v12, k):
-    cell = PotentialComponents(v11=v11, v12=v12, v13=0.0, v23=0.0,
-                               flat_energy=123.0)
-    _, hi, _ = threshold_scan(cell)
-    w = symbol_dispersion(cell, k)
-    dispersive = np.abs(w[np.abs(w - 123.0) > 1e-9])
-    assert dispersive.min() >= hi - 1e-9
 
 
 def test_discretize_is_hermitian_and_matches_apply():
@@ -221,7 +170,7 @@ def test_discretized_free_dirac_spectrum():
                                flat_energy=0.0)
     grid = Grid(-60.0, 60.0, 1201)
     w = eigh_banded(discretize(cell, grid, "central"))
-    _, hi, _ = threshold_scan(cell)
+    hi = np.hypot(cell.v11, cell.v12)
     dispersive = w[np.abs(w) > 1e-9]
     assert np.abs(dispersive).min() >= hi - 5e-3
     # flat level of the decoupled C chain: one per grid point

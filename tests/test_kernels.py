@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import GAMMA, apply_dirac, potential_matrix
+from susychain.continuum import apply_dirac, potential_matrix
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import Grid, diff_central
 from susychain.susy import (
@@ -23,7 +23,7 @@ from susychain.susy import (
     transformed_potential,
 )
 
-from reference import join_spinor, split_spinor
+from reference import GAMMA, join_spinor, split_spinor
 from test_susy import regular_seed
 
 GRID = Grid(-20.0, 20.0, 401)

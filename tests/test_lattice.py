@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susychain import lattice, models
-from susychain.continuum import GAMMA, PotentialComponents, discretize
+from susychain.continuum import PotentialComponents, discretize
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
     TightBindingParams,
@@ -26,7 +26,7 @@ from susychain.models import ModelKind, ModelParams
 from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
     banded_eigvec, eigh_banded, norm_1
 
-from reference import banded_to_dense, wilson_matrix
+from reference import GAMMA, banded_to_dense, wilson_matrix
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import discretize, potential_matrix, threshold_scan
+from susychain.continuum import discretize, potential_matrix
 from susychain.errors import NumericalError
 from susychain.lattice import chain_spectrum
 from susychain.models import (
     ModelKind,
     ModelParams,
-    asymptotic_cell,
     model_potential,
     model_potential_components,
     validate_params,
@@ -23,6 +22,13 @@ from susychain.susy import assemble_frame, transformed_potential
 
 P1 = ModelParams(ModelKind.I, 0.07, 0.02)
 P2 = ModelParams(ModelKind.II, 0.03, 0.015)
+
+
+def closed_form_edge(p):
+    """The continuum band edge written out: sqrt(m(2m - lambda)), the
+    published Model I edge, or sqrt(2)*|m|, the derived Model II one."""
+    m, lam = p.mass, p.flat_energy
+    return np.sqrt(m * (2 * m - lam)) if p.kind is ModelKind.I else np.sqrt(2) * abs(m)
 
 
 # --------------------------------------------------------- parameters
@@ -49,13 +55,13 @@ def test_validate_params_accepts_admissible():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_params_flags_violations():
-    # construction refuses these before asymptotic_cell, .kappa or
-    # .seed_data() could take the square root of a negative number
+    # construction refuses these before .kappa or .seed_data() could take
+    # the square root of a negative number
     for kind, m, lam in ((ModelKind.I, 0.07, 0.07), (ModelKind.I, 0.07, 0.08),
                          (ModelKind.I, 0.07, -0.15), (ModelKind.II, 0.03, 0.05),
                          (ModelKind.I, np.nan, 0.0), ("I", 0.07, 0.0)):
         with pytest.raises(NumericalError, match="^invalid model parameters: "):
-            asymptotic_cell(ModelParams(kind, m, lam), +1)
+            ModelParams(kind, m, lam)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -121,15 +127,14 @@ def test_model2_symmetric_interchain_coupling():
 
 
 def test_potentials_approach_asymptotic_cells():
+    # far from the kink the potential decouples to a constant whose
+    # continuum starts at the closed-form edge, on either side
     x_far = 400.0
     for p in (P1, P2):
-        for side, xq in ((+1, x_far), (-1, -x_far)):
-            cell = asymptotic_cell(p, side)
-            v11, v12, v13, v23 = model_potential(p, np.array([xq]))
-            assert v11[0] == pytest.approx(cell.v11, abs=1e-12)
-            assert v12[0] == pytest.approx(cell.v12, abs=1e-12)
-            assert abs(v13[0]) < 1e-12 and abs(v23[0]) < 1e-12
-            assert cell.v13 == cell.v23 == 0.0
+        v11, v12, v13, v23 = model_potential(p, np.array([-x_far, x_far]))
+        np.testing.assert_allclose(np.hypot(v11, v12), closed_form_edge(p),
+                                   rtol=0, atol=1e-12)
+        assert np.all(np.abs(v13) < 1e-12) and np.all(np.abs(v23) < 1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -137,14 +142,11 @@ def test_potentials_approach_asymptotic_cells():
                          ids=["model_I", "model_II", "model_I_mass_0.2"])
 def test_potentials_finite_far_beyond_cosh_overflow(p):
     # cosh overflows once |2 kappa x| > 710; the components must stay
-    # finite there and equal the asymptotic cells
+    # finite there, decoupled, at the closed-form edge
     x = np.array([-1e6, -1e3, -400.0, 400.0, 1e3, 1e6]) / p.kappa
     v11, v12, v13, v23 = model_potential(p, x)
-    for side, far in ((-1, slice(0, 3)), (+1, slice(3, 6))):
-        cell = asymptotic_cell(p, side)
-        np.testing.assert_allclose(v11[far], cell.v11, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(v12[far], cell.v12, rtol=0, atol=1e-15)
-        assert np.all(np.abs(v13[far]) < 1e-300) and np.all(np.abs(v23[far]) < 1e-300)
+    np.testing.assert_allclose(np.hypot(v11, v12), closed_form_edge(p), rtol=0, atol=1e-15)
+    assert np.all(np.abs(v13) < 1e-300) and np.all(np.abs(v23) < 1e-300)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -160,10 +162,7 @@ def test_large_cosh_coefficient_does_not_overflow(p):
     for v in (v11, v12, v13, v23):
         assert np.all(np.isfinite(v))
     assert np.all(np.abs(v13) < 1e-290) and np.all(np.abs(v23) < 1e-290)
-    for side, far in ((-1, slice(0, 2)), (+1, slice(2, 4))):
-        cell = asymptotic_cell(p, side)
-        np.testing.assert_allclose(v11[far], cell.v11, rtol=1e-14)
-        np.testing.assert_allclose(v12[far], cell.v12, rtol=1e-14)
+    np.testing.assert_allclose(np.hypot(v11, v12), closed_form_edge(p), rtol=1e-14)
 
 
 def test_model_potential_components_wrapper():
@@ -191,8 +190,8 @@ def test_model2_derived_thresholds_flagged():
     # the seed's edge is the threshold of the asymptotic cell on either side
     edge = P2.seed_data().gap_edge
     assert edge == pytest.approx(np.sqrt(2) * abs(P2.mass))
-    for side in (-1, 1):
-        assert threshold_scan(asymptotic_cell(P2, side))[1] == pytest.approx(edge, rel=1e-14)
+    v11, v12, _, _ = model_potential(P2, np.array([-1e3, 1e3]) / P2.kappa)
+    np.testing.assert_allclose(np.hypot(v11, v12), edge, rtol=1e-14)
 
 
 def test_flat_level_sits_in_the_gap():
@@ -208,9 +207,8 @@ def test_model1_asymptotic_spectrum_identity(m, frac):
         p = ModelParams(ModelKind.I, m, lam)
     except NumericalError:
         return
-    cell = asymptotic_cell(p, +1)
-    assert cell.v11**2 + cell.v12**2 == pytest.approx(m * (2 * m - lam),
-                                                     abs=1e-12)
+    v11, v12, _, _ = model_potential(p, np.array([-1e3, 1e3]) / p.kappa)
+    np.testing.assert_allclose(np.hypot(v11, v12), closed_form_edge(p), rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,9 +219,8 @@ def test_model2_asymptotic_spectrum_identity(m, frac, side):
         p = ModelParams(ModelKind.II, m, lam)
     except NumericalError:
         return
-    cell = asymptotic_cell(p, side)
-    assert np.hypot(cell.v11, cell.v12) == pytest.approx(np.sqrt(2) * m,
-                                                         rel=1e-12)
+    v11, v12, _, _ = model_potential(p, np.array([side * 1e3]) / p.kappa)
+    assert np.hypot(v11[0], v12[0]) == pytest.approx(closed_form_edge(p), rel=1e-12)
 
 
 # ------------------------------------------------------ saw chain

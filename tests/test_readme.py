@@ -6,7 +6,7 @@ import shlex
 from pathlib import Path
 
 import susychain
-from susychain import cli
+from susychain import checks, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,3 +57,11 @@ def test_readme_key_tables_match_the_cli():
         for key, spec in table.items():
             row = f"| `{key}` | {cli._shown(spec.default)} | {spec.help} |"
             assert row in text, row
+
+
+def test_readme_verify_table_lists_every_row():
+    (table,) = re.findall(r"^\| row \| claim checked \|\n\|---\|---\|\n((?:\|.*\n)+)",
+                          README.read_text(), flags=re.MULTILINE)
+    listed = [name for line in table.splitlines()
+              for name in re.findall(r"`(\w+)`", line.split(" | ")[0])]
+    assert sorted(listed) == sorted(c["name"] for c in checks.invariant_checks(0, None))
