@@ -386,17 +386,21 @@ def cmd_spectrum(st, out_dir):
     if gap_exclusion is None:
         gap_exclusion = 0.1 * seed.gap_edge
 
-    # route -> (stencil, grid points, default box half-width)
-    routes = {"chain": ("saw", st["cells"], (st["cells"] - 1) / 2.0),
-              "continuum": ("central", st["grid_points"], 12.0 / seed.kappa0)}
+    # route -> (stencil, grid points, default box half-width, predicted in-gap
+    # states): the saw chain ends on strong bonds and binds none; the central
+    # stencil's Wilson term binds one domain-wall mode at -lambda
+    lam = seed.flat_energy
+    routes = {"chain": ("saw", st["cells"], (st["cells"] - 1) / 2.0, ()),
+              "continuum": ("central", st["grid_points"], 12.0 / seed.kappa0,
+                            (-lam,) if lam else ())}
 
     def route(name):
-        stencil, n, default_box = routes[name]
+        stencil, n, default_box, predicted = routes[name]
         box = st["box"] or default_box
         grid = Grid(-box, box, n)
         op = discretize(transformed_potential(assemble_frame(seed, grid)), grid, stencil)
-        return chain_spectrum(op, flat_energy=seed.flat_energy, cluster_tol=cluster_tol,
-                              gap_exclusion=gap_exclusion)
+        return chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
+                              gap_exclusion=gap_exclusion, predicted=predicted)
 
     # imported here, so only spectrum pays for it
     from concurrent.futures import ThreadPoolExecutor
@@ -420,12 +424,8 @@ def cmd_spectrum(st, out_dir):
         "gap_exclusion": gap_exclusion,
     }
     for name, rep in sorted(reports.items()):
-        # rows without a computed eigenvector hold nan in both columns
-        edge_state = np.where(np.isnan(rep.ipr), np.nan, rep.edge_state_mask)
-        _write_csv(os.path.join(out_dir, f"spectrum_{name}.csv"),
-                   ["index", "energy", "ipr", "edge_state"],
-                   [np.arange(rep.eigenvalues.size), rep.eigenvalues,
-                    rep.ipr, edge_state])
+        _write_csv(os.path.join(out_dir, f"spectrum_{name}.csv"), ["index", "energy"],
+                   [np.arange(rep.eigenvalues.size), rep.eigenvalues])
         summary[name] = {
             "cluster_count": rep.cluster_count,
             "gap_edge_neg": rep.gap_edge_neg,

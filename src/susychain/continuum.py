@@ -68,9 +68,8 @@ def discretize(comps, grid, stencil):
     the potential is taken point by point; the chain is simply truncated
     at the box walls. Point-major ordering keeps the bandwidth at 4.
     D is unitary and diagonal, so D^H H D has the spectrum of H, and its
-    eigenvectors are D^H times those of H: |v|^2 per point, hence IPR
-    and edge flags, are unchanged. D makes every entry real: the on-site
-    block is [[v11, v12, v13], [v12, -v11, v23], [v13, v23, flat_energy]],
+    eigenvectors are D^H times those of H. D makes every entry real: the
+    on-site block is [[v11, v12, v13], [v12, -v11, v23], [v13, v23, flat_energy]],
     and the hop to the next point is +1/(2h) from component 0 to 1 and
     -1/(2h) from 1 to 0. D = i P S with P = diag(i, 1, 1), the gauge of
     apply_dirac, and S = diag(-1, 1, 1), so this band is S times the real
@@ -78,7 +77,10 @@ def discretize(comps, grid, stencil):
     M = [[c, s], [s, -c]] on components 0 and 1, lifts the stencil's doubler
     at k = pi/h out of the gap: 2M/h on site, -M/h on the hop. Its angle
     th = atan2(v23^2 - v13^2, 2*v13*v23), where |v13| + |v23| is largest,
-    keeps the flat level exact: u^T M u = 0 for u = (v23, -v13).
+    keeps the flat level exact: u^T M u = 0 for u = (v23, -v13). The
+    potential's mass along M, v11*c + v12*s, has opposite signs at the two
+    walls, so one wall binds a domain-wall mode, at -lambda to within the
+    box's resolution; the continuum operator has no state there.
 
     "saw": the finite open saw chain, one cell (A, B, C) per grid point.
     The on-site block is [[v11, t + v12, v13], [t + v12, -v11, v23],
@@ -86,6 +88,12 @@ def discretize(comps, grid, stencil):
     A at point j + 1: bandwidth 2. The chain's kinetic scale is t*h, so
     t = 1/h keeps it at the operator's 1 for any spacing; it is computed
     as (n - 1)/(x_max - x_min), which can differ from 1/h in the last bit.
+    Its A-B backbone is an SSH chain, intra-cell hop t + v12 and
+    inter-cell hop t, and a wall that ends on the weak bond, |t + v12| <
+    t there, binds an end state in the gap. If both walls do, A at
+    point 0 goes and an A site (on site v11 at the last point, hop t to
+    the last B, no C bond) follows the last B, so the chain keeps 3n sites
+    and ends on strong bonds; if one wall does, NumericalError.
     """
     n = grid.n_points
     values = [np.broadcast_to(v, (n,)) for v in comps.samples(n)]
@@ -113,7 +121,21 @@ def discretize(comps, grid, stencil):
         raise NumericalError(f"stencil must be 'central' or 'saw', got {stencil!r}")
     onsite = np.moveaxis(np.array([[v11, v12, v13], [v12, -v11, v23], [v13, v23, lam]]),
                          -1, 0)
-    return BandedHermitian(block_tridiagonal_bands(onsite, hop, bandwidth))
+    bands = block_tridiagonal_bands(onsite, hop, bandwidth)
+    if stencil == "saw":
+        ends = np.abs(v12[[0, -1]])
+        weak = ends < t
+        if weak[0] != weak[1]:
+            raise NumericalError(
+                f"the saw chain's {'left' if weak[0] else 'right'} wall ends on its weak "
+                f"bond and the other on its strong one (|t + v12| = {ends[0]:.3g} at the "
+                f"left wall, {ends[1]:.3g} at the right, t = {t:.3g}): an end state would "
+                "sit in the gap; refine the cell spacing")
+        if weak.all():
+            # column j of the band holds the bonds of site j to the sites before it
+            bands = np.concatenate([bands[:, 1:], [[t], [0.0], [v11[-1]]]], axis=1)
+            bands[1, 0] = bands[0, 1] = 0.0  # A_0's bonds to B_0 and C_0
+    return BandedHermitian(bands)
 
 
 def apply_dirac(potential, state, grid):

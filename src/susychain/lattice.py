@@ -17,8 +17,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
-from .numcore import EIGVEC_RESIDUAL_TOL, banded_eigvec, eigh_banded, norm_1, \
-    quad_roots
+from .numcore import eigh_banded, quad_roots
 
 
 @dataclass(frozen=True)
@@ -186,86 +185,41 @@ class SpectrumReport:
     cluster_count: int
     gap_edge_neg: float  # largest bulk eigenvalue below the cluster (nan if none)
     gap_edge_pos: float  # smallest bulk eigenvalue above the cluster (nan if none)
-    ipr: np.ndarray               # nan where no vector was computed
-    edge_state_mask: np.ndarray   # False where no vector was computed
 
 
-def inverse_participation_ratio(density):
-    """IPR of the site densities p = |v|^2 of one state: sum p^2 / (sum p)^2;
-    1/dim for an extended state."""
-    return (density**2).sum() / density.sum() ** 2
-
-
-# a state is edge-localized when at least EDGE_MASS of its weight lies in
-# the first and last EDGE_FRACTION of its points (cells, or grid points)
-SITES_PER_POINT = 3
-EDGE_FRACTION = 0.05
-EDGE_MASS = 0.5
-
-
-def _edge_mask(density):
-    """True if the state of site densities |v|^2 is edge-localized."""
-    n_pts = density.size // SITES_PER_POINT
-    n_edge = max(1, int(np.ceil(EDGE_FRACTION * n_pts)))
-    cells = (density / density.sum()).reshape(n_pts, SITES_PER_POINT).sum(axis=1)
-    return cells[:n_edge].sum() + cells[-n_edge:].sum() >= EDGE_MASS
-
-
-def _walk_to_gap_edge(chain, w, indices, group_tol, ipr, edge):
-    """Fill ipr/edge along `indices` up to the first non-edge state; return
-    its eigenvalue (nan if every state on the walk is edge-localized).
-    States within group_tol of a group's first form one numerically
-    degenerate group: one banded_eigvec call at the group's mean eigenvalue
-    gives an orthonormal basis of its eigenspace. Its rows get the IPR and
-    edge flag of its mean density, which no rotation within it changes."""
-    while len(indices):
-        group = indices[np.abs(w[indices] - w[indices[0]]) <= group_tol]
-        indices = indices[group.size:]
-        vectors = banded_eigvec(chain, w[group].mean(), group.size)
-        density = (vectors**2).mean(axis=0)
-        ipr[group] = inverse_participation_ratio(density)
-        edge[group] = _edge_mask(density)
-        if not edge[group[0]]:
-            return float(w[group[0]])
-    return float("nan")
-
-
-def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=0.0):
+def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=0.0,
+                   predicted=()):
     """Diagonalize a banded chain and summarize its spectrum.
 
     Eigenvalues within cluster_tol of flat_energy form the flat-band
-    cluster. Gap edges are the nearest remaining eigenvalues on either
-    side, after discarding edge-localized states (>= 50% of weight in
-    the outer 5% of cells) and everything within max(gap_exclusion,
-    cluster_tol) of flat_energy (finite-size members of the flat cluster
-    can leak slightly past cluster_tol).
-
-    Only eigenvalues come from the full solve. Eigenvectors come from
-    inverse iteration, one call and one LU per numerically degenerate
-    group, walking outward from flat_energy on each side, starting beyond
-    max(gap_exclusion, cluster_tol) and stopping at the first group that
-    is not edge-localized, which holds the gap edge. `ipr` holds nan on
-    every other row (the flat cluster included) and `edge_state_mask`
-    holds False there. Each row of a group holds the IPR and edge flag of
-    the group's mean density.
+    cluster. Gap edges are the nearest eigenvalues on either side beyond
+    max(gap_exclusion, cluster_tol) of flat_energy (finite-size members of
+    the flat cluster can leak slightly past cluster_tol), except the
+    states of `predicted`: the energies of in-gap states whose origin is
+    known, such as a wall mode of the stencil. Each predicted energy
+    beyond that window must have an eigenvalue that lies nearer to it
+    than to any other eigenvalue, and that one is skipped; else
+    NumericalError.
     """
     w = eigh_banded(chain)
-    ipr = np.full(w.size, np.nan)
-    edge = np.zeros(w.size, dtype=bool)
     offset = w - flat_energy
     excluded = max(gap_exclusion, cluster_tol)
-    above = np.flatnonzero(offset > excluded)           # ascending
-    below = np.flatnonzero(offset < -excluded)[::-1]    # descending
-    # a group's residual at its mean can reach its spread, so a group spans a
-    # quarter of banded_eigvec's residual bound and leaves it room for rounding
-    group_tol = EIGVEC_RESIDUAL_TOL * norm_1(chain) / 4
-    gap_edge_pos = _walk_to_gap_edge(chain, w, above, group_tol, ipr, edge)
-    gap_edge_neg = _walk_to_gap_edge(chain, w, below, group_tol, ipr, edge)
+    bulk = np.abs(offset) > excluded
+    for energy in predicted:
+        if abs(energy - flat_energy) <= excluded:
+            continue
+        i = int(np.argmin(np.abs(w - energy)))
+        near = [j for j in (i - 1, i + 1) if 0 <= j < w.size]
+        j = min(near, key=lambda j: abs(w[j] - w[i]), default=None)
+        if j is not None and not abs(w[i] - energy) < abs(w[j] - w[i]):
+            raise NumericalError(
+                f"no eigenvalue resolves the state predicted at {energy:.10g}: the "
+                f"nearest, {w[i]:.10g}, lies nearer to the next one, {w[j]:.10g}")
+        bulk[i] = False
+    above, below = w[bulk & (offset > 0)], w[bulk & (offset < 0)]
     return SpectrumReport(
         eigenvalues=w,
         cluster_count=int((np.abs(offset) <= cluster_tol).sum()),
-        gap_edge_neg=gap_edge_neg,
-        gap_edge_pos=gap_edge_pos,
-        ipr=ipr,
-        edge_state_mask=edge,
+        gap_edge_neg=float(below.max()) if below.size else float("nan"),
+        gap_edge_pos=float(above.min()) if above.size else float("nan"),
     )

@@ -2,9 +2,9 @@
 
 Everything here is a pure function of its inputs. `Grid` is immutable;
 `BandedHermitian` is a plain holder of real band storage
-that no function here writes to. The banded eigensolvers reduce, factor
-and solve the band by four LAPACK routines (dsbtrd, dsterf, dgbtrf, dgbtrs)
-in numpy's own OpenBLAS (`_lapack`), so nothing here imports scipy.
+that no function here writes to. The banded eigensolver reduces the band
+and takes its eigenvalues by two LAPACK routines (dsbtrd, dsterf) in
+numpy's own OpenBLAS (`_lapack`), so nothing here imports scipy.
 """
 
 import functools
@@ -137,7 +137,7 @@ def _lapack(name):
     an int goes by reference to a ctypes.c_int64 (ctypes would pass a bare
     int by value, as a 32-bit C int), bytes as a char* (gfortran's hidden
     length, 1, appended), a numpy array as the address of its data. A ctypes
-    call releases the GIL, so solves on two threads run at once. Raises
+    call releases the GIL, so eigensolves on two threads run at once. Raises
     NumericalError if numpy lacks the symbol."""
     import ctypes
 
@@ -215,86 +215,6 @@ def _column_sums(m):
         off_sums[:-d] += absb[u - d, d:]
         sums[:-d] += absb[u - d, d:]
     return off_sums, sums
-
-
-def norm_1(m):
-    """||M||_1 of a BandedHermitian, its largest absolute column sum,
-    floored at the smallest normal double."""
-    return max(float(_column_sums(m)[1].max()), np.finfo(float).tiny)
-
-
-EIGVEC_ITERATIONS = 3
-# residual bound of banded_eigvec, in units of norm_1
-EIGVEC_RESIDUAL_TOL = 1e-10
-
-
-def banded_eigvec(m, energy, count=1):
-    """`count` orthonormal eigenvectors of a BandedHermitian at a known
-    eigenvalue `energy` of that multiplicity, as the rows of a (count, dim)
-    array: some basis of a numerically degenerate group's eigenspace.
-
-    Block inverse iteration with one banded LU (general band storage, lower
-    diagonals copied from the stored upper ones) of M minus a shift one
-    rounding unit of ||M||_1 above energy: a computed eigenvalue is only that
-    close anyway, and the LU at an exact eigenvalue may hold a zero pivot.
-    Each solve takes every row as a right-hand side; then each row is divided
-    by its largest |entry| and np.linalg.qr orthonormalises the block. The
-    start block is fixed, so reruns give identical vectors. Three solves
-    damp every other eigencomponent by (rounding / spectral gap)**3, well
-    below what an IPR or an edge flag resolves. Raises NumericalError unless
-    each row's ||Mv - energy*v||, formed from the stored diagonals, is at
-    most EIGVEC_RESIDUAL_TOL * norm_1(m), which also refuses more rows than
-    the eigenspace holds.
-    """
-    if not (np.all(np.isfinite(m.bands)) and np.isfinite(energy)):
-        raise NumericalError("non-finite input to banded_eigvec")
-    u, n = m.bandwidth, m.dim
-    if not 0 < count <= n:
-        raise NumericalError(f"banded_eigvec: {count} vectors of a dimension-{n} matrix")
-    # M - energy*I, its shift and its residual are multiplied by the power of
-    # two s that puts s * ||M||_1 in [1/2, 1): exact, so the vectors have the
-    # same bits at every scale at which M stays normal
-    scale = norm_1(m)
-    s = np.ldexp(1.0, -np.frexp(scale)[1])
-    # s*(M - energy*I - shift) in general band storage (gbtrf, the first half
-    # of gbsv): u rows on top for the fill-in of pivoting, the u + 1 stored
-    # rows, then the u lower diagonals
-    lu = np.zeros((3 * u + 1, n), order="F")
-    lu[u : 2 * u + 1] = m.bands
-    for d in range(1, min(u, n - 1) + 1):
-        lu[2 * u + d, : n - d] = m.bands[u - d, d:]
-    lu[2 * u] -= energy
-    lu *= s
-    lu[2 * u] -= np.finfo(float).eps * (s * scale)
-    piv, info = np.empty(n, np.int64), np.zeros(1, np.int64)
-    _lapack("dgbtrf")(n, n, u, u, lu, 3 * u + 1, piv, info)
-    if info[0]:
-        raise NumericalError(f"inverse iteration at E={energy:.6g}: singular shift")
-    # v's C-ordered (count, n) rows are LAPACK's (n, count) Fortran columns.
-    # Fixed chirps cos(golden ratio * k * j^2) overlap every eigenvector as
-    # random rows do; sinusoids cos(golden ratio * k * j) miss some
-    v = np.cos(np.outer(np.arange(1, count + 1), np.arange(n) ** 2) * ((1 + 5**0.5) / 2))
-    for _ in range(EIGVEC_ITERATIONS):
-        _lapack("dgbtrs")(b"N", n, u, u, count, lu, 3 * u + 1, piv, v, n, info)
-        peak = np.abs(v).max(axis=1, keepdims=True)
-        if not np.isfinite(peak).all():
-            raise NumericalError(f"inverse iteration overflowed at E={energy:.6g}")
-        if not peak.all():
-            raise NumericalError(f"inverse iteration at E={energy:.6g}: iterate has norm 0")
-        v /= peak
-        v = np.linalg.qr(v.T)[0].T.copy()
-    # s*(M v - energy v), every row at once, from the stored upper diagonals
-    sb = s * m.bands
-    r = (sb[u] - s * energy) * v
-    for d in range(1, min(u, n - 1) + 1):
-        r[:, :-d] += sb[u - d, d:] * v[:, d:]
-        r[:, d:] += sb[u - d, d:] * v[:, :-d]
-    residual = float(np.linalg.norm(r, axis=1).max()) / s
-    if residual > EIGVEC_RESIDUAL_TOL * scale:
-        raise NumericalError(
-            f"inverse iteration at E={energy:.6g}: residual {residual:.3e} "
-            f"exceeds {EIGVEC_RESIDUAL_TOL:.0e} x {scale:.3e}")
-    return v
 
 
 def real_array(a, name):

@@ -2,8 +2,9 @@
 trapezoidal antiderivative, the columns of the seed frame U, those of
 (U^{-1})^dag, the transformed operator's eigenstates, the two converters
 between complex spinors and the real gauge of apply_dirac and apply_darboux,
-the matrix of the continuum stencil's Wilson term, and the continuum
-operator's gamma and its symbol at constant V."""
+the matrix of the continuum stencil's Wilson term, the continuum
+operator's gamma and its symbol at constant V, and which dense eigenvectors
+are edge-localised."""
 
 import numpy as np
 
@@ -47,6 +48,17 @@ def wilson_matrix(comps):
         th = np.arctan2(v23[j] ** 2 - v13[j] ** 2, 2 * v13[j] * v23[j])
     c, s = np.cos(th), np.sin(th)
     return np.array([[c, -1j * s, 0.0], [1j * s, -c, 0.0], [0.0, 0.0, 0.0]])
+
+
+def edge_localised(vectors):
+    """True for each column of `vectors` (dim, k), a state on 3 sites per
+    point (cell or grid point), that holds at least half its weight in the
+    first and last 5 % of its points, at least one point each."""
+    density = np.abs(vectors) ** 2
+    n_pts = density.shape[0] // 3
+    n_edge = max(1, int(np.ceil(0.05 * n_pts)))
+    points = density.reshape(n_pts, 3, -1).sum(axis=1) / density.sum(axis=0)
+    return points[:n_edge].sum(axis=0) + points[-n_edge:].sum(axis=0) >= 0.5
 
 
 def banded_from_dense(m, bandwidth):

@@ -159,9 +159,9 @@ def test_criterion_7_model1_chain_spectrum():
     chain = discretize(models.model_potential_components(p, g), g, "saw")
     rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=delta)
     w = rep.eigenvalues
-    # emptiness of the shrunken gap: nothing outside the flat-cluster
-    # zone |E| <= delta after edge-state filtering
-    bulk = ~rep.edge_state_mask & (np.abs(w) > delta)
+    # emptiness of the shrunken gap: no eigenvalue outside the flat-cluster
+    # zone |E| <= delta (the chain ends on its strong bonds: no wall state)
+    bulk = np.abs(w) > delta
     n_in_gap = int((bulk & (w > -edge + delta) & (w < edge - delta)).sum())
     err_neg = abs(abs(rep.gap_edge_neg) / edge - 1.0)
     err_pos = abs(abs(rep.gap_edge_pos) / edge - 1.0)

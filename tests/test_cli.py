@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,8 @@ from susychain.cli import (
     parse_config,
 )
 from susychain.errors import NumericalError
+
+from reference import banded_to_dense
 
 FIG_PARAMS = ["--set", "t_ab=1", "--set", "t_ab_inter=1",
               "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
@@ -141,7 +144,7 @@ def test_one_config_file_serves_bands_and_spectrum(tmp_path, capsys):
         assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     assert json.loads((tmp_path / "bands_summary.json").read_text())["k_points"] == 33
     _, rows = read_csv(tmp_path / "spectrum_chain.csv")
-    assert rows.shape == (3 * 60, 4)
+    assert rows.shape == (3 * 60, 2)
     # a key no command reads is an error in a shared file too
     with open(cfg, "a") as fh:
         fh.write("spectrum.cels = 4\n")
@@ -260,7 +263,7 @@ def test_main_calls_share_one_parser_without_leaking_values(tmp_path):
         summary = json.loads((tmp_path / name / "spectrum_summary.json").read_text())
         assert (summary["model"], summary["flat_energy"]) == (model, flat)
         _, rows = read_csv(tmp_path / name / "spectrum_chain.csv")
-        assert rows.shape == (3 * cells, 4)
+        assert rows.shape == (3 * cells, 2)
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -282,7 +285,7 @@ def test_no_command_loads_scipy(tmp_path):
                      "--set", "method=both", "--cells", "60",
                      "--grid-points", "101"]) == 0
         assert "concurrent.futures" in sys.modules
-        # the walk's start block needs no generator; verify draws from one
+        # spectrum draws no random numbers; verify draws from a generator
         assert not {{"numpy.random", "secrets", "_hashlib"}} & set(sys.modules)
         assert main(["verify", "--out", out, "--seed", "3"]) == 0
         assert sys.modules["scipy"] is None
@@ -547,10 +550,9 @@ def test_an_underflow_is_refused_naming_it(tmp_path, capsys, argv, code, message
 
 @pytest.mark.filterwarnings("error")
 def test_spectrum_walks_a_dense_cluster_of_a_large_mass(tmp_path):
-    # at |m| = 1.8e4 the cells all but decouple, and the walk's groups lie in
-    # a dense cluster. Three solves from sinusoidal start rows,
-    # cos(golden ratio * k * j), left a row 3.7e-10 x ||H||_1 off its group
-    # and spectrum exited 3; the chirp rows leave 4.9e-11, below the 1e-10 bound
+    # at |m| = 1.8e4 the cells all but decouple, and the gap edges lie in a
+    # dense cluster of nearly equal eigenvalues. An eigenvector walk through
+    # it once exited 3 on its residual bound
     argv = ["spectrum", "--set", "model=II", "--set", "mass=-18006.422064235354",
             "--set", "flat_energy=4.306842939454051e-175", "--set", "method=chain",
             "--cells", "44", "--box", "52.04671425101906"]
@@ -559,19 +561,19 @@ def test_spectrum_walks_a_dense_cluster_of_a_large_mass(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_spectrum_groups_well_inside_the_residual_bound(tmp_path):
-    # when the walk grouped eigenvalues within the whole residual bound, a
-    # group's residual at its mean could reach its spread: this run read
-    # "residual 1.671e-06 exceeds 1e-10 x 1.670e+04" and exited 3
+    # a dense cluster at |m| = 1.2e4 on both routes: an eigenvector walk
+    # through it once read "residual 1.671e-06 exceeds 1e-10 x 1.670e+04"
+    # and exited 3
     argv = ["spectrum", "--set", "model=II", "--set", "mass=11807.692594817534",
             "--set", "flat_energy=-5.0099543815919e-206", "--set", "method=both",
             "--cells", "100", "--grid-points", "10"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
 
 
-def test_spectrum_calls_four_lapack_routines(tmp_path, monkeypatch):
-    # the band is reduced, factored and solved in LAPACK; numpy does the
-    # rest. At box 1e60 every site is deflated and a gap edge is one group
-    # of 400 vectors, orthonormalised as one block
+def test_spectrum_calls_two_lapack_routines(tmp_path, monkeypatch):
+    # the band is reduced and its eigenvalues taken in LAPACK; numpy does the
+    # rest, and no route computes an eigenvector. At box 1e60 every site is
+    # deflated
     lapack, names = numcore._lapack, set()
 
     def recorded(name):
@@ -582,7 +584,7 @@ def test_spectrum_calls_four_lapack_routines(tmp_path, monkeypatch):
     for argv in (["--set", "method=both"], ["--set", "method=chain", "--box", "1e60"]):
         assert main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
                      "--set", "mass=0.07", *argv]) == EXIT_OK
-    assert names == {"dsbtrd", "dsterf", "dgbtrf", "dgbtrs"}
+    assert names == {"dsbtrd", "dsterf"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -810,21 +812,14 @@ def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
 @pytest.mark.parametrize("box", ["1e100", "1e150", "1e160", "1e200"])
 def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
     # the hopping 1/h falls to ~1e-98 and below, and the cells all but
-    # decouple: each gap edge is one group of 400 equal eigenvalues. The
-    # walk solves each group as one block of 400 rows from one LU at their
-    # mean, each row projected off the rows before it, so the group stays
-    # orthonormal and every walked row reads ipr 1/400. (At the exact
-    # eigenvalue the iterate passes 2**500 or a solve overflows; numcore's
-    # tests cover the peak scaling and the moved shift there.)
+    # decouple: each gap edge is one of 400 equal eigenvalues, which no
+    # box up to 1e200 moves
     def report(box):
         out = tmp_path / box
         assert main(["spectrum", "--out", str(out), "--set", "model=I",
                      "--set", "mass=0.07", "--set", "method=chain", "--box", box]) == EXIT_OK
         chain = json.loads((out / "spectrum_summary.json").read_text())["chain"]
         _, rows = read_csv(out / "spectrum_chain.csv")
-        ipr = rows[:, 2][np.isfinite(rows[:, 2])]
-        assert ipr.size > 0
-        np.testing.assert_allclose(ipr, 1 / 400, rtol=1e-12)
         return np.array([chain["gap_edge_neg"], chain["gap_edge_pos"]]), rows[:, 1]
 
     edges, energies = report(box)
@@ -903,15 +898,16 @@ def test_spectrum_chain(tmp_path):
                "--set", "mass=0.07", "--cells", "120"])
     assert rc == EXIT_OK
     header, rows = read_csv(tmp_path / "spectrum_chain.csv")
-    assert header == ["index", "energy", "ipr", "edge_state"]
-    assert rows.shape == (360, 4)
+    assert header == ["index", "energy"]
+    assert rows.shape == (360, 2)
     summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
     assert summary["chain"]["cluster_count"] > 60
     assert summary["analytic_gap_edge"] == pytest.approx(np.sqrt(0.07 * 0.14))
     assert not summary["gap_edge_derived_not_published"]
 
 
-def test_spectrum_csv_fills_only_walked_rows_and_is_deterministic(tmp_path):
+def test_spectrum_is_deterministic_and_its_edges_are_the_first_past_the_window(
+        tmp_path):
     argv = ["spectrum", "--set", "model=I", "--set", "mass=0.07",
             "--cells", "120"]
     assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
@@ -921,17 +917,35 @@ def test_spectrum_csv_fills_only_walked_rows_and_is_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes()
     _, rows = read_csv(tmp_path / "a" / "spectrum_chain.csv")
     summary = json.loads((tmp_path / "a" / "spectrum_summary.json").read_text())
-    energy, ipr, edge = rows[:, 1], rows[:, 2], rows[:, 3]
-    walked = np.isfinite(ipr)
-    np.testing.assert_array_equal(np.isfinite(edge), walked)
-    # vectors only between the exclusion zone and the gap edges, inclusive
+    energy = rows[:, 1]
     rep = summary["chain"]
-    lo, hi = rep["gap_edge_neg"], rep["gap_edge_pos"]
-    assert walked.sum() >= 2
-    assert np.all(np.abs(energy[walked]) > summary["gap_exclusion"])
-    assert np.all((energy[walked] >= lo) & (energy[walked] <= hi))
-    np.testing.assert_array_equal(edge[energy == lo], [0.0])
-    np.testing.assert_array_equal(edge[energy == hi], [0.0])
+    outside = energy[np.abs(energy) > summary["gap_exclusion"]]
+    assert rep["gap_edge_neg"] == outside[outside < 0].max()
+    assert rep["gap_edge_pos"] == outside[outside > 0].min()
+
+
+def test_spectrum_model_II_wall_states_are_gone(tmp_path):
+    # lambda > 0: both walls of the chain ended on the weak bond t + v12, and
+    # their end states, at 0.934 E, were reported as the upper gap edge (6.57 %
+    # off). The chain ends on its strong bonds now, with 3 sites a cell
+    assert main(["spectrum", "--out", str(tmp_path), "--set", "model=II",
+                 "--set", "mass=0.03", "--set", "flat_energy=0.015"]) == EXIT_OK
+    chain = json.loads((tmp_path / "spectrum_summary.json").read_text())["chain"]
+    assert chain["relative_error_neg"] <= 0.02 and chain["relative_error_pos"] <= 0.02
+    _, rows = read_csv(tmp_path / "spectrum_chain.csv")
+    assert rows.shape == (3 * 400, 2)
+
+
+def test_spectrum_chain_with_one_weak_wall_exits_3_naming_both(tmp_path, capsys):
+    # Model I (5, 4) at spacing 1: E h = 5.5 >= 2, and |t + v12| is 4.48 at the
+    # left wall and 0.513 at the right, which alone ends on its weak bond
+    assert main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
+                 "--set", "mass=5", "--set", "flat_energy=4"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: the saw chain's right wall ends on its weak bond and the other on its "
+        "strong one (|t + v12| = 4.48 at the left wall, 0.513 at the right, t = 1): an "
+        "end state would sit in the gap; refine the cell spacing\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_spectrum_continuum_and_both(tmp_path):
@@ -985,18 +999,19 @@ def test_continuum_gap_edges_within_the_box_shift(tmp_path, kind, mass, lam):
 def test_continuum_state_at_minus_lambda_is_a_right_wall_state(tmp_path, kind, mass, lam):
     # the Wilson stencil binds one state at exactly -lambda, which the
     # continuum operator lacks: all its weight sits at the wall x = +box.
-    # The walk flags it as an edge state and never reports it as a gap edge
+    # spectrum predicts it and never reports it as a gap edge
     seed, summary, rows = _continuum_run(tmp_path, kind, mass, lam, 36.0, 601)
-    energy, edge = rows[:, 1], rows[:, 3]
+    energy = rows[:, 1]
     (i,) = np.flatnonzero(np.abs(energy + lam) <= 1e-12)
-    assert edge[i] == 1.0
     rep = summary["continuum"]
     assert rep["gap_edge_neg"] < energy[i] < rep["gap_edge_pos"]
     box = 36.0 / seed.kappa0
     grid = numcore.Grid(-box, box, 601)
     op = susychain.discretize(susychain.transformed_potential(
         susychain.assemble_frame(seed, grid)), grid, "central")
-    density = (numcore.banded_eigvec(op, energy[i])[0] ** 2).reshape(601, 3).sum(axis=1)
+    w, v = scipy.linalg.eigh(banded_to_dense(op))
+    assert np.argmin(np.abs(w + lam)) == i
+    density = (v[:, i] ** 2).reshape(601, 3).sum(axis=1)
     assert density[-31:].sum() > 0.999  # the outer 5 % of points at x = +box
 
 
@@ -1095,9 +1110,9 @@ def _reject_constant(token):
 
 
 def test_spectrum_without_bulk_states_writes_strict_json(tmp_path):
-    # two cells hold no bulk state outside gap_exclusion on either side
+    # two cells hold no state beyond gap_exclusion = 10 on either side
     rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2",
-               "--set", "model=I", "--set", "mass=0.07"])
+               "--set", "model=I", "--set", "mass=0.07", "--set", "gap_exclusion=10"])
     assert rc == EXIT_OK
     text = (tmp_path / "spectrum_summary.json").read_text()
     chain = json.loads(text, parse_constant=_reject_constant)["chain"]
@@ -1193,33 +1208,33 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
 @pytest.mark.parametrize("argv, digests", [
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=both"],
      {"spectrum_chain.csv":
-      "42e9f445619a1d919af498b78c24630147b75513b4c84bc2d840563de1eedc5f",
+      "2f3dbddc2768c4d94feb091893eb444c5166c8e7a50058ddd297b594564deac0",
       "spectrum_continuum.csv":
-      "877df895e3d50ad98e97d288bcd433061653b3a33ff86ad686d65de425021b10",
+      "c6e03a925d4eac5d3d8b0af62c3a1d538f672d0123451bef04b81348ba469a6c",
       "spectrum_summary.json":
       "5732eca22738dd9cdcd119ec45ffa85b5d61277161d68427ae3fa228f95d3f6f"}),
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=both", "--cells", "300", "--grid-points", "201"],
      {"spectrum_chain.csv":
-      "afb8fd56cffc6ac44358e2ca90eccc2b173bd1a0d74ddf9722569fea95db4af0",
+      "7b0807683ec4dc91df49ce8f83a6a46b336dd1daed4ab784b7a694d4e03d3ac9",
       "spectrum_continuum.csv":
-      "06777ba8ee5cb911755d46ad22addf8919edfaf3a36af46d6ba13f61cb54778d",
+      "e067f12cc3a1dac1b9cf51c00c0e5b0094549cbf6048b7e9ac549b67d1610146",
       "spectrum_summary.json":
-      "8c50f43d026373b49e4dafae091ea19e47dc115e5594fdafd033efba385f7a45"}),
+      "d92ba92ac5af08977e533cdaeabd2a4f6e7feaeb68af72e59c426bc5e4c95be6"}),
     # cell spacing 600/499, where the hop (n - 1)/(2 box) and 1/h differ in the last bit
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=chain", "--cells", "500", "--box", "300"],
      {"spectrum_chain.csv":
-      "7fc34994b7a1f017deaaa7c0baa61b8c3b1a269ddf33b4e3e8d2399c1a8c7f89",
+      "15720120822099ed1eb8820c886928befd3f5f7fa6969883eaa1ff5a8d38e257",
       "spectrum_summary.json":
-      "d5792b7bbefc2773cd4d148630784606178f42207b3df118ac759de88b186b42"}),
+      "fe28f516db2c2b61c9869f6471711809f56d8f496b52b65dca76d058943824ed"}),
     # the smallest chain, a 2-point grid
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=chain",
       "--cells", "2"],
      {"spectrum_chain.csv":
-      "dd81040bb2e6da498e3c4bc7d85eefaef99046fd76583e67b41682b8a2d5543e",
+      "f53fd59427cf60fcbbf405472375661a4a4413bc374e6703654bd4c2c104cbca",
       "spectrum_summary.json":
-      "e9a89bbca4aa12a460dff0b919382d38bbad32f39bdaf2e8fb22b0000460a193"}),
+      "076bd55cbe744077ca8926b0900e14cd28d483fe97ed96559fdf048b77cf5721"}),
 ], ids=["model_I_default", "model_II_small", "model_II_box_300", "two_cells"])
 def test_spectrum_outputs_keep_their_bytes(tmp_path, argv, digests):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susychain import lattice, models
@@ -18,15 +18,11 @@ from susychain.lattice import (
     det_secular,
     flat_band_residual,
     tune_flat_band,
-    _edge_mask,
-    _walk_to_gap_edge,
-    inverse_participation_ratio,
 )
 from susychain.models import ModelKind, ModelParams
-from susychain.numcore import EIGVEC_RESIDUAL_TOL, BandedHermitian, Grid, \
-    banded_eigvec, eigh_banded, norm_1
+from susychain.numcore import BandedHermitian, Grid, eigh_banded
 
-from reference import GAMMA, banded_to_dense, wilson_matrix
+from reference import GAMMA, banded_to_dense, edge_localised, wilson_matrix
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -176,17 +172,23 @@ def _uniform_chain(comps, n_cells):
 SSH = PotentialComponents(0.0, -0.6, 0.0, 0.0, 10.0)
 
 
-def _saw_bands_reference(comps, grid):
+def _saw_bands_reference(comps, grid, terminate=True):
     """Band storage of the saw stencil, filled entry by entry, cell by cell,
-    from the components and the hop t = (n - 1)/(x_max - x_min)."""
+    from the components and the hop t = (n - 1)/(x_max - x_min). With
+    `terminate`, a chain whose walls both end on the weak bond, |t + v12|
+    < t at the first and last cell, starts at B_0 and ends on A_n: A_0 and
+    its bonds go, and A_n (on site v11 of the last cell, hop t from B_{n-1})
+    takes the last of 3n sites."""
     n = grid.n_points
     t = (n - 1) / (grid.x_max - grid.x_min)
     v11, v12, v13, v23, lam = (np.broadcast_to(v, (n,)) for v in (
         comps.v11, comps.v12, comps.v13, comps.v23, comps.flat_energy))
     bands = np.zeros((3, 3 * n))
+    shift = int(terminate and abs(t + v12[0]) < t and abs(t + v12[-1]) < t)
 
-    def put(row, col, value):  # M[row, col] with row <= col
-        bands[2 + row - col, col] = value
+    def put(row, col, value):  # M[row, col] with row <= col, less the shift
+        if row >= shift:
+            bands[2 + row - col, col - shift] = value
 
     for c in range(n):
         a, b, cc = 3 * c, 3 * c + 1, 3 * c + 2
@@ -198,6 +200,9 @@ def _saw_bands_reference(comps, grid):
         put(b, cc, v23[c])
         if c > 0:
             put(3 * (c - 1) + 1, a, t)  # B of the previous cell to A
+    if shift:
+        put(3 * n, 3 * n, v11[-1])
+        put(3 * n - 2, 3 * n, t)
     return bands
 
 
@@ -250,92 +255,50 @@ def test_chain_spectrum_gap_exclusion():
     assert abs(rep_tight.gap_edge_pos) <= abs(rep_wide.gap_edge_pos)
 
 
-def test_edge_state_detection_ssh_limit():
-    # dimerized AB chain in the topological phase hosts midgap edge modes;
-    # they sit at |E| ~ 5e-17, so cluster_tol must lie below that for them
-    # to be walked (and get vectors) rather than counted as the flat cluster
-    chain = _uniform_chain(SSH, 60)
-    rep = chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-20)
-    near_zero = np.abs(rep.eigenvalues) < 0.3
+def test_ssh_chain_ends_on_its_strong_bonds():
+    # the dimerized AB chain ends on its weak bond t_ab = 0.4 at both walls,
+    # where it holds two zero modes. The stencil drops A_0 and ends the
+    # chain on one more A site instead: 180 sites, both ends on t_ab_inter = 1,
+    # and nothing near 0
+    grid = _unit_grid(60)
+    open_chain = BandedHermitian(_saw_bands_reference(SSH, grid, terminate=False))
+    w, v = scipy.linalg.eigh(banded_to_dense(open_chain))
+    near_zero = np.abs(w) < 0.3
     assert near_zero.sum() == 2
-    assert np.isfinite(rep.ipr[near_zero]).all()
-    assert rep.edge_state_mask[near_zero].all()
-    # and the reported gap edges ignore those edge modes
-    assert abs(rep.gap_edge_pos) > 0.3
+    assert edge_localised(v[:, near_zero]).all()
+    chain = discretize(SSH, grid, "saw")
+    assert chain.dim == 180
+    rep = chain_spectrum(chain)
+    assert not (np.abs(rep.eigenvalues) < 0.3).any()
+    assert -rep.gap_edge_neg > 0.3 and rep.gap_edge_pos > 0.3
 
 
-def test_walk_gives_degenerate_pair_orthonormal_vectors(monkeypatch):
-    # the two SSH zero modes are split by ~2e-17; inverse iteration from
-    # one fixed start vector finds the same vector for both unless the
-    # second is kept orthogonal to the first: the walk asks for both at once
-    chain = _uniform_chain(SSH, 60)
-    w = eigh_banded(chain)
-    pair = np.flatnonzero(np.abs(w) < 0.3)
-    assert pair.size == 2
-    ipr = np.full(w.size, np.nan)
-    edge = np.zeros(w.size, dtype=bool)
-    walked = []
-
-    def recorded(m, energy, count=1):
-        walked.append(banded_eigvec(m, energy, count))
-        return walked[-1]
-
-    monkeypatch.setattr(lattice, "banded_eigvec", recorded)
-    tol = EIGVEC_RESIDUAL_TOL * norm_1(chain)
-    assert np.isnan(_walk_to_gap_edge(chain, w, pair, tol, ipr, edge))
-    (vectors,) = walked
-    assert vectors.shape == (2, chain.dim)
-    np.testing.assert_allclose(vectors @ vectors.conj().T, np.eye(2), atol=1e-8)
-    assert edge[pair].all()
+def test_one_weak_wall_is_refused_naming_both():
+    # an SSH wall that ends on its weak bond binds an end state; with one
+    # weak wall a chain of 3n sites cannot end on strong bonds at both
+    v12 = np.r_[np.zeros(59), -0.6]
+    comps = PotentialComponents(0.0, v12, 0.0, 0.0, 10.0)
+    with pytest.raises(NumericalError, match=r"right wall ends on its weak bond .*"
+                       r"\|t \+ v12\| = 1 at the left wall, 0\.4 at the right, t = 1\)"):
+        discretize(comps, _unit_grid(60), "saw")
 
 
-def test_degenerate_walked_group_gets_one_ipr_whatever_the_rounding(monkeypatch):
-    # Model II's two wall states at 800 cells are 2e-15 apart: one group.
-    # Nudging their eigenvalues by 3e-17 rotates the vectors within the
-    # group, enough to move a per-vector IPR between 0.026 and 0.030; the
-    # group's mean density does not move
-    p = ModelParams(ModelKind.II, 0.1, 0.05)
-    chain = _route_operator(p, "chain", 800)
-    excl = 0.1 * p.seed_data().gap_edge
-    rep = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=excl)
-    walked = np.flatnonzero(np.isfinite(rep.ipr))
-    w = rep.eigenvalues
-    group = walked[np.abs(w[walked] - 0.1322875655532) < 1e-12]
-    assert group.size == 2
-    assert rep.edge_state_mask[group].all() and rep.ipr[group[0]] == rep.ipr[group[1]]
-    nudged = w.copy()
-    nudged[group] += [-3e-17, 3e-17]
-    monkeypatch.setattr(lattice, "eigh_banded", lambda m: nudged)
-    again = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=excl)
-    assert again.ipr[group[0]] == again.ipr[group[1]]
-    np.testing.assert_allclose(again.ipr[group], rep.ipr[group], rtol=1e-10)
+# ----------------------------------- gap edges vs a dense eigenvector walk
 
-
-# ------------------------------------- walked spectrum vs dense reference
-
-def _dense_reference(dense, tol, flat_energy, cluster_tol, gap_exclusion):
-    """chain_spectrum's summary from every eigenvector of a dense solve.
-
-    Outside the excluded zone, eigenvalues within tol (chain_spectrum's
-    EIGVEC_RESIDUAL_TOL * norm_1) of the first of a group, counted outward
-    from flat_energy on each side, form one group; each of its rows gets
-    the IPR and edge flag of the group's mean density."""
-    w, v = np.linalg.eigh(dense)
-    excluded = max(gap_exclusion, cluster_tol)
-    ipr = np.full(w.size, np.nan)
-    edge = np.zeros(w.size, dtype=bool)
+def _dense_reference(dense, flat_energy, cluster_tol, gap_exclusion):
+    """chain_spectrum's summary by the rule it replaces, from every eigenvector
+    of a dense solve: beyond max(gap_exclusion, cluster_tol) of flat_energy,
+    each gap edge is the nearest state that is not edge-localised."""
+    w, v = scipy.linalg.eigh(dense)
     offset = w - flat_energy
-    for side in (np.flatnonzero(offset > excluded),
-                 np.flatnonzero(offset < -excluded)[::-1]):
-        while side.size:
-            group = side[np.abs(w[side] - w[side[0]]) <= tol]
-            side = side[group.size:]
-            density = (np.abs(v[:, group]) ** 2).mean(axis=1)
-            ipr[group] = inverse_participation_ratio(density)
-            edge[group] = _edge_mask(density)
-    bulk = (np.abs(offset) > excluded) & ~edge
-    return (w, ipr, edge, int((np.abs(w - flat_energy) <= cluster_tol).sum()),
-            w[bulk & (w < flat_energy)].max(), w[bulk & (w > flat_energy)].min())
+    bulk = (np.abs(offset) > max(gap_exclusion, cluster_tol)) & ~edge_localised(v)
+    return (w, int((np.abs(offset) <= cluster_tol).sum()),
+            w[bulk & (offset < 0)].max(), w[bulk & (offset > 0)].min())
+
+
+def _predicted(route, lam):
+    """The in-gap states of a route: the continuum's Wilson mode at -lambda."""
+    return (-lam,) if route == "continuum" and lam else ()
 
 
 def _route_operator(p, route, size, box=12.0):
@@ -351,17 +314,17 @@ def _route_operator(p, route, size, box=12.0):
 def _model_case(kind, mass, lam, route):
     p = ModelParams(kind, mass, lam)
     op = _route_operator(p, route, 100 if route == "chain" else 101)
-    return op, lam, 1e-6, 0.1 * p.seed_data().gap_edge
+    return op, lam, 1e-6, 0.1 * p.seed_data().gap_edge, _predicted(route, lam)
 
 
 def _ssh_case(end_potentials):
     chain = _uniform_chain(SSH, 60)
     if end_potentials:
-        # lift the two zero modes apart (left mode on A_0, right on B_59)
-        # so both are walked as distinct in-gap edge states
+        # potentials on the two end sites, B_0 and the last A, which sit on
+        # strong bonds: they bind no state in the gap
         chain.bands[2, 0] = 0.05
-        chain.bands[2, 3 * 59 + 1] = 0.08
-    return chain, 0.0, 1e-9, 1e-9
+        chain.bands[2, -1] = 0.08
+    return chain, 0.0, 1e-9, 1e-9, ()
 
 
 @pytest.mark.parametrize("case", [
@@ -374,19 +337,47 @@ def _ssh_case(end_potentials):
 ], ids=["model_I_chain", "model_II_chain", "ssh", "ssh_end_potentials",
         "model_I_continuum", "model_II_continuum"])
 def test_chain_spectrum_matches_dense_reference(case):
-    op, flat, tol, excl = case()
-    w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(
-        banded_to_dense(op), EIGVEC_RESIDUAL_TOL * norm_1(op), flat, tol, excl)
-    rep = chain_spectrum(op, flat_energy=flat, cluster_tol=tol, gap_exclusion=excl)
+    # the predicted states are the only ones the walk would skip
+    op, flat, tol, excl, predicted = case()
+    w, count, edge_neg, edge_pos = _dense_reference(banded_to_dense(op), flat, tol, excl)
+    rep = chain_spectrum(op, flat_energy=flat, cluster_tol=tol, gap_exclusion=excl,
+                         predicted=predicted)
     np.testing.assert_allclose(rep.eigenvalues, w, atol=1e-12)
     assert rep.cluster_count == count
     assert rep.gap_edge_neg == pytest.approx(edge_neg, abs=1e-12)
     assert rep.gap_edge_pos == pytest.approx(edge_pos, abs=1e-12)
-    has = np.isfinite(rep.ipr)
-    assert 2 <= has.sum() < w.size
-    np.testing.assert_array_equal(rep.edge_state_mask[has], edge[has])
-    np.testing.assert_allclose(rep.ipr[has], ipr[has], rtol=0, atol=1e-8)
-    assert not rep.edge_state_mask[~has].any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(ModelKind), mass=st.floats(0.03, 0.5),
+       ratio=st.floats(-0.95, 0.95), route=st.sampled_from(["chain", "continuum"]),
+       size=st.integers(20, 120))
+# 2|lambda| is the flat window's half-width: -lambda's state lies on its edge
+@example(kind=ModelKind.II, mass=0.375, ratio=-0.05, route="continuum", size=86)
+def test_only_predicted_states_lie_in_the_gap(kind, mass, ratio, route, size):
+    # admissible lambda: Model I's (-2m, m), Model II's (-sqrt(2) m, sqrt(2) m).
+    # Against every dense eigenvector: the chain keeps 3 sites a cell; the
+    # gap edges are not edge-localised, and between them and beyond the
+    # flat window lie the predicted states only, each edge-localised
+    lam = mass * (1.5 * ratio - 0.5 if kind is ModelKind.I else np.sqrt(2) * ratio)
+    try:
+        p = ModelParams(kind, mass, lam)
+    except NumericalError:
+        assume(False)
+    op = _route_operator(p, route, size)
+    assert op.dim == 3 * size
+    excl = 0.1 * p.seed_data().gap_edge
+    rep = chain_spectrum(op, flat_energy=lam, gap_exclusion=excl,
+                         predicted=_predicted(route, lam))
+    _, v = scipy.linalg.eigh(banded_to_dense(op))
+    w = rep.eigenvalues
+    edges = [np.flatnonzero(w == e)[0] for e in (rep.gap_edge_neg, rep.gap_edge_pos)]
+    assert not edge_localised(v[:, edges]).any()
+    census = [int(np.argmin(np.abs(w - e))) for e in _predicted(route, lam)]
+    census = [i for i in census if abs(w[i] - lam) > excl]
+    in_gap = (w > rep.gap_edge_neg) & (w < rep.gap_edge_pos) & (np.abs(w - lam) > excl)
+    assert set(np.flatnonzero(in_gap)) <= set(census)
+    assert edge_localised(v[:, census]).all()
 
 
 def _full_eigh_banded(m):
@@ -406,10 +397,11 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
                                                                size, box):
     p = ModelParams(kind, mass, lam)
     op = _route_operator(p, route, size, box)
-    gap_exclusion = 0.1 * p.seed_data().gap_edge
-    rep = chain_spectrum(op, flat_energy=lam, gap_exclusion=gap_exclusion)
+    kwargs = dict(flat_energy=lam, gap_exclusion=0.1 * p.seed_data().gap_edge,
+                  predicted=_predicted(route, lam))
+    rep = chain_spectrum(op, **kwargs)
     monkeypatch.setattr(lattice, "eigh_banded", _full_eigh_banded)
-    full = chain_spectrum(op, flat_energy=lam, gap_exclusion=gap_exclusion)
+    full = chain_spectrum(op, **kwargs)
     # sites left uncoupled are deflated, exactly lam: the chain's C sites far
     # from the kink, the continuum's third component where v13, v23 vanish
     assert (rep.eigenvalues == lam).sum() > (full.eigenvalues == lam).sum() + 40
@@ -417,8 +409,6 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
     assert rep.cluster_count == full.cluster_count
     assert rep.gap_edge_neg == pytest.approx(full.gap_edge_neg, rel=0, abs=1e-12)
     assert rep.gap_edge_pos == pytest.approx(full.gap_edge_pos, rel=0, abs=1e-12)
-    np.testing.assert_array_equal(np.isnan(rep.ipr), np.isnan(full.ipr))
-    np.testing.assert_array_equal(rep.edge_state_mask, full.edge_state_mask)
 
 
 @pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
@@ -441,18 +431,12 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     n = grid.n_points
     h = (scipy.linalg.block_diag(*(stack + 2 / grid.h * m)) + np.kron(np.eye(n, k=1), hop)
          + np.kron(np.eye(n, k=-1), hop.conj().T))
-    w, ipr, edge, count, edge_neg, edge_pos = _dense_reference(
-        h, EIGVEC_RESIDUAL_TOL * norm_1(gauged), lam, 1e-6, gap_exclusion)
+    w, count, edge_neg, edge_pos = _dense_reference(h, lam, 1e-6, gap_exclusion)
     rep = chain_spectrum(gauged, flat_energy=lam, cluster_tol=1e-6,
-                         gap_exclusion=gap_exclusion)
+                         gap_exclusion=gap_exclusion, predicted=_predicted("continuum", lam))
     scale = np.abs(h).sum(axis=1).max()
     np.testing.assert_allclose(rep.eigenvalues, w, rtol=0, atol=1e-12 * scale)
     assert rep.cluster_count == count
     assert rep.gap_edge_neg == pytest.approx(edge_neg, abs=1e-12)
     assert rep.gap_edge_pos == pytest.approx(edge_pos, abs=1e-12)
-    # each walked group: the IPR and edge flag of its mean |v|^2
-    has = np.isfinite(rep.ipr)
-    assert has.sum() >= 2
-    np.testing.assert_array_equal(rep.edge_state_mask[has], edge[has])
-    np.testing.assert_allclose(rep.ipr[has], ipr[has], rtol=0, atol=1e-12)
 

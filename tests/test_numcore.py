@@ -17,11 +17,9 @@ from susychain.models import ModelKind, ModelParams, model_potential_components
 from susychain.numcore import (
     BandedHermitian,
     Grid,
-    banded_eigvec,
     block_tridiagonal_bands,
     diff_central,
     eigh_banded,
-    norm_1,
     quad_roots,
 )
 
@@ -175,20 +173,6 @@ def _random_banded(rng, dim, bw):
     return dense
 
 
-# band storage is real only; the tests below keep `dtype` as a parameter
-# with the one value float, so their cases keep their names
-@pytest.mark.parametrize("dtype", [float])
-@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
-def test_norm_1_is_the_largest_absolute_column_sum(dtype, scale):
-    rng = np.random.default_rng(5)
-    for bw in range(5):
-        for dim in range(1, 30):
-            dense = _random_banded(rng, dim, bw) * scale
-            m = banded_from_dense(dense, bw)
-            ref = max(np.abs(banded_to_dense(m)).sum(axis=0).max(), np.finfo(float).tiny)
-            np.testing.assert_allclose(norm_1(m), ref, rtol=4 * EPS, atol=0)
-
-
 # a factor f sets a site's off-diagonal row sum to f * tau
 FACTORS = (None, 0.0, 0.5, 0.99, 0.999999, 1.000001, 1.01, 2.0)
 # 1e-150 and 1e150 put the max-abs norm below rmin = 2**-485 and above
@@ -252,6 +236,8 @@ def test_eigh_banded_deflates_exactly_up_to_eps_norm_over_twice_bandwidth(factor
         np.testing.assert_allclose(w, [-c, c, 5.0, 100.0], rtol=1e-12)
 
 
+# band storage is real only; the tests below keep `dtype` as a parameter
+# with the one value float, so their cases keep their names
 @pytest.mark.parametrize("dtype", [float])
 def test_eigh_banded_every_site_loose(dtype):
     diag = np.array([3.0, -1.0, 2.0, 0.5, -1.0])
@@ -461,231 +447,6 @@ def test_chain_band_reduction_starts_below_the_tridiagonal_lead(monkeypatch):
     s = np.flatnonzero(ab[0, 2:])[0]
     assert kept < 3 * 800 and s > kept // 4
     assert sizes == [("dsbtrd", kept - (s - 3)), ("dsterf", kept)]
-
-
-def _solve_banded_eigvec(m, energy):
-    """banded_eigvec's iteration for one vector, with three LUs for its one:
-    three scipy.linalg.solve_banded calls (gbsv for bandwidth >= 2), each
-    factoring M minus a shift one rounding unit of ||M||_1 above energy anew,
-    each followed, as in banded_eigvec, by a division by the largest |entry|
-    and np.linalg.qr."""
-    u, n = m.bandwidth, m.dim
-    dense = banded_to_dense(m)
-    ab = np.zeros((2 * u + 1, n), dtype=np.result_type(dense, float))
-    for d in range(-u, u + 1):
-        ab[u - d, max(d, 0): n + min(d, 0)] = np.diagonal(dense, d)
-    scale = float(np.abs(ab).sum(axis=0).max())
-    ab[u] -= energy
-    ab[u] -= EPS * scale
-    v = np.cos(np.arange(n) ** 2 * ((1 + 5**0.5) / 2))
-    for _ in range(3):
-        v = scipy.linalg.solve_banded((u, u), ab, v, check_finite=False)
-        v /= np.abs(v).max()
-        v = np.linalg.qr(v[:, None])[0][:, 0]
-    return v
-
-
-@pytest.mark.parametrize("dtype, bw", [(float, 2), (float, 3), (float, 4)])
-def test_banded_eigvec_factored_once_equals_three_solves_bitwise(dtype, bw):
-    dense = _random_banded(np.random.default_rng(21), 30, bw)
-    # site 7 decoupled: without the shift its exact eigenvalue is a zero pivot
-    diag = dense[7, 7]
-    dense[7, :] = dense[:, 7] = 0.0
-    dense[7, 7] = diag
-    m = banded_from_dense(dense, bw)
-    w = np.linalg.eigvalsh(dense)
-    for energy in (w[0], w[11], w[-1], diag):
-        assert np.array_equal(banded_eigvec(m, energy)[0], _solve_banded_eigvec(m, energy))
-
-
-@pytest.mark.parametrize("dtype", [float])
-def test_banded_eigvec_matches_dense_eigenvectors(dtype):
-    dim, bw = 40, 3
-    dense = _random_banded(np.random.default_rng(8), dim, bw)
-    banded = banded_from_dense(dense, bw)
-    w, v = np.linalg.eigh(dense)
-    for j in (0, 17, dim - 1):
-        x = banded_eigvec(banded, w[j])
-        assert np.linalg.norm(x) == pytest.approx(1.0)
-        # unique up to a phase: |<v_j, x>| = 1
-        assert abs(np.vdot(v[:, j], x)) == pytest.approx(1.0, abs=1e-10)
-    # fixed start vector: reruns are bit-identical
-    np.testing.assert_array_equal(banded_eigvec(banded, w[5]),
-                                  banded_eigvec(banded, w[5]))
-
-
-@pytest.mark.parametrize("dtype, bw", [(float, 2), (float, 4)])
-def test_banded_eigvec_has_the_same_bits_at_every_scale(dtype, bw):
-    # M - E*I is solved after an exact power-of-two scaling by ~1/||M||_1,
-    # so 2**k * M gives k = 0's vector, also where the unscaled iterate or
-    # the residual's sum of squares would leave the double range
-    dense = _random_banded(np.random.default_rng(5), 30, bw)
-    diag = dense[7, 7]
-    dense[7, :] = dense[:, 7] = 0.0
-    dense[7, 7] = diag  # a decoupled site: the zero-pivot shift scales too
-    w = np.linalg.eigvalsh(dense)
-    m = banded_from_dense(dense, bw)
-    for energy in (w[0], w[13], diag):
-        v = banded_eigvec(m, energy)
-        for k in (500, -500, 900, -900):
-            scaled = BandedHermitian(m.bands * 2.0**k)  # exact
-            assert np.array_equal(banded_eigvec(scaled, energy * 2.0**k), v), k
-
-
-def test_banded_eigvec_exact_eigenvalue_of_decoupled_site():
-    # the shift hits a zero pivot exactly; the kernel must still succeed
-    banded = banded_from_dense(np.diag([3.0, 1.0, 2.0]), 1)
-    x = banded_eigvec(banded, 2.0)[0]
-    np.testing.assert_allclose(np.abs(x), [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_banded_eigvec_band_wider_than_the_matrix():
-    # bandwidth 4 on a 2x2 matrix: only one lower diagonal exists to fill
-    dense = np.array([[1.0, 0.5], [0.5, -2.0]])
-    w, v = np.linalg.eigh(dense)
-    x = banded_eigvec(banded_from_dense(dense, 4), w[0])
-    assert abs(np.vdot(v[:, 0], x)) == pytest.approx(1.0, abs=1e-12)
-
-
-def _record_factorizations(monkeypatch):
-    """Patch numcore._lapack to append "dgbtrf" to the returned list each
-    time that routine is fetched, which banded_eigvec does once per LU."""
-    factored = []
-    lapack = numcore._lapack
-
-    def recorded(name):
-        if name == "dgbtrf":
-            factored.append(name)
-        return lapack(name)
-
-    monkeypatch.setattr(numcore, "_lapack", recorded)
-    return factored
-
-
-def test_banded_eigvec_keeps_a_degenerate_pair_apart(monkeypatch):
-    # a coupled 6x6 matrix with the eigenvalue 1 twice: one call for the
-    # pair gives two orthonormal vectors; a call for three, one more than the
-    # eigenspace holds, is refused by the residual, from one LU
-    q = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
-    dense = (q * [1.0, 1.0, 2.0, 3.0, -1.0, 0.5]) @ q.T
-    dense = 0.5 * (dense + dense.T)
-    banded = banded_from_dense(dense, 5)
-    w = np.linalg.eigvalsh(dense)
-    v = banded_eigvec(banded, w[2:4].mean(), 2)
-    np.testing.assert_allclose(v @ v.T, np.eye(2), rtol=0, atol=1e-12)
-    factored = _record_factorizations(monkeypatch)
-    with pytest.raises(NumericalError, match="residual"):
-        banded_eigvec(banded, w[2:4].mean(), 3)
-    assert len(factored) == 1
-
-
-@pytest.mark.parametrize("g", [2, 7, 64])
-def test_banded_eigvec_spans_a_degenerate_eigenspace_with_one_lu(monkeypatch, g):
-    # g identical decoupled 3x3 cells beside a coupled part: the cells'
-    # middle eigenvalue E has multiplicity g. One call gives g orthonormal
-    # rows spanning dense eigh's eigenspace at E, from a single LU
-    cell = np.array([[1.0, 0.3, 0.1], [0.3, -0.5, 0.2], [0.1, 0.2, 0.7]])
-    coupled = _random_banded(np.random.default_rng(9), 30, 2) + 10.0 * np.eye(30)
-    dense = np.zeros((30 + 3 * g, 30 + 3 * g))
-    dense[:30, :30] = coupled
-    for c in range(g):
-        dense[30 + 3 * c : 33 + 3 * c, 30 + 3 * c : 33 + 3 * c] = cell
-    w, q = np.linalg.eigh(dense)
-    energy = np.linalg.eigvalsh(cell)[1]
-    near = np.argsort(np.abs(w - energy))
-    assert abs(w[near[g]] - energy) > 0.1  # E has multiplicity g exactly
-    factored = _record_factorizations(monkeypatch)
-    v = banded_eigvec(banded_from_dense(dense, 2), energy, g)
-    assert v.shape == (g, dense.shape[0])
-    np.testing.assert_allclose(v @ v.T, np.eye(g), rtol=0, atol=1e-12)
-    space = q[:, near[:g]]
-    np.testing.assert_allclose(v.T @ v, space @ space.T, rtol=0, atol=1e-10)
-    assert len(factored) == 1
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(bw=st.integers(1, 4), g=st.integers(1, 5), block=st.integers(1, 10),
-       rest=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 9))
-def test_banded_eigvec_spans_a_planted_eigenspace(bw, g, block, rest, seed, k):
-    # g copies of a random banded block beside a random banded rest: the
-    # block's k-th eigenvalue E has multiplicity g. One LU gives g
-    # orthonormal rows spanning dense eigh's eigenspace at E; g + 1 rows are
-    # refused by the residual
-    rng = np.random.default_rng(seed)
-    a, b = _random_banded(rng, block, bw), _random_banded(rng, rest, bw)
-    dense = scipy.linalg.block_diag(*[a] * g, b)
-    energy = np.linalg.eigvalsh(a)[k % block]
-    w, q = np.linalg.eigh(dense)
-    near = np.argsort(np.abs(w - energy))
-    m = banded_from_dense(dense, bw)
-    # a gap to the rest of the spectrum that leaves eigh's eigenspace well defined
-    assume(abs(w[near[g]] - energy) > 1e-4 * norm_1(m))
-    with pytest.MonkeyPatch.context() as patch:
-        factored = _record_factorizations(patch)
-        v = banded_eigvec(m, energy, g)
-        assert len(factored) == 1
-    np.testing.assert_allclose(v @ v.T, np.eye(g), rtol=0, atol=1e-12)
-    space = q[:, near[:g]]
-    np.testing.assert_allclose(v.T @ v, space @ space.T, rtol=0, atol=1e-10)
-    with pytest.raises(NumericalError, match="residual"):
-        banded_eigvec(m, energy, g + 1)
-
-
-@pytest.mark.parametrize("box", [1e60, 1e100, 1e160])
-def test_banded_eigvec_factors_once_at_every_huge_box(monkeypatch, box):
-    # Model I's 400 cells all but decouple at these boxes, and the state
-    # above the gap is one group of 400 bitwise-equal eigenvalues. At that
-    # exact eigenvalue an LU holds pivots of ~1e-304 from 1e160 on, and a
-    # solve overflows. At the shift one rounding unit above it every solve
-    # stays below ~1e16, so each block comes from one LU at every box
-    g = Grid(-box, box, 400)
-    chain = discretize(model_potential_components(ModelParams(ModelKind.I, 0.07, 0.0), g),
-                       g, "saw")
-    w = eigh_banded(chain)
-    energy = w[np.flatnonzero(w > 0.05)[0]]
-    assert (w == energy).sum() == 400
-    factored = _record_factorizations(monkeypatch)
-    for count in (1, 400):
-        factored.clear()
-        v = banded_eigvec(chain, energy, count)
-        np.testing.assert_allclose(v @ v.T, np.eye(count), rtol=0, atol=1e-12)
-        assert len(factored) == 1
-
-
-def test_banded_eigvec_rejects_non_eigenvalue():
-    banded = banded_from_dense(np.diag([3.0, 1.0, 2.0]), 1)
-    with pytest.raises(NumericalError, match="residual"):
-        banded_eigvec(banded, 1.5)
-    with pytest.raises(NumericalError):
-        banded_eigvec(banded, np.nan)
-    # 1e-3 off an eigenvalue 0.22 from its neighbours, three solves converge
-    # to its eigenvector: the residual of every diagonal's terms is 1e-3
-    dense = _random_banded(np.random.default_rng(3), 30, 3)
-    energy = np.linalg.eigvalsh(dense)[11] + 1e-3
-    with pytest.raises(NumericalError, match=r"residual 1\.000e-03 exceeds"):
-        banded_eigvec(banded_from_dense(dense, 3), energy)
-
-
-def test_banded_eigvec_refuses_a_singular_shift_and_a_broken_solve(monkeypatch):
-    # the shift one rounding unit of ||M||_1 = 1 above 1 - eps is exactly M = [1]
-    with pytest.raises(NumericalError, match="singular shift"):
-        banded_eigvec(BandedHermitian(np.ones((1, 1))), 1.0 - EPS)
-    banded = banded_from_dense(np.diag([3.0, 1.0, 2.0]), 1)
-    lapack = numcore._lapack
-    for fill, reason in ((np.inf, "overflowed"), (0.0, "norm 0")):
-        def broken(name, fill=fill):
-            routine = lapack(name)
-            if name != "dgbtrs":
-                return routine
-
-            def solve(*args):  # a solve that overflows, or one that gives 0
-                routine(*args)
-                args[8][:] = fill
-            return solve
-
-        monkeypatch.setattr(numcore, "_lapack", broken)
-        with pytest.raises(NumericalError, match=reason):
-            banded_eigvec(banded, 2.0)
 
 
 # ----------------------------------------------------------- stencils
