@@ -260,12 +260,13 @@ BANDS_KEYS = {**TIGHT_BINDING_KEYS,
 def cmd_bands(st, out_dir):
     p = _tb_params(st)
     n_k = st["grid_points"]
-    bs = band_structure(p, default_k_grid(p, n_k))
+    k = default_k_grid(p, n_k)
+    energies = band_structure(p, k)
     _write_csv(os.path.join(out_dir, "bands.csv"),
                ["k", "E1", "E2", "E3"],
-               [bs.k, bs.band(0), bs.band(1), bs.band(2)])
-    spreads = bs.spreads()
-    means = bs.energies.mean(axis=0)
+               [k, *energies.T])
+    spreads = np.ptp(energies, axis=0)
+    means = energies.mean(axis=0)
     flat = [
         {"band_index": int(j), "energy": float(means[j]), "spread": float(spreads[j])}
         for j in range(3)
@@ -295,7 +296,7 @@ def cmd_tune(st, out_dir):
             "quad_lin": sol.quad_lin,
             "quad_const": sol.quad_const,
             "quad_cos": sol.quad_cos,
-            "residual_max_over_k": flat_band_residual(p, sol, n_k=256),
+            "residual_max_over_k": flat_band_residual(p, sol),
         }
         for sol in solutions
     ]}
@@ -314,7 +315,7 @@ SUSY_KEYS = {
 }
 
 
-def _seed_and_frame(st):
+def cmd_susy(st, out_dir):
     if st["model"] is None:
         p = None
         seed = susy.SeedData(mass=st["mass"], flat_energy=st["flat_energy"],
@@ -325,12 +326,7 @@ def _seed_and_frame(st):
             raise ConfigError(f"field '{fixed[0]}': model {st['model']} fixes it")
         p = _model_params(st)
         seed = p.seed_data()
-    grid = Grid(-st["box"], st["box"], st["grid_points"])
-    return p, seed, assemble_frame(seed, grid)
-
-
-def cmd_susy(st, out_dir):
-    p, seed, frame = _seed_and_frame(st)
+    frame = assemble_frame(seed, Grid(-st["box"], st["box"], st["grid_points"]))
     comps = transformed_potential(frame)
     residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
                                                    n_levels=2)

@@ -16,21 +16,21 @@ from .errors import NumericalError
 from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, real_array
 
 
-def potential_matrix(v11, v12, v13, v23, scalar_v, flat_energy):
+def potential_matrix(v11, v12, v13, v23, flat_energy):
     """Assemble the 3x3 Hermitian potential from its real components.
 
     Array components give a C-ordered stack of shape broadcast_shape + (3, 3).
     """
     entries = np.broadcast_arrays(
-        v11 + scalar_v, -1j * v12, -1j * v13,
-        1j * v12, -v11 + scalar_v, v23,
+        v11, -1j * v12, -1j * v13,
+        1j * v12, -v11, v23,
         1j * v13, v23, flat_energy)
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
 @dataclass(frozen=True)
 class PotentialComponents:
-    """The real components of V = potential_matrix(v11, v12, v13, v23, 0,
+    """The real components of V = potential_matrix(v11, v12, v13, v23,
     flat_energy): arrays sampled on a grid's points, or floats for a
     constant potential."""
 
@@ -55,7 +55,7 @@ class PotentialComponents:
     def matrix_stack(self):
         """V(x_i) as an (n, 3, 3) complex stack; floats give one 3x3 matrix."""
         return potential_matrix(self.v11, self.v12, self.v13, self.v23,
-                                0.0, self.flat_energy)
+                                self.flat_energy)
 
 
 def discretize(comps, grid, stencil):

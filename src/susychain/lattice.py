@@ -41,19 +41,6 @@ class TightBindingParams:
 
 
 @dataclass(frozen=True)
-class BandStructure:
-    k: np.ndarray
-    energies: np.ndarray  # shape (nk, 3), ascending per k
-
-    def band(self, j):
-        return self.energies[:, j]
-
-    def spreads(self):
-        """max_k - min_k of each band."""
-        return self.energies.max(axis=0) - self.energies.min(axis=0)
-
-
-@dataclass(frozen=True)
 class FlatBandSolution:
     """One fine-tuned (eps_c, flat energy) pair.
 
@@ -98,12 +85,13 @@ def default_k_grid(p, n=513):
 
 
 def band_structure(p, k_grid):
+    """The three bands on k_grid: an (nk, 3) array, ascending per k."""
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.size == 0:
         raise NumericalError("empty k-grid")
     # eigh, not eigvalsh: only eigh keeps the bits of the per-k solve
     energies, _ = np.linalg.eigh(bloch_hamiltonian(p, k_grid.ravel()))
-    return BandStructure(k_grid, energies)
+    return energies
 
 
 def det_secular(p, k, energy):
@@ -165,11 +153,11 @@ def tune_flat_band(p):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is raised below
-def flat_band_residual(p, sol, n_k=256):
-    """max_k |det(H(k) - flat_energy)| with eps_c set to the tuned value;
-    NumericalError where that cubic in flat_energy overflows."""
+def flat_band_residual(p, sol):
+    """max_k |det(H(k) - flat_energy)| over 256 k points with eps_c set to the
+    tuned value; NumericalError where that cubic in flat_energy overflows."""
     tuned = replace(p, eps_c=sol.eps_c)
-    k = default_k_grid(p, n_k)
+    k = default_k_grid(p, 256)
     residual = float(np.abs(det_secular(tuned, k, sol.flat_energy)).max())
     if not np.isfinite(residual):
         raise NumericalError(f"the flat-band residual overflows the double range at "

@@ -101,26 +101,16 @@ def validate_params(p):
     return out
 
 
-# beyond |2 kappa x| = 700, tanh is +-1 in double precision and sech is
-# below 1e-303, while cosh overflows from 710 on
-MAX_HYPERBOLIC_ARG = 700.0
-
-
-def _hyperbolic_arg(k, x, c):
-    """2*kappa*x clipped so that c*cosh of it stays finite.
-
-    The bound is MAX_HYPERBOLIC_ARG, less log(c) when the cosh coefficient
-    c exceeds 1; for c <= 1 it is MAX_HYPERBOLIC_ARG exactly.
-    """
-    limit = MAX_HYPERBOLIC_ARG - max(float(np.log(c)), 0.0)
-    return np.clip(2 * k * np.asarray(x, dtype=float), -limit, limit)
-
-
+@np.errstate(over="ignore")
 def model_potential(p, x):
-    """Closed-form potential components (v11, v12, v13, v23) of either model."""
+    """Closed-form potential components (v11, v12, v13, v23) of either model.
+
+    Where cosh(2 kappa x) overflows to inf, IEEE arithmetic gives the exact
+    far-field limits: sech 0, tanh +-1, and v13 = v23 = 0.
+    """
     m, lam, k = p.mass, p.flat_energy, p.kappa
     model1 = p.kind is ModelKind.I
-    z = _hyperbolic_arg(k, x, 2 * m - lam if model1 else 2 * (m - lam) ** 2)
+    z = 2 * k * np.asarray(x, dtype=float)
     sech2 = 1.0 / np.cosh(z)
     tanh2 = np.tanh(z)
     cosh2 = np.cosh(z)

@@ -46,7 +46,7 @@ def test_criterion_1_flat_band_tuning():
     err_c = abs(best.eps_c - 1.0 / 500.0)
     err_e = abs(best.flat_energy - 0.0)
     tuned = replace(P_FIG, eps_c=best.eps_c)
-    spread = band_structure(tuned, default_k_grid(tuned, 513)).spreads()[1]
+    spread = np.ptp(band_structure(tuned, default_k_grid(tuned, 513)), axis=0)[1]
     report(1, "flat-band tuning reproduces eps_c = 1/500, flat energy 0",
            err_c <= 1e-12 and err_e <= 1e-12 and spread <= 1e-10,
            f"|d eps_c|={err_c:.1e}, |d E|={err_e:.1e}, spread={spread:.1e}")

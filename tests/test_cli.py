@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,6 +265,15 @@ def test_main_calls_share_one_parser_without_leaking_values(tmp_path):
         assert rows.shape == (3 * cells, 2)
 
 
+def _run_python(*args):
+    """A new interpreter run with `args`, the package's src on PYTHONPATH."""
+    src = str(Path(susychain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_no_command_loads_scipy(tmp_path):
     # numpy's own LAPACK serves every command; a blocked scipy import
     # raises ImportError, so each command exits 0 without it
@@ -290,14 +298,25 @@ def test_no_command_loads_scipy(tmp_path):
         assert main(["verify", "--out", out, "--seed", "3"]) == 0
         assert sys.modules["scipy"] is None
     """)
-    src = str(Path(susychain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = _run_python("-c", script)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "spectrum_chain.csv").exists()
     assert (tmp_path / "spectrum_continuum.csv").exists()
+
+
+def test_module_entry_exits_with_the_command_code(tmp_path):
+    # python -m susychain.cli hands main's exit code to sys.exit; the pole
+    # seed's exit 3 prints one line, no traceback
+    ok = _run_python("-W", "error", "-m", "susychain.cli", "tune", "--out", str(tmp_path),
+                     *FIG_PARAMS)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert (tmp_path / "tune.json").exists()
+    pole = _run_python("-W", "error", "-m", "susychain.cli", "susy", "--out",
+                       str(tmp_path / "pole"), "--set", "mass=0.3", "--set", "gauge_a=0.2",
+                       "--set", "flat_energy=0.1")
+    assert pole.returncode == EXIT_NUMERICAL
+    assert pole.stderr.startswith("error: ") and pole.stderr.count("\n") == 1
+    assert "x=-1.2317" in pole.stderr
 
 
 def test_missing_lapack_symbol_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
@@ -549,25 +568,16 @@ def test_an_underflow_is_refused_naming_it(tmp_path, capsys, argv, code, message
 
 
 @pytest.mark.filterwarnings("error")
-def test_spectrum_walks_a_dense_cluster_of_a_large_mass(tmp_path):
-    # at |m| = 1.8e4 the cells all but decouple, and the gap edges lie in a
-    # dense cluster of nearly equal eigenvalues. An eigenvector walk through
-    # it once exited 3 on its residual bound
-    argv = ["spectrum", "--set", "model=II", "--set", "mass=-18006.422064235354",
-            "--set", "flat_energy=4.306842939454051e-175", "--set", "method=chain",
-            "--cells", "44", "--box", "52.04671425101906"]
-    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-
-
-@pytest.mark.filterwarnings("error")
-def test_spectrum_groups_well_inside_the_residual_bound(tmp_path):
-    # a dense cluster at |m| = 1.2e4 on both routes: an eigenvector walk
-    # through it once read "residual 1.671e-06 exceeds 1e-10 x 1.670e+04"
-    # and exited 3
-    argv = ["spectrum", "--set", "model=II", "--set", "mass=11807.692594817534",
-            "--set", "flat_energy=-5.0099543815919e-206", "--set", "method=both",
-            "--cells", "100", "--grid-points", "10"]
-    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+@pytest.mark.parametrize("argv", [
+    ["--set", "mass=-18006.422064235354", "--set", "flat_energy=4.306842939454051e-175",
+     "--set", "method=chain", "--cells", "44", "--box", "52.04671425101906"],
+    ["--set", "mass=11807.692594817534", "--set", "flat_energy=-5.0099543815919e-206",
+     "--set", "method=both", "--cells", "100", "--grid-points", "10"],
+], ids=["chain_mass_1.8e4", "both_mass_1.2e4"])
+def test_spectrum_finds_gap_edges_in_a_dense_cluster(tmp_path, argv):
+    # at |m| ~ 1e4 the cells all but decouple, and the gap edges lie in a
+    # dense cluster of nearly equal eigenvalues
+    assert main(["spectrum", "--set", "model=II", *argv, "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_spectrum_calls_two_lapack_routines(tmp_path, monkeypatch):
@@ -662,6 +672,13 @@ def test_susy_warns_when_the_grid_misses_the_kink(tmp_path, capsys):
     assert "intertwining_orders are not convergence orders" in err
     assert main([*argv, "--set", "mass=0.07"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_susy_refines_a_20001_point_grid_without_a_warning(tmp_path):
+    # the Darboux check refines this grid to 40001 points, one level at a time
+    assert main(["susy", "--out", str(tmp_path), "--set", "model=I", "--set", "mass=0.07",
+                 "--grid-points", "20001"]) == EXIT_OK
 
 
 def test_susy_general_seed_run(tmp_path):
@@ -795,9 +812,8 @@ def test_continuum_box_past_the_double_range_of_the_stencil_exits_3(tmp_path, ca
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("box", ["1e-170", "1e-200", "1e-300"])
 def test_spectrum_tiny_box_scales_with_the_hopping(tmp_path, box):
-    # the hopping 1/h reaches ~1e300, and the chain's gap edges with it.
-    # Before, the inverse iteration overflowed its residual (1e-170) or
-    # underflowed its iterate (1e-200, 1e-300) and spectrum exited 3
+    # the hopping 1/h reaches ~1e300, and the chain's gap edges scale with
+    # it: each edge times the box is box 1e-150's to rounding
     def edges(box):
         out = tmp_path / box
         assert main(["spectrum", "--out", str(out), "--set", "model=I",
@@ -832,7 +848,7 @@ def test_spectrum_huge_box_matches_box_1e60(tmp_path, box):
                                          ("flat_energy", "1e101"), ("mass", "nan"),
                                          ("c0", "nan")])
 def test_susy_general_seed_out_of_range_exits_3(tmp_path, capsys, field, value):
-    settings = {"mass": "0.3", "gauge_a": "1", "flat_energy": "0.1", field: value}
+    settings = {"mass": "0.3", "gauge_a": "0.2", "flat_energy": "0.1", field: value}
     argv = ["susy", "--out", str(tmp_path)]
     for key, val in settings.items():
         argv += ["--set", f"{key}={val}"]
@@ -865,7 +881,7 @@ def test_susy_regular_seed_with_a_huge_c0_runs(tmp_path, c0):
     # ~c0, and q's discriminant squares ~c0 too; both scale by powers of
     # two first, so the table is c0 = 1e150's to rounding
     def table(value, out):
-        argv = ["susy", *GENERAL_SEED_NO_C0, "--set", f"c0={value}", "--grid-points", "401"]
+        argv = ["susy", *GENERAL_SEED_NO_C0, "--set", f"c0={value}"]
         assert main([*argv, "--out", str(out)]) == EXIT_OK
         return read_csv(out / "susy_potential.csv")[1]
 
@@ -999,7 +1015,9 @@ def test_continuum_gap_edges_within_the_box_shift(tmp_path, kind, mass, lam):
 def test_continuum_state_at_minus_lambda_is_a_right_wall_state(tmp_path, kind, mass, lam):
     # the Wilson stencil binds one state at exactly -lambda, which the
     # continuum operator lacks: all its weight sits at the wall x = +box.
-    # spectrum predicts it and never reports it as a gap edge
+    # spectrum predicts it and never reports it as a gap edge. scipy's dense
+    # solve is the oracle: without scipy this test skips
+    scipy_linalg = pytest.importorskip("scipy.linalg")
     seed, summary, rows = _continuum_run(tmp_path, kind, mass, lam, 36.0, 601)
     energy = rows[:, 1]
     (i,) = np.flatnonzero(np.abs(energy + lam) <= 1e-12)
@@ -1009,7 +1027,7 @@ def test_continuum_state_at_minus_lambda_is_a_right_wall_state(tmp_path, kind, m
     grid = numcore.Grid(-box, box, 601)
     op = susychain.discretize(susychain.transformed_potential(
         susychain.assemble_frame(seed, grid)), grid, "central")
-    w, v = scipy.linalg.eigh(banded_to_dense(op))
+    w, v = scipy_linalg.eigh(banded_to_dense(op))
     assert np.argmin(np.abs(w + lam)) == i
     density = (v[:, i] ** 2).reshape(601, 3).sum(axis=1)
     assert density[-31:].sum() > 0.999  # the outer 5 % of points at x = +box

@@ -15,10 +15,10 @@ D = np.array([1.0, 1j, 1j])
 
 
 def test_potential_matrix_hermitian():
-    v = potential_matrix(0.4, -0.2, 0.1, 0.05, 0.3, 0.7)
+    v = potential_matrix(0.4, -0.2, 0.1, 0.05, 0.7)
     np.testing.assert_allclose(v, v.conj().T, atol=1e-16)
-    assert v[0, 0] == pytest.approx(0.7)  # v11 + scalar_v
-    assert v[1, 1] == pytest.approx(-0.1)
+    assert v[0, 0] == pytest.approx(0.4)
+    assert v[1, 1] == pytest.approx(-0.4)
     assert v[2, 2] == pytest.approx(0.7)
     assert v[0, 1] == pytest.approx(0.2j)
 
@@ -32,7 +32,7 @@ def test_symbol_dispersion_matches_lattice_near_zone_corner():
                                flat_energy=10.0)
     for q in (0.0, 0.01, 0.03):
         k = np.pi - q
-        lat = band_structure(p, [k]).energies[0]
+        lat = band_structure(p, [k])[0]
         sym = np.linalg.eigvalsh(symbol(cell, q))
         # the C level sits far away; compare the two dispersive bands
         np.testing.assert_allclose(lat[:2], sym[:2], atol=5e-4)

@@ -115,15 +115,15 @@ def _commutator_potential_ref(frame):
     return seed_components(frame.seed).matrix_stack()[None, :, :] - 1j * comm
 
 
-def _potential_matrix_ref(v11, v12, v13, v23, scalar_v, flat_energy):
+def _potential_matrix_ref(v11, v12, v13, v23, flat_energy):
     # V[..., i, j] one entry at a time, each from its own formula
-    args = (v11, v12, v13, v23, scalar_v, flat_energy)
+    args = (v11, v12, v13, v23, flat_energy)
     v = np.empty(np.broadcast_shapes(*map(np.shape, args)) + (3, 3), dtype=complex)
-    v[..., 0, 0] = v11 + scalar_v
+    v[..., 0, 0] = v11
     v[..., 0, 1] = -1j * v12
     v[..., 0, 2] = -1j * v13
     v[..., 1, 0] = 1j * v12
-    v[..., 1, 1] = -v11 + scalar_v
+    v[..., 1, 1] = -v11
     v[..., 1, 2] = v23
     v[..., 2, 0] = 1j * v13
     v[..., 2, 1] = v23
@@ -211,7 +211,7 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     assert _same_values(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv_ref(fr))
     comps = transformed_potential(fr)
     v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
-                                  0.0, comps.flat_energy)
+                                  comps.flat_energy)
     got = comps.matrix_stack()
     assert got.shape == (n, 3, 3)
     assert _same_bits(got, v_ref)
@@ -219,12 +219,12 @@ def test_stack_producers_keep_shape_values_and_flags(name):
 
 
 def test_potential_matrix_scalar_and_broadcast_shapes():
-    args = (0.4, -0.2, 0.1, 0.05, 0.3, 0.7)
+    args = (0.4, -0.2, 0.1, 0.05, 0.7)
     v = potential_matrix(*args)
     assert v.shape == (3, 3) and v.flags.c_contiguous
     assert _same_bits(v, _potential_matrix_ref(*args))
     x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    grid_args = (np.sin(x), x, np.cos(x), x**2, 0.1, -0.2)
+    grid_args = (np.sin(x), x, np.cos(x), x**2, -0.2)
     stack = potential_matrix(*grid_args)
     assert stack.shape == (3, 4, 3, 3)
     assert _same_bits(stack, _potential_matrix_ref(*grid_args))

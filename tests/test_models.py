@@ -175,7 +175,7 @@ def test_model_potential_components_wrapper():
     assert stack.shape == (51, 3, 3)
     for i in range(51):
         assert np.array_equal(stack[i], potential_matrix(
-            comps.v11[i], comps.v12[i], comps.v13[i], comps.v23[i], 0.0,
+            comps.v11[i], comps.v12[i], comps.v13[i], comps.v23[i],
             P1.flat_energy))
 
 

@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +23,10 @@ from susychain.numcore import (
 )
 
 from reference import banded_from_dense, banded_to_dense, index_nearest, integrate_cumulative
+
+# scipy's eig_banded is the bitwise oracle of the eigensolver: without it the
+# module skips
+scipy_linalg = pytest.importorskip("scipy.linalg")
 
 
 # ---------------------------------------------------------------- Grid
@@ -149,7 +152,7 @@ def _full_solve(m):
     and its scaling of a tiny or huge matrix (dlascl) rejects a wider band,
     leaving it unscaled."""
     bands = m.bands[max(m.bandwidth + 1 - m.dim, 0):]
-    return scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)
+    return scipy_linalg.eig_banded(bands, lower=False, eigvals_only=True)
 
 
 def _loose_sites(m):
@@ -317,7 +320,7 @@ def test_eigh_banded_releases_the_gil():
     sys.setswitchinterval(1e-4)
     try:
         held = np.median([_count_while(
-            lambda: scipy.linalg.eig_banded(chain.bands, eigvals_only=True))
+            lambda: scipy_linalg.eig_banded(chain.bands, eigvals_only=True))
             for _ in range(5)])
         released = np.median([_count_while(lambda: eigh_banded(chain)) for _ in range(5)])
     finally:
@@ -420,7 +423,7 @@ def test_chain_band_solve_keeps_eig_banded_bits(monkeypatch, kind, mass, flat, c
     ((ab, w),) = seen
     if mass == 0.05:  # every C site is kept: the kept chain is the chain
         assert ab.shape == chain.bands.shape
-    assert np.array_equal(w, scipy.linalg.eig_banded(ab, eigvals_only=True))
+    assert np.array_equal(w, scipy_linalg.eig_banded(ab, eigvals_only=True))
 
 
 def test_chain_band_reduction_starts_below_the_tridiagonal_lead(monkeypatch):

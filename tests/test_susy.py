@@ -664,7 +664,7 @@ def test_apply_dirac_matches_row_by_row_operators():
     comps = transformed_potential(fr)
     # the seed potential is the constant potential_matrix with v12 = A
     assert np.array_equal(seed_components(s).matrix_stack(), potential_matrix(
-        s.mass, s.gauge_a, 0.0, 0.0, 0.0, s.flat_energy))
+        s.mass, s.gauge_a, 0.0, 0.0, s.flat_energy))
     for _ in range(3):
         f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
         pairs = [
