@@ -32,42 +32,35 @@ def smooth_test_states(x):
     return weights[:, :, None] * env * waves[:, None, :]
 
 
-def invariant_checks(seed, tol_override):
+def invariant_checks(seed):
     """The invariant battery behind `susychain verify`.
 
     Each entry is one row of verify.json: name, passed, measured,
     threshold and comparison, '<=' (pass if measured <= threshold) or '>='.
-    tol_override, unless None, replaces the threshold of every '<=' check.
     """
     rng = np.random.default_rng(seed)
     checks = []
 
-    def add(name, measured, threshold, comparison):
+    def add(name, measured, threshold, comparison="<="):
         measured, threshold = float(measured), float(threshold)
         passed = measured <= threshold if comparison == "<=" else measured >= threshold
         checks.append({"name": name, "passed": passed, "measured": measured,
                        "threshold": threshold, "comparison": comparison})
 
-    def add_max(name, measured, threshold):
-        add(name, measured, threshold if tol_override is None else tol_override, "<=")
-
-    def add_min(name, measured, threshold):
-        add(name, measured, threshold, ">=")
-
     # flat-band tuning against the known exact point
     p_ref = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01)
     sols = tune_flat_band(p_ref)
     best = min(sols, key=lambda s: abs(s.flat_energy))
-    add_max("tune_eps_c_exact", abs(best.eps_c - 1.0 / 500.0), 1e-12)
-    add_max("tune_flat_energy_exact", abs(best.flat_energy), 1e-12)
+    add("tune_eps_c_exact", abs(best.eps_c - 1.0 / 500.0), 1e-12)
+    add("tune_flat_energy_exact", abs(best.flat_energy), 1e-12)
     tuned = replace(p_ref, eps_c=best.eps_c)
     energies = band_structure(tuned, default_k_grid(tuned, 513))
-    add_max("tuned_middle_band_spread", np.ptp(energies, axis=0)[1], 1e-10)
+    add("tuned_middle_band_spread", np.ptp(energies, axis=0)[1], 1e-10)
 
     # Dirac point closure for the pure AB chain
     p_ab = TightBindingParams(t_ab=1.0, t_ab_inter=1.0)
     w = np.linalg.eigh(lattice.bloch_hamiltonian(p_ab, np.pi / p_ab.a))[0]
-    add_max("dirac_point_gap", w[2] - w[0], 1e-12)
+    add("dirac_point_gap", w[2] - w[0], 1e-12)
 
     # randomized tuning residual sweep
     worst = 0.0
@@ -83,20 +76,20 @@ def invariant_checks(seed, tol_override):
         found += 1
         for sol in tune_flat_band(cand):
             worst = max(worst, flat_band_residual(cand, sol))
-    add_max("random_tune_residual", worst, 1e-10)
+    add("random_tune_residual", worst, 1e-10)
 
     # Bloch periodicity and global gauge covariance, on one stack of 8 k
     k_samples = rng.uniform(-np.pi, np.pi, size=8)
     h = lattice.bloch_hamiltonian(p_ref, k_samples)
     per = np.abs(h - lattice.bloch_hamiltonian(p_ref, k_samples + 2 * np.pi / p_ref.a)).max()
-    add_max("bloch_periodicity", per, 1e-14)
+    add("bloch_periodicity", per, 1e-14)
     shift = 0.37
     shifted = replace(p_ref, eps_a=p_ref.eps_a + shift, eps_b=p_ref.eps_b + shift,
                       eps_c=p_ref.eps_c + shift)
     # eigvalsh returns each k's values ascending
     gauge = np.abs(np.linalg.eigvalsh(lattice.bloch_hamiltonian(shifted, k_samples))
                    - np.linalg.eigvalsh(h) - shift).max()
-    add_max("gauge_covariance", gauge, 1e-12)
+    add("gauge_covariance", gauge, 1e-12)
 
     # Darboux engine invariants on one parameter set per model
     model_comps = {}
@@ -107,37 +100,34 @@ def invariant_checks(seed, tol_override):
         grid = Grid(-20.0, 20.0, 1201)
         frame = assemble_frame(p.seed_data(), grid)
         comps = model_comps[p.kind] = transformed_potential(frame)
-        add_max(f"{tag}_hermiticity", susy.hermiticity_asymmetry(comps.matrix_stack()),
-                1e-10)
-        add_max(f"{tag}_wronskian_constancy", frame.wronskian_relative_stdev, 1e-10)
-        add_max(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
-        add_max(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
+        add(f"{tag}_hermiticity", susy.hermiticity_asymmetry(comps.matrix_stack()), 1e-10)
+        add(f"{tag}_wronskian_constancy", frame.wronskian_relative_stdev, 1e-10)
+        add(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
+        add(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
         # negative control: xi1 = xi2 must break hermiticity of the
         # commutator-form potential (the component formulas are Hermitian
         # by construction and blind to a wrong xi1)
         uhat0, uhat1 = frame.uhat0.copy(), frame.uhat1.copy()
         uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
         broken = replace(frame, uhat0=uhat0, uhat1=uhat1)
-        add_min(f"{tag}_negative_control",
-                susy.hermiticity_asymmetry(susy.commutator_potential(broken)),
-                1e-4)
+        add(f"{tag}_negative_control",
+            susy.hermiticity_asymmetry(susy.commutator_potential(broken)), 1e-4, ">=")
         del broken  # and its cached stacks, before the intertwining test
         # intertwining convergence
         residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
                                                        n_levels=3)
-        add_min(f"{tag}_intertwining_order", orders.min(), np.log2(3.6))
+        add(f"{tag}_intertwining_order", orders.min(), np.log2(3.6), ">=")
         # L annihilates its own seed columns
-        add_max(f"{tag}_darboux_kernel", max(susy.darboux_kernel(frame)), 1e-8)
+        add(f"{tag}_darboux_kernel", max(susy.darboux_kernel(frame)), 1e-8)
         # frame eigen-residual convergence
         r_coarse = max(susy.frame_eigen_residuals(frame))
         r_fine = max(susy.frame_eigen_residuals(assemble_frame(p.seed_data(),
                                                                grid.refined())))
-        add_min(f"{tag}_eigenframe_order", np.log2(r_coarse / r_fine), 1.9)
+        add(f"{tag}_eigenframe_order", np.log2(r_coarse / r_fine), 1.9, ">=")
 
     # Model II constant dimerization component, on the loop's Model II frame
     comps2 = model_comps[ModelKind.II]
-    add_max("model_II_v12_constant",
-            np.abs(comps2.v12 + comps2.flat_energy).max(), 1e-10)
+    add("model_II_v12_constant", np.abs(comps2.v12 + comps2.flat_energy).max(), 1e-10)
 
     # the partner keeps the seed's continuum: at both walls of +-40/kappa0,
     # where V_new is constant to rounding, its band edge hypot(v11, v12) is
@@ -148,6 +138,6 @@ def invariant_checks(seed, tol_override):
         walls = transformed_potential(assemble_frame(
             s, Grid(-40.0 / s.kappa0, 40.0 / s.kappa0, 2)))
         worst = max(worst, np.abs(np.hypot(walls.v11, walls.v12) / s.gap_edge - 1.0).max())
-    add_max("gap_edge_threshold", worst, 1e-12)
+    add("gap_edge_threshold", worst, 1e-12)
 
     return checks

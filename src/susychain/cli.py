@@ -3,14 +3,11 @@
 Subcommands: bands | tune | susy | spectrum | verify. Each command reads
 the keys of one table (``BANDS_KEYS`` ... ``VERIFY_KEYS``): key -> (cast,
 default, help), listed by ``susychain <command> --help``. Values come
-from an optional flat config file (``key = value`` per line, ``#``
-comments), then ``--set KEY=VALUE``, then the flags ``--grid-points``,
-``--box``, ``--cells``, ``--seed`` and ``--tol``, which exist only on the
-commands whose table holds the key. A later source wins; within the file
-or the ``--set`` values ``command.key`` wins over ``key``. The config
-file may hold keys of other commands, so one file serves them all;
-anything else a command does not read is a config error, as are a value
-of the wrong type (2.7 or true for an integer) and a value out of range.
+from ``--set KEY=VALUE``, then the flags ``--grid-points``, ``--box``,
+``--cells`` and ``--seed``, which exist only on the commands whose table
+holds the key; a flag wins over ``--set``. A key the command does not
+read is a config error, as are a value of the wrong type (2.7 or true
+for an integer) and a value out of range.
 All numeric CSV output uses 17 significant digits; JSON floats use Python's
 shortest round-trip repr, null if not finite. Exit codes: 0 success, 2
 config error, 3 numerical/singularity error or out of memory, 4
@@ -43,27 +40,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 FLAT_BAND_THRESHOLD = 1e-8
-
-
-def parse_config(path):
-    """Flat ``key = value`` file; values become bool/int/float/str."""
-    out = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
-        out[key] = _parse_value(value)
-    return out
 
 
 def _parse_value(text):
@@ -139,51 +115,36 @@ def _choice(*options, fold=str):
 class Settings:
     """One command's values, checked against its key table.
 
-    Layers apply in order, later ones winning: the config file, then each
-    of `overrides` (the --set values, then the flags). Within a layer
-    `command.key` wins over `key`, and None means unset. Only the config
-    file may hold keys that another command reads or that carry another
-    command's prefix, so one file can serve every command; those are
-    skipped. Any other key is a ConfigError.
+    The --set values, then the flags, apply in order, a later one winning;
+    None means unset. A key the command does not read is a ConfigError.
     """
 
-    def __init__(self, command, config, *overrides):
+    def __init__(self, command, sets, flags):
         self.command = command
         self.table = COMMANDS[command][1]
         self.values = {}
-        for layer, shared in ((config, True), *((o, False) for o in overrides)):
-            # `command.key` sorts after `key`, so it wins
-            for key in sorted(layer, key=lambda k: "." in k):
-                name = self._name(key, shared)
-                if name is None or layer[key] is None:
+        for layer in (sets, flags):
+            for key, val in layer.items():
+                if key not in self.table:
+                    raise self._unread(key)
+                if val is None:
                     continue
                 try:
-                    self.values[name] = self.table[name].cast(layer[key])
+                    self.values[key] = self.table[key].cast(val)
                 except (ValueError, OverflowError) as exc:
-                    raise ConfigError(f"field '{name}': {exc}") from exc
+                    raise ConfigError(f"field '{key}': {exc}") from exc
 
-    def _name(self, key, shared):
-        """The table key that `key` sets, or None to skip it."""
-        prefix, dot, name = key.partition(".")
-        if not (dot and prefix in COMMANDS):
-            prefix, name = None, key
-        elif shared and prefix != self.command:
-            return None
-        readers = [c for c, (_, table) in COMMANDS.items()
-                   if name in table and prefix in (None, c)]
-        if self.command in readers:
-            return name
-        if readers and shared:
-            return None
+    def _unread(self, key):
+        """The error for a key this command does not read."""
+        readers = [c for c, (_, table) in COMMANDS.items() if key in table]
         if readers:
-            raise ConfigError(f"key {key!r} is not read by {self.command} "
-                              f"(read by {', '.join(readers)})")
+            return ConfigError(f"key {key!r} is not read by {self.command} "
+                               f"(read by {', '.join(readers)})")
         import difflib  # only here: a clean run never pays its import
-        known = {k for c, (_, table) in COMMANDS.items() if prefix in (None, c)
-                 for k in table}
-        near = difflib.get_close_matches(name, known, n=1)
-        raise ConfigError(f"unknown key {key!r}"
-                          + (f"; nearest known key: {near[0]!r}" if near else ""))
+        known = {k for _, table in COMMANDS.values() for k in table}
+        near = difflib.get_close_matches(key, known, n=1)
+        return ConfigError(f"unknown key {key!r}"
+                           + (f"; nearest known key: {near[0]!r}" if near else ""))
 
     def __getitem__(self, name):
         val = self.values.get(name, self.table[name].default)
@@ -395,8 +356,16 @@ def cmd_spectrum(st, out_dir):
         box = st["box"] or default_box
         grid = Grid(-box, box, n)
         op = discretize(transformed_potential(assemble_frame(seed, grid)), grid, stencil)
-        return chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
-                              gap_exclusion=gap_exclusion, predicted=predicted)
+        report = chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
+                                gap_exclusion=gap_exclusion, predicted=predicted)
+        kh = seed.kappa0 * grid.h
+        if name == "chain" and kh > 0.5:
+            # past 0.5 the spacing does not resolve the kink, and a kink
+            # state may be reported as a gap edge
+            print(f"warning: kappa0*h = {kh:.3g} at h = {grid.h:.3g} does not "
+                  "resolve the kink: the chain's gap edges may be kink states",
+                  file=sys.stderr)
+        return report
 
     # imported here, so only spectrum pays for it
     from concurrent.futures import ThreadPoolExecutor
@@ -433,16 +402,12 @@ def cmd_spectrum(st, out_dir):
     return EXIT_OK
 
 
-VERIFY_KEYS = {
-    "seed": Key(_count(0, math.inf), 0, "seed of the randomized checks"),
-    "tol": Key(_positive, None,
-               "threshold of every '<=' check, finite and > 0; unset: its own"),
-}
+VERIFY_KEYS = {"seed": Key(_count(0, math.inf), 0, "seed of the randomized checks")}
 
 
 def cmd_verify(st, out_dir):
     seed = st["seed"]
-    results = invariant_checks(seed, st["tol"])
+    results = invariant_checks(seed)
     all_pass = all(r["passed"] for r in results)
     _write_json(os.path.join(out_dir, "verify.json"),
                 {"seed": seed, "all_passed": all_pass, "checks": results})
@@ -461,7 +426,7 @@ COMMANDS = {
     "verify": (cmd_verify, VERIFY_KEYS),
 }
 # keys that also have a --flag, on the commands that read them
-FLAGS = ("seed", "tol", "grid_points", "box", "cells")
+FLAGS = ("seed", "grid_points", "box", "cells")
 
 
 def _shown(default):
@@ -481,8 +446,7 @@ def build_parser():
                          for k, key in table.items())
         cmd = sub.add_parser(
             name, formatter_class=argparse.RawDescriptionHelpFormatter,
-            epilog=f"keys (config file, --set or flag), default, meaning:\n{keys}")
-        cmd.add_argument("--config", default=None, help="flat key=value file")
+            epilog=f"keys (--set or flag), default, meaning:\n{keys}")
         cmd.add_argument("--out", default=".", help="output directory")
         for key in FLAGS:
             if key in table:
@@ -497,7 +461,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     run, table = COMMANDS[args.command]
     try:
-        config = parse_config(args.config) if args.config else {}
         sets = {}
         for item in args.set:
             if "=" not in item:
@@ -505,7 +468,7 @@ def main(argv=None):
             key, value = item.split("=", 1)
             sets[key.strip()] = _parse_value(value.strip())
         flags = {key: getattr(args, key) for key in FLAGS if key in table}
-        st = Settings(args.command, config, sets, flags)
+        st = Settings(args.command, sets, flags)
         os.makedirs(args.out, exist_ok=True)
         return run(st, args.out)
     except ConfigError as exc:

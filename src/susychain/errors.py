@@ -6,7 +6,7 @@ class SusychainError(Exception):
 
 
 class ConfigError(SusychainError):
-    """Invalid user-supplied configuration (bad field, missing file, ...)."""
+    """Invalid user-supplied configuration (unknown key, bad value, ...)."""
 
 
 class NumericalError(SusychainError):
@@ -14,13 +14,17 @@ class NumericalError(SusychainError):
 
 
 class SingularFrameError(NumericalError):
-    """det U vanishes at x, a grid point or a pole anywhere on the line;
-    value is |det Uhat| there, det U over its column scales."""
+    """det U vanishes at x, a pole anywhere on the line or a grid point;
+    value is |det Uhat| there, det U over its column scales. At a grid
+    point, ratio is |det Uhat| over the Hadamard bound of its columns,
+    which fell below bound."""
 
-    def __init__(self, x, value):
+    def __init__(self, x, value, ratio=None, bound=None):
         self.x = x
         self.value = value
-        super().__init__(f"det U too close to zero at x={x:.6g} (|det Uhat|={value:.3e})")
+        why = (f"|det Uhat|={value:.3e}" if ratio is None else
+               f"|det Uhat|/Hadamard bound = {ratio:.3e} < {bound:g}")
+        super().__init__(f"det U too close to zero at x={x:.6g} ({why})")
 
 
 class DegenerateDispersionError(SusychainError):

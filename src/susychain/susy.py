@@ -243,7 +243,8 @@ def assemble_frame(s, grid):
     det = np.ldexp(frame.det, e.sum(axis=0))
     if (np.abs(det) < SINGULARITY_REL_TOL * hadamard).any():
         i = int(np.argmax(hadamard / np.maximum(np.abs(det), 1e-300)))
-        raise SingularFrameError(x[i], float(np.abs(frame.det[i])))
+        raise SingularFrameError(x[i], float(np.abs(frame.det[i])),
+                                 float(np.abs(det[i]) / hadamard[i]), SINGULARITY_REL_TOL)
     for t in quad_roots(*q):
         if abs(t) < 1.0:
             raise SingularFrameError(float(np.arctanh(t)) / k0, 0.0)
