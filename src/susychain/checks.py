@@ -54,12 +54,12 @@ def invariant_checks(seed):
     add("tune_eps_c_exact", abs(best.eps_c - 1.0 / 500.0), 1e-12)
     add("tune_flat_energy_exact", abs(best.flat_energy), 1e-12)
     tuned = replace(p_ref, eps_c=best.eps_c)
-    energies = band_structure(tuned, default_k_grid(tuned, 513))
+    energies = band_structure(tuned, default_k_grid(513))
     add("tuned_middle_band_spread", np.ptp(energies, axis=0)[1], 1e-10)
 
     # Dirac point closure for the pure AB chain
     p_ab = TightBindingParams(t_ab=1.0, t_ab_inter=1.0)
-    w = np.linalg.eigh(lattice.bloch_hamiltonian(p_ab, np.pi / p_ab.a))[0]
+    w = np.linalg.eigh(lattice.bloch_hamiltonian(p_ab, np.pi))[0]
     add("dirac_point_gap", w[2] - w[0], 1e-12)
 
     # randomized tuning residual sweep
@@ -81,7 +81,7 @@ def invariant_checks(seed):
     # Bloch periodicity and global gauge covariance, on one stack of 8 k
     k_samples = rng.uniform(-np.pi, np.pi, size=8)
     h = lattice.bloch_hamiltonian(p_ref, k_samples)
-    per = np.abs(h - lattice.bloch_hamiltonian(p_ref, k_samples + 2 * np.pi / p_ref.a)).max()
+    per = np.abs(h - lattice.bloch_hamiltonian(p_ref, k_samples + 2 * np.pi)).max()
     add("bloch_periodicity", per, 1e-14)
     shift = 0.37
     shifted = replace(p_ref, eps_a=p_ref.eps_a + shift, eps_b=p_ref.eps_b + shift,
@@ -100,13 +100,14 @@ def invariant_checks(seed):
         grid = Grid(-20.0, 20.0, 1201)
         frame = assemble_frame(p.seed_data(), grid)
         comps = model_comps[p.kind] = transformed_potential(frame)
-        add(f"{tag}_hermiticity", susy.hermiticity_asymmetry(comps.matrix_stack()), 1e-10)
+        # the commutator form, as the component formulas are Hermitian by
+        # construction and would read 0 whatever the frame
+        add(f"{tag}_hermiticity",
+            susy.hermiticity_asymmetry(susy.commutator_potential(frame)), 1e-10)
         add(f"{tag}_wronskian_constancy", frame.wronskian_relative_stdev, 1e-10)
         add(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
         add(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
-        # negative control: xi1 = xi2 must break hermiticity of the
-        # commutator-form potential (the component formulas are Hermitian
-        # by construction and blind to a wrong xi1)
+        # negative control: xi1 = xi2 must break that hermiticity
         uhat0, uhat1 = frame.uhat0.copy(), frame.uhat1.copy()
         uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
         broken = replace(frame, uhat0=uhat0, uhat1=uhat1)

@@ -161,7 +161,6 @@ TIGHT_BINDING_KEYS = {
     "t_ab_inter": Key(_bounded, 0.0, "A-B hopping to the previous cell"),
     "t_ac": Key(_bounded, 0.0, "A-C hopping"),
     "t_bc": Key(_bounded, 0.0, "B-C hopping"),
-    "a": Key(_bounded, 1.0, "lattice constant"),
 }
 _MODEL_KIND = _choice("I", "II", fold=lambda val: str(val).upper())
 MODEL_KEYS = {
@@ -172,11 +171,7 @@ MODEL_KEYS = {
 
 
 def _tb_params(st):
-    try:
-        return TightBindingParams(**{k: st[k] for k in st.table
-                                     if k in TIGHT_BINDING_KEYS})
-    except SusychainError as exc:
-        raise ConfigError(f"invalid tight-binding parameters: {exc}") from exc
+    return TightBindingParams(**{k: st[k] for k in st.table if k in TIGHT_BINDING_KEYS})
 
 
 def _model_params(st):
@@ -221,7 +216,7 @@ BANDS_KEYS = {**TIGHT_BINDING_KEYS,
 def cmd_bands(st, out_dir):
     p = _tb_params(st)
     n_k = st["grid_points"]
-    k = default_k_grid(p, n_k)
+    k = default_k_grid(n_k)
     energies = band_structure(p, k)
     _write_csv(os.path.join(out_dir, "bands.csv"),
                ["k", "E1", "E2", "E3"],
@@ -302,9 +297,9 @@ def cmd_susy(st, out_dir):
                ["x", "v11", "v12", "v13", "v23"],
                [frame.grid.x, comps.v11, comps.v12, comps.v13, comps.v23])
 
-    stack = comps.matrix_stack()
     verification = {
-        "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(stack),
+        "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(
+            susy.commutator_potential(frame)),
         "wronskian_relative_stdev": frame.wronskian_relative_stdev,
         "dual_path_max_diff": susy.dual_path_difference(frame),
         "min_abs_det": float(np.abs(frame.det).min()),
@@ -323,10 +318,6 @@ SPECTRUM_KEYS = {
                   "route: chain, continuum or both"),
     "cluster_tol": Key(_positive, 1e-6,
                        "largest distance of a flat-cluster state from lambda"),
-    # gap edges ignore flat-cluster members that leak slightly past
-    # cluster_tol at finite size
-    "gap_exclusion": Key(_positive, None, "distance from lambda inside which no "
-                         "state is a gap edge; unset: 0.1 x the analytic gap edge"),
     "cells": Key(_count(2), 400, "cells of the finite chain"),
     "box": Key(_positive, None, "half-width of the sampled box; unset: "
                "(cells - 1)/2 for the chain (cell spacing 1), 12/kappa for the continuum"),
@@ -339,17 +330,16 @@ def cmd_spectrum(st, out_dir):
     seed = p.seed_data()
     method = st["method"]
     cluster_tol = st["cluster_tol"]
-    gap_exclusion = st["gap_exclusion"]
-    if gap_exclusion is None:
-        gap_exclusion = 0.1 * seed.gap_edge
+    # no state within 0.1 x the analytic gap edge of lambda is a gap edge: the
+    # chain holds non-cluster states just past cluster_tol of lambda
+    gap_exclusion = 0.1 * seed.gap_edge
 
     # route -> (stencil, grid points, default box half-width, predicted in-gap
     # states): the saw chain ends on strong bonds and binds none; the central
     # stencil's Wilson term binds one domain-wall mode at -lambda
     lam = seed.flat_energy
     routes = {"chain": ("saw", st["cells"], (st["cells"] - 1) / 2.0, ()),
-              "continuum": ("central", st["grid_points"], 12.0 / seed.kappa0,
-                            (-lam,) if lam else ())}
+              "continuum": ("central", st["grid_points"], 12.0 / seed.kappa0, (-lam,))}
 
     def route(name):
         stencil, n, default_box, predicted = routes[name]

@@ -1,10 +1,11 @@
 """Saw-chain tight-binding model.
 
 Three sites (A, B, C) per cell. Intra-cell bonds t_ab, t_ac, t_bc; the
-inter-cell bond t_ab_inter connects A_n with B_{n-1}. The momentum-space
-Hamiltonian is
+inter-cell bond t_ab_inter connects A_n with B_{n-1}. The cell spacing a is
+the unit of length, so k is in units of 1/a and the Brillouin zone is
+[-pi, pi]. The momentum-space Hamiltonian is
 
-    H(k) = [[eps_a,               t_ab + t_ab_inter*e^{-ika}, t_ac ],
+    H(k) = [[eps_a,               t_ab + t_ab_inter*e^{-ik},  t_ac ],
             [conj(...),           eps_b,                      t_bc ],
             [t_ac,                t_bc,                       eps_c]]
 
@@ -29,15 +30,10 @@ class TightBindingParams:
     t_ab_inter: float = 0.0
     t_ac: float = 0.0
     t_bc: float = 0.0
-    a: float = 1.0
 
     def __post_init__(self):
-        vals = (self.eps_a, self.eps_b, self.eps_c, self.t_ab,
-                self.t_ab_inter, self.t_ac, self.t_bc, self.a)
-        if not all(np.isfinite(v) for v in vals):
+        if not np.isfinite(astuple(self)).all():
             raise NumericalError("tight-binding parameters must be finite")
-        if self.a <= 0:
-            raise NumericalError("lattice constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,7 @@ class FlatBandSolution:
 
     The secular determinant factorizes as
         det(H - E) = -(E - flat_energy) * (E^2 + quad_lin*E + a0(k)),
-    with a0(k) = quad_const + quad_cos * cos(k a).
+    with a0(k) = quad_const + quad_cos * cos(k).
     """
 
     eps_c: float
@@ -64,7 +60,7 @@ def bloch_hamiltonian(p, k):
         raise NumericalError("k must be finite")
     # + 0.0 turns a -0 part into +0, which the scalar and array paths of
     # the product otherwise sign differently (and eigh then differs)
-    off = p.t_ab + p.t_ab_inter * np.exp(-1j * k * p.a) + 0.0
+    off = p.t_ab + p.t_ab_inter * np.exp(-1j * k) + 0.0
     h = np.empty(k.shape + (3, 3), dtype=complex)
     h[...] = [[p.eps_a, 0.0, p.t_ac],
               [0.0, p.eps_b, p.t_bc],
@@ -74,14 +70,9 @@ def bloch_hamiltonian(p, k):
     return h
 
 
-def default_k_grid(p, n=513):
-    """Uniform k-grid over one Brillouin zone, both edges included;
-    NumericalError where the zone's width 2*pi/a overflows."""
-    edge = np.pi / float(p.a)
-    if not 2 * edge < np.inf:
-        raise NumericalError(f"lattice constant a = {p.a:g} is too small: the zone's "
-                             "width 2*pi/a overflows")
-    return np.linspace(-edge, edge, n)
+def default_k_grid(n=513):
+    """Uniform k-grid over one Brillouin zone [-pi, pi], both edges included."""
+    return np.linspace(-np.pi, np.pi, n)
 
 
 def band_structure(p, k_grid):
@@ -99,9 +90,9 @@ def det_secular(p, k, energy):
     d1 = p.eps_a - energy
     d2 = p.eps_b - energy
     d3 = p.eps_c - energy
-    cos_ka = np.cos(k * p.a)
-    b2 = p.t_ab**2 + p.t_ab_inter**2 + 2 * p.t_ab * p.t_ab_inter * cos_ka
-    re_b = p.t_ab + p.t_ab_inter * cos_ka
+    cos_k = np.cos(k)
+    b2 = p.t_ab**2 + p.t_ab_inter**2 + 2 * p.t_ab * p.t_ab_inter * cos_k
+    re_b = p.t_ab + p.t_ab_inter * cos_k
     return (d1 * d2 * d3 - d1 * p.t_bc**2 - d2 * p.t_ac**2
             - b2 * d3 + 2 * p.t_ac * p.t_bc * re_b)
 
@@ -110,7 +101,7 @@ def det_secular(p, k, energy):
 def tune_flat_band(p):
     """Solve for the eps_c values that make one band exactly flat.
 
-    The cos(ka) coefficient of det(H - E) vanishes iff
+    The cos(k) coefficient of det(H - E) vanishes iff
         eps_c - E = t_ac * t_bc / t_ab,
     and substituting that constant back leaves a k-independent quadratic in
     the flat energy, solved here in closed form. Returns 0, 1 or 2
@@ -157,7 +148,7 @@ def flat_band_residual(p, sol):
     """max_k |det(H(k) - flat_energy)| over 256 k points with eps_c set to the
     tuned value; NumericalError where that cubic in flat_energy overflows."""
     tuned = replace(p, eps_c=sol.eps_c)
-    k = default_k_grid(p, 256)
+    k = default_k_grid(256)
     residual = float(np.abs(det_secular(tuned, k, sol.flat_energy)).max())
     if not np.isfinite(residual):
         raise NumericalError(f"the flat-band residual overflows the double range at "

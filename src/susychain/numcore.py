@@ -268,6 +268,6 @@ def quad_roots(p2, p1, p0):
         q = -0.5 * (p1 + s)
     else:
         q = -0.5 * (p1 - s)
-    if q == 0.0:  # p1 == 0 and p0 == 0
-        return (0.0, 0.0) if disc == 0.0 else tuple(sorted((-s / (2 * p2), s / (2 * p2))))
+    if q == 0.0:  # p1 == 0 and p0 == 0, so disc == 0
+        return (0.0, 0.0)
     return tuple(sorted((q / p2, p0 / q)))

@@ -37,6 +37,7 @@ from reference import banded_to_dense
 
 FIG_PARAMS = ["--set", "t_ab=1", "--set", "t_ab_inter=1",
               "--set", "t_ac=0.2", "--set", "t_bc=0.01"]
+MODEL_I = ["--set", "model=I", "--set", "mass=0.07"]
 
 
 def read_csv(path):
@@ -106,10 +107,17 @@ def test_flag_beats_set_for_the_same_key(tmp_path):
     assert rows.shape == (3 * 60, 2)
 
 
-def test_command_prefixed_key_exits_2_naming_it(tmp_path, capsys):
-    assert main(["spectrum", "--out", str(tmp_path), *MODEL_I,
-                 "--set", "spectrum.cells=60"]) == EXIT_CONFIG
-    assert "'spectrum.cells'" in capsys.readouterr().err
+# a command-prefixed key, and the keys of the lattice constant (k is in
+# units of 1/a) and of the gap-edge window (always 0.1 x the analytic edge)
+@pytest.mark.parametrize("argv, key", [
+    (["spectrum", *MODEL_I], "spectrum.cells"),
+    (["bands", *FIG_PARAMS], "a"),
+    (["tune", *FIG_PARAMS], "a"),
+    (["spectrum", *MODEL_I], "gap_exclusion"),
+], ids=["spectrum.cells", "bands-a", "tune-a", "gap_exclusion"])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, argv, key):
+    assert main([*argv, "--out", str(tmp_path), "--set", f"{key}=2"]) == EXIT_CONFIG
+    assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -158,8 +166,6 @@ def test_help_lists_the_command_table(capsys, command):
         assert (f"--{key.replace('_', '-')} " in out) == (key in table)
 
 
-MODEL_I = ["--set", "model=I", "--set", "mass=0.07"]
-
 
 @pytest.mark.parametrize("argv,key", [
     (["spectrum", *MODEL_I, "--set", "cells=2.7"], "cells"),
@@ -192,7 +198,7 @@ def test_non_integral_and_boolean_values_exit_2(tmp_path, capsys, argv, key):
     (["verify", "--seed", "-1"], "seed"),
     (["spectrum", *MODEL_I, "--set", "cluster_tol=-1"], "cluster_tol"),
     (["spectrum", *MODEL_I, "--set", "cluster_tol=nan"], "cluster_tol"),
-    (["spectrum", *MODEL_I, "--set", "gap_exclusion=-1"], "gap_exclusion"),
+    (["spectrum", *MODEL_I, "--set", "cluster_tol=inf"], "cluster_tol"),
     # past numpy's index range: a config error, not a failed allocation
     (["spectrum", *MODEL_I, "--cells", str(10**19)], "cells"),
     (["susy", *MODEL_I, "--grid-points", str(10**19)], "grid_points"),
@@ -448,8 +454,7 @@ def _check_tune(out, argv):
 @given(model=st.sampled_from(["I", "II"]), mass=BOUNDED_DOUBLES, flat_energy=BOUNDED_DOUBLES,
        method=st.sampled_from(["chain", "continuum", "both"]),
        cells=st.integers(2, 60), grid_points=st.integers(3, 80),
-       box=st.none() | DOUBLES, cluster_tol=st.none() | DOUBLES,
-       gap_exclusion=st.none() | DOUBLES)
+       box=st.none() | DOUBLES, cluster_tol=st.none() | DOUBLES)
 def test_spectrum_contract(**values):
     _run_contract("spectrum", values, _check_spectrum)
 
@@ -559,17 +564,6 @@ def test_spectrum_calls_two_lapack_routines(tmp_path, monkeypatch):
         assert main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
                      "--set", "mass=0.07", *argv]) == EXIT_OK
     assert names == {"dsbtrd", "dsterf"}
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["bands", "tune"])
-def test_a_zone_too_wide_for_doubles_exits_3_naming_it(tmp_path, capsys, command):
-    # 2*pi/a overflows: bands' k grid was inf - inf, and tune blamed its residual
-    argv = [command, "--set", "t_ab=1", "--set", "t_ab_inter=1", "--set", "t_ac=0.2",
-            "--set", "t_bc=0.01", "--set", "a=1e-310"]
-    assert main([*argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
-    assert "the zone's width 2*pi/a overflows" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.filterwarnings("error")
@@ -883,6 +877,7 @@ def test_spectrum_chain(tmp_path):
     summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
     assert summary["chain"]["cluster_count"] > 60
     assert summary["analytic_gap_edge"] == pytest.approx(np.sqrt(0.07 * 0.14))
+    assert summary["gap_exclusion"] == 0.1 * summary["analytic_gap_edge"]
     assert not summary["gap_edge_derived_not_published"]
 
 
@@ -1117,12 +1112,13 @@ def _reject_constant(token):
 
 
 def test_spectrum_without_bulk_states_writes_strict_json(tmp_path):
-    # two cells hold no state beyond gap_exclusion = 10 on either side
+    # cluster_tol = 10 puts all six states of two cells in the flat cluster
     rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2",
-               "--set", "model=I", "--set", "mass=0.07", "--set", "gap_exclusion=10"])
+               "--set", "model=I", "--set", "mass=0.07", "--set", "cluster_tol=10"])
     assert rc == EXIT_OK
     text = (tmp_path / "spectrum_summary.json").read_text()
     chain = json.loads(text, parse_constant=_reject_constant)["chain"]
+    assert chain["cluster_count"] == 6
     for key in ("gap_edge_neg", "gap_edge_pos",
                 "relative_error_neg", "relative_error_pos"):
         assert chain[key] is None
@@ -1199,10 +1195,10 @@ def test_susy_potential_table_keeps_its_bytes(tmp_path, argv, digest):
 # how L and H act
 @pytest.mark.parametrize("argv, digest", [
     (["susy", "--set", "model=I", "--set", "mass=0.07"],
-     "eeb911556740e5257c85b77e70c27220f33065477cec557267d5b0dce79a368a"),
+     "dfee4ff2e42c1aff4d485ae6ef14d96e04d64a89af6285d83dd5bf79d74a7862"),
     (["susy", "--set", "model=II", "--set", "mass=0.03", "--set", "flat_energy=0.015",
       "--grid-points", "2001"],
-     "6e5a60a248c4fa7afa42b9d3e15665cbd5f30154249c6a3dcf1fa8466c02a7ee"),
+     "da900e01242bcb9108a993720b745de1d0eb7971acab97e0ff22aca54d305984"),
 ], ids=["model_I_default", "model_II_2001"])
 def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK

@@ -58,6 +58,14 @@ def test_bloch_entries():
     assert h[2, 2] == pytest.approx(0.0)
 
 
+def test_bloch_inputs_must_be_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError, match="parameters must be finite"):
+            TightBindingParams(t_ab=1.0, t_bc=bad)
+        with pytest.raises(NumericalError, match="k must be finite"):
+            bloch_hamiltonian(P_REF, [0.0, bad])
+
+
 def test_det_secular_matches_numpy_det():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -70,9 +78,11 @@ def test_det_secular_matches_numpy_det():
 
 
 def test_band_structure_sorted_and_shapes():
-    energies = band_structure(P_REF, default_k_grid(P_REF, 65))
+    energies = band_structure(P_REF, default_k_grid(65))
     assert energies.shape == (65, 3)
     assert np.all(np.diff(energies, axis=1) >= 0)
+    with pytest.raises(NumericalError, match="empty k-grid"):
+        band_structure(P_REF, [])
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,7 +91,7 @@ def test_band_structure_sorted_and_shapes():
 @example(vals=(0.0, 0.0, 1.8021368491067915, -0.0, -5e-324, 1.0, 2.0), n_k=5)
 def test_band_structure_matches_per_k_eigh_bitwise(vals, n_k):
     p = _params(vals)
-    k = default_k_grid(p, n_k)
+    k = default_k_grid(n_k)
     per_k = np.array([np.linalg.eigh(bloch_hamiltonian(p, q))[0] for q in k])
     assert np.array_equal(band_structure(p, k), per_k)
 
@@ -100,14 +110,14 @@ def test_tuned_band_is_flat():
     sol = min(tune_flat_band(P_REF), key=lambda s: abs(s.flat_energy))
     p = TightBindingParams(t_ab=1.0, t_ab_inter=1.0, t_ac=0.2, t_bc=0.01,
                            eps_c=sol.eps_c)
-    energies = band_structure(p, default_k_grid(p, 257))
+    energies = band_structure(p, default_k_grid(257))
     assert np.ptp(energies, axis=0)[1] < 1e-12
     np.testing.assert_allclose(energies[:, 1], sol.flat_energy, atol=1e-12)
 
 
 def test_tune_factorization_coefficients():
     # det(H - E) must equal -(E - flat)*(E^2 + quad_lin E + quad_const
-    # + quad_cos cos ka) for every solution
+    # + quad_cos cos k) for every solution
     p = TightBindingParams(eps_a=0.3, eps_b=-0.2, t_ab=1.1, t_ab_inter=0.8,
                            t_ac=0.35, t_bc=0.15)
     for sol in tune_flat_band(p):
@@ -236,7 +246,7 @@ def test_uniform_chain_spectrum_within_bloch_bands():
     # p as components: v11 = eps_a, v12 = t_ab - t_ab_inter, v13 = t_ac, v23 = t_bc
     chain = _uniform_chain(PotentialComponents(0.0, 0.0, 0.2, 0.01, sol.eps_c), 40)
     rep = chain_spectrum(chain, flat_energy=sol.flat_energy)
-    energies = band_structure(p, default_k_grid(p, 513))
+    energies = band_structure(p, default_k_grid(513))
     lo, hi = energies.min() - 1e-9, energies.max() + 1e-9
     assert np.all(rep.eigenvalues >= lo) and np.all(rep.eigenvalues <= hi)
     # flat band survives the open boundary: N degenerate eigenvalues
@@ -255,6 +265,18 @@ def test_chain_spectrum_gap_exclusion():
                               gap_exclusion=0.3)
     assert abs(rep_wide.gap_edge_pos) >= 0.3
     assert abs(rep_tight.gap_edge_pos) <= abs(rep_wide.gap_edge_pos)
+
+
+def test_chain_spectrum_refuses_an_unresolved_predicted_state():
+    # 0.3's nearest eigenvalue, 0.5, lies 1e-5 from the next one: which of
+    # the two is the predicted state is not resolved
+    diagonal = BandedHermitian(np.array([[-1.0, 0.5, 0.50001, 1.0]]))
+    with pytest.raises(NumericalError, match="no eigenvalue resolves the state "
+                       "predicted at 0.3"):
+        chain_spectrum(diagonal, predicted=(0.3,))
+    # -1 is resolved as the state at -0.9, and skipped
+    rep = chain_spectrum(diagonal, predicted=(-0.9,))
+    assert np.isnan(rep.gap_edge_neg) and rep.gap_edge_pos == 0.5
 
 
 def test_ssh_chain_ends_on_its_strong_bonds():
@@ -300,7 +322,7 @@ def _dense_reference(dense, flat_energy, cluster_tol, gap_exclusion):
 
 def _predicted(route, lam):
     """The in-gap states of a route: the continuum's Wilson mode at -lambda."""
-    return (-lam,) if route == "continuum" and lam else ()
+    return (-lam,) if route == "continuum" else ()
 
 
 def _route_operator(p, route, size, box=12.0):

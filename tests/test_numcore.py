@@ -69,6 +69,8 @@ def test_diff_central_needs_three_samples():
     grid = Grid(0.0, 1.0, 2)
     with pytest.raises(NumericalError, match="at least 3 samples"):
         diff_central(np.array([0.0, 1.0]), grid)
+    with pytest.raises(NumericalError, match="sample count does not match grid"):
+        diff_central(np.zeros(3), grid)
 
 
 def _saw_chain(p, n_cells):
@@ -87,6 +89,9 @@ def test_banded_storage_must_be_real():
         BandedHermitian(np.zeros((3, 5), dtype=complex))
     with pytest.raises(NumericalError, match="must be real"):
         banded_from_dense(np.array([[1.0, 1j], [-1j, 2.0]]), 1)
+    for shape in ((5,), (1, 3, 5)):
+        with pytest.raises(NumericalError, match="must be 2D"):
+            BandedHermitian(np.zeros(shape))
     assert banded_from_dense(np.array([[1.0, 0.5], [0.5, 2.0]]), 1).bands.dtype == float
 
 
@@ -506,6 +511,10 @@ def test_quad_roots_linear_and_none():
     res = quad_roots(0.0, 2.0, -4.0)
     np.testing.assert_allclose(res, [2.0])
     assert quad_roots(1.0, 0.0, 1.0) == ()
+    assert quad_roots(0.0, 0.0, 1.0) == ()
+    assert quad_roots(1.0, 0.0, 0.0) == (0.0, 0.0)
+    with pytest.raises(NumericalError, match="all coefficients zero"):
+        quad_roots(0.0, 0.0, 0.0)
 
 
 def test_quad_roots_cancellation():
