@@ -1,5 +1,5 @@
-"""The invariant battery behind `susychain verify`, and its two helpers
-that `susychain susy` also reports."""
+"""The invariant battery behind `susychain verify`, and the per-frame
+self-check report that `susychain susy` writes and `verify` thresholds."""
 
 from dataclasses import replace
 
@@ -13,13 +13,6 @@ from .numcore import Grid
 from .susy import SeedData, assemble_frame, transformed_potential
 
 
-def oracle_max_diff(p, comps, grid):
-    """Largest |engine - closed form| over the four components on grid."""
-    oracle = models.model_potential_components(p, grid)
-    return float(max(np.abs(getattr(comps, c) - getattr(oracle, c)).max()
-                     for c in ("v11", "v12", "v13", "v23")))
-
-
 def smooth_test_states(x):
     """Three Gaussian-enveloped spinors sampled on x: a (3, 3, len(x)) array."""
     # envelope must be negligible at the walls so the one-sided endpoint
@@ -30,6 +23,30 @@ def smooth_test_states(x):
     weights = np.array([(1.0, 0.5, 0.25), (0.3, -1.0, 0.6), (-0.7, 0.2, 1.0)])
     waves = np.cos(np.array([1.0, 2.0, 3.0])[:, None] * x / width)
     return weights[:, :, None] * env * waves[:, None, :]
+
+
+def frame_report(frame, n_levels, params):
+    """The frame's self-checks, keyed as in susy_verify.json; params, a
+    model's ModelParams or None, adds the distance from its closed form. The
+    intertwining test runs first, on n_levels grids; then V_new's commutator
+    form is built, once."""
+    residuals, orders = susy.intertwining_residual(frame, smooth_test_states, n_levels)
+    report = {"wronskian_relative_stdev": frame.wronskian_relative_stdev,
+              "min_abs_det": float(np.abs(frame.det).min()),
+              "intertwining_residuals": residuals.tolist(),
+              "intertwining_orders": orders.tolist()}
+    if params is not None:
+        comps = transformed_potential(frame)
+        oracle = models.model_potential_components(params, frame.grid)
+        report["model_oracle_max_diff"] = float(max(
+            np.abs(getattr(comps, c) - getattr(oracle, c)).max()
+            for c in ("v11", "v12", "v13", "v23")))
+    # the commutator form, as the closed-form ratios are Hermitian by
+    # construction and would read 0 whatever the frame
+    commutator = susy.commutator_potential(frame)
+    report["hermiticity_max_asymmetry"] = susy.hermiticity_asymmetry(commutator)
+    report["dual_path_max_diff"] = susy.dual_path_difference(frame, commutator)
+    return report
 
 
 def invariant_checks(seed):
@@ -92,32 +109,25 @@ def invariant_checks(seed):
     add("gauge_covariance", gauge, 1e-12)
 
     # Darboux engine invariants on one parameter set per model
-    model_comps = {}
     model_params = (ModelParams(ModelKind.I, 0.07, 0.0),
                     ModelParams(ModelKind.II, 0.03, 0.015))
     for p in model_params:
         tag = f"model_{p.kind.value}"
         grid = Grid(-20.0, 20.0, 1201)
         frame = assemble_frame(p.seed_data(), grid)
-        comps = model_comps[p.kind] = transformed_potential(frame)
-        # the commutator form, as the component formulas are Hermitian by
-        # construction and would read 0 whatever the frame
-        add(f"{tag}_hermiticity",
-            susy.hermiticity_asymmetry(susy.commutator_potential(frame)), 1e-10)
-        add(f"{tag}_wronskian_constancy", frame.wronskian_relative_stdev, 1e-10)
-        add(f"{tag}_dual_path", susy.dual_path_difference(frame), 1e-8)
-        add(f"{tag}_oracle_match", oracle_max_diff(p, comps, grid), 1e-8)
+        report = frame_report(frame, 3, p)
+        add(f"{tag}_hermiticity", report["hermiticity_max_asymmetry"], 1e-10)
+        add(f"{tag}_wronskian_constancy", report["wronskian_relative_stdev"], 1e-10)
+        add(f"{tag}_dual_path", report["dual_path_max_diff"], 1e-8)
+        add(f"{tag}_oracle_match", report["model_oracle_max_diff"], 1e-8)
         # negative control: xi1 = xi2 must break that hermiticity
         uhat0, uhat1 = frame.uhat0.copy(), frame.uhat1.copy()
         uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
-        broken = replace(frame, uhat0=uhat0, uhat1=uhat1)
-        add(f"{tag}_negative_control",
-            susy.hermiticity_asymmetry(susy.commutator_potential(broken)), 1e-4, ">=")
-        del broken  # and its cached stacks, before the intertwining test
+        add(f"{tag}_negative_control", susy.hermiticity_asymmetry(susy.commutator_potential(
+            replace(frame, uhat0=uhat0, uhat1=uhat1))), 1e-4, ">=")
         # intertwining convergence
-        residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
-                                                       n_levels=3)
-        add(f"{tag}_intertwining_order", orders.min(), np.log2(3.6), ">=")
+        add(f"{tag}_intertwining_order", np.min(report["intertwining_orders"]),
+            np.log2(3.6), ">=")
         # L annihilates its own seed columns
         add(f"{tag}_darboux_kernel", max(susy.darboux_kernel(frame)), 1e-8)
         # frame eigen-residual convergence
@@ -125,10 +135,9 @@ def invariant_checks(seed):
         r_fine = max(susy.frame_eigen_residuals(assemble_frame(p.seed_data(),
                                                                grid.refined())))
         add(f"{tag}_eigenframe_order", np.log2(r_coarse / r_fine), 1.9, ">=")
-
-    # Model II constant dimerization component, on the loop's Model II frame
-    comps2 = model_comps[ModelKind.II]
-    add("model_II_v12_constant", np.abs(comps2.v12 + comps2.flat_energy).max(), 1e-10)
+        if p.kind is ModelKind.II:  # its constant dimerization component
+            comps = transformed_potential(frame)
+            add("model_II_v12_constant", np.abs(comps.v12 + comps.flat_energy).max(), 1e-10)
 
     # the partner keeps the seed's continuum: at both walls of +-40/kappa0,
     # where V_new is constant to rounding, its band edge hypot(v11, v12) is

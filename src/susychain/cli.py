@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import susy
-from .checks import invariant_checks, oracle_max_diff, smooth_test_states
+from .checks import frame_report, invariant_checks
 from .continuum import discretize
 from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, chain_spectrum, \
@@ -283,9 +283,7 @@ def cmd_susy(st, out_dir):
         p = _model_params(st)
         seed = p.seed_data()
     frame = assemble_frame(seed, Grid(-st["box"], st["box"], st["grid_points"]))
-    comps = transformed_potential(frame)
-    residuals, orders = susy.intertwining_residual(frame, smooth_test_states,
-                                                   n_levels=2)
+    report = frame_report(frame, 2, p)
     h = frame.grid.h
     kh = seed.kappa0 * h
     if kh > 0.25:
@@ -293,22 +291,11 @@ def cmd_susy(st, out_dir):
         print(f"warning: kappa0*h = {kh:.3g} at h = {h:.3g} does not "
               "resolve the kink: intertwining_orders are not convergence orders",
               file=sys.stderr)
+    comps = transformed_potential(frame)
     _write_csv(os.path.join(out_dir, "susy_potential.csv"),
                ["x", "v11", "v12", "v13", "v23"],
                [frame.grid.x, comps.v11, comps.v12, comps.v13, comps.v23])
-
-    verification = {
-        "hermiticity_max_asymmetry": susy.hermiticity_asymmetry(
-            susy.commutator_potential(frame)),
-        "wronskian_relative_stdev": frame.wronskian_relative_stdev,
-        "dual_path_max_diff": susy.dual_path_difference(frame),
-        "min_abs_det": float(np.abs(frame.det).min()),
-        "intertwining_residuals": residuals.tolist(),
-        "intertwining_orders": orders.tolist(),
-    }
-    if p is not None:
-        verification["model_oracle_max_diff"] = oracle_max_diff(p, comps, frame.grid)
-    _write_json(os.path.join(out_dir, "susy_verify.json"), verification)
+    _write_json(os.path.join(out_dir, "susy_verify.json"), report)
     return EXIT_OK
 
 

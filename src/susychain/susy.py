@@ -311,10 +311,11 @@ def commutator_potential(frame):
     return v_seed[None, :, :] - 1j * comm
 
 
-def dual_path_difference(frame):
-    """Max entrywise gap between the two potential constructions."""
+def dual_path_difference(frame, commutator):
+    """Max entrywise gap between the two potential constructions, given the
+    frame's commutator_potential stack."""
     explicit = transformed_potential(frame).matrix_stack()
-    return float(np.abs(explicit - commutator_potential(frame)).max())
+    return float(np.abs(explicit - commutator).max())
 
 
 def hermiticity_asymmetry(stack):

@@ -1176,6 +1176,42 @@ def test_darboux_reports_match_golden_bytes(tmp_path, capsys, argv, name, golden
     assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+def test_susy_builds_the_commutator_form_once_and_verify_four_times(tmp_path, monkeypatch):
+    # one stack per frame serves its Hermiticity and its dual path; verify
+    # builds one more per model for the negative control
+    calls = []
+    built = susy.commutator_potential
+
+    def counted(frame):
+        calls.append(frame)
+        return built(frame)
+
+    monkeypatch.setattr(susy, "commutator_potential", counted)
+    assert main(["susy", "--out", str(tmp_path), *MODEL_I]) == EXIT_OK
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 4
+
+
+def test_susy_on_verify_grid_reads_verify_model_I_rows_bitwise(tmp_path):
+    # susy on verify's Model I frame, 1201 points of [-20, 20], reports what
+    # verify thresholds: one frame_report serves both
+    assert main(["susy", "--out", str(tmp_path), *MODEL_I, "--box", "20",
+                 "--grid-points", "1201"]) == EXIT_OK
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "susy_verify.json").read_text())
+    rows = {c["name"]: c["measured"]
+            for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
+    keys = {"hermiticity_max_asymmetry": "model_I_hermiticity",
+            "wronskian_relative_stdev": "model_I_wronskian_constancy",
+            "dual_path_max_diff": "model_I_dual_path",
+            "model_oracle_max_diff": "model_I_oracle_match"}
+    assert {key: report[key] for key in keys} == {key: rows[row] for key, row in keys.items()}
+    # the commutator form's rounding, not the 0.0 of a form Hermitian by construction
+    assert report["hermiticity_max_asymmetry"] > 0.0
+
+
 # SHA-256 of each susy_potential.csv: a change to how the frame stores Uhat
 # must not move any sample of the potential table
 @pytest.mark.parametrize("argv, digest", [

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import susychain
 from susychain import checks, cli
+from susychain.models import ModelKind, ModelParams
+from susychain.numcore import Grid
+from susychain.susy import assemble_frame
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,3 +71,16 @@ def test_readme_verify_table_lists_every_row():
     listed = [name for line in table.splitlines()
               for name in re.findall(r"`(\w+)`", line.split(" | ")[0])]
     assert sorted(listed) == sorted(c["name"] for c in checks.invariant_checks(0))
+
+
+def test_readme_susy_report_table_lists_every_key():
+    (table,) = re.findall(r"^\| key \| claim checked \| `verify` row and threshold \|\n"
+                          r"\|---\|---\|---\|\n((?:\|.*\n)+)",
+                          README.read_text(), flags=re.MULTILINE)
+    rows = {re.fullmatch(r"\| `(\w+)`", line.split(" | ")[0]).group(1): line
+            for line in table.splitlines()}
+    p = ModelParams(ModelKind.I, 0.07, 0.0)
+    frame = assemble_frame(p.seed_data(), Grid(-20.0, 20.0, 201))
+    assert sorted(rows) == sorted(checks.frame_report(frame, 2, p))
+    assert {key for key, line in rows.items() if line.endswith(" | reported only |")} \
+        == {"min_abs_det", "intertwining_residuals"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susychain.checks import smooth_test_states
+from susychain.checks import frame_report, smooth_test_states
 from susychain.continuum import apply_dirac, potential_matrix
 from susychain.errors import NumericalError, SingularFrameError
 from susychain.models import ModelKind, ModelParams, model_potential_components
@@ -236,7 +236,8 @@ def test_transformed_potential_hermitian():
 
 
 def test_dual_path_agreement():
-    assert dual_path_difference(_frame()) < 1e-9
+    fr = _frame()
+    assert dual_path_difference(fr, commutator_potential(fr)) < 1e-9
 
 
 def test_negative_control_breaks_commutator_hermiticity():
@@ -590,6 +591,21 @@ def test_intertwining_residual_holds_one_level_at_a_time(p, n_points, n_levels):
     assert peak / finest < 650.0
 
 
+@pytest.mark.parametrize("p,n_points,n_levels", [
+    (ModelParams(ModelKind.I, 0.07, 0.0), 1201, 3),
+    (ModelParams(ModelKind.II, 0.1, 0.05), 2001, 2)])
+def test_frame_report_holds_no_more_than_its_intertwining_test(p, n_points, n_levels):
+    # the report builds the commutator form and the oracle on the coarsest
+    # grid only after the intertwining test's finest level has died, so its
+    # peak is the test's (2.58 and 2.21 MB), give or take a few hundred bytes
+    # of Python objects; a commutator stack kept alive through the test
+    # would add 144 B a coarse point (173 kB at 1201)
+    fr = assemble_frame(p.seed_data(), Grid(-20.0, 20.0, n_points))
+    frame_report(fr, n_levels, p)
+    alone = _traced_peak(lambda: intertwining_residual(fr, smooth_test_states, n_levels))
+    assert _traced_peak(lambda: frame_report(fr, n_levels, p)) <= alone + 4096
+
+
 def test_darboux_annihilates_frame_columns():
     # on Uhat: L U_j / G_j = L_j Uhat_j, L_j = G_j^{-1} L G_j
     fr = _frame()
@@ -701,7 +717,7 @@ def test_frame_past_the_double_range_of_u_matches_model_potential(kind):
     oracle = model_potential_components(p, GRID).matrix_stack()
     bound = 1e-8 * (1.0 + np.abs(oracle).max())
     assert np.abs(stack - oracle).max() <= bound
-    assert dual_path_difference(fr) <= bound
+    assert dual_path_difference(fr, commutator_potential(fr)) <= bound
     residuals, _ = intertwining_residual(fr, _gaussian_states, n_levels=2)
     assert np.isfinite(residuals).all()
     assert np.isfinite(frame_eigen_residuals(fr)).all()
