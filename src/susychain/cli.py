@@ -15,6 +15,7 @@ verification failure.
 """
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -434,7 +435,35 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameters
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def reuse_freed_arrays():
+    """Keep freed arrays of up to 2 MiB in this process's heap for reuse.
+
+    glibc maps a block above its mmap threshold (128 KiB at start, then
+    the largest mapped block freed) straight from the kernel and returns
+    the heap's top above twice that. A `verify` refinement level holds
+    about 2.6 MB in blocks of up to 346 kB, so each level would give its
+    pages back and fault in fresh zeroed ones. Set once per process, by
+    `main` only: importing susychain leaves the allocator as it is. Does
+    nothing where the C library has no mallopt (macOS).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt; no process handle (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 2 * 2**20)
+    mallopt(M_TRIM_THRESHOLD, 32 * 2**20)
+
+
 def main(argv=None):
+    reuse_freed_arrays()
     args = build_parser().parse_args(argv)
     run, table = COMMANDS[args.command]
     try:
@@ -446,7 +475,10 @@ def main(argv=None):
             sets[key.strip()] = _parse_value(value.strip())
         flags = {key: getattr(args, key) for key in FLAGS if key in table}
         st = Settings(args.command, sets, flags)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"--out {args.out!r}: {exc.strerror}") from exc
         return run(st, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

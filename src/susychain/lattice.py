@@ -13,7 +13,7 @@ and the on-site energy eps_c can be fine-tuned so that one root of the
 secular determinant becomes k-independent (a flat band).
 """
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class TightBindingParams:
     t_bc: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(astuple(self)).all():
+        if not np.isfinite([*vars(self).values()]).all():
             raise NumericalError("tight-binding parameters must be finite")
 
 
@@ -137,7 +137,8 @@ def tune_flat_band(p):
                       - p.t_bc**2 - p.t_ac**2 - (p.t_ab**2 + p.t_ab_inter**2))
         solutions.append(FlatBandSolution(eps_c, e_flat, quad_lin, quad_const, quad_cos))
     disc = p1 * p1 - 4.0 * p2 * p0
-    if not np.isfinite([p2, p1, p0, disc, *(v for sol in solutions for v in astuple(sol))]).all():
+    values = [v for sol in solutions for v in vars(sol).values()]
+    if not np.isfinite([p2, p1, p0, disc, *values]).all():
         raise NumericalError(f"flat-band tuning overflows the double range in {p2:.3g}*E^2 + "
                              f"{p1:.3g}*E + {p0:.3g} (discriminant {disc:.3g}) or its roots")
     return solutions

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import tempfile
 import textwrap
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -309,6 +312,20 @@ def test_missing_lapack_symbol_exits_3_with_one_line(tmp_path, capsys, monkeypat
 def test_bad_set_syntax_exits_2(tmp_path):
     rc = main(["bands", "--out", str(tmp_path), "--set", "oops"])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("sub, code", [("", errno.EEXIST), ("sub", errno.ENOTDIR)],
+                         ids=["a_file", "through_a_file"])
+def test_out_through_a_file_exits_2_with_one_line(tmp_path, capsys, sub, code):
+    # --out naming a file, or a path through one, is a config error: one
+    # line, no traceback, no file written and the file left as it was
+    blocker = tmp_path / "some_file"
+    blocker.write_text("kept")
+    out = str(blocker / sub if sub else blocker)
+    assert main(["tune", "--out", out, *FIG_PARAMS]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --out {out!r}: {os.strerror(code)}\n"
+    assert os.listdir(tmp_path) == ["some_file"]
+    assert blocker.read_text() == "kept"
 
 
 # -------------------------------------------------------------- bands
@@ -1174,6 +1191,47 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_darboux_reports_match_golden_bytes(tmp_path, capsys, argv, name, golden):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / name).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds main sets are glibc's")
+def test_a_second_verify_reuses_the_heap(tmp_path):
+    # a fresh process: an earlier test here may already have moved glibc's
+    # dynamic thresholds. With them, each refinement level's arrays go back
+    # to the kernel and a second verify faults in about 2500 fresh pages
+    script = textwrap.dedent(f"""
+        import contextlib, io, resource
+        from susychain.cli import main
+        argv = ["verify", "--out", {str(tmp_path)!r}, "--seed", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(argv) == 0
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        print(after - before)
+    """)
+    run = _run_python("-c", script)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 200
+
+
+def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, capsys, monkeypatch):
+    # macOS's libSystem has no mallopt: main leaves the allocator as it is
+    # and writes the same bytes
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        return SimpleNamespace()
+
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=cdll))
+    cli.reuse_freed_arrays.cache_clear()
+    try:
+        assert main(["verify", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+    finally:
+        cli.reuse_freed_arrays.cache_clear()
+    assert opened == [None]
+    assert (tmp_path / "verify.json").read_bytes() == (GOLDEN / "verify_seed3.json").read_bytes()
 
 
 def test_susy_builds_the_commutator_form_once_and_verify_four_times(tmp_path, monkeypatch):
