@@ -224,17 +224,16 @@ def cmd_bands(st, out_dir):
                [k, *energies.T])
     spreads = np.ptp(energies, axis=0)
     means = energies.mean(axis=0)
-    flat = [
-        {"band_index": int(j), "energy": float(means[j]), "spread": float(spreads[j])}
-        for j in range(3)
-        if spreads[j] <= FLAT_BAND_THRESHOLD * (1.0 + abs(means[j]))
-    ]
+    # relative to the largest |value|, which sets eigh's rounding
+    threshold = FLAT_BAND_THRESHOLD * max(abs(v) for v in vars(p).values())
+    flat = [{"band_index": j, "energy": float(means[j]), "spread": float(spreads[j])}
+            for j in range(3) if spreads[j] <= threshold]
     _write_json(os.path.join(out_dir, "bands_summary.json"), {
         "params": {k: getattr(p, k) for k in TIGHT_BINDING_KEYS},
         "k_points": n_k,
         "band_spreads": [float(s) for s in spreads],
         "flat_bands": flat,
-        "flat_threshold": FLAT_BAND_THRESHOLD,
+        "flat_threshold": threshold,
     })
     return EXIT_OK
 
@@ -304,8 +303,6 @@ SPECTRUM_KEYS = {
     **MODEL_KEYS,
     "method": Key(_choice("chain", "continuum", "both"), "chain",
                   "route: chain, continuum or both"),
-    "cluster_tol": Key(_positive, 1e-6,
-                       "largest distance of a flat-cluster state from lambda"),
     "cells": Key(_count(2), 400, "cells of the finite chain"),
     "box": Key(_positive, None, "half-width of the sampled box; unset: "
                "(cells - 1)/2 for the chain (cell spacing 1), 12/kappa for the continuum"),
@@ -317,9 +314,10 @@ def cmd_spectrum(st, out_dir):
     p = _model_params(st)
     seed = p.seed_data()
     method = st["method"]
-    cluster_tol = st["cluster_tol"]
-    # no state within 0.1 x the analytic gap edge of lambda is a gap edge: the
-    # chain holds non-cluster states just past cluster_tol of lambda
+    # windows about lambda, as fractions of the analytic gap edge E so that no
+    # count depends on the units: the flat cluster within 1e-5 E; no gap edge
+    # within 0.1 E, as the chain holds non-cluster states just past the cluster
+    cluster_tol = 1e-5 * seed.gap_edge
     gap_exclusion = 0.1 * seed.gap_edge
 
     # route -> (stencil, grid points, default box half-width, predicted in-gap

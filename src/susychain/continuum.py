@@ -105,7 +105,7 @@ def discretize(comps, grid, stencil):
     if stencil == "central":
         j = np.argmax(np.abs(v13) + np.abs(v23))
         # + 0.0: where v13 = v23 = 0, arctan2(0.0, -0.0) would give pi, not 0
-        th = np.arctan2(v23[j]**2 - v13[j]**2, 2 * v13[j] * v23[j] + 0.0)
+        th = np.arctan2(v23[j] * v23[j] - v13[j] * v13[j], 2 * v13[j] * v23[j] + 0.0)
         c, s = np.cos(th), np.sin(th)
         v11 = v11 + 2 / grid.h * c
         v12 = v12 + 2 / grid.h * s

@@ -167,19 +167,19 @@ class SpectrumReport:
     gap_edge_pos: float  # smallest bulk eigenvalue above the cluster (nan if none)
 
 
-def chain_spectrum(chain, flat_energy=0.0, cluster_tol=1e-6, gap_exclusion=0.0,
+def chain_spectrum(chain, flat_energy=0.0, *, cluster_tol, gap_exclusion=0.0,
                    predicted=()):
     """Diagonalize a banded chain and summarize its spectrum.
 
-    Eigenvalues within cluster_tol of flat_energy form the flat-band
-    cluster. Gap edges are the nearest eigenvalues on either side beyond
-    max(gap_exclusion, cluster_tol) of flat_energy (finite-size members of
-    the flat cluster can leak slightly past cluster_tol), except the
-    states of `predicted`: the energies of in-gap states whose origin is
-    known, such as a wall mode of the stencil. Each predicted energy
-    beyond that window must have an eigenvalue that lies nearer to it
-    than to any other eigenvalue, and that one is skipped; else
-    NumericalError.
+    Eigenvalues within cluster_tol of flat_energy form the flat-band cluster;
+    cluster_tol has no default, as it follows the chain's energy scale. Gap
+    edges are the nearest eigenvalues on either side beyond max(gap_exclusion,
+    cluster_tol) of flat_energy (finite-size members of the flat cluster can
+    leak slightly past cluster_tol), except the states of `predicted`: the
+    energies of in-gap states whose origin is known, such as a wall mode of the
+    stencil. Each predicted energy beyond that window must have an eigenvalue
+    that lies nearer to it than to any other eigenvalue, and that one is
+    skipped; else NumericalError.
     """
     w = eigh_banded(chain)
     offset = w - flat_energy

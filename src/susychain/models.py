@@ -55,14 +55,14 @@ class ModelParams:
         m, lam = self.mass, self.flat_energy
         if self.kind is ModelKind.I:
             return float(np.sqrt((m - lam) * (2 * m + lam)))
-        return float(np.sqrt(2 * m**2 - lam**2))
+        return float(np.sqrt(2 * (m * m) - lam * lam))
 
     @property
     def omega(self):
         m, lam = self.mass, self.flat_energy
         if self.kind is ModelKind.I:
             return -4 * m / (np.sqrt(m * (m - lam)) * (2 * m + lam))
-        return -2 * (2 * m - lam) / (2 * m**2 - lam**2)
+        return -2 * (2 * m - lam) / (2 * (m * m) - lam * lam)
 
     def seed_data(self):
         """SeedData realizing this model in the general engine."""
@@ -91,11 +91,11 @@ def validate_params(p):
         if not (lam < m):
             out.append(f"lambda < m violated (lambda = {lam:g}, m = {m:g})")
     else:
-        if m != 0 and 2 * m**2 == lam**2 == 0:
+        if m != 0 and 2 * (m * m) == lam * lam == 0:
             out.append(f"2m^2 and lambda^2 underflow to 0 (m = {m:g}, lambda = {lam:g})")
-        elif not (lam**2 < 2 * m**2):
-            out.append(f"lambda^2 < 2 m^2 violated (lambda^2 = {lam**2:g}, "
-                       f"2m^2 = {2 * m**2:g})")
+        elif not (lam * lam < 2 * (m * m)):
+            out.append(f"lambda^2 < 2 m^2 violated (lambda^2 = {lam * lam:g}, "
+                       f"2m^2 = {2 * (m * m):g})")
     if abs(lam) == abs(m):
         out.append("|lambda| = |m| is excluded")
     return out
@@ -109,6 +109,7 @@ def model_potential(p, x):
     far-field limits: sech 0, tanh +-1, and v13 = v23 = 0.
     """
     m, lam, k = p.mass, p.flat_energy, p.kappa
+    # x * x, not x**2: pow is not correctly rounded, so (s x)**2 may miss s^2 x**2
     model1 = p.kind is ModelKind.I
     z = 2 * k * np.asarray(x, dtype=float)
     sech2 = 1.0 / np.cosh(z)
@@ -120,14 +121,14 @@ def model_potential(p, x):
         den_b = 4 * m + (2 * m - lam) * cosh2
         v12 = -lam * (2 * root * (1 + sech2) - k * tanh2) / den_a
         v13 = np.sqrt(m * (2 * m + lam)) * k / den_b
-        v23 = k**2 / den_b
-        v11 = -(lam**2 + 4 * m**2 * sech2 + 2 * root * k * tanh2) / den_a
+        v23 = k * k / den_b
+        v11 = -(lam * lam + 4 * (m * m) * sech2 + 2 * root * k * tanh2) / den_a
         return v11, v12, v13, v23
+    e, d = 2 * m - lam, m - lam
     v12 = -lam * np.ones_like(z)
-    v13 = (m - lam) * k**2 / ((2 * m - lam) ** 2 + 2 * (m - lam) ** 2 * cosh2)
+    v13 = d * (k * k) / (e * e + 2 * (d * d) * cosh2)
     v23 = v13.copy()
-    v11 = (-k * ((2 * m - lam) * k * sech2 + 2 * (m - lam) ** 2 * tanh2)
-           / (2 * (m - lam) ** 2 + (2 * m - lam) ** 2 * sech2))
+    v11 = -k * (e * k * sech2 + 2 * (d * d) * tanh2) / (2 * (d * d) + e * e * sech2)
     return v11, v12, v13, v23
 
 

@@ -64,7 +64,7 @@ class SeedData:
             values = (self.gauge_a, self.mass, self.flat_energy)
             e = -np.frexp(max(map(abs, values)))[1]
             a, m, lam = (np.ldexp(v, e) for v in values)
-            if a**2 + m**2 - lam**2 > 0.0:
+            if a * a + m * m - lam * lam > 0.0:
                 raise NumericalError(
                     f"kappa0^2 = A^2 + m^2 - lambda^2 underflows to {self.kappa0_sq:.3e} "
                     f"(A = {self.gauge_a:g}, m = {self.mass:g}, lambda = {self.flat_energy:g})")
@@ -73,7 +73,8 @@ class SeedData:
 
     @property
     def kappa0_sq(self):
-        return self.gauge_a**2 + self.mass**2 - self.flat_energy**2
+        a, m, lam = self.gauge_a, self.mass, self.flat_energy
+        return a * a + m * m - lam * lam
 
     @property
     def kappa0(self):

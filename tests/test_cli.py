@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susychain
-from susychain import cli, models, numcore, susy
+from susychain import cli, lattice, models, numcore, susy
 from susychain.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -34,7 +36,8 @@ from susychain.cli import (
     build_parser,
     main,
 )
-from susychain.errors import NumericalError
+from susychain.continuum import discretize
+from susychain.errors import NumericalError, SusychainError
 
 from reference import banded_to_dense
 
@@ -100,7 +103,7 @@ def test_settings_flags_beat_set_and_defaults_fill_the_rest():
                   {"cells": 7, "box": None})
     assert st["grid_points"] == 65 and st["mass"] == 0.1
     assert st["cells"] == 7             # a flag beats --set
-    assert st["box"] is None and st["cluster_tol"] == 1e-6   # table defaults
+    assert st["box"] is None and st["method"] == "chain"   # table defaults
 
 
 def test_flag_beats_set_for_the_same_key(tmp_path):
@@ -110,16 +113,18 @@ def test_flag_beats_set_for_the_same_key(tmp_path):
     assert rows.shape == (3 * 60, 2)
 
 
-# a command-prefixed key, and the keys of the lattice constant (k is in
-# units of 1/a) and of the gap-edge window (always 0.1 x the analytic edge)
-@pytest.mark.parametrize("argv, key", [
-    (["spectrum", *MODEL_I], "spectrum.cells"),
-    (["bands", *FIG_PARAMS], "a"),
-    (["tune", *FIG_PARAMS], "a"),
-    (["spectrum", *MODEL_I], "gap_exclusion"),
-], ids=["spectrum.cells", "bands-a", "tune-a", "gap_exclusion"])
-def test_unknown_key_exits_2_naming_it(tmp_path, capsys, argv, key):
-    assert main([*argv, "--out", str(tmp_path), "--set", f"{key}=2"]) == EXIT_CONFIG
+# a command-prefixed key, the keys of the lattice constant (k is in units
+# of 1/a) and of the two windows about lambda (always 0.1 E and 1e-5 E, with
+# E the analytic gap edge)
+@pytest.mark.parametrize("argv, key, value", [
+    (["spectrum", *MODEL_I], "spectrum.cells", "2"),
+    (["bands", *FIG_PARAMS], "a", "2"),
+    (["tune", *FIG_PARAMS], "a", "2"),
+    (["spectrum", *MODEL_I], "gap_exclusion", "2"),
+    (["spectrum", *MODEL_I], "cluster_tol", "1e-6"),
+], ids=["spectrum.cells", "bands-a", "tune-a", "gap_exclusion", "cluster_tol"])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, argv, key, value):
+    assert main([*argv, "--out", str(tmp_path), "--set", f"{key}={value}"]) == EXIT_CONFIG
     assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -180,7 +185,7 @@ def test_help_lists_the_command_table(capsys, command):
     (["bands", "--set", "t_ab=true"], "t_ab"),
     (["bands", "--set", "t_ab=1" + "0" * 400], "t_ab"),
     (["susy", "--set", "model=I", "--set", "mass=false"], "mass"),
-    (["spectrum", *MODEL_I, "--set", "cluster_tol=abc"], "cluster_tol"),
+    (["spectrum", *MODEL_I, "--box", "abc"], "box"),
 ])
 def test_non_integral_and_boolean_values_exit_2(tmp_path, capsys, argv, key):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -199,9 +204,9 @@ def test_non_integral_and_boolean_values_exit_2(tmp_path, capsys, argv, key):
     (["susy", *MODEL_I, "--box", "inf"], "box"),
     (["bands", "--grid-points", "2"], "grid_points"),
     (["verify", "--seed", "-1"], "seed"),
-    (["spectrum", *MODEL_I, "--set", "cluster_tol=-1"], "cluster_tol"),
-    (["spectrum", *MODEL_I, "--set", "cluster_tol=nan"], "cluster_tol"),
-    (["spectrum", *MODEL_I, "--set", "cluster_tol=inf"], "cluster_tol"),
+    (["spectrum", *MODEL_I, "--box", "nan"], "box"),
+    (["spectrum", *MODEL_I, "--set", "method=continuum", "--set", "box=-inf"], "box"),
+    (["susy", *MODEL_I, "--set", "box=-1"], "box"),
     # past numpy's index range: a config error, not a failed allocation
     (["spectrum", *MODEL_I, "--cells", str(10**19)], "cells"),
     (["susy", *MODEL_I, "--grid-points", str(10**19)], "grid_points"),
@@ -471,7 +476,7 @@ def _check_tune(out, argv):
 @given(model=st.sampled_from(["I", "II"]), mass=BOUNDED_DOUBLES, flat_energy=BOUNDED_DOUBLES,
        method=st.sampled_from(["chain", "continuum", "both"]),
        cells=st.integers(2, 60), grid_points=st.integers(3, 80),
-       box=st.none() | DOUBLES, cluster_tol=st.none() | DOUBLES)
+       box=st.none() | DOUBLES)
 def test_spectrum_contract(**values):
     _run_contract("spectrum", values, _check_spectrum)
 
@@ -594,9 +599,9 @@ def test_spectrum_past_the_double_range_of_kappa_box_runs_without_a_warning(tmp_
     chain = _strict_json((tmp_path / "spectrum_summary.json").read_text())["chain"]
     assert chain["gap_edge_neg"] == pytest.approx(-3.7209351471417e28, rel=1e-13)
     assert chain["gap_edge_pos"] == pytest.approx(3.7209351471417e28, rel=1e-13)
-    # cluster_tol = 1e-6 is absolute, far below one rounding unit of these
-    # energies, so the count depends on the last bits of each eigenvalue
-    assert chain["cluster_count"] == 21
+    # the cluster window is 1e-5 E at any scale, so the engine's chain counts
+    # the 34 flat states that the closed forms' chain counts
+    assert chain["cluster_count"] == 34
 
 
 @pytest.mark.filterwarnings("error")
@@ -1128,17 +1133,18 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-def test_spectrum_without_bulk_states_writes_strict_json(tmp_path):
-    # cluster_tol = 10 puts all six states of two cells in the flat cluster
-    rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2",
-               "--set", "model=I", "--set", "mass=0.07", "--set", "cluster_tol=10"])
+def test_spectrum_without_bulk_states_writes_strict_json(tmp_path, capsys):
+    # Model I (1, 0.98) on two cells 200 apart: no state lies above lambda
+    # past 0.1 E, so the upper edge is null
+    rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2", "--box", "100",
+               "--set", "model=I", "--set", "mass=1", "--set", "flat_energy=0.98"])
     assert rc == EXIT_OK
+    assert "kappa0*h" in capsys.readouterr().err
     text = (tmp_path / "spectrum_summary.json").read_text()
     chain = json.loads(text, parse_constant=_reject_constant)["chain"]
-    assert chain["cluster_count"] == 6
-    for key in ("gap_edge_neg", "gap_edge_pos",
-                "relative_error_neg", "relative_error_pos"):
-        assert chain[key] is None
+    assert chain["cluster_count"] == 2
+    assert chain["gap_edge_pos"] is None and chain["relative_error_pos"] is None
+    assert None not in (chain["gap_edge_neg"], chain["relative_error_neg"])
 
 
 def test_write_json_nulls_only_non_finite_floats(tmp_path):
@@ -1309,7 +1315,7 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
       "spectrum_continuum.csv":
       "c6e03a925d4eac5d3d8b0af62c3a1d538f672d0123451bef04b81348ba469a6c",
       "spectrum_summary.json":
-      "5732eca22738dd9cdcd119ec45ffa85b5d61277161d68427ae3fa228f95d3f6f"}),
+      "4a016b363892e8b6fe8c93ee48477db32072c6b14eead35d3164a3aed2ed34ad"}),
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=both", "--cells", "300", "--grid-points", "201"],
      {"spectrum_chain.csv":
@@ -1317,21 +1323,21 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
       "spectrum_continuum.csv":
       "e067f12cc3a1dac1b9cf51c00c0e5b0094549cbf6048b7e9ac549b67d1610146",
       "spectrum_summary.json":
-      "d92ba92ac5af08977e533cdaeabd2a4f6e7feaeb68af72e59c426bc5e4c95be6"}),
+      "e72b269a2ffa0038096436d8d9250a0a8250a2a36f64f65b718ca586564db830"}),
     # cell spacing 600/499, where the hop (n - 1)/(2 box) and 1/h differ in the last bit
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=chain", "--cells", "500", "--box", "300"],
      {"spectrum_chain.csv":
       "15720120822099ed1eb8820c886928befd3f5f7fa6969883eaa1ff5a8d38e257",
       "spectrum_summary.json":
-      "fe28f516db2c2b61c9869f6471711809f56d8f496b52b65dca76d058943824ed"}),
+      "5f4b04a136463c4004990706d95115afd543338ce4a4901909d25fca6c22bfb5"}),
     # the smallest chain, a 2-point grid
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=chain",
       "--cells", "2"],
      {"spectrum_chain.csv":
       "f53fd59427cf60fcbbf405472375661a4a4413bc374e6703654bd4c2c104cbca",
       "spectrum_summary.json":
-      "076bd55cbe744077ca8926b0900e14cd28d483fe97ed96559fdf048b77cf5721"}),
+      "911db18a52972a67933586128338ad03960f2e3affd36b0e175e6dbfe5255c0d"}),
 ], ids=["model_I_default", "model_II_small", "model_II_box_300", "two_cells"])
 def test_spectrum_outputs_keep_their_bytes(tmp_path, argv, digests):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -1350,3 +1356,204 @@ def test_verify_fails_gap_edge_threshold_on_an_edge_off_by_1e_9(tmp_path, capsys
     checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["gap_edge_threshold"]
     assert "FAIL gap_edge_threshold" in capsys.readouterr().out
+
+
+
+# ---------------------------------------------------- scale covariance
+#
+# Rescale every energy input by s = 2**k and every length by 1/s. Each
+# floating-point step is then exact, so every output energy must be s times
+# the unscaled one, and every count, flag, relative error, exit code and
+# message the same; a window or threshold that is absolute in energy breaks
+# this. The exception is the subnormal range: where the smallest nonzero
+# band entry squared falls below 2**-1022, LAPACK's products of such
+# entries (dsbtrd's rotations) lose bits, and an eigenvalue may move by an
+# ulp of the band's scale. There the energies are held to 4 ulps of max|E|.
+
+SCALES = st.integers(-300, 300)
+# lambda/m as perfbench draws it, for either model
+LAMBDA_OVER_M = {"I": (-1.5, 0.9), "II": (-0.9, 0.9)}
+
+
+def _model(kind, mass, u):
+    lo, hi = LAMBDA_OVER_M[kind]
+    return kind, mass, mass * (lo + u * (hi - lo))
+
+
+MODELS = st.builds(_model, st.sampled_from(["I", "II"]), st.floats(0.03, 0.2),
+                   st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _run_captured(argv):
+    """main(argv) into a fresh directory: the exit code, stderr, and each
+    output file by name, a CSV as its array of rows, a JSON as its value."""
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, "--out", out])
+        return rc, err.getvalue(), {
+            p.name: read_csv(p)[1] if p.suffix == ".csv" else _strict_json(p.read_text())
+            for p in Path(out).iterdir()}
+
+
+def _assert_same_exit(run, run_scaled):
+    """The same exit code, and messages that differ only in their numbers
+    (energies and lengths scale); kappa0*h, which does not scale, the same."""
+    (rc, err, _), (rc_s, err_s, _) = run, run_scaled
+    assert rc == rc_s
+    number = r"-?\d[\d.]*(?:e[+-]?\d+)?"
+    assert re.sub(number, "#", err) == re.sub(number, "#", err_s)
+    kh = r"kappa0\*h = (\S+)"
+    assert re.findall(kh, err) == re.findall(kh, err_s)
+
+
+def _assert_scaled(got, want, k, ulps=0):
+    """got == want * 2**k bit for bit, or within `ulps` ulps of its max."""
+    want = np.ldexp(np.asarray(want, dtype=float), k)
+    assert np.abs(got - want).max() <= ulps * np.spacing(np.abs(want).max())
+
+
+def _band_is_subnormal(kind, mass, lam, box, n, stencil):
+    """Whether the band that spectrum builds for this route holds a nonzero
+    entry whose square is below 2**-1022."""
+    grid = numcore.Grid(-box, box, n)
+    seed = models.ModelParams(models.ModelKind(kind), mass, lam).seed_data()
+    band = np.abs(discretize(susy.transformed_potential(susy.assemble_frame(seed, grid)),
+                             grid, stencil).bands)
+    return band[band > 0].min() ** 2 < np.finfo(float).tiny
+
+
+def _assert_spectrum_covariant(kind, mass, lam, k, box, cells, grid_points, method="both"):
+    def run(e):
+        return _run_captured([
+            "spectrum", "--set", f"model={kind}", "--set", f"mass={math.ldexp(mass, e)!r}",
+            "--set", f"flat_energy={math.ldexp(lam, e)!r}", "--set", f"method={method}",
+            "--box", repr(math.ldexp(box, -e)), "--cells", str(cells),
+            "--grid-points", str(grid_points)])
+    runs = run(0), run(k)
+    _assert_same_exit(*runs)
+    (rc, _, files), (_, _, files_s) = runs
+    if rc != EXIT_OK:
+        return
+    summary, summary_s = files["spectrum_summary.json"], files_s["spectrum_summary.json"]
+    for key in ("mass", "flat_energy", "analytic_gap_edge", "cluster_tol", "gap_exclusion"):
+        _assert_scaled(summary_s[key], summary[key], k)
+    edge = summary_s["analytic_gap_edge"]
+    for route, stencil, n in (("chain", "saw", cells), ("continuum", "central", grid_points)):
+        if route not in summary:
+            continue
+        w, w_s = (f[f"spectrum_{route}.csv"][:, 1] for f in (files, files_s))
+        scaled = (math.ldexp(mass, k), math.ldexp(lam, k), math.ldexp(box, -k), n, stencil)
+        ulps = 0
+        if not np.array_equal(w_s, np.ldexp(w, k)) and _band_is_subnormal(kind, *scaled):
+            ulps = 4
+        _assert_scaled(w_s, w, k, ulps)
+        rep, rep_s = summary[route], summary_s[route]
+        assert rep["cluster_count"] == rep_s["cluster_count"], (
+            f"{route} cluster_count {rep['cluster_count']} at scale 1, "
+            f"{rep_s['cluster_count']} at 2**{k}")
+        for side in ("neg", "pos"):
+            if rep[f"gap_edge_{side}"] is None:  # no bulk state on that side
+                assert rep_s[f"gap_edge_{side}"] is rep_s[f"relative_error_{side}"] is None
+                continue
+            _assert_scaled(rep_s[f"gap_edge_{side}"], rep[f"gap_edge_{side}"], k, ulps)
+            # an edge that moves by d moves its relative error by d / E
+            moved = ulps * np.spacing(np.abs(w_s).max()) / edge
+            err, err_s = rep[f"relative_error_{side}"], rep_s[f"relative_error_{side}"]
+            assert abs(err - err_s) <= moved + 2 * ulps * np.spacing(err)
+
+
+def _kappa(kind, mass, lam):
+    return models.ModelParams(models.ModelKind(kind), mass, lam).kappa
+
+
+# the box in units of 1/kappa: past 40 most draws' continuum grids are too
+# coarse to resolve the wall mode at -lambda, and exit 3
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=MODELS, k=SCALES, box_kappa=st.floats(1.0, 40.0), cells=st.integers(2, 199),
+       grid_points=st.integers(3, 199))
+def test_spectrum_is_covariant_under_a_power_of_two_rescaling(model, k, box_kappa, cells,
+                                                              grid_points):
+    box = box_kappa / _kappa(*model)
+    _assert_spectrum_covariant(*model, k, box, cells, grid_points)
+
+
+def test_an_absolute_cluster_window_breaks_the_covariance(monkeypatch):
+    # the property's control: Model II (0.03, 0.015) on the default chain,
+    # with its cluster window 1e-6 instead of 1e-5 E, counts 286 flat states
+    # at scale 1 and none at 2**40, where 1e-6 is below one rounding unit
+    args = ("II", 0.03, 0.015, 40, 199.5, 400, 3)
+    _assert_spectrum_covariant(*args, method="chain")
+
+    def absolute_window(op, **kwargs):
+        return lattice.chain_spectrum(op, **{**kwargs, "cluster_tol": 1e-6})
+
+    monkeypatch.setattr(cli, "chain_spectrum", absolute_window)
+    with pytest.raises(AssertionError, match=r"chain cluster_count 286 at scale 1, 0 at 2\*\*40"):
+        _assert_spectrum_covariant(*args, method="chain")
+
+
+TIGHT_BINDING_VALUES = st.just(0.0) | st.floats(1e-3, 1.5) | st.floats(-1.5, -1e-3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(values=st.fixed_dictionaries({key: TIGHT_BINDING_VALUES
+                                     for key in cli.TIGHT_BINDING_KEYS}),
+       tuned=st.booleans(), k=SCALES, grid_points=st.integers(3, 65))
+def test_bands_is_covariant_under_a_power_of_two_rescaling(values, tuned, k, grid_points):
+    if tuned:  # eps_c that flattens a band, where tuning finds one
+        try:
+            sols = lattice.tune_flat_band(lattice.TightBindingParams(**values))
+        except SusychainError:
+            sols = []
+        values = {**values, "eps_c": sols[0].eps_c} if sols else values
+
+    def run(e):
+        sets = [a for key, v in values.items() for a in ("--set", f"{key}={math.ldexp(v, e)!r}")]
+        return _run_captured(["bands", "--grid-points", str(grid_points), *sets])
+    runs = run(0), run(k)
+    _assert_same_exit(*runs)
+    (rc, _, files), (_, _, files_s) = runs
+    assert rc == EXIT_OK
+    table, table_s = files["bands.csv"], files_s["bands.csv"]
+    assert np.array_equal(table_s[:, 0], table[:, 0])  # k, in units of 1/a
+    _assert_scaled(table_s[:, 1:], table[:, 1:], k)
+    summary, summary_s = files["bands_summary.json"], files_s["bands_summary.json"]
+    assert [f["band_index"] for f in summary_s["flat_bands"]] == \
+        [f["band_index"] for f in summary["flat_bands"]]
+    for key in ("band_spreads", "flat_threshold"):
+        _assert_scaled(summary_s[key], summary[key], k)
+
+
+# what a Darboux report does under the rescaling: energies, and the
+# distances between two potentials, scale by s; the intertwining residual
+# |L H - H_new L| by s^2; the rest is scale-free. hermiticity_max_asymmetry
+# is not homogeneous: it divides by 1 + ||V||, so it has no place here
+SUSY_REPORT_POWERS = {"dual_path_max_diff": 1, "model_oracle_max_diff": 1,
+                      "intertwining_residuals": 2, "intertwining_orders": 0,
+                      "wronskian_relative_stdev": 0, "min_abs_det": 0}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(model=MODELS, k=SCALES, box_kappa=st.floats(2.0, 30.0),
+       grid_points=st.integers(21, 201))
+def test_susy_is_covariant_under_a_power_of_two_rescaling(model, k, box_kappa, grid_points):
+    kind, mass, lam = model
+    box = box_kappa / _kappa(*model)
+
+    def run(e):
+        return _run_captured([
+            "susy", "--set", f"model={kind}", "--set", f"mass={math.ldexp(mass, e)!r}",
+            "--set", f"flat_energy={math.ldexp(lam, e)!r}",
+            "--box", repr(math.ldexp(box, -e)), "--grid-points", str(grid_points)])
+    runs = run(0), run(k)
+    _assert_same_exit(*runs)
+    (rc, _, files), (_, _, files_s) = runs
+    assert rc == EXIT_OK
+    table, table_s = files["susy_potential.csv"], files_s["susy_potential.csv"]
+    _assert_scaled(table_s[:, 0], table[:, 0], -k)  # x
+    _assert_scaled(table_s[:, 1:], table[:, 1:], k)  # v11, v12, v13, v23
+    report, report_s = files["susy_verify.json"], files_s["susy_verify.json"]
+    assert set(report) == {*SUSY_REPORT_POWERS, "hermiticity_max_asymmetry"}
+    for key, power in SUSY_REPORT_POWERS.items():
+        _assert_scaled(report_s[key], report[key], power * k)

@@ -245,7 +245,7 @@ def test_uniform_chain_spectrum_within_bloch_bands():
                            eps_c=sol.eps_c)
     # p as components: v11 = eps_a, v12 = t_ab - t_ab_inter, v13 = t_ac, v23 = t_bc
     chain = _uniform_chain(PotentialComponents(0.0, 0.0, 0.2, 0.01, sol.eps_c), 40)
-    rep = chain_spectrum(chain, flat_energy=sol.flat_energy)
+    rep = chain_spectrum(chain, flat_energy=sol.flat_energy, cluster_tol=1e-6)
     energies = band_structure(p, default_k_grid(513))
     lo, hi = energies.min() - 1e-9, energies.max() + 1e-9
     assert np.all(rep.eigenvalues >= lo) and np.all(rep.eigenvalues <= hi)
@@ -273,9 +273,9 @@ def test_chain_spectrum_refuses_an_unresolved_predicted_state():
     diagonal = BandedHermitian(np.array([[-1.0, 0.5, 0.50001, 1.0]]))
     with pytest.raises(NumericalError, match="no eigenvalue resolves the state "
                        "predicted at 0.3"):
-        chain_spectrum(diagonal, predicted=(0.3,))
+        chain_spectrum(diagonal, cluster_tol=1e-6, predicted=(0.3,))
     # -1 is resolved as the state at -0.9, and skipped
-    rep = chain_spectrum(diagonal, predicted=(-0.9,))
+    rep = chain_spectrum(diagonal, cluster_tol=1e-6, predicted=(-0.9,))
     assert np.isnan(rep.gap_edge_neg) and rep.gap_edge_pos == 0.5
 
 
@@ -292,7 +292,7 @@ def test_ssh_chain_ends_on_its_strong_bonds():
     assert edge_localised(v[:, near_zero]).all()
     chain = discretize(SSH, grid, "saw")
     assert chain.dim == 180
-    rep = chain_spectrum(chain)
+    rep = chain_spectrum(chain, cluster_tol=1e-6)
     assert not (np.abs(rep.eigenvalues) < 0.3).any()
     assert -rep.gap_edge_neg > 0.3 and rep.gap_edge_pos > 0.3
 
@@ -392,7 +392,7 @@ def test_only_predicted_states_lie_in_the_gap(kind, mass, ratio, route, size):
     op = _route_operator(p, route, size)
     assert op.dim == 3 * size
     excl = 0.1 * p.seed_data().gap_edge
-    rep = chain_spectrum(op, flat_energy=lam, gap_exclusion=excl,
+    rep = chain_spectrum(op, flat_energy=lam, cluster_tol=1e-6, gap_exclusion=excl,
                          predicted=_predicted(route, lam))
     _, v = scipy_linalg.eigh(banded_to_dense(op))
     w = rep.eigenvalues
@@ -422,7 +422,8 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
                                                                size, box):
     p = ModelParams(kind, mass, lam)
     op = _route_operator(p, route, size, box)
-    kwargs = dict(flat_energy=lam, gap_exclusion=0.1 * p.seed_data().gap_edge,
+    kwargs = dict(flat_energy=lam, cluster_tol=1e-6,
+                  gap_exclusion=0.1 * p.seed_data().gap_edge,
                   predicted=_predicted(route, lam))
     rep = chain_spectrum(op, **kwargs)
     monkeypatch.setattr(lattice, "eigh_banded", _full_eigh_banded)

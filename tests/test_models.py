@@ -275,7 +275,8 @@ def test_chain_hopping_follows_cell_spacing(p):
         s = int(p.flat_energy > 0)
         assert np.array_equal(chain.bands[0, 3 - s::3], np.full(n_cells - 1 + s, 1.0 / h))
         assert np.array_equal(chain.bands[1, 1 - s::3][s:], 1.0 / h + v12[s:])
-        rep = chain_spectrum(chain, flat_energy=p.flat_energy, gap_exclusion=0.1 * edge)
+        rep = chain_spectrum(chain, flat_energy=p.flat_energy, cluster_tol=1e-6,
+                             gap_exclusion=0.1 * edge)
         err = max(abs(abs(rep.gap_edge_neg) / edge - 1.0),
                   abs(rep.gap_edge_pos / edge - 1.0))
         assert err <= bound, (h, err, bound)
