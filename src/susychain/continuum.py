@@ -16,23 +16,16 @@ from .errors import NumericalError
 from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, real_array
 
 
-def potential_matrix(v11, v12, v13, v23, flat_energy):
-    """Assemble the 3x3 Hermitian potential from its real components.
-
-    Array components give a C-ordered stack of shape broadcast_shape + (3, 3).
-    """
-    entries = np.broadcast_arrays(
-        v11, -1j * v12, -1j * v13,
-        1j * v12, -v11, v23,
-        1j * v13, v23, flat_energy)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
+def _gauge_rows(v11, v12, v13, v23, flat_energy):
+    # V's rows in apply_dirac's gauge
+    return (v11, -v12, -v13), (-v12, -v11, v23), (-v13, v23, flat_energy)
 
 
 @dataclass(frozen=True)
 class PotentialComponents:
-    """The real components of V = potential_matrix(v11, v12, v13, v23,
-    flat_energy): arrays sampled on a grid's points, or floats for a
-    constant potential."""
+    """The real components of the Hermitian V = [[v11, -i*v12, -i*v13],
+    [i*v12, -v11, v23], [i*v13, v23, flat_energy]]: arrays sampled on a
+    grid's points, or floats for a constant potential."""
 
     v11: np.ndarray
     v12: np.ndarray
@@ -52,10 +45,13 @@ class PotentialComponents:
                 raise NumericalError(f"{name} must be real, got a complex value")
         return list(values.values())
 
-    def matrix_stack(self):
-        """V(x_i) as an (n, 3, 3) complex stack; floats give one 3x3 matrix."""
-        return potential_matrix(self.v11, self.v12, self.v13, self.v23,
-                                self.flat_energy)
+    def gauge(self):
+        """V in apply_dirac's gauge, D^{-1} V D with D = diag(i, 1, 1): the real
+        symmetric [[v11, -v12, -v13], [-v12, -v11, v23], [-v13, v23, flat_energy]]
+        as a broadcast_shape + (3, 3) stack; floats give one 3x3 matrix."""
+        entries = [v for row in _gauge_rows(*np.broadcast_arrays(*vars(self).values()))
+                   for v in row]
+        return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (3, 3))
 
 
 def discretize(comps, grid, stencil):
@@ -143,18 +139,16 @@ def apply_dirac(potential, state, grid):
 
     The one operator action of the package: the seed, the transformed and
     the discretized operators differ only in V, given as PotentialComponents.
-    H maps the x of psi to that of H psi: V acts as [[v11, -v12, -v13],
-    [-v12, -v11, v23], [-v13, v23, flat_energy]] and -i*gamma*d/dx sends
-    (a, b, c) to (-b', a', 0). Any psi is two real states, the real and
-    imaginary parts of diag(-i, 1, 1) psi. Each row sums in the order of
-    np.einsum("nij,jn->in", potential.matrix_stack(), psi), the kinetic term
+    H maps the x of psi to that of H psi: V acts as potential.gauge() and
+    -i*gamma*d/dx sends (a, b, c) to (-b', a', 0). Any psi is two real states,
+    the real and imaginary parts of diag(-i, 1, 1) psi. Each row sums in the
+    order of np.einsum("nij,jn->in", potential.gauge(), x), the kinetic term
     last, so the result has that product's values. Only the shapes of the
     components are checked; a non-finite V gives a non-finite result.
     """
     x = real_array(state, "apply_dirac")
-    v11, v12, v13, v23, lam = potential.samples(x.shape[-1])
     out = np.empty_like(x)
-    for i, row in enumerate(((v11, -v12, -v13), (-v12, -v11, v23), (-v13, v23, lam))):
+    for i, row in enumerate(_gauge_rows(*potential.samples(x.shape[-1]))):
         np.multiply(row[0], x[..., 0, :], out=out[..., i, :])
         out[..., i, :] += row[1] * x[..., 1, :]
         out[..., i, :] += row[2] * x[..., 2, :]

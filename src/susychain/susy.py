@@ -149,7 +149,7 @@ class TransformationFrame:
     @cached_property
     def f_inv(self):
         """F^{-1} per point as a real (3, 3, n) array: the adjugate times
-        1/det, which numpy's complex division by i*det also computes, so
+        1/det, as numpy divides Uhat's adjugate by det Uhat = i*det, so
         Uhat^{-1} = F^{-1} diag(-i, 1, 1) has the values of that division."""
         adj = _adjugate3(self.f)
         adj *= 1.0 / self.det
@@ -293,35 +293,39 @@ def transformed_potential(frame):
 
 
 def commutator_potential(frame):
-    """Independent route: V_new = V - i[gamma, (dU/dx) U^{-1}] per point.
+    """Independent route: V_new = V - i[gamma, (dU/dx) U^{-1}] per point, as
+    a real (n, 3, 3) stack in apply_dirac's gauge.
 
     (dU/dx) U^{-1} = (Uhat' + Uhat G'G^{-1}) Uhat^{-1} takes the analytic
     derivatives of the seed functions, so it shares no algebra with the
     closed-form ratios of transformed_potential. With Uhat = diag(i, 1, 1) F
-    it is diag(i, 1, 1) df F^{-1} diag(-i, 1, 1): the real product, its row 0
-    turned by i and its column 0 by -i, each turn exact.
+    it is diag(i, 1, 1) m diag(-i, 1, 1), m = df F^{-1} real, and the gauge
+    turns gamma into -i*J, J = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], so V_new's
+    gauge form is V's minus J m - m J.
     """
-    v_seed = seed_components(frame.seed).matrix_stack()
-    m = np.einsum("ijn,jkn->nik", frame.df, frame.f_inv).astype(complex)
-    m[:, 0] *= 1j
-    m[:, :, 0] *= -1j
-    # gamma m swaps rows 0 and 1 and drops row 2; m gamma does so to columns
+    m = np.einsum("ijn,jkn->nik", frame.df, frame.f_inv)
+    # J m moves row 1 up and row 0, negated, down; m J does so to columns;
+    # the seed term comes last, as in the complex form, whose values this keeps
     comm = np.zeros_like(m)
-    comm[:, :2] = m[:, 1::-1]
-    comm[:, :, :2] -= m[:, :, 1::-1]
-    return v_seed[None, :, :] - 1j * comm
+    comm[:, 0] = m[:, 1]
+    np.negative(m[:, 0], out=comm[:, 1])
+    comm[:, :, 0] += m[:, :, 1]
+    comm[:, :, 1] -= m[:, :, 0]
+    return seed_components(frame.seed).gauge() - comm
 
 
 def dual_path_difference(frame, commutator):
     """Max entrywise gap between the two potential constructions, given the
     frame's commutator_potential stack."""
-    explicit = transformed_potential(frame).matrix_stack()
+    explicit = transformed_potential(frame).gauge()
     return float(np.abs(explicit - commutator).max())
 
 
 def hermiticity_asymmetry(stack):
-    """Max over points of ||V - V^dag||_inf / (1 + ||V||_inf)."""
-    asym = np.abs(stack - np.conj(np.swapaxes(stack, 1, 2)))
+    """Max over points of ||G - G^T||_inf / (1 + ||G||_inf), G a real (n, 3, 3)
+    stack in apply_dirac's unitary gauge: ||V - V^dag||_inf / (1 + ||V||_inf)."""
+    stack = real_array(stack, "hermiticity_asymmetry")
+    asym = np.abs(stack - np.swapaxes(stack, 1, 2))
     norm = np.abs(stack).sum(axis=2).max(axis=1)  # inf-norm per point
     return float((asym.sum(axis=2).max(axis=1) / (1.0 + norm)).max())
 

@@ -1,5 +1,6 @@
-"""Reference code that only the tests use: dense <-> band storage, a
-trapezoidal antiderivative, the columns of the seed frame U, those of
+"""Reference code that only the tests use: the complex potential matrix
+and the gauge that makes it real, dense <-> band storage, a trapezoidal
+antiderivative, the columns of the seed frame U, those of
 (U^{-1})^dag, the transformed operator's eigenstates, the two converters
 between complex spinors and the real gauge of apply_dirac and apply_darboux,
 the matrix of the continuum stencil's Wilson term, the continuum
@@ -19,9 +20,35 @@ GAMMA = np.array([[0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0]])
 
 
+def potential_matrix(comps):
+    """The complex Hermitian V of a PotentialComponents, one entry at a time,
+    each from its own formula: a broadcast_shape + (3, 3) stack."""
+    args = (comps.v11, comps.v12, comps.v13, comps.v23, comps.flat_energy)
+    v = np.empty(np.broadcast_shapes(*map(np.shape, args)) + (3, 3), dtype=complex)
+    v[..., 0, 0] = comps.v11
+    v[..., 0, 1] = -1j * comps.v12
+    v[..., 0, 2] = -1j * comps.v13
+    v[..., 1, 0] = 1j * comps.v12
+    v[..., 1, 1] = -comps.v11
+    v[..., 1, 2] = comps.v23
+    v[..., 2, 0] = 1j * comps.v13
+    v[..., 2, 1] = comps.v23
+    v[..., 2, 2] = comps.flat_energy
+    return v
+
+
+def to_gauge(v):
+    """D^{-1} v D with D = diag(i, 1, 1), row 0 turned by -i and column 0 by
+    i, each turn exact, as a real array: apply_dirac's gauge. Fails where v
+    has no real form there."""
+    g = v * np.array([[1.0, -1j, -1j], [1j, 1.0, 1.0], [1j, 1.0, 1.0]])
+    assert not g.imag.any()
+    return g.real
+
+
 def symbol(comps, k):
     """k * GAMMA + V for a constant V: a k.shape + (3, 3) stack for an array k."""
-    return np.multiply.outer(k, GAMMA) + comps.matrix_stack()
+    return np.multiply.outer(k, GAMMA) + potential_matrix(comps)
 
 
 def split_spinor(psi):

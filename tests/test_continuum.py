@@ -3,24 +3,34 @@
 import numpy as np
 import pytest
 
-from susychain.continuum import PotentialComponents, apply_dirac, discretize, potential_matrix
+from susychain.continuum import PotentialComponents, apply_dirac, discretize
 from susychain.errors import NumericalError
 from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
 
-from reference import GAMMA, banded_to_dense, join_spinor, split_spinor, symbol, wilson_matrix
+from reference import (
+    GAMMA,
+    banded_to_dense,
+    join_spinor,
+    potential_matrix,
+    split_spinor,
+    symbol,
+    to_gauge,
+    wilson_matrix,
+)
 
 # the gauge in which discretize stores its real bands
 D = np.array([1.0, 1j, 1j])
 
 
-def test_potential_matrix_hermitian():
-    v = potential_matrix(0.4, -0.2, 0.1, 0.05, 0.7)
-    np.testing.assert_allclose(v, v.conj().T, atol=1e-16)
-    assert v[0, 0] == pytest.approx(0.4)
-    assert v[1, 1] == pytest.approx(-0.4)
-    assert v[2, 2] == pytest.approx(0.7)
-    assert v[0, 1] == pytest.approx(0.2j)
+def test_gauge_is_real_symmetric():
+    # D^{-1} V D with D = diag(i, 1, 1): V Hermitian, its gauge form symmetric
+    comps = PotentialComponents(0.4, -0.2, 0.1, 0.05, 0.7)
+    v = comps.gauge()
+    assert v.dtype == np.float64 and np.array_equal(v, v.T)
+    assert v[0, 0] == 0.4 and v[1, 1] == -0.4 and v[2, 2] == 0.7
+    assert v[0, 1] == 0.2  # -v12, where V holds -i*v12
+    assert np.array_equal(v, to_gauge(potential_matrix(comps)))
 
 
 def test_symbol_dispersion_matches_lattice_near_zone_corner():
@@ -80,7 +90,7 @@ def _discretize_reference(comps, grid):
     n = grid.n_points
     d = D
     m = wilson_matrix(comps)
-    v = np.broadcast_to(comps.matrix_stack() + 2 / grid.h * m, (n, 3, 3))
+    v = np.broadcast_to(potential_matrix(comps) + 2 / grid.h * m, (n, 3, 3))
     bands = np.zeros((5, 3 * n), dtype=complex)
     for i in range(n):
         for a in range(3):

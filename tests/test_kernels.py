@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import apply_dirac, potential_matrix
+from susychain.continuum import PotentialComponents, apply_dirac
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import Grid, diff_central
 from susychain.susy import (
@@ -23,7 +23,7 @@ from susychain.susy import (
     transformed_potential,
 )
 
-from reference import GAMMA, join_spinor, split_spinor
+from reference import GAMMA, join_spinor, potential_matrix, split_spinor, to_gauge
 from test_susy import regular_seed
 
 GRID = Grid(-20.0, 20.0, 401)
@@ -66,7 +66,7 @@ def _diff_central_ref(f, grid):
 
 def _apply_dirac_ref(comps, f, grid):
     # V as a complex stack; a constant one broadcast to every point
-    v = np.broadcast_to(comps.matrix_stack(), (grid.n_points, 3, 3))
+    v = np.broadcast_to(potential_matrix(comps), (grid.n_points, 3, 3))
     kinetic = -1j * (GAMMA @ _diff_central_ref(f, grid))
     return kinetic + np.einsum("nij,jn->in", v, f)
 
@@ -112,23 +112,7 @@ def _apply_darboux_ref(frame, f):
 def _commutator_potential_ref(frame):
     m = np.einsum("ijn,jkn->nik", _frame_stack_ref(frame.df), _uhat_inv_ref(frame))
     comm = np.einsum("ij,njk->nik", GAMMA, m) - np.einsum("nij,jk->nik", m, GAMMA)
-    return seed_components(frame.seed).matrix_stack()[None, :, :] - 1j * comm
-
-
-def _potential_matrix_ref(v11, v12, v13, v23, flat_energy):
-    # V[..., i, j] one entry at a time, each from its own formula
-    args = (v11, v12, v13, v23, flat_energy)
-    v = np.empty(np.broadcast_shapes(*map(np.shape, args)) + (3, 3), dtype=complex)
-    v[..., 0, 0] = v11
-    v[..., 0, 1] = -1j * v12
-    v[..., 0, 2] = -1j * v13
-    v[..., 1, 0] = 1j * v12
-    v[..., 1, 1] = -v11
-    v[..., 1, 2] = v23
-    v[..., 2, 0] = 1j * v13
-    v[..., 2, 1] = v23
-    v[..., 2, 2] = flat_energy
-    return v
+    return potential_matrix(seed_components(frame.seed))[None, :, :] - 1j * comm
 
 
 # ---------------------------------------------------------------- stencil
@@ -168,11 +152,11 @@ def test_darboux_engine_equals_its_einsum_formulas(name):
     f = _spinor(rng, GRID.n_points)
     got = join_spinor(apply_darboux(frame, split_spinor(f)))
     assert _same_values(got, _apply_darboux_ref(frame, f))
-    # the real product with its row and column turned against the complex
-    # one, also where xi1 = xi2 leaves the result non-Hermitian
+    # the real commutator form against the complex one in apply_dirac's
+    # gauge, also where xi1 = xi2 leaves the result non-Hermitian
     for fr in (frame, _broken(frame)):
         got, want = commutator_potential(fr), _commutator_potential_ref(fr)
-        assert _same_values(got, want)
+        assert _same_values(got, to_gauge(want))
         assert _same_bits(np.abs(got), np.abs(want))
     for v in (seed_components(frame.seed), transformed_potential(frame)):
         got = join_spinor(apply_dirac(v, split_spinor(f), GRID))
@@ -209,22 +193,23 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     assert fr.f_inv.shape == (3, 3, n) and fr.f_inv.flags.c_contiguous
     assert not fr.f_inv.flags.writeable
     assert _same_values(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv_ref(fr))
+    # V_new in apply_dirac's gauge, D^{-1} V D entry for entry
     comps = transformed_potential(fr)
-    v_ref = _potential_matrix_ref(comps.v11, comps.v12, comps.v13, comps.v23,
-                                  comps.flat_energy)
-    got = comps.matrix_stack()
-    assert got.shape == (n, 3, 3)
-    assert _same_bits(got, v_ref)
+    got = comps.gauge()
+    assert got.shape == (n, 3, 3) and got.dtype == np.float64
+    assert _same_values(got, to_gauge(potential_matrix(comps)))
     assert got.flags.writeable and got.flags.c_contiguous
 
 
-def test_potential_matrix_scalar_and_broadcast_shapes():
-    args = (0.4, -0.2, 0.1, 0.05, 0.7)
-    v = potential_matrix(*args)
-    assert v.shape == (3, 3) and v.flags.c_contiguous
-    assert _same_bits(v, _potential_matrix_ref(*args))
+def test_gauge_scalar_and_broadcast_shapes():
+    comps = PotentialComponents(0.4, -0.2, 0.1, 0.05, 0.7)
+    v = comps.gauge()
+    assert v.shape == (3, 3) and v.dtype == np.float64 and v.flags.c_contiguous
+    assert _same_values(v, to_gauge(potential_matrix(comps)))
+    assert np.array_equal(v, v.T)
     x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    grid_args = (np.sin(x), x, np.cos(x), x**2, -0.2)
-    stack = potential_matrix(*grid_args)
-    assert stack.shape == (3, 4, 3, 3)
-    assert _same_bits(stack, _potential_matrix_ref(*grid_args))
+    comps = PotentialComponents(np.sin(x), x, np.cos(x), x**2, -0.2)
+    stack = comps.gauge()
+    assert stack.shape == (3, 4, 3, 3) and stack.dtype == np.float64
+    assert _same_values(stack, to_gauge(potential_matrix(comps)))
+    assert np.array_equal(stack, np.swapaxes(stack, -1, -2))

@@ -21,7 +21,7 @@ from susychain.lattice import (
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import BandedHermitian, Grid, eigh_banded
 
-from reference import GAMMA, banded_to_dense, edge_localised, wilson_matrix
+from reference import GAMMA, banded_to_dense, edge_localised, potential_matrix, wilson_matrix
 
 # scipy is the oracle of this module's dense solves: without it the module skips
 scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -448,7 +448,7 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
     comps = models.model_potential_components(p, grid)
     gauged = discretize(comps, grid, "central")
-    stack = comps.matrix_stack()
+    stack = potential_matrix(comps)
     assert gauged.bands.dtype == np.float64
     # the Wilson term h*(-d^2/dx^2)*M adds 2M/h on site and -M/h to the
     # central hop, the block from point i to point i + 1

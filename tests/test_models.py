@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import discretize, potential_matrix
+from susychain.continuum import PotentialComponents, discretize
 from susychain.errors import NumericalError
 from susychain.lattice import chain_spectrum
 from susychain.models import (
@@ -19,6 +19,8 @@ from susychain.models import (
 )
 from susychain.numcore import Grid
 from susychain.susy import assemble_frame, transformed_potential
+
+from reference import potential_matrix, to_gauge
 
 P1 = ModelParams(ModelKind.I, 0.07, 0.02)
 P2 = ModelParams(ModelKind.II, 0.03, 0.015)
@@ -169,14 +171,14 @@ def test_model_potential_components_wrapper():
     grid = Grid(-5.0, 5.0, 51)
     comps = model_potential_components(P1, grid)
     assert comps.flat_energy == P1.flat_energy
-    stack = comps.matrix_stack()
+    stack = comps.gauge()
     v = stack[25]
-    np.testing.assert_allclose(v, v.conj().T, atol=1e-15)
+    np.testing.assert_allclose(v, v.T, atol=1e-15)
     assert stack.shape == (51, 3, 3)
     for i in range(51):
-        assert np.array_equal(stack[i], potential_matrix(
+        assert np.array_equal(stack[i], to_gauge(potential_matrix(PotentialComponents(
             comps.v11[i], comps.v12[i], comps.v13[i], comps.v23[i],
-            P1.flat_energy))
+            P1.flat_energy))))
 
 
 # ------------------------------------------------------------ spectra

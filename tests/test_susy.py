@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from susychain import continuum, susy
 from susychain.checks import frame_report, smooth_test_states
-from susychain.continuum import apply_dirac, potential_matrix
+from susychain.continuum import apply_dirac
 from susychain.errors import NumericalError, SingularFrameError
 from susychain.models import ModelKind, ModelParams, model_potential_components
 from susychain.numcore import Grid, diff_central, quad_roots
@@ -34,8 +35,10 @@ from reference import (
     integrate_cumulative,
     inverse_dagger_states,
     join_spinor,
+    potential_matrix,
     seed_columns,
     split_spinor,
+    to_gauge,
 )
 
 # a frame known to be regular on the whole line; a generic c0 can give q(t)
@@ -231,13 +234,56 @@ def test_xi1_closed_form_vs_quadrature():
 # ------------------------------------------------ transformed potential
 
 def test_transformed_potential_hermitian():
-    stack = transformed_potential(_frame()).matrix_stack()
+    stack = transformed_potential(_frame()).gauge()
     assert hermiticity_asymmetry(stack) < 1e-12
+    # a complex V is refused: G - G^T is not V - V^dag there
+    with pytest.raises(NumericalError, match="takes real arrays"):
+        hermiticity_asymmetry(stack + 0j)
 
 
 def test_dual_path_agreement():
     fr = _frame()
     assert dual_path_difference(fr, commutator_potential(fr)) < 1e-9
+
+
+class _RealNumpy:
+    """numpy as a module under test sees it: a call that takes or returns a
+    complex array fails."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            for a in (*args, *kwargs.values(), out):
+                assert not _holds_complex(a), f"np.{name} met a complex array"
+            return out
+        return call
+
+
+def _holds_complex(a):
+    if isinstance(a, (list, tuple)):
+        return any(map(_holds_complex, a))
+    return isinstance(a, (np.ndarray, np.generic, complex)) and np.iscomplexobj(a)
+
+
+def test_commutator_route_forms_no_complex_array(monkeypatch):
+    # the commutator form, its Hermiticity and the dual path, from a frame
+    # built with nothing cached, in real arithmetic: every numpy call that
+    # susy and continuum make refuses a complex array
+    fr = _frame()
+    uhat0, uhat1 = fr.uhat0.copy(), fr.uhat1.copy()
+    uhat0[2, 1], uhat1[2, 1] = uhat0[2, 2], uhat1[2, 2]
+    broken = replace(fr, uhat0=uhat0, uhat1=uhat1)
+    for module in (susy, continuum):
+        monkeypatch.setattr(module, "np", _RealNumpy())
+    stack = commutator_potential(fr)
+    assert stack.dtype == np.float64 and stack.shape == (GRID.n_points, 3, 3)
+    assert hermiticity_asymmetry(stack) < 1e-12
+    assert dual_path_difference(fr, stack) < 1e-9
+    assert hermiticity_asymmetry(commutator_potential(broken)) > 1e-4
 
 
 def test_negative_control_breaks_commutator_hermiticity():
@@ -335,7 +381,7 @@ def test_frame_samples_match_closed_forms_bitwise(seed, grid):
 # --------------------------------------------------------- column gauge
 
 def _potentials(fr):
-    return transformed_potential(fr).matrix_stack(), commutator_potential(fr)
+    return transformed_potential(fr).gauge(), commutator_potential(fr)
 
 
 def _right_factor_gap(seed, c):
@@ -444,8 +490,10 @@ def test_potential_decays_to_asymptotic_constants():
 
 
 def test_seed_potential_matrix_hermitian():
-    v = seed_components(SEED).matrix_stack()
-    np.testing.assert_allclose(v, v.conj().T, atol=1e-16)
+    # real symmetric in apply_dirac's gauge: Hermitian as D^{-1} V D
+    v = seed_components(SEED).gauge()
+    assert v.dtype == np.float64 and np.array_equal(v, v.T)
+    assert np.array_equal(v, to_gauge(potential_matrix(seed_components(SEED))))
 
 
 # ------------------------------------------------------- intertwining
@@ -504,10 +552,10 @@ def _apply_darboux_ref(frame, f):
 
 def _intertwining_residual_ref(frame, states, n_levels):
     residuals, g = [], frame.grid
-    v_seed = seed_components(frame.seed).matrix_stack()
+    v_seed = potential_matrix(seed_components(frame.seed))
     for i in range(n_levels):
         fr = frame if i == 0 else assemble_frame(frame.seed, g)
-        v_new = transformed_potential(fr).matrix_stack()
+        v_new = potential_matrix(transformed_potential(fr))
         level = []
         for f in np.asarray(states(g.x), dtype=complex):
             lhs = _apply_darboux_ref(fr, _apply_dirac_ref(v_seed, f, g))
@@ -545,7 +593,7 @@ def test_real_frame_factors_match_complex_stacks_bitwise(name):
     # Uhat, and apply_dirac on V_new's components against its complex stack
     fr = assemble_frame(LEVEL_SEEDS[name], Grid(-20.0, 20.0, 401))
     g, comps = fr.grid, transformed_potential(fr)
-    stack = comps.matrix_stack()
+    stack = potential_matrix(comps)
     rng = np.random.default_rng(29)
     real = rng.standard_normal((3, g.n_points))
     spinors = [real, real + 1j * rng.standard_normal((3, g.n_points)),
@@ -678,9 +726,10 @@ def test_apply_dirac_matches_row_by_row_operators():
     rng = np.random.default_rng(21)
     s = SEED
     comps = transformed_potential(fr)
-    # the seed potential is the constant potential_matrix with v12 = A
-    assert np.array_equal(seed_components(s).matrix_stack(), potential_matrix(
-        s.mass, s.gauge_a, 0.0, 0.0, s.flat_energy))
+    # the seed potential is the constant V with v12 = A, here in apply_dirac's gauge
+    assert np.array_equal(seed_components(s).gauge(), [[s.mass, -s.gauge_a, 0.0],
+                                                       [-s.gauge_a, -s.mass, 0.0],
+                                                       [0.0, 0.0, s.flat_energy]])
     for _ in range(3):
         f = rng.normal(size=(3, g.n_points)) + 1j * rng.normal(size=(3, g.n_points))
         pairs = [
@@ -700,8 +749,8 @@ def test_frame_just_inside_the_double_range_stays_finite():
         fr = assemble_frame(p.seed_data(), GRID)
         assert np.isfinite(inverse_dagger_states(fr)[0]).all()  # U^{-1}'s rows
         assert np.isfinite(frame_eigen_residuals(fr)).all()
-        stack = transformed_potential(fr).matrix_stack()
-        oracle = model_potential_components(p, GRID).matrix_stack()
+        stack = transformed_potential(fr).gauge()
+        oracle = model_potential_components(p, GRID).gauge()
         assert np.abs(stack - oracle).max() < 1e-8
 
 
@@ -713,8 +762,8 @@ def test_frame_past_the_double_range_of_u_matches_model_potential(kind):
     # read only Uhat
     p = ModelParams(kind, 9.5, 0.0)
     fr = assemble_frame(p.seed_data(), GRID)
-    stack = transformed_potential(fr).matrix_stack()
-    oracle = model_potential_components(p, GRID).matrix_stack()
+    stack = transformed_potential(fr).gauge()
+    oracle = model_potential_components(p, GRID).gauge()
     bound = 1e-8 * (1.0 + np.abs(oracle).max())
     assert np.abs(stack - oracle).max() <= bound
     assert dual_path_difference(fr, commutator_potential(fr)) <= bound
@@ -833,7 +882,7 @@ regular_seed = st.builds(_regular_seed, side=st.sampled_from([-1.0, 1.0]),
 @given(seed=regular_seed)
 def test_transformed_potential_hermitian_property(seed):
     fr = assemble_frame(seed, Grid(-8.0, 8.0, 201))
-    stack = transformed_potential(fr).matrix_stack()
+    stack = transformed_potential(fr).gauge()
     assert hermiticity_asymmetry(stack) < 1e-10
     assert fr.wronskian_relative_stdev < 1e-9
 
