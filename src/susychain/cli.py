@@ -203,10 +203,10 @@ def _null_if_not_finite(value):
 
 
 def _write_json(path, payload):
+    # one write: json.dump with indent makes one write per token
     with open(path, "w") as fh:
-        json.dump(_null_if_not_finite(payload), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(_null_if_not_finite(payload), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 # at 1 or 2 k points (both zone edges) every band has zero spread

@@ -46,7 +46,7 @@ class PotentialComponents:
         return list(values.values())
 
     def gauge(self):
-        """V in apply_dirac's gauge, D^{-1} V D with D = diag(i, 1, 1): the real
+        """V in apply_dirac's gauge, P^{-1} V P with P = diag(i, 1, 1): the real
         symmetric [[v11, -v12, -v13], [-v12, -v11, v23], [-v13, v23, flat_energy]]
         as a broadcast_shape + (3, 3) stack; floats give one 3x3 matrix."""
         entries = [v for row in _gauge_rows(*np.broadcast_arrays(*vars(self).values()))
@@ -55,41 +55,36 @@ class PotentialComponents:
 
 
 def discretize(comps, grid, stencil):
-    """Band storage of H on a grid, by one of two stencils. Each component
-    is a float or holds one sample per grid point.
+    """Band storage of H on a grid, by one of two stencils, in apply_dirac's
+    real gauge: each on-site block is a PotentialComponents' gauge(). Each
+    component is a float or holds one sample per grid point.
 
-    "central": the finite-difference matrix, stored as D^H H D with the
-    constant gauge D = diag(1, i, i) at every point. -i d/dx becomes the
-    antisymmetric central-difference stencil (times -i, hence Hermitian);
-    the potential is taken point by point; the chain is simply truncated
-    at the box walls. Point-major ordering keeps the bandwidth at 4.
-    D is unitary and diagonal, so D^H H D has the spectrum of H, and its
-    eigenvectors are D^H times those of H. D makes every entry real: the
-    on-site block is [[v11, v12, v13], [v12, -v11, v23], [v13, v23, flat_energy]],
-    and the hop to the next point is +1/(2h) from component 0 to 1 and
-    -1/(2h) from 1 to 0. D = i P S with P = diag(i, 1, 1), the gauge of
-    apply_dirac, and S = diag(-1, 1, 1), so this band is S times the real
-    form that apply_dirac applies, times S. A Wilson term h*(-d^2/dx^2)*M,
-    M = [[c, s], [s, -c]] on components 0 and 1, lifts the stencil's doubler
-    at k = pi/h out of the gap: 2M/h on site, -M/h on the hop. Its angle
+    "central": the finite-difference matrix of apply_dirac's operator.
+    -i d/dx becomes the central-difference stencil, the hop to the next
+    point -1/(2h) from component 0 to 1 and +1/(2h) from 1 to 0; the
+    potential is taken point by point; the chain is simply truncated at the
+    box walls. Point-major ordering keeps the bandwidth at 4. A Wilson term
+    h*(-d^2/dx^2)*M, M = [[c, -s], [-s, -c]] on components 0 and 1, lifts
+    the stencil's doubler at k = pi/h out of the gap: 2M/h on site, a shift
+    of v11 by 2c/h and of v12 by 2s/h, and -M/h on the hop. Its angle
     th = atan2(v23^2 - v13^2, 2*v13*v23), where |v13| + |v23| is largest,
-    keeps the flat level exact: u^T M u = 0 for u = (v23, -v13). The
+    keeps the flat level exact: u^T M u = 0 for u = (v23, v13). The
     potential's mass along M, v11*c + v12*s, has opposite signs at the two
     walls, so one wall binds a domain-wall mode, at -lambda to within the
     box's resolution; the continuum operator has no state there.
 
     "saw": the finite open saw chain, one cell (A, B, C) per grid point.
-    The on-site block is [[v11, t + v12, v13], [t + v12, -v11, v23],
-    [v13, v23, flat_energy]] and the one hop t runs from B at point j to
-    A at point j + 1: bandwidth 2. The chain's kinetic scale is t*h, so
-    t = 1/h keeps it at the operator's 1 for any spacing; it is computed
-    as (n - 1)/(x_max - x_min), which can differ from 1/h in the last bit.
-    Its A-B backbone is an SSH chain, intra-cell hop t + v12 and
-    inter-cell hop t, and a wall that ends on the weak bond, |t + v12| <
-    t there, binds an end state in the gap. If both walls do, A at
-    point 0 goes and an A site (on site v11 at the last point, hop t to
-    the last B, no C bond) follows the last B, so the chain keeps 3n sites
-    and ends on strong bonds; if one wall does, NumericalError.
+    The on-site block is the gauge() of v12 shifted to t + v12, and the one
+    hop -t runs from B at point j to A at point j + 1: bandwidth 2. The
+    chain's kinetic scale is t*h, so t = 1/h keeps it at the operator's 1
+    for any spacing; it is computed as (n - 1)/(x_max - x_min), which can
+    differ from 1/h in the last bit. Its A-B backbone is an SSH chain,
+    intra-cell bond t + v12 and inter-cell bond t, and a wall that ends on
+    the weak bond, |t + v12| < t there, binds an end state in the gap. If
+    both walls do, A at point 0 goes and an A site (on site v11 at the last
+    point, hop -t to the last B, no C bond) follows the last B, so the
+    chain keeps 3n sites and ends on strong bonds; if one wall does,
+    NumericalError.
     """
     n = grid.n_points
     values = [np.broadcast_to(v, (n,)) for v in comps.samples(n)]
@@ -105,19 +100,18 @@ def discretize(comps, grid, stencil):
         c, s = np.cos(th), np.sin(th)
         v11 = v11 + 2 / grid.h * c
         v12 = v12 + 2 / grid.h * s
-        hop = (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
-               - np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 0.0]]) / grid.h)
+        hop = (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
+               - PotentialComponents(c, s, 0.0, 0.0, 0.0).gauge() / grid.h)
         bandwidth = 4
     elif stencil == "saw":
         t = (n - 1) / (grid.x_max - grid.x_min)
-        hop = np.array([[0.0, 0.0, 0.0], [t, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        hop = np.array([[0.0, 0.0, 0.0], [-t, 0.0, 0.0], [0.0, 0.0, 0.0]])
         v12 = t + v12
         bandwidth = 2
     else:
         raise NumericalError(f"stencil must be 'central' or 'saw', got {stencil!r}")
-    onsite = np.moveaxis(np.array([[v11, v12, v13], [v12, -v11, v23], [v13, v23, lam]]),
-                         -1, 0)
-    bands = block_tridiagonal_bands(onsite, hop, bandwidth)
+    bands = block_tridiagonal_bands(PotentialComponents(v11, v12, v13, v23, lam).gauge(),
+                                    hop, bandwidth)
     if stencil == "saw":
         ends = np.abs(v12[[0, -1]])
         weak = ends < t
@@ -129,7 +123,7 @@ def discretize(comps, grid, stencil):
                 "sit in the gap; refine the cell spacing")
         if weak.all():
             # column j of the band holds the bonds of site j to the sites before it
-            bands = np.concatenate([bands[:, 1:], [[t], [0.0], [v11[-1]]]], axis=1)
+            bands = np.concatenate([bands[:, 1:], [[-t], [0.0], [v11[-1]]]], axis=1)
             bands[1, 0] = bands[0, 1] = 0.0  # A_0's bonds to B_0 and C_0
     return BandedHermitian(bands)
 

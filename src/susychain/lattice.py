@@ -106,8 +106,9 @@ def tune_flat_band(p):
     and substituting that constant back leaves a k-independent quadratic in
     the flat energy, solved here in closed form. Returns 0, 1 or 2
     solutions, ascending in flat energy; eps_c of the input is ignored.
-    NumericalError if a coefficient, the discriminant or a solution overflows
-    (a Python float past 1.3e154 raises OverflowError at its square first).
+    NumericalError if a coefficient or a solution overflows (a Python float
+    past 1.3e154 raises OverflowError at its square first); quad_roots never
+    forms the discriminant in these units.
     """
     if p.t_ab == 0.0 or p.t_ab_inter == 0.0:
         raise DegenerateDispersionError(
@@ -136,11 +137,10 @@ def tune_flat_band(p):
                       + p.eps_a * p.eps_b + (p.eps_a + p.eps_b) * eps_c
                       - p.t_bc**2 - p.t_ac**2 - (p.t_ab**2 + p.t_ab_inter**2))
         solutions.append(FlatBandSolution(eps_c, e_flat, quad_lin, quad_const, quad_cos))
-    disc = p1 * p1 - 4.0 * p2 * p0
     values = [v for sol in solutions for v in vars(sol).values()]
-    if not np.isfinite([p2, p1, p0, disc, *values]).all():
+    if not np.isfinite([p2, p1, p0, *values]).all():
         raise NumericalError(f"flat-band tuning overflows the double range in {p2:.3g}*E^2 + "
-                             f"{p1:.3g}*E + {p0:.3g} (discriminant {disc:.3g}) or its roots")
+                             f"{p1:.3g}*E + {p0:.3g} or its roots")
     return solutions
 
 

@@ -38,7 +38,7 @@ def potential_matrix(comps):
 
 
 def to_gauge(v):
-    """D^{-1} v D with D = diag(i, 1, 1), row 0 turned by -i and column 0 by
+    """P^{-1} v P with P = diag(i, 1, 1), row 0 turned by -i and column 0 by
     i, each turn exact, as a real array: apply_dirac's gauge. Fails where v
     has no real form there."""
     g = v * np.array([[1.0, -1j, -1j], [1j, 1.0, 1.0], [1j, 1.0, 1.0]])

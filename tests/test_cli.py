@@ -383,8 +383,9 @@ def test_tune_degenerate_exits_3(tmp_path):
       "--set", "t_bc=1"], EXIT_CONFIG, "field 't_ab'"),
     (["bands", "--set", "t_ab=1e308", "--set", "t_ab_inter=1e308"], EXIT_CONFIG,
      "field 't_ab'"),
-    (["tune", "--set", "t_ab=1e-100", "--set", "t_ab_inter=1", "--set", "t_ac=1e100",
-      "--set", "t_bc=1e100"], EXIT_NUMERICAL, "flat-band tuning overflows")])
+    (["tune", "--set", "eps_a=1e100", "--set", "t_ab=1e-100", "--set", "t_ab_inter=1",
+      "--set", "t_ac=1e100", "--set", "t_bc=1e100"], EXIT_NUMERICAL,
+     "flat-band tuning overflows")])
 def test_extreme_tight_binding_values_exit_without_a_traceback(tmp_path, capsys, argv,
                                                                rc, message):
     assert main([*argv, "--out", str(tmp_path)]) == rc
@@ -402,7 +403,7 @@ def test_tight_binding_bound_names_the_field(tmp_path, capsys, command, value):
         assert main([command, "--set", f"{name}={value}", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert f"field '{name}'" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
-    # 1e100 itself is taken (tune at these values overflows: exit 3)
+    # 1e100 itself is taken
     assert main(["bands", *(a for n in names for a in ("--set", f"{n}=1e100")),
                  "--out", str(tmp_path)]) == EXIT_OK
 

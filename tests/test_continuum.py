@@ -19,12 +19,9 @@ from reference import (
     wilson_matrix,
 )
 
-# the gauge in which discretize stores its real bands
-D = np.array([1.0, 1j, 1j])
-
 
 def test_gauge_is_real_symmetric():
-    # D^{-1} V D with D = diag(i, 1, 1): V Hermitian, its gauge form symmetric
+    # P^{-1} V P with P = diag(i, 1, 1): V Hermitian, its gauge form symmetric
     comps = PotentialComponents(0.4, -0.2, 0.1, 0.05, 0.7)
     v = comps.gauge()
     assert v.dtype == np.float64 and np.array_equal(v, v.T)
@@ -55,55 +52,41 @@ def test_discretize_is_hermitian_and_matches_apply():
                                 0.005 * sech, 0.004 * t)
     op = discretize(comps, grid, "central")
     assert op.bands.dtype == np.float64
-    gauged = banded_to_dense(op)
-    np.testing.assert_allclose(gauged, gauged.conj().T, atol=1e-14)
-    # undo the gauge: H = G (D^H H D) G^H with G = kron(I_n, D)
-    g = np.kron(np.eye(grid.n_points), np.diag(D))
-    dense = g @ gauged @ g.conj().T
-    # matrix-vector action agrees with the stencil application plus the
-    # Wilson term h*(-d^2/dx^2)*M away from the box walls (the truncation
-    # differs only in the first/last point)
+    dense = banded_to_dense(op)
+    np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
+    # the band is the matrix of apply_dirac's operator plus the Wilson term
+    # h*(-d^2/dx^2)*M, M in apply_dirac's gauge, on real states, away from
+    # the box walls (the truncation differs only in the first/last point)
     rng = np.random.default_rng(2)
     f = rng.normal(size=(3, grid.n_points))
-    m = wilson_matrix(comps)
-    via_matrix = (dense @ f.T.ravel()).reshape(grid.n_points, 3).T
-    via_stencil = join_spinor(apply_dirac(comps, split_spinor(f), grid))
-    via_stencil[:, 1:-1] += m @ (2 * f[:, 1:-1] - f[:, :-2] - f[:, 2:]) / grid.h
-    np.testing.assert_allclose(via_matrix[:, 1:-1], via_stencil[:, 1:-1],
-                               atol=1e-10)
-    # D = i P S with P = diag(i, 1, 1) and S = diag(-1, 1, 1): the real band
-    # is S times apply_dirac's real form, with M as P^H M P, times S
-    s = np.tile([-1.0, 1.0, 1.0], grid.n_points)
-    via_band = (s * (gauged @ (s * f.T.ravel()))).reshape(grid.n_points, 3).T
-    p = np.diag([1j, 1.0, 1.0])
-    m_real = (p.conj().T @ m @ p).real
+    m = to_gauge(wilson_matrix(comps))
+    via_band = (dense @ f.T.ravel()).reshape(grid.n_points, 3).T
     via_apply = apply_dirac(comps, f, grid)
-    via_apply[:, 1:-1] += m_real @ (2 * f[:, 1:-1] - f[:, :-2] - f[:, 2:]) / grid.h
+    via_apply[:, 1:-1] += m @ (2 * f[:, 1:-1] - f[:, :-2] - f[:, 2:]) / grid.h
     np.testing.assert_allclose(via_band[:, 1:-1], via_apply[:, 1:-1], atol=1e-10)
 
 
 def _discretize_reference(comps, grid):
     """Band storage of discretize, filled entry by entry, point by point,
-    each entry (a, b) of the potential and the hop gauged to
-    conj(D_a) * H_ab * D_b. The Wilson term h*(-d^2/dx^2)*M adds 2M/h on
-    site and -M/h to the hop."""
+    from the complex potential and hop, each turned to apply_dirac's gauge
+    by to_gauge. The Wilson term h*(-d^2/dx^2)*M adds 2M/h on site and -M/h
+    to the hop."""
     n = grid.n_points
-    d = D
     m = wilson_matrix(comps)
-    v = np.broadcast_to(potential_matrix(comps) + 2 / grid.h * m, (n, 3, 3))
-    bands = np.zeros((5, 3 * n), dtype=complex)
+    v = to_gauge(np.broadcast_to(potential_matrix(comps) + 2 / grid.h * m, (n, 3, 3)))
+    # M/h part by part: numpy's complex division by a real rounds otherwise
+    hop = to_gauge(-1j / (2 * grid.h) * GAMMA - (m.real / grid.h + 1j * (m.imag / grid.h)))
+    bands = np.zeros((5, 3 * n))
     for i in range(n):
         for a in range(3):
             for b in range(a, 3):
-                bands[4 + a - b, 3 * i + b] = d[a].conjugate() * v[i, a, b] * d[b]
-    # M/h part by part: numpy's complex division by a real rounds otherwise
-    hop = -1j / (2 * grid.h) * GAMMA - (m.real / grid.h + 1j * (m.imag / grid.h))
+                bands[4 + a - b, 3 * i + b] = v[i, a, b]
     for i in range(n - 1):
         for a in range(3):
             for b in range(3):
                 if hop[a, b] != 0:
                     row, col = 3 * i + a, 3 * (i + 1) + b
-                    bands[4 + row - col, col] = d[a].conjugate() * hop[a, b] * d[b]
+                    bands[4 + row - col, col] = hop[a, b]
     return bands
 
 
@@ -118,8 +101,7 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
     bands = discretize(comps, grid, "central").bands
     reference = _discretize_reference(comps, grid)
     assert bands.dtype == np.float64
-    assert not reference.imag.any()
-    assert np.array_equal(bands, reference.real)
+    assert np.array_equal(bands, reference)
 
 
 def test_discretize_rejects_bad_potential():

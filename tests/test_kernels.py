@@ -193,7 +193,7 @@ def test_stack_producers_keep_shape_values_and_flags(name):
     assert fr.f_inv.shape == (3, 3, n) and fr.f_inv.flags.c_contiguous
     assert not fr.f_inv.flags.writeable
     assert _same_values(fr.f_inv * np.array([-1j, 1.0, 1.0])[:, None], _uhat_inv_ref(fr))
-    # V_new in apply_dirac's gauge, D^{-1} V D entry for entry
+    # V_new in apply_dirac's gauge, P^{-1} V P entry for entry
     comps = transformed_potential(fr)
     got = comps.gauge()
     assert got.shape == (n, 3, 3) and got.dtype == np.float64

@@ -143,15 +143,35 @@ def test_tune_degenerate_inputs_raise():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cast", [float, np.float64])
 @pytest.mark.parametrize("kwargs", [
-    # the discriminant (2e200)^2 + 4e600 overflows; the roots are near +-1
-    dict(t_ab=1e-100, t_ab_inter=1.0, t_ac=1e100, t_bc=1e100),
+    # p1 = -(t_ac*t_bc/t_ab)*eps_a = -1e400 overflows
+    dict(eps_a=1e100, t_ab=1e-100, t_ab_inter=1.0, t_ac=1e100, t_bc=1e100),
     # t_ac*t_bc/t_ab overflows
-    dict(t_ab=1e-300, t_ab_inter=1.0, t_ac=1.0, t_bc=1.0),
-    dict(t_ab=1e100, t_ab_inter=1e100, t_ac=1e100, t_bc=1e100)])
+    dict(t_ab=1e-300, t_ab_inter=1.0, t_ac=1e10, t_bc=1.0),
+    # finite coefficients, but a root near -1e300 makes quad_const near 1e400
+    dict(eps_a=1e100, t_ab=1e100, t_ab_inter=1.0, t_ac=1e100, t_bc=1e-100)])
 def test_tune_overflow_raises_numerical_error(kwargs, cast):
     p = TightBindingParams(**{k: cast(v) for k, v in kwargs.items()})
     with pytest.raises(NumericalError, match="overflows the double range"):
         tune_flat_band(p)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [260, 300, 330, 332])
+def test_tune_is_exact_under_a_power_of_two_rescaling(k):
+    # the quadratic's coefficients are up to cubic in the couplings' scale,
+    # but quad_roots scales them before it forms the discriminant: at scale
+    # 2^k each root and quad_* value is 2^k or 2^2k times its value at scale
+    # 1, exactly, and the residual 2^3k times, up to the CLI's 1e100 bound
+    scaled = TightBindingParams(t_ab=2.0**k, t_ab_inter=2.0**k, t_ac=0.2 * 2.0**k,
+                                t_bc=0.01 * 2.0**k)
+    sols, sols_s = tune_flat_band(P_REF), tune_flat_band(scaled)
+    assert len(sols) == len(sols_s) == 2
+    for sol, sol_s in zip(sols, sols_s):
+        for name, power in [("eps_c", 1), ("flat_energy", 1), ("quad_lin", 1),
+                            ("quad_const", 2), ("quad_cos", 2)]:
+            assert getattr(sol_s, name) == np.ldexp(getattr(sol, name), power * k), name
+        assert flat_band_residual(scaled, sol_s) == np.ldexp(flat_band_residual(P_REF, sol),
+                                                             3 * k)
 
 
 nonzero = st.floats(0.05, 3.0).flatmap(
@@ -186,11 +206,12 @@ SSH = PotentialComponents(0.0, -0.6, 0.0, 0.0, 10.0)
 
 def _saw_bands_reference(comps, grid, terminate=True):
     """Band storage of the saw stencil, filled entry by entry, cell by cell,
-    from the components and the hop t = (n - 1)/(x_max - x_min). With
+    from the components and t = (n - 1)/(x_max - x_min), in apply_dirac's
+    gauge: M[A, B] = -(t + v12), M[A, C] = -v13 and the hop -t. With
     `terminate`, a chain whose walls both end on the weak bond, |t + v12|
     < t at the first and last cell, starts at B_0 and ends on A_n: A_0 and
-    its bonds go, and A_n (on site v11 of the last cell, hop t from B_{n-1})
-    takes the last of 3n sites."""
+    its bonds go, and A_n (on site v11 of the last cell, hop -t from
+    B_{n-1}) takes the last of 3n sites."""
     n = grid.n_points
     t = (n - 1) / (grid.x_max - grid.x_min)
     v11, v12, v13, v23, lam = (np.broadcast_to(v, (n,)) for v in (
@@ -207,14 +228,14 @@ def _saw_bands_reference(comps, grid, terminate=True):
         put(a, a, v11[c])
         put(b, b, -v11[c])
         put(cc, cc, lam[c])
-        put(a, b, t + v12[c])
-        put(a, cc, v13[c])
+        put(a, b, -(t + v12[c]))
+        put(a, cc, -v13[c])
         put(b, cc, v23[c])
         if c > 0:
-            put(3 * (c - 1) + 1, a, t)  # B of the previous cell to A
+            put(3 * (c - 1) + 1, a, -t)  # B of the previous cell to A
     if shift:
         put(3 * n, 3 * n, v11[-1])
-        put(3 * n - 2, 3 * n, t)
+        put(3 * n - 2, 3 * n, -t)
     return bands
 
 
@@ -441,8 +462,9 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
                                            (ModelKind.II, 0.1, 0.05)],
                          ids=["model_I", "model_II"])
 def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
-    # discretize stores D^H H D with D = diag(1, i, i) per point, in real
-    # bands; a dense solve of the ungauged complex H must give the same report
+    # discretize stores P^H H P with P = diag(i, 1, 1) per point, apply_dirac's
+    # gauge, in real bands; a dense solve of the ungauged complex H must give
+    # the same report
     p = ModelParams(kind, mass, lam)
     gap_exclusion = 0.1 * p.seed_data().gap_edge
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)

@@ -236,19 +236,19 @@ def test_saw_stencil_entries(p, n_cells, box):
     t = (n_cells - 1) / (2 * box)
     v11, v12, v13, v23 = model_potential(p, np.linspace(-box, box, n_cells))
     zero = np.zeros(n_cells)
-    # per cell (A, B, C): the diagonal, then M[C_prev, A], M[A, B], M[B, C],
-    # then M[B_prev, A], M[C_prev, B], M[A, C]
+    # per cell (A, B, C) in apply_dirac's gauge: the diagonal, then M[C_prev, A],
+    # M[A, B], M[B, C], then M[B_prev, A], M[C_prev, B], M[A, C]
     diag = np.c_[v11, -v11, zero + p.flat_energy].ravel()
-    first = np.c_[zero, t + v12, v23].ravel()
-    second = np.c_[np.r_[0.0, zero[1:] + t], zero, v13].ravel()
+    first = np.c_[zero, -(t + v12), v23].ravel()
+    second = np.c_[np.r_[0.0, -(zero[1:] + t)], zero, -v13].ravel()
     # lambda > 0: v12 < 0 at both walls, which end on the weak bond t + v12.
     # A_0 and its bonds M[A_0, B_0], M[A_0, C_0] go, and one more A site, on
-    # site v11 of the last cell and t from the last B, ends the chain
+    # site v11 of the last cell and -t from the last B, ends the chain
     assert (np.abs(t + v12[[0, -1]]) < t).all()
     first[1] = second[2] = 0.0
     np.testing.assert_array_equal(bands[2], np.r_[diag[1:], v11[-1]])
     np.testing.assert_array_equal(bands[1], np.r_[first[1:], 0.0])
-    np.testing.assert_array_equal(bands[0], np.r_[second[1:], t])
+    np.testing.assert_array_equal(bands[0], np.r_[second[1:], -t])
 
 
 # the allowance for lattice corrections of perfbench's chain gap-edge check
@@ -272,11 +272,11 @@ def test_chain_hopping_follows_cell_spacing(p):
         grid = Grid(-box, box, n_cells)
         chain = discretize(model_potential_components(p, grid), grid, "saw")
         v12 = model_potential(p, np.linspace(-box, box, n_cells))[1]
-        # the hop B_j -> A_{j+1}, and M[A_j, B_j]; with lambda > 0 the chain
-        # starts at B_0 and ends on one more A site (s = 1)
+        # the hop B_j -> A_{j+1}, and M[A_j, B_j], in apply_dirac's gauge; with
+        # lambda > 0 the chain starts at B_0 and ends on one more A site (s = 1)
         s = int(p.flat_energy > 0)
-        assert np.array_equal(chain.bands[0, 3 - s::3], np.full(n_cells - 1 + s, 1.0 / h))
-        assert np.array_equal(chain.bands[1, 1 - s::3][s:], 1.0 / h + v12[s:])
+        assert np.array_equal(chain.bands[0, 3 - s::3], -np.full(n_cells - 1 + s, 1.0 / h))
+        assert np.array_equal(chain.bands[1, 1 - s::3][s:], -(1.0 / h + v12[s:]))
         rep = chain_spectrum(chain, flat_energy=p.flat_energy, cluster_tol=1e-6,
                              gap_exclusion=0.1 * edge)
         err = max(abs(abs(rep.gap_edge_neg) / edge - 1.0),

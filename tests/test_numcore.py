@@ -377,6 +377,37 @@ def test_eigh_banded_below_a_tridiagonal_lead_keeps_eig_banded_bits(
     assert np.array_equal(eigh_banded(m), _full_solve(m))
 
 
+def _off_diagonal_scaled(bands, f):
+    """Band storage of M with each M[i, j], i != j, times f[i] * f[j]."""
+    u, out = bands.shape[0] - 1, bands.copy()
+    for d in range(1, u + 1):  # M[i, i + d] = bands[u - d, i + d]
+        out[u - d, d:] *= f[:-d] * f[d:]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 60), bw=st.integers(1, 4), lead=st.integers(0, 59),
+       seed=st.integers(0, 2**32 - 1), sparse=st.sampled_from([0.0, 0.5, 0.9]),
+       loose=st.sampled_from([0.0, 0.2]), scale=st.sampled_from(LEAD_SCALES))
+@example(dim=40, bw=1, lead=0, seed=1, sparse=0.0, loose=0.2, scale=1e-300)
+@example(dim=40, bw=4, lead=0, seed=2, sparse=0.5, loose=0.2, scale=1e300)
+@example(dim=40, bw=2, lead=10, seed=3, sparse=0.0, loose=0.0, scale=1e-150)
+@example(dim=40, bw=3, lead=0, seed=4, sparse=0.9, loose=0.2, scale=1e150)
+def test_eigh_banded_keeps_its_bits_under_a_sign_similarity(
+        dim, bw, lead, seed, sparse, loose, scale):
+    # S M S, S a random +-1 diagonal, has M's spectrum, and eigh_banded
+    # returns the same bits for both: dsbtrd's rotations are sign-symmetric,
+    # dsterf reads only the squared off-diagonal, and deflation reads |M|.
+    # A loose site's couplings are 1e-18 of the rest, so it is deflated
+    rng = np.random.default_rng([seed, 1])  # apart from _band_with_lead's draws
+    bands = _band_with_lead(dim, bw, min(lead, dim - 1), seed, sparse)
+    bands = _off_diagonal_scaled(bands, np.where(rng.random(dim) < loose, 1e-18, 1.0)) * scale
+    signs = rng.choice([-1.0, 1.0], size=dim)
+    flipped = _off_diagonal_scaled(bands, signs)
+    assert np.array_equal(eigh_banded(BandedHermitian(flipped)),
+                          eigh_banded(BandedHermitian(bands)))
+
+
 RMIN = 2.0**-485  # sqrt(safmin / eps): dsbevd scales outside [RMIN, 1 / RMIN]
 
 

@@ -490,7 +490,7 @@ def test_potential_decays_to_asymptotic_constants():
 
 
 def test_seed_potential_matrix_hermitian():
-    # real symmetric in apply_dirac's gauge: Hermitian as D^{-1} V D
+    # real symmetric in apply_dirac's gauge: Hermitian as P^{-1} V P
     v = seed_components(SEED).gauge()
     assert v.dtype == np.float64 and np.array_equal(v, v.T)
     assert np.array_equal(v, to_gauge(potential_matrix(seed_components(SEED))))
