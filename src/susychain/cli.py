@@ -27,10 +27,10 @@ import numpy as np
 
 from . import susy
 from .checks import frame_report, invariant_checks
-from .continuum import discretize
+from .continuum import discretize, saw_cells
 from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, chain_spectrum, \
-    default_k_grid, flat_band_residual, tune_flat_band
+    default_k_grid, flat_band_residual, saw_chain, tune_flat_band
 from .models import ModelKind, ModelParams
 from .numcore import MAX_PARAM, Grid
 from .susy import assemble_frame, transformed_potential
@@ -320,18 +320,19 @@ def cmd_spectrum(st, out_dir):
     cluster_tol = 1e-5 * seed.gap_edge
     gap_exclusion = 0.1 * seed.gap_edge
 
-    # route -> (stencil, grid points, default box half-width, predicted in-gap
-    # states): the saw chain ends on strong bonds and binds none; the central
-    # stencil's Wilson term binds one domain-wall mode at -lambda
+    # route -> (operator of V on a grid, grid points, default box half-width,
+    # predicted in-gap states): the saw chain ends on strong bonds and binds
+    # none; the central stencil's Wilson term binds one domain-wall mode at -lambda
     lam = seed.flat_energy
-    routes = {"chain": ("saw", st["cells"], (st["cells"] - 1) / 2.0, ()),
-              "continuum": ("central", st["grid_points"], 12.0 / seed.kappa0, (-lam,))}
+    routes = {"chain": (lambda comps, grid: saw_chain(saw_cells(comps, grid)), st["cells"],
+                        (st["cells"] - 1) / 2.0, ()),
+              "continuum": (discretize, st["grid_points"], 12.0 / seed.kappa0, (-lam,))}
 
     def route(name):
-        stencil, n, default_box, predicted = routes[name]
+        operator, n, default_box, predicted = routes[name]
         box = st["box"] or default_box
         grid = Grid(-box, box, n)
-        op = discretize(transformed_potential(assemble_frame(seed, grid)), grid, stencil)
+        op = operator(transformed_potential(assemble_frame(seed, grid)), grid)
         report = chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
                                 gap_exclusion=gap_exclusion, predicted=predicted)
         kh = seed.kappa0 * grid.h

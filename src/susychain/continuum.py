@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .lattice import TightBindingParams
 from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, real_array
 
 
@@ -54,13 +55,20 @@ class PotentialComponents:
         return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (3, 3))
 
 
-def discretize(comps, grid, stencil):
-    """Band storage of H on a grid, by one of two stencils, in apply_dirac's
-    real gauge: each on-site block is a PotentialComponents' gauge(). Each
-    component is a float or holds one sample per grid point.
+def _finite_samples(comps, grid):
+    """comps' components, one sample per grid point, all finite."""
+    n = grid.n_points
+    values = [np.broadcast_to(v, (n,)) for v in comps.samples(n)]
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise NumericalError(f"non-finite potential sample at x={grid.x[np.argmin(finite)]:.6g}")
+    return values
 
-    "central": the finite-difference matrix of apply_dirac's operator.
-    -i d/dx becomes the central-difference stencil, the hop to the next
+
+def discretize(comps, grid):
+    """Band storage of apply_dirac's operator on a grid, in its real gauge:
+    each on-site block is a gauge(), each component a float or one sample per
+    point. -i d/dx becomes the central-difference stencil, the hop to the next
     point -1/(2h) from component 0 to 1 and +1/(2h) from 1 to 0; the
     potential is taken point by point; the chain is simply truncated at the
     box walls. Point-major ordering keeps the bandwidth at 4. A Wilson term
@@ -72,60 +80,27 @@ def discretize(comps, grid, stencil):
     potential's mass along M, v11*c + v12*s, has opposite signs at the two
     walls, so one wall binds a domain-wall mode, at -lambda to within the
     box's resolution; the continuum operator has no state there.
-
-    "saw": the finite open saw chain, one cell (A, B, C) per grid point.
-    The on-site block is the gauge() of v12 shifted to t + v12, and the one
-    hop -t runs from B at point j to A at point j + 1: bandwidth 2. The
-    chain's kinetic scale is t*h, so t = 1/h keeps it at the operator's 1
-    for any spacing; it is computed as (n - 1)/(x_max - x_min), which can
-    differ from 1/h in the last bit. Its A-B backbone is an SSH chain,
-    intra-cell bond t + v12 and inter-cell bond t, and a wall that ends on
-    the weak bond, |t + v12| < t there, binds an end state in the gap. If
-    both walls do, A at point 0 goes and an A site (on site v11 at the last
-    point, hop -t to the last B, no C bond) follows the last B, so the
-    chain keeps 3n sites and ends on strong bonds; if one wall does,
-    NumericalError.
     """
-    n = grid.n_points
-    values = [np.broadcast_to(v, (n,)) for v in comps.samples(n)]
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        x = grid.x[np.argmin(finite)]
-        raise NumericalError(f"non-finite potential sample at x={x:.6g}")
-    v11, v12, v13, v23, lam = values
-    if stencil == "central":
-        j = np.argmax(np.abs(v13) + np.abs(v23))
-        # + 0.0: where v13 = v23 = 0, arctan2(0.0, -0.0) would give pi, not 0
-        th = np.arctan2(v23[j] * v23[j] - v13[j] * v13[j], 2 * v13[j] * v23[j] + 0.0)
-        c, s = np.cos(th), np.sin(th)
-        v11 = v11 + 2 / grid.h * c
-        v12 = v12 + 2 / grid.h * s
-        hop = (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
-               - PotentialComponents(c, s, 0.0, 0.0, 0.0).gauge() / grid.h)
-        bandwidth = 4
-    elif stencil == "saw":
-        t = (n - 1) / (grid.x_max - grid.x_min)
-        hop = np.array([[0.0, 0.0, 0.0], [-t, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        v12 = t + v12
-        bandwidth = 2
-    else:
-        raise NumericalError(f"stencil must be 'central' or 'saw', got {stencil!r}")
-    bands = block_tridiagonal_bands(PotentialComponents(v11, v12, v13, v23, lam).gauge(),
-                                    hop, bandwidth)
-    if stencil == "saw":
-        ends = np.abs(v12[[0, -1]])
-        weak = ends < t
-        if weak[0] != weak[1]:
-            raise NumericalError(
-                f"the saw chain's {'left' if weak[0] else 'right'} wall ends on its weak "
-                f"bond and the other on its strong one (|t + v12| = {ends[0]:.3g} at the "
-                f"left wall, {ends[1]:.3g} at the right, t = {t:.3g}): an end state would "
-                "sit in the gap; refine the cell spacing")
-        if weak.all():
-            # column j of the band holds the bonds of site j to the sites before it
-            bands = np.concatenate([bands[:, 1:], [[-t], [0.0], [v11[-1]]]], axis=1)
-            bands[1, 0] = bands[0, 1] = 0.0  # A_0's bonds to B_0 and C_0
-    return BandedHermitian(bands)
+    v11, v12, v13, v23, lam = _finite_samples(comps, grid)
+    j = np.argmax(np.abs(v13) + np.abs(v23))
+    # + 0.0: where v13 = v23 = 0, arctan2(0.0, -0.0) would give pi, not 0
+    th = np.arctan2(v23[j] * v23[j] - v13[j] * v13[j], 2 * v13[j] * v23[j] + 0.0)
+    c, s = np.cos(th), np.sin(th)
+    hop = (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) / (2 * grid.h)
+           - PotentialComponents(c, s, 0.0, 0.0, 0.0).gauge() / grid.h)
+    onsite = PotentialComponents(v11 + 2 / grid.h * c, v12 + 2 / grid.h * s, v13, v23, lam)
+    return BandedHermitian(block_tridiagonal_bands(onsite.gauge(), hop, 4))
+
+
+def saw_cells(comps, grid):
+    """The cells of V's saw chain, one per grid point, in apply_dirac's gauge:
+    eps_a = v11, eps_b = -v11, eps_c = lambda, t_ab = -(t + v12), t_ab_inter =
+    -t, t_ac = -v13, t_bc = v23. The chain's kinetic scale t*h stays the
+    operator's 1 at t = (n - 1)/(x_max - x_min), 1/h up to its last bit."""
+    v11, v12, v13, v23, lam = _finite_samples(comps, grid)
+    t = (grid.n_points - 1) / (grid.x_max - grid.x_min)
+    return TightBindingParams(eps_a=v11, eps_b=-v11, eps_c=lam, t_ab=-(t + v12),
+                              t_ab_inter=-t, t_ac=-v13, t_bc=v23)
 
 
 def apply_dirac(potential, state, grid):

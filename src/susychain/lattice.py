@@ -1,4 +1,4 @@
-"""Saw-chain tight-binding model.
+"""Saw-chain tight-binding model: Bloch bands of one cell, open chains of many.
 
 Three sites (A, B, C) per cell. Intra-cell bonds t_ab, t_ac, t_bc; the
 inter-cell bond t_ab_inter connects A_n with B_{n-1}. The cell spacing a is
@@ -18,11 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDispersionError, NumericalError
-from .numcore import eigh_banded, quad_roots
+from .numcore import BandedHermitian, block_tridiagonal_bands, eigh_banded, quad_roots
 
 
 @dataclass(frozen=True)
 class TightBindingParams:
+    """Floats for one cell, or arrays over the cells (t_ab_inter a float)."""
+
     eps_a: float = 0.0
     eps_b: float = 0.0
     eps_c: float = 0.0
@@ -32,7 +34,7 @@ class TightBindingParams:
     t_bc: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite([*vars(self).values()]).all():
+        if not np.isfinite(np.concatenate([np.ravel(v) for v in vars(self).values()])).all():
             raise NumericalError("tight-binding parameters must be finite")
 
 
@@ -52,19 +54,47 @@ class FlatBandSolution:
     quad_cos: float
 
 
+def saw_cell(p):
+    """The on-site block [[eps_a, t_ab, t_ac], [t_ab, eps_b, t_bc], [t_ac, t_bc,
+    eps_c]] of p's cells: 3x3 for float fields, a stack of them for arrays."""
+    rows = ((p.eps_a, p.t_ab, p.t_ac), (p.t_ab, p.eps_b, p.t_bc), (p.t_ac, p.t_bc, p.eps_c))
+    entries = np.broadcast_arrays(*(v for row in rows for v in row))
+    return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (3, 3))
+
+
+def saw_chain(p):
+    """The open chain of p's cells (A_j, B_j, C_j), bandwidth 2, t_ab_inter the
+    bond from each B to the next A. An SSH (Su-Schrieffer-Heeger) wall on its weak
+    bond, |t_ab| < |t_ab_inter|, binds an end state in the gap: if both walls
+    are weak, A_0 goes and an A site (eps_a of the last cell, bond t_ab_inter to
+    the last B) ends the chain, which keeps 3n sites; if one is, NumericalError."""
+    onsite = np.reshape(saw_cell(p), (-1, 3, 3))
+    t = p.t_ab_inter
+    bands = block_tridiagonal_bands(onsite, [[0.0, 0.0, 0.0], [t, 0.0, 0.0], [0.0, 0.0, 0.0]], 2)
+    ends = np.abs(onsite[[0, -1], 0, 1])
+    weak = ends < abs(t)
+    if weak[0] != weak[1]:
+        raise NumericalError(f"the saw chain's {'left' if weak[0] else 'right'} wall ends on "
+                             f"its weak bond and the other on its strong one (|t_ab| = "
+                             f"{ends[0]:.3g} at the left wall, {ends[1]:.3g} at the right, "
+                             f"|t_ab_inter| = {abs(t):.3g}): an end state would sit in the gap")
+    if weak.all():
+        # column j of the band holds the bonds of site j to the sites before it
+        bands = np.concatenate([bands[:, 1:], [[t], [0.0], onsite[-1:, 0, 0]]], axis=1)
+        bands[1, 0] = bands[0, 1] = 0.0  # A_0's bonds to B_0 and C_0
+    return BandedHermitian(bands)
+
+
 def bloch_hamiltonian(p, k):
-    """Bloch Hamiltonian H(k) of the saw chain: a 3x3 complex matrix for a
-    scalar k, a k.shape + (3, 3) stack for an array."""
+    """Bloch Hamiltonian H(k): saw_cell(p) with t_ab + t_ab_inter*e^{-ik} from A
+    to B, 3x3 complex for a scalar k, a k.shape + (3, 3) stack for an array."""
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise NumericalError("k must be finite")
     # + 0.0 turns a -0 part into +0, which the scalar and array paths of
     # the product otherwise sign differently (and eigh then differs)
     off = p.t_ab + p.t_ab_inter * np.exp(-1j * k) + 0.0
-    h = np.empty(k.shape + (3, 3), dtype=complex)
-    h[...] = [[p.eps_a, 0.0, p.t_ac],
-              [0.0, p.eps_b, p.t_bc],
-              [p.t_ac, p.t_bc, p.eps_c]]
+    h = np.broadcast_to(saw_cell(p), k.shape + (3, 3)).astype(complex)
     h[..., 0, 1] = off
     h[..., 1, 0] = np.conj(off)
     return h
@@ -91,9 +121,10 @@ def det_secular(p, k, energy):
     d2 = p.eps_b - energy
     d3 = p.eps_c - energy
     cos_k = np.cos(k)
-    b2 = p.t_ab**2 + p.t_ab_inter**2 + 2 * p.t_ab * p.t_ab_inter * cos_k
+    # x * x, not x**2: pow is not correctly rounded, so (s x)**2 may miss s^2 x**2
+    b2 = p.t_ab * p.t_ab + p.t_ab_inter * p.t_ab_inter + 2 * p.t_ab * p.t_ab_inter * cos_k
     re_b = p.t_ab + p.t_ab_inter * cos_k
-    return (d1 * d2 * d3 - d1 * p.t_bc**2 - d2 * p.t_ac**2
+    return (d1 * d2 * d3 - d1 * (p.t_bc * p.t_bc) - d2 * (p.t_ac * p.t_ac)
             - b2 * d3 + 2 * p.t_ac * p.t_bc * re_b)
 
 
@@ -106,9 +137,9 @@ def tune_flat_band(p):
     and substituting that constant back leaves a k-independent quadratic in
     the flat energy, solved here in closed form. Returns 0, 1 or 2
     solutions, ascending in flat energy; eps_c of the input is ignored.
-    NumericalError if a coefficient or a solution overflows (a Python float
-    past 1.3e154 raises OverflowError at its square first); quad_roots never
-    forms the discriminant in these units.
+    NumericalError if a coefficient or a solution overflows (squares are
+    products, which reach inf where pow raises OverflowError); quad_roots
+    never forms the discriminant in these units.
     """
     if p.t_ab == 0.0 or p.t_ab_inter == 0.0:
         raise DegenerateDispersionError(
@@ -120,10 +151,11 @@ def tune_flat_band(p):
             "band at eps_c; tuning is ill-posed"
         )
     r = p.t_ac * p.t_bc / p.t_ab
+    ab2, ac2, bc2 = p.t_ab * p.t_ab + p.t_ab_inter * p.t_ab_inter, p.t_ac * p.t_ac, p.t_bc * p.t_bc
     p2 = r
-    p1 = -r * (p.eps_a + p.eps_b) + p.t_bc**2 + p.t_ac**2
-    p0 = (p.eps_a * p.eps_b * r - p.eps_a * p.t_bc**2 - p.eps_b * p.t_ac**2
-          - (p.t_ab**2 + p.t_ab_inter**2) * r + 2 * p.t_ab * p.t_ac * p.t_bc)
+    p1 = -r * (p.eps_a + p.eps_b) + bc2 + ac2
+    p0 = (p.eps_a * p.eps_b * r - p.eps_a * bc2 - p.eps_b * ac2
+          - ab2 * r + 2 * p.t_ab * p.t_ac * p.t_bc)
     if p2 == p1 == p0 == 0.0:
         # p2 = r is 0 only where t_ac or t_bc is, and then p1 = t_ac^2 + t_bc^2 > 0
         raise NumericalError(f"flat-band tuning: t_ac^2 + t_bc^2 underflows to 0 "
@@ -133,9 +165,8 @@ def tune_flat_band(p):
         eps_c = e_flat + r
         quad_lin = e_flat - (p.eps_a + p.eps_b + eps_c)
         quad_cos = -2 * p.t_ab * p.t_ab_inter
-        quad_const = (quad_lin * e_flat
-                      + p.eps_a * p.eps_b + (p.eps_a + p.eps_b) * eps_c
-                      - p.t_bc**2 - p.t_ac**2 - (p.t_ab**2 + p.t_ab_inter**2))
+        quad_const = (quad_lin * e_flat + p.eps_a * p.eps_b + (p.eps_a + p.eps_b) * eps_c
+                      - bc2 - ac2 - ab2)
         solutions.append(FlatBandSolution(eps_c, e_flat, quad_lin, quad_const, quad_cos))
     values = [v for sol in solutions for v in vars(sol).values()]
     if not np.isfinite([p2, p1, p0, *values]).all():

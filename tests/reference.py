@@ -64,7 +64,7 @@ def join_spinor(parts):
 
 
 def wilson_matrix(comps):
-    """The complex 3x3 M of discretize's "central" Wilson term h*(-d^2/dx^2)*M,
+    """The complex 3x3 M of discretize's Wilson term h*(-d^2/dx^2)*M,
     written out: cos(th)*sigma_z + sin(th)*sigma_y on components 0 and 1,
     th = atan2(v23^2 - v13^2, 2*v13*v23) where |v13| + |v23| is largest,
     and th = 0 where v13 = v23 = 0 everywhere."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from susychain.continuum import PotentialComponents, apply_dirac, discretize
+from susychain.continuum import PotentialComponents, apply_dirac, discretize, saw_cells
 from susychain.errors import NumericalError
 from susychain.lattice import TightBindingParams, band_structure
 from susychain.numcore import Grid, eigh_banded
@@ -50,7 +50,7 @@ def test_discretize_is_hermitian_and_matches_apply():
     t, sech = np.tanh(grid.x), 1 / np.cosh(grid.x)
     comps = PotentialComponents(0.03 + 0.01 * t, -0.02 * t, 0.01 * sech,
                                 0.005 * sech, 0.004 * t)
-    op = discretize(comps, grid, "central")
+    op = discretize(comps, grid)
     assert op.bands.dtype == np.float64
     dense = banded_to_dense(op)
     np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
@@ -98,7 +98,7 @@ def test_discretize_matches_per_point_reference_bitwise(stacked):
         comps = PotentialComponents(*rng.normal(size=(4, grid.n_points)), -0.2)
     else:
         comps = PotentialComponents(0.03, -0.02, 0.01, 0.005, -0.2)
-    bands = discretize(comps, grid, "central").bands
+    bands = discretize(comps, grid).bands
     reference = _discretize_reference(comps, grid)
     assert bands.dtype == np.float64
     assert np.array_equal(bands, reference)
@@ -110,23 +110,22 @@ def test_discretize_rejects_bad_potential():
     # apply_dirac reads the components through the same shape check
     with pytest.raises(NumericalError, match="v12 .*shape"):
         apply_dirac(short, np.zeros((3, 11)), grid)
-    for stencil in ("central", "saw"):
+    # the continuum's band and the chain's cells read V through the same checks
+    for build in (discretize, saw_cells):
         with pytest.raises(NumericalError, match="v12 .*shape"):
-            discretize(short, grid, stencil)
+            build(short, grid)
         v11 = np.zeros(11)
         v11[4] = np.nan
         with pytest.raises(NumericalError, match="x=-0.2"):
-            discretize(PotentialComponents(v11, 0.0, 0.0, 0.0, 0.0), grid, stencil)
+            build(PotentialComponents(v11, 0.0, 0.0, 0.0, 0.0), grid)
         # a complex component has no real gauged band
         with pytest.raises(NumericalError, match="real"):
-            discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid, stencil)
-    with pytest.raises(NumericalError, match="stencil"):
-        discretize(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.0), grid, "upwind")
+            build(PotentialComponents(0.0, 0.0, 0.0, 0.0, 0.1j), grid)
 
 
 @pytest.mark.parametrize("caller", [
     lambda comps, grid: apply_dirac(comps, np.zeros((3, grid.n_points)), grid),
-    lambda comps, grid: discretize(comps, grid, "central"),
+    lambda comps, grid: discretize(comps, grid),
 ], ids=["apply_dirac", "discretize"])
 def test_complex_component_is_refused_naming_it(caller):
     # a Hermitian V has real components; both callers read them through
@@ -141,8 +140,8 @@ def test_wilson_term_of_a_decoupled_potential_ignores_the_sign_of_zero():
     # v13 = -0.0 makes 2*v13*v23 = -0.0, and arctan2(0.0, -0.0) is pi: the
     # Wilson matrix of a decoupled potential must not flip with that sign
     grid = Grid(-2.0, 2.0, 21)
-    plus = discretize(PotentialComponents(0.1, 0.2, 0.0, 0.0, 0.3), grid, "central")
-    minus = discretize(PotentialComponents(0.1, 0.2, -0.0, 0.0, 0.3), grid, "central")
+    plus = discretize(PotentialComponents(0.1, 0.2, 0.0, 0.0, 0.3), grid)
+    minus = discretize(PotentialComponents(0.1, 0.2, -0.0, 0.0, 0.3), grid)
     np.testing.assert_array_equal(plus.bands, minus.bands)
 
 
@@ -161,7 +160,7 @@ def test_discretized_free_dirac_spectrum():
     cell = PotentialComponents(v11=0.06, v12=0.08, v13=0.0, v23=0.0,
                                flat_energy=0.0)
     grid = Grid(-60.0, 60.0, 1201)
-    w = eigh_banded(discretize(cell, grid, "central"))
+    w = eigh_banded(discretize(cell, grid))
     hi = np.hypot(cell.v11, cell.v12)
     dispersive = w[np.abs(w) > 1e-9]
     assert np.abs(dispersive).min() >= hi - 5e-3

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susychain import lattice, models
-from susychain.continuum import PotentialComponents, discretize
+from susychain.continuum import PotentialComponents, discretize, saw_cells
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
     TightBindingParams,
@@ -16,6 +16,7 @@ from susychain.lattice import (
     default_k_grid,
     det_secular,
     flat_band_residual,
+    saw_chain,
     tune_flat_band,
 )
 from susychain.models import ModelKind, ModelParams
@@ -62,6 +63,8 @@ def test_bloch_inputs_must_be_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NumericalError, match="parameters must be finite"):
             TightBindingParams(t_ab=1.0, t_bc=bad)
+        with pytest.raises(NumericalError, match="parameters must be finite"):
+            TightBindingParams(t_ab=np.array([1.0, 2.0]), eps_c=np.array([0.0, bad]))
         with pytest.raises(NumericalError, match="k must be finite"):
             bloch_hamiltonian(P_REF, [0.0, bad])
 
@@ -196,7 +199,7 @@ def _unit_grid(n_cells):
 
 def _uniform_chain(comps, n_cells):
     """The saw chain of constant components at cell spacing 1 (hop t = 1)."""
-    return discretize(comps, _unit_grid(n_cells), "saw")
+    return saw_chain(saw_cells(comps, _unit_grid(n_cells)))
 
 
 # the dimerized AB chain t_ab = 0.4, t_ab_inter = 1 with the C level parked
@@ -205,7 +208,7 @@ SSH = PotentialComponents(0.0, -0.6, 0.0, 0.0, 10.0)
 
 
 def _saw_bands_reference(comps, grid, terminate=True):
-    """Band storage of the saw stencil, filled entry by entry, cell by cell,
+    """Band storage of the saw chain of V, filled entry by entry, cell by cell,
     from the components and t = (n - 1)/(x_max - x_min), in apply_dirac's
     gauge: M[A, B] = -(t + v12), M[A, C] = -v13 and the hop -t. With
     `terminate`, a chain whose walls both end on the weak bond, |t + v12|
@@ -253,7 +256,8 @@ def _model_chain_case(p, n_cells, box):
 ], ids=["model_I", "model_II", "ssh", "two_cells"])
 def test_saw_stencil_matches_per_entry_reference_bitwise(case):
     comps, grid = case()
-    got, want = discretize(comps, grid, "saw").bands, _saw_bands_reference(comps, grid)
+    got = saw_chain(saw_cells(comps, grid)).bands
+    want = _saw_bands_reference(comps, grid)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -302,7 +306,7 @@ def test_chain_spectrum_refuses_an_unresolved_predicted_state():
 
 def test_ssh_chain_ends_on_its_strong_bonds():
     # the dimerized AB chain ends on its weak bond t_ab = 0.4 at both walls,
-    # where it holds two zero modes. The stencil drops A_0 and ends the
+    # where it holds two zero modes. saw_chain drops A_0 and ends the
     # chain on one more A site instead: 180 sites, both ends on t_ab_inter = 1,
     # and nothing near 0
     grid = _unit_grid(60)
@@ -311,7 +315,7 @@ def test_ssh_chain_ends_on_its_strong_bonds():
     near_zero = np.abs(w) < 0.3
     assert near_zero.sum() == 2
     assert edge_localised(v[:, near_zero]).all()
-    chain = discretize(SSH, grid, "saw")
+    chain = saw_chain(saw_cells(SSH, grid))
     assert chain.dim == 180
     rep = chain_spectrum(chain, cluster_tol=1e-6)
     assert not (np.abs(rep.eigenvalues) < 0.3).any()
@@ -324,8 +328,9 @@ def test_one_weak_wall_is_refused_naming_both():
     v12 = np.r_[np.zeros(59), -0.6]
     comps = PotentialComponents(0.0, v12, 0.0, 0.0, 10.0)
     with pytest.raises(NumericalError, match=r"right wall ends on its weak bond .*"
-                       r"\|t \+ v12\| = 1 at the left wall, 0\.4 at the right, t = 1\)"):
-        discretize(comps, _unit_grid(60), "saw")
+                       r"\|t_ab\| = 1 at the left wall, 0\.4 at the right, "
+                       r"\|t_ab_inter\| = 1\)"):
+        saw_chain(saw_cells(comps, _unit_grid(60)))
 
 
 # -------------------------------- gap edges vs a dense solve's eigenvectors
@@ -350,10 +355,10 @@ def _route_operator(p, route, size, box=12.0):
     """The chain of `size` cells, or the continuum on `size` points over
     [-box/kappa, box/kappa]."""
     if route == "chain":
-        grid, stencil = _unit_grid(size), "saw"
-    else:
-        grid, stencil = Grid(-box / p.kappa, box / p.kappa, size), "central"
-    return discretize(models.model_potential_components(p, grid), grid, stencil)
+        grid = _unit_grid(size)
+        return saw_chain(saw_cells(models.model_potential_components(p, grid), grid))
+    grid = Grid(-box / p.kappa, box / p.kappa, size)
+    return discretize(models.model_potential_components(p, grid), grid)
 
 
 def _model_case(kind, mass, lam, route):
@@ -469,7 +474,7 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     gap_exclusion = 0.1 * p.seed_data().gap_edge
     grid = Grid(-12.0 / p.kappa, 12.0 / p.kappa, 301)
     comps = models.model_potential_components(p, grid)
-    gauged = discretize(comps, grid, "central")
+    gauged = discretize(comps, grid)
     stack = potential_matrix(comps)
     assert gauged.bands.dtype == np.float64
     # the Wilson term h*(-d^2/dx^2)*M adds 2M/h on site and -M/h to the

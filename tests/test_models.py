@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susychain.continuum import PotentialComponents, discretize
+from susychain.continuum import PotentialComponents, saw_cells
 from susychain.errors import NumericalError
-from susychain.lattice import chain_spectrum
+from susychain.lattice import chain_spectrum, saw_chain
 from susychain.models import (
     ModelKind,
     ModelParams,
@@ -232,7 +232,7 @@ def test_model2_asymptotic_spectrum_identity(m, frac, side):
 def test_saw_stencil_entries(p, n_cells, box):
     # one cell per point of [-box, box]; the hop t is 1/spacing
     grid = Grid(-box, box, n_cells)
-    bands = discretize(model_potential_components(p, grid), grid, "saw").bands
+    bands = saw_chain(saw_cells(model_potential_components(p, grid), grid)).bands
     t = (n_cells - 1) / (2 * box)
     v11, v12, v13, v23 = model_potential(p, np.linspace(-box, box, n_cells))
     zero = np.zeros(n_cells)
@@ -270,7 +270,7 @@ def test_chain_hopping_follows_cell_spacing(p):
     for h in (2.0, 1.0, 0.5):
         n_cells = int(2 * box / h) + 1
         grid = Grid(-box, box, n_cells)
-        chain = discretize(model_potential_components(p, grid), grid, "saw")
+        chain = saw_chain(saw_cells(model_potential_components(p, grid), grid))
         v12 = model_potential(p, np.linspace(-box, box, n_cells))[1]
         # the hop B_j -> A_{j+1}, and M[A_j, B_j], in apply_dirac's gauge; with
         # lambda > 0 the chain starts at B_0 and ends on one more A site (s = 1)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from susychain import numcore
 from susychain.errors import NumericalError
-from susychain.continuum import discretize
+from susychain.lattice import saw_chain
+from susychain.continuum import saw_cells
 from susychain.models import ModelKind, ModelParams, model_potential_components
 from susychain.numcore import (
     BandedHermitian,
@@ -76,7 +77,7 @@ def test_diff_central_needs_three_samples():
 def _saw_chain(p, n_cells):
     """The model's saw chain of n_cells cells at cell spacing 1."""
     g = Grid(-(n_cells - 1) / 2, (n_cells - 1) / 2, n_cells)
-    return discretize(model_potential_components(p, g), g, "saw")
+    return saw_chain(saw_cells(model_potential_components(p, g), g))
 
 
 # ---------------------------------------------------- banded matrices

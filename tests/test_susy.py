@@ -904,3 +904,36 @@ def test_root_of_q_in_open_interval_iff_sampled_det_changes_sign(seed):
     assert len(flips) == len(poles)
     for i, x in zip(flips, poles):
         assert grid.x[i] - 1e-9 <= x <= grid.x[i + 1] + 1e-9
+
+
+def _model_seed(kind, mass, u):
+    """Model I or II at mass, lambda/m at u of its admissible range."""
+    lo, hi = {ModelKind.I: (-1.5, 0.9), ModelKind.II: (-0.9, 0.9)}[kind]
+    return ModelParams(kind, mass, mass * (lo + u * (hi - lo))).seed_data()
+
+
+def _flat_bracket(v):
+    """v11*(v23^2 - v13^2) - 2*v12*v13*v23 - lambda*(v13^2 + v23^2) at each
+    point, and max|V|*(v13^2 + v23^2), the size of its rounding error."""
+    w2 = v.v13 * v.v13 + v.v23 * v.v23
+    size = max(np.abs([v.v11, v.v12, v.v13, v.v23]).max(), abs(v.flat_energy))
+    return (v.v11 * (v.v23 * v.v23 - v.v13 * v.v13) - 2 * v.v12 * v.v13 * v.v23
+            - v.flat_energy * w2), size * w2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=regular_seed | st.builds(_model_seed, st.sampled_from(list(ModelKind)),
+                                     st.floats(0.02, 0.5), st.floats(0.0, 0.99)))
+def test_flat_level_is_exact_at_every_point_of_v_new(seed):
+    # det(k*gamma + V(x) - lambda) is minus that bracket whatever k, so the
+    # flat level lambda is exact at x for every k iff the bracket vanishes
+    # there. Each term is an entry of V times a square of (v13, v23), and the
+    # engine rounds an entry to V's size, not to its own (v11 and v12 cross
+    # zero), so the bracket is held to 1e-13 of max|V|*(v13^2 + v23^2)
+    v = transformed_potential(assemble_frame(seed, Grid(-20.0 / seed.kappa0,
+                                                        20.0 / seed.kappa0, 801)))
+    bracket, scale = _flat_bracket(v)
+    assert (np.abs(bracket) <= 1e-13 * scale).all()
+    # negative control: v13 off by 1 % breaks it
+    bracket, scale = _flat_bracket(replace(v, v13=1.01 * v.v13))
+    assert (np.abs(bracket) > 1e-5 * scale).any()
