@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .lattice import TightBindingParams
+from .lattice import TightBindingParams, symmetric_block
 from .numcore import BandedHermitian, block_tridiagonal_bands, diff_central, real_array
 
 
 def _gauge_rows(v11, v12, v13, v23, flat_energy):
-    # V's rows in apply_dirac's gauge
+    # V's rows in apply_dirac's gauge: the one place their signs are written
     return (v11, -v12, -v13), (-v12, -v11, v23), (-v13, v23, flat_energy)
 
 
@@ -50,9 +50,7 @@ class PotentialComponents:
         """V in apply_dirac's gauge, P^{-1} V P with P = diag(i, 1, 1): the real
         symmetric [[v11, -v12, -v13], [-v12, -v11, v23], [-v13, v23, flat_energy]]
         as a broadcast_shape + (3, 3) stack; floats give one 3x3 matrix."""
-        entries = [v for row in _gauge_rows(*np.broadcast_arrays(*vars(self).values()))
-                   for v in row]
-        return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (3, 3))
+        return symmetric_block(_gauge_rows(*vars(self).values()))
 
 
 def _finite_samples(comps, grid):
@@ -93,14 +91,15 @@ def discretize(comps, grid):
 
 
 def saw_cells(comps, grid):
-    """The cells of V's saw chain, one per grid point, in apply_dirac's gauge:
-    eps_a = v11, eps_b = -v11, eps_c = lambda, t_ab = -(t + v12), t_ab_inter =
-    -t, t_ac = -v13, t_bc = v23. The chain's kinetic scale t*h stays the
-    operator's 1 at t = (n - 1)/(x_max - x_min), 1/h up to its last bit."""
-    v11, v12, v13, v23, lam = _finite_samples(comps, grid)
+    """The cells of V's saw chain, one per grid point: each cell's on-site
+    block is gauge()'s, its A-B entry shifted by the hop -t, and t_ab_inter =
+    -t. The chain's kinetic scale t*h stays the operator's 1 at t = (n - 1)/
+    (x_max - x_min), 1/h up to its last bit."""
+    (eps_a, ab, ac), (_, eps_b, bc), (_, _, eps_c) = _gauge_rows(*_finite_samples(comps, grid))
     t = (grid.n_points - 1) / (grid.x_max - grid.x_min)
-    return TightBindingParams(eps_a=v11, eps_b=-v11, eps_c=lam, t_ab=-(t + v12),
-                              t_ab_inter=-t, t_ac=-v13, t_bc=v23)
+    # -(t - ab) is -(t + v12) bit for bit; ab - t would give +0.0 where ab = t
+    return TightBindingParams(eps_a=eps_a, eps_b=eps_b, eps_c=eps_c, t_ab=-(t - ab),
+                              t_ab_inter=-t, t_ac=ac, t_bc=bc)
 
 
 def apply_dirac(potential, state, grid):

@@ -54,12 +54,18 @@ class FlatBandSolution:
     quad_cos: float
 
 
+def symmetric_block(rows):
+    """The real symmetric 3x3 block with these three rows of floats or arrays:
+    one 3x3 matrix for floats, a broadcast_shape + (3, 3) stack for arrays."""
+    entries = np.broadcast_arrays(*(v for row in rows for v in row))
+    return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (3, 3))
+
+
 def saw_cell(p):
     """The on-site block [[eps_a, t_ab, t_ac], [t_ab, eps_b, t_bc], [t_ac, t_bc,
     eps_c]] of p's cells: 3x3 for float fields, a stack of them for arrays."""
-    rows = ((p.eps_a, p.t_ab, p.t_ac), (p.t_ab, p.eps_b, p.t_bc), (p.t_ac, p.t_bc, p.eps_c))
-    entries = np.broadcast_arrays(*(v for row in rows for v in row))
-    return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (3, 3))
+    return symmetric_block(((p.eps_a, p.t_ab, p.t_ac), (p.t_ab, p.eps_b, p.t_bc),
+                            (p.t_ac, p.t_bc, p.eps_c)))
 
 
 def saw_chain(p):

@@ -345,8 +345,7 @@ def apply_darboux(frame, state):
     z[..., :-2] *= down[:, :-1]  # in place: the ends are done
     d[..., 1:-1] -= z[..., :-2]
     d *= 1.0 / (2 * frame.grid.h)  # diff_central's scaling
-    del z
-    return np.einsum("ijn,...jn->...in", frame.f, d)
+    return np.einsum("ijn,...jn->...in", frame.f, d, out=z)
 
 
 def _level_residuals(fr, v_seed, states):

@@ -960,6 +960,36 @@ def test_spectrum_warns_when_the_chain_misses_the_kink(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--set", "model=I", "--set", "mass=1e-100"],
+    ["--set", "model=I", "--set", "mass=0.1", "--set", "flat_energy=0.0999999",
+     "--set", "method=both"],
+    [*MODEL_I, "--box", "40"],
+    ["--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05", "--box", "60"],
+], ids=["mass_1e-100", "model_I_near_the_limit_both", "model_I_box_4", "model_II_box_8"])
+def test_spectrum_warns_once_where_the_box_cuts_the_kink(tmp_path, capsys, monkeypatch, argv):
+    # box*kappa0 = 2.8e-98, 0.035, 3.96 and 7.94: the chain's gap edges are
+    # several percent off, and the files are those of a run without the line
+    assert main(["spectrum", "--out", str(tmp_path / "warned"), *argv]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: box*kappa0 = ")
+    assert "< 12.5" in err
+    monkeypatch.setattr(cli, "CHAIN_MIN_BOX_KAPPA", 0.0)
+    assert main(["spectrum", "--out", str(tmp_path / "silent"), *argv]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    names = sorted(os.listdir(tmp_path / "warned"))
+    assert names == sorted(os.listdir(tmp_path / "silent"))
+    for name in names:
+        assert (tmp_path / "warned" / name).read_bytes() == \
+            (tmp_path / "silent" / name).read_bytes()
+
+
+def test_spectrum_at_the_defaults_is_silent(tmp_path, capsys):
+    # Model I (0.07, 0): box*kappa0 = 19.7 and kappa0*h = 0.099
+    assert main(["spectrum", "--out", str(tmp_path), *MODEL_I]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_spectrum_singular_frame_names_the_ratio_and_its_bound(tmp_path, capsys):
     # Model II (1, 0.998): no pole, but det U over the Hadamard bound of
     # U's columns falls below SINGULARITY_REL_TOL near the box wall
@@ -1069,7 +1099,8 @@ def test_spectrum_both_writes_the_bytes_of_each_route_alone(tmp_path, params):
         "both_memory_error"])
 def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(
         tmp_path, capsys, monkeypatch, method, failing, error, shown):
-    # each route is told apart by its matrix: 60 cells, 301 grid points
+    # each route is told apart by its matrix: 60 cells, 301 grid points; at
+    # mass 0.33 the chain's box*kappa0 = 13.8 and kappa0*h = 0.47 warn of nothing
     dims = {"chain": 3 * 60, "continuum": 3 * 301}
     broken_dims = {dims[route]: route for route in failing}
 
@@ -1083,7 +1114,7 @@ def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(
     monkeypatch.setattr(cli, "chain_spectrum", broken)
     threads = threading.active_count()
     rc = main(["spectrum", "--out", str(tmp_path), "--set", "model=I",
-               "--set", "mass=0.07", "--set", f"method={method}",
+               "--set", "mass=0.33", "--set", f"method={method}",
                "--cells", "60", "--grid-points", "301"])
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susychain.continuum import PotentialComponents, apply_dirac, discretize, saw_cells
 from susychain.errors import NumericalError
-from susychain.lattice import TightBindingParams, band_structure
+from susychain.lattice import TightBindingParams, band_structure, saw_cell
 from susychain.numcore import Grid, eigh_banded
 
 from reference import (
@@ -28,6 +30,33 @@ def test_gauge_is_real_symmetric():
     assert v[0, 0] == 0.4 and v[1, 1] == -0.4 and v[2, 2] == 0.7
     assert v[0, 1] == 0.2  # -v12, where V holds -i*v12
     assert np.array_equal(v, to_gauge(potential_matrix(comps)))
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_SAMPLE = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), x_min=st.floats(-1e3, 1e3),
+       width=st.floats(1e-3, 1e3))
+def test_saw_cells_are_the_gauge_blocks_with_the_hop_on_the_a_b_bond(data, n, x_min, width):
+    # one map from V to the saw cell: every entry is gauge()'s, bit for bit,
+    # except the A-B bond, which adds the hop -t of the kinetic term
+    grid = Grid(x_min, x_min + width, n)
+    comps = PotentialComponents(*(data.draw(st.one_of(
+        _SAMPLE, st.lists(_SAMPLE, min_size=n, max_size=n).map(np.array))) for _ in range(5)))
+    t = (n - 1) / (grid.x_max - grid.x_min)
+    cell = saw_cell(saw_cells(comps, grid))
+    gauge = np.broadcast_to(comps.gauge(), (n, 3, 3))
+    ab = np.zeros((3, 3), dtype=bool)
+    ab[0, 1] = ab[1, 0] = True
+    assert cell.shape == (n, 3, 3)
+    assert _same_bits(cell[:, ~ab], gauge[:, ~ab])
+    np.testing.assert_array_equal(cell[:, ab], gauge[:, ab] - t)
 
 
 def test_symbol_dispersion_matches_lattice_near_zone_corner():
