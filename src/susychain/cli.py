@@ -42,10 +42,9 @@ EXIT_VERIFY = 4
 
 FLAT_BAND_THRESHOLD = 1e-8
 
-# below this box*kappa0 the box cuts the kink's tails: at 400 cells the
-# chain's worse gap edge is 0.997 % off at 12.5, 1.07 % at 12, 9.5 % at 4
-# (Model I at lambda = 0)
-CHAIN_MIN_BOX_KAPPA = 12.5
+# spectrum warns on a route whose gap edge is missing or further than this
+# from the analytic edge E, relative to E
+GAP_EDGE_REL_TOL = 0.01
 
 
 def _parse_value(text):
@@ -338,20 +337,8 @@ def cmd_spectrum(st, out_dir):
         box = st["box"] or default_box
         grid = Grid(-box, box, n)
         op = operator(transformed_potential(assemble_frame(seed, grid)), grid)
-        report = chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
-                                gap_exclusion=gap_exclusion, predicted=predicted)
-        kh, bk = seed.kappa0 * grid.h, seed.kappa0 * box
-        if name == "chain" and kh > 0.5:
-            # past 0.5 the spacing does not resolve the kink, and a kink
-            # state may be reported as a gap edge
-            print(f"warning: kappa0*h = {kh:.3g} at h = {grid.h:.3g} does not "
-                  "resolve the kink: the chain's gap edges may be kink states",
-                  file=sys.stderr)
-        if name == "chain" and bk < CHAIN_MIN_BOX_KAPPA:
-            print(f"warning: box*kappa0 = {bk:.3g} < {CHAIN_MIN_BOX_KAPPA:g}: the box cuts "
-                  "the kink's tails, and the chain's gap edges may be more than 1 % off",
-                  file=sys.stderr)
-        return report
+        return grid, chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
+                                    gap_exclusion=gap_exclusion, predicted=predicted)
 
     # imported here, so only spectrum pays for it
     from concurrent.futures import ThreadPoolExecutor
@@ -374,16 +361,24 @@ def cmd_spectrum(st, out_dir):
         "cluster_tol": cluster_tol,
         "gap_exclusion": gap_exclusion,
     }
-    for name, rep in sorted(reports.items()):
+    for name, (grid, rep) in sorted(reports.items()):
         _write_csv(os.path.join(out_dir, f"spectrum_{name}.csv"), ["index", "energy"],
                    [np.arange(rep.eigenvalues.size), rep.eigenvalues])
+        # a missing edge's error is nan, which no bound holds
+        neg, pos = (abs(abs(edge) / seed.gap_edge - 1.0)
+                    for edge in (rep.gap_edge_neg, rep.gap_edge_pos))
         summary[name] = {
             "cluster_count": rep.cluster_count,
             "gap_edge_neg": rep.gap_edge_neg,
             "gap_edge_pos": rep.gap_edge_pos,
-            "relative_error_neg": abs(abs(rep.gap_edge_neg) / seed.gap_edge - 1.0),
-            "relative_error_pos": abs(abs(rep.gap_edge_pos) / seed.gap_edge - 1.0),
+            "relative_error_neg": neg,
+            "relative_error_pos": pos,
         }
+        if not (neg <= GAP_EDGE_REL_TOL and pos <= GAP_EDGE_REL_TOL):
+            print(f"warning: the {name} route's gap edges are {100 * neg:.3g} % and "
+                  f"{100 * pos:.3g} % off E = {seed.gap_edge:.6g}, past "
+                  f"{100 * GAP_EDGE_REL_TOL:g} % (kappa0*h = {seed.kappa0 * grid.h:.3g}, "
+                  f"box*kappa0 = {seed.kappa0 * grid.x_max:.3g})", file=sys.stderr)
     _write_json(os.path.join(out_dir, "spectrum_summary.json"), summary)
     return EXIT_OK
 

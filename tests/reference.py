@@ -5,13 +5,24 @@ antiderivative, the columns of the seed frame U, those of
 between complex spinors and the real gauge of apply_dirac and apply_darboux,
 the matrix of the continuum stencil's Wilson term, the continuum
 operator's gamma and its symbol at constant V, and which dense eigenvectors
-are edge-localised."""
+are edge-localised; and scipy.linalg, the oracle of the dense and banded
+solves, with the marker that skips a test reading it where scipy is
+missing."""
 
 import numpy as np
+import pytest
 
 from susychain.continuum import apply_dirac
 from susychain.numcore import BandedHermitian
 from susychain.susy import transformed_potential
+
+try:
+    import scipy.linalg as scipy_linalg
+except ModuleNotFoundError:
+    scipy_linalg = None
+
+needs_scipy = pytest.mark.skipif(scipy_linalg is None,
+                                 reason="scipy.linalg, the oracle, is not installed")
 
 
 # the kinetic term of the continuum operator is -i * GAMMA * d/dx

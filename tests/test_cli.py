@@ -946,35 +946,47 @@ def test_spectrum_chain_with_one_weak_wall_exits_3_naming_both(tmp_path, capsys)
     assert not os.listdir(tmp_path)
 
 
+def _warnings(err):
+    """Each warning line of `spectrum`'s stderr as (route, worse-edge error in
+    %, kappa0*h, box*kappa0); stderr holds no other line."""
+    found = re.findall(r"^warning: the (\w+) route's gap edges are (\S+) % and (\S+) % off "
+                       r"E = \S+, past 1 % \(kappa0\*h = (\S+), box\*kappa0 = (\S+)\)$",
+                       err, re.M)
+    assert len(found) == err.count("\n"), err
+    return [(route, max(float(neg), float(pos)), float(kh), float(bk))
+            for route, neg, pos, kh, bk in found]
+
+
 def test_spectrum_warns_when_the_chain_misses_the_kink(tmp_path, capsys):
-    # Model I (5, 4) at box 50: kappa0*h = 0.94, where the chain's gap edge
-    # can be a kink state tens of percent off; the outputs stay as they are
+    # Model I (5, 4) at box 50: kappa0*h = 0.94, where the chain's gap edges
+    # are kink states 37.3 % and 16.8 % off; the outputs stay as they are
     argv = ["spectrum", "--out", str(tmp_path), "--set", "model=I"]
     assert main([*argv, "--set", "mass=5", "--set", "flat_energy=4",
                  "--box", "50"]) == EXIT_OK
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "kappa0*h = 0.938 at h = 0.251" in err
-    assert "gap edges may be kink states" in err
-    assert main([*argv, "--set", "mass=0.3"]) == EXIT_OK  # kappa0*h = 0.3
+    assert capsys.readouterr().err == (
+        "warning: the chain route's gap edges are 37.3 % and 16.8 % off E = 5.47723, "
+        "past 1 % (kappa0*h = 0.938, box*kappa0 = 187)\n")
+    assert main([*argv, "--set", "mass=0.3"]) == EXIT_OK  # 0.779 % at kappa0*h = 0.3
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["--set", "model=I", "--set", "mass=1e-100"],
-    ["--set", "model=I", "--set", "mass=0.1", "--set", "flat_energy=0.0999999",
-     "--set", "method=both"],
-    [*MODEL_I, "--box", "40"],
-    ["--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05", "--box", "60"],
+@pytest.mark.parametrize("argv,warned", [
+    (["--set", "model=I", "--set", "mass=1e-100"], [("chain", 2.77e99, 1.41e-100, 2.82e-98)]),
+    (["--set", "model=I", "--set", "mass=0.1", "--set", "flat_energy=0.0999999",
+      "--set", "method=both"],
+     [("chain", 12.2, 0.000173, 0.0346), ("continuum", 10.0, 0.012, 12.0)]),
+    ([*MODEL_I, "--box", "40"], [("chain", 9.73, 0.0198, 3.96)]),
+    (["--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05", "--box", "60"],
+     [("chain", 1.73, 0.0398, 7.94)]),
 ], ids=["mass_1e-100", "model_I_near_the_limit_both", "model_I_box_4", "model_II_box_8"])
-def test_spectrum_warns_once_where_the_box_cuts_the_kink(tmp_path, capsys, monkeypatch, argv):
-    # box*kappa0 = 2.8e-98, 0.035, 3.96 and 7.94: the chain's gap edges are
-    # several percent off, and the files are those of a run without the line
+def test_spectrum_warns_once_where_the_box_cuts_the_kink(tmp_path, capsys, monkeypatch, argv,
+                                                        warned):
+    # box*kappa0 = 2.8e-98, 0.035, 3.96 and 7.94: the gap edges are more than
+    # 1 % off, one line for each route that misses, and the files are those of
+    # a run without the lines
     assert main(["spectrum", "--out", str(tmp_path / "warned"), *argv]) == EXIT_OK
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("warning: box*kappa0 = ")
-    assert "< 12.5" in err
-    monkeypatch.setattr(cli, "CHAIN_MIN_BOX_KAPPA", 0.0)
+    assert _warnings(capsys.readouterr().err) == warned
+    monkeypatch.setattr(cli, "GAP_EDGE_REL_TOL", math.inf)
     assert main(["spectrum", "--out", str(tmp_path / "silent"), *argv]) == EXIT_OK
     assert capsys.readouterr().err == ""
     names = sorted(os.listdir(tmp_path / "warned"))
@@ -982,6 +994,26 @@ def test_spectrum_warns_once_where_the_box_cuts_the_kink(tmp_path, capsys, monke
     for name in names:
         assert (tmp_path / "warned" / name).read_bytes() == \
             (tmp_path / "silent" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,warned", [
+    # a long box at kappa0*h = 0.495: the upper edge is 2.96 % off
+    (["--set", "model=I", "--set", "mass=0.2", "--set", "flat_energy=0.15", "--box", "595"],
+     [("chain", 2.96, 0.495, 98.7)]),
+    # box*kappa0 = 12.5 on 100 cells: the lower edge is 1.36 % off
+    ([*MODEL_I, "--cells", "100", "--box", "126.3"], [("chain", 1.36, 0.253, 12.5)]),
+    # the continuum route on 31 points: both edges 8.28 % off
+    ([*MODEL_I, "--set", "method=continuum", "--grid-points", "31"],
+     [("continuum", 8.28, 0.8, 12.0)]),
+    # box*kappa0 = 8.29 on 101 cells, yet both edges within 0.543 %
+    (["--set", "model=I", "--set", "mass=0.2", "--set", "flat_energy=0.15",
+      "--cells", "101", "--box", "50"], []),
+], ids=["model_I_long_box", "model_I_100_cells", "continuum_31_points", "model_I_101_cells"])
+def test_spectrum_warns_where_a_gap_edge_is_more_than_1_percent_off(tmp_path, capsys, argv,
+                                                                    warned):
+    # the bound reads the measured edges, not kappa0*h or box*kappa0
+    assert main(["spectrum", "--out", str(tmp_path), *argv]) == EXIT_OK
+    assert _warnings(capsys.readouterr().err) == warned
 
 
 def test_spectrum_at_the_defaults_is_silent(tmp_path, capsys):
@@ -1099,8 +1131,7 @@ def test_spectrum_both_writes_the_bytes_of_each_route_alone(tmp_path, params):
         "both_memory_error"])
 def test_spectrum_chain_route_error_exits_3_and_ends_its_thread(
         tmp_path, capsys, monkeypatch, method, failing, error, shown):
-    # each route is told apart by its matrix: 60 cells, 301 grid points; at
-    # mass 0.33 the chain's box*kappa0 = 13.8 and kappa0*h = 0.47 warn of nothing
+    # each route is told apart by its matrix: 60 cells, 301 grid points
     dims = {"chain": 3 * 60, "continuum": 3 * 301}
     broken_dims = {dims[route]: route for route in failing}
 
@@ -1171,7 +1202,10 @@ def test_spectrum_without_bulk_states_writes_strict_json(tmp_path, capsys):
     rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2", "--box", "100",
                "--set", "model=I", "--set", "mass=1", "--set", "flat_energy=0.98"])
     assert rc == EXIT_OK
-    assert "kappa0*h" in capsys.readouterr().err
+    # the missing edge warns, though the other is 0.304 % off
+    assert capsys.readouterr().err == (
+        "warning: the chain route's gap edges are 0.304 % and nan % off E = 1.00995, "
+        "past 1 % (kappa0*h = 48.8, box*kappa0 = 24.4)\n")
     text = (tmp_path / "spectrum_summary.json").read_text()
     chain = json.loads(text, parse_constant=_reject_constant)["chain"]
     assert chain["cluster_count"] == 2

@@ -22,10 +22,9 @@ from susychain.lattice import (
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import BandedHermitian, Grid, eigh_banded
 
-from reference import GAMMA, banded_to_dense, edge_localised, potential_matrix, wilson_matrix
+from reference import (GAMMA, banded_to_dense, edge_localised, needs_scipy, potential_matrix,
+                       scipy_linalg, wilson_matrix)
 
-# scipy is the oracle of this module's dense solves: without it the module skips
-scipy_linalg = pytest.importorskip("scipy.linalg")
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
 # t_bc = 0.01 has the exact flat-band solution eps_c = 1/500 at energy 0
@@ -304,6 +303,7 @@ def test_chain_spectrum_refuses_an_unresolved_predicted_state():
     assert np.isnan(rep.gap_edge_neg) and rep.gap_edge_pos == 0.5
 
 
+@needs_scipy
 def test_ssh_chain_ends_on_its_strong_bonds():
     # the dimerized AB chain ends on its weak bond t_ab = 0.4 at both walls,
     # where it holds two zero modes. saw_chain drops A_0 and ends the
@@ -377,6 +377,7 @@ def _ssh_case(end_potentials):
     return chain, 0.0, 1e-9, 1e-9, ()
 
 
+@needs_scipy
 @pytest.mark.parametrize("case", [
     lambda: _model_case(ModelKind.I, 0.07, 0.0, "chain"),
     lambda: _model_case(ModelKind.II, 0.1, 0.05, "chain"),
@@ -399,6 +400,7 @@ def test_chain_spectrum_matches_dense_reference(case):
     assert rep.gap_edge_pos == pytest.approx(edge_pos, abs=1e-12)
 
 
+@needs_scipy
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(ModelKind), mass=st.floats(0.03, 0.5),
        ratio=st.floats(-0.95, 0.95), route=st.sampled_from(["chain", "continuum"]),
@@ -436,6 +438,7 @@ def _full_eigh_banded(m):
     return scipy_linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
 
 
+@needs_scipy
 @pytest.mark.parametrize("route,size,box", [("chain", 400, None),
                                             ("chain", 800, None),
                                             ("continuum", 601, 36.0)],
@@ -463,6 +466,7 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
     assert rep.gap_edge_pos == pytest.approx(full.gap_edge_pos, rel=0, abs=1e-12)
 
 
+@needs_scipy
 @pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
                                            (ModelKind.II, 0.1, 0.05)],
                          ids=["model_I", "model_II"])

@@ -23,11 +23,8 @@ from susychain.numcore import (
     quad_roots,
 )
 
-from reference import banded_from_dense, banded_to_dense, index_nearest, integrate_cumulative
-
-# scipy's eig_banded is the bitwise oracle of the eigensolver: without it the
-# module skips
-scipy_linalg = pytest.importorskip("scipy.linalg")
+from reference import (banded_from_dense, banded_to_dense, index_nearest, integrate_cumulative,
+                       needs_scipy, scipy_linalg)
 
 
 # ---------------------------------------------------------------- Grid
@@ -189,6 +186,7 @@ FACTORS = (None, 0.0, 0.5, 0.99, 0.999999, 1.000001, 1.01, 2.0)
 SCALES = (1.0, 1e-150, 1e150)
 
 
+@needs_scipy
 @settings(max_examples=120, deadline=None)
 @given(dim=st.integers(0, 40), bw=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
        factors=st.lists(st.sampled_from(FACTORS), max_size=40), scale=st.sampled_from(SCALES))
@@ -274,6 +272,7 @@ def test_eigh_banded_fewer_kept_sites_than_the_band():
 NARROW_BLOCKS = [(2, [1, 3]), (4, [1, 3]), (4, [1, 2, 5]), (4, [0, 1, 3, 4])]
 
 
+@needs_scipy
 @pytest.mark.parametrize("bw, kept", NARROW_BLOCKS)
 @pytest.mark.parametrize("dtype", [float])
 @pytest.mark.parametrize("scale", [1e-150, 1e150, 1e-300, 1e300])
@@ -315,6 +314,7 @@ def _count_while(solve):
     return count
 
 
+@needs_scipy
 def test_eigh_banded_releases_the_gil():
     # scipy's eig_banded holds the GIL through its LAPACK call, so the loop
     # here stalls while it runs; eigh_banded's LAPACK call lets it run on.
@@ -359,6 +359,7 @@ def _band_with_lead(dim, bw, lead, seed, sparse):
     return bands
 
 
+@needs_scipy
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(2, 60), bw=st.integers(2, 4), lead=st.integers(0, 59),
        seed=st.integers(0, 2**32 - 1), sparse=st.sampled_from([0.0, 0.5, 0.9]),
@@ -412,6 +413,7 @@ def test_eigh_banded_keeps_its_bits_under_a_sign_similarity(
 RMIN = 2.0**-485  # sqrt(safmin / eps): dsbevd scales outside [RMIN, 1 / RMIN]
 
 
+@needs_scipy
 @pytest.mark.parametrize("bw", [2, 4])
 @pytest.mark.parametrize("anrm", [RMIN, np.nextafter(RMIN, 0), 1 / RMIN,
                                   np.nextafter(1 / RMIN, np.inf)],
@@ -452,6 +454,7 @@ def _record_band_solves(monkeypatch):
     return seen
 
 
+@needs_scipy
 @pytest.mark.parametrize("kind, mass, flat, cells", CHAINS)
 def test_chain_band_solve_keeps_eig_banded_bits(monkeypatch, kind, mass, flat, cells):
     chain = _chain(kind, mass, flat, cells)
