@@ -27,13 +27,11 @@ import numpy as np
 
 from . import susy
 from .checks import frame_report, invariant_checks
-from .continuum import discretize, saw_cells
 from .errors import ConfigError, NumericalError, SusychainError
 from .lattice import TightBindingParams, band_structure, chain_spectrum, \
-    default_k_grid, flat_band_residual, saw_chain, tune_flat_band
+    default_k_grid, flat_band_residual, tune_flat_band
 from .models import ModelKind, ModelParams
 from .numcore import MAX_PARAM, Grid
-from .susy import assemble_frame, transformed_potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,12 +177,21 @@ def _tb_params(st):
     return TightBindingParams(**{k: st[k] for k in st.table if k in TIGHT_BINDING_KEYS})
 
 
-def _model_params(st):
+def _seed(st):
+    """The model's ModelParams and SeedData, or None and the general seed of
+    gauge_a and c0 where the table lets model be unset."""
+    if st["model"] is None:
+        return None, susy.SeedData(mass=st["mass"], flat_energy=st["flat_energy"],
+                                   gauge_a=st["gauge_a"], c0=st["c0"])
+    fixed = [k for k in ("gauge_a", "c0") if k in st.values]
+    if fixed:
+        raise ConfigError(f"field '{fixed[0]}': model {st['model']} fixes it")
     try:
-        return ModelParams(kind=ModelKind(st["model"]), mass=st["mass"],
-                           flat_energy=st["flat_energy"])
+        p = ModelParams(kind=ModelKind(st["model"]), mass=st["mass"],
+                        flat_energy=st["flat_energy"])
     except NumericalError as exc:
         raise ConfigError(str(exc)) from exc
+    return p, p.seed_data()
 
 
 def _write_csv(path, header, columns):
@@ -276,17 +283,8 @@ SUSY_KEYS = {
 
 
 def cmd_susy(st, out_dir):
-    if st["model"] is None:
-        p = None
-        seed = susy.SeedData(mass=st["mass"], flat_energy=st["flat_energy"],
-                             gauge_a=st["gauge_a"], c0=st["c0"])
-    else:
-        fixed = [k for k in ("gauge_a", "c0") if k in st.values]
-        if fixed:
-            raise ConfigError(f"field '{fixed[0]}': model {st['model']} fixes it")
-        p = _model_params(st)
-        seed = p.seed_data()
-    frame = assemble_frame(seed, Grid(-st["box"], st["box"], st["grid_points"]))
+    p, seed = _seed(st)
+    frame = susy.assemble_frame(seed, Grid(-st["box"], st["box"], st["grid_points"]))
     report = frame_report(frame, 2, p)
     h = frame.grid.h
     kh = seed.kappa0 * h
@@ -295,7 +293,7 @@ def cmd_susy(st, out_dir):
         print(f"warning: kappa0*h = {kh:.3g} at h = {h:.3g} does not "
               "resolve the kink: intertwining_orders are not convergence orders",
               file=sys.stderr)
-    comps = transformed_potential(frame)
+    comps = susy.transformed_potential(frame)
     _write_csv(os.path.join(out_dir, "susy_potential.csv"),
                ["x", "v11", "v12", "v13", "v23"],
                [frame.grid.x, comps.v11, comps.v12, comps.v13, comps.v23])
@@ -315,35 +313,17 @@ SPECTRUM_KEYS = {
 
 
 def cmd_spectrum(st, out_dir):
-    p = _model_params(st)
-    seed = p.seed_data()
-    method = st["method"]
-    # windows about lambda, as fractions of the analytic gap edge E so that no
-    # count depends on the units: the flat cluster within 1e-5 E; no gap edge
-    # within 0.1 E, as the chain holds non-cluster states just past the cluster
-    cluster_tol = 1e-5 * seed.gap_edge
-    gap_exclusion = 0.1 * seed.gap_edge
-
-    # route -> (operator of V on a grid, grid points, default box half-width,
-    # predicted in-gap states): the saw chain ends on strong bonds and binds
-    # none; the central stencil's Wilson term binds one domain-wall mode at -lambda
-    lam = seed.flat_energy
-    routes = {"chain": (lambda comps, grid: saw_chain(saw_cells(comps, grid)), st["cells"],
-                        (st["cells"] - 1) / 2.0, ()),
-              "continuum": (discretize, st["grid_points"], 12.0 / seed.kappa0, (-lam,))}
+    p, seed = _seed(st)
 
     def route(name):
-        operator, n, default_box, predicted = routes[name]
-        box = st["box"] or default_box
-        grid = Grid(-box, box, n)
-        op = operator(transformed_potential(assemble_frame(seed, grid)), grid)
-        return grid, chain_spectrum(op, flat_energy=lam, cluster_tol=cluster_tol,
-                                    gap_exclusion=gap_exclusion, predicted=predicted)
+        n = st["cells"] if name == "chain" else st["grid_points"]
+        grid, op, args = susy.partner_route(seed, name, n, st["box"])
+        return grid, args, chain_spectrum(op, **args)
 
     # imported here, so only spectrum pays for it
     from concurrent.futures import ThreadPoolExecutor
 
-    names = [name for name in routes if method in (name, "both")]
+    names = [name for name in susy.ROUTES if st["method"] in (name, "both")]
     # the first route runs here; the pool starts a thread only for a second
     # one, which overlaps it since the eigensolves release the GIL. A chain
     # error, raised here, is reported ahead of a continuum one
@@ -352,16 +332,17 @@ def cmd_spectrum(st, out_dir):
         reports = {names[0]: route(names[0])}
     reports.update((name, future.result()) for name, future in futures.items())
 
+    _, args, _ = reports[names[0]]
     summary = {
         "model": p.kind.value,
         "mass": p.mass,
         "flat_energy": p.flat_energy,
         "analytic_gap_edge": seed.gap_edge,
         "gap_edge_derived_not_published": p.kind is ModelKind.II,
-        "cluster_tol": cluster_tol,
-        "gap_exclusion": gap_exclusion,
+        "cluster_tol": args["cluster_tol"],
+        "gap_exclusion": args["gap_exclusion"],
     }
-    for name, (grid, rep) in sorted(reports.items()):
+    for name, (grid, _, rep) in sorted(reports.items()):
         _write_csv(os.path.join(out_dir, f"spectrum_{name}.csv"), ["index", "energy"],
                    [np.arange(rep.eigenvalues.size), rep.eigenvalues])
         # a missing edge's error is nan, which no bound holds

@@ -22,6 +22,10 @@ L and V_new see U only up to a constant right factor that mixes the two
 flat-level columns, so the seed fixes phi1's quadrature scale at 1 and
 xi1's constant at 0: c0 alone sets the frame, with phi2*psi1 - phi1*psi2 =
 1 / (mass - flat_energy).
+
+ROUTES holds spectrum's two routes from V_new to a banded operator, the saw
+chain and the discretized continuum; partner_route builds one of them for a
+seed.
 """
 
 from dataclasses import dataclass, replace
@@ -29,8 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuum import PotentialComponents, apply_dirac
+from .continuum import PotentialComponents, apply_dirac, discretize, saw_cells
 from .errors import NumericalError, SingularFrameError
+from .lattice import saw_chain
 from .numcore import MAX_PARAM, Grid, quad_roots, real_array
 
 SINGULARITY_REL_TOL = 1e-8
@@ -395,3 +400,33 @@ def intertwining_residual(frame, states, n_levels=3):
     orders = np.log2(residuals[:, :-1] / residuals[:, 1:])
     return residuals, orders
 
+
+# route -> (operator of V on a grid, default box half-width for a seed and n
+# cells or points, predicted in-gap states at the flat energy lambda): the saw
+# chain has cell spacing 1 at its default box, ends on strong bonds and binds
+# none; the central stencil's Wilson term binds one domain-wall mode at -lambda.
+# Each operator names its builder at call time, so a wrapper installed on this
+# module's names (perfbench's tracer) sees the call
+ROUTES = {
+    "chain": (lambda comps, grid: saw_chain(saw_cells(comps, grid)),
+              lambda seed, n: (n - 1) / 2.0, lambda lam: ()),
+    "continuum": (lambda comps, grid: discretize(comps, grid),
+                  lambda seed, n: 12.0 / seed.kappa0, lambda lam: (-lam,)),
+}
+
+
+def partner_route(seed, route, n_points, box=None):
+    """The grid of n_points over [-box, box] (box None: the route's default),
+    the banded operator of the seed's V_new on it, and the keyword arguments
+    under which chain_spectrum reads that operator, for one route of ROUTES.
+
+    The windows about lambda are fractions of the analytic gap edge E, so that
+    no count depends on the units: the flat cluster within 1e-5 E; no gap edge
+    within 0.1 E, as the chain holds non-cluster states just past the cluster.
+    """
+    operator, default_box, predicted = ROUTES[route]
+    box = default_box(seed, n_points) if box is None else box
+    grid = Grid(-box, box, n_points)
+    op = operator(transformed_potential(assemble_frame(seed, grid)), grid)
+    return grid, op, dict(flat_energy=seed.flat_energy, cluster_tol=1e-5 * seed.gap_edge,
+                          gap_exclusion=0.1 * seed.gap_edge, predicted=predicted(seed.flat_energy))

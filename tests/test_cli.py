@@ -36,7 +36,6 @@ from susychain.cli import (
     build_parser,
     main,
 )
-from susychain.continuum import discretize, saw_cells
 from susychain.errors import NumericalError, SusychainError
 
 from reference import banded_to_dense
@@ -1092,10 +1091,7 @@ def test_continuum_state_at_minus_lambda_is_a_right_wall_state(tmp_path, kind, m
     (i,) = np.flatnonzero(np.abs(energy + lam) <= 1e-12)
     rep = summary["continuum"]
     assert rep["gap_edge_neg"] < energy[i] < rep["gap_edge_pos"]
-    box = 36.0 / seed.kappa0
-    grid = numcore.Grid(-box, box, 601)
-    op = discretize(susychain.transformed_potential(
-        susychain.assemble_frame(seed, grid)), grid)
+    _, op, _ = susy.partner_route(seed, "continuum", 601, 36.0 / seed.kappa0)
     w, v = scipy_linalg.eigh(banded_to_dense(op))
     assert np.argmin(np.abs(w + lam)) == i
     density = (v[:, i] ** 2).reshape(601, 3).sum(axis=1)
@@ -1479,17 +1475,11 @@ def _assert_scaled(got, want, k, ulps=0):
     assert np.abs(got - want).max() <= ulps * np.spacing(np.abs(want).max())
 
 
-def _saw_chain_of(comps, grid):
-    return lattice.saw_chain(saw_cells(comps, grid))
-
-
-def _band_is_subnormal(kind, mass, lam, box, n, operator):
+def _band_is_subnormal(kind, mass, lam, box, n, route):
     """Whether the band that spectrum builds for this route holds a nonzero
     entry whose square is below 2**-1022."""
-    grid = numcore.Grid(-box, box, n)
     seed = models.ModelParams(models.ModelKind(kind), mass, lam).seed_data()
-    band = np.abs(operator(susy.transformed_potential(susy.assemble_frame(seed, grid)),
-                           grid).bands)
+    band = np.abs(susy.partner_route(seed, route, n, box)[1].bands)
     return band[band > 0].min() ** 2 < np.finfo(float).tiny
 
 
@@ -1509,12 +1499,11 @@ def _assert_spectrum_covariant(kind, mass, lam, k, box, cells, grid_points, meth
     for key in ("mass", "flat_energy", "analytic_gap_edge", "cluster_tol", "gap_exclusion"):
         _assert_scaled(summary_s[key], summary[key], k)
     edge = summary_s["analytic_gap_edge"]
-    for route, operator, n in (("chain", _saw_chain_of, cells),
-                               ("continuum", discretize, grid_points)):
+    for route, n in (("chain", cells), ("continuum", grid_points)):
         if route not in summary:
             continue
         w, w_s = (f[f"spectrum_{route}.csv"][:, 1] for f in (files, files_s))
-        scaled = (math.ldexp(mass, k), math.ldexp(lam, k), math.ldexp(box, -k), n, operator)
+        scaled = (math.ldexp(mass, k), math.ldexp(lam, k), math.ldexp(box, -k), n, route)
         ulps = 0
         if not np.array_equal(w_s, np.ldexp(w, k)) and _band_is_subnormal(kind, *scaled):
             ulps = 4

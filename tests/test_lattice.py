@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from susychain import lattice, models
+from susychain import lattice, models, susy
 from susychain.continuum import PotentialComponents, discretize, saw_cells
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
@@ -347,18 +347,15 @@ def _dense_reference(dense, flat_energy, cluster_tol, gap_exclusion):
 
 
 def _predicted(route, lam):
-    """The in-gap states of a route: the continuum's Wilson mode at -lambda."""
-    return (-lam,) if route == "continuum" else ()
+    """The in-gap states of spectrum's route: the continuum's Wilson mode at -lambda."""
+    return susy.ROUTES[route][2](lam)
 
 
 def _route_operator(p, route, size, box=12.0):
-    """The chain of `size` cells, or the continuum on `size` points over
-    [-box/kappa, box/kappa]."""
-    if route == "chain":
-        grid = _unit_grid(size)
-        return saw_chain(saw_cells(models.model_potential_components(p, grid), grid))
-    grid = Grid(-box / p.kappa, box / p.kappa, size)
-    return discretize(models.model_potential_components(p, grid), grid)
+    """spectrum's operator of the closed-form potential: the chain of `size`
+    cells, or the continuum on `size` points over [-box/kappa, box/kappa]."""
+    grid = _unit_grid(size) if route == "chain" else Grid(-box / p.kappa, box / p.kappa, size)
+    return susy.ROUTES[route][0](models.model_potential_components(p, grid), grid)
 
 
 def _model_case(kind, mass, lam, route):

@@ -1,5 +1,6 @@
 """Unit tests for the Darboux transformation engine."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susychain import continuum, susy
+from susychain import cli, continuum, susy
 from susychain.checks import frame_report, smooth_test_states
 from susychain.continuum import apply_dirac
 from susychain.errors import NumericalError, SingularFrameError
+from susychain.lattice import chain_spectrum
 from susychain.models import ModelKind, ModelParams, model_potential_components
 from susychain.numcore import Grid, diff_central, quad_roots
 from susychain.susy import (
@@ -27,6 +29,7 @@ from susychain.susy import (
     frame_factor,
     hermiticity_asymmetry,
     intertwining_residual,
+    partner_route,
     seed_components,
     transformed_potential,
 )
@@ -937,3 +940,36 @@ def test_flat_level_is_exact_at_every_point_of_v_new(seed):
     # negative control: v13 off by 1 % breaks it
     bracket, scale = _flat_bracket(replace(v, v13=1.01 * v.v13))
     assert (np.abs(bracket) > 1e-5 * scale).any()
+
+
+@pytest.mark.parametrize("box", [None, 40.0], ids=["default_box", "box_40"])
+@pytest.mark.parametrize("route,n", [("chain", 120), ("continuum", 301)])
+@pytest.mark.parametrize("kind,mass,lam", [("I", 0.07, 0.0), ("II", 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_partner_route_is_the_route_spectrum_runs(tmp_path, kind, mass, lam, route, n, box):
+    # chain_spectrum under the route's own arguments gives spectrum's
+    # eigenvalues bit for bit, its cluster count and its gap edges
+    argv = ["spectrum", "--out", str(tmp_path), "--set", f"model={kind}", "--set",
+            f"mass={mass}", "--set", f"flat_energy={lam}", "--set", f"method={route}",
+            "--cells" if route == "chain" else "--grid-points", str(n)]
+    assert cli.main(argv + ([] if box is None else ["--box", repr(box)])) == cli.EXIT_OK
+    seed = ModelParams(ModelKind(kind), mass, lam).seed_data()
+    grid, op, args = partner_route(seed, route, n, box)
+    rep = chain_spectrum(op, **args)
+    rows = (tmp_path / f"spectrum_{route}.csv").read_text().splitlines()[1:]
+    assert np.array_equal(rep.eigenvalues, [float(row.split(",")[1]) for row in rows])
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())[route]
+    assert [summary[k] for k in ("cluster_count", "gap_edge_neg", "gap_edge_pos")] == \
+        [rep.cluster_count, rep.gap_edge_neg, rep.gap_edge_pos]
+    if box is None:  # the chain at cell spacing 1, the continuum over 12 decay lengths
+        default = (n - 1) / 2 if route == "chain" else 12.0 / seed.kappa0
+        assert grid.x_max == -grid.x_min == default
+
+
+@pytest.mark.parametrize("route", ["chain", "continuum"])
+def test_partner_route_refuses_a_singular_frame(route):
+    # Model II within 0.1 % of lambda = m: U is too ill-conditioned. spectrum
+    # exits 3 on this error (test_spectrum_singular_frame_names_the_ratio_and_its_bound)
+    seed = ModelParams(ModelKind.II, 0.1, 0.0999).seed_data()
+    with pytest.raises(SingularFrameError):
+        partner_route(seed, route, 120)
