@@ -4,10 +4,11 @@ antiderivative, the columns of the seed frame U, those of
 (U^{-1})^dag, the transformed operator's eigenstates, the two converters
 between complex spinors and the real gauge of apply_dirac and apply_darboux,
 the matrix of the continuum stencil's Wilson term, the continuum
-operator's gamma and its symbol at constant V, and which dense eigenvectors
-are edge-localised; and scipy.linalg, the oracle of the dense and banded
-solves, with the marker that skips a test reading it where scipy is
-missing."""
+operator's gamma and its symbol at constant V, which dense eigenvectors
+are edge-localised, and the number of a band matrix's eigenvalues below an
+energy by inertia, a scipy-free oracle of the banded solve; and
+scipy.linalg, the oracle of its bits, with the marker that skips a test
+reading it where scipy is missing."""
 
 import numpy as np
 import pytest
@@ -107,6 +108,39 @@ def banded_from_dense(m, bandwidth):
     for d in range(bandwidth + 1):
         b[bandwidth - d, d:] = np.diagonal(m, d)
     return BandedHermitian(b)
+
+
+def count_below(bands, energy):
+    """The number of eigenvalues below `energy` (a float, or an array of them)
+    of the real symmetric matrix whose upper band storage is `bands`: by
+    Sylvester's law of inertia, the number of negative pivots of an LDL^T
+    factorization of M - energy*I. Taken without pivoting, it keeps the band,
+    so a window of u + 1 rows of the trailing Schur complement suffices. A
+    pivot is 0 where energy is an eigenvalue of a leading block: never probe
+    at one."""
+    b = np.asarray(bands, dtype=float)
+    u, n = b.shape[0] - 1, b.shape[1]
+    e = np.asarray(energy, dtype=float)
+    # the band columns of M - energy*I, then u + 1 columns of the identity
+    cols = np.zeros(e.shape + (n + u + 1, u + 1))
+    cols[..., :n, :] = b.T
+    cols[..., :n, u] -= e[..., None]
+    cols[..., n:, u] = 1.0
+    for c in range(min(u, n)):  # the unused storage above row 0
+        cols[..., c, : u - c] = 0.0
+    # s[..., a, b]: entry (j + a, j + b) of the trailing Schur complement
+    # before pivot j; it starts on u + 1 identity rows ahead of row 0, each a
+    # positive pivot, and takes in each band column once no pivot can touch it
+    s = np.broadcast_to(np.eye(u + 1), e.shape + (u + 1, u + 1)).copy()
+    negative = np.zeros(e.shape, dtype=int)
+    for col in np.moveaxis(cols, -2, 0):
+        d = s[..., 0, 0]
+        negative += d < 0.0
+        s[..., 1:, 1:] -= s[..., 1:, :1] * s[..., :1, 1:] / d[..., None, None]
+        s[..., :-1, :-1] = s[..., 1:, 1:]
+        s[..., :, -1] = col
+        s[..., -1, :] = col
+    return negative
 
 
 def banded_to_dense(m):

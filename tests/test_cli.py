@@ -14,6 +14,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import susychain
-from susychain import cli, lattice, models, numcore, susy
+from susychain import checks, cli, lattice, models, numcore, susy
 from susychain.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -113,8 +114,8 @@ def test_flag_beats_set_for_the_same_key(tmp_path):
 
 
 # a command-prefixed key, the keys of the lattice constant (k is in units
-# of 1/a) and of the two windows about lambda (always 0.1 E and 1e-5 E, with
-# E the analytic gap edge)
+# of 1/a) and of the two windows about lambda (always (E - |lambda|)/2 and
+# 1e-5 E, with E the analytic gap edge)
 @pytest.mark.parametrize("argv, key, value", [
     (["spectrum", *MODEL_I], "spectrum.cells", "2"),
     (["bands", *FIG_PARAMS], "a", "2"),
@@ -899,7 +900,8 @@ def test_spectrum_chain(tmp_path):
     summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
     assert summary["chain"]["cluster_count"] > 60
     assert summary["analytic_gap_edge"] == pytest.approx(np.sqrt(0.07 * 0.14))
-    assert summary["gap_exclusion"] == 0.1 * summary["analytic_gap_edge"]
+    assert summary["gap_exclusion"] == \
+        (summary["analytic_gap_edge"] - abs(summary["flat_energy"])) / 2
     assert not summary["gap_edge_derived_not_published"]
 
 
@@ -958,12 +960,12 @@ def _warnings(err):
 
 def test_spectrum_warns_when_the_chain_misses_the_kink(tmp_path, capsys):
     # Model I (5, 4) at box 50: kappa0*h = 0.94, where the chain's gap edges
-    # are kink states 37.3 % and 16.8 % off; the outputs stay as they are
+    # are kink states 40.6 % and 13.3 % off; the outputs stay as they are
     argv = ["spectrum", "--out", str(tmp_path), "--set", "model=I"]
     assert main([*argv, "--set", "mass=5", "--set", "flat_energy=4",
                  "--box", "50"]) == EXIT_OK
     assert capsys.readouterr().err == (
-        "warning: the chain route's gap edges are 37.3 % and 16.8 % off E = 5.47723, "
+        "warning: the chain route's gap edges are 40.6 % and 13.3 % off E = 5.47723, "
         "past 1 % (kappa0*h = 0.938, box*kappa0 = 187)\n")
     assert main([*argv, "--set", "mass=0.3"]) == EXIT_OK  # 0.779 % at kappa0*h = 0.3
     assert capsys.readouterr().err == ""
@@ -971,18 +973,20 @@ def test_spectrum_warns_when_the_chain_misses_the_kink(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,warned", [
     (["--set", "model=I", "--set", "mass=1e-100"], [("chain", 2.77e99, 1.41e-100, 2.82e-98)]),
+    # lambda 1e-6 E below its limit m: the gap window (E - |lambda|)/2 still
+    # finds both routes' upper edges (0.079 % and 8.7e-4 % off), so no line
+    # is written
     (["--set", "model=I", "--set", "mass=0.1", "--set", "flat_energy=0.0999999",
-      "--set", "method=both"],
-     [("chain", 12.2, 0.000173, 0.0346), ("continuum", 10.0, 0.012, 12.0)]),
+      "--set", "method=both"], []),
     ([*MODEL_I, "--box", "40"], [("chain", 9.73, 0.0198, 3.96)]),
     (["--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05", "--box", "60"],
      [("chain", 1.73, 0.0398, 7.94)]),
 ], ids=["mass_1e-100", "model_I_near_the_limit_both", "model_I_box_4", "model_II_box_8"])
 def test_spectrum_warns_once_where_the_box_cuts_the_kink(tmp_path, capsys, monkeypatch, argv,
                                                         warned):
-    # box*kappa0 = 2.8e-98, 0.035, 3.96 and 7.94: the gap edges are more than
-    # 1 % off, one line for each route that misses, and the files are those of
-    # a run without the lines
+    # box*kappa0 = 2.8e-98, 0.035, 3.96 and 7.94: where the gap edges are more
+    # than 1 % off, one line for each route that misses, and the files are
+    # those of a run without the lines
     assert main(["spectrum", "--out", str(tmp_path / "warned"), *argv]) == EXIT_OK
     assert _warnings(capsys.readouterr().err) == warned
     monkeypatch.setattr(cli, "GAP_EDGE_REL_TOL", math.inf)
@@ -1083,16 +1087,14 @@ def test_continuum_gap_edges_within_the_box_shift(tmp_path, kind, mass, lam):
 def test_continuum_state_at_minus_lambda_is_a_right_wall_state(tmp_path, kind, mass, lam):
     # the Wilson stencil binds one state at exactly -lambda, which the
     # continuum operator lacks: all its weight sits at the wall x = +box.
-    # spectrum predicts it and never reports it as a gap edge. scipy's dense
-    # solve is the oracle: without scipy this test skips
-    scipy_linalg = pytest.importorskip("scipy.linalg")
+    # spectrum predicts it and never reports it as a gap edge
     seed, summary, rows = _continuum_run(tmp_path, kind, mass, lam, 36.0, 601)
     energy = rows[:, 1]
     (i,) = np.flatnonzero(np.abs(energy + lam) <= 1e-12)
     rep = summary["continuum"]
     assert rep["gap_edge_neg"] < energy[i] < rep["gap_edge_pos"]
     _, op, _ = susy.partner_route(seed, "continuum", 601, 36.0 / seed.kappa0)
-    w, v = scipy_linalg.eigh(banded_to_dense(op))
+    w, v = np.linalg.eigh(banded_to_dense(op))
     assert np.argmin(np.abs(w + lam)) == i
     density = (v[:, i] ** 2).reshape(601, 3).sum(axis=1)
     assert density[-31:].sum() > 0.999  # the outer 5 % of points at x = +box
@@ -1193,15 +1195,15 @@ def _reject_constant(token):
 
 
 def test_spectrum_without_bulk_states_writes_strict_json(tmp_path, capsys):
-    # Model I (1, 0.98) on two cells 200 apart: no state lies above lambda
-    # past 0.1 E, so the upper edge is null
+    # Model II (0.1, 0.1386) on two cells 200 apart: no state lies above
+    # lambda past (E - |lambda|)/2, so the upper edge is null
     rc = main(["spectrum", "--out", str(tmp_path), "--cells", "2", "--box", "100",
-               "--set", "model=I", "--set", "mass=1", "--set", "flat_energy=0.98"])
+               "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.1386"])
     assert rc == EXIT_OK
-    # the missing edge warns, though the other is 0.304 % off
+    # the missing edge warns, beside the other, 4.89 % off
     assert capsys.readouterr().err == (
-        "warning: the chain route's gap edges are 0.304 % and nan % off E = 1.00995, "
-        "past 1 % (kappa0*h = 48.8, box*kappa0 = 24.4)\n")
+        "warning: the chain route's gap edges are 4.89 % and nan % off E = 0.141421, "
+        "past 1 % (kappa0*h = 5.62, box*kappa0 = 2.81)\n")
     text = (tmp_path / "spectrum_summary.json").read_text()
     chain = json.loads(text, parse_constant=_reject_constant)["chain"]
     assert chain["cluster_count"] == 2
@@ -1377,7 +1379,7 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
       "spectrum_continuum.csv":
       "c6e03a925d4eac5d3d8b0af62c3a1d538f672d0123451bef04b81348ba469a6c",
       "spectrum_summary.json":
-      "4a016b363892e8b6fe8c93ee48477db32072c6b14eead35d3164a3aed2ed34ad"}),
+      "b513090655c6d5128302015be40c6a1bfdb836cffc48f950a3da02ef0454c4a8"}),
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=both", "--cells", "300", "--grid-points", "201"],
      {"spectrum_chain.csv":
@@ -1385,21 +1387,21 @@ def test_susy_report_keeps_its_bytes(tmp_path, argv, digest):
       "spectrum_continuum.csv":
       "e067f12cc3a1dac1b9cf51c00c0e5b0094549cbf6048b7e9ac549b67d1610146",
       "spectrum_summary.json":
-      "e72b269a2ffa0038096436d8d9250a0a8250a2a36f64f65b718ca586564db830"}),
+      "17e3862dfb4e18bd6a0d06789e433c87e61bd7747c0b31a56fddbc262c7ed614"}),
     # cell spacing 600/499, where the hop (n - 1)/(2 box) and 1/h differ in the last bit
     (["spectrum", "--set", "model=II", "--set", "mass=0.1", "--set", "flat_energy=0.05",
       "--set", "method=chain", "--cells", "500", "--box", "300"],
      {"spectrum_chain.csv":
       "15720120822099ed1eb8820c886928befd3f5f7fa6969883eaa1ff5a8d38e257",
       "spectrum_summary.json":
-      "5f4b04a136463c4004990706d95115afd543338ce4a4901909d25fca6c22bfb5"}),
+      "f79bd866ce9c5ec5100c353cd1d1007e485eb966594dfe1fcb206963dc98afd0"}),
     # the smallest chain, a 2-point grid
     (["spectrum", "--set", "model=I", "--set", "mass=0.07", "--set", "method=chain",
       "--cells", "2"],
      {"spectrum_chain.csv":
       "f53fd59427cf60fcbbf405472375661a4a4413bc374e6703654bd4c2c104cbca",
       "spectrum_summary.json":
-      "911db18a52972a67933586128338ad03960f2e3affd36b0e175e6dbfe5255c0d"}),
+      "ce4e9276c2ef53d94f79ff84c2d1188cdc36766e5110af63f50cb1aa869cabba"}),
 ], ids=["model_I_default", "model_II_small", "model_II_box_300", "two_cells"])
 def test_spectrum_outputs_keep_their_bytes(tmp_path, argv, digests):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -1407,18 +1409,55 @@ def test_spectrum_outputs_keep_their_bytes(tmp_path, argv, digests):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_verify_fails_gap_edge_threshold_on_an_edge_off_by_1e_9(tmp_path, capsys,
-                                                                monkeypatch):
-    # an edge 1e-9 relative off the seed's hypot(mass, gauge_a) must fail the
-    # gap-edge row, and no other row reads the edge
-    exact = susy.SeedData.gap_edge.fget
-    monkeypatch.setattr(susy.SeedData, "gap_edge",
-                        property(lambda s: exact(s) * (1.0 + 1e-9)))
-    assert main(["verify", "--out", str(tmp_path)]) == EXIT_VERIFY
-    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
-    assert [c["name"] for c in checks if not c["passed"]] == ["gap_edge_threshold"]
-    assert "FAIL gap_edge_threshold" in capsys.readouterr().out
+def _eps_c_off(monkeypatch):
+    # every tuned eps_c 1e-9 relative off, as the battery reads it
+    tune = checks.tune_flat_band
+    monkeypatch.setattr(checks, "tune_flat_band",
+                        lambda p: [replace(s, eps_c=s.eps_c * (1.0 + 1e-9)) for s in tune(p)])
 
+
+def _inter_cell_hop_off(monkeypatch):
+    bloch = lattice.bloch_hamiltonian
+    monkeypatch.setattr(lattice, "bloch_hamiltonian", lambda p, k: bloch(
+        replace(p, t_ab_inter=p.t_ab_inter * (1.0 + 1e-6)), k))
+
+
+def _gap_edge_off(monkeypatch):
+    # the seed's hypot(mass, gauge_a), which only the gap-edge row reads
+    exact = susy.SeedData.gap_edge.fget
+    monkeypatch.setattr(susy.SeedData, "gap_edge", property(lambda s: exact(s) * (1.0 + 1e-9)))
+
+
+def _darboux_tilted(monkeypatch):
+    darboux = susy.apply_darboux
+    monkeypatch.setattr(susy, "apply_darboux", lambda frame, state: darboux(frame, state)
+                        * (1.0 + 1e-6 * np.tanh(frame.grid.x)))
+
+
+# each mutant of the engine and the rows of verify --seed 3 it fails.
+# L x (1 + 1e-6 tanh x) fails none: the intertwining row is an order test,
+# and the tilt moves the order from 2.00 to 1.99 and 1.95, above its bound
+# log2 3.6 = 1.85. That is a known gap, asserted as such, so that a row
+# which catches it flips this test
+@pytest.mark.parametrize("mutant, failing", [
+    (_eps_c_off, {"tune_eps_c_exact", "random_tune_residual"}),
+    (_inter_cell_hop_off, {"tuned_middle_band_spread", "dirac_point_gap"}),
+    (_gap_edge_off, {"gap_edge_threshold"}),
+    (_darboux_tilted, set()),
+], ids=["eps_c_1e-9", "t_ab_inter_1e-6", "gap_edge_1e-9", "darboux_tanh_1e-6_known_gap"])
+def test_verify_rows_each_mutant_fails(tmp_path, capsys, monkeypatch, mutant, failing):
+    argv = ["verify", "--seed", "3", "--out"]
+    assert main([*argv, str(tmp_path / "clean")]) == EXIT_OK
+    mutant(monkeypatch)
+    assert main([*argv, str(tmp_path / "mutant")]) == (EXIT_VERIFY if failing else EXIT_OK)
+    out = capsys.readouterr().out
+    clean, rows = ({c["name"]: c for c in json.loads((tmp_path / run / "verify.json")
+                                                     .read_text())["checks"]}
+                   for run in ("clean", "mutant"))
+    assert {name for name, c in rows.items() if not c["passed"]} == failing
+    assert sorted(re.findall(r"^FAIL (\w+):", out, re.M)) == sorted(failing)
+    # the mutant reaches the battery, the one that no row catches too
+    assert any(rows[name]["measured"] != c["measured"] for name, c in clean.items())
 
 
 # ---------------------------------------------------- scale covariance

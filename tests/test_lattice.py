@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from susychain import lattice, models, susy
+from susychain import lattice, models, numcore, susy
 from susychain.continuum import PotentialComponents, discretize, saw_cells
 from susychain.errors import DegenerateDispersionError, NumericalError
 from susychain.lattice import (
@@ -22,8 +22,7 @@ from susychain.lattice import (
 from susychain.models import ModelKind, ModelParams
 from susychain.numcore import BandedHermitian, Grid, eigh_banded
 
-from reference import (GAMMA, banded_to_dense, edge_localised, needs_scipy, potential_matrix,
-                       scipy_linalg, wilson_matrix)
+from reference import GAMMA, banded_to_dense, edge_localised, potential_matrix, wilson_matrix
 
 
 # the fine-tuned reference chain: t_ab = t_ab_inter = 1, t_ac = 0.2,
@@ -303,7 +302,6 @@ def test_chain_spectrum_refuses_an_unresolved_predicted_state():
     assert np.isnan(rep.gap_edge_neg) and rep.gap_edge_pos == 0.5
 
 
-@needs_scipy
 def test_ssh_chain_ends_on_its_strong_bonds():
     # the dimerized AB chain ends on its weak bond t_ab = 0.4 at both walls,
     # where it holds two zero modes. saw_chain drops A_0 and ends the
@@ -311,7 +309,7 @@ def test_ssh_chain_ends_on_its_strong_bonds():
     # and nothing near 0
     grid = _unit_grid(60)
     open_chain = BandedHermitian(_saw_bands_reference(SSH, grid, terminate=False))
-    w, v = scipy_linalg.eigh(banded_to_dense(open_chain))
+    w, v = np.linalg.eigh(banded_to_dense(open_chain))
     near_zero = np.abs(w) < 0.3
     assert near_zero.sum() == 2
     assert edge_localised(v[:, near_zero]).all()
@@ -339,7 +337,7 @@ def _dense_reference(dense, flat_energy, cluster_tol, gap_exclusion):
     """chain_spectrum's summary by the rule it replaces, from every eigenvector
     of a dense solve: beyond max(gap_exclusion, cluster_tol) of flat_energy,
     each gap edge is the nearest state that is not edge-localised."""
-    w, v = scipy_linalg.eigh(dense)
+    w, v = np.linalg.eigh(dense)
     offset = w - flat_energy
     bulk = (np.abs(offset) > max(gap_exclusion, cluster_tol)) & ~edge_localised(v)
     return (w, int((np.abs(offset) <= cluster_tol).sum()),
@@ -374,7 +372,6 @@ def _ssh_case(end_potentials):
     return chain, 0.0, 1e-9, 1e-9, ()
 
 
-@needs_scipy
 @pytest.mark.parametrize("case", [
     lambda: _model_case(ModelKind.I, 0.07, 0.0, "chain"),
     lambda: _model_case(ModelKind.II, 0.1, 0.05, "chain"),
@@ -397,7 +394,6 @@ def test_chain_spectrum_matches_dense_reference(case):
     assert rep.gap_edge_pos == pytest.approx(edge_pos, abs=1e-12)
 
 
-@needs_scipy
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(ModelKind), mass=st.floats(0.03, 0.5),
        ratio=st.floats(-0.95, 0.95), route=st.sampled_from(["chain", "continuum"]),
@@ -419,7 +415,7 @@ def test_only_predicted_states_lie_in_the_gap(kind, mass, ratio, route, size):
     excl = 0.1 * p.seed_data().gap_edge
     rep = chain_spectrum(op, flat_energy=lam, cluster_tol=1e-6, gap_exclusion=excl,
                          predicted=_predicted(route, lam))
-    _, v = scipy_linalg.eigh(banded_to_dense(op))
+    _, v = np.linalg.eigh(banded_to_dense(op))
     w = rep.eigenvalues
     edges = [np.flatnonzero(w == e)[0] for e in (rep.gap_edge_neg, rep.gap_edge_pos)]
     assert not edge_localised(v[:, edges]).any()
@@ -431,11 +427,11 @@ def test_only_predicted_states_lie_in_the_gap(kind, mass, ratio, route, size):
 
 
 def _full_eigh_banded(m):
-    """eigh_banded without deflation: one LAPACK solve of the whole matrix."""
-    return scipy_linalg.eig_banded(m.bands, lower=False, eigvals_only=True)
+    """eigh_banded without deflation: one LAPACK solve of the whole matrix,
+    whose bits test_numcore pins to scipy's eig_banded."""
+    return numcore._band_eigvalsh(np.array(m.bands, dtype=float, order="F"))
 
 
-@needs_scipy
 @pytest.mark.parametrize("route,size,box", [("chain", 400, None),
                                             ("chain", 800, None),
                                             ("continuum", 601, 36.0)],
@@ -463,7 +459,6 @@ def test_chain_spectrum_with_deflated_sites_matches_full_solve(monkeypatch, kind
     assert rep.gap_edge_pos == pytest.approx(full.gap_edge_pos, rel=0, abs=1e-12)
 
 
-@needs_scipy
 @pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
                                            (ModelKind.II, 0.1, 0.05)],
                          ids=["model_I", "model_II"])
@@ -483,8 +478,8 @@ def test_continuum_gauge_changes_no_result_beyond_rounding(kind, mass, lam):
     m = wilson_matrix(comps)
     hop = -1j / (2 * grid.h) * GAMMA - m / grid.h
     n = grid.n_points
-    h = (scipy_linalg.block_diag(*(stack + 2 / grid.h * m)) + np.kron(np.eye(n, k=1), hop)
-         + np.kron(np.eye(n, k=-1), hop.conj().T))
+    onsite = np.einsum("ij,iab->iajb", np.eye(n), stack + 2 / grid.h * m).reshape(3 * n, 3 * n)
+    h = onsite + np.kron(np.eye(n, k=1), hop) + np.kron(np.eye(n, k=-1), hop.conj().T)
     w, count, edge_neg, edge_pos = _dense_reference(h, lam, 1e-6, gap_exclusion)
     rep = chain_spectrum(gauged, flat_energy=lam, cluster_tol=1e-6,
                          gap_exclusion=gap_exclusion, predicted=_predicted("continuum", lam))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from susychain import numcore
+from susychain import numcore, susy
 from susychain.errors import NumericalError
 from susychain.lattice import saw_chain
 from susychain.continuum import saw_cells
@@ -23,8 +23,8 @@ from susychain.numcore import (
     quad_roots,
 )
 
-from reference import (banded_from_dense, banded_to_dense, index_nearest, integrate_cumulative,
-                       needs_scipy, scipy_linalg)
+from reference import (banded_from_dense, banded_to_dense, count_below, index_nearest,
+                       integrate_cumulative, needs_scipy, scipy_linalg)
 
 
 # ---------------------------------------------------------------- Grid
@@ -335,6 +335,33 @@ def test_eigh_banded_releases_the_gil():
     # three busy processes beside the test), and at most 3-fold when
     # eigh_banded solves through eig_banded
     assert released > 5 * held
+
+
+# ------------------------------------- eigenvalue counts by inertia
+
+@pytest.mark.parametrize("bw", [0, 1, 2, 4])
+def test_count_below_counts_the_dense_eigenvalues(bw):
+    dense = _random_banded(np.random.default_rng(bw), 30, bw)
+    probes = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(count_below(banded_from_dense(dense, bw).bands, probes),
+                          (np.linalg.eigvalsh(dense)[:, None] < probes).sum(axis=0))
+
+
+@pytest.mark.parametrize("route,n", [("chain", 400), ("continuum", 301)])
+@pytest.mark.parametrize("kind,mass,lam", [(ModelKind.I, 0.07, 0.0),
+                                           (ModelKind.II, 0.1, 0.05)],
+                         ids=["model_I", "model_II"])
+def test_eigh_banded_counts_as_many_eigenvalues_as_inertia(kind, mass, lam, route, n):
+    # below each of 16 energies over [-1.5 E, 1.5 E], eigh_banded holds as
+    # many eigenvalues as M - energy*I has negative pivots; no probe lies on
+    # an eigenvalue, lambda's cluster included, to 1e-9 of ||M||_1
+    seed = ModelParams(kind, mass, lam).seed_data()
+    _, op, _ = susy.partner_route(seed, route, n)
+    probes = np.linspace(-1.5, 1.5, 16) * seed.gap_edge
+    w = eigh_banded(op)
+    norm = np.abs(banded_to_dense(op)).sum(axis=0).max()
+    assert np.abs(w[:, None] - probes).min() > 1e-9 * norm
+    assert np.array_equal((w[:, None] < probes).sum(axis=0), count_below(op.bands, probes))
 
 
 # ------------------------------- band reduction below a tridiagonal lead
